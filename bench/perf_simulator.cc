@@ -40,34 +40,6 @@ void BM_SimulationRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationRun)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-// Same workload forced onto the scalar (non-batched) dispatch loop. The
-// delta against BM_SimulationRun is run extraction's whole contribution
-// (DESIGN.md §15.1) measured back-to-back in one process, which makes it
-// immune to the run-to-run throughput drift of shared containers — the
-// honest way to quote the batching win here.
-void BM_SimulationRunScalar(benchmark::State& state) {
-  const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
-  SimulationOptions options;
-  options.behavior = paper::Fig7MixedBehavior();
-  options.warmup_minutes = 100.0;
-  options.measurement_minutes = static_cast<double>(state.range(0));
-  options.scalar_event_dispatch = true;
-  uint64_t seed = 1;
-  uint64_t total_events = 0;
-  for (auto _ : state) {
-    options.seed = seed++;
-    const auto report = RunSimulation(*layout, paper::Rates(), options);
-    benchmark::DoNotOptimize(report);
-    total_events += report.ok() ? report->executed_events : 0;
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel("items = simulated minutes");
-  state.counters["events_per_second"] = benchmark::Counter(
-      static_cast<double>(total_events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulationRunScalar)
-    ->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
-
 // Same workload with the invariant auditor at its default cadence; the
 // delta against BM_SimulationRun is the auditor's overhead (EXPERIMENTS.md
 // quotes it: ~5-7% of the post-kernel-rewrite baseline).

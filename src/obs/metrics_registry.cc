@@ -267,6 +267,13 @@ Status MetricsRegistry::Restore(ByteReader* reader) {
           return Status::InvalidArgument(
               "metrics restore: bad histogram geometry for '" + name + "'");
         }
+        // Counts are 8 bytes each: a bin count the blob cannot hold is
+        // corrupt, and must be rejected before it sizes the histogram.
+        if (bins > reader->remaining() / 8) {
+          return Status::InvalidArgument(
+              "metrics restore: histogram '" + name + "' declares " +
+              std::to_string(bins) + " bins, more than the snapshot holds");
+        }
         Histogram* h =
             AddHistogram(name, help, lo, hi, static_cast<int>(bins));
         if (h->num_bins() != static_cast<int>(bins) || h->lo() != lo) {
@@ -288,6 +295,12 @@ Status MetricsRegistry::Restore(ByteReader* reader) {
     entry = metrics_[index_.at(name)].get();
     uint64_t points = 0;
     VOD_RETURN_IF_ERROR(reader->ReadU64(&points));
+    // Series points are 16 bytes each (t, value); see the bins check.
+    if (points > reader->remaining() / 16) {
+      return Status::InvalidArgument(
+          "metrics restore: series of '" + name + "' declares " +
+          std::to_string(points) + " points, more than the snapshot holds");
+    }
     entry->series.clear();
     entry->series.reserve(points);
     for (uint64_t i = 0; i < points; ++i) {

@@ -1,9 +1,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
-#include <numeric>
 #include <string>
 
 #include "common/check.h"
@@ -13,10 +10,13 @@ namespace vod {
 
 namespace {
 
-// First word of a current-format snapshot. Its bit pattern is a NaN, and the
-// PR 3 layout opened with the clock double (never NaN), so one u64 read
-// distinguishes the formats.
+// First word of a snapshot (format v2). Its bit pattern is a NaN, so it can
+// never be mistaken for the clock double an unversioned layout would open
+// with.
 constexpr uint64_t kSnapshotMagicV2 = 0xFFF7'4551'4232'0002ULL;
+
+// Serialized size of one pending entry: time, token, kind, payload.
+constexpr size_t kSnapshotEntryBytes = 32;
 
 // Largest slot index a snapshot may reference; rejects corrupt blobs before
 // they size the slab (real peaks are orders of magnitude below this).
@@ -43,16 +43,7 @@ uint64_t EventQueue::AddHandler(Handler handler) {
 uint64_t EventQueue::AddHandler(RawHandler fn, void* ctx) {
   VOD_CHECK_MSG(fn != nullptr, "event handler must be callable");
   handlers_.push_back(HandlerRec{fn, ctx});
-  batch_.push_back(BatchRec{});  // keep the batch table parallel
   return handlers_.size() - 1;
-}
-
-void EventQueue::AddBatchHandler(uint64_t kind, BatchHandler fn, void* ctx) {
-  VOD_CHECK_MSG(kind < handlers_.size(),
-                "batch handler requires a registered scalar kind");
-  VOD_CHECK_MSG(fn != nullptr, "batch handler must be callable");
-  batch_[kind] = BatchRec{fn, ctx};
-  have_batch_ = true;
 }
 
 void EventQueue::set_observer(std::function<void(double)> observer) {
@@ -165,49 +156,20 @@ void EventQueue::Cancel(EventToken token) {
   if (tombstones_ > heap_.size() / 2 && heap_.size() > 64) CompactHeap();
 }
 
-void EventQueue::AppendUnsifted(HeapKey key) {
-  if (heap_.size() == 1) {
-    // Crossing one element: insert the dead pads so level-1 starts at
-    // index 4 (one cache line per sibling group; see HeapChild).
-    heap_.resize(1 + kHeapPads,
-                 HeapKey{std::numeric_limits<double>::infinity(), 0, 0});
-  }
-  heap_.push_back(key);
-}
-
 void EventQueue::HeapifyAll() {
-  // In the aligned layout children always sit at higher indices than their
-  // parent, so one descending SiftDown pass over the internal nodes (every
-  // index up to the last element's parent — HeapParent is monotone) is the
-  // standard O(n) heapify; leaves are skipped, not rewritten.
   if (heap_.size() <= 1) return;
-  for (size_t i = HeapParent(heap_.size() - 1);; --i) {
-    if (!IsHeapPad(i)) SiftDown(i);
-    if (i == 0) break;
-  }
+  for (size_t i = HeapParent(heap_.size() - 1) + 1; i-- > 0;) SiftDown(i);
 }
 
 void EventQueue::PushKey(HeapKey key) {
-  AppendUnsifted(key);
+  heap_.push_back(key);
   SiftUp(heap_.size() - 1);
 }
 
 void EventQueue::PopRoot() {
-  const size_t n = heap_.size();
-  if (n <= 1) {
-    heap_.clear();
-    return;
-  }
-  if (n == 2 + kHeapPads) {
-    // Dropping to one key: retire the pads too so physical size is again
-    // 0, 1, or keys + pads (PushKey's crossing test depends on it).
-    heap_[0] = heap_[1 + kHeapPads];
-    heap_.resize(1);
-    return;
-  }
   heap_.front() = heap_.back();
   heap_.pop_back();
-  SiftDown(0);
+  if (!heap_.empty()) SiftDown(0);
 }
 
 void EventQueue::SiftUp(size_t i) {
@@ -256,21 +218,15 @@ void EventQueue::SiftDown(size_t i) {
 }
 
 void EventQueue::CompactHeap() {
-  // In-place: slide the live keys down over the tombstones (the write
-  // cursor hops the pad indices, the read cursor skips them), truncate,
-  // and heapify bottom-up. No allocation — Cancel calls this from inside
+  // In-place: slide the live keys down over the tombstones, truncate, and
+  // heapify bottom-up. No allocation — Cancel calls this from inside
   // cancel-heavy bursts, where a scratch vector per compaction measurably
   // drags the whole mix.
   size_t write = 0;
-  for (size_t read = 0; read < heap_.size(); ++read) {
-    if (IsHeapPad(read)) continue;
-    const HeapKey key = heap_[read];
+  for (const HeapKey& key : heap_) {
     if (slots_[key.slot].gen != key.gen) continue;  // tombstone
-    heap_[write] = key;
-    write = (write == 0) ? 1 + kHeapPads : write + 1;
+    heap_[write++] = key;
   }
-  // One live key leaves write just past the pads; physical size must be 1.
-  if (write == 1 + kHeapPads) write = 1;
   heap_.resize(write);
   tombstones_ = 0;
   HeapifyAll();
@@ -311,56 +267,6 @@ bool EventQueue::RunNext() {
 }
 
 template <bool kObserved>
-void EventQueue::RunBatchHead(HeapKey head, uint64_t kind) {
-  // Extraction is safe for byte-identity precisely because the run shares
-  // one timestamp: any event a handler schedules during the run gets a
-  // strictly higher generation than every extracted entry, so the scalar
-  // loop would also have executed it after the whole run (DESIGN.md §15).
-  const double t = head.time;
-  run_buf_.clear();
-  for (;;) {
-    PopRoot();
-    Slot& s = slots_[head.slot];
-    run_buf_.push_back(RunEvent{t, s.payload});
-    // Inline slot free: run members are handler events, never closures,
-    // so the side action column is untouched.
-    s.gen = kFreeGen;
-    s.next_free = free_head_;
-    free_head_ = head.slot;
-    --live_;
-    // Advance to the next live root; the run ends on a time or kind
-    // change. Tombstones are discarded exactly where the scalar loop
-    // would have discarded them.
-    bool extend = false;
-    while (!heap_.empty()) {
-      const HeapKey next = heap_.front();
-      const Slot& ns = slots_[next.slot];
-      if (ns.gen != next.gen) {
-        PopRoot();
-        --tombstones_;
-        continue;
-      }
-      if (next.time == t && ns.kind == kind) {
-        head = next;
-        extend = true;
-      }
-      break;
-    }
-    if (!extend) break;
-  }
-  now_ = t;
-  const BatchRec rec = batch_[kind];
-  rec.fn(rec.ctx, std::span<const RunEvent>(run_buf_.data(), run_buf_.size()));
-  executed_ += run_buf_.size();
-  if constexpr (kObserved) {
-    // Per-event cadence is preserved: the observer fires once per run
-    // member, at the settled post-run state (all at the shared timestamp).
-    const size_t n = run_buf_.size();
-    for (size_t i = 0; i < n; ++i) observer_fn_(observer_ctx_, t);
-  }
-}
-
-template <bool kObserved, bool kBatched>
 void EventQueue::RunLoop(double horizon) {
   while (!heap_.empty()) {
     const HeapKey head = heap_.front();
@@ -373,18 +279,12 @@ void EventQueue::RunLoop(double horizon) {
     if (head.time > horizon) break;
     const uint64_t kind = s.kind;
     if (kind & kHasActionBit) {
-      // Closure event (faults, timers, tests): cold path, scalar dispatch;
-      // ExecuteHead fires the observer itself.
+      // Closure event (faults, timers, tests): cold path; ExecuteHead fires
+      // the observer itself.
       ExecuteHead(head);
       continue;
     }
-    if constexpr (kBatched) {
-      if (batch_[kind].fn != nullptr) {
-        RunBatchHead<kObserved>(head, kind);
-        continue;
-      }
-    }
-    // Scalar handler dispatch, inlined (no action column, no std::function).
+    // Handler dispatch, inlined (no action column, no std::function).
     PopRoot();
     const uint64_t payload = s.payload;
     s.gen = kFreeGen;
@@ -404,11 +304,10 @@ void EventQueue::RunLoop(double horizon) {
 }
 
 void EventQueue::RunUntil(double horizon) {
-  const bool batched = have_batch_ && !scalar_dispatch_;
   if (observer_fn_ != nullptr) {
-    batched ? RunLoop<true, true>(horizon) : RunLoop<true, false>(horizon);
+    RunLoop<true>(horizon);
   } else {
-    batched ? RunLoop<false, true>(horizon) : RunLoop<false, false>(horizon);
+    RunLoop<false>(horizon);
   }
 }
 
@@ -417,9 +316,7 @@ Status EventQueue::Snapshot(ByteWriter* out) const {
   // internal array order depends on the push/pop history.
   std::vector<HeapKey> pending_keys;
   pending_keys.reserve(live_);
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (IsHeapPad(i)) continue;
-    const HeapKey& key = heap_[i];
+  for (const HeapKey& key : heap_) {
     const Slot& s = slots_[key.slot];
     if (s.gen != key.gen) continue;  // tombstone: will never run
     if (s.kind == kUntagged) {
@@ -472,7 +369,7 @@ void EventQueue::CommitRestore(double now, uint32_t next_gen,
     max_slot = std::max(max_slot, entry.slot);
   }
   slots_.resize(entries.empty() ? 0 : static_cast<size_t>(max_slot) + 1);
-  heap_.reserve(entries.size() + kHeapPads);
+  heap_.reserve(entries.size());
   for (PendingRestore& entry : entries) {
     Slot& s = slots_[entry.slot];
     s.gen = entry.gen;
@@ -484,7 +381,7 @@ void EventQueue::CommitRestore(double now, uint32_t next_gen,
     } else {
       s.kind = entry.kind;
     }
-    AppendUnsifted(HeapKey{entry.time, entry.gen, entry.slot});
+    heap_.push_back(HeapKey{entry.time, entry.gen, entry.slot});
   }
   // Unoccupied slots join the free list lowest-index-first, keeping token
   // assignment after a restore deterministic.
@@ -503,78 +400,11 @@ Status EventQueue::Restore(ByteReader* in, const ActionFactory& factory) {
     return Status::InvalidArgument(
         "event queue restore requires an empty queue");
   }
-  uint64_t first_word;
-  VOD_RETURN_IF_ERROR(in->ReadU64(&first_word));
-  if (first_word == kSnapshotMagicV2) return RestoreV2(in, factory);
-  // PR 3-era layout: the first word is the clock's IEEE bit pattern.
-  const double now = std::bit_cast<double>(first_word);
-  uint64_t next_seq, executed, count;
-  VOD_RETURN_IF_ERROR(in->ReadU64(&next_seq));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&executed));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&count));
-
-  struct V1Entry {
-    double time;
-    uint64_t seq;
-    uint64_t kind;
-    uint64_t payload;
-  };
-  std::vector<V1Entry> raw;
-  raw.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    V1Entry entry;
-    VOD_RETURN_IF_ERROR(in->ReadDouble(&entry.time));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&entry.seq));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&entry.kind));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&entry.payload));
-    if (!(entry.time >= now)) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: entry at t=" +
-          std::to_string(entry.time) + " precedes the snapshot clock t=" +
-          std::to_string(now));
-    }
-    if (entry.seq >= next_seq) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: entry seq " +
-          std::to_string(entry.seq) + " >= sequence counter " +
-          std::to_string(next_seq));
-    }
-    raw.push_back(entry);
+  uint64_t magic;
+  VOD_RETURN_IF_ERROR(in->ReadU64(&magic));
+  if (magic != kSnapshotMagicV2) {
+    return Status::InvalidArgument("unsupported event queue snapshot format");
   }
-
-  // The old format ordered by a 64-bit sequence; generations replicate that
-  // order by ranking the stored sequences. (Old token values are seq-based
-  // and are not honored after a cross-format restore.)
-  std::vector<size_t> by_seq(raw.size());
-  std::iota(by_seq.begin(), by_seq.end(), size_t{0});
-  std::sort(by_seq.begin(), by_seq.end(), [&raw](size_t a, size_t b) {
-    return raw[a].seq < raw[b].seq;
-  });
-  std::vector<PendingRestore> entries(raw.size());
-  for (size_t rank = 0; rank < by_seq.size(); ++rank) {
-    const V1Entry& src = raw[by_seq[rank]];
-    PendingRestore& dst = entries[by_seq[rank]];
-    dst.time = src.time;
-    dst.gen = static_cast<uint32_t>(rank);
-    dst.slot = static_cast<uint32_t>(rank);
-    dst.kind = src.kind;
-    dst.payload = src.payload;
-    if (!(src.kind < handlers_.size() && handlers_[src.kind].fn != nullptr)) {
-      dst.action = factory(src.kind, src.payload, src.time);
-      if (!dst.action) {
-        return Status::InvalidArgument(
-            "event queue restore: factory rejected event kind " +
-            std::to_string(src.kind));
-      }
-    }
-  }
-  // Evaluated before the move below — argument order is unspecified.
-  const uint32_t restored_gen = static_cast<uint32_t>(entries.size());
-  CommitRestore(now, restored_gen, executed, std::move(entries));
-  return Status::OK();
-}
-
-Status EventQueue::RestoreV2(ByteReader* in, const ActionFactory& factory) {
   double now;
   uint64_t next_gen, executed, count;
   VOD_RETURN_IF_ERROR(in->ReadDouble(&now));
@@ -585,6 +415,12 @@ Status EventQueue::RestoreV2(ByteReader* in, const ActionFactory& factory) {
     return Status::InvalidArgument(
         "event queue snapshot corrupt: generation counter " +
         std::to_string(next_gen) + " out of range");
+  }
+  if (count > in->remaining() / kSnapshotEntryBytes) {
+    return Status::InvalidArgument(
+        "event queue snapshot corrupt: " + std::to_string(count) +
+        " entries declared, " + std::to_string(in->remaining()) +
+        " bytes remain");
   }
 
   std::vector<PendingRestore> entries;

@@ -10,13 +10,8 @@
 // hot path never allocates and never touches a std::function. Closures
 // remain supported for one-off events (fault injection, tests); their
 // std::function state lives in a side column touched only by that cold path.
-//
-// Round 2 (DESIGN.md §15) adds *run extraction*: when consecutive heap roots
-// share one kind and one timestamp, RunUntil pops the whole run and hands it
-// to a registered batch handler as a span of (time, payload) entries, so
-// dispatch indirection, liveness checks, and observer gating amortize over
-// the run. The run loop itself is a template instantiated with and without
-// an observer, so an unobserved run carries no per-event observer branch.
+// The run loop is a template instantiated with and without an observer, so
+// an unobserved run carries no per-event observer branch (DESIGN.md §15).
 
 #ifndef VOD_SIM_EVENT_QUEUE_H_
 #define VOD_SIM_EVENT_QUEUE_H_
@@ -25,8 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <new>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -73,23 +66,6 @@ class EventQueue {
   /// and the owning object). The std::function overload boxes into this.
   using RawHandler = void (*)(void* ctx, uint64_t payload);
 
-  /// One entry of an extracted run, as handed to a batch handler. All
-  /// entries of one run share `time`; they are ordered by insertion
-  /// sequence, exactly as the scalar loop would have executed them.
-  struct RunEvent {
-    double time;
-    uint64_t payload;
-  };
-
-  /// A batch handler consumes a whole extracted run of same-kind,
-  /// same-timestamp events in one call. Contract (DESIGN.md §15): once
-  /// extraction begins the run is committed — the handler must not cancel
-  /// pending events of its own kind at the current timestamp (their slots
-  /// are already recycled; such a Cancel is a stale-token no-op, whereas
-  /// the scalar loop would have honored it). Cancelling any other event,
-  /// and scheduling new events, behaves identically to the scalar loop.
-  using BatchHandler = void (*)(void* ctx, std::span<const RunEvent> run);
-
   /// Observer in raw form; see set_observer.
   using RawObserver = void (*)(void* ctx, double time);
 
@@ -103,14 +79,6 @@ class EventQueue {
   /// Registers a raw handler: `fn(ctx, payload)` is called directly from
   /// the run loop with zero indirection beyond the table load.
   uint64_t AddHandler(RawHandler fn, void* ctx);
-
-  /// Attaches a batch handler to a registered kind. When the run loop finds
-  /// two or more (or even one) events of `kind` at the heap root sharing a
-  /// timestamp, it extracts the maximal run and calls `fn` once instead of
-  /// the scalar handler per event. The scalar handler registered for `kind`
-  /// still serves RunNext and non-batched loops, so both must implement
-  /// identical semantics (the differential tests pin this).
-  void AddBatchHandler(uint64_t kind, BatchHandler fn, void* ctx);
 
   /// Schedules the registered handler `kind` with `payload` at absolute time
   /// `time` (>= Now()). The fast path: no allocation, snapshot-compatible.
@@ -131,7 +99,7 @@ class EventQueue {
   /// events, so a run that stays under the estimate never grows kernel
   /// storage mid-simulation. Purely an optimization hint.
   void Reserve(size_t events) {
-    heap_.reserve(events + kHeapPads);
+    heap_.reserve(events);
     slots_.reserve(events);
   }
 
@@ -140,22 +108,14 @@ class EventQueue {
   void Cancel(EventToken token);
 
   /// Runs the earliest pending event, advancing Now(). Returns false when
-  /// the queue is empty. Always scalar — batch handlers never fire from
-  /// RunNext, so single-step drivers and tests see per-event granularity.
+  /// the queue is empty.
   bool RunNext();
 
   /// Runs events until the queue empties or the next event is after
   /// `horizon`; Now() ends at min(horizon, last event time). Events at
-  /// exactly `horizon` are executed. Dispatches to one of four specialized
-  /// loop instantiations (observed × batched) selected once per call, so
-  /// the per-event path carries no observer or batching branches it does
-  /// not need.
+  /// exactly `horizon` are executed. Dispatches to the observed or the
+  /// unobserved loop instantiation, selected once per call.
   void RunUntil(double horizon);
-
-  /// Forces RunUntil onto the scalar (non-batched) loop even when batch
-  /// handlers are registered. For differential testing: the property suite
-  /// pins scalar and batched runs byte-identical.
-  void set_scalar_dispatch(bool scalar) { scalar_dispatch_ = scalar; }
 
   /// Current simulation time (time of the last executed event).
   double Now() const { return now_; }
@@ -177,11 +137,9 @@ class EventQueue {
   /// Installs an observer invoked after each executed event with the event
   /// time (state is settled when it fires — the auditor's hook point).
   /// Pass an empty function to remove. The observer must not mutate the
-  /// queue beyond scheduling/cancelling (no nested RunNext); under batch
-  /// dispatch it fires once per event *after* the run settles, so it must
-  /// also not schedule new events (none of the in-tree observers do).
-  /// This overload boxes through a trampoline — it is the cold
-  /// configuration path. Hot callers install a raw observer below.
+  /// queue beyond scheduling/cancelling (no nested RunNext). This overload
+  /// boxes through a trampoline — it is the cold configuration path. Hot
+  /// callers install a raw observer below.
   void set_observer(std::function<void(double)> observer);
 
   /// Raw observer: called as `fn(ctx, time)`. Pass fn == nullptr to remove.
@@ -205,16 +163,13 @@ class EventQueue {
 
   /// \brief Restores a queue serialized by Snapshot.
   ///
-  /// The queue must be empty and unstarted (pending() == 0). Accepts both
-  /// the current format and PR 3-era snapshots (the pre-slab layout).
-  /// Entries whose kind has a registered handler are restored onto the
-  /// allocation-free handler path; others go through `factory`. Tokens are
-  /// preserved by current-format snapshots: a token obtained before the
-  /// snapshot still cancels the same logical event after restore (for
-  /// PR 3-era snapshots the events restore and run identically, but old
-  /// token values are not honored — nothing in-tree held tokens across
-  /// those snapshots). Returns InvalidArgument on truncated or inconsistent
-  /// input (entry time before the snapshot clock, sequence beyond the
+  /// The queue must be empty and unstarted (pending() == 0). Entries whose
+  /// kind has a registered handler are restored onto the allocation-free
+  /// handler path; others go through `factory`. Tokens are preserved: a
+  /// token obtained before the snapshot still cancels the same logical
+  /// event after restore. Returns InvalidArgument on an unknown format or
+  /// truncated or inconsistent input (a count larger than the remaining
+  /// bytes, entry time before the snapshot clock, sequence beyond the
   /// counter, duplicate slot, unknown kind).
   Status Restore(ByteReader* in, const ActionFactory& factory);
 
@@ -259,62 +214,13 @@ class EventQueue {
     uint32_t slot;
   };
 
-  /// Minimal over-aligning allocator for the heap array. Four 16-byte keys
-  /// are one 64-byte cache line; the aligned layout below only pays off if
-  /// index-group boundaries coincide with line boundaries, which needs the
-  /// base pointer itself line-aligned (std::allocator only guarantees 16).
-  template <typename T, std::size_t kAlign>
-  struct AlignedAlloc {
-    using value_type = T;
-    /// Explicit rebind: the default allocator_traits rebind cannot rewrite
-    /// the first argument past a non-type template parameter.
-    template <typename U>
-    struct rebind {
-      using other = AlignedAlloc<U, kAlign>;
-    };
-    AlignedAlloc() = default;
-    template <typename U>
-    AlignedAlloc(const AlignedAlloc<U, kAlign>&) {}
-    T* allocate(std::size_t n) {
-      return static_cast<T*>(
-          ::operator new(n * sizeof(T), std::align_val_t{kAlign}));
-    }
-    void deallocate(T* p, std::size_t n) {
-      ::operator delete(p, n * sizeof(T), std::align_val_t{kAlign});
-    }
-    template <typename U>
-    bool operator==(const AlignedAlloc<U, kAlign>&) const {
-      return true;
-    }
-  };
-
-  /// Cache-aligned 4-ary layout. The textbook children(i) = 4i+1 places
-  /// every sibling group astride a cache-line boundary (groups start at
-  /// odd offsets 1, 5, 9, ...), so each SiftDown level touches two lines.
-  /// Shifting the tree so groups start at multiples of 4 — root at 0,
-  /// indices 1..3 dead padding, level ℓ ≥ 1 packed contiguously — makes
-  /// every group exactly one line: children(0) = {4..7} and
-  /// children(i) = {4i-8 .. 4i-5} for i ≥ 4; parent(c) = 0 for c < 8,
-  /// (c >> 2) + 2 otherwise. Pads are never compared or iterated (index
-  /// checks, not sentinel values, keep them out of every walk).
-  static constexpr std::size_t kHeapPads = 3;
-  static std::size_t HeapChild(std::size_t i) {
-    return i == 0 ? 4 : (i << 2) - 8;
-  }
-  static std::size_t HeapParent(std::size_t i) {
-    return i < 8 ? 0 : (i >> 2) + 2;
-  }
-  static bool IsHeapPad(std::size_t i) { return i >= 1 && i <= kHeapPads; }
+  /// Textbook 4-ary implicit heap layout: children(i) = 4i+1 .. 4i+4.
+  static std::size_t HeapChild(std::size_t i) { return 4 * i + 1; }
+  static std::size_t HeapParent(std::size_t i) { return (i - 1) / 4; }
 
   /// Raw handler record: one direct call, no virtual, no std::function.
   struct HandlerRec {
     RawHandler fn = nullptr;
-    void* ctx = nullptr;
-  };
-
-  /// Batch handler record, indexed by kind (parallel to handlers_).
-  struct BatchRec {
-    BatchHandler fn = nullptr;
     void* ctx = nullptr;
   };
 
@@ -334,11 +240,8 @@ class EventQueue {
   EventToken ScheduleSlot(double time, uint64_t kind, uint64_t payload,
                           std::function<void()> action);
   void PushKey(HeapKey key);
-  /// Appends without restoring heap order (bulk-build path); inserts the
-  /// alignment pads when the array crosses one element.
-  void AppendUnsifted(HeapKey key);
-  /// Bottom-up O(n) heapify over the aligned layout (children always have
-  /// higher indices than their parent, so one descending SiftDown pass).
+  /// Bottom-up O(n) heapify: one descending SiftDown pass over the
+  /// internal nodes.
   void HeapifyAll();
   void PopRoot();
   void SiftUp(size_t i);
@@ -348,31 +251,22 @@ class EventQueue {
   /// (mass abandonment) cannot pin heap memory until pop time.
   void CompactHeap();
   /// Executes the live head key (caller validated liveness). Advances the
-  /// clock, dispatches, and fires the observer. Scalar — shared by RunNext
-  /// and the closure path of the run loops.
+  /// clock, dispatches, and fires the observer. Shared by RunNext and the
+  /// closure path of the run loop.
   void ExecuteHead(const HeapKey& head);
 
   /// The specialized hot loop. kObserved bakes the observer call in or out;
-  /// kBatched bakes run extraction in or out. RunUntil picks one of the
-  /// four instantiations per call.
-  template <bool kObserved, bool kBatched>
+  /// RunUntil picks one of the two instantiations per call.
+  template <bool kObserved>
   void RunLoop(double horizon);
 
-  /// Extracts the maximal same-kind same-timestamp run starting at the
-  /// validated live head and dispatches it to the kind's batch handler.
-  template <bool kObserved>
-  void RunBatchHead(HeapKey head, uint64_t kind);
-
-  Status RestoreV2(ByteReader* in, const ActionFactory& factory);
-  /// Commits decoded entries: places them in the slab (at their stored slot
-  /// for V2, densely for V1), rebuilds the free list and heap.
+  /// Commits decoded entries: places them in the slab at their stored
+  /// slot, rebuilds the free list and heap.
   struct PendingRestore;
   void CommitRestore(double now, uint32_t next_gen, uint64_t executed,
                      std::vector<PendingRestore> entries);
 
-  /// 4-ary implicit min-heap in the cache-aligned layout above: physical
-  /// size is 0, 1, or live-keys + kHeapPads.
-  std::vector<HeapKey, AlignedAlloc<HeapKey, 64>> heap_;
+  std::vector<HeapKey> heap_;  ///< 4-ary implicit min-heap (layout above)
   std::vector<Slot> slots_;    ///< POD payload slab, indexed by HeapKey::slot
   /// Side column for closure events, indexed by slot. Sized lazily: a run
   /// that never schedules a closure never allocates it.
@@ -383,14 +277,10 @@ class EventQueue {
   size_t tombstones_ = 0;   ///< cancelled keys still in heap_
   double now_ = 0.0;
   uint64_t executed_ = 0;
-  bool scalar_dispatch_ = false;  ///< differential-test override
-  bool have_batch_ = false;       ///< any batch handler registered
   std::vector<HandlerRec> handlers_;
-  std::vector<BatchRec> batch_;  ///< parallel to handlers_
   /// Boxed std::function handlers (the compat AddHandler overload); heap
   /// allocation keeps their addresses stable across vector growth.
   std::vector<std::unique_ptr<Handler>> boxed_handlers_;
-  std::vector<RunEvent> run_buf_;  ///< scratch for run extraction
   RawObserver observer_fn_ = nullptr;
   void* observer_ctx_ = nullptr;
   std::function<void(double)> observer_boxed_;  ///< backing for the overload

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <span>
 
 #include "common/check.h"
 #include "dist/exponential.h"
@@ -82,13 +81,6 @@ class MovieWorld::Impl {
     kind_finish_ = queue_->AddHandler(&Impl::FinishThunk, this);
     kind_vcr_complete_ = queue_->AddHandler(&Impl::VcrCompleteThunk, this);
     kind_stall_resume_ = queue_->AddHandler(&Impl::StallResumeThunk, this);
-    // Batch handlers for the two kinds that form same-timestamp runs: the
-    // batch restart admits every queued type-1 viewer at one instant, and a
-    // window edge resumes every viewer stalled on it at one instant. The
-    // run loop hands the whole run over in one call (DESIGN.md §15).
-    queue_->AddBatchHandler(kind_admit_, &Impl::AdmitBatchThunk, this);
-    queue_->AddBatchHandler(kind_stall_resume_, &Impl::StallResumeBatchThunk,
-                            this);
   }
 
   void Start() { ScheduleNextArrival(queue_->Now()); }
@@ -112,8 +104,7 @@ class MovieWorld::Impl {
   // touches only the cache lines it needs: kinematics (every position query
   // and playback transition), session identity/resources (admission,
   // release, reclaim), the parked VCR outcome (only between BeginVcrOp and
-  // completion), and the per-viewer RNG (only when sampling). Batch handlers
-  // walk the columns contiguously and prefetch the next run member's lines.
+  // completion), and the per-viewer RNG (only when sampling).
   // Invariant: at most one pending event per viewer; every transition
   // schedules the next one.
 
@@ -226,14 +217,6 @@ class MovieWorld::Impl {
   static void StallResumeThunk(void* ctx, uint64_t slot) {
     static_cast<Impl*>(ctx)->OnStallResume(static_cast<uint32_t>(slot));
   }
-  static void AdmitBatchThunk(void* ctx,
-                              std::span<const EventQueue::RunEvent> run) {
-    static_cast<Impl*>(ctx)->OnAdmitBatch(run);
-  }
-  static void StallResumeBatchThunk(
-      void* ctx, std::span<const EventQueue::RunEvent> run) {
-    static_cast<Impl*>(ctx)->OnStallResumeBatch(run);
-  }
 
   // ---- helpers -------------------------------------------------------------
 
@@ -338,35 +321,12 @@ class MovieWorld::Impl {
     }
   }
 
-  /// A batch restart reached a queued type-1 viewer (scalar path: RunNext
-  /// and non-batched loops).
+  /// A batch restart reached a queued type-1 viewer.
   void OnAdmitType1(uint32_t slot) {
-    const double now = queue_->Now();
-    AdmitType1At(slot, now, schedule_.FindCoveringStream(now, 0.0));
-  }
-
-  /// The batched form: every queued type-1 viewer admitted by one restart
-  /// shares the instant, so the coverage lookup (a pure function of time)
-  /// hoists out of the loop, and the next run member's columns prefetch
-  /// while the current viewer is processed.
-  void OnAdmitBatch(std::span<const EventQueue::RunEvent> run) {
+    CheckLive(slot);
     const double now = queue_->Now();
     const std::optional<int64_t> covering =
         schedule_.FindCoveringStream(now, 0.0);
-    for (size_t i = 0; i < run.size(); ++i) {
-      if (i + 1 < run.size()) {
-        const uint32_t next = static_cast<uint32_t>(run[i + 1].payload);
-        __builtin_prefetch(&kin_[next]);
-        __builtin_prefetch(&sess_[next]);
-        __builtin_prefetch(&rng_[next]);
-      }
-      AdmitType1At(static_cast<uint32_t>(run[i].payload), now, covering);
-    }
-  }
-
-  void AdmitType1At(uint32_t slot, double now,
-                    const std::optional<int64_t>& covering) {
-    CheckLive(slot);
     const double wait = now - kin_[slot].state_time;
     metrics_->RecordAdmission(now, wait, /*type2=*/false);
     if (now >= metrics_->measurement_start()) {
@@ -709,31 +669,10 @@ class MovieWorld::Impl {
         queue_->ScheduleHandler(t + wait, kind_stall_resume_, slot);
   }
 
-  /// The partition window's leading edge swept over a stalled viewer
-  /// (scalar path).
+  /// The partition window's leading edge swept over a stalled viewer.
   void OnStallResume(uint32_t slot) {
-    StallResumeAt(slot, queue_->Now());
-  }
-
-  /// Batched form: every viewer stalled on one window edge resumes at the
-  /// same instant; the coverage lookup stays per-viewer (it depends on the
-  /// frozen position) but dispatch amortizes and the next member's columns
-  /// prefetch ahead.
-  void OnStallResumeBatch(std::span<const EventQueue::RunEvent> run) {
-    const double now = queue_->Now();
-    for (size_t i = 0; i < run.size(); ++i) {
-      if (i + 1 < run.size()) {
-        const uint32_t next = static_cast<uint32_t>(run[i + 1].payload);
-        __builtin_prefetch(&kin_[next]);
-        __builtin_prefetch(&sess_[next]);
-        __builtin_prefetch(&rng_[next]);
-      }
-      StallResumeAt(static_cast<uint32_t>(run[i].payload), now);
-    }
-  }
-
-  void StallResumeAt(uint32_t slot, double now) {
     CheckLive(slot);
+    const double now = queue_->Now();
     const double position = kin_[slot].position;  // frozen at the stall
     sess_[slot].home_stream =
         EncodeHome(schedule_.FindCoveringStream(now, position));

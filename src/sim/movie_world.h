@@ -7,12 +7,8 @@
 // unlimited supplier.
 //
 // The viewer population is held in a structure-of-arrays slab (parallel
-// per-field columns indexed by the slot carried in event payloads), its
-// handlers register with the queue as raw function-pointer trampolines, and
-// the two event kinds that form same-timestamp runs (batch-restart
-// admissions, window-edge stall resumes) also register batch handlers so
-// the queue's run extraction dispatches a whole run in one call
-// (DESIGN.md §15). Reports are byte-identical to scalar dispatch.
+// per-field columns indexed by the slot carried in event payloads), and its
+// handlers register with the queue as raw function-pointer trampolines.
 //
 // Time convention: the simulation clock is in movie-minutes of normal
 // playback, i.e. R_PB must be 1 (RunSimulation / ServerSimulation validate

@@ -524,7 +524,6 @@ Result<ServerReport> RunServerSimulation(
       ComposeRunLoopVariant(auditor != nullptr,
                             registry != nullptr || event_log != nullptr),
       &observer_ctx);
-  queue.set_scalar_dispatch(options.scalar_event_dispatch);
 
   const double horizon = options.warmup_minutes + options.measurement_minutes;
 

@@ -87,10 +87,6 @@ struct ServerOptions {
   /// enabled controller never acts, and the report stays byte-identical to
   /// a controller-off run.
   ControllerOptions controller;
-  /// Forces the event kernel onto its scalar (non-batched) dispatch loop.
-  /// Reports are byte-identical either way — the differential test suite
-  /// pins that; this switch exists for those tests and for bisecting.
-  bool scalar_event_dispatch = false;
 };
 
 /// Resilience accounting for a run with faults and/or degradation enabled.

@@ -361,10 +361,6 @@ Result<ShardedServerReport> RunShardedServerSimulation(
   for (int s = 0; s < shard_count; ++s) {
     shards[static_cast<size_t>(s)]->queue().Reserve(static_cast<size_t>(
         std::clamp(shard_population[static_cast<size_t>(s)], 64.0, 1.0e6)));
-    // Shard queues run unobserved (kPlain loop) and batched by default; the
-    // differential suite flips this to pin scalar/batched byte-identity.
-    shards[static_cast<size_t>(s)]->queue().set_scalar_dispatch(
-        base.scalar_event_dispatch);
   }
   refs.assign(movie_count, MovieRef{});
   for (auto& shard : shards) {

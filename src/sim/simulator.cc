@@ -220,7 +220,6 @@ Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
                      ComposeRunLoopVariant(auditor != nullptr,
                                            registry != nullptr),
                      &observer_ctx);
-  queue.set_scalar_dispatch(options.scalar_event_dispatch);
 
   world.Start();
   const double horizon =

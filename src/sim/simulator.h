@@ -68,10 +68,6 @@ struct SimulationOptions {
   /// and cadenced metrics sampling. Telemetry-only — cannot change a
   /// report byte.
   ObsOptions obs;
-  /// Forces the event kernel onto its scalar (non-batched) dispatch loop.
-  /// Reports are byte-identical either way — the differential test suite
-  /// pins that; this switch exists for those tests and for bisecting.
-  bool scalar_event_dispatch = false;
 };
 
 /// Aggregated outcome of a run.

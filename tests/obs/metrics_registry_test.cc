@@ -173,5 +173,39 @@ TEST(MetricsRegistryTest, RestoreRejectsTruncatedBlob) {
   EXPECT_FALSE(target.Restore(&reader).ok());
 }
 
+TEST(MetricsRegistryTest, RestoreRejectsSeriesLongerThanTheBlob) {
+  // A counter whose series declares 2^40 points: the length must be checked
+  // against the bytes that remain before anything is allocated by it.
+  ByteWriter blob;
+  blob.PutU32(1);
+  blob.PutString("events");
+  blob.PutString("");
+  blob.PutU8(0);  // counter
+  blob.PutI64(5);
+  blob.PutU64(uint64_t{1} << 40);
+  MetricsRegistry target;
+  ByteReader reader(blob.bytes());
+  const Status st = target.Restore(&reader);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
+TEST(MetricsRegistryTest, RestoreRejectsHistogramBinsBeyondTheBlob) {
+  ByteWriter blob;
+  blob.PutU32(1);
+  blob.PutString("wait");
+  blob.PutString("");
+  blob.PutU8(2);  // histogram
+  blob.PutDouble(0.0);
+  blob.PutDouble(1.0);
+  blob.PutU32(uint32_t{1} << 30);
+  blob.PutI64(0);
+  blob.PutI64(0);
+  MetricsRegistry target;
+  ByteReader reader(blob.bytes());
+  const Status st = target.Restore(&reader);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(target.FindHistogram("wait"), nullptr);
+}
+
 }  // namespace
 }  // namespace vod

@@ -1,16 +1,15 @@
-// Property, regression, and format-compatibility tests for the slab/4-ary
-// heap event-queue kernel.
+// Property and regression tests for the slab/4-ary heap event-queue kernel.
 //
 //  * Randomized property test: the kernel is driven with a mixed
-//    schedule/cancel/pop workload and compared op-for-op against a naive
+//    schedule/cancel/pop/RunUntil workload and compared against a naive
 //    std::multimap reference keyed by (time, insertion sequence). Covers pop
-//    order, Cancel semantics, and stale-token safety while slots are being
-//    reused. Labeled "unit" so the asan/ubsan and tsan CI legs execute it.
+//    order, Cancel semantics, stale-token safety while slots are being
+//    reused, handlers that reschedule at the current timestamp, and observer
+//    ticks. Labeled "unit" so the asan/ubsan and tsan CI legs execute it.
 //  * Compaction regression: cancel-heavy bursts must not pin heap memory
 //    (the lazy-deletion leak the compactor exists to prevent).
-//  * PR 3-era snapshot compatibility: a hand-built old-format blob (the
-//    pre-slab layout: clock, seq counter, executed, (time, seq, kind,
-//    payload) entries) must restore and drain in the original order.
+//  * Snapshot kinds: the kernel-internal action marker never leaks into a
+//    snapshot.
 
 #include "sim/event_queue.h"
 
@@ -18,8 +17,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,99 +44,160 @@ class MixRng {
   uint64_t state_;
 };
 
-/// Reference model: events keyed by (time, schedule sequence), the exact
-/// order the kernel promises. Also remembers every token ever issued and
-/// whether its event is still live, so stale cancels can be replayed against
-/// both implementations.
-struct ReferenceModel {
-  // (time, seq) -> event id. multimap iteration order is the required
-  // execution order.
-  std::multimap<std::pair<double, uint64_t>, uint64_t> pending;
+/// Kernel under test plus a std::multimap reference keyed by (time,
+/// schedule sequence) — the exact order the kernel promises. Every schedule,
+/// whether from the test body or from a handler mid-run, goes through
+/// Schedule() so both sides see the same sequence numbers; every execution
+/// goes through OnExecute(), which pops the reference head as the expected
+/// event.
+struct MixHarness {
+  /// Event identity: kHandlerA, kHandlerB or kClosure, and a unique id.
+  enum Tag : uint64_t { kHandlerA, kHandlerB, kClosure };
+  using Event = std::pair<uint64_t, uint64_t>;  ///< (tag, id)
+  /// Offset for ids of handler-spawned children, so the cascade stops.
+  static constexpr uint64_t kChild = uint64_t{1} << 40;
+
+  EventQueue q;
+  std::multimap<std::pair<double, uint64_t>, Event> pending;
   uint64_t next_seq = 0;
+  uint64_t next_id = 0;
+  uint64_t kind[2] = {0, 0};
+
+  std::vector<Event> executed;  ///< from the kernel, in dispatch order
+  std::vector<Event> expected;  ///< reference head at each dispatch
+  std::vector<double> ticks;    ///< observer calls
+  std::vector<double> expected_ticks;
+  bool observing = false;
+
+  /// Live events by token, and tokens whose event has run or was
+  /// cancelled (fired at the kernel later, while slots are recycled).
+  std::map<EventToken, std::pair<uint64_t, std::pair<double, uint64_t>>>
+      live;
+  std::map<uint64_t, EventToken> token_of;
+  std::vector<EventToken> stale;
+
+  MixHarness() {
+    for (uint64_t k = 0; k < 2; ++k) {
+      kind[k] = q.AddHandler(
+          k == 0 ? +[](void* c, uint64_t id) {
+                     static_cast<MixHarness*>(c)->OnHandler(kHandlerA, id);
+                   }
+                 : +[](void* c, uint64_t id) {
+                     static_cast<MixHarness*>(c)->OnHandler(kHandlerB, id);
+                   },
+          this);
+    }
+  }
+
+  void Schedule(double t, uint64_t tag, uint64_t id) {
+    EventToken tok;
+    if (tag == kClosure) {
+      tok = q.Schedule(t, [this, id] { OnExecute({kClosure, id}); });
+    } else {
+      tok = q.ScheduleHandler(t, kind[tag], id);
+    }
+    const auto key = std::make_pair(t, next_seq++);
+    pending.emplace(key, Event{tag, id});
+    ASSERT_TRUE(live.emplace(tok, std::make_pair(id, key)).second)
+        << "kernel issued a duplicate token for a live event";
+    token_of[id] = tok;
+  }
+
+  void OnExecute(Event event) {
+    executed.push_back(event);
+    ASSERT_FALSE(pending.empty()) << "kernel ran an event the model lacks";
+    const auto head = pending.begin();
+    expected.push_back(head->second);
+    if (observing) expected_ticks.push_back(head->first.first);
+    ASSERT_DOUBLE_EQ(q.Now(), head->first.first);
+    pending.erase(head);
+    const EventToken tok = token_of.at(event.second);
+    token_of.erase(event.second);
+    live.erase(tok);
+    stale.push_back(tok);
+  }
+
+  /// Handler events also reschedule at Now(): some into their own kind,
+  /// some into the other, so same-time children land behind their parent.
+  void OnHandler(uint64_t tag, uint64_t id) {
+    OnExecute({tag, id});
+    if (id >= kChild) return;
+    if (id % 5 == 0) {
+      Schedule(q.Now(), tag, id + kChild);
+    } else if (id % 7 == 3) {
+      Schedule(q.Now(), tag == kHandlerA ? kHandlerB : kHandlerA,
+               id + 2 * kChild);
+    }
+  }
+
+  void SetObserving(bool on) {
+    observing = on;
+    if (on) {
+      q.set_observer(
+          [](void* c, double t) {
+            static_cast<MixHarness*>(c)->ticks.push_back(t);
+          },
+          this);
+    } else {
+      q.set_observer(nullptr, nullptr);
+    }
+  }
 };
 
 TEST(EventQueuePropertyTest, MatchesMultimapReferenceUnderRandomMix) {
   for (const uint64_t seed : {1ULL, 42ULL, 20260806ULL}) {
-    EventQueue q;
-    ReferenceModel ref;
+    MixHarness h;
     MixRng rng(seed);
 
-    std::vector<uint64_t> executed_ids;        // from the kernel
-    std::vector<uint64_t> expected_ids;        // from the reference
-    uint64_t next_id = 0;
-
-    // Handler path: payload is the event id. Exercises the allocation-free
-    // fast path alongside closure events.
-    const uint64_t kHandlerKind = q.AddHandler(
-        [&executed_ids](uint64_t payload) { executed_ids.push_back(payload); });
-
-    // Live bookkeeping: token -> (event id, reference key). Dead tokens move
-    // to `stale_tokens` and are fired at the kernel later, while their slots
-    // are being recycled by new schedules.
-    std::map<EventToken, std::pair<uint64_t, std::pair<double, uint64_t>>>
-        live;
-    std::vector<EventToken> stale_tokens;
-
-    const auto schedule_one = [&] {
-      const double t =
-          q.Now() + static_cast<double>(rng.Below(1000)) / 16.0;
-      const uint64_t id = next_id++;
-      EventToken tok;
-      if (rng.Below(2) == 0) {
-        tok = q.ScheduleHandler(t, kHandlerKind, id);
-      } else {
-        tok = q.Schedule(t, [&executed_ids, id] { executed_ids.push_back(id); });
-      }
-      const auto key = std::make_pair(t, ref.next_seq++);
-      ref.pending.emplace(key, id);
-      ASSERT_TRUE(live.emplace(tok, std::make_pair(id, key)).second)
-          << "kernel issued a duplicate token for a live event";
-    };
-
     for (int op = 0; op < 20000; ++op) {
-      const uint64_t dice = rng.Below(10);
-      if (dice < 5) {  // 50%: schedule
-        schedule_one();
-      } else if (dice < 7 && !live.empty()) {  // 20%: cancel a live event
-        auto it = live.begin();
-        std::advance(it, static_cast<long>(rng.Below(live.size())));
-        q.Cancel(it->first);
-        ref.pending.erase(ref.pending.find(it->second.second));
-        stale_tokens.push_back(it->first);
-        live.erase(it);
-      } else if (dice == 7 && !stale_tokens.empty()) {  // 10%: stale cancel
+      const uint64_t dice = rng.Below(20);
+      if (dice < 10) {  // 50%: schedule (handler A, handler B, or closure)
+        // A coarse time grid makes equal-time ties common.
+        const double t =
+            h.q.Now() + static_cast<double>(rng.Below(1000)) / 16.0;
+        h.Schedule(t, rng.Below(3), h.next_id++);
+      } else if (dice < 14 && !h.live.empty()) {  // 20%: cancel a live event
+        auto it = h.live.begin();
+        std::advance(it, static_cast<long>(rng.Below(h.live.size())));
+        const EventToken tok = it->first;
+        h.q.Cancel(tok);
+        h.pending.erase(h.pending.find(it->second.second));
+        h.token_of.erase(it->second.first);
+        h.stale.push_back(tok);
+        h.live.erase(it);
+      } else if (dice < 16 && !h.stale.empty()) {  // 10%: stale cancel
         // Must be a no-op even though the token's slot may by now hold a
         // different live event.
-        q.Cancel(stale_tokens[rng.Below(stale_tokens.size())]);
-      } else {  // pop
-        const bool kernel_ran = q.RunNext();
-        ASSERT_EQ(kernel_ran, !ref.pending.empty());
-        if (kernel_ran) {
-          const auto head = ref.pending.begin();
-          expected_ids.push_back(head->second);
-          // Retire the executed event's token.
-          for (auto it = live.begin(); it != live.end(); ++it) {
-            if (it->second.first == head->second) {
-              stale_tokens.push_back(it->first);
-              live.erase(it);
-              break;
-            }
-          }
-          ref.pending.erase(head);
-        }
+        h.q.Cancel(h.stale[rng.Below(h.stale.size())]);
+      } else if (dice < 18) {  // 10%: single step
+        const bool expect_run = !h.pending.empty();
+        ASSERT_EQ(h.q.RunNext(), expect_run) << "seed " << seed;
+      } else if (dice < 19) {  // 5%: drain to a horizon
+        const double horizon =
+            h.q.Now() + static_cast<double>(rng.Below(64)) / 16.0;
+        h.q.RunUntil(horizon);
+        ASSERT_TRUE(h.pending.empty() ||
+                    h.pending.begin()->first.first > horizon)
+            << "RunUntil left an event at or before the horizon";
+        ASSERT_EQ(h.q.Now(), horizon);
+      } else {  // 5%: toggle the observer (observed vs unobserved loop)
+        h.SetObserving(!h.observing);
       }
-      ASSERT_EQ(q.pending(), ref.pending.size());
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(h.q.pending(), h.pending.size()) << "seed " << seed;
     }
 
     // Drain both and compare the complete execution history.
-    while (q.RunNext()) {
-      const auto head = ref.pending.begin();
-      ASSERT_NE(head, ref.pending.end());
-      expected_ids.push_back(head->second);
-      ref.pending.erase(head);
-    }
-    EXPECT_TRUE(ref.pending.empty());
-    EXPECT_EQ(executed_ids, expected_ids) << "seed " << seed;
+    h.q.RunUntil(1.0e18);
+    EXPECT_TRUE(h.pending.empty());
+    EXPECT_EQ(h.executed, h.expected) << "seed " << seed;
+    EXPECT_EQ(h.ticks, h.expected_ticks) << "seed " << seed;
+    // The mix must actually have exercised what it claims to.
+    EXPECT_GT(h.expected_ticks.size(), 1000u);
+    EXPECT_TRUE(std::any_of(h.executed.begin(), h.executed.end(),
+                            [](const MixHarness::Event& e) {
+                              return e.second >= 2 * MixHarness::kChild;
+                            }));
   }
 }
 
@@ -259,267 +319,23 @@ TEST(EventQueueCompactionTest, CompactionPreservesExecutionOrder) {
   EXPECT_EQ(order, survivors);
 }
 
-// ---- run extraction (DESIGN.md §15) ----------------------------------------
+// ---- snapshot kinds ---------------------------------------------------------
 
-/// Shared recorder for the scalar-vs-batched differential: both dispatch
-/// strategies funnel through OnEvent, so the execution log is directly
-/// comparable. Handlers may reschedule (same kind and cross kind, at the
-/// current timestamp) to exercise the generation-ordering argument that
-/// makes run extraction safe: events born during a run always sort after
-/// the extracted prefix, exactly as they would in the scalar loop.
-struct RunHarness {
+/// Two registered handler kinds logging (kind tag, payload).
+struct KindHarness {
   EventQueue q;
-  uint64_t kind_a = 0;
-  uint64_t kind_b = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> log;  ///< (kind tag, payload)
-  std::vector<size_t> batch_spans;                 ///< extracted run sizes
-  bool reschedule = false;
-
-  void OnEvent(uint64_t tag, uint64_t payload) {
-    log.emplace_back(tag, payload);
-    // First-generation events only (the offset keeps child ids out of the
-    // trigger ranges), so the cascade terminates.
-    constexpr uint64_t kChild = uint64_t{1} << 20;
-    if (!reschedule || payload >= kChild) return;
-    if (payload % 5 == 0) {  // same kind, same timestamp
-      q.ScheduleHandler(q.Now(), tag == 0 ? kind_a : kind_b,
-                        payload + kChild);
-    } else if (payload % 7 == 3) {  // other kind, same timestamp
-      q.ScheduleHandler(q.Now(), tag == 0 ? kind_b : kind_a,
-                        payload + 2 * kChild);
-    }
-  }
-
-  void Register() {
-    kind_a = q.AddHandler(
-        [](void* c, uint64_t p) { static_cast<RunHarness*>(c)->OnEvent(0, p); },
-        this);
-    kind_b = q.AddHandler(
-        [](void* c, uint64_t p) { static_cast<RunHarness*>(c)->OnEvent(1, p); },
-        this);
-  }
-
-  void RegisterBatches() {
-    q.AddBatchHandler(
-        kind_a,
-        [](void* c, std::span<const EventQueue::RunEvent> run) {
-          static_cast<RunHarness*>(c)->OnBatch(0, run);
-        },
-        this);
-    q.AddBatchHandler(
-        kind_b,
-        [](void* c, std::span<const EventQueue::RunEvent> run) {
-          static_cast<RunHarness*>(c)->OnBatch(1, run);
-        },
-        this);
-  }
-
-  void OnBatch(uint64_t tag, std::span<const EventQueue::RunEvent> run) {
-    batch_spans.push_back(run.size());
-    for (const EventQueue::RunEvent& e : run) {
-      // Every member of an extracted run shares the run's timestamp.
-      EXPECT_EQ(e.time, run.front().time);
-      OnEvent(tag, e.payload);
-    }
-  }
+  uint64_t kind_a = q.AddHandler(
+      [this](uint64_t p) { log.emplace_back(0, p); });
+  uint64_t kind_b = q.AddHandler(
+      [this](uint64_t p) { log.emplace_back(1, p); });
+  std::vector<std::pair<uint64_t, uint64_t>> log;
 };
 
-TEST(EventQueueRunExtractionTest, MatchesScalarDispatchUnderRandomMix) {
-  // The core differential property: with an identical op stream, the
-  // batched loop must produce the identical execution history as the
-  // scalar loop — including handlers that reschedule at the current
-  // timestamp and cancels landing between windows. Times draw from a
-  // coarse integer grid so same-time runs are common.
-  for (const uint64_t seed : {3ULL, 77ULL, 20260808ULL}) {
-    RunHarness scalar;
-    RunHarness batched;
-    for (RunHarness* h : {&scalar, &batched}) {
-      h->reschedule = true;
-      h->Register();
-      h->RegisterBatches();
-    }
-    scalar.q.set_scalar_dispatch(true);
-
-    MixRng rng(seed);
-    uint64_t next_id = 0;
-    std::vector<std::pair<EventToken, EventToken>> tokens;
-    for (int round = 0; round < 150; ++round) {
-      const uint64_t burst = rng.Below(24);
-      for (uint64_t i = 0; i < burst; ++i) {
-        const double t =
-            scalar.q.Now() + static_cast<double>(rng.Below(6));
-        const uint64_t id = next_id++;
-        const uint64_t dice = rng.Below(3);
-        if (dice < 2) {
-          const uint64_t ks = dice == 0 ? scalar.kind_a : scalar.kind_b;
-          const uint64_t kb = dice == 0 ? batched.kind_a : batched.kind_b;
-          tokens.emplace_back(scalar.q.ScheduleHandler(t, ks, id),
-                              batched.q.ScheduleHandler(t, kb, id));
-        } else {
-          RunHarness* s = &scalar;
-          RunHarness* b = &batched;
-          tokens.emplace_back(
-              scalar.q.Schedule(t, [s, id] { s->log.emplace_back(2, id); }),
-              batched.q.Schedule(t, [b, id] { b->log.emplace_back(2, id); }));
-        }
-      }
-      // Cancels between windows hit live and stale tokens alike; both
-      // queues have identical liveness state, so the effect is symmetric.
-      const uint64_t cancels = rng.Below(4);
-      for (uint64_t i = 0; i < cancels && !tokens.empty(); ++i) {
-        const auto& pick = tokens[rng.Below(tokens.size())];
-        scalar.q.Cancel(pick.first);
-        batched.q.Cancel(pick.second);
-      }
-      const double horizon =
-          scalar.q.Now() + static_cast<double>(rng.Below(4));
-      scalar.q.RunUntil(horizon);
-      batched.q.RunUntil(horizon);
-      ASSERT_EQ(scalar.q.Now(), batched.q.Now()) << "seed " << seed;
-      ASSERT_EQ(scalar.q.pending(), batched.q.pending()) << "seed " << seed;
-    }
-    scalar.q.RunUntil(1.0e18);
-    batched.q.RunUntil(1.0e18);
-
-    EXPECT_EQ(scalar.log, batched.log) << "seed " << seed;
-    EXPECT_EQ(scalar.q.executed(), batched.q.executed()) << "seed " << seed;
-    // The property is vacuous unless extraction actually fired...
-    EXPECT_FALSE(batched.batch_spans.empty()) << "seed " << seed;
-    EXPECT_GE(*std::max_element(batched.batch_spans.begin(),
-                                batched.batch_spans.end()),
-              2u)
-        << "seed " << seed << ": no multi-event run was ever extracted";
-    // ... and the forced-scalar queue must never have batched.
-    EXPECT_TRUE(scalar.batch_spans.empty());
-  }
-}
-
-TEST(EventQueueRunExtractionTest, EqualTimeRunsBreakAtKindBoundaries) {
-  // Interleaved kinds at one timestamp: extraction may only take the
-  // maximal same-kind prefix, never leap over a foreign event to extend a
-  // run — that would reorder equal-time events.
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  h.q.ScheduleHandler(1.0, h.kind_a, 0);
-  h.q.ScheduleHandler(1.0, h.kind_a, 1);
-  h.q.ScheduleHandler(1.0, h.kind_b, 2);
-  h.q.ScheduleHandler(1.0, h.kind_a, 3);
-  h.q.Schedule(1.0, [&h] { h.log.emplace_back(2, 4); });
-  h.q.ScheduleHandler(1.0, h.kind_a, 5);
-  h.q.RunUntil(2.0);
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 1}, {1, 2}, {0, 3}, {2, 4}, {0, 5}};
-  EXPECT_EQ(h.log, want);
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{2, 1, 1, 1}));
-}
-
-TEST(EventQueueRunExtractionTest, TimeSpreadEventsNeverFormOneRun) {
-  // Same kind, different timestamps: each must be its own run (the
-  // time-spread extraction §15 rejects would batch them and collapse the
-  // clock onto the first timestamp, breaking handlers that read Now()).
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  std::vector<double> now_at_dispatch;
-  for (uint64_t i = 0; i < 4; ++i) {
-    h.q.ScheduleHandler(1.0 + static_cast<double>(i), h.kind_a, i);
-  }
-  // Observe the clock after every event: it must track each timestamp.
-  h.q.set_observer(
-      [](void* c, double t) {
-        static_cast<std::vector<double>*>(c)->push_back(t);
-      },
-      &now_at_dispatch);
-  h.q.RunUntil(10.0);
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{1, 1, 1, 1}));
-  EXPECT_EQ(now_at_dispatch, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
-}
-
-TEST(EventQueueRunExtractionTest, CancelledMembersAreSkippedExactly) {
-  // Tombstones inside a would-be run vanish during extraction exactly
-  // where the scalar loop would have skipped them.
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  std::vector<EventToken> toks;
-  for (uint64_t i = 0; i < 5; ++i) {
-    toks.push_back(h.q.ScheduleHandler(1.0, h.kind_a, i));
-  }
-  h.q.Cancel(toks[1]);
-  h.q.Cancel(toks[3]);
-  h.q.RunUntil(2.0);
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 2}, {0, 4}};
-  EXPECT_EQ(h.log, want);
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{3}));
-}
-
-TEST(EventQueueRunExtractionTest, SameTimeChildrenFormASecondRun) {
-  // Events scheduled *during* a batch at the batch's own timestamp must
-  // run after the extracted run (their generation is higher), in a second
-  // extraction — mirroring the scalar loop's behavior.
-  RunHarness h;
-  h.reschedule = true;
-  h.Register();
-  h.RegisterBatches();
-  // payloads 0 and 5 trigger same-kind same-time children (+1<<20).
-  for (uint64_t i = 0; i < 6; ++i) h.q.ScheduleHandler(1.0, h.kind_a, i);
-  h.q.RunUntil(2.0);
-  constexpr uint64_t kChild = uint64_t{1} << 20;
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5},
-      {0, kChild}, {1, 3 + 2 * kChild}, {0, 5 + kChild}};
-  EXPECT_EQ(h.log, want);
-  // One six-event run, then the same-time children: the two kind-A
-  // children straddle a kind-B child, splitting them into separate runs.
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{6, 1, 1, 1}));
-}
-
-TEST(EventQueueRunExtractionTest, RunNextStaysScalar) {
-  // Single-step drivers must see per-event granularity: RunNext never
-  // fires a batch handler even when one is registered for the kind.
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  for (uint64_t i = 0; i < 4; ++i) h.q.ScheduleHandler(1.0, h.kind_a, i);
-  while (h.q.RunNext()) {
-  }
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 1}, {0, 2}, {0, 3}};
-  EXPECT_EQ(h.log, want);
-  EXPECT_TRUE(h.batch_spans.empty());
-}
-
-TEST(EventQueueRunExtractionTest, ObserverFiresPerEventAfterTheRunSettles) {
-  // Under batch dispatch the observer contract is "K ticks at the shared
-  // timestamp, after the run" — the tick count per (kind, time) must match
-  // the scalar loop exactly.
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  std::vector<double> ticks;
-  h.q.set_observer(
-      [](void* c, double t) {
-        static_cast<std::vector<double>*>(c)->push_back(t);
-      },
-      &ticks);
-  for (uint64_t i = 0; i < 3; ++i) h.q.ScheduleHandler(1.0, h.kind_a, i);
-  h.q.ScheduleHandler(2.0, h.kind_b, 9);
-  h.q.RunUntil(3.0);
-  EXPECT_EQ(ticks, (std::vector<double>{1.0, 1.0, 1.0, 2.0}));
-  // All three kind-A observer ticks fired after the whole run executed:
-  // the log was complete before the first tick recorded... the ordering is
-  // implied by the span assertion below (one 3-event extraction).
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{3, 1}));
-}
-
-TEST(EventQueueRunExtractionTest, SnapshotRoundTripsWithBatchHandlers) {
+TEST(EventQueueSnapshotKindTest, SnapshotCarriesCallerKindsWithoutMarker) {
   // The action-marker bit (slot kind bit 63) is kernel-internal: snapshots
-  // must carry the caller's kind values unchanged, and a restored queue
-  // with batch handlers registered must extract runs from restored events.
-  RunHarness h;
-  h.Register();
+  // must carry the caller's kind values unchanged, registered kinds restore
+  // onto their handlers, and the factory serves only unregistered kinds.
+  KindHarness h;
   for (uint64_t i = 0; i < 4; ++i) h.q.ScheduleHandler(5.0, h.kind_a, i);
   h.q.ScheduleHandler(6.0, h.kind_b, 7);
   // A tagged closure event rides along; its tag must survive bit-63-free.
@@ -528,9 +344,7 @@ TEST(EventQueueRunExtractionTest, SnapshotRoundTripsWithBatchHandlers) {
   ByteWriter blob;
   ASSERT_TRUE(h.q.Snapshot(&blob).ok());
 
-  RunHarness restored;
-  restored.Register();
-  restored.RegisterBatches();
+  KindHarness restored;
   std::vector<std::pair<uint64_t, uint64_t>> factory_seen;
   ByteReader reader(blob.bytes());
   ASSERT_TRUE(restored.q
@@ -545,172 +359,8 @@ TEST(EventQueueRunExtractionTest, SnapshotRoundTripsWithBatchHandlers) {
   const std::vector<std::pair<uint64_t, uint64_t>> want = {
       {0, 0}, {0, 1}, {0, 2}, {0, 3}, {1, 7}};
   EXPECT_EQ(restored.log, want);
-  EXPECT_EQ(restored.batch_spans, (std::vector<size_t>{4, 1}));
   EXPECT_EQ(factory_seen,
             (std::vector<std::pair<uint64_t, uint64_t>>{{kTag, 13}}));
-}
-
-// ---- PR 3-era (pre-slab) snapshot compatibility ----------------------------
-
-/// Serializes the old kernel's layout exactly: clock, u64 sequence counter,
-/// executed count, entry count, then (time, seq, kind, payload) per entry.
-struct V1Event {
-  double time;
-  uint64_t seq;
-  uint64_t kind;
-  uint64_t payload;
-};
-
-std::string BuildV1Blob(double clock, uint64_t next_seq, uint64_t executed,
-                        const std::vector<V1Event>& events) {
-  ByteWriter w;
-  w.PutDouble(clock);
-  w.PutU64(next_seq);
-  w.PutU64(executed);
-  w.PutU64(events.size());
-  for (const V1Event& e : events) {
-    w.PutDouble(e.time);
-    w.PutU64(e.seq);
-    w.PutU64(e.kind);
-    w.PutU64(e.payload);
-  }
-  return w.bytes();
-}
-
-TEST(EventQueueV1CompatTest, RestoresPreSlabSnapshotInOriginalOrder) {
-  // Mirror of the scenario the old kernel's own test serialized: ten events
-  // at times ((i*7) % 10) + 1, four already executed (clock 4.0), and the
-  // six survivors written in schedule order (unsorted), seq == i.
-  std::vector<V1Event> survivors;
-  for (uint64_t i = 0; i < 10; ++i) {
-    const double t = static_cast<double>((i * 7) % 10) + 1.0;
-    if (t <= 4.0) continue;  // executed before the snapshot
-    survivors.push_back({t, i, /*kind=*/i, /*payload=*/i * 100});
-  }
-  ASSERT_EQ(survivors.size(), 6u);
-  const std::string blob =
-      BuildV1Blob(/*clock=*/4.0, /*next_seq=*/10, /*executed=*/4, survivors);
-
-  std::vector<std::pair<uint64_t, double>> executed;
-  EventQueue q;
-  ByteReader reader(blob);
-  const Status st = q.Restore(
-      &reader, [&executed, &q](uint64_t kind, uint64_t payload,
-                               double /*time*/) -> std::function<void()> {
-        EXPECT_EQ(payload, kind * 100);
-        return [&executed, &q, kind] { executed.push_back({kind, q.Now()}); };
-      });
-  ASSERT_TRUE(st.ok()) << st.message();
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_DOUBLE_EQ(q.Now(), 4.0);
-  EXPECT_EQ(q.pending(), 6u);
-  EXPECT_EQ(q.executed(), 4u);
-  while (q.RunNext()) {
-  }
-  const std::vector<std::pair<uint64_t, double>> want = {
-      {2, 5.0}, {5, 6.0}, {8, 7.0}, {1, 8.0}, {4, 9.0}, {7, 10.0}};
-  EXPECT_EQ(executed, want);
-}
-
-TEST(EventQueueV1CompatTest, RegisteredHandlersServeV1Kinds) {
-  // A v1 snapshot restored into a queue with a handler table must route
-  // entries through the table, not the factory.
-  const std::string blob = BuildV1Blob(
-      0.0, /*next_seq=*/2, /*executed=*/0,
-      {{1.0, 0, /*kind=*/0, /*payload=*/7}, {2.0, 1, /*kind=*/0, 9}});
-  EventQueue q;
-  std::vector<uint64_t> payloads;
-  const uint64_t kind = q.AddHandler(
-      [&payloads](uint64_t payload) { payloads.push_back(payload); });
-  ASSERT_EQ(kind, 0u);
-  ByteReader reader(blob);
-  ASSERT_TRUE(q.Restore(&reader,
-                        [](uint64_t, uint64_t, double) -> std::function<void()> {
-                          ADD_FAILURE() << "factory consulted for a "
-                                           "handler-registered kind";
-                          return [] {};
-                        })
-                  .ok());
-  while (q.RunNext()) {
-  }
-  EXPECT_EQ(payloads, (std::vector<uint64_t>{7, 9}));
-}
-
-TEST(EventQueueV1CompatTest, V1TieBreaksFollowSequenceNotFileOrder) {
-  // Entries at the same timestamp must drain by seq even when the file
-  // stores them reversed.
-  const std::string blob =
-      BuildV1Blob(0.0, /*next_seq=*/8, /*executed=*/0,
-                  {{3.0, 6, 106, 0}, {3.0, 2, 102, 0}, {3.0, 4, 104, 0}});
-  EventQueue q;
-  std::vector<uint64_t> kinds;
-  ByteReader reader(blob);
-  ASSERT_TRUE(
-      q.Restore(&reader,
-                [&kinds](uint64_t kind, uint64_t, double) -> std::function<void()> {
-                  return [&kinds, kind] { kinds.push_back(kind); };
-                })
-          .ok());
-  while (q.RunNext()) {
-  }
-  EXPECT_EQ(kinds, (std::vector<uint64_t>{102, 104, 106}));
-}
-
-TEST(EventQueueV1CompatTest, V1EntryBeforeClockIsRejected) {
-  const std::string blob =
-      BuildV1Blob(5.0, /*next_seq=*/1, /*executed=*/3, {{4.0, 0, 1, 0}});
-  EventQueue q;
-  ByteReader reader(blob);
-  const Status st = q.Restore(
-      &reader, [](uint64_t, uint64_t, double) -> std::function<void()> {
-        return [] {};
-      });
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("precedes the snapshot clock"),
-            std::string::npos);
-}
-
-TEST(EventQueueV1CompatTest, V1SeqBeyondCounterIsRejected) {
-  const std::string blob =
-      BuildV1Blob(0.0, /*next_seq=*/3, /*executed=*/0, {{1.0, 3, 1, 0}});
-  EventQueue q;
-  ByteReader reader(blob);
-  const Status st = q.Restore(
-      &reader, [](uint64_t, uint64_t, double) -> std::function<void()> {
-        return [] {};
-      });
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("sequence counter"), std::string::npos);
-}
-
-TEST(EventQueueV1CompatTest, RestoredV1QueueSnapshotsInCurrentFormat) {
-  // Round-trip: v1 in, run a little, v2 out, restore again. The second
-  // restore must preserve both order and clock.
-  const std::string v1 = BuildV1Blob(
-      0.0, /*next_seq=*/4, /*executed=*/0,
-      {{1.0, 0, 10, 0}, {2.0, 1, 11, 0}, {3.0, 2, 12, 0}, {4.0, 3, 13, 0}});
-  std::vector<uint64_t> kinds;
-  const auto factory = [&kinds](uint64_t kind, uint64_t,
-                                double) -> std::function<void()> {
-    return [&kinds, kind] { kinds.push_back(kind); };
-  };
-  EventQueue q;
-  {
-    ByteReader reader(v1);
-    ASSERT_TRUE(q.Restore(&reader, factory).ok());
-  }
-  ASSERT_TRUE(q.RunNext());  // runs kind 10, clock -> 1.0
-  ByteWriter v2;
-  ASSERT_TRUE(q.Snapshot(&v2).ok());
-
-  EventQueue q2;
-  ByteReader reader(v2.bytes());
-  ASSERT_TRUE(q2.Restore(&reader, factory).ok());
-  EXPECT_DOUBLE_EQ(q2.Now(), 1.0);
-  EXPECT_EQ(q2.pending(), 3u);
-  while (q2.RunNext()) {
-  }
-  EXPECT_EQ(kinds, (std::vector<uint64_t>{10, 11, 12, 13}));
 }
 
 }  // namespace
