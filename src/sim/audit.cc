@@ -82,9 +82,16 @@ std::string InvariantAuditor::TraceTail() const {
 void InvariantAuditor::Audit(const AuditSnapshot& s) {
   events_since_audit_ = 0;
   ++audits_run_;
-  const double t = s.time;
+  AuditStreams(s);
+  AuditPartitions(s);
+  AuditControllerLedger(s);
+  AuditShardLedgers(s);
+  AuditLadder(s);
+}
 
-  // --- stream counters -----------------------------------------------------
+// Stream counters: supplier against world holds, and the capacity bounds.
+void InvariantAuditor::AuditStreams(const AuditSnapshot& s) {
+  const double t = s.time;
   if (s.supplier_in_use < 0 || s.sum_world_holds < 0) {
     AddViolation(t, "negative-streams",
                  "supplier in_use=" + std::to_string(s.supplier_in_use) +
@@ -116,8 +123,11 @@ void InvariantAuditor::Audit(const AuditSnapshot& s) {
               " with no outstanding capacity loss to explain it");
     }
   }
+}
 
-  // --- buffer partitions ---------------------------------------------------
+// Buffer partitions: each movie's windows fit budget B and never overlap.
+void InvariantAuditor::AuditPartitions(const AuditSnapshot& s) {
+  const double t = s.time;
   for (const auto& movie : s.movies) {
     double total = 0.0;
     for (const AuditPartition& p : movie.partitions) {
@@ -152,165 +162,172 @@ void InvariantAuditor::Audit(const AuditSnapshot& s) {
       }
     }
   }
+}
 
-  // --- controller resource ledger ------------------------------------------
-  if (s.controller.enabled) {
-    const auto& c = s.controller;
-    const int64_t stream_sum =
-        c.sum_live_streams + c.free_streams + c.inflight_streams;
-    if (stream_sum != c.stream_budget) {
-      AddViolation(t, "ctrl-stream-conservation",
-                   "live " + std::to_string(c.sum_live_streams) + " + free " +
-                       std::to_string(c.free_streams) + " + in-flight " +
-                       std::to_string(c.inflight_streams) + " = " +
-                       std::to_string(stream_sum) + " streams, budget is " +
-                       std::to_string(c.stream_budget) +
-                       " (a migration leaked or double-granted a stream)");
+// Controller resource ledger: conservation, no double grant, epoch order.
+void InvariantAuditor::AuditControllerLedger(const AuditSnapshot& s) {
+  const double t = s.time;
+  if (!s.controller.enabled) return;
+  const auto& c = s.controller;
+  const int64_t stream_sum =
+      c.sum_live_streams + c.free_streams + c.inflight_streams;
+  if (stream_sum != c.stream_budget) {
+    AddViolation(t, "ctrl-stream-conservation",
+                 "live " + std::to_string(c.sum_live_streams) + " + free " +
+                     std::to_string(c.free_streams) + " + in-flight " +
+                     std::to_string(c.inflight_streams) + " = " +
+                     std::to_string(stream_sum) + " streams, budget is " +
+                     std::to_string(c.stream_budget) +
+                     " (a migration leaked or double-granted a stream)");
+  }
+  const double buffer_sum =
+      c.sum_live_buffer + c.free_buffer + c.inflight_buffer;
+  if (std::fabs(buffer_sum - c.buffer_budget) > 1e-6) {
+    AddViolation(t, "ctrl-buffer-conservation",
+                 "live " + std::to_string(c.sum_live_buffer) + " + free " +
+                     std::to_string(c.free_buffer) + " + in-flight " +
+                     std::to_string(c.inflight_buffer) + " = " +
+                     std::to_string(buffer_sum) + " buffer minutes, " +
+                     "budget is " + std::to_string(c.buffer_budget));
+  }
+  if (c.steps_applied > c.steps_planned) {
+    AddViolation(t, "ctrl-no-double-grant",
+                 std::to_string(c.steps_applied) +
+                     " migration steps applied but only " +
+                     std::to_string(c.steps_planned) +
+                     " were ever planned (a step ran twice)");
+  }
+  if (c.epoch < last_controller_epoch_) {
+    AddViolation(t, "ctrl-epoch-monotonic",
+                 "plan epoch moved backward: " +
+                     std::to_string(last_controller_epoch_) + " -> " +
+                     std::to_string(c.epoch));
+  }
+  last_controller_epoch_ = std::max(last_controller_epoch_, c.epoch);
+}
+
+// Cross-shard ledgers, then the windowed cross-shard ladder.
+void InvariantAuditor::AuditShardLedgers(const AuditSnapshot& s) {
+  const double t = s.time;
+  if (!s.shard.enabled) return;
+  const auto& sh = s.shard;
+  int64_t ledger = 0;
+  for (const auto& m : sh.movies) {
+    if (m.held < 0 || m.credit < 0 || m.debt < 0) {
+      AddViolation(t, "shard-credit-negative",
+                   "movie " + std::to_string(m.movie) + " ledger held=" +
+                       std::to_string(m.held) + " credit=" +
+                       std::to_string(m.credit) + " debt=" +
+                       std::to_string(m.debt) +
+                       " (a credit was spent or repaid twice)");
     }
-    const double buffer_sum =
-        c.sum_live_buffer + c.free_buffer + c.inflight_buffer;
-    if (std::fabs(buffer_sum - c.buffer_budget) > 1e-6) {
-      AddViolation(t, "ctrl-buffer-conservation",
-                   "live " + std::to_string(c.sum_live_buffer) + " + free " +
-                       std::to_string(c.free_buffer) + " + in-flight " +
-                       std::to_string(c.inflight_buffer) + " = " +
-                       std::to_string(buffer_sum) + " buffer minutes, " +
-                       "budget is " + std::to_string(c.buffer_budget));
+    ledger += m.held + m.credit - m.debt;
+    if (m.live != m.entered - m.exited) {
+      AddViolation(t, "shard-viewer-conservation",
+                   "movie " + std::to_string(m.movie) + " reports " +
+                       std::to_string(m.live) + " live viewers but " +
+                       std::to_string(m.entered) + " entered - " +
+                       std::to_string(m.exited) + " exited = " +
+                       std::to_string(m.entered - m.exited) +
+                       " (a viewer was lost or duplicated in a handoff)");
     }
-    if (c.steps_applied > c.steps_planned) {
-      AddViolation(t, "ctrl-no-double-grant",
-                   std::to_string(c.steps_applied) +
-                       " migration steps applied but only " +
-                       std::to_string(c.steps_planned) +
-                       " were ever planned (a step ran twice)");
-    }
-    if (c.epoch < last_controller_epoch_) {
-      AddViolation(t, "ctrl-epoch-monotonic",
-                   "plan epoch moved backward: " +
-                       std::to_string(last_controller_epoch_) + " -> " +
-                       std::to_string(c.epoch));
-    }
-    last_controller_epoch_ = std::max(last_controller_epoch_, c.epoch);
+  }
+  if (ledger != sh.capacity) {
+    AddViolation(t, "shard-reserve-ledger",
+                 "sum of per-movie (held + credit - debt) = " +
+                     std::to_string(ledger) + ", global capacity is " +
+                     std::to_string(sh.capacity) +
+                     " (a shard grant minted or leaked reserve)");
+  }
+  if (sh.messages_posted != sh.messages_drained) {
+    AddViolation(t, "shard-mailbox-conservation",
+                 std::to_string(sh.messages_posted) +
+                     " messages posted but " +
+                     std::to_string(sh.messages_drained) +
+                     " drained (a cross-shard message was lost)");
+  }
+  if (sh.sequence_gaps != 0) {
+    AddViolation(t, "shard-mailbox-conservation",
+                 std::to_string(sh.sequence_gaps) +
+                     " mailbox sequence gaps (a message was dropped, "
+                     "duplicated, or reordered)");
   }
 
-  // --- cross-shard ledgers -------------------------------------------------
-  if (s.shard.enabled) {
-    const auto& sh = s.shard;
-    int64_t ledger = 0;
+  // --- windowed cross-shard ladder ---------------------------------------
+  if (sh.ladder.enabled) {
+    const auto& ld = sh.ladder;
+    // The rung must be the pure fold of the summed pressure: recompute
+    // StepWindowedLadder with the published inputs and require an exact
+    // match (both sides run the same function, so there is no tolerance).
+    WindowedPressure pressure;
+    pressure.capacity = sh.capacity;
+    pressure.nominal_capacity = ld.nominal_capacity;
+    pressure.sum_held = ld.sum_held;
+    pressure.sum_queued = ld.sum_queued;
+    DegradationPolicy policy;
+    policy.enabled = true;
+    policy.shed_below_fraction = ld.shed_below_fraction;
+    policy.batching_below_fraction = ld.batching_below_fraction;
+    WindowedLadderState prev;
+    prev.level = static_cast<DegradationLevel>(ld.prev_level);
+    prev.below_streak = ld.prev_streak;
+    const WindowedLadderState expect =
+        StepWindowedLadder(prev, pressure, policy, ld.recover_windows);
+    if (static_cast<int>(expect.level) != ld.next_level ||
+        expect.below_streak != ld.next_streak) {
+      AddViolation(
+          t, "shard-ladder-rung",
+          "barrier decided rung " + std::to_string(ld.next_level) +
+              " streak " + std::to_string(ld.next_streak) +
+              " but StepWindowedLadder(prev=" +
+              std::to_string(ld.prev_level) + "/" +
+              std::to_string(ld.prev_streak) + ", held=" +
+              std::to_string(ld.sum_held) + ", queued=" +
+              std::to_string(ld.sum_queued) + ", capacity=" +
+              std::to_string(sh.capacity) + "/" +
+              std::to_string(ld.nominal_capacity) + ") gives " +
+              std::to_string(static_cast<int>(expect.level)) + "/" +
+              std::to_string(expect.below_streak) +
+              " (the rung is not a pure function of the summed pressure)");
+    }
+    int64_t quota_echoed = 0;
     for (const auto& m : sh.movies) {
-      if (m.held < 0 || m.credit < 0 || m.debt < 0) {
-        AddViolation(t, "shard-credit-negative",
-                     "movie " + std::to_string(m.movie) + " ledger held=" +
-                         std::to_string(m.held) + " credit=" +
-                         std::to_string(m.credit) + " debt=" +
-                         std::to_string(m.debt) +
-                         " (a credit was spent or repaid twice)");
-      }
-      ledger += m.held + m.credit - m.debt;
-      if (m.live != m.entered - m.exited) {
-        AddViolation(t, "shard-viewer-conservation",
-                     "movie " + std::to_string(m.movie) + " reports " +
-                         std::to_string(m.live) + " live viewers but " +
-                         std::to_string(m.entered) + " entered - " +
-                         std::to_string(m.exited) + " exited = " +
-                         std::to_string(m.entered - m.exited) +
-                         " (a viewer was lost or duplicated in a handoff)");
-      }
-    }
-    if (ledger != sh.capacity) {
-      AddViolation(t, "shard-reserve-ledger",
-                   "sum of per-movie (held + credit - debt) = " +
-                       std::to_string(ledger) + ", global capacity is " +
-                       std::to_string(sh.capacity) +
-                       " (a shard grant minted or leaked reserve)");
-    }
-    if (sh.messages_posted != sh.messages_drained) {
-      AddViolation(t, "shard-mailbox-conservation",
-                   std::to_string(sh.messages_posted) +
-                       " messages posted but " +
-                       std::to_string(sh.messages_drained) +
-                       " drained (a cross-shard message was lost)");
-    }
-    if (sh.sequence_gaps != 0) {
-      AddViolation(t, "shard-mailbox-conservation",
-                   std::to_string(sh.sequence_gaps) +
-                       " mailbox sequence gaps (a message was dropped, "
-                       "duplicated, or reordered)");
-    }
-
-    // --- windowed cross-shard ladder ---------------------------------------
-    if (sh.ladder.enabled) {
-      const auto& ld = sh.ladder;
-      // The rung must be the pure fold of the summed pressure: recompute
-      // StepWindowedLadder with the published inputs and require an exact
-      // match (both sides run the same function, so there is no tolerance).
-      WindowedPressure pressure;
-      pressure.capacity = sh.capacity;
-      pressure.nominal_capacity = ld.nominal_capacity;
-      pressure.sum_held = ld.sum_held;
-      pressure.sum_queued = ld.sum_queued;
-      DegradationPolicy policy;
-      policy.enabled = true;
-      policy.shed_below_fraction = ld.shed_below_fraction;
-      policy.batching_below_fraction = ld.batching_below_fraction;
-      WindowedLadderState prev;
-      prev.level = static_cast<DegradationLevel>(ld.prev_level);
-      prev.below_streak = ld.prev_streak;
-      const WindowedLadderState expect =
-          StepWindowedLadder(prev, pressure, policy, ld.recover_windows);
-      if (static_cast<int>(expect.level) != ld.next_level ||
-          expect.below_streak != ld.next_streak) {
-        AddViolation(
-            t, "shard-ladder-rung",
-            "barrier decided rung " + std::to_string(ld.next_level) +
-                " streak " + std::to_string(ld.next_streak) +
-                " but StepWindowedLadder(prev=" +
-                std::to_string(ld.prev_level) + "/" +
-                std::to_string(ld.prev_streak) + ", held=" +
-                std::to_string(ld.sum_held) + ", queued=" +
-                std::to_string(ld.sum_queued) + ", capacity=" +
-                std::to_string(sh.capacity) + "/" +
-                std::to_string(ld.nominal_capacity) + ") gives " +
-                std::to_string(static_cast<int>(expect.level)) + "/" +
-                std::to_string(expect.below_streak) +
-                " (the rung is not a pure function of the summed pressure)");
-      }
-      int64_t quota_echoed = 0;
-      for (const auto& m : sh.movies) {
-        quota_echoed += m.reclaim_quota;
-        if (m.reclaim_applied > m.reclaim_quota) {
-          AddViolation(t, "shard-ladder-reclaim",
-                       "movie " + std::to_string(m.movie) + " reclaimed " +
-                           std::to_string(m.reclaim_applied) +
-                           " streams against a quota of " +
-                           std::to_string(m.reclaim_quota) +
-                           " (a shard reclaimed beyond its quota)");
-        }
-        const int64_t accounted =
-            m.queue_grants + m.queue_expirations + m.queue_pending;
-        if (m.vcr_queued != accounted) {
-          AddViolation(t, "shard-ladder-queue",
-                       "movie " + std::to_string(m.movie) + " queued " +
-                           std::to_string(m.vcr_queued) + " but grants " +
-                           std::to_string(m.queue_grants) + " + expirations " +
-                           std::to_string(m.queue_expirations) + " + pending " +
-                           std::to_string(m.queue_pending) + " = " +
-                           std::to_string(accounted) +
-                           " (a queued viewer was lost across a window)");
-        }
-      }
-      if (quota_echoed != ld.quota_issued_prev) {
+      quota_echoed += m.reclaim_quota;
+      if (m.reclaim_applied > m.reclaim_quota) {
         AddViolation(t, "shard-ladder-reclaim",
-                     "shards echoed reclaim quotas summing to " +
-                         std::to_string(quota_echoed) +
-                         " but the barrier issued " +
-                         std::to_string(ld.quota_issued_prev) +
-                         " last window (a reclaim quota was minted or lost)");
+                     "movie " + std::to_string(m.movie) + " reclaimed " +
+                         std::to_string(m.reclaim_applied) +
+                         " streams against a quota of " +
+                         std::to_string(m.reclaim_quota) +
+                         " (a shard reclaimed beyond its quota)");
       }
+      const int64_t accounted =
+          m.queue_grants + m.queue_expirations + m.queue_pending;
+      if (m.vcr_queued != accounted) {
+        AddViolation(t, "shard-ladder-queue",
+                     "movie " + std::to_string(m.movie) + " queued " +
+                         std::to_string(m.vcr_queued) + " but grants " +
+                         std::to_string(m.queue_grants) + " + expirations " +
+                         std::to_string(m.queue_expirations) + " + pending " +
+                         std::to_string(m.queue_pending) + " = " +
+                         std::to_string(accounted) +
+                         " (a queued viewer was lost across a window)");
+      }
+    }
+    if (quota_echoed != ld.quota_issued_prev) {
+      AddViolation(t, "shard-ladder-reclaim",
+                   "shards echoed reclaim quotas summing to " +
+                       std::to_string(quota_echoed) +
+                       " but the barrier issued " +
+                       std::to_string(ld.quota_issued_prev) +
+                       " last window (a reclaim quota was minted or lost)");
     }
   }
+}
 
-  // --- degradation ladder --------------------------------------------------
+// Degradation ladder: rung range and transition-log continuity.
+void InvariantAuditor::AuditLadder(const AuditSnapshot& s) {
+  const double t = s.time;
   if (s.degradation_level != -1 &&
       (s.degradation_level < 0 ||
        s.degradation_level >= kNumDegradationLevels)) {

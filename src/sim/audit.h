@@ -248,6 +248,12 @@ class InvariantAuditor {
 
  private:
   void AddViolation(double t, const char* invariant, std::string detail);
+  // The law families Audit runs, in order.
+  void AuditStreams(const AuditSnapshot& s);
+  void AuditPartitions(const AuditSnapshot& s);
+  void AuditControllerLedger(const AuditSnapshot& s);
+  void AuditShardLedgers(const AuditSnapshot& s);
+  void AuditLadder(const AuditSnapshot& s);
   std::string TraceTail() const;
 
   AuditOptions options_;

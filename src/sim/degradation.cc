@@ -6,12 +6,6 @@
 
 namespace vod {
 
-namespace {
-// Bound on the stored transition log; total_transitions_ keeps the true
-// count so long runs cannot exhaust memory through level flapping.
-constexpr size_t kMaxStoredTransitions = 10000;
-}  // namespace
-
 const char* DegradationLevelName(DegradationLevel level) {
   switch (level) {
     case DegradationLevel::kNormal:
@@ -85,55 +79,137 @@ WindowedLadderState StepWindowedLadder(const WindowedLadderState& state,
   return next;
 }
 
+void LadderHistory::Record(double t, DegradationLevel from,
+                           DegradationLevel to, int64_t capacity) {
+  if (transitions.size() < kMaxStoredTransitions) {
+    transitions.push_back({t, from, to, capacity});
+  }
+  ++total_transitions;
+  if (from == DegradationLevel::kNormal) {
+    excursion_start = t;
+  } else if (to == DegradationLevel::kNormal) {
+    recovery_times.Add(t - excursion_start);
+  }
+}
+
+void VcrWaitQueue::ArmVcrQueue(const DegradationPolicy& policy,
+                               EventQueue* events, double measurement_start) {
+  VOD_CHECK(events != nullptr);
+  policy_ = policy;
+  events_ = events;
+  measurement_start_ = measurement_start;
+}
+
+int64_t VcrWaitQueue::measured_queue_pending() const {
+  int64_t n = 0;
+  for (const Waiter& w : waiting_) {
+    if (InMeasurement(w.enqueued)) ++n;
+  }
+  return n;
+}
+
+void VcrWaitQueue::EnqueueVcr(double t,
+                              std::function<void(double, bool)> on_decision) {
+  Waiter waiter;
+  waiter.id = next_waiter_id_++;
+  waiter.enqueued = t;
+  waiter.deadline = t + policy_.queue_deadline_minutes;
+  waiter.backoff = policy_.backoff_initial_minutes;
+  waiter.on_decision = std::move(on_decision);
+  const uint64_t id = waiter.id;
+  waiter.deadline_token = events_->Schedule(
+      waiter.deadline, [this, id] { OnDeadline(events_->Now(), id); });
+  const double first_retry = std::min(t + waiter.backoff, waiter.deadline);
+  if (first_retry < waiter.deadline) {
+    waiter.retry_token = events_->Schedule(
+        first_retry, [this, id] { OnRetry(events_->Now(), id); });
+  }
+  waiting_.push_back(std::move(waiter));
+  if (InMeasurement(t)) ++queued_;
+  OnQueueChanged(t);
+}
+
+std::deque<VcrWaitQueue::Waiter>::iterator VcrWaitQueue::FindWaiter(
+    uint64_t waiter_id) {
+  return std::find_if(
+      waiting_.begin(), waiting_.end(),
+      [waiter_id](const Waiter& w) { return w.id == waiter_id; });
+}
+
+void VcrWaitQueue::DrainVcrQueue(double t) {
+  // FIFO: any re-offer opportunity serves the longest-waiting request
+  // first, regardless of whose retry timer fired.
+  while (!waiting_.empty() && MayGrantQueued()) {
+    Waiter waiter = std::move(waiting_.front());
+    waiting_.pop_front();
+    events_->Cancel(waiter.deadline_token);
+    events_->Cancel(waiter.retry_token);
+    GrantQueued(t);
+    if (InMeasurement(waiter.enqueued)) {
+      ++grants_;
+      wait_.Add(t - waiter.enqueued);
+      wait_quantiles_.Add(t - waiter.enqueued);
+    }
+    OnQueueChanged(t);
+    waiter.on_decision(t, true);
+  }
+}
+
+void VcrWaitQueue::OnRetry(double t, uint64_t waiter_id) {
+  auto it = FindWaiter(waiter_id);
+  if (it == waiting_.end()) return;  // already granted or expired
+  DrainVcrQueue(t);
+  it = FindWaiter(waiter_id);
+  if (it == waiting_.end()) return;  // granted by the drain above
+  it->backoff *= policy_.backoff_factor;
+  const double next_retry = t + it->backoff;
+  if (next_retry < it->deadline) {
+    it->retry_token = events_->Schedule(
+        next_retry, [this, waiter_id] { OnRetry(events_->Now(), waiter_id); });
+  } else {
+    it->retry_token = kNoEvent;  // the deadline event resolves this waiter
+  }
+}
+
+void VcrWaitQueue::OnDeadline(double t, uint64_t waiter_id) {
+  auto it = FindWaiter(waiter_id);
+  if (it == waiting_.end()) return;
+  Waiter waiter = std::move(*it);
+  waiting_.erase(it);
+  events_->Cancel(waiter.retry_token);
+  if (InMeasurement(waiter.enqueued)) ++expirations_;
+  OnQueueChanged(t);
+  waiter.on_decision(t, false);
+}
+
 ReserveManager::ReserveManager(int64_t nominal_capacity,
                                const DegradationPolicy& policy,
                                EventQueue* queue, double measurement_start)
     : nominal_capacity_(nominal_capacity),
       capacity_(nominal_capacity),
-      policy_(policy),
-      queue_(queue),
-      measurement_start_(measurement_start),
       min_capacity_seen_(nominal_capacity) {
   VOD_CHECK_MSG(nominal_capacity >= 0, "reserve must be non-negative");
-  VOD_CHECK(queue != nullptr);
+  ArmVcrQueue(policy, queue, measurement_start);
   usage_.Reset(0.0, 0.0);
 }
 
 DegradationLevel ReserveManager::ComputeLevel() const {
-  const double nominal =
-      nominal_capacity_ > 0 ? static_cast<double>(nominal_capacity_) : 1.0;
-  const double fraction = static_cast<double>(capacity_) / nominal;
-  if (fraction < policy_.batching_below_fraction) {
-    return DegradationLevel::kBatchingOnly;
-  }
-  if (in_use_ > capacity_) return DegradationLevel::kReclaim;
-  if (fraction < policy_.shed_below_fraction) {
-    return DegradationLevel::kShedVcr;
-  }
-  if (!waiting_.empty()) return DegradationLevel::kQueueing;
-  return DegradationLevel::kNormal;
+  return ComputeWindowedLevel(
+      {capacity_, nominal_capacity_, in_use_, queue_length()}, policy());
 }
 
 void ReserveManager::UpdateLevel(double t) {
   const DegradationLevel next = ComputeLevel();
   if (next != level_) {
-    time_in_level_[static_cast<int>(level_)] += t - level_since_;
+    history_.time_in_level[static_cast<int>(level_)] += t - level_since_;
     level_since_ = t;
-    if (transitions_.size() < kMaxStoredTransitions) {
-      transitions_.push_back({t, level_, next, capacity_});
-    }
-    ++total_transitions_;
-    if (level_ == DegradationLevel::kNormal) {
-      excursion_start_ = t;
-    } else if (next == DegradationLevel::kNormal) {
-      recovery_times_.Add(t - excursion_start_);
-    }
+    history_.Record(t, level_, next, capacity_);
     level_ = next;
   }
   // Entry actions: forcibly reclaim dedicated streams when the ladder says
   // so. Guarded so the releases triggered by the reclaim (which re-enter
   // UpdateLevel) cannot recurse into another reclaim.
-  if (policy_.enabled && reclaim_hook_ && !reclaiming_) {
+  if (policy().enabled && reclaim_hook_ && !reclaiming_) {
     int64_t need = 0;
     if (level_ == DegradationLevel::kBatchingOnly) {
       need = in_use_;  // shed everything: pure batching until repairs land
@@ -168,13 +244,8 @@ void ReserveManager::GrantStream(double t) {
 bool ReserveManager::TryAcquire(double t) {
   // With the policy on, a deeply degraded ladder closes admission even if a
   // few units are free — that is the declared shedding order.
-  const double nominal =
-      nominal_capacity_ > 0 ? static_cast<double>(nominal_capacity_) : 1.0;
-  const bool admission_closed =
-      policy_.enabled &&
-      (static_cast<double>(capacity_) / nominal < policy_.shed_below_fraction ||
-       in_use_ > capacity_);
-  if (admission_closed || in_use_ >= capacity_) {
+  if ((policy().enabled && ComputeLevel() >= DegradationLevel::kShedVcr) ||
+      in_use_ >= capacity_) {
     ++refused_;
     return false;
   }
@@ -192,87 +263,13 @@ void ReserveManager::Release(double t) {
 
 bool ReserveManager::TryQueueAcquire(
     double t, std::function<void(double, bool)> on_decision) {
-  if (!policy_.enabled || policy_.queue_deadline_minutes <= 0.0 ||
+  if (!policy().enabled || policy().queue_deadline_minutes <= 0.0 ||
       ComputeLevel() >= DegradationLevel::kShedVcr) {
-    if (InMeasurement(t)) ++vcr_denied_;
+    DenyVcr(t);
     return false;
   }
-  Waiter waiter;
-  waiter.id = next_waiter_id_++;
-  waiter.enqueued = t;
-  waiter.deadline = t + policy_.queue_deadline_minutes;
-  waiter.backoff = policy_.backoff_initial_minutes;
-  waiter.on_decision = std::move(on_decision);
-  const uint64_t id = waiter.id;
-  waiter.deadline_token = queue_->Schedule(
-      waiter.deadline, [this, id] { OnDeadline(queue_->Now(), id); });
-  const double first_retry = std::min(t + waiter.backoff, waiter.deadline);
-  if (first_retry < waiter.deadline) {
-    waiter.retry_token = queue_->Schedule(
-        first_retry, [this, id] { OnRetry(queue_->Now(), id); });
-  }
-  waiting_.push_back(std::move(waiter));
-  if (InMeasurement(t)) ++vcr_queued_;
-  UpdateLevel(t);
+  EnqueueVcr(t, std::move(on_decision));
   return true;
-}
-
-std::deque<ReserveManager::Waiter>::iterator ReserveManager::FindWaiter(
-    uint64_t waiter_id) {
-  return std::find_if(
-      waiting_.begin(), waiting_.end(),
-      [waiter_id](const Waiter& w) { return w.id == waiter_id; });
-}
-
-void ReserveManager::DrainQueue(double t) {
-  // FIFO: any re-offer opportunity serves the longest-waiting request
-  // first, regardless of whose retry timer fired.
-  while (!waiting_.empty() && in_use_ < capacity_ &&
-         ComputeLevel() < DegradationLevel::kShedVcr) {
-    Waiter waiter = std::move(waiting_.front());
-    waiting_.pop_front();
-    queue_->Cancel(waiter.deadline_token);
-    queue_->Cancel(waiter.retry_token);
-    GrantStream(t);
-    // Classify the whole wait episode by its enqueue time so queued ==
-    // grants + expirations + pending holds exactly across the warmup
-    // boundary.
-    if (InMeasurement(waiter.enqueued)) {
-      ++vcr_queue_grants_;
-      queued_wait_.Add(t - waiter.enqueued);
-      queued_wait_quantiles_.Add(t - waiter.enqueued);
-    }
-    UpdateLevel(t);
-    waiter.on_decision(t, true);
-  }
-}
-
-void ReserveManager::OnRetry(double t, uint64_t waiter_id) {
-  auto it = FindWaiter(waiter_id);
-  if (it == waiting_.end()) return;  // already granted or expired
-  DrainQueue(t);
-  it = FindWaiter(waiter_id);
-  if (it == waiting_.end()) return;  // granted by the drain above
-  it->backoff *= policy_.backoff_factor;
-  const double next_retry = t + it->backoff;
-  if (next_retry < it->deadline) {
-    const uint64_t id = waiter_id;
-    it->retry_token = queue_->Schedule(
-        next_retry, [this, id] { OnRetry(queue_->Now(), id); });
-  } else {
-    it->retry_token = kNoEvent;  // the deadline event resolves this waiter
-  }
-}
-
-void ReserveManager::OnDeadline(double t, uint64_t waiter_id) {
-  auto it = FindWaiter(waiter_id);
-  if (it == waiting_.end()) return;
-  Waiter waiter = std::move(*it);
-  waiting_.erase(it);
-  queue_->Cancel(waiter.retry_token);
-  if (InMeasurement(waiter.enqueued)) ++vcr_queue_expirations_;
-  UpdateLevel(t);
-  waiter.on_decision(t, false);
 }
 
 void ReserveManager::SetCapacity(double t, int64_t capacity) {
@@ -282,11 +279,11 @@ void ReserveManager::SetCapacity(double t, int64_t capacity) {
   min_capacity_seen_ = std::min(min_capacity_seen_, capacity_);
   max_oversubscription_ = std::max(max_oversubscription_, oversubscription());
   UpdateLevel(t);
-  if (policy_.enabled && capacity_ > previous) DrainQueue(t);
+  if (policy().enabled && capacity_ > previous) DrainVcrQueue(t);
 }
 
 void ReserveManager::Finalize(double t) {
-  time_in_level_[static_cast<int>(level_)] += t - level_since_;
+  history_.time_in_level[static_cast<int>(level_)] += t - level_since_;
   level_since_ = t;
 }
 

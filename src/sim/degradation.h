@@ -83,15 +83,125 @@ struct DegradationTransition {
   int64_t capacity = 0;  ///< reserve capacity when the transition fired
 };
 
+/// A ladder's history over a run: the transition log, the time spent at
+/// each rung, and the durations of completed excursions out of kNormal.
+/// ReserveManager keeps one per server, the sharded barrier one per run;
+/// each adds its own time_in_level terms (per excursion or per window).
+struct LadderHistory {
+  /// Bound on the stored log; total_transitions keeps the true count so
+  /// long runs cannot exhaust memory through level flapping.
+  static constexpr size_t kMaxStoredTransitions = 10000;
+
+  std::vector<DegradationTransition> transitions;  ///< first (capped)
+  int64_t total_transitions = 0;
+  double time_in_level[kNumDegradationLevels] = {0, 0, 0, 0, 0};
+  double excursion_start = 0.0;  ///< valid while the rung is not kNormal
+  RunningStats recovery_times;   ///< completed excursions (time-to-recover)
+
+  /// Logs a rung change at t and closes or opens an excursion.
+  void Record(double t, DegradationLevel from, DegradationLevel to,
+              int64_t capacity);
+};
+
+/// \brief Deadline + exponential-backoff wait queue for FF/RW requests the
+/// reserve cannot grant at once (the kQueueing rung).
+///
+/// ReserveManager and CreditStreamSupplier derive from it. Each owner keeps
+/// its "may queue" gate in TryQueueAcquire (EnqueueVcr or DenyVcr), its
+/// "may grant" gate (MayGrantQueued), the stream hand-out (GrantQueued) and
+/// an optional level hook (OnQueueChanged). A request's deadline event is
+/// scheduled before its first retry; every re-offer — any waiter's retry
+/// timer or the owner's DrainVcrQueue — serves the longest-waiting request
+/// first. Outcome counters cover requests enqueued at or after
+/// `measurement_start`, each wait episode classified by its enqueue time,
+/// so queued == grants + expirations + pending holds exactly across the
+/// warmup boundary.
+class VcrWaitQueue {
+ public:
+  int64_t queue_length() const {
+    return static_cast<int64_t>(waiting_.size());
+  }
+  int64_t vcr_queued() const { return queued_; }
+  int64_t vcr_queue_grants() const { return grants_; }
+  int64_t vcr_queue_expirations() const { return expirations_; }
+  int64_t vcr_denied() const { return denied_; }
+  /// Waiters still queued whose request arrived inside the measurement
+  /// window (the `pending` term of the queued-accounting identity).
+  int64_t measured_queue_pending() const;
+  const RunningStats& queued_wait() const { return wait_; }
+  const LatencyQuantiles& queued_wait_quantiles() const {
+    return wait_quantiles_;
+  }
+
+ protected:
+  VcrWaitQueue() = default;
+  ~VcrWaitQueue() = default;
+  // Scheduled retry and deadline events hold the queue's address.
+  VcrWaitQueue(const VcrWaitQueue&) = delete;
+  VcrWaitQueue& operator=(const VcrWaitQueue&) = delete;
+
+  /// Arms the queue: deadline and backoff from `policy`, retry and deadline
+  /// events on `events` (which must outlive the owner).
+  void ArmVcrQueue(const DegradationPolicy& policy, EventQueue* events,
+                   double measurement_start);
+  bool vcr_queue_armed() const { return events_ != nullptr; }
+  const DegradationPolicy& policy() const { return policy_; }
+  bool InMeasurement(double t) const { return t >= measurement_start_; }
+
+  /// Queues a request the owner's "may queue" gate admitted.
+  void EnqueueVcr(double t, std::function<void(double, bool)> on_decision);
+  /// Counts a request the owner's "may queue" gate turned away.
+  void DenyVcr(double t) {
+    if (InMeasurement(t)) ++denied_;
+  }
+  /// Grants to queued waiters, FIFO, while MayGrantQueued holds.
+  void DrainVcrQueue(double t);
+
+  /// The owner's "may grant" gate.
+  virtual bool MayGrantQueued() const = 0;
+  /// Hands one stream to the waiter just taken off the queue.
+  virtual void GrantQueued(double t) = 0;
+  /// Runs after an enqueue, after each grant (before the waiter's
+  /// callback) and after an expiry.
+  virtual void OnQueueChanged(double t) { (void)t; }
+
+ private:
+  struct Waiter {
+    uint64_t id = 0;
+    double enqueued = 0.0;
+    double deadline = 0.0;
+    double backoff = 0.0;
+    std::function<void(double, bool)> on_decision;
+    EventToken deadline_token = kNoEvent;
+    EventToken retry_token = kNoEvent;
+  };
+
+  void OnRetry(double t, uint64_t waiter_id);
+  void OnDeadline(double t, uint64_t waiter_id);
+  std::deque<Waiter>::iterator FindWaiter(uint64_t waiter_id);
+
+  DegradationPolicy policy_;
+  EventQueue* events_ = nullptr;
+  double measurement_start_ = 0.0;
+  std::deque<Waiter> waiting_;
+  uint64_t next_waiter_id_ = 0;
+  int64_t queued_ = 0;
+  int64_t grants_ = 0;
+  int64_t expirations_ = 0;
+  int64_t denied_ = 0;
+  RunningStats wait_;
+  LatencyQuantiles wait_quantiles_;
+};
+
 // ---- windowed cross-shard ladder -----------------------------------------
 //
 // The sharded coordinator (sim/sharded_server) cannot run ReserveManager:
 // the ladder there is inherently cross-shard-live, but shards only meet at
 // window barriers. Instead each shard accumulates pressure locally and the
 // barrier folds the per-movie sums into ONE global rung decision per window
-// using the pure functions below. They mirror ReserveManager::ComputeLevel
-// exactly, over summed state, and are shared with the auditor so the
-// `shard-ladder-rung` law can recompute the decision bit-for-bit.
+// using the pure functions below. ReserveManager computes its live rung
+// with the same function over its own state, and the auditor shares it so
+// the `shard-ladder-rung` law can recompute the decision bit-for-bit.
 
 /// Global pressure summed across shards at a window barrier.
 struct WindowedPressure {
@@ -109,8 +219,8 @@ struct WindowedLadderState {
   int64_t below_streak = 0;
 };
 
-/// Memoryless rung for the summed pressure — ReserveManager::ComputeLevel
-/// with (in_use, queue) replaced by the cross-shard sums.
+/// Memoryless rung for the pressure: deep capacity loss first, then
+/// oversubscription, shedding and queueing.
 DegradationLevel ComputeWindowedLevel(const WindowedPressure& pressure,
                                       const DegradationPolicy& policy);
 
@@ -127,7 +237,7 @@ WindowedLadderState StepWindowedLadder(const WindowedLadderState& state,
 /// Implements StreamSupplier so MovieWorld uses it unchanged for the grant
 /// path; the queueing path goes through TryQueueAcquire. Reclaim is
 /// delegated to a hook the server installs (it knows the movie worlds).
-class ReserveManager final : public StreamSupplier {
+class ReserveManager final : public StreamSupplier, public VcrWaitQueue {
  public:
   /// `queue` must outlive the manager. Counters that pair with per-movie
   /// metrics (queue outcomes, denials, waits) honor `measurement_start`
@@ -175,69 +285,40 @@ class ReserveManager final : public StreamSupplier {
   double MeanInUse(double t_end) const { return usage_.TimeAverage(t_end); }
 
   // ---- resilience accounting (measurement window only) --------------------
-  int64_t vcr_queued() const { return vcr_queued_; }
-  int64_t vcr_queue_grants() const { return vcr_queue_grants_; }
-  int64_t vcr_queue_expirations() const { return vcr_queue_expirations_; }
-  int64_t vcr_denied() const { return vcr_denied_; }
   int64_t forced_reclaims() const { return forced_reclaims_; }
-  const RunningStats& queued_wait() const { return queued_wait_; }
-  const LatencyQuantiles& queued_wait_quantiles() const {
-    return queued_wait_quantiles_;
-  }
 
   // ---- ladder accounting (whole run) --------------------------------------
+  const LadderHistory& history() const { return history_; }
   const std::vector<DegradationTransition>& transitions() const {
-    return transitions_;
+    return history_.transitions;
   }
-  int64_t total_transitions() const { return total_transitions_; }
+  int64_t total_transitions() const { return history_.total_transitions; }
   /// Time spent at `level` up to the last Finalize/transition.
   double time_in_level(DegradationLevel level) const {
-    return time_in_level_[static_cast<int>(level)];
+    return history_.time_in_level[static_cast<int>(level)];
   }
   /// Durations of completed excursions out of kNormal (time-to-recover).
-  const RunningStats& recovery_times() const { return recovery_times_; }
-  int64_t queue_length() const {
-    return static_cast<int64_t>(waiting_.size());
-  }
-  /// Waiters still queued whose request arrived inside the measurement
-  /// window (the `pending` term of the queued-accounting identity).
-  int64_t measured_queue_pending() const {
-    int64_t n = 0;
-    for (const Waiter& w : waiting_) {
-      if (w.enqueued >= measurement_start_) ++n;
-    }
-    return n;
+  const RunningStats& recovery_times() const {
+    return history_.recovery_times;
   }
 
  private:
-  struct Waiter {
-    uint64_t id = 0;
-    double enqueued = 0.0;
-    double deadline = 0.0;
-    double backoff = 0.0;
-    std::function<void(double, bool)> on_decision;
-    EventToken deadline_token = kNoEvent;
-    EventToken retry_token = kNoEvent;
-  };
+  // ---- VcrWaitQueue -------------------------------------------------------
+  bool MayGrantQueued() const override {
+    return in_use_ < capacity_ && ComputeLevel() < DegradationLevel::kShedVcr;
+  }
+  void GrantQueued(double t) override { GrantStream(t); }
+  void OnQueueChanged(double t) override { UpdateLevel(t); }
 
-  bool InMeasurement(double t) const { return t >= measurement_start_; }
   /// Pure function of (capacity, in_use, queue) → ladder rung.
   DegradationLevel ComputeLevel() const;
   /// Records a level change (if any) at time t and runs entry actions
   /// (reclaim on kReclaim / kBatchingOnly).
   void UpdateLevel(double t);
   void GrantStream(double t);  // raw in_use_++ bookkeeping
-  void OnRetry(double t, uint64_t waiter_id);
-  void OnDeadline(double t, uint64_t waiter_id);
-  /// Grants to queued waiters while capacity allows and the ladder permits.
-  void DrainQueue(double t);
-  std::deque<Waiter>::iterator FindWaiter(uint64_t waiter_id);
 
   int64_t nominal_capacity_;
   int64_t capacity_;
-  DegradationPolicy policy_;
-  EventQueue* queue_;
-  double measurement_start_;
 
   int64_t in_use_ = 0;
   int64_t peak_ = 0;
@@ -249,21 +330,8 @@ class ReserveManager final : public StreamSupplier {
 
   DegradationLevel level_ = DegradationLevel::kNormal;
   double level_since_ = 0.0;
-  double time_in_level_[kNumDegradationLevels] = {0, 0, 0, 0, 0};
-  std::vector<DegradationTransition> transitions_;
-  int64_t total_transitions_ = 0;
-  double excursion_start_ = 0.0;  ///< valid while level_ != kNormal
-  RunningStats recovery_times_;
-
-  std::deque<Waiter> waiting_;
-  uint64_t next_waiter_id_ = 0;
-  int64_t vcr_queued_ = 0;
-  int64_t vcr_queue_grants_ = 0;
-  int64_t vcr_queue_expirations_ = 0;
-  int64_t vcr_denied_ = 0;
+  LadderHistory history_;
   int64_t forced_reclaims_ = 0;
-  RunningStats queued_wait_;
-  LatencyQuantiles queued_wait_quantiles_;
 
   ReclaimHook reclaim_hook_;
   bool reclaiming_ = false;  ///< guards against reclaim reentrancy

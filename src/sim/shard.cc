@@ -1,95 +1,9 @@
 #include "sim/shard.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "core/partition_layout.h"
 
 namespace vod {
-
-bool CreditStreamSupplier::TryQueueAcquire(
-    double t, std::function<void(double, bool)> on_decision) {
-  if (!armed_ || policy_.queue_deadline_minutes <= 0.0 ||
-      rung_ >= DegradationLevel::kShedVcr) {
-    if (armed_ && InMeasurement(t)) ++vcr_denied_;
-    return false;
-  }
-  Waiter waiter;
-  waiter.id = next_waiter_id_++;
-  waiter.enqueued = t;
-  waiter.deadline = t + policy_.queue_deadline_minutes;
-  waiter.backoff = policy_.backoff_initial_minutes;
-  waiter.on_decision = std::move(on_decision);
-  const uint64_t id = waiter.id;
-  waiter.deadline_token = queue_->Schedule(
-      waiter.deadline, [this, id] { OnDeadline(queue_->Now(), id); });
-  const double first_retry = std::min(t + waiter.backoff, waiter.deadline);
-  if (first_retry < waiter.deadline) {
-    waiter.retry_token = queue_->Schedule(
-        first_retry, [this, id] { OnRetry(queue_->Now(), id); });
-  }
-  waiting_.push_back(std::move(waiter));
-  if (InMeasurement(t)) ++vcr_queued_;
-  return true;
-}
-
-std::deque<CreditStreamSupplier::Waiter>::iterator
-CreditStreamSupplier::FindWaiter(uint64_t waiter_id) {
-  return std::find_if(
-      waiting_.begin(), waiting_.end(),
-      [waiter_id](const Waiter& w) { return w.id == waiter_id; });
-}
-
-void CreditStreamSupplier::DrainQueue(double t) {
-  // FIFO: any re-offer opportunity serves the longest-waiting request
-  // first, regardless of whose retry timer fired.
-  while (!waiting_.empty() && credit_ > 0 &&
-         rung_ < DegradationLevel::kShedVcr) {
-    Waiter waiter = std::move(waiting_.front());
-    waiting_.pop_front();
-    queue_->Cancel(waiter.deadline_token);
-    queue_->Cancel(waiter.retry_token);
-    GrantStream(t);
-    // Classify the whole wait episode by its enqueue time so queued ==
-    // grants + expirations + pending holds exactly across the warmup
-    // boundary.
-    if (InMeasurement(waiter.enqueued)) {
-      ++vcr_queue_grants_;
-      queued_wait_.Add(t - waiter.enqueued);
-      queued_wait_quantiles_.Add(t - waiter.enqueued);
-    }
-    waiter.on_decision(t, true);
-  }
-}
-
-void CreditStreamSupplier::OnRetry(double t, uint64_t waiter_id) {
-  auto it = FindWaiter(waiter_id);
-  if (it == waiting_.end()) return;  // already granted or expired
-  DrainQueue(t);
-  it = FindWaiter(waiter_id);
-  if (it == waiting_.end()) return;  // granted by the drain above
-  it->backoff *= policy_.backoff_factor;
-  const double next_retry = t + it->backoff;
-  if (next_retry < it->deadline) {
-    const uint64_t id = waiter_id;
-    it->retry_token = queue_->Schedule(
-        next_retry, [this, id] { OnRetry(queue_->Now(), id); });
-  } else {
-    it->retry_token = kNoEvent;  // the deadline event resolves this waiter
-  }
-}
-
-void CreditStreamSupplier::OnDeadline(double t, uint64_t waiter_id) {
-  auto it = FindWaiter(waiter_id);
-  if (it == waiting_.end()) return;
-  Waiter waiter = std::move(*it);
-  waiting_.erase(it);
-  queue_->Cancel(waiter.retry_token);
-  if (InMeasurement(waiter.enqueued)) ++vcr_queue_expirations_;
-  waiter.on_decision(t, false);
-}
-
-void CreditStreamSupplier::OpenWindow(double t) { DrainQueue(t); }
 
 void ServerShard::RunWindow(double t_start, double t_end) {
   // Lane records carry only deterministic payloads (movie counts,

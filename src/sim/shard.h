@@ -49,24 +49,20 @@ namespace vod {
 /// (sim/degradation.h): the coordinator broadcasts a global rung once per
 /// window, and within the window the supplier enforces it locally —
 /// admission closes at >= kShedVcr, and refused FF/RW requests may queue
-/// with the same deadline + exponential-backoff re-offer semantics as
-/// ReserveManager, granted strictly from this movie's own credit. The
+/// in the VcrWaitQueue ReserveManager also uses, granted strictly from this
+/// movie's own credit. The
 /// queue outcome counters feed the barrier's pressure fold and the
 /// shard-ladder-queue conservation law. Unarmed (faults-only) sharded runs
 /// are bit-for-bit unchanged.
-class CreditStreamSupplier final : public StreamSupplier {
+class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
  public:
   CreditStreamSupplier() { usage_.Reset(0.0, 0.0); }
 
   bool TryAcquire(double t) override {
-    if (armed_ && rung_ >= DegradationLevel::kShedVcr) {
-      // The declared shedding order: a deep rung closes admission even if
-      // credit is available (mirrors ReserveManager's admission_closed).
-      ++refused_;
-      ++window_refused_;
-      return false;
-    }
-    if (credit_ <= 0) {
+    // The declared shedding order: a deep rung closes admission even if
+    // credit is available, as in ReserveManager::TryAcquire.
+    if ((ladder_armed() && rung_ >= DegradationLevel::kShedVcr) ||
+        credit_ <= 0) {
       ++refused_;
       ++window_refused_;
       return false;
@@ -91,7 +87,16 @@ class CreditStreamSupplier final : public StreamSupplier {
   /// like ReserveManager::TryQueueAcquire but gated by the windowed rung
   /// instead of a live ladder. No-op (refusal) unless the ladder is armed.
   bool TryQueueAcquire(
-      double t, std::function<void(double, bool)> on_decision) override;
+      double t, std::function<void(double, bool)> on_decision) override {
+    if (!ladder_armed()) return false;
+    if (policy().queue_deadline_minutes <= 0.0 ||
+        rung_ >= DegradationLevel::kShedVcr) {
+      DenyVcr(t);
+      return false;
+    }
+    EnqueueVcr(t, std::move(on_decision));
+    return true;
+  }
 
   /// Barrier-side ledger rewrite (coordinator redistribution).
   void SetLedger(int64_t credit, int64_t debt) {
@@ -105,16 +110,12 @@ class CreditStreamSupplier final : public StreamSupplier {
   /// queue-outcome counters exactly like ReserveManager.
   void ArmLadder(const DegradationPolicy& policy, EventQueue* queue,
                  double measurement_start) {
-    armed_ = true;
-    policy_ = policy;
-    queue_ = queue;
-    measurement_start_ = measurement_start;
+    ArmVcrQueue(policy, queue, measurement_start);
   }
-  bool ladder_armed() const { return armed_; }
+  bool ladder_armed() const { return vcr_queue_armed(); }
 
   /// Coordinator rung broadcast, applied at the window open that drains it.
   void SetRung(DegradationLevel rung) { rung_ = rung; }
-  DegradationLevel rung() const { return rung_; }
 
   /// Records the barrier-issued reclaim quota and how much of it the shard
   /// actually reclaimed at window open (echoed back for the
@@ -126,37 +127,14 @@ class CreditStreamSupplier final : public StreamSupplier {
 
   /// Window-open hook: re-offers queued requests against the fresh credit
   /// grant and the just-applied rung.
-  void OpenWindow(double t);
+  void OpenWindow(double t) { DrainVcrQueue(t); }
 
   int64_t held() const { return held_; }
   int64_t credit() const { return credit_; }
   int64_t debt() const { return debt_; }
   int64_t refused() const { return refused_; }
   int64_t acquired() const { return acquired_; }
-  int64_t peak_held() const { return peak_held_; }
   double MeanInUse(double t_end) const { return usage_.TimeAverage(t_end); }
-
-  // ---- queue accounting (measurement window only, ladder armed) -----------
-  int64_t queue_length() const {
-    return static_cast<int64_t>(waiting_.size());
-  }
-  int64_t vcr_queued() const { return vcr_queued_; }
-  int64_t vcr_queue_grants() const { return vcr_queue_grants_; }
-  int64_t vcr_queue_expirations() const { return vcr_queue_expirations_; }
-  int64_t vcr_denied() const { return vcr_denied_; }
-  /// Waiters still queued whose request arrived inside the measurement
-  /// window (the `pending` term of the queued-accounting identity).
-  int64_t measured_queue_pending() const {
-    int64_t n = 0;
-    for (const Waiter& w : waiting_) {
-      if (w.enqueued >= measurement_start_) ++n;
-    }
-    return n;
-  }
-  const RunningStats& queued_wait() const { return queued_wait_; }
-  const LatencyQuantiles& queued_wait_quantiles() const {
-    return queued_wait_quantiles_;
-  }
 
   /// Demand observed since the last barrier (refusals + grants); the
   /// coordinator weights next window's credit split by it, then resets.
@@ -173,57 +151,33 @@ class CreditStreamSupplier final : public StreamSupplier {
   }
 
  private:
-  struct Waiter {
-    uint64_t id = 0;
-    double enqueued = 0.0;
-    double deadline = 0.0;
-    double backoff = 0.0;
-    std::function<void(double, bool)> on_decision;
-    EventToken deadline_token = kNoEvent;
-    EventToken retry_token = kNoEvent;
-  };
+  // ---- VcrWaitQueue: grants spend this movie's own credit ----------------
+  bool MayGrantQueued() const override {
+    return credit_ > 0 && rung_ < DegradationLevel::kShedVcr;
+  }
+  void GrantQueued(double t) override { GrantStream(t); }
 
-  bool InMeasurement(double t) const { return t >= measurement_start_; }
   void GrantStream(double t) {
     --credit_;
     ++held_;
     ++acquired_;
     ++window_acquired_;
-    if (held_ > peak_held_) peak_held_ = held_;
     usage_.Set(t, static_cast<double>(held_));
   }
-  void OnRetry(double t, uint64_t waiter_id);
-  void OnDeadline(double t, uint64_t waiter_id);
-  /// Grants to queued waiters FIFO while credit remains and the rung allows.
-  void DrainQueue(double t);
-  std::deque<Waiter>::iterator FindWaiter(uint64_t waiter_id);
 
   int64_t credit_ = 0;
   int64_t held_ = 0;
   int64_t debt_ = 0;
   int64_t refused_ = 0;
   int64_t acquired_ = 0;
-  int64_t peak_held_ = 0;
   int64_t window_refused_ = 0;
   int64_t window_acquired_ = 0;
   TimeWeightedValue usage_{};
 
   // Windowed-ladder state; inert until ArmLadder.
-  bool armed_ = false;
-  DegradationPolicy policy_;
-  EventQueue* queue_ = nullptr;
-  double measurement_start_ = 0.0;
   DegradationLevel rung_ = DegradationLevel::kNormal;
-  std::deque<Waiter> waiting_;
-  uint64_t next_waiter_id_ = 0;
-  int64_t vcr_queued_ = 0;
-  int64_t vcr_queue_grants_ = 0;
-  int64_t vcr_queue_expirations_ = 0;
-  int64_t vcr_denied_ = 0;
   int64_t window_quota_ = 0;
   int64_t window_reclaimed_ = 0;
-  RunningStats queued_wait_;
-  LatencyQuantiles queued_wait_quantiles_;
 };
 
 /// \brief Admission gate that records offered arrivals instead of deciding.

@@ -6,15 +6,14 @@
 #include "common/check.h"
 #include "sim/event_queue.h"
 #include "sim/movie_world.h"
-#include "sim/run_loop.h"
 #include "sim/stream_supplier.h"
 
 namespace vod {
 
 namespace {
 
-/// Everything the per-event observer touches, gathered into one POD so the
-/// specialized instantiations below share a single context pointer.
+/// Everything the per-event observer touches, behind the kernel's raw
+/// observer pointer.
 struct SimObserverCtx {
   InvariantAuditor* auditor = nullptr;
   AuditSnapshot* audit_snapshot = nullptr;
@@ -27,14 +26,11 @@ struct SimObserverCtx {
   Gauge* g_resumes = nullptr;
 };
 
-/// One observer instantiation per RunLoopVariant: the audit and telemetry
-/// branches are compile-time, so each variant carries only its own code and
-/// the kPlain variant installs nothing at all (the kernel then runs its
-/// unobserved loop — no per-event branch, no std::function).
-template <bool kAudit, bool kTraced>
-void SimObserveTick(void* raw, double t) {
+/// The per-event observer. Installed only when the run audits or samples
+/// metrics, so a plain run keeps the kernel's unobserved loop.
+void ObserveSimulation(void* raw, double t) {
   auto* ctx = static_cast<SimObserverCtx*>(raw);
-  if constexpr (kAudit) {
+  if (ctx->auditor != nullptr) {
     ctx->auditor->RecordEvent(t);
     if (ctx->auditor->AuditDue()) {
       ctx->audit_snapshot->time = t;
@@ -44,29 +40,12 @@ void SimObserveTick(void* raw, double t) {
       ctx->auditor->Audit(*ctx->audit_snapshot);
     }
   }
-  if constexpr (kTraced) {
+  if (ctx->registry != nullptr) {
     ctx->g_dedicated->Set(
         static_cast<double>(ctx->world->dedicated_streams_held()));
     ctx->g_admissions->Set(static_cast<double>(ctx->metrics->admissions()));
     ctx->g_resumes->Set(static_cast<double>(ctx->metrics->total_resumes()));
     ctx->registry->MaybeSample(t);
-  }
-}
-
-void InstallSimObserver(EventQueue& queue, RunLoopVariant variant,
-                        SimObserverCtx* ctx) {
-  switch (variant) {
-    case RunLoopVariant::kPlain:
-      break;  // no observer: the kernel's unobserved loop runs
-    case RunLoopVariant::kAudited:
-      queue.set_observer(&SimObserveTick<true, false>, ctx);
-      break;
-    case RunLoopVariant::kTraced:
-      queue.set_observer(&SimObserveTick<false, true>, ctx);
-      break;
-    case RunLoopVariant::kAuditedTraced:
-      queue.set_observer(&SimObserveTick<true, true>, ctx);
-      break;
   }
 }
 
@@ -181,19 +160,17 @@ Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
   // Live instruments sampled on the simulation clock. Registered up front
   // so the export order is deterministic; sampling happens on the event-loop
   // observer and never feeds back into the report.
+  SimObserverCtx observer_ctx;
   MetricsRegistry* registry = options.obs.metrics;
-  Gauge* g_dedicated = nullptr;
-  Gauge* g_admissions = nullptr;
-  Gauge* g_resumes = nullptr;
   if (registry != nullptr) {
     if (options.obs.metrics_sample_minutes > 0.0) {
       registry->set_sample_every(options.obs.metrics_sample_minutes);
     }
-    g_dedicated = registry->AddGauge(
+    observer_ctx.g_dedicated = registry->AddGauge(
         "sim_dedicated_streams", "dedicated VCR streams currently held");
-    g_admissions = registry->AddGauge(
+    observer_ctx.g_admissions = registry->AddGauge(
         "sim_admissions_total", "viewers admitted in the measurement window");
-    g_resumes = registry->AddGauge(
+    observer_ctx.g_resumes = registry->AddGauge(
         "sim_resumes_total", "VCR resumes in the measurement window");
   }
 
@@ -203,23 +180,15 @@ Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
       options.obs.event_log,
       auditor != nullptr ? auditor->trace_ring() : nullptr);
 
-  // Select the observer instantiation once per run (DESIGN.md §15): the
-  // audited/traced axes are baked in at compile time instead of being
-  // re-branched on every event.
-  SimObserverCtx observer_ctx;
   observer_ctx.auditor = auditor.get();
   observer_ctx.audit_snapshot = &audit_snapshot;
   observer_ctx.supplier = &supplier;
   observer_ctx.world = &world;
   observer_ctx.metrics = &metrics;
   observer_ctx.registry = registry;
-  observer_ctx.g_dedicated = g_dedicated;
-  observer_ctx.g_admissions = g_admissions;
-  observer_ctx.g_resumes = g_resumes;
-  InstallSimObserver(queue,
-                     ComposeRunLoopVariant(auditor != nullptr,
-                                           registry != nullptr),
-                     &observer_ctx);
+  if (auditor != nullptr || registry != nullptr) {
+    queue.set_observer(&ObserveSimulation, &observer_ctx);
+  }
 
   world.Start();
   const double horizon =

@@ -240,6 +240,114 @@ TEST(CreditStreamSupplierTest, CreditAndDebtLifecycle) {
   EXPECT_EQ(supplier.window_acquired(), 0);
 }
 
+DegradationPolicy QueueingPolicy() {
+  DegradationPolicy policy;
+  policy.enabled = true;
+  policy.queue_deadline_minutes = 5.0;
+  policy.backoff_initial_minutes = 0.25;
+  policy.backoff_factor = 2.0;
+  return policy;
+}
+
+TEST(CreditStreamSupplierTest, UnarmedRefusesQueueingWithoutCountingDenial) {
+  CreditStreamSupplier supplier;
+  bool invoked = false;
+  EXPECT_FALSE(supplier.TryQueueAcquire(
+      1.0, [&invoked](double, bool) { invoked = true; }));
+  EXPECT_FALSE(invoked);
+  EXPECT_EQ(supplier.vcr_denied(), 0);
+  EXPECT_EQ(supplier.vcr_queued(), 0);
+  EXPECT_EQ(supplier.queue_length(), 0);
+}
+
+TEST(CreditStreamSupplierTest, QueuedRequestsGrantedFifoAtWindowOpen) {
+  EventQueue queue;
+  CreditStreamSupplier supplier;
+  supplier.ArmLadder(QueueingPolicy(), &queue, /*measurement_start=*/0.0);
+  std::vector<int> order;
+  std::vector<double> decided_at;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(supplier.TryQueueAcquire(
+        0.1 * i, [&order, &decided_at, i](double t, bool granted) {
+          EXPECT_TRUE(granted);
+          order.push_back(i);
+          decided_at.push_back(t);
+        }));
+  }
+  EXPECT_EQ(supplier.queue_length(), 2);
+  EXPECT_EQ(supplier.vcr_queued(), 2);
+  supplier.SetLedger(/*credit=*/1, /*debt=*/0);
+  supplier.OpenWindow(0.2);
+  ASSERT_EQ(order, std::vector<int>({0}));
+  supplier.SetLedger(/*credit=*/1, /*debt=*/0);
+  supplier.OpenWindow(0.3);
+  EXPECT_EQ(order, std::vector<int>({0, 1}));
+  EXPECT_EQ(decided_at, std::vector<double>({0.2, 0.3}));
+  EXPECT_EQ(supplier.vcr_queue_grants(), 2);
+  EXPECT_EQ(supplier.queue_length(), 0);
+  EXPECT_EQ(supplier.held(), 2);
+  EXPECT_EQ(supplier.credit(), 0);
+  EXPECT_EQ(supplier.queued_wait().count(), 2);
+  EXPECT_NEAR(supplier.queued_wait().mean(), 0.2, 1e-12);
+}
+
+TEST(CreditStreamSupplierTest, QueuedRequestExpiresAtDeadline) {
+  EventQueue queue;
+  CreditStreamSupplier supplier;
+  supplier.ArmLadder(QueueingPolicy(), &queue, /*measurement_start=*/0.0);
+  bool granted = true;
+  double decision_time = -1.0;
+  ASSERT_TRUE(supplier.TryQueueAcquire(0.0, [&](double t, bool g) {
+    granted = g;
+    decision_time = t;
+  }));
+  queue.RunUntil(10.0);  // no credit ever arrives
+  EXPECT_FALSE(granted);
+  EXPECT_NEAR(decision_time, 5.0, 1e-12);  // the configured deadline
+  EXPECT_EQ(supplier.vcr_queue_expirations(), 1);
+  EXPECT_EQ(supplier.vcr_queue_grants(), 0);
+  EXPECT_EQ(supplier.queue_length(), 0);
+}
+
+TEST(CreditStreamSupplierTest, ShedRungDeniesAndCountsTheDenial) {
+  EventQueue queue;
+  CreditStreamSupplier supplier;
+  supplier.ArmLadder(QueueingPolicy(), &queue, /*measurement_start=*/0.0);
+  for (DegradationLevel rung :
+       {DegradationLevel::kShedVcr, DegradationLevel::kReclaim,
+        DegradationLevel::kBatchingOnly}) {
+    supplier.SetRung(rung);
+    bool invoked = false;
+    EXPECT_FALSE(supplier.TryQueueAcquire(
+        1.0, [&invoked](double, bool) { invoked = true; }));
+    EXPECT_FALSE(invoked);
+  }
+  EXPECT_EQ(supplier.vcr_denied(), 3);
+  EXPECT_EQ(supplier.vcr_queued(), 0);
+  EXPECT_EQ(supplier.queue_length(), 0);
+}
+
+TEST(CreditStreamSupplierTest, WarmupRequestsStayOutOfMeasuredCounts) {
+  EventQueue queue;
+  CreditStreamSupplier supplier;
+  supplier.ArmLadder(QueueingPolicy(), &queue, /*measurement_start=*/10.0);
+  int decided = 0;
+  ASSERT_TRUE(
+      supplier.TryQueueAcquire(1.0, [&decided](double, bool) { ++decided; }));
+  ASSERT_TRUE(
+      supplier.TryQueueAcquire(2.0, [&decided](double, bool) { ++decided; }));
+  EXPECT_EQ(supplier.queue_length(), 2);
+  EXPECT_EQ(supplier.vcr_queued(), 0);
+  EXPECT_EQ(supplier.measured_queue_pending(), 0);
+  supplier.SetLedger(/*credit=*/1, /*debt=*/0);
+  supplier.OpenWindow(2.5);  // grants the first, still inside warmup
+  EXPECT_EQ(decided, 1);
+  EXPECT_EQ(supplier.vcr_queue_grants(), 0);
+  EXPECT_EQ(supplier.queued_wait().count(), 0);
+  EXPECT_EQ(supplier.measured_queue_pending(), 0);
+  EXPECT_EQ(supplier.queue_length(), 1);
+}
+
 TEST(ShardMailboxTest, SequenceAccounting) {
   ShardMailbox box;
   for (int i = 0; i < 5; ++i) {

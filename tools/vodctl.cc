@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -84,9 +85,21 @@ Result<VcrMix> ParseMix(const std::string& text) {
   return mix;
 }
 
+/// Reads an int64 flag the library takes as an int, rejecting a value an int
+/// cannot hold instead of letting the narrowing cast wrap it.
+Result<int> IntFlag(const FlagSet& flags, const std::string& name) {
+  const int64_t value = flags.GetInt64(name);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("--" + name + "=" + std::to_string(value) +
+                                   " is out of range (must fit in an int)");
+  }
+  return static_cast<int>(value);
+}
+
 Result<PartitionLayout> LayoutFromFlags(const FlagSet& flags) {
   const double length = flags.GetDouble("length");
-  const int streams = static_cast<int>(flags.GetInt64("streams"));
+  VOD_ASSIGN_OR_RETURN(const int streams, IntFlag(flags, "streams"));
   if (flags.WasSet("buffer")) {
     return PartitionLayout::FromBuffer(length, streams,
                                        flags.GetDouble("buffer"));
@@ -746,7 +759,9 @@ int CatalogCommand(int argc, char** argv) {
         "no sizable titles in the catalog (all passive or P* = 0)"));
   }
   const int pure = PureBatchingStreams(specs);
-  int budget = static_cast<int>(flags.GetInt64("budget"));
+  const auto budget_flag = IntFlag(flags, "budget");
+  if (!budget_flag.ok()) return Fail(budget_flag.status());
+  int budget = *budget_flag;
   if (budget <= 0) budget = pure;
   const auto sized = SizeSystem(specs, budget);
   if (!sized.ok()) return Fail(sized.status());
@@ -782,9 +797,10 @@ int TimelineCommand(int argc, char** argv) {
   const Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) return Fail(parsed);
 
+  const auto streams = IntFlag(flags, "streams");
+  if (!streams.ok()) return Fail(streams.status());
   const auto layout = PartitionLayout::FromBuffer(
-      flags.GetDouble("length"), static_cast<int>(flags.GetInt64("streams")),
-      flags.GetDouble("buffer"));
+      flags.GetDouble("length"), *streams, flags.GetDouble("buffer"));
   if (!layout.ok()) return Fail(layout.status());
   const double l = layout->movie_length();
   const auto width = flags.GetInt64("width");
@@ -987,8 +1003,12 @@ int ShardCommand(int argc, char** argv) {
   options.base.controller.enabled = flags.GetBool("controller");
   options.base.audit.enabled =
       flags.GetBool("audit") || flags.GetBool("paranoid");
-  options.shards = static_cast<int>(flags.GetInt64("shards"));
-  options.threads = static_cast<int>(flags.GetInt64("threads"));
+  const auto shards = IntFlag(flags, "shards");
+  if (!shards.ok()) return Fail(shards.status());
+  const auto threads = IntFlag(flags, "threads");
+  if (!threads.ok()) return Fail(threads.status());
+  options.shards = *shards;
+  options.threads = *threads;
   options.window_minutes = flags.GetDouble("window");
   options.checkpoint.path = flags.GetString("checkpoint");
   options.checkpoint.every_windows = flags.GetInt64("checkpoint_every");
