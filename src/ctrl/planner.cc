@@ -106,51 +106,67 @@ double StreamDelta(const PlannerMovie& m, int from, int to) {
   return m.rate * m.movie_length / 2.0 * (1.0 / to - 1.0 / from);
 }
 
-// Square-root allocation at water level mu, repaired to sum exactly
-// min(budget, sum max_streams) with greedy marginal moves (ties by index).
-std::vector<int> StreamsAtLevel(const std::vector<PlannerMovie>& movies,
-                                double mu, int64_t budget) {
-  const size_t k = movies.size();
-  std::vector<int> n(k);
-  int64_t sum = 0;
-  for (size_t i = 0; i < k; ++i) {
+// Square-root allocation at water level mu, rounded and clamped to each
+// movie's stream bounds. Non-increasing in mu, movie by movie.
+std::vector<int> RoundedStreams(const std::vector<PlannerMovie>& movies,
+                                double mu) {
+  std::vector<int> n(movies.size());
+  for (size_t i = 0; i < movies.size(); ++i) {
     const double ideal =
         std::sqrt(movies[i].rate * movies[i].movie_length / (2.0 * mu));
     n[i] = std::clamp(static_cast<int>(std::lround(ideal)),
                       movies[i].min_streams, movies[i].max_streams);
-    sum += n[i];
-  }
-  while (sum > budget) {
-    size_t best = k;
-    double best_loss = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < k; ++i) {
-      if (n[i] <= movies[i].min_streams) continue;
-      const double loss = StreamDelta(movies[i], n[i], n[i] - 1);
-      if (loss < best_loss) {
-        best_loss = loss;
-        best = i;
-      }
-    }
-    if (best == k) break;  // caller guarantees sum(min) <= budget
-    --n[best];
-    --sum;
-  }
-  while (sum < budget) {
-    size_t best = k;
-    double best_gain = 0.0;
-    for (size_t i = 0; i < k; ++i) {
-      if (n[i] >= movies[i].max_streams) continue;
-      const double gain = -StreamDelta(movies[i], n[i], n[i] + 1);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = i;
-      }
-    }
-    if (best == k) break;  // everyone saturated; leave slack unused
-    ++n[best];
-    ++sum;
   }
   return n;
+}
+
+// Repairs rounded counts to sum exactly min(budget, sum max_streams) with
+// greedy one-stream moves: while over budget, give back the stream whose
+// loss is smallest; while under, take the stream whose gain is largest.
+// Both are "pop the smallest StreamDelta of the move", lowest index on
+// ties, so one min-heap of (delta, movie) per phase yields each move in
+// O(log k). Only the moved movie's delta changes, so it alone is re-keyed.
+void RepairToBudget(const std::vector<PlannerMovie>& movies, int64_t budget,
+                    std::vector<int>* streams) {
+  std::vector<int>& n = *streams;
+  int64_t sum = 0;
+  for (int s : n) sum += s;
+  if (sum == budget) return;
+  const int step = sum > budget ? -1 : 1;
+  // Give back only while the smallest loss is finite; take only while the
+  // largest gain is positive (every movie saturated: leave slack unused).
+  const double stop = step < 0 ? std::numeric_limits<double>::infinity() : 0.0;
+  auto movable = [&](size_t i) {
+    return step < 0 ? n[i] > movies[i].min_streams
+                    : n[i] < movies[i].max_streams;
+  };
+  struct Move {
+    double delta;
+    size_t movie;
+  };
+  // std heaps keep the greatest element on top; invert for a min-heap.
+  auto after = [](const Move& a, const Move& b) {
+    return a.delta > b.delta || (a.delta == b.delta && a.movie > b.movie);
+  };
+  std::vector<Move> heap;
+  for (size_t i = 0; i < n.size(); ++i) {
+    if (movable(i)) {
+      heap.push_back({StreamDelta(movies[i], n[i], n[i] + step), i});
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  while (sum != budget && !heap.empty() && heap.front().delta < stop) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    const size_t i = heap.back().movie;
+    n[i] += step;
+    sum += step;
+    if (movable(i)) {
+      heap.back().delta = StreamDelta(movies[i], n[i], n[i] + step);
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+  }
 }
 
 }  // namespace
@@ -180,6 +196,11 @@ Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
       return Status::InvalidArgument(
           "planner stream bounds must satisfy 1 <= min <= max");
     }
+    // lambda l sets the stream scale and every repair marginal.
+    if (!std::isfinite(m.rate * m.movie_length)) {
+      return Status::InvalidArgument(
+          "planner movie rate * length must be finite");
+    }
     if (!(m.max_buffer_fraction >= 0.0) || !(m.max_buffer_fraction <= 1.0)) {
       return Status::InvalidArgument(
           "planner max_buffer_fraction must lie in [0, 1]");
@@ -199,16 +220,24 @@ Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
       scale_lo / (2.0 * static_cast<double>(stream_budget) *
                   static_cast<double>(stream_budget));
   const double mu_hi = 2.0 * scale_hi;
+  // The objective at a level depends only on its rounded start, and starts
+  // are monotone in mu while the grid walks mu upward, so a repeated start
+  // is always the previous one: reuse its objective instead of re-solving.
+  std::vector<int> last_start;
+  double last_objective = 0.0;
   auto eval = [&](double log_mu) {
-    const std::vector<int> n =
-        StreamsAtLevel(movies, std::exp(log_mu), stream_budget);
-    return SolveBuffers(movies, n, buffer_budget, options).objective;
+    std::vector<int> n = RoundedStreams(movies, std::exp(log_mu));
+    if (n == last_start) return last_objective;
+    last_start = n;
+    RepairToBudget(movies, stream_budget, &n);
+    last_objective = SolveBuffers(movies, n, buffer_budget, options).objective;
+    return last_objective;
   };
   const Minimum best = GridMinimize(eval, std::log(mu_lo), std::log(mu_hi),
                                     options.mu_grid_points);
 
-  const std::vector<int> n =
-      StreamsAtLevel(movies, std::exp(best.x), stream_budget);
+  std::vector<int> n = RoundedStreams(movies, std::exp(best.x));
+  RepairToBudget(movies, stream_budget, &n);
   const InnerSolution inner =
       SolveBuffers(movies, n, buffer_budget, options);
 

@@ -13,7 +13,9 @@
 // Solved in two nested stages reusing the numerics layer:
 //   * outer: GridMinimize over the stream "water level" mu — the continuous
 //     relaxation gives n_i(mu) = sqrt(lambda_i * l_i / (2 mu)) (square-root
-//     allocation), rounded and repaired to the integer budget;
+//     allocation), rounded and repaired to the integer budget by greedy
+//     one-stream moves drawn from a heap, O((k + moves) log k) per level; a
+//     level whose rounded start repeats the previous one reuses its value;
 //   * inner: for fixed streams, the buffer split is a convex water-fill —
 //     marginals lambda_i (l_i - B_i)/(n_i l_i) equalize at a level nu found
 //     with MonotoneThreshold (root_finding).

@@ -36,8 +36,9 @@ Result<double> BisectRoot(const std::function<double(double)>& f, double a,
 
 /// \brief Smallest x in [lo, hi] with predicate(x) true, assuming the
 /// predicate is monotone (false ... false true ... true), to within
-/// x_tolerance. Returns Infeasible if predicate(hi) is false; returns lo if
-/// predicate(lo) is already true.
+/// x_tolerance, or to adjacent doubles where their spacing exceeds it.
+/// Returns Infeasible if predicate(hi) is false; returns lo if predicate(lo)
+/// is already true.
 Result<double> MonotoneThreshold(const std::function<bool(double)>& predicate,
                                  double lo, double hi,
                                  double x_tolerance = 1e-9);

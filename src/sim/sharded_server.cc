@@ -453,8 +453,11 @@ class ShardedRun {
   /// Controller replay: offered arrivals in (time, movie) order, interleaved
   /// with the controller's decision wakeups, then the wakeups still due by this
   /// barrier. Order is derived from values only — never from shard layout.
+  /// Re-plans run here, so it gets its own span inside the fold.
   void ReplayController(double t_end, bool capacity_changed) {
     if (controller_ == nullptr) return;
+    const double start_us =
+        profiler_ != nullptr ? profiler_->NowMicros() : 0.0;
     std::vector<RecordingGate::Offered> offered;
     for (auto& shard : shards_) {
       std::vector<RecordingGate::Offered> part = shard->gate().TakeOffered();
@@ -478,6 +481,10 @@ class ShardedRun {
       ctrl_next_wakeup_ = controller_->OnWakeup(at);
     }
     if (capacity_changed) controller_->OnCapacityChange(t_end);
+    if (profiler_ != nullptr) {
+      profiler_->RecordSpanOnLane(coordinator_lane_, "controller_replay",
+                                  start_us, profiler_->NowMicros());
+    }
   }
 
   /// Redistribution: sums holds; a surplus becomes credit, split by window

@@ -168,6 +168,68 @@ TEST(ShardedObsTest, MergedTraceByteIdenticalAcrossThreadCounts) {
   }
 }
 
+/// One complete span read back from a profiler's Chrome trace.
+struct TraceSpan {
+  int tid = 0;
+  double ts = 0.0;
+  double dur = 0.0;
+};
+
+std::vector<TraceSpan> SpansNamed(const PhaseProfiler& profiler,
+                                  const std::string& name) {
+  std::ostringstream os;
+  profiler.WriteChromeTrace(os);
+  std::istringstream in(os.str());
+  std::vector<TraceSpan> spans;
+  std::string line;
+  char span_name[128];
+  TraceSpan span;
+  while (std::getline(in, line)) {
+    if (std::sscanf(line.c_str(),
+                    "{\"name\":\"%127[^\"]\",\"cat\":\"phase\",\"ph\":\"X\","
+                    "\"pid\":0,\"tid\":%d,\"ts\":%lf,\"dur\":%lf}",
+                    span_name, &span.tid, &span.ts, &span.dur) == 4 &&
+        name == span_name) {
+      spans.push_back(span);
+    }
+  }
+  return spans;
+}
+
+TEST(ShardedObsTest, ControllerReplaySpanNestsInEveryFold) {
+  // The re-plan runs inside the controller replay, so a traced run must
+  // attribute fold time to it: one controller_replay span per window, on
+  // the coordinator lane, inside that window's coordinator_fold — and none
+  // when the controller is off.
+  const auto movies = SixMovies();
+  for (bool controller : {true, false}) {
+    PhaseProfiler profiler;
+    ShardedServerOptions options = LadderMachineOptions(2, 2, 11);
+    options.base.controller.enabled = controller;
+    options.base.obs.profiler = &profiler;
+    const auto got = RunShardedServerSimulation(movies, options);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    const std::vector<TraceSpan> folds =
+        SpansNamed(profiler, "coordinator_fold");
+    const std::vector<TraceSpan> replays =
+        SpansNamed(profiler, "controller_replay");
+    ASSERT_EQ(static_cast<int64_t>(folds.size()), got->windows);
+    if (!controller) {
+      EXPECT_TRUE(replays.empty());
+      continue;
+    }
+    ASSERT_EQ(replays.size(), folds.size());
+    const double rounding_us = 0.002;  // the trace prints ts/dur to 1 ns
+    for (size_t w = 0; w < folds.size(); ++w) {
+      EXPECT_EQ(replays[w].tid, folds[w].tid) << "window " << w + 1;
+      EXPECT_GE(replays[w].ts, folds[w].ts - rounding_us) << "window " << w + 1;
+      EXPECT_LE(replays[w].ts + replays[w].dur,
+                folds[w].ts + folds[w].dur + rounding_us)
+          << "window " << w + 1;
+    }
+  }
+}
+
 TEST(ShardedObsTest, FlightRecorderDumpsOnInjectedAuditFailure) {
   const auto movies = SixMovies();
   TempPath bundle_path("postmortem");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace vod {
 namespace {
@@ -77,6 +78,22 @@ TEST(MonotoneThresholdTest, AlreadyTrueAtLowerBound) {
 TEST(MonotoneThresholdTest, InfeasibleWhenNeverTrue) {
   const auto pred = [](double) { return false; };
   EXPECT_TRUE(MonotoneThreshold(pred, 0.0, 1.0).status().IsInfeasible());
+}
+
+TEST(MonotoneThresholdTest, StopsAtAdjacentDoublesCoarserThanTolerance) {
+  // Doubles near 1e12 are ~1.2e-4 apart, far coarser than the tolerance:
+  // bisection must stop once lo and hi are neighbours instead of spinning
+  // on a midpoint that rounds onto an endpoint.
+  const auto pred = [](double x) { return x >= 1e12; };
+  const Result<double> threshold = MonotoneThreshold(pred, 0.0, 4e12, 1e-10);
+  ASSERT_TRUE(threshold.ok());
+  EXPECT_EQ(threshold.value(), 1e12);
+  // lo + hi overflows to infinity, so the first midpoint is not inside.
+  const double big = std::numeric_limits<double>::max();
+  const Result<double> top =
+      MonotoneThreshold([&](double x) { return x >= big; }, big / 2.0, big);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(top.value(), big);
 }
 
 TEST(RootFindingOptionsTest, FToleranceTerminatesEarly) {
