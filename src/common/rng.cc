@@ -3,13 +3,12 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/serialize.h"
 
 namespace vod {
 
 // NextUint64 and the small samplers built on it are inline in the header
-// (hot path); the heavier rejection samplers and the serialization /
-// derivation machinery live here.
+// (hot path); the heavier rejection samplers and the child-stream
+// derivation live here.
 
 Rng::Rng(uint64_t seed) : seed_(seed) {
   SplitMix64 mixer(seed);
@@ -52,21 +51,6 @@ double Rng::Gamma(double shape, double scale) {
       return scale * d * v;
     }
   }
-}
-
-void Rng::Snapshot(ByteWriter* out) const {
-  for (uint64_t word : s_) out->PutU64(word);
-  out->PutU64(seed_);
-}
-
-Status Rng::Restore(ByteReader* in) {
-  uint64_t words[4];
-  uint64_t seed;
-  for (auto& word : words) VOD_RETURN_IF_ERROR(in->ReadU64(&word));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&seed));
-  for (int i = 0; i < 4; ++i) s_[i] = words[i];
-  seed_ = seed;
-  return Status::OK();
 }
 
 Rng Rng::MakeChild(uint64_t stream_class, uint64_t index) const {

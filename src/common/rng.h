@@ -13,12 +13,8 @@
 #include <cstdint>
 
 #include "common/check.h"
-#include "common/status.h"
 
 namespace vod {
-
-class ByteWriter;
-class ByteReader;
 
 /// SplitMix64: tiny, high-quality 64-bit mixer. Used to expand a user seed
 /// into generator state and to derive decorrelated child seeds.
@@ -123,15 +119,6 @@ class Rng {
   /// the mapping from entity to randomness is stable across code changes:
   /// e.g. MakeChild(kArrivals, movie_id) or MakeChild(kViewer, viewer_id).
   Rng MakeChild(uint64_t stream_class, uint64_t index) const;
-
-  /// Appends the full generator state (xoshiro words + derivation seed) to
-  /// `out`; Restore reproduces the sequence and all MakeChild derivations
-  /// bit-exactly.
-  void Snapshot(ByteWriter* out) const;
-
-  /// Restores state written by Snapshot. On error (truncated input) the
-  /// generator is left unchanged.
-  Status Restore(ByteReader* in);
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {

@@ -35,11 +35,10 @@ namespace vod {
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
 
 /// Payload type ids, one per snapshot producer (guards against feeding one
-/// producer's file to another).
+/// producer's file to another). Files on disk carry these values, so they
+/// never change; 2 and 3 named removed producers and stay unassigned.
 enum class SnapshotPayload : uint32_t {
   kExperimentGrid = 1,
-  kEventQueue = 2,
-  kRng = 3,
   kServerGrid = 4,
   kShardedRun = 5,
 };

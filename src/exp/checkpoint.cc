@@ -100,6 +100,25 @@ Status DeserializeSimulationReport(ByteReader* in, SimulationReport* r) {
   return Status::OK();
 }
 
+namespace {
+
+// Smallest encodings of the server report's counted entries, used to reject
+// a declared count the remaining bytes cannot hold before it sizes a vector:
+// a movie is its name's length prefix plus a fixed-width SimulationReport; a
+// transition is time, from, to and capacity.
+size_t MinMovieBytes() {
+  static const size_t bytes = [] {
+    ByteWriter w;
+    w.PutString("");
+    SerializeSimulationReport(SimulationReport{}, &w);
+    return w.size();
+  }();
+  return bytes;
+}
+constexpr size_t kTransitionBytes = 8 + 1 + 1 + 8;
+
+}  // namespace
+
 void SerializeServerReport(const ServerReport& r, ByteWriter* out) {
   out->PutI64(static_cast<int64_t>(r.movies.size()));
   for (const ServerReport::PerMovie& m : r.movies) {
@@ -168,10 +187,11 @@ void SerializeServerReport(const ServerReport& r, ByteWriter* out) {
 Status DeserializeServerReport(ByteReader* in, ServerReport* r) {
   int64_t num_movies = 0;
   VOD_RETURN_IF_ERROR(in->ReadI64(&num_movies));
-  if (num_movies < 0 || num_movies > (int64_t{1} << 20)) {
+  if (num_movies < 0 ||
+      static_cast<uint64_t>(num_movies) > in->remaining() / MinMovieBytes()) {
     return Status::InvalidArgument(
-        "server report declares an implausible movie count " +
-        std::to_string(num_movies));
+        "server report declares " + std::to_string(num_movies) +
+        " movies, more than the snapshot holds");
   }
   r->movies.clear();
   r->movies.reserve(static_cast<size_t>(num_movies));
@@ -213,10 +233,12 @@ Status DeserializeServerReport(ByteReader* in, ServerReport* r) {
   VOD_RETURN_IF_ERROR(in->ReadI64(&res->total_transitions));
   int64_t num_transitions = 0;
   VOD_RETURN_IF_ERROR(in->ReadI64(&num_transitions));
-  if (num_transitions < 0 || num_transitions > (int64_t{1} << 24)) {
+  if (num_transitions < 0 ||
+      static_cast<uint64_t>(num_transitions) >
+          in->remaining() / kTransitionBytes) {
     return Status::InvalidArgument(
-        "server report declares an implausible transition count " +
-        std::to_string(num_transitions));
+        "server report declares " + std::to_string(num_transitions) +
+        " transitions, more than the snapshot holds");
   }
   res->transitions.clear();
   res->transitions.reserve(static_cast<size_t>(num_transitions));
@@ -362,7 +384,14 @@ Result<BasicGridCheckpoint<Report>> LoadGridCheckpointImpl(
         "checkpoint '" + path + "' declares an implausible grid shape (" +
         std::to_string(configs) + " x " + std::to_string(replications) + ")");
   }
+  // The done bitmap takes ceil(cells / 8) bytes: a shape the payload cannot
+  // hold is corrupt, and must be rejected before it sizes the cell vectors.
   const size_t cells = static_cast<size_t>(checkpoint.cells());
+  if ((cells + 7) / 8 > in.remaining()) {
+    return Status::InvalidArgument(
+        "checkpoint '" + path + "' declares " + std::to_string(cells) +
+        " cells, more than its payload holds");
+  }
   checkpoint.done.assign(cells, false);
   checkpoint.reports.assign(cells, Report{});
   for (size_t base = 0; base < cells; base += 8) {
@@ -378,11 +407,7 @@ Result<BasicGridCheckpoint<Report>> LoadGridCheckpointImpl(
           GridCodec<Report>::Deserialize(&in, &checkpoint.reports[cell]));
     }
   }
-  // Metrics snapshot blob; absent in checkpoints written before the
-  // observability layer, which must keep loading.
-  if (!in.AtEnd()) {
-    VOD_RETURN_IF_ERROR(in.ReadString(&checkpoint.metrics_blob));
-  }
+  VOD_RETURN_IF_ERROR(in.ReadString(&checkpoint.metrics_blob));
   if (!in.AtEnd()) {
     return Status::InvalidArgument(
         "checkpoint '" + path + "' carries " +
@@ -401,16 +426,6 @@ Status SaveGridCheckpoint(const std::string& path,
 
 Result<GridCheckpoint> LoadGridCheckpoint(const std::string& path) {
   return LoadGridCheckpointImpl<SimulationReport>(path);
-}
-
-Status SaveServerGridCheckpoint(const std::string& path,
-                                const ServerGridCheckpoint& checkpoint) {
-  return SaveGridCheckpointImpl(path, checkpoint);
-}
-
-Result<ServerGridCheckpoint> LoadServerGridCheckpoint(
-    const std::string& path) {
-  return LoadGridCheckpointImpl<ServerReport>(path);
 }
 
 namespace {

@@ -85,10 +85,9 @@ struct BasicGridCheckpoint {
   std::vector<bool> done;
   /// Completed cells' reports; meaningful only where done[cell] is true.
   std::vector<Report> reports;
-  /// Optional MetricsRegistry::Snapshot blob taken at save time, so a
-  /// resumed sweep continues its sampled series without a gap. Empty when
-  /// the run carried no registry — and in checkpoints written before this
-  /// field existed, which still load fine.
+  /// MetricsRegistry::Snapshot blob taken at save time, so a resumed sweep
+  /// continues its sampled series without a gap. Empty when the run carried
+  /// no registry.
   std::string metrics_blob;
 
   int64_t cells() const { return configs * replications; }
@@ -102,7 +101,6 @@ struct BasicGridCheckpoint {
 };
 
 using GridCheckpoint = BasicGridCheckpoint<SimulationReport>;
-using ServerGridCheckpoint = BasicGridCheckpoint<ServerReport>;
 
 /// Atomically writes `checkpoint` (payload kExperimentGrid; the done flags
 /// travel as a packed bitmap).
@@ -113,11 +111,6 @@ Status SaveGridCheckpoint(const std::string& path,
 /// version-mismatched, or internally inconsistent files yield a diagnostic
 /// error — never a crash or a silently partial grid.
 Result<GridCheckpoint> LoadGridCheckpoint(const std::string& path);
-
-/// Server-grid flavor of Save/LoadGridCheckpoint (payload kServerGrid).
-Status SaveServerGridCheckpoint(const std::string& path,
-                                const ServerGridCheckpoint& checkpoint);
-Result<ServerGridCheckpoint> LoadServerGridCheckpoint(const std::string& path);
 
 /// Outcome of a (possibly interrupted) checkpointed grid run.
 template <typename Report>

@@ -1,7 +1,6 @@
 #include "obs/event_log.h"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 namespace vod {
@@ -47,18 +46,6 @@ void AppendJsonDouble(std::string* out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out->append(buf);
-}
-
-void PutLeU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutLeDouble(std::string* out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutLeU64(out, bits);
 }
 
 }  // namespace
@@ -206,52 +193,6 @@ void JsonlSink::Append(const TraceEvent& event) {
 }
 
 Status JsonlSink::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  out_->flush();
-  if (!out_->good()) {
-    return Status::Internal("trace sink write failed" +
-                            (path_.empty() ? "" : " for '" + path_ + "'"));
-  }
-  return Status::OK();
-}
-
-// ---- BinarySink -------------------------------------------------------------
-
-BinarySink::BinarySink(std::unique_ptr<std::ofstream> owned, std::string path)
-    : owned_(std::move(owned)), out_(owned_.get()), path_(std::move(path)) {}
-
-Result<std::unique_ptr<BinarySink>> BinarySink::Open(const std::string& path) {
-  auto file = std::make_unique<std::ofstream>(
-      path, std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!file->is_open()) {
-    return Status::InvalidArgument("cannot open trace file '" + path + "'");
-  }
-  file->write(kMagic, sizeof(kMagic));
-  return std::unique_ptr<BinarySink>(new BinarySink(std::move(file), path));
-}
-
-void BinarySink::Append(const TraceEvent& event) {
-  // Explicit little-endian field order; see ReadBinaryTrace for the decoder.
-  std::string record;
-  record.reserve(sizeof(TraceEvent));
-  PutLeDouble(&record, event.time);
-  PutLeU64(&record, event.seq);
-  PutLeU64(&record, static_cast<uint64_t>(event.id));
-  PutLeDouble(&record, event.value);
-  for (int i = 0; i < 4; ++i) {
-    record.push_back(static_cast<char>(
-        (static_cast<uint32_t>(event.movie) >> (8 * i)) & 0xff));
-  }
-  record.push_back(static_cast<char>(event.category));
-  record.push_back(static_cast<char>(event.subtype));
-  record.push_back(static_cast<char>(event.aux));
-  record.push_back(static_cast<char>(event.pad));
-  std::lock_guard<std::mutex> lock(mu_);
-  out_->write(record.data(), static_cast<std::streamsize>(record.size()));
-  ++records_written_;
-}
-
-Status BinarySink::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   out_->flush();
   if (!out_->good()) {

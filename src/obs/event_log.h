@@ -4,9 +4,8 @@
 // they cannot say *when*. The event log fills that gap: hot paths emit
 // fixed-size POD records (time, category, subtype, movie/entity ids, one
 // payload value) onto a bus that fans out to pluggable sinks — a bounded
-// in-memory ring (crash diagnostics, auditor trace tail), a streaming JSONL
-// file (tooling, schema-validated in CI), or a compact binary spill file
-// (long soaks). Emission is gated twice:
+// in-memory ring (crash diagnostics, auditor trace tail) or a streaming
+// JSONL file (tooling, schema-validated in CI). Emission is gated twice:
 //
 //   * compile time — defining VOD_OBS_DISABLED turns ShouldEmit() into a
 //     constant false so every emission site dead-codes away;
@@ -114,8 +113,8 @@ inline constexpr uint32_t kAllEventCategories =
 /// an empty string) selects every category.
 Result<uint32_t> ParseCategoryMask(const std::string& spec);
 
-/// \brief One structured trace record. POD: fixed 40-byte layout, memcpy-safe,
-/// identical in the ring, the binary spill file, and (field-for-field) JSONL.
+/// \brief One structured trace record. POD and memcpy-safe; the ring stores it
+/// as is and JSONL carries it field for field.
 struct TraceEvent {
   double time = 0.0;   ///< simulated minutes
   uint64_t seq = 0;    ///< emission order, assigned by the bus
@@ -128,9 +127,7 @@ struct TraceEvent {
   uint8_t pad = 0;
 };
 static_assert(std::is_trivially_copyable_v<TraceEvent>,
-              "TraceEvent must stay POD (ring/binary sinks memcpy it)");
-static_assert(sizeof(TraceEvent) == 40, "trace record layout is part of the "
-                                        "binary sink format");
+              "TraceEvent must stay POD (the ring copies it by value)");
 
 /// Formats one event as a single JSONL object (no trailing newline).
 std::string TraceEventToJson(const TraceEvent& event);
@@ -225,36 +222,10 @@ class JsonlSink final : public EventSink {
   uint64_t lines_written_ = 0;
 };
 
-/// \brief Compact binary spill file: 8-byte magic then 40-byte little-endian
-/// records. Thread-safe like JsonlSink. Read back with ReadBinaryTrace().
-class BinarySink final : public EventSink {
- public:
-  /// File magic, also used by the reader to sniff the format.
-  static constexpr char kMagic[8] = {'V', 'O', 'D', 'T',
-                                     'R', 'C', '0', '1'};
-
-  /// Opens `path` and writes the magic header (truncates).
-  static Result<std::unique_ptr<BinarySink>> Open(const std::string& path);
-
-  void Append(const TraceEvent& event) override;
-  Status Flush() override;
-
-  uint64_t records_written() const { return records_written_; }
-
- private:
-  BinarySink(std::unique_ptr<std::ofstream> owned, std::string path);
-
-  std::mutex mu_;
-  std::unique_ptr<std::ofstream> owned_;
-  std::ostream* out_;
-  std::string path_;
-  uint64_t records_written_ = 0;
-};
-
 /// \brief The event bus: category filter + sequence numbering + sink fan-out.
 ///
 /// Emit() is safe to call from multiple threads when every attached sink is
-/// (EventRing is not; JsonlSink/BinarySink are). Sinks are borrowed.
+/// (EventRing is not; JsonlSink is). Sinks are borrowed.
 class EventLog {
  public:
   void AddSink(EventSink* sink) {

@@ -59,19 +59,6 @@ Status ParseJsonString(const std::string& line, size_t line_no,
   return Status::OK();
 }
 
-uint64_t GetLeU64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-double GetLeDouble(const unsigned char* p) {
-  const uint64_t bits = GetLeU64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 }  // namespace
 
 Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in) {
@@ -104,7 +91,7 @@ Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in) {
     event.movie = static_cast<int32_t>(movie);
     event.id = static_cast<int64_t>(id);
     event.value = value;
-    // Recover the subtype id from its name so binary/JSONL round-trips agree.
+    // Recover the subtype id from its name, so a JSONL round trip is exact.
     event.subtype = 0;
     if (sub != "-") {
       for (uint8_t s = 0; s < 255; ++s) {
@@ -121,63 +108,12 @@ Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in) {
   return events;
 }
 
-Result<std::vector<TraceEvent>> ReadBinaryTrace(std::istream& in) {
-  std::array<char, sizeof(BinarySink::kMagic)> magic{};
-  in.read(magic.data(), magic.size());
-  if (in.gcount() != static_cast<std::streamsize>(magic.size()) ||
-      std::memcmp(magic.data(), BinarySink::kMagic, magic.size()) != 0) {
-    return Status::InvalidArgument("not a binary trace (bad magic)");
-  }
-  std::vector<TraceEvent> events;
-  std::array<unsigned char, sizeof(TraceEvent)> record{};
-  size_t index = 0;
-  while (true) {
-    in.read(reinterpret_cast<char*>(record.data()), record.size());
-    const auto got = in.gcount();
-    if (got == 0) break;
-    if (got != static_cast<std::streamsize>(record.size())) {
-      return Status::InvalidArgument(
-          "binary trace truncated mid-record at record " +
-          std::to_string(index));
-    }
-    TraceEvent event;
-    event.time = GetLeDouble(record.data());
-    event.seq = GetLeU64(record.data() + 8);
-    event.id = static_cast<int64_t>(GetLeU64(record.data() + 16));
-    event.value = GetLeDouble(record.data() + 24);
-    uint32_t movie = 0;
-    for (int i = 3; i >= 0; --i) movie = (movie << 8) | record[32 + i];
-    event.movie = static_cast<int32_t>(movie);
-    const uint8_t category = record[36];
-    if (category >= kNumEventCategories) {
-      return Status::InvalidArgument("binary trace record " +
-                                     std::to_string(index) +
-                                     " has unknown category " +
-                                     std::to_string(category));
-    }
-    event.category = static_cast<EventCategory>(category);
-    event.subtype = record[37];
-    event.aux = record[38];
-    event.pad = record[39];
-    events.push_back(event);
-    ++index;
-  }
-  return events;
-}
-
 Result<std::vector<TraceEvent>> ReadTraceFile(const std::string& path) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
+  std::ifstream in(path);
   if (!in.is_open()) {
     return Status::NotFound("cannot open trace file '" + path + "'");
   }
-  std::array<char, sizeof(BinarySink::kMagic)> head{};
-  in.read(head.data(), head.size());
-  const bool binary =
-      in.gcount() == static_cast<std::streamsize>(head.size()) &&
-      std::memcmp(head.data(), BinarySink::kMagic, head.size()) == 0;
-  in.clear();
-  in.seekg(0);
-  return binary ? ReadBinaryTrace(in) : ReadJsonlTrace(in);
+  return ReadJsonlTrace(in);
 }
 
 std::vector<CategorySummary> SummarizeTrace(

@@ -1,9 +1,9 @@
 // Readers and summarizers for event-log files (vodctl inspect).
 //
-// Parses both sink formats back into TraceEvent records — the JSONL stream
-// (strict about the fields the checked-in schema requires) and the binary
-// spill file (sniffed by its magic) — and derives the two views inspect
-// renders: per-category summaries and the degradation-level timeline.
+// Parses the JSONL trace stream back into TraceEvent records (strict about
+// the fields the checked-in schema requires) and derives the two views
+// inspect renders: per-category summaries and the degradation-level
+// timeline.
 
 #ifndef VOD_OBS_TRACE_READER_H_
 #define VOD_OBS_TRACE_READER_H_
@@ -18,17 +18,13 @@
 
 namespace vod {
 
-/// Reads a trace file, sniffing the format: BinarySink magic -> binary,
-/// otherwise JSONL. InvalidArgument with a line/record diagnostic on any
-/// malformed content.
+/// Reads a JSONL trace file. NotFound when it cannot be opened;
+/// InvalidArgument with a line diagnostic on any malformed content.
 Result<std::vector<TraceEvent>> ReadTraceFile(const std::string& path);
 
 /// One JSONL object per line; blank lines are rejected (the sinks never
 /// write them, so one signals truncation or concatenation damage).
 Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in);
-
-/// Binary stream positioned at the magic header.
-Result<std::vector<TraceEvent>> ReadBinaryTrace(std::istream& in);
 
 /// Per-category aggregate over a trace.
 struct CategorySummary {

@@ -242,7 +242,7 @@ class ReserveManager final : public StreamSupplier, public VcrWaitQueue {
   /// `queue` must outlive the manager. Counters that pair with per-movie
   /// metrics (queue outcomes, denials, waits) honor `measurement_start`
   /// exactly like SimulationMetrics; raw acquire/refuse counters cover the
-  /// whole run, matching FiniteStreamSupplier.
+  /// whole run.
   ReserveManager(int64_t nominal_capacity, const DegradationPolicy& policy,
                  EventQueue* queue, double measurement_start);
 
@@ -278,7 +278,7 @@ class ReserveManager final : public StreamSupplier, public VcrWaitQueue {
   }
   int64_t max_oversubscription() const { return max_oversubscription_; }
 
-  // ---- whole-run counters (FiniteStreamSupplier-compatible) ---------------
+  // ---- whole-run counters -------------------------------------------------
   int64_t refused() const { return refused_; }
   int64_t acquired() const { return acquired_; }
   int64_t peak_in_use() const { return peak_; }

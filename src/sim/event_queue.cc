@@ -1,26 +1,10 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-#include <string>
-
 #include "common/check.h"
-#include "common/serialize.h"
 
 namespace vod {
 
 namespace {
-
-// First word of a snapshot (format v2). Its bit pattern is a NaN, so it can
-// never be mistaken for the clock double an unversioned layout would open
-// with.
-constexpr uint64_t kSnapshotMagicV2 = 0xFFF7'4551'4232'0002ULL;
-
-// Serialized size of one pending entry: time, token, kind, payload.
-constexpr size_t kSnapshotEntryBytes = 32;
-
-// Largest slot index a snapshot may reference; rejects corrupt blobs before
-// they size the slab (real peaks are orders of magnitude below this).
-constexpr uint64_t kMaxRestoreSlot = 1ULL << 26;
 
 // Trampoline for the std::function handler compatibility overload.
 void BoxedHandlerTrampoline(void* ctx, uint64_t payload) {
@@ -85,36 +69,14 @@ void EventQueue::FreeSlot(uint32_t slot) {
   free_head_ = slot;
 }
 
-void EventQueue::EnsureActionCapacity(uint32_t slot) {
-  if (actions_.size() <= slot) actions_.resize(slots_.size());
-}
-
-EventToken EventQueue::ScheduleSlot(double time, uint64_t kind,
-                                    uint64_t payload,
-                                    std::function<void()> action) {
-  VOD_CHECK_MSG(time >= now_, "cannot schedule an event in the past");
-  if (next_gen_ == kFreeGen) next_gen_ = 0;  // skip the free sentinel on wrap
-  const uint32_t gen = next_gen_++;
-  const uint32_t slot = AllocSlot();
-  Slot& s = slots_[slot];
-  s.gen = gen;
-  s.kind = kind;
-  s.payload = payload;
-  EnsureActionCapacity(slot);
-  actions_[slot] = std::move(action);
-  PushKey(HeapKey{time, gen, slot});
-  ++live_;
-  return (static_cast<uint64_t>(gen) << 32) | slot;
-}
-
 EventToken EventQueue::ScheduleHandler(double time, uint64_t kind,
                                        uint64_t payload) {
   VOD_CHECK_MSG(kind < handlers_.size(), "unregistered event handler kind");
   VOD_CHECK_MSG(time >= now_, "cannot schedule an event in the past");
-  // Steady-state fast path: identical to ScheduleSlot minus the action —
-  // the side action column is never touched, so this never constructs,
-  // moves, or destroys a std::function.
-  if (next_gen_ == kFreeGen) next_gen_ = 0;
+  // Steady-state fast path: identical to Schedule minus the action — the
+  // side action column is never touched, so this never constructs, moves,
+  // or destroys a std::function.
+  if (next_gen_ == kFreeGen) next_gen_ = 0;  // skip the free sentinel on wrap
   const uint32_t gen = next_gen_++;
   const uint32_t slot = AllocSlot();
   Slot& s = slots_[slot];
@@ -127,17 +89,19 @@ EventToken EventQueue::ScheduleHandler(double time, uint64_t kind,
 }
 
 EventToken EventQueue::Schedule(double time, std::function<void()> action) {
-  // kUntagged carries kHasActionBit (it is all-ones).
-  return ScheduleSlot(time, kUntagged, 0, std::move(action));
-}
-
-EventToken EventQueue::ScheduleTagged(double time, uint64_t kind,
-                                      uint64_t payload,
-                                      std::function<void()> action) {
-  // The tag must leave bit 63 free for the action marker and must not
-  // collide with kUntagged once the marker is set.
-  VOD_CHECK_MSG(kind < kHasActionBit - 1, "reserved event kind");
-  return ScheduleSlot(time, kind | kHasActionBit, payload, std::move(action));
+  VOD_CHECK_MSG(time >= now_, "cannot schedule an event in the past");
+  if (next_gen_ == kFreeGen) next_gen_ = 0;
+  const uint32_t gen = next_gen_++;
+  const uint32_t slot = AllocSlot();
+  Slot& s = slots_[slot];
+  s.gen = gen;
+  s.kind = kUntagged;  // all-ones, so it carries kHasActionBit
+  s.payload = 0;
+  if (actions_.size() <= slot) actions_.resize(slots_.size());  // cold path
+  actions_[slot] = std::move(action);
+  PushKey(HeapKey{time, gen, slot});
+  ++live_;
+  return (static_cast<uint64_t>(gen) << 32) | slot;
 }
 
 void EventQueue::Cancel(EventToken token) {
@@ -309,177 +273,6 @@ void EventQueue::RunUntil(double horizon) {
   } else {
     RunLoop<false>(horizon);
   }
-}
-
-Status EventQueue::Snapshot(ByteWriter* out) const {
-  // Collect the live keys and order them deterministically; the heap's
-  // internal array order depends on the push/pop history.
-  std::vector<HeapKey> pending_keys;
-  pending_keys.reserve(live_);
-  for (const HeapKey& key : heap_) {
-    const Slot& s = slots_[key.slot];
-    if (s.gen != key.gen) continue;  // tombstone: will never run
-    if (s.kind == kUntagged) {
-      return Status::NotSupported(
-          "event queue holds an untagged event (seq " +
-          std::to_string(key.gen) + ", t=" + std::to_string(key.time) +
-          "); only tagged or handler events can be snapshotted");
-    }
-    pending_keys.push_back(key);
-  }
-  std::sort(pending_keys.begin(), pending_keys.end(), RunsBefore);
-
-  out->PutU64(kSnapshotMagicV2);
-  out->PutDouble(now_);
-  out->PutU64(next_gen_);
-  out->PutU64(executed_);
-  out->PutU64(pending_keys.size());
-  for (const HeapKey& key : pending_keys) {
-    const Slot& s = slots_[key.slot];
-    out->PutDouble(key.time);
-    out->PutU64((static_cast<uint64_t>(key.gen) << 32) | key.slot);
-    out->PutU64(s.kind & ~kHasActionBit);  // the marker is in-memory only
-    out->PutU64(s.payload);
-  }
-  return Status::OK();
-}
-
-struct EventQueue::PendingRestore {
-  double time = 0.0;
-  uint32_t gen = 0;
-  uint32_t slot = 0;
-  uint64_t kind = 0;
-  uint64_t payload = 0;
-  std::function<void()> action;  ///< empty when a registered handler serves
-};
-
-void EventQueue::CommitRestore(double now, uint32_t next_gen,
-                               uint64_t executed,
-                               std::vector<PendingRestore> entries) {
-  now_ = now;
-  next_gen_ = next_gen;
-  executed_ = executed;
-  heap_.clear();
-  slots_.clear();
-  actions_.clear();
-  free_head_ = kNilSlot;
-  tombstones_ = 0;
-  uint32_t max_slot = 0;
-  for (const PendingRestore& entry : entries) {
-    max_slot = std::max(max_slot, entry.slot);
-  }
-  slots_.resize(entries.empty() ? 0 : static_cast<size_t>(max_slot) + 1);
-  heap_.reserve(entries.size());
-  for (PendingRestore& entry : entries) {
-    Slot& s = slots_[entry.slot];
-    s.gen = entry.gen;
-    s.payload = entry.payload;
-    if (entry.action) {
-      s.kind = entry.kind | kHasActionBit;
-      EnsureActionCapacity(entry.slot);
-      actions_[entry.slot] = std::move(entry.action);
-    } else {
-      s.kind = entry.kind;
-    }
-    heap_.push_back(HeapKey{entry.time, entry.gen, entry.slot});
-  }
-  // Unoccupied slots join the free list lowest-index-first, keeping token
-  // assignment after a restore deterministic.
-  for (size_t i = slots_.size(); i-- > 0;) {
-    if (slots_[i].gen == kFreeGen) {
-      slots_[i].next_free = free_head_;
-      free_head_ = static_cast<uint32_t>(i);
-    }
-  }
-  live_ = entries.size();
-  HeapifyAll();
-}
-
-Status EventQueue::Restore(ByteReader* in, const ActionFactory& factory) {
-  if (!heap_.empty() || live_ != 0) {
-    return Status::InvalidArgument(
-        "event queue restore requires an empty queue");
-  }
-  uint64_t magic;
-  VOD_RETURN_IF_ERROR(in->ReadU64(&magic));
-  if (magic != kSnapshotMagicV2) {
-    return Status::InvalidArgument("unsupported event queue snapshot format");
-  }
-  double now;
-  uint64_t next_gen, executed, count;
-  VOD_RETURN_IF_ERROR(in->ReadDouble(&now));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&next_gen));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&executed));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&count));
-  if (next_gen > kFreeGen) {
-    return Status::InvalidArgument(
-        "event queue snapshot corrupt: generation counter " +
-        std::to_string(next_gen) + " out of range");
-  }
-  if (count > in->remaining() / kSnapshotEntryBytes) {
-    return Status::InvalidArgument(
-        "event queue snapshot corrupt: " + std::to_string(count) +
-        " entries declared, " + std::to_string(in->remaining()) +
-        " bytes remain");
-  }
-
-  std::vector<PendingRestore> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PendingRestore entry;
-    uint64_t token, kind;
-    VOD_RETURN_IF_ERROR(in->ReadDouble(&entry.time));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&token));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&kind));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&entry.payload));
-    entry.gen = static_cast<uint32_t>(token >> 32);
-    entry.slot = static_cast<uint32_t>(token);
-    entry.kind = kind;
-    if (!(entry.time >= now)) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: entry at t=" +
-          std::to_string(entry.time) + " precedes the snapshot clock t=" +
-          std::to_string(now));
-    }
-    if (entry.gen == kFreeGen || entry.gen >= next_gen) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: entry seq " +
-          std::to_string(entry.gen) + " >= sequence counter " +
-          std::to_string(next_gen));
-    }
-    if (entry.slot >= kMaxRestoreSlot) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: slot " +
-          std::to_string(entry.slot) + " is implausibly large");
-    }
-    if (!(kind < handlers_.size() && handlers_[kind].fn != nullptr)) {
-      entry.action = factory(kind, entry.payload, entry.time);
-      if (!entry.action) {
-        return Status::InvalidArgument(
-            "event queue restore: factory rejected event kind " +
-            std::to_string(kind));
-      }
-    }
-    entries.push_back(std::move(entry));
-  }
-  // Reject blobs that map two events to one slot — tokens would alias.
-  std::vector<PendingRestore*> by_slot;
-  by_slot.reserve(entries.size());
-  for (PendingRestore& entry : entries) by_slot.push_back(&entry);
-  std::sort(by_slot.begin(), by_slot.end(),
-            [](const PendingRestore* a, const PendingRestore* b) {
-              return a->slot < b->slot;
-            });
-  for (size_t i = 1; i < by_slot.size(); ++i) {
-    if (by_slot[i]->slot == by_slot[i - 1]->slot) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: duplicate slot " +
-          std::to_string(by_slot[i]->slot));
-    }
-  }
-  CommitRestore(now, static_cast<uint32_t>(next_gen), executed,
-                std::move(entries));
-  return Status::OK();
 }
 
 }  // namespace vod

@@ -1,6 +1,5 @@
-// Discrete-event simulation kernel: a future-event list with cancellation,
-// an execution observer (for runtime invariant auditing), and a tagged
-// snapshot/restore path (for crash-recoverable runs).
+// Discrete-event simulation kernel: a future-event list with cancellation
+// and an execution observer (for runtime invariant auditing).
 //
 // Internals are built for throughput: event payloads live in a slab of
 // generation-stamped 24-byte POD slots threaded by an intrusive free list,
@@ -22,12 +21,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/status.h"
-
 namespace vod {
-
-class ByteWriter;
-class ByteReader;
 
 /// Handle identifying a scheduled event (for cancellation). Packs the slab
 /// slot index (low 32 bits) and the slot's generation stamp at schedule time
@@ -46,14 +40,6 @@ inline constexpr EventToken kNoEvent = ~EventToken{0};
 /// is discarded lazily at pop time — or eagerly, when tombstones come to
 /// dominate the heap (see CompactHeap), so cancel-heavy bursts cannot pin
 /// memory.
-///
-/// Closures are not serializable, so snapshotting works through *tags*: an
-/// event scheduled with ScheduleTagged or via a registered handler kind
-/// carries a (kind, payload) identity that Snapshot can persist and Restore
-/// can turn back into a runnable event — through the handler table when the
-/// kind is registered, else via a caller-supplied closure factory. Untagged
-/// events make the queue unsnapshottable (Snapshot reports which is fine for
-/// workloads that never checkpoint).
 class EventQueue {
  public:
   /// A steady-state event handler: receives the payload stamped at schedule
@@ -70,8 +56,7 @@ class EventQueue {
   using RawObserver = void (*)(void* ctx, double time);
 
   /// Registers `handler` and returns its kind id. Kinds are assigned
-  /// sequentially from 0 in registration order, so a deterministic
-  /// construction order yields deterministic (snapshottable) kinds.
+  /// sequentially from 0 in registration order.
   /// This overload boxes the std::function and dispatches it through a
   /// trampoline; the RawHandler overload below avoids even that.
   uint64_t AddHandler(Handler handler);
@@ -81,19 +66,12 @@ class EventQueue {
   uint64_t AddHandler(RawHandler fn, void* ctx);
 
   /// Schedules the registered handler `kind` with `payload` at absolute time
-  /// `time` (>= Now()). The fast path: no allocation, snapshot-compatible.
+  /// `time` (>= Now()). The fast path: no allocation.
   EventToken ScheduleHandler(double time, uint64_t kind, uint64_t payload);
 
   /// Schedules `action` at absolute time `time` (>= Now()). Returns a token
-  /// usable with Cancel. Closure-only events cannot be snapshotted.
+  /// usable with Cancel.
   EventToken Schedule(double time, std::function<void()> action);
-
-  /// Schedules `action` with a serializable identity. `kind` names the
-  /// handler (a caller-defined enum), `payload` its argument (an entity id,
-  /// an encoded value, ...). Snapshot persists (time, kind, payload);
-  /// Restore rebuilds the closure from them.
-  EventToken ScheduleTagged(double time, uint64_t kind, uint64_t payload,
-                            std::function<void()> action);
 
   /// Pre-sizes the heap and slab for about `events` concurrently pending
   /// events, so a run that stays under the estimate never grows kernel
@@ -145,45 +123,17 @@ class EventQueue {
   /// Raw observer: called as `fn(ctx, time)`. Pass fn == nullptr to remove.
   void set_observer(RawObserver fn, void* ctx);
 
-  /// \brief Serializes clock, generation counter, and all pending events.
-  ///
-  /// Pending events are written in deterministic (time, sequence) order.
-  /// Fails with NotSupported if any live event was scheduled without a tag —
-  /// closures cannot be persisted. Cancelled entries are already gone (their
-  /// slots were freed at Cancel time).
-  Status Snapshot(ByteWriter* out) const;
-
-  /// Rebuilds `action` closures at restore time: given the persisted
-  /// (kind, payload, time), return the closure to run. Returning an empty
-  /// function makes Restore fail (unknown kind). Consulted only for kinds
-  /// with no registered handler.
-  using ActionFactory =
-      std::function<std::function<void()>(uint64_t kind, uint64_t payload,
-                                          double time)>;
-
-  /// \brief Restores a queue serialized by Snapshot.
-  ///
-  /// The queue must be empty and unstarted (pending() == 0). Entries whose
-  /// kind has a registered handler are restored onto the allocation-free
-  /// handler path; others go through `factory`. Tokens are preserved: a
-  /// token obtained before the snapshot still cancels the same logical
-  /// event after restore. Returns InvalidArgument on an unknown format or
-  /// truncated or inconsistent input (a count larger than the remaining
-  /// bytes, entry time before the snapshot clock, sequence beyond the
-  /// counter, duplicate slot, unknown kind).
-  Status Restore(ByteReader* in, const ActionFactory& factory);
-
  private:
   /// Generation value of free slots; never issued to a live event, so a
   /// token or heap key can never match a freed slot.
   static constexpr uint32_t kFreeGen = 0xFFFFFFFFu;
-  /// Kind value marking a closure-only (untagged) event. Note bit 63 is
-  /// set: kUntagged naturally carries kHasActionBit.
+  /// Kind value marking a closure event. Note bit 63 is set: kUntagged
+  /// naturally carries kHasActionBit.
   static constexpr uint64_t kUntagged = ~uint64_t{0};
   /// Bit 63 of Slot::kind marks "this slot has a closure in actions_".
-  /// Handler kinds are small sequential ids and tag enums are small values,
-  /// so the top bit is free; keeping the marker inside the kind word means
-  /// the hot loop classifies an event with one load and one mask.
+  /// Handler kinds are small sequential ids, so the top bit is free; keeping
+  /// the marker inside the kind word means the hot loop classifies an event
+  /// with one load and one mask.
   static constexpr uint64_t kHasActionBit = uint64_t{1} << 63;
   /// Free-list terminator.
   static constexpr uint32_t kNilSlot = 0xFFFFFFFFu;
@@ -196,7 +146,7 @@ class EventQueue {
   /// kHasActionBit — the steady-state path never constructs, moves, or
   /// destroys a std::function.
   struct Slot {
-    uint64_t kind = kUntagged;  ///< handler index or tag; bit 63 = has action
+    uint64_t kind = kUntagged;  ///< handler index; bit 63 = has action
     uint64_t payload = 0;
     uint32_t gen = kFreeGen;
     uint32_t next_free = kNilSlot;
@@ -235,10 +185,6 @@ class EventQueue {
 
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
-  /// Grows the side action column to cover `slot` (cold path only).
-  void EnsureActionCapacity(uint32_t slot);
-  EventToken ScheduleSlot(double time, uint64_t kind, uint64_t payload,
-                          std::function<void()> action);
   void PushKey(HeapKey key);
   /// Bottom-up O(n) heapify: one descending SiftDown pass over the
   /// internal nodes.
@@ -259,12 +205,6 @@ class EventQueue {
   /// RunUntil picks one of the two instantiations per call.
   template <bool kObserved>
   void RunLoop(double horizon);
-
-  /// Commits decoded entries: places them in the slab at their stored
-  /// slot, rebuilds the free list and heap.
-  struct PendingRestore;
-  void CommitRestore(double now, uint32_t next_gen, uint64_t executed,
-                     std::vector<PendingRestore> entries);
 
   std::vector<HeapKey> heap_;  ///< 4-ary implicit min-heap (layout above)
   std::vector<Slot> slots_;    ///< POD payload slab, indexed by HeapKey::slot

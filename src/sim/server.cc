@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "sim/event_queue.h"
 #include "sim/server_driver.h"
-#include "sim/stream_supplier.h"
 
 namespace vod {
 
@@ -20,9 +19,9 @@ using Worlds = std::vector<std::unique_ptr<MovieWorld>>;
 
 // The controller's window onto the running server: layout commits go
 // through MovieWorld::ApplyLayout (re-anchor, never preempt), and overload
-// pressure is derived from the degradation ladder rung. Without a ladder
-// (manager == nullptr) the server never reports pressure, so the traffic
-// policy admits everything.
+// pressure is derived from the degradation ladder rung. Without faults or
+// the ladder the rung stays kNormal, so the traffic policy admits
+// everything.
 class WorldControllerHost final : public ControllerHost {
  public:
   WorldControllerHost(Worlds* worlds, const ReserveManager* manager)
@@ -41,9 +40,7 @@ class WorldControllerHost final : public ControllerHost {
   int PressureLevel() const override { return ControllerPressure(rung()); }
 
  private:
-  DegradationLevel rung() const {
-    return manager_ != nullptr ? manager_->level() : DegradationLevel::kNormal;
-  }
+  DegradationLevel rung() const { return manager_->level(); }
 
   Worlds* worlds_;
   const ReserveManager* manager_;
@@ -55,9 +52,7 @@ class WorldControllerHost final : public ControllerHost {
 struct ServerRun {
   InvariantAuditor* auditor = nullptr;
   AuditSnapshot* audit_snapshot = nullptr;
-  StreamSupplier* supplier = nullptr;
   ReserveManager* manager = nullptr;
-  FiniteStreamSupplier* finite = nullptr;
   const Worlds* worlds = nullptr;
   const std::vector<ServerMovieSpec>* movies = nullptr;
   Controller* controller = nullptr;
@@ -80,18 +75,14 @@ void AuditServer(ServerRun* ctx, double t) {
   auditor->RecordEvent(t);
   if (!auditor->AuditDue()) return;
   AuditSnapshot& snapshot = *ctx->audit_snapshot;
+  const ReserveManager* manager = ctx->manager;
   snapshot.time = t;
-  snapshot.supplier_in_use = ctx->supplier->in_use();
-  if (ctx->manager != nullptr) {
-    snapshot.supplier_capacity = ctx->manager->capacity();
-    snapshot.nominal_capacity = ctx->manager->nominal_capacity();
-    snapshot.degradation_level = static_cast<int>(ctx->manager->level());
-    snapshot.transitions = &ctx->manager->transitions();
-    snapshot.total_transitions = ctx->manager->total_transitions();
-  } else {
-    snapshot.supplier_capacity = ctx->finite->capacity();
-    snapshot.nominal_capacity = ctx->finite->capacity();
-  }
+  snapshot.supplier_in_use = manager->in_use();
+  snapshot.supplier_capacity = manager->capacity();
+  snapshot.nominal_capacity = manager->nominal_capacity();
+  snapshot.degradation_level = static_cast<int>(manager->level());
+  snapshot.transitions = &manager->transitions();
+  snapshot.total_transitions = manager->total_transitions();
   int64_t holds = 0;
   for (const auto& world : *ctx->worlds) {
     holds += world->dedicated_streams_held();
@@ -109,8 +100,7 @@ void EmitServerTelemetry(ServerRun* ctx, double t) {
   ReserveManager* manager = ctx->manager;
   // Ladder transitions surface on the event bus as they are recorded. Once
   // the stored transition log caps, fall back to diffing the live rung.
-  if (manager != nullptr &&
-      ObsEnabled(event_log, EventCategory::kDegradation)) {
+  if (ObsEnabled(event_log, EventCategory::kDegradation)) {
     const auto& trs = manager->transitions();
     if (ctx->emitted_transitions < trs.size()) {
       while (ctx->emitted_transitions < trs.size()) {
@@ -134,13 +124,9 @@ void EmitServerTelemetry(ServerRun* ctx, double t) {
   MetricsRegistry* registry = ctx->registry;
   if (registry == nullptr) return;
   const ReserveGauges& g = ctx->reserve_gauges;
-  g.in_use->Set(static_cast<double>(ctx->supplier->in_use()));
-  if (manager != nullptr) {
-    g.capacity->Set(static_cast<double>(manager->capacity()));
-    g.level->Set(static_cast<double>(manager->level()));
-  } else {
-    g.capacity->Set(static_cast<double>(ctx->finite->capacity()));
-  }
+  g.in_use->Set(static_cast<double>(manager->in_use()));
+  g.capacity->Set(static_cast<double>(manager->capacity()));
+  g.level->Set(static_cast<double>(manager->level()));
   if (ctx->controller != nullptr) {
     const ControllerReport cr = ctx->controller->Report();
     ctx->g_ctrl_epoch->Set(static_cast<double>(cr.final_epoch));
@@ -219,29 +205,23 @@ void ScheduleFaults(const std::vector<FaultEvent>& schedule, EventQueue* queue,
 }
 
 /// The run's report, read from the reserve, the worlds and the controller
-/// once the queue has run to the horizon.
+/// once the queue has run to the horizon. The resilience block is filled
+/// when faults or the ladder were requested.
 ServerReport AssembleServerReport(
     const std::vector<ServerMovieSpec>& movies,
     const std::vector<std::unique_ptr<SimulationMetrics>>& metrics,
-    const Worlds& worlds, const ServerRun& run,
+    const Worlds& worlds, const ServerRun& run, bool resilience_enabled,
     const FaultCounts& faults, double horizon) {
   const ReserveManager* manager = run.manager;
   ServerReport report;
-  if (manager != nullptr) {
-    report.reserve_capacity = manager->nominal_capacity();
-    report.mean_reserve_in_use = manager->MeanInUse(horizon);
-    report.peak_reserve_in_use = manager->peak_in_use();
-    SetAcquisitions(manager->refused(), manager->acquired(), &report);
-  } else {
-    report.reserve_capacity = run.finite->capacity();
-    report.mean_reserve_in_use = run.finite->MeanInUse(horizon);
-    report.peak_reserve_in_use = run.finite->peak_in_use();
-    SetAcquisitions(run.finite->refused(), run.finite->acquired(), &report);
-  }
+  report.reserve_capacity = manager->nominal_capacity();
+  report.mean_reserve_in_use = manager->MeanInUse(horizon);
+  report.peak_reserve_in_use = manager->peak_in_use();
+  SetAcquisitions(manager->refused(), manager->acquired(), &report);
   for (size_t i = 0; i < movies.size(); ++i) {
     AddMovieReport(movies[i].name, *metrics[i], *worlds[i], horizon, &report);
   }
-  if (manager != nullptr) {
+  if (resilience_enabled) {
     report.resilience_enabled = true;
     ResilienceReport& rz = report.resilience;
     rz.disk_failures = faults.failures;
@@ -408,20 +388,11 @@ Result<ServerReport> RunServerSimulation(
   EventLog* event_log = options.obs.event_log;
   ServerRun run;
 
-  // The seed's hard-refusal supplier stays in place unless faults or the
-  // degradation ladder are requested, preserving legacy runs bit-for-bit.
-  std::unique_ptr<FiniteStreamSupplier> finite;
-  std::unique_ptr<ReserveManager> manager;
-  if (options.faults.enabled || options.degradation.enabled) {
-    manager = std::make_unique<ReserveManager>(
-        options.dynamic_stream_reserve, options.degradation, &queue,
-        options.warmup_minutes);
-    run.supplier = run.manager = manager.get();
-  } else {
-    finite =
-        std::make_unique<FiniteStreamSupplier>(options.dynamic_stream_reserve);
-    run.supplier = run.finite = finite.get();
-  }
+  // One reserve for every run. With the ladder off and no faults it never
+  // leaves kNormal and refuses exactly when the reserve is exhausted.
+  ReserveManager manager(options.dynamic_stream_reserve, options.degradation,
+                         &queue, options.warmup_minutes);
+  run.manager = &manager;
 
   std::vector<std::unique_ptr<SimulationMetrics>> metrics;
   Worlds worlds;
@@ -433,7 +404,7 @@ Result<ServerReport> RunServerSimulation(
   std::unique_ptr<WorldControllerHost> ctrl_host;
   std::unique_ptr<Controller> controller;
   if (options.controller.enabled) {
-    ctrl_host = std::make_unique<WorldControllerHost>(&worlds, manager.get());
+    ctrl_host = std::make_unique<WorldControllerHost>(&worlds, &manager);
     controller = std::make_unique<Controller>(
         options.controller, ControllerMovies(movies), ctrl_host.get(),
         event_log);
@@ -450,11 +421,11 @@ Result<ServerReport> RunServerSimulation(
         std::make_unique<SimulationMetrics>(options.warmup_minutes));
     worlds.push_back(std::make_unique<MovieWorld>(
         spec.layout, options.rates, config,
-        base_rng.MakeChild(kMovieWorldStream, i), &queue, run.supplier,
+        base_rng.MakeChild(kMovieWorldStream, i), &queue, &manager,
         metrics.back().get()));
   }
   if (controller != nullptr) controller->Start(0.0);
-  if (manager != nullptr) InstallReclaimHook(manager.get(), &worlds);
+  InstallReclaimHook(&manager, &worlds);
 
   // The auditor re-derives the conservation laws from live state at its
   // cadence; the movie partition geometry is static, so it is expanded once.
@@ -492,7 +463,7 @@ Result<ServerReport> RunServerSimulation(
   const double horizon = options.warmup_minutes + options.measurement_minutes;
   FaultCounts faults;
   ScheduleFaults(ServerFaultSchedule(options, base_rng, horizon), &queue,
-                 manager.get(), controller.get(), event_log, &faults);
+                 &manager, controller.get(), event_log, &faults);
 
   // The controller's decision clock: a self-rescheduling wake-up. OnWakeup
   // returns the next time it needs (poll cadence, a migration backoff, or
@@ -517,12 +488,14 @@ Result<ServerReport> RunServerSimulation(
 
   for (auto& world : worlds) world->Start();
   queue.RunUntil(horizon);
-  if (manager != nullptr) manager->Finalize(horizon);
+  manager.Finalize(horizon);
   if (registry != nullptr) registry->SampleAt(horizon);
   if (auditor != nullptr && auditor->total_violations() > 0) {
     return auditor->status();
   }
-  return AssembleServerReport(movies, metrics, worlds, run, faults, horizon);
+  return AssembleServerReport(
+      movies, metrics, worlds, run,
+      options.faults.enabled || options.degradation.enabled, faults, horizon);
 }
 
 }  // namespace vod

@@ -76,46 +76,6 @@ class UnlimitedStreamSupplier final : public StreamSupplier {
   TimeWeightedValue usage_;
 };
 
-/// \brief Finite reserve; refuses requests beyond capacity.
-class FiniteStreamSupplier final : public StreamSupplier {
- public:
-  explicit FiniteStreamSupplier(int64_t capacity) : capacity_(capacity) {
-    usage_.Reset(0.0, 0.0);
-  }
-
-  bool TryAcquire(double t) override {
-    if (in_use_ >= capacity_) {
-      ++refused_;
-      return false;
-    }
-    ++in_use_;
-    ++acquired_;
-    if (in_use_ > peak_) peak_ = in_use_;
-    usage_.Set(t, static_cast<double>(in_use_));
-    return true;
-  }
-
-  void Release(double t) override {
-    --in_use_;
-    usage_.Set(t, static_cast<double>(in_use_));
-  }
-
-  int64_t in_use() const override { return in_use_; }
-  int64_t capacity() const { return capacity_; }
-  int64_t refused() const { return refused_; }
-  int64_t acquired() const { return acquired_; }
-  int64_t peak_in_use() const { return peak_; }
-  double MeanInUse(double t_end) const { return usage_.TimeAverage(t_end); }
-
- private:
-  int64_t capacity_;
-  int64_t in_use_ = 0;
-  int64_t peak_ = 0;
-  int64_t refused_ = 0;
-  int64_t acquired_ = 0;
-  TimeWeightedValue usage_;
-};
-
 }  // namespace vod
 
 #endif  // VOD_SIM_STREAM_SUPPLIER_H_

@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 #include <vector>
 
-#include "common/serialize.h"
 #include "stats/summary.h"
 
 namespace vod {
@@ -168,40 +166,6 @@ TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::max() == ~0ULL);
   Rng rng(1);
   EXPECT_NE(rng(), rng());
-}
-
-TEST(RngTest, SnapshotRestoreResumesSequenceExactly) {
-  Rng original(987654321);
-  for (int i = 0; i < 137; ++i) original.NextUint64();  // mid-stream
-
-  ByteWriter snapshot;
-  original.Snapshot(&snapshot);
-
-  // Advance the original past the snapshot point and record its future.
-  std::vector<uint64_t> expected;
-  for (int i = 0; i < 64; ++i) expected.push_back(original.NextUint64());
-  const uint64_t expected_child = original.MakeChild(5, 9).NextUint64();
-
-  Rng restored(1);  // deliberately different seed; Restore must overwrite
-  ByteReader reader(snapshot.bytes());
-  ASSERT_TRUE(restored.Restore(&reader).ok());
-  EXPECT_TRUE(reader.AtEnd());
-  for (uint64_t v : expected) {
-    ASSERT_EQ(restored.NextUint64(), v);
-  }
-  // Child derivation depends on the retained seed, which must also survive.
-  EXPECT_EQ(restored.MakeChild(5, 9).NextUint64(), expected_child);
-}
-
-TEST(RngTest, RestoreFromTruncatedSnapshotLeavesStateUntouched) {
-  Rng rng(42);
-  const uint64_t before = Rng(42).NextUint64();
-  ByteWriter snapshot;
-  rng.Snapshot(&snapshot);
-  const std::string cut = snapshot.bytes().substr(0, 12);  // mid-word
-  ByteReader reader(cut);
-  EXPECT_FALSE(rng.Restore(&reader).ok());
-  EXPECT_EQ(rng.NextUint64(), before);
 }
 
 TEST(SplitMix64Test, KnownSequenceAdvances) {

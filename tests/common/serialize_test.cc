@@ -207,8 +207,9 @@ TEST(SnapshotFileTest, RejectsVersionMismatch) {
 
 TEST(SnapshotFileTest, RejectsPayloadTypeMismatch) {
   TempPath path("type");
-  ASSERT_TRUE(
-      WriteSnapshotFile(path.get(), SnapshotPayload::kRng, "payload").ok());
+  ASSERT_TRUE(WriteSnapshotFile(path.get(), SnapshotPayload::kServerGrid,
+                                "payload")
+                  .ok());
   const auto read =
       ReadSnapshotFile(path.get(), SnapshotPayload::kExperimentGrid);
   ASSERT_FALSE(read.ok());
@@ -218,10 +219,13 @@ TEST(SnapshotFileTest, RejectsPayloadTypeMismatch) {
 TEST(SnapshotFileTest, OverwriteIsAtomic) {
   TempPath path("overwrite");
   ASSERT_TRUE(
-      WriteSnapshotFile(path.get(), SnapshotPayload::kRng, "first").ok());
+      WriteSnapshotFile(path.get(), SnapshotPayload::kServerGrid, "first")
+          .ok());
   ASSERT_TRUE(
-      WriteSnapshotFile(path.get(), SnapshotPayload::kRng, "second").ok());
-  const auto read = ReadSnapshotFile(path.get(), SnapshotPayload::kRng);
+      WriteSnapshotFile(path.get(), SnapshotPayload::kServerGrid, "second")
+          .ok());
+  const auto read =
+      ReadSnapshotFile(path.get(), SnapshotPayload::kServerGrid);
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(*read, "second");
   // No temp residue after a successful publish.

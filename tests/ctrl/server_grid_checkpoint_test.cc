@@ -123,6 +123,14 @@ TEST(ServerReportCodecTest, TruncationIsAnErrorNotACrash) {
   ByteReader in(bytes);
   ServerReport report;
   EXPECT_FALSE(DeserializeServerReport(&in, &report).ok());
+
+  // A declared movie count far beyond the bytes that follow is rejected
+  // before it sizes anything.
+  ByteWriter huge;
+  huge.PutI64(int64_t{1} << 20);
+  ByteReader huge_in(huge.bytes());
+  EXPECT_TRUE(
+      DeserializeServerReport(&huge_in, &report).IsInvalidArgument());
 }
 
 TEST(ServerGridCheckpointTest, InterruptResumeIsByteIdentical) {

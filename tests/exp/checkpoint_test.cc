@@ -5,7 +5,7 @@
 // Kills are emulated in-process with CheckpointOptions::max_cells, which
 // stops after N newly executed cells exactly like a SIGKILL between cells
 // (the on-disk checkpoint is all a dead process leaves behind either way).
-// The out-of-process SIGKILL version lives in bench/soak_crash_recovery.cc.
+// The out-of-process SIGKILL version is `vodctl soak`.
 
 #include "exp/checkpoint.h"
 
@@ -154,27 +154,6 @@ TEST(GridCheckpointFileTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded->metrics_blob, checkpoint.metrics_blob);
 }
 
-TEST(GridCheckpointFileTest, LoadsPreObservabilityCheckpoints) {
-  TempPath path("pre_obs");
-  // Replicate the on-disk layout from before the metrics blob existed:
-  // identity, packed done bitmap, completed reports — and nothing after.
-  ByteWriter payload;
-  payload.PutU64(0xF00D);  // fingerprint
-  payload.PutU64(42);      // base_seed
-  payload.PutI64(1);       // configs
-  payload.PutI64(2);       // replications
-  payload.PutU8(0x01);     // cell 0 done, cell 1 pending
-  SerializeSimulationReport(RunTestCell(CellContext{0, 0, 7}), &payload);
-  ASSERT_TRUE(WriteSnapshotFile(path.str(), SnapshotPayload::kExperimentGrid,
-                                payload.bytes())
-                  .ok());
-
-  auto loaded = LoadGridCheckpoint(path.str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_EQ(loaded->cells_done(), 1);
-  EXPECT_TRUE(loaded->metrics_blob.empty());
-}
-
 TEST(GridCheckpointFileTest, RejectsCorruptedTruncatedAndForeignFiles) {
   TempPath path("rejects");
   GridCheckpoint checkpoint;
@@ -219,6 +198,23 @@ TEST(GridCheckpointFileTest, RejectsCorruptedTruncatedAndForeignFiles) {
   {  // not a snapshot at all
     std::ofstream(path.str(), std::ios::binary) << "definitely not binary";
     EXPECT_FALSE(LoadGridCheckpoint(path.str()).ok());
+  }
+  {  // a well-framed 32-byte payload declaring 2^20 x 64 cells: the done
+     // bitmap cannot fit, so nothing may be sized by the declared shape
+    ByteWriter payload;
+    payload.PutU64(1);                 // fingerprint
+    payload.PutU64(2);                 // base_seed
+    payload.PutI64(int64_t{1} << 20);  // configs
+    payload.PutI64(64);                // replications
+    ASSERT_EQ(payload.size(), 32u);
+    ASSERT_TRUE(WriteSnapshotFile(path.str(),
+                                  SnapshotPayload::kExperimentGrid,
+                                  payload.bytes())
+                    .ok());
+    auto loaded = LoadGridCheckpoint(path.str());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsInvalidArgument())
+        << loaded.status().message();
   }
   {  // missing file
     std::remove(path.str().c_str());

@@ -186,10 +186,5 @@ TEST(JsonlSinkTest, WritesOneObjectPerLine) {
   EXPECT_FALSE(std::getline(lines, line)) << "exactly two lines";
 }
 
-TEST(TraceEventTest, LayoutIsPartOfTheFormat) {
-  // The binary sink memcpys records; a size change is a format break.
-  EXPECT_EQ(sizeof(TraceEvent), 40u);
-}
-
 }  // namespace
 }  // namespace vod

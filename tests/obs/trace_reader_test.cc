@@ -72,48 +72,6 @@ TEST(TraceReaderTest, JsonlRejectsDamage) {
   EXPECT_TRUE(ReadJsonlTrace(is).status().IsInvalidArgument());
 }
 
-TEST(TraceReaderTest, BinaryRoundTripsThroughTheSinkFile) {
-  const std::string path = "trace_reader_test_roundtrip.bin";
-  {
-    auto sink = BinarySink::Open(path);
-    ASSERT_TRUE(sink.ok()) << sink.status();
-    EventLog log;
-    log.AddSink(sink->get());
-    log.Emit(1.5, EventCategory::kDegradation, 2, -1, 7, 36.0, 1);
-    log.Emit(2.5, EventCategory::kTick, 0, 3, 11, -4.25);
-    ASSERT_TRUE(log.FlushSinks().ok());
-  }
-  // ReadTraceFile sniffs the magic and picks the binary reader.
-  const auto events = ReadTraceFile(path);
-  ASSERT_TRUE(events.ok()) << events.status();
-  ASSERT_EQ(events->size(), 2u);
-  EXPECT_DOUBLE_EQ((*events)[0].time, 1.5);
-  EXPECT_EQ((*events)[0].category, EventCategory::kDegradation);
-  EXPECT_EQ((*events)[0].subtype, 2);
-  EXPECT_EQ((*events)[0].aux, 1);
-  EXPECT_EQ((*events)[0].id, 7);
-  EXPECT_DOUBLE_EQ((*events)[0].value, 36.0);
-  EXPECT_EQ((*events)[1].seq, 1u);
-  EXPECT_EQ((*events)[1].movie, 3);
-  EXPECT_DOUBLE_EQ((*events)[1].value, -4.25);
-  std::remove(path.c_str());
-}
-
-TEST(TraceReaderTest, BinaryRejectsBadMagicAndTruncation) {
-  {
-    std::istringstream is("NOTMAGIC........");
-    EXPECT_TRUE(ReadBinaryTrace(is).status().IsInvalidArgument());
-  }
-  {
-    // Magic followed by half a record.
-    std::string bytes(BinarySink::kMagic, sizeof(BinarySink::kMagic));
-    bytes.append(20, '\0');
-    std::istringstream is(bytes);
-    const auto events = ReadBinaryTrace(is);
-    EXPECT_TRUE(events.status().IsInvalidArgument());
-  }
-}
-
 TEST(TraceReaderTest, ReadTraceFileSniffsJsonlAndReportsMissingFiles) {
   EXPECT_TRUE(ReadTraceFile("no_such_trace_file.jsonl").status().IsNotFound());
   const std::string path = "trace_reader_test_sniff.jsonl";

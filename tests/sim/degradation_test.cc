@@ -53,6 +53,27 @@ TEST(ReserveManagerTest, LegacySemanticsWithPolicyDisabled) {
   EXPECT_TRUE(mgr.TryAcquire(1.0));
 }
 
+TEST(ReserveManagerTest, ZeroCapacityRefusesAll) {
+  EventQueue queue;
+  ReserveManager mgr(0, DegradationPolicy{}, &queue, 0.0);
+  EXPECT_FALSE(mgr.TryAcquire(0.0));
+  EXPECT_EQ(mgr.refused(), 1);
+  EXPECT_EQ(mgr.in_use(), 0);
+  EXPECT_EQ(mgr.level(), DegradationLevel::kNormal);
+}
+
+TEST(ReserveManagerTest, PeakAndMeanUsage) {
+  EventQueue queue;
+  ReserveManager mgr(10, DegradationPolicy{}, &queue, 0.0);
+  EXPECT_TRUE(mgr.TryAcquire(0.0));
+  EXPECT_TRUE(mgr.TryAcquire(0.0));
+  mgr.Release(5.0);
+  EXPECT_EQ(mgr.peak_in_use(), 2);
+  // 2 for [0,5), 1 for [5,10): average 1.5.
+  EXPECT_NEAR(mgr.MeanInUse(10.0), 1.5, 1e-12);
+  EXPECT_EQ(mgr.level(), DegradationLevel::kNormal);
+}
+
 TEST(ReserveManagerTest, OversubscriptionClampsAndDrains) {
   EventQueue queue;
   ReserveManager mgr(5, DegradationPolicy{}, &queue, 0.0);

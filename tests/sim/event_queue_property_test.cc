@@ -8,8 +8,6 @@
 //    ticks. Labeled "unit" so the asan/ubsan and tsan CI legs execute it.
 //  * Compaction regression: cancel-heavy bursts must not pin heap memory
 //    (the lazy-deletion leak the compactor exists to prevent).
-//  * Snapshot kinds: the kernel-internal action marker never leaks into a
-//    snapshot.
 
 #include "sim/event_queue.h"
 
@@ -21,8 +19,6 @@
 #include <map>
 #include <utility>
 #include <vector>
-
-#include "common/serialize.h"
 
 namespace vod {
 namespace {
@@ -317,50 +313,6 @@ TEST(EventQueueCompactionTest, CompactionPreservesExecutionOrder) {
     return (a * 37) % 500 < (b * 37) % 500;
   });
   EXPECT_EQ(order, survivors);
-}
-
-// ---- snapshot kinds ---------------------------------------------------------
-
-/// Two registered handler kinds logging (kind tag, payload).
-struct KindHarness {
-  EventQueue q;
-  uint64_t kind_a = q.AddHandler(
-      [this](uint64_t p) { log.emplace_back(0, p); });
-  uint64_t kind_b = q.AddHandler(
-      [this](uint64_t p) { log.emplace_back(1, p); });
-  std::vector<std::pair<uint64_t, uint64_t>> log;
-};
-
-TEST(EventQueueSnapshotKindTest, SnapshotCarriesCallerKindsWithoutMarker) {
-  // The action-marker bit (slot kind bit 63) is kernel-internal: snapshots
-  // must carry the caller's kind values unchanged, registered kinds restore
-  // onto their handlers, and the factory serves only unregistered kinds.
-  KindHarness h;
-  for (uint64_t i = 0; i < 4; ++i) h.q.ScheduleHandler(5.0, h.kind_a, i);
-  h.q.ScheduleHandler(6.0, h.kind_b, 7);
-  // A tagged closure event rides along; its tag must survive bit-63-free.
-  const uint64_t kTag = 900;
-  h.q.ScheduleTagged(7.0, kTag, 13, [] {});
-  ByteWriter blob;
-  ASSERT_TRUE(h.q.Snapshot(&blob).ok());
-
-  KindHarness restored;
-  std::vector<std::pair<uint64_t, uint64_t>> factory_seen;
-  ByteReader reader(blob.bytes());
-  ASSERT_TRUE(restored.q
-                  .Restore(&reader,
-                           [&factory_seen](uint64_t kind, uint64_t payload,
-                                           double) -> std::function<void()> {
-                             factory_seen.emplace_back(kind, payload);
-                             return [] {};
-                           })
-                  .ok());
-  restored.q.RunUntil(10.0);
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 1}, {0, 2}, {0, 3}, {1, 7}};
-  EXPECT_EQ(restored.log, want);
-  EXPECT_EQ(factory_seen,
-            (std::vector<std::pair<uint64_t, uint64_t>>{{kTag, 13}}));
 }
 
 }  // namespace

@@ -26,36 +26,5 @@ TEST(UnlimitedSupplierTest, TimeAverageTracksUsage) {
   EXPECT_NEAR(supplier.MeanInUse(30.0), (10.0 + 20.0) / 30.0, 1e-12);
 }
 
-TEST(FiniteSupplierTest, RefusesBeyondCapacity) {
-  FiniteStreamSupplier supplier(2);
-  EXPECT_TRUE(supplier.TryAcquire(0.0));
-  EXPECT_TRUE(supplier.TryAcquire(0.0));
-  EXPECT_FALSE(supplier.TryAcquire(1.0));
-  EXPECT_FALSE(supplier.TryAcquire(2.0));
-  EXPECT_EQ(supplier.in_use(), 2);
-  EXPECT_EQ(supplier.refused(), 2);
-  EXPECT_EQ(supplier.acquired(), 2);
-  supplier.Release(3.0);
-  EXPECT_TRUE(supplier.TryAcquire(3.5));
-  EXPECT_EQ(supplier.acquired(), 3);
-}
-
-TEST(FiniteSupplierTest, ZeroCapacityRefusesAll) {
-  FiniteStreamSupplier supplier(0);
-  EXPECT_FALSE(supplier.TryAcquire(0.0));
-  EXPECT_EQ(supplier.refused(), 1);
-  EXPECT_EQ(supplier.in_use(), 0);
-}
-
-TEST(FiniteSupplierTest, PeakAndMeanUsage) {
-  FiniteStreamSupplier supplier(10);
-  EXPECT_TRUE(supplier.TryAcquire(0.0));
-  EXPECT_TRUE(supplier.TryAcquire(0.0));
-  supplier.Release(5.0);
-  EXPECT_EQ(supplier.peak_in_use(), 2);
-  // 2 for [0,5), 1 for [5,10): average 1.5.
-  EXPECT_NEAR(supplier.MeanInUse(10.0), 1.5, 1e-12);
-}
-
 }  // namespace
 }  // namespace vod

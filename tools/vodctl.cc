@@ -111,8 +111,8 @@ Result<PartitionLayout> LayoutFromFlags(const FlagSet& flags) {
 // ---- observability flags (simulate / soak) --------------------------------
 
 void AddObsFlags(FlagSet* flags) {
-  flags->AddString("trace_out", "", "write the structured event trace here "
-                   "(JSONL; a .bin suffix selects the binary spill format)");
+  flags->AddString("trace_out", "",
+                   "write the structured event trace here (JSONL)");
   flags->AddString("trace_categories", "all", "comma-separated categories to "
                    "trace (e.g. admission,resume,fault,degradation)");
   flags->AddString("metrics_out", "",
@@ -125,16 +125,11 @@ void AddObsFlags(FlagSet* flags) {
                    "profile here (load in chrome://tracing or Perfetto)");
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 /// Per-invocation observability state assembled from the flags. All
 /// telemetry-only: attaching any of it cannot change a report byte.
 struct ObsCli {
   EventLog event_log;
-  std::unique_ptr<EventSink> trace_sink;
+  std::unique_ptr<JsonlSink> trace_sink;
   MetricsRegistry registry;
   PhaseProfiler profiler;
   bool want_trace = false;
@@ -151,13 +146,7 @@ struct ObsCli {
           const uint32_t mask,
           ParseCategoryMask(flags.GetString("trace_categories")));
       event_log.set_mask(mask);
-      if (EndsWith(trace_path, ".bin")) {
-        VOD_ASSIGN_OR_RETURN(auto sink, BinarySink::Open(trace_path));
-        trace_sink = std::move(sink);
-      } else {
-        VOD_ASSIGN_OR_RETURN(auto sink, JsonlSink::Open(trace_path));
-        trace_sink = std::move(sink);
-      }
+      VOD_ASSIGN_OR_RETURN(trace_sink, JsonlSink::Open(trace_path));
       event_log.AddSink(trace_sink.get());
     }
     metrics_out = flags.GetString("metrics_out");
@@ -1357,8 +1346,7 @@ int RenderPostmortem(const std::string& path, bool csv) {
 
 int InspectCommand(int argc, char** argv) {
   FlagSet flags("vodctl inspect");
-  flags.AddString("trace", "", "trace file to inspect (JSONL or binary "
-                  "spill; the format is sniffed)");
+  flags.AddString("trace", "", "JSONL trace file to inspect");
   flags.AddString("postmortem", "", "flight-recorder bundle to pretty-print "
                   "(written by `vodctl shard --postmortem_out=...`)");
   flags.AddBool("csv", false, "CSV output");
