@@ -1,9 +1,9 @@
 // Microbenchmarks of the analytic engine (google-benchmark).
 //
 // Not a paper artifact: measures the cost of one P(hit) evaluation — the
-// unit of work in every sizing sweep — across stream counts, quadrature
-// orders, and evaluation paths (interval engine vs literal paper equations
-// vs brute-force reference).
+// unit of work in every sizing sweep — across stream counts, operations,
+// and evaluation paths (closed-form engine vs literal paper equations vs
+// brute-force reference), plus the one-off table compilation.
 
 #include <benchmark/benchmark.h>
 
@@ -49,21 +49,6 @@ void BM_CompileDuration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileDuration);
-
-void BM_QuadratureOrder(benchmark::State& state) {
-  const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
-  HitModelOptions options;
-  options.d_quadrature_points = static_cast<int>(state.range(0));
-  const auto model =
-      AnalyticHitModel::Create(*layout, paper::Rates(), options);
-  const auto compiled =
-      CompiledDuration::Create(paper::Fig7Duration(), 120.0);
-  for (auto _ : state) {
-    const auto p = model->HitProbability(VcrOp::kFastForward, *compiled);
-    benchmark::DoNotOptimize(p);
-  }
-}
-BENCHMARK(BM_QuadratureOrder)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_PaperEquationsFF(benchmark::State& state) {
   const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);

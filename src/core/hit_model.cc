@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/check.h"
-#include "core/hit_intervals.h"
-#include "numerics/quadrature.h"
+#include <sstream>
+#include <utility>
+#include <vector>
 
 namespace vod {
+
+namespace {
+
+/// The PAU tables double past l at most this often (see Create).
+constexpr int kMaxTailDoublings = 24;
+
+}  // namespace
 
 Result<CompiledDuration> CompiledDuration::Create(
     DistributionPtr duration, double movie_length, int table_cells,
@@ -39,26 +45,6 @@ Result<CompiledDuration> CompiledDuration::Create(
   compiled.position_density_ = position_density;
   compiled.movie_length_ = movie_length;
 
-  // Position-weighted tables. With q uniform the weight is the constant
-  // 1/l and A_ff == A_rw == Fint/l, recovering the paper's Eqs. (7)/(8).
-  const double l = movie_length;
-  const auto weight_ff = [&](double c) {
-    const double w = position_density == nullptr
-                         ? 1.0 / l
-                         : position_density->Pdf(l - c);
-    return w * duration->Cdf(c);
-  };
-  const auto weight_rw = [&](double c) {
-    const double w = position_density == nullptr
-                         ? 1.0 / l
-                         : position_density->Pdf(c);
-    return w * duration->Cdf(c);
-  };
-  compiled.weighted_ff_ = std::make_shared<TabulatedAntiderivative>(
-      weight_ff, 0.0, movie_length, table_cells);
-  compiled.weighted_rw_ = std::make_shared<TabulatedAntiderivative>(
-      weight_rw, 0.0, movie_length, table_cells);
-
   // Tail quantile; for distributions with bounded support Quantile may equal
   // the support end.
   if (duration->Cdf(duration->SupportUpper()) >= 1.0 &&
@@ -66,6 +52,81 @@ Result<CompiledDuration> CompiledDuration::Create(
     compiled.tail_quantile_ = duration->SupportUpper();
   } else {
     compiled.tail_quantile_ = duration->Quantile(1.0 - tail_epsilon);
+  }
+
+  // PAU has no clip: ∫(1 − F) on [0, l] first. That table's samples are the
+  // one pass of F over [0, l] that every other table is built from.
+  const double l = movie_length;
+  auto pause = std::make_shared<std::vector<TabulatedAntiderivative>>();
+  pause->emplace_back(
+      [&duration](double x) { return 1.0 - duration->Cdf(x); }, 0.0, l,
+      table_cells);
+  compiled.survival_pause_ = pause;
+  const TabulatedAntiderivative& head = pause->front();
+  const std::vector<double>& survival = head.samples();
+  const size_t count = survival.size();
+
+  // An op's ∫(1 − G) from its weighted CDF integral A and the probability
+  // p(b) that its clip lies above b: G(b) = A(b) + F(b)·p(b) on [0, l].
+  const auto clip_table = [&](const auto& weighted, const auto& clip_above) {
+    std::vector<double> samples(count);
+    for (size_t i = 0; i < count; ++i) {
+      const double x = head.SamplePoint(i);
+      samples[i] =
+          1.0 - (weighted(x) + (1.0 - survival[i]) * clip_above(i, x));
+    }
+    return std::make_shared<const TabulatedAntiderivative>(std::move(samples),
+                                                           0.0, l);
+  };
+  if (position_density == nullptr) {
+    // With q uniform FF and RW coincide, and A = Fint/l (the paper's Eqs.
+    // (7)/(8)) is read from the PAU table (see WeightedCdfIntegral).
+    compiled.survival_ff_ = clip_table(
+        [&compiled](double x) {
+          return compiled.WeightedCdfIntegral(VcrOp::kFastForward, x);
+        },
+        [l](size_t, double x) { return (l - x) / l; });
+    compiled.survival_rw_ = compiled.survival_ff_;
+  } else {
+    std::vector<double> pdf(count);
+    std::vector<double> position_cdf(count);
+    for (size_t i = 0; i < count; ++i) {
+      pdf[i] = position_density->Pdf(head.SamplePoint(i));
+      position_cdf[i] = position_density->Cdf(head.SamplePoint(i));
+    }
+    // The grid is symmetric: point `last − i` is l − x_i.
+    const size_t last = count - 1;
+    const auto weighted_table = [&](const auto& weight) {
+      std::vector<double> samples(count);
+      for (size_t i = 0; i < count; ++i) {
+        samples[i] = weight(i) * (1.0 - survival[i]);
+      }
+      return std::make_shared<const TabulatedAntiderivative>(
+          std::move(samples), 0.0, l);
+    };
+    compiled.weighted_ff_ =
+        weighted_table([&](size_t i) { return pdf[last - i]; });
+    compiled.weighted_rw_ = weighted_table([&](size_t i) { return pdf[i]; });
+    compiled.survival_ff_ = clip_table(
+        [&compiled](double x) { return (*compiled.weighted_ff_)(x); },
+        [&](size_t i, double) { return position_cdf[last - i]; });
+    compiled.survival_rw_ = clip_table(
+        [&compiled](double x) { return (*compiled.weighted_rw_)(x); },
+        [&](size_t i, double) { return 1.0 - position_cdf[i]; });
+  }
+
+  // PAU's doubling segments out to the tail quantile, with an eighth of the
+  // cells: S <= 1 − F(l) there and flattens as it decays. Past
+  // kMaxTailDoublings every PAU query exceeds the window cap (T <= l), so no
+  // accepted query reads beyond the tables.
+  const int tail_cells = std::max(table_cells / 8, 1);
+  for (int k = 1; k <= kMaxTailDoublings &&
+                  pause->back().upper() < compiled.tail_quantile_;
+       ++k) {
+    const double lo = pause->back().upper();
+    pause->emplace_back(
+        [&duration](double x) { return 1.0 - duration->Cdf(x); }, lo,
+        2.0 * lo, tail_cells);
   }
   return compiled;
 }
@@ -79,12 +140,19 @@ double CompiledDuration::PositionCdf(double v) const {
   return position_density_->Cdf(v);
 }
 
+double CompiledDuration::WeightedCdfIntegral(VcrOp op, double b) const {
+  const auto& table = op == VcrOp::kFastForward ? weighted_ff_ : weighted_rw_;
+  if (table != nullptr) return (*table)(b);
+  // Uniform q: A(b) = Fint(b)/l = (b − ∫_0^b (1 − F))/l.
+  return (b - survival_pause_->front()(b)) / movie_length_;
+}
+
 double CompiledDuration::FastForwardClipAverage(double b) const {
   // E_q[F(min(b, l − V_c))] = ∫_0^min(b,l) q(l−c)F(c)dc
   //                           + F(b)·P(V_c < l − min(b,l)).
   if (b <= 0.0) return 0.0;
   const double capped = std::min(b, movie_length_);
-  return (*weighted_ff_)(capped) +
+  return WeightedCdfIntegral(VcrOp::kFastForward, capped) +
          duration_->Cdf(b) * PositionCdf(movie_length_ - capped);
 }
 
@@ -92,128 +160,119 @@ double CompiledDuration::RewindClipAverage(double b) const {
   // E_q[F(min(b, V_c))] = ∫_0^min(b,l) q(c)F(c)dc + F(b)·P(V_c > min(b,l)).
   if (b <= 0.0) return 0.0;
   const double capped = std::min(b, movie_length_);
-  return (*weighted_rw_)(capped) +
+  return WeightedCdfIntegral(VcrOp::kRewind, capped) +
          duration_->Cdf(b) * (1.0 - PositionCdf(capped));
 }
 
 double CompiledDuration::EndReleaseProbability() const {
   // E_q[1 − F(l − V_c)] = 1 − A_ff(l).
-  return 1.0 - (*weighted_ff_)(movie_length_);
+  return 1.0 - WeightedCdfIntegral(VcrOp::kFastForward, movie_length_);
+}
+
+double CompiledDuration::SurvivalIntegral(VcrOp op, double x,
+                                          double width) const {
+  double sum = 0.0;
+  if (x < 0.0) {
+    // G = 0 below 0, so S = 1 there.
+    const double below = std::min(-x, width);
+    sum += below;
+    width -= below;
+    x = 0.0;
+  }
+  if (op == VcrOp::kPause) {
+    // Segment k >= 1 covers [l·2^(k−1), l·2^k]; a window is at most T <= l
+    // wide, so it straddles at most one segment end.
+    const std::vector<TabulatedAntiderivative>& segments = *survival_pause_;
+    int first = 0;
+    if (x > movie_length_) std::frexp(x / movie_length_, &first);
+    for (size_t k = static_cast<size_t>(first); k < segments.size(); ++k) {
+      sum += segments[k].Integral(x, width);
+      const double inside = segments[k].upper() - x;
+      if (width <= inside) break;
+      if (inside > 0.0) {
+        width -= inside;
+        x = segments[k].upper();
+      }
+    }
+    return sum;
+  }
+  const bool ff = op == VcrOp::kFastForward;
+  sum += (ff ? survival_ff_ : survival_rw_)->Integral(x, width);
+  // Past l the clip average stays at A(l), so S stays at 1 − A(l).
+  const double inside = std::max(movie_length_ - x, 0.0);
+  if (width > inside) {
+    sum += (1.0 - WeightedCdfIntegral(op, movie_length_)) * (width - inside);
+  }
+  return sum;
 }
 
 Result<AnalyticHitModel> AnalyticHitModel::Create(
     const PartitionLayout& layout, const PlaybackRates& rates,
     const Options& options) {
   VOD_RETURN_IF_ERROR(rates.Validate());
-  if (options.d_quadrature_points < 1 || options.d_quadrature_points > 128) {
-    return Status::InvalidArgument("d_quadrature_points must be in [1, 128]");
-  }
   return AnalyticHitModel(layout, rates, options);
 }
 
-namespace {
-
-/// Measure of `set` through the op-specific V_c-averaged clipped CDF: the
-/// probability that the duration lands in `set` after clipping at the movie
-/// end (FF) or start (RW), averaged over the viewer position.
-double ClipAveragedMeasure(const CompiledDuration& duration,
-                           const IntervalSet& set, VcrOp op) {
-  double sum = 0.0;
-  for (const Interval& iv : set.intervals()) {
-    if (op == VcrOp::kFastForward) {
-      sum += duration.FastForwardClipAverage(iv.hi) -
-             duration.FastForwardClipAverage(iv.lo);
-    } else {
-      sum += duration.RewindClipAverage(iv.hi) -
-             duration.RewindClipAverage(iv.lo);
-    }
-  }
-  return sum;
-}
-
-}  // namespace
-
-HitProbabilityBreakdown AnalyticHitModel::BreakdownAtLeadDistance(
-    VcrOp op, const CompiledDuration& duration, double d) const {
-  HitProbabilityBreakdown out;
+Result<HitProbabilityBreakdown> AnalyticHitModel::Breakdown(
+    VcrOp op, const CompiledDuration& duration) const {
   const double l = layout_.movie_length();
-  const double window = layout_.window();
-
-  // Enumeration cap: FF/RW traverse at most l movie-minutes before hitting a
-  // movie boundary; PAU durations are unbounded (periodic restarts).
-  double x_max = duration.tail_quantile();
-  if (op != VcrOp::kPause) x_max = std::min(x_max, l);
-
-  const IntervalSet set =
-      BuildHitIntervals(op, layout_, rates_, d, x_max);
-
-  // The "own partition" (i = 0 / j = 0) interval, for the within/jump split.
-  double own_hi = 0.0;
-  switch (op) {
-    case VcrOp::kFastForward:
-      own_hi = rates_.Alpha() * d;
-      break;
-    case VcrOp::kRewind:
-      own_hi = rates_.Gamma() * (window - d);
-      break;
-    case VcrOp::kPause:
-      own_hi = window - d;
-      break;
+  if (std::fabs(duration.movie_length() - l) > 1e-9) {
+    return Status::InvalidArgument(
+        "CompiledDuration was built for a different movie length");
   }
-  IntervalSet own;
-  own.Add(Interval{0.0, own_hi});
-
-  double total_hit = 0.0;
-  double within = 0.0;
-  if (op == VcrOp::kPause) {
-    // No position-dependent clip: measure directly through the CDF.
-    const auto cdf = [&duration](double x) { return duration.Cdf(x); };
-    total_hit = set.MeasureThrough(cdf);
-    within = own.MeasureThrough(cdf);
-  } else {
-    // FF clips at c = l − V_c, RW clips at c = V_c; both reduce to the
-    // position-averaged clipped CDF tables.
-    total_hit = ClipAveragedMeasure(duration, set, op);
-    within = ClipAveragedMeasure(duration, own, op);
-  }
-  out.within = within;
-  out.jump = std::max(total_hit - within, 0.0);
-
+  HitProbabilityBreakdown out;
   if (op == VcrOp::kFastForward && options_.include_end_release) {
     // P(end) = E_q[1 − F(l − V_c)] (Eq. 20 under the position density).
     // Duration mass beyond l also counts as reaching the end (a
     // fast-forward longer than the remaining movie terminates there).
     out.end = duration.EndReleaseProbability();
   }
-  return out;
-}
-
-Result<HitProbabilityBreakdown> AnalyticHitModel::Breakdown(
-    VcrOp op, const CompiledDuration& duration) const {
-  if (std::fabs(duration.movie_length() - layout_.movie_length()) > 1e-9) {
-    return Status::InvalidArgument(
-        "CompiledDuration was built for a different movie length");
-  }
   const double window = layout_.window();
-  if (window <= 0.0) {
-    // Pure batching: no buffered windows, only the FF end-release survives.
-    return BreakdownAtLeadDistance(op, duration, 0.0);
+  if (window <= 0.0) return out;  // pure batching: no buffered windows
+  const double period = layout_.restart_period();
+
+  // Scale factor from relative displacement to operation duration x.
+  double scale = 1.0;
+  switch (op) {
+    case VcrOp::kFastForward:
+      scale = rates_.Alpha();
+      break;
+    case VcrOp::kRewind:
+      scale = rates_.Gamma();
+      break;
+    case VcrOp::kPause:
+      scale = 1.0;
+      break;
   }
-  // Expectation over d ~ U[0, window] by Gauss–Legendre.
-  const GaussLegendreRule& rule =
-      GetGaussLegendreRule(options_.d_quadrature_points);
-  HitProbabilityBreakdown sum;
-  for (size_t i = 0; i < rule.nodes.size(); ++i) {
-    const double d = 0.5 * window * (1.0 + rule.nodes[i]);
-    const HitProbabilityBreakdown at =
-        BreakdownAtLeadDistance(op, duration, d);
-    // Weights sum to 2 over [-1, 1]; the 1/2 normalizes the average.
-    const double weight = 0.5 * rule.weights[i];
-    sum.within += weight * at.within;
-    sum.jump += weight * at.jump;
-    sum.end += weight * at.end;
+  // Enumeration cap: FF/RW traverse at most l movie-minutes before hitting a
+  // movie boundary; PAU durations are unbounded (periodic restarts).
+  double x_max = duration.tail_quantile();
+  if (op != VcrOp::kPause) x_max = std::min(x_max, l);
+  const double windows = std::ceil((x_max / scale + window) / period);
+  if (!(windows <= kMaxHitWindows)) {
+    std::ostringstream reason;
+    reason << VcrOpName(op) << " durations up to the tail quantile "
+           << x_max << " span " << windows
+           << " hit windows of period " << period
+           << ", over the model's cap of 2^24";
+    return Status::InvalidArgument(reason.str());
   }
-  return sum;
+
+  // As d sweeps [0, W] each window endpoint sweeps a range of width sW, and
+  // its d-average of G is 1 − (the mean of S over that range): window k's
+  // lower end sweeps [s(kT − W), skT], its upper end [skT, s(kT + W)].
+  const double sweep = scale * window;
+  const auto mean_survival = [&](double x) {
+    return duration.SurvivalIntegral(op, x, sweep) / sweep;
+  };
+  out.within = 1.0 - mean_survival(0.0);
+  double jump = 0.0;
+  for (int k = 1; scale * (k * period - window) <= x_max; ++k) {
+    const double edge = scale * (k * period);
+    jump += mean_survival(edge - sweep) - mean_survival(edge);
+  }
+  out.jump = std::max(jump, 0.0);
+  return out;
 }
 
 Result<double> AnalyticHitModel::HitProbability(

@@ -12,20 +12,28 @@
 //                 (+ P(fast-forward past movie end), for FF)
 //
 // with V_c ~ U[0, l] (paper's P(V_c) = 1/l) and d ~ U[0, B/n] (paper's
-// P(V_f) = 1/(B/n)). The V_c expectation is evaluated *analytically*:
-// for a clip boundary c (c = l − V_c for FF, c = V_c for RW), the average of
-// F(min(b, c)) over c ∈ [0, l] equals J(b)/l with
+// P(V_f) = 1/(B/n)). Both expectations are closed forms:
 //
-//   J(b) = Fint(min(b, l)) + (l − min(b, l))·F(b),   Fint(b) = ∫_0^b F,
+//  * V_c: a clip boundary c (c = l − V_c for FF, c = V_c for RW) turns F
+//    into G(b) = E[F(min(b, c))] = J(b)/l with
+//      J(b) = Fint(min(b, l)) + (l − min(b, l))·F(b),   Fint(b) = ∫_0^b F.
+//    PAU needs no clip (the window pattern is periodic in time; "pause of
+//    x > l is equivalent to x mod l", §2.1), so G = F.
+//  * d: every window endpoint is affine in d with slope ±s (s = α for FF,
+//    γ for RW, 1 for PAU), so as d sweeps [0, W] an endpoint sweeps a range
+//    of width sW and its d-average of G is G's mean over that range. With
+//    S = 1 − G, S̄(x) its mean over [x, x + sW], W = B/n and T = l/n:
+//      P(hit | op) = [1 − S̄(0)] + Σ_{k≥1} [S̄(s(kT − W)) − S̄(s·kT)]
+//    (the bracket is hit_w, the sum the jumps to other partitions).
 //
-// so only the d expectation needs quadrature. PAU needs no clip at all (the
-// window pattern is periodic in time; "pause of x > l is equivalent to
-// x mod l", §2.1).
+// CompiledDuration tabulates ∫S once per (distribution, movie), so one
+// P(hit) costs O(n) table lookups and no CDF evaluation.
 
 #ifndef VOD_CORE_HIT_MODEL_H_
 #define VOD_CORE_HIT_MODEL_H_
 
 #include <memory>
+#include <vector>
 
 #include "core/partition_layout.h"
 #include "core/types.h"
@@ -75,10 +83,12 @@ struct HitProbabilityBreakdown {
 
 /// \brief Duration distribution pre-processed for repeated model queries.
 ///
-/// Compilation tabulates position-weighted integrals of the duration CDF on
-/// [0, l] and the tail quantile; reuse one CompiledDuration across a sweep
-/// of layouts for the same movie length (Figure 8 sweeps hundreds of (B, n)
-/// pairs per movie).
+/// Compilation samples F once on [0, l] (and on doubling segments past l
+/// for PAU) and tabulates the position-weighted CDF integrals and the
+/// integrals of each operation's survival S = 1 − G; reuse one
+/// CompiledDuration across a sweep of layouts for the same movie length
+/// (Figure 8 sweeps hundreds of (B, n) pairs per movie). Copies share the
+/// tables.
 ///
 /// The optional `position_density` generalizes the paper's uniformity
 /// assumption P(V_c) = 1/l: pass any distribution q on [0, l] (e.g. a
@@ -88,7 +98,8 @@ struct HitProbabilityBreakdown {
 class CompiledDuration {
  public:
   /// \param movie_length  l; the tables cover [0, l].
-  /// \param table_cells   resolution of the weighted-CDF tables.
+  /// \param table_cells   cells per table on [0, l] (an eighth of that per
+  ///                      PAU tail segment).
   /// \param tail_epsilon  hit windows beyond the (1 − tail_epsilon) duration
   ///                      quantile are ignored.
   /// \param position_density  V_c density q on [0, l]; null = uniform.
@@ -110,6 +121,14 @@ class CompiledDuration {
   /// P(end) = E_{V_c~q}[ 1 − F(l − V_c) ] (paper Eq. 20 under q).
   double EndReleaseProbability() const;
 
+  /// ∫_x^{x+width} S(u) du with S = 1 − G, where G is the CDF that op's hit
+  /// windows are measured through: FastForwardClipAverage (FF),
+  /// RewindClipAverage (RW) or Cdf (PAU); G = 0 below 0. For PAU this is
+  /// E[min(X, x + width)] − E[min(X, x)]. Beyond the PAU tables (past
+  /// the tail quantile) S counts as 0. Precise for widths far below the
+  /// table's cell size.
+  double SurvivalIntegral(VcrOp op, double x, double width) const;
+
   double movie_length() const { return movie_length_; }
   double tail_quantile() const { return tail_quantile_; }
   const Distribution& distribution() const { return *duration_; }
@@ -124,21 +143,30 @@ class CompiledDuration {
   /// q's CDF (uniform when position_density_ is null).
   double PositionCdf(double v) const;
 
+  /// A_ff(b) = ∫_0^b q(l − c)·F(c) dc (FF) or A_rw(b) = ∫_0^b q(c)·F(c) dc
+  /// (RW), for b in [0, l].
+  double WeightedCdfIntegral(VcrOp op, double b) const;
+
   DistributionPtr duration_;
   DistributionPtr position_density_;  // null = uniform on [0, l]
-  /// A_ff(b) = ∫_0^b q(l − c)·F(c) dc.
-  std::shared_ptr<TabulatedAntiderivative> weighted_ff_;
-  /// A_rw(b) = ∫_0^b q(c)·F(c) dc.
-  std::shared_ptr<TabulatedAntiderivative> weighted_rw_;
+  /// A_ff and A_rw tables; null under uniform q, where both are Fint/l and
+  /// come from the PAU table.
+  std::shared_ptr<const TabulatedAntiderivative> weighted_ff_;
+  std::shared_ptr<const TabulatedAntiderivative> weighted_rw_;
+  /// ∫S for FF and RW on [0, l] (S is constant past l); one table serves
+  /// both under uniform q.
+  std::shared_ptr<const TabulatedAntiderivative> survival_ff_;
+  std::shared_ptr<const TabulatedAntiderivative> survival_rw_;
+  /// ∫(1 − F) on [0, l], then on [l·2^(k−1), l·2^k] for k = 1, 2, ... until
+  /// the tail quantile is covered.
+  std::shared_ptr<const std::vector<TabulatedAntiderivative>> survival_pause_;
   double movie_length_ = 0.0;
   double tail_quantile_ = 0.0;
 };
 
 /// Tuning knobs of AnalyticHitModel.
 struct HitModelOptions {
-  /// Gauss–Legendre points for the expectation over d ∈ [0, B/n].
-  int d_quadrature_points = 32;
-  /// Cells of the integrated-CDF table (when compiling on the fly).
+  /// Cells of the duration tables (when compiling on the fly).
   int cdf_table_cells = 4096;
   /// Tail cut for hit-window enumeration.
   double tail_epsilon = 1e-10;
@@ -155,12 +183,18 @@ class AnalyticHitModel {
  public:
   using Options = HitModelOptions;
 
+  /// Most hit windows one P(hit | op) enumerates: ⌈(x_max/s + W)/T⌉ for the
+  /// duration cap x_max (the tail quantile, and at most l for FF/RW).
+  static constexpr double kMaxHitWindows = 1 << 24;
+
   /// Returns InvalidArgument if the rates are inconsistent.
   static Result<AnalyticHitModel> Create(const PartitionLayout& layout,
                                          const PlaybackRates& rates,
                                          const Options& options = {});
 
-  /// Release-probability decomposition for one operation.
+  /// Release-probability decomposition for one operation. Returns
+  /// InvalidArgument when the duration tail spans more hit windows than
+  /// the model enumerates (kMaxHitWindows).
   Result<HitProbabilityBreakdown> Breakdown(
       VcrOp op, const CompiledDuration& duration) const;
 
@@ -186,10 +220,6 @@ class AnalyticHitModel {
   AnalyticHitModel(const PartitionLayout& layout, const PlaybackRates& rates,
                    const Options& options)
       : layout_(layout), rates_(rates), options_(options) {}
-
-  /// Per-d release components, V_c already averaged out.
-  HitProbabilityBreakdown BreakdownAtLeadDistance(
-      VcrOp op, const CompiledDuration& duration, double d) const;
 
   PartitionLayout layout_;
   PlaybackRates rates_;

@@ -43,28 +43,28 @@ struct CompiledSpecDurations {
 
 Result<CompiledSpecDurations> CompileSpecDurations(
     const MovieSizingSpec& spec, const AnalyticHitModel::Options& options) {
+  const DistributionPtr dists[] = {spec.durations.fast_forward,
+                                   spec.durations.rewind,
+                                   spec.durations.pause};
   CompiledSpecDurations out;
   for (VcrOp op : kAllVcrOps) {
     if (spec.mix.Probability(op) <= 0.0) continue;
-    DistributionPtr dist;
-    switch (op) {
-      case VcrOp::kFastForward:
-        dist = spec.durations.fast_forward;
-        break;
-      case VcrOp::kRewind:
-        dist = spec.durations.rewind;
-        break;
-      case VcrOp::kPause:
-        dist = spec.durations.pause;
-        break;
+    const int i = static_cast<int>(op);
+    // Ops drawing from one distribution object share its tables (copies of
+    // a CompiledDuration share them), so VcrDurations::AllSame compiles once.
+    for (int j = 0; j < i && !out.per_op[i].has_value(); ++j) {
+      if (out.per_op[j].has_value() && dists[j] == dists[i]) {
+        out.per_op[i] = out.per_op[j];
+      }
     }
+    if (out.per_op[i].has_value()) continue;
     VOD_ASSIGN_OR_RETURN(
         CompiledDuration compiled,
-        CompiledDuration::Create(dist, spec.length_minutes,
+        CompiledDuration::Create(dists[i], spec.length_minutes,
                                  options.cdf_table_cells,
                                  options.tail_epsilon,
                                  options.position_density));
-    out.per_op[static_cast<int>(op)].emplace(std::move(compiled));
+    out.per_op[i].emplace(std::move(compiled));
   }
   return out;
 }

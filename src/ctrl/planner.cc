@@ -114,8 +114,12 @@ std::vector<int> RoundedStreams(const std::vector<PlannerMovie>& movies,
   for (size_t i = 0; i < movies.size(); ++i) {
     const double ideal =
         std::sqrt(movies[i].rate * movies[i].movie_length / (2.0 * mu));
-    n[i] = std::clamp(static_cast<int>(std::lround(ideal)),
-                      movies[i].min_streams, movies[i].max_streams);
+    // Clamp in double before rounding: an ideal past INT_MAX (a huge
+    // lambda l at a low level) would wrap the int conversion. fmax maps a
+    // NaN ideal to the minimum, as the wrapped conversion did.
+    n[i] = static_cast<int>(std::lround(
+        std::fmin(std::fmax(ideal, movies[i].min_streams),
+                  movies[i].max_streams)));
   }
   return n;
 }

@@ -13,7 +13,8 @@ GammaDistribution::GammaDistribution(double shape, double scale)
     : shape_(shape), scale_(scale) {
   VOD_CHECK_MSG(shape > 0.0 && scale > 0.0,
                 "gamma shape and scale must be positive");
-  log_norm_ = -LogGamma(shape_) - shape_ * std::log(scale_);
+  log_gamma_shape_ = LogGamma(shape_);
+  log_norm_ = -log_gamma_shape_ - shape_ * std::log(scale_);
 }
 
 double GammaDistribution::Pdf(double x) const {
@@ -28,7 +29,7 @@ double GammaDistribution::Pdf(double x) const {
 
 double GammaDistribution::Cdf(double x) const {
   if (x <= 0.0) return 0.0;
-  return RegularizedGammaP(shape_, x / scale_);
+  return RegularizedGammaP(shape_, x / scale_, log_gamma_shape_);
 }
 
 double GammaDistribution::Sample(Rng* rng) const {

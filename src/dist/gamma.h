@@ -33,7 +33,8 @@ class GammaDistribution final : public Distribution {
  private:
   double shape_;
   double scale_;
-  double log_norm_;  // precomputed log of the density normalizer
+  double log_gamma_shape_;  // ln Γ(shape), reused by every Cdf call
+  double log_norm_;         // precomputed log of the density normalizer
 };
 
 }  // namespace vod

@@ -29,8 +29,8 @@ double LogGamma(double x) {
 namespace {
 
 // Series expansion of P(a, x), convergent and efficient for x < a + 1.
-double GammaPSeries(double a, double x) {
-  const double log_prefix = a * std::log(x) - x - LogGamma(a);
+double GammaPSeries(double a, double x, double log_gamma_a) {
+  const double log_prefix = a * std::log(x) - x - log_gamma_a;
   double term = 1.0 / a;
   double sum = term;
   double denom = a;
@@ -44,8 +44,8 @@ double GammaPSeries(double a, double x) {
 }
 
 // Lentz continued fraction for Q(a, x), convergent for x >= a + 1.
-double GammaQContinuedFraction(double a, double x) {
-  const double log_prefix = a * std::log(x) - x - LogGamma(a);
+double GammaQContinuedFraction(double a, double x, double log_gamma_a) {
+  const double log_prefix = a * std::log(x) - x - log_gamma_a;
   const double tiny = std::numeric_limits<double>::min() / 1e-10;
   double b = x + 1.0 - a;
   double c = 1.0 / tiny;
@@ -70,16 +70,22 @@ double GammaQContinuedFraction(double a, double x) {
 
 double RegularizedGammaP(double a, double x) {
   VOD_CHECK_MSG(a > 0.0 && x >= 0.0, "RegularizedGammaP domain");
+  return RegularizedGammaP(a, x, LogGamma(a));
+}
+
+double RegularizedGammaP(double a, double x, double log_gamma_a) {
+  VOD_CHECK_MSG(a > 0.0 && x >= 0.0, "RegularizedGammaP domain");
   if (x == 0.0) return 0.0;
-  if (x < a + 1.0) return GammaPSeries(a, x);
-  return 1.0 - GammaQContinuedFraction(a, x);
+  if (x < a + 1.0) return GammaPSeries(a, x, log_gamma_a);
+  return 1.0 - GammaQContinuedFraction(a, x, log_gamma_a);
 }
 
 double RegularizedGammaQ(double a, double x) {
   VOD_CHECK_MSG(a > 0.0 && x >= 0.0, "RegularizedGammaQ domain");
   if (x == 0.0) return 1.0;
-  if (x < a + 1.0) return 1.0 - GammaPSeries(a, x);
-  return GammaQContinuedFraction(a, x);
+  const double log_gamma_a = LogGamma(a);
+  if (x < a + 1.0) return 1.0 - GammaPSeries(a, x, log_gamma_a);
+  return GammaQContinuedFraction(a, x, log_gamma_a);
 }
 
 double StandardNormalCdf(double x) {

@@ -17,6 +17,11 @@ double LogGamma(double x);
 /// fraction otherwise. This is the Gamma(a, 1) CDF.
 double RegularizedGammaP(double a, double x);
 
+/// P(a, x) with ln Γ(a) supplied by the caller (bit-identical to the
+/// two-argument form given log_gamma_a == LogGamma(a)): a distribution with
+/// fixed shape computes it once instead of on every CDF call.
+double RegularizedGammaP(double a, double x, double log_gamma_a);
+
 /// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
 double RegularizedGammaQ(double a, double x);
 

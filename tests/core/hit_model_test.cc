@@ -2,15 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
+#include <vector>
 
+#include "core/hit_intervals.h"
 #include "core/reference_model.h"
+#include "core/sizing.h"
 #include "dist/deterministic.h"
 #include "dist/exponential.h"
 #include "dist/gamma.h"
+#include "dist/lognormal.h"
+#include "dist/pareto.h"
 #include "dist/transformed.h"
 #include "dist/uniform.h"
+#include "numerics/quadrature.h"
+#include "workload/paper_presets.h"
 
 namespace vod {
 namespace {
@@ -89,6 +98,213 @@ TEST(CompiledDurationTest, RejectsNegativeSupport) {
   const auto uni = std::make_shared<UniformDistribution>(-5.0, 5.0);
   EXPECT_TRUE(
       CompiledDuration::Create(uni, 120.0).status().IsInvalidArgument());
+}
+
+// ---- closed form vs the per-lead-distance average -------------------------
+
+// The d-average the closed form replaces, evaluated the long way: a 64-node
+// Gauss–Legendre rule over d ∈ [0, W], rebuilding the hit intervals at each
+// node and measuring them through the op's clip average (F for PAU).
+double PerLeadDistanceOracle(VcrOp op, const PartitionLayout& layout,
+                             const PlaybackRates& rates,
+                             const CompiledDuration& duration) {
+  const double end =
+      op == VcrOp::kFastForward ? duration.EndReleaseProbability() : 0.0;
+  const double window = layout.window();
+  if (window <= 0.0) return end;
+  const double x_max = op == VcrOp::kPause
+                           ? duration.tail_quantile()
+                           : std::min(duration.tail_quantile(),
+                                      layout.movie_length());
+  const auto measure = [&](double x) {
+    switch (op) {
+      case VcrOp::kFastForward:
+        return duration.FastForwardClipAverage(x);
+      case VcrOp::kRewind:
+        return duration.RewindClipAverage(x);
+      case VcrOp::kPause:
+        break;
+    }
+    return duration.Cdf(x);
+  };
+  const GaussLegendreRule& rule = GetGaussLegendreRule(64);
+  double hit = 0.0;
+  for (size_t i = 0; i < rule.nodes.size(); ++i) {
+    const double d = 0.5 * window * (1.0 + rule.nodes[i]);
+    const IntervalSet set = BuildHitIntervals(op, layout, rates, d, x_max);
+    double at = 0.0;
+    for (const Interval& iv : set.intervals()) {
+      at += measure(iv.hi) - measure(iv.lo);
+    }
+    hit += 0.5 * rule.weights[i] * at;
+  }
+  return hit + end;
+}
+
+TEST(ClosedFormTest, MatchesPerLeadDistanceAverageOnFig7Grid) {
+  const DistributionPtr durations[] = {
+      std::make_shared<GammaDistribution>(2.0, 4.0),
+      std::make_shared<ExponentialDistribution>(8.0),
+      std::make_shared<LognormalDistribution>(1.7, 0.8)};
+  for (const DistributionPtr& dist : durations) {
+    const auto compiled = CompiledDuration::Create(dist, 120.0);
+    ASSERT_TRUE(compiled.ok());
+    for (double w : {0.5, 1.0, 2.0}) {
+      for (int n = 10; n * w < 120.0; n += 20) {
+        const auto layout = PartitionLayout::FromMaxWait(120.0, n, w);
+        ASSERT_TRUE(layout.ok());
+        const AnalyticHitModel model = MakeModel(*layout);
+        for (VcrOp op : kAllVcrOps) {
+          const auto p = model.HitProbability(op, *compiled);
+          ASSERT_TRUE(p.ok()) << p.status();
+          EXPECT_NEAR(*p,
+                      PerLeadDistanceOracle(op, *layout, PaperRates(),
+                                            *compiled),
+                      1e-6)
+              << dist->ToString() << " w=" << w << " n=" << n << " "
+              << VcrOpName(op);
+        }
+      }
+    }
+  }
+}
+
+TEST(ClosedFormTest, MatchesPerLeadDistanceAverageOnExample1) {
+  for (const MovieSizingSpec& spec :
+       paper::Example1Movies(VcrMix::PaperMixed())) {
+    const auto choice = MinimumBufferChoice(spec);
+    ASSERT_TRUE(choice.ok()) << choice.status();
+    const int n_star = choice->streams;
+    const int n_max = static_cast<int>(
+        std::floor(spec.length_minutes / spec.max_wait_minutes + 1e-9));
+    const auto compiled = CompiledDuration::Create(spec.durations.pause,
+                                                   spec.length_minutes);
+    ASSERT_TRUE(compiled.ok());
+    for (int n : {1, n_star / 2, n_star, n_max - 1}) {
+      const auto layout = PartitionLayout::FromMaxWait(
+          spec.length_minutes, n, spec.max_wait_minutes);
+      ASSERT_TRUE(layout.ok());
+      const auto model = AnalyticHitModel::Create(*layout, spec.rates);
+      ASSERT_TRUE(model.ok());
+      for (VcrOp op : kAllVcrOps) {
+        const auto p = model->HitProbability(op, *compiled);
+        ASSERT_TRUE(p.ok()) << p.status();
+        EXPECT_NEAR(*p,
+                    PerLeadDistanceOracle(op, *layout, spec.rates,
+                                          *compiled),
+                    1e-6)
+            << spec.name << " n=" << n << " " << VcrOpName(op);
+      }
+    }
+  }
+}
+
+// P(hit | op) for a deterministic duration x0, by hand: the hit set in d is
+// a union of intervals, and the clip is a single threshold on V_c.
+double ExactDeterministic(VcrOp op, const PartitionLayout& layout,
+                          const PlaybackRates& rates, double x0) {
+  const double l = layout.movie_length();
+  const double window = layout.window();
+  const double period = layout.restart_period();
+  const double scale = op == VcrOp::kFastForward ? rates.Alpha()
+                       : op == VcrOp::kRewind    ? rates.Gamma()
+                                                 : 1.0;
+  const double y = x0 / scale;
+  // FF window k holds y iff d ∈ [y − kT, y − kT + W]; RW/PAU window k iff
+  // d ∈ [kT − y, kT − y + W]. Average the overlap with [0, W].
+  double covered = 0.0;
+  for (int k = 0; k * period <= y + 2.0 * window + period; ++k) {
+    const double lo = op == VcrOp::kFastForward ? y - k * period
+                                                : k * period - y;
+    covered += std::max(0.0, std::min(lo + window, window) -
+                                 std::max(lo, 0.0));
+  }
+  const double frac = covered / window;
+  switch (op) {
+    case VcrOp::kFastForward:
+      // Lands before the end iff V_c <= l − x0; otherwise it releases at
+      // the end.
+      return ((l - x0) * frac + x0) / l;
+    case VcrOp::kRewind:
+      return (l - x0) / l * frac;  // a rewind past minute 0 misses
+    case VcrOp::kPause:
+      break;
+  }
+  return frac;
+}
+
+TEST(ClosedFormTest, HandDerivedValues) {
+  // Uniform(0, 16) pause, l = 120, n = 10, w = 2 (W = 10, T = 12): windows
+  // 0–2 cover (10 − d) + min(4 + d, 10) + max(d − 8, 0) of the 16 minutes,
+  // which averages to 13.4/16 over d.
+  {
+    const auto layout = PartitionLayout::FromMaxWait(120.0, 10, 2.0);
+    ASSERT_TRUE(layout.ok());
+    const auto p = MakeModel(*layout).HitProbability(
+        VcrOp::kPause, std::make_shared<UniformDistribution>(0.0, 16.0));
+    ASSERT_TRUE(p.ok());
+    EXPECT_NEAR(*p, 0.8375, 1e-9);
+  }
+  // Deterministic(8) rewind, n = 40, w = 1: 8/γ hits for half of d ∈ [0, 2]
+  // and the rewind stays in the movie with probability 112/120.
+  {
+    const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
+    ASSERT_TRUE(layout.ok());
+    const auto p = MakeModel(*layout).HitProbability(
+        VcrOp::kRewind, std::make_shared<DeterministicDistribution>(8.0));
+    ASSERT_TRUE(p.ok());
+    EXPECT_NEAR(ExactDeterministic(VcrOp::kRewind, *layout, PaperRates(),
+                                   8.0),
+                112.0 / 120.0 * 0.5, 1e-12);
+    EXPECT_NEAR(*p, 112.0 / 120.0 * 0.5, 1e-4);
+  }
+}
+
+TEST(ClosedFormTest, StepCdfErrorStaysTableLimited) {
+  // A jump in F inside a table cell is only resolved to the cell width, so
+  // single cells may err by ~1e-2; bound the worst cell of the grid.
+  const auto det = std::make_shared<DeterministicDistribution>(8.0);
+  const auto compiled = CompiledDuration::Create(det, 120.0);
+  ASSERT_TRUE(compiled.ok());
+  double worst = 0.0;
+  for (int n = 10; n <= 100; n += 10) {
+    const auto layout = PartitionLayout::FromMaxWait(120.0, n, 1.0);
+    ASSERT_TRUE(layout.ok());
+    const AnalyticHitModel model = MakeModel(*layout);
+    for (VcrOp op : kAllVcrOps) {
+      const auto p = model.HitProbability(op, *compiled);
+      ASSERT_TRUE(p.ok());
+      worst = std::max(worst, std::fabs(*p - ExactDeterministic(
+                                                 op, *layout, PaperRates(),
+                                                 8.0)));
+    }
+  }
+  EXPECT_LT(worst, 2e-2);
+}
+
+TEST(ClosedFormTest, HeavyTailedPauseIsComputedOrRefused) {
+  const auto layout = PartitionLayout::FromMaxWait(120.0, 100, 1.0);
+  ASSERT_TRUE(layout.ok());
+  const AnalyticHitModel model = MakeModel(*layout);
+  // Shape 1.5: tail quantile ~1.9e7, ~1.6e7 windows, under the cap.
+  const auto moderate = std::make_shared<LomaxDistribution>(
+      LomaxDistribution::FromMean(8.0, 1.5));
+  const auto p = model.HitProbability(VcrOp::kPause, moderate);
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_GE(*p, 0.0);
+  EXPECT_LE(*p, 1.0);
+  // Shape 1.1: tail quantile ~1e9, ~8e8 windows: refused up front.
+  const auto start = std::chrono::steady_clock::now();
+  const auto heavy = std::make_shared<LomaxDistribution>(
+      LomaxDistribution::FromMean(8.0, 1.1));
+  const auto refused = model.HitProbability(VcrOp::kPause, heavy);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  EXPECT_NE(refused.status().message().find("hit windows"),
+            std::string::npos);
+  EXPECT_LT(seconds, 1.0);
 }
 
 // ---- model vs brute-force reference, parameterized -----------------------
@@ -247,6 +463,30 @@ TEST(HitModelTest, PureBatchingLeavesOnlyEndRelease) {
   }
 }
 
+TEST(HitModelTest, TinyBufferStaysNearPureBatching) {
+  // The window W = B/n can sit far below one table cell: B = l − n·w
+  // rounds to a few ulps above 0 for 119 − 170·0.7, and B = 1e-9 is a
+  // plain tiny buffer. Each window's d-average divides by sW, so it must
+  // not amplify rounding noise; P(hit) stays within O(B) of B = 0.
+  const auto residue = PartitionLayout::FromMaxWait(119.0, 170, 0.7);
+  ASSERT_TRUE(residue.ok());
+  ASSERT_GT(residue->buffer_minutes(), 0.0);
+  ASSERT_LT(residue->buffer_minutes(), 1e-12);
+  const PartitionLayout layouts[] = {*residue,
+                                     MakeLayout(120.0, 100, 1e-9)};
+  const auto gamma = std::make_shared<GammaDistribution>(2.0, 4.0);
+  for (const PartitionLayout& layout : layouts) {
+    const PartitionLayout pure =
+        MakeLayout(layout.movie_length(), layout.streams(), 0.0);
+    for (VcrOp op : kAllVcrOps) {
+      const auto p = MakeModel(layout).HitProbability(op, gamma);
+      const auto p0 = MakeModel(pure).HitProbability(op, gamma);
+      ASSERT_TRUE(p.ok() && p0.ok());
+      EXPECT_NEAR(*p, *p0, 1e-9) << layout.ToString() << " " << VcrOpName(op);
+    }
+  }
+}
+
 TEST(HitModelTest, FullBufferPauseAlwaysHits) {
   const auto exp_dist = std::make_shared<ExponentialDistribution>(5.0);
   const PartitionLayout layout = MakeLayout(120.0, 40, 120.0);
@@ -385,25 +625,6 @@ TEST(HitModelTest, InvalidRatesRejectedAtCreate) {
   EXPECT_TRUE(AnalyticHitModel::Create(MakeLayout(120.0, 40, 80.0), bad)
                   .status()
                   .IsInvalidArgument());
-}
-
-TEST(HitModelTest, QuadratureOrderConverges) {
-  const auto gamma = std::make_shared<GammaDistribution>(2.0, 4.0);
-  const PartitionLayout layout = MakeLayout(120.0, 40, 80.0);
-  HitModelOptions coarse;
-  coarse.d_quadrature_points = 8;
-  HitModelOptions fine;
-  fine.d_quadrature_points = 64;
-  const auto model_coarse =
-      AnalyticHitModel::Create(layout, PaperRates(), coarse);
-  const auto model_fine = AnalyticHitModel::Create(layout, PaperRates(), fine);
-  ASSERT_TRUE(model_coarse.ok() && model_fine.ok());
-  for (VcrOp op : kAllVcrOps) {
-    const auto a = model_coarse->HitProbability(op, gamma);
-    const auto b = model_fine->HitProbability(op, gamma);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_NEAR(*a, *b, 5e-4) << VcrOpName(op);
-  }
 }
 
 TEST(HitModelTest, NonPaperRewindRatesStillMatchReference) {

@@ -238,6 +238,29 @@ TEST(SizingTest, PositionDensityPlumbsThrough) {
   EXPECT_GT(skewed->buffer_minutes, uniform->buffer_minutes);
 }
 
+TEST(SizingCurveTest, SharedDistributionEqualsSeparateEqualObjects) {
+  // AllSame compiles its one distribution once and shares the tables across
+  // the three operations; three equal objects compile three times. The
+  // curves must agree bit for bit.
+  MovieSizingSpec shared = SmallSpec();
+  shared.mix = VcrMix::PaperMixed();
+  shared.durations =
+      VcrDurations::AllSame(std::make_shared<GammaDistribution>(2.0, 4.0));
+  MovieSizingSpec separate = shared;
+  separate.durations = VcrDurations{
+      std::make_shared<GammaDistribution>(2.0, 4.0),
+      std::make_shared<GammaDistribution>(2.0, 4.0),
+      std::make_shared<GammaDistribution>(2.0, 4.0)};
+  const auto a = ComputeSizingCurve(shared, /*stream_step=*/3);
+  const auto b = ComputeSizingCurve(separate, /*stream_step=*/3);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a->size(), b->size());
+  for (size_t i = 0; i < a->size(); ++i) {
+    EXPECT_EQ((*a)[i].hit_probability, (*b)[i].hit_probability)
+        << "n=" << (*a)[i].streams;
+  }
+}
+
 TEST(SizeSystemTest, EmptyMovieListRejected) {
   EXPECT_TRUE(SizeSystem({}, 100).status().IsInvalidArgument());
 }

@@ -98,8 +98,12 @@ std::vector<int> StreamsAtLevel(const std::vector<PlannerMovie>& movies,
   for (size_t i = 0; i < k; ++i) {
     const double ideal =
         std::sqrt(movies[i].rate * movies[i].movie_length / (2.0 * mu));
-    n[i] = std::clamp(static_cast<int>(std::lround(ideal)),
-                      movies[i].min_streams, movies[i].max_streams);
+    // Clamp in double before rounding: an ideal past INT_MAX (a huge
+    // lambda l at a low level) would wrap the int conversion. fmax maps a
+    // NaN ideal to the minimum, as the wrapped conversion did.
+    n[i] = static_cast<int>(std::lround(
+        std::fmin(std::fmax(ideal, movies[i].min_streams),
+                  movies[i].max_streams)));
     sum += n[i];
   }
   while (sum > budget) {
@@ -458,6 +462,22 @@ TEST(PlannerTest, RejectsOverflowingRateTimesLength) {
   // The check is on the product, not the factors.
   hot.movie_length = 1e-200;
   EXPECT_TRUE(SolvePlan({PlannerMovie{}, hot}, 8, 10.0).ok());
+}
+
+TEST(PlannerTest, HugeDemandSaturatesInsteadOfWrapping) {
+  // lambda l = 1e30 puts the hot movie's square-root ideal far past INT_MAX
+  // at the grid's low water levels. Rounded to int there it wrapped; clamped
+  // in double first it saturates at max_streams.
+  PlannerMovie hot;
+  hot.rate = 1e28;
+  hot.movie_length = 100.0;
+  hot.max_streams = 64;
+  const std::vector<PlannerMovie> movies = {PlannerMovie{}, hot};
+  const Result<BufferPlan> plan = SolvePlan(movies, 65, 10.0);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->movies[1].streams, 64);
+  EXPECT_EQ(plan->movies[0].streams, 1);
+  ExpectSamePlan(*plan, reference::SolvePlan(movies, 65, 10.0, {}));
 }
 
 TEST(PlannerTest, InfeasibleWhenBudgetCannotCoverMinimums) {

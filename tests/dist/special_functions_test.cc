@@ -69,6 +69,17 @@ TEST(RegularizedGammaTest, PPlusQIsOne) {
   }
 }
 
+TEST(RegularizedGammaTest, SuppliedLogGammaIsBitIdentical) {
+  // Both regimes: the series (x < a + 1) and the continued fraction.
+  for (double a : {0.3, 1.0, 2.0, 7.5, 50.0}) {
+    for (double x : {0.0, 0.01, 0.5, 1.0, 5.0, 49.0, 120.0}) {
+      EXPECT_EQ(RegularizedGammaP(a, x, LogGamma(a)),
+                RegularizedGammaP(a, x))
+          << "a=" << a << " x=" << x;
+    }
+  }
+}
+
 TEST(RegularizedGammaTest, MonotoneInX) {
   double previous = -1.0;
   for (double x = 0.0; x <= 30.0; x += 0.25) {
