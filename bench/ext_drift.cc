@@ -57,7 +57,7 @@ struct Scenario {
 };
 
 // Zipf(1.0) split of rate and stream budget across three titles, each sized
-// by FromMaxWait against the shared wait target (as `vodctl simulate
+// by FromMaxWait against the shared wait target (as `vodctl server
 // --movies=3` does).
 std::vector<ServerMovieSpec> BaseMovies() {
   VcrBehavior behavior = paper::Fig7MixedBehavior();

@@ -17,7 +17,6 @@
 #include "core/sizing.h"
 #include "sim/simulator.h"
 #include "storage/disk_model.h"
-#include "storage/round_scheduler.h"
 #include "workload/paper_presets.h"
 
 int main(int argc, char** argv) {
@@ -104,29 +103,6 @@ int main(int argc, char** argv) {
                   : best.total_streams == curve->front().total_streams
                         ? "min-streams"
                         : "interior");
-
-  // --- round-scheduling refinement of streams/disk -------------------------
-  // The ideal figure divides bandwidth by bitrate; a round-based scheduler
-  // pays seek + rotation per stream per round, so short rounds (small
-  // buffers, low start-up latency) sustain fewer streams.
-  const auto scheduler = RoundScheduler::Create(
-      DiskGeometry{17.0, 2.0, 8.33, costs.disk_transfer_mbytes_per_sec},
-      costs.video_rate_mbits_per_sec);
-  VOD_CHECK_OK(scheduler.status());
-  std::printf("\nround-scheduling refinement (ideal %.0f streams/disk):\n",
-              scheduler->BandwidthBoundStreams());
-  for (double round : {0.5, 1.0, 2.0, 4.0}) {
-    const int per_disk = scheduler->MaxStreamsPerDisk(round);
-    std::printf("  round %.1fs: %d streams/disk, %.1f MB buffer/disk, "
-                "%.1fs startup latency -> %d disks for %d streams\n",
-                round, per_disk,
-                scheduler->BufferPerDiskMBytes(per_disk, round),
-                scheduler->StartupLatencySeconds(round),
-                per_disk > 0
-                    ? (allocation->total_streams + per_disk - 1) / per_disk
-                    : -1,
-                allocation->total_streams);
-  }
 
   // --- dynamic VCR reserve sizing (Erlang-B) --------------------------------
   // Offered load = mean busy dedicated streams under unlimited supply,

@@ -14,7 +14,6 @@
 #include "common/table.h"
 #include "core/sizing.h"
 #include "sim/server.h"
-#include "storage/admission.h"
 #include "workload/catalog.h"
 #include "workload/paper_presets.h"
 
@@ -64,16 +63,11 @@ int main(int argc, char** argv) {
   const auto sized = SizeSystem(specs, pure);
   VOD_CHECK_OK(sized.status());
 
-  // --- commit pre-allocations + the dynamic reserve against the pools ------
+  // --- one layout per sized title ------------------------------------------
   const auto reserve = flags.GetInt64("reserve");
-  AdmissionController admission(sized->total_streams + reserve,
-                                sized->total_buffer_minutes + 1.0);
   std::vector<ServerMovieSpec> server_movies;
   for (size_t i = 0; i < specs.size(); ++i) {
     const auto& allocation = sized->movies[i];
-    VOD_CHECK_OK(admission.ReserveMovie(
-        0.0, MovieReservation{allocation.name, allocation.streams,
-                              allocation.buffer_minutes}));
     const auto layout = PartitionLayout::FromMaxWait(
         specs[i].length_minutes, allocation.streams,
         specs[i].max_wait_minutes);
@@ -116,8 +110,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\npre-allocated: %lld batching streams + %.1f buffer-minutes "
       "(pure batching would need %d streams)\n",
-      static_cast<long long>(admission.reserved_streams()),
-      admission.reserved_buffer_minutes(), pure);
+      static_cast<long long>(sized->total_streams),
+      sized->total_buffer_minutes, pure);
   std::printf("dynamic reserve: %lld streams, mean use %.1f, peak %lld, "
               "refusal probability %.4f (piggyback %s)\n",
               static_cast<long long>(report->reserve_capacity),

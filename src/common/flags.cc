@@ -140,7 +140,6 @@ Status FlagSet::SetFromText(const std::string& name, const std::string& text) {
       f.string_value = text;
       break;
   }
-  f.was_set = true;
   return Status::OK();
 }
 
@@ -206,10 +205,24 @@ bool FlagSet::Has(const std::string& name) const {
   return flags_.find(name) != flags_.end();
 }
 
-bool FlagSet::WasSet(const std::string& name) const {
+std::string FlagSet::ValueText(const std::string& name) const {
   auto it = flags_.find(name);
   VOD_CHECK_MSG(it != flags_.end(), "flag not registered");
-  return it->second.was_set;
+  const Flag& f = it->second;
+  switch (f.type) {
+    case Type::kInt64:
+      return std::to_string(f.int_value);
+    case Type::kDouble: {
+      char text[32];
+      std::snprintf(text, sizeof(text), "%.17g", f.double_value);
+      return text;
+    }
+    case Type::kBool:
+      return f.bool_value ? "true" : "false";
+    case Type::kString:
+      break;
+  }
+  return f.string_value;
 }
 
 std::string FlagSet::Usage() const {

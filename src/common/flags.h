@@ -48,11 +48,16 @@ class FlagSet {
   bool GetBool(const std::string& name) const;
   const std::string& GetString(const std::string& name) const;
 
-  /// True if the flag was explicitly present on the command line.
-  bool WasSet(const std::string& name) const;
-
   /// True if a flag with this name was registered (any type).
   bool Has(const std::string& name) const;
+
+  /// Registered flag names, in registration order.
+  const std::vector<std::string>& names() const { return order_; }
+
+  /// The flag's parsed value as text that tells every two values apart:
+  /// doubles print with 17 significant digits (round-trip exact), bools as
+  /// true/false, strings verbatim.
+  std::string ValueText(const std::string& name) const;
 
   /// Renders the --help text.
   std::string Usage() const;
@@ -67,7 +72,6 @@ class FlagSet {
     double double_value = 0;
     bool bool_value = false;
     std::string string_value;
-    bool was_set = false;
   };
 
   const Flag& Find(const std::string& name, Type type) const;

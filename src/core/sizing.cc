@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -18,6 +20,13 @@ Status MovieSizingSpec::Validate() const {
   }
   if (max_wait_minutes > length_minutes) {
     return Status::InvalidArgument("max wait cannot exceed the movie length");
+  }
+  if (length_minutes / max_wait_minutes > std::numeric_limits<int>::max()) {
+    char ratio[32];
+    std::snprintf(ratio, sizeof(ratio), "%g",
+                  length_minutes / max_wait_minutes);
+    return Status::InvalidArgument(std::string("l / w = ") + ratio +
+                                   " streams does not fit in an int");
   }
   if (min_hit_probability < 0.0 || min_hit_probability > 1.0) {
     return Status::InvalidArgument("P* must lie in [0, 1]");

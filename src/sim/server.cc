@@ -361,6 +361,16 @@ Status ValidateServerInputs(const std::vector<ServerMovieSpec>& movies,
     if (options.faults.disks < 1) {
       return Status::InvalidArgument("fault injection needs >= 1 disk");
     }
+    // Every disk carries at least one reserve stream; this also bounds the
+    // per-disk capacity table before anything sizes it.
+    if (options.faults.disks >
+        std::max<int64_t>(1, options.dynamic_stream_reserve)) {
+      return Status::InvalidArgument(
+          "fault injection stripes the reserve of " +
+          std::to_string(options.dynamic_stream_reserve) + " stream(s) over " +
+          std::to_string(options.faults.disks) +
+          " disks; each disk needs at least one stream");
+    }
     VOD_RETURN_IF_ERROR(options.faults.profile.Validate());
   }
   VOD_RETURN_IF_ERROR(options.audit.Validate());

@@ -11,7 +11,7 @@
 //   dist     — the Distribution hierarchy and ParseDistributionSpec
 //   sim      — RunSimulation, RunServerSimulation, MovieWorld, tracing,
 //              arrival processes
-//   storage  — disk model, round scheduler, resource pools, admission
+//   storage  — disk model
 //   workload — catalogs, Zipf popularity, the paper's presets
 
 #ifndef VOD_VOD_H_
@@ -56,10 +56,7 @@
 #include "sim/trace.h"
 
 // storage & workload
-#include "storage/admission.h"
 #include "storage/disk_model.h"
-#include "storage/resource_pool.h"
-#include "storage/round_scheduler.h"
 #include "workload/catalog.h"
 #include "workload/paper_presets.h"
 #include "workload/zipf.h"

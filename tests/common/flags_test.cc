@@ -39,7 +39,6 @@ TEST(FlagsTest, DefaultsApplyWithoutArguments) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("wait"), 1.0);
   EXPECT_FALSE(flags.GetBool("csv"));
   EXPECT_EQ(flags.GetString("dist"), "gamma(2,4)");
-  EXPECT_FALSE(flags.WasSet("seed"));
 }
 
 TEST(FlagsTest, EqualsForm) {
@@ -51,7 +50,6 @@ TEST(FlagsTest, EqualsForm) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("wait"), 0.5);
   EXPECT_TRUE(flags.GetBool("csv"));
   EXPECT_EQ(flags.GetString("dist"), "exp(5)");
-  EXPECT_TRUE(flags.WasSet("seed"));
 }
 
 TEST(FlagsTest, SpaceSeparatedForm) {
@@ -187,6 +185,25 @@ TEST(FlagsTest, HasReportsRegisteredFlags) {
   EXPECT_TRUE(flags.Has("seed"));
   EXPECT_TRUE(flags.Has("csv"));
   EXPECT_FALSE(flags.Has("threads"));
+}
+
+TEST(FlagsTest, NamesFollowRegistrationOrder) {
+  const FlagSet flags = MakeFlags();
+  EXPECT_EQ(flags.names(),
+            (std::vector<std::string>{"seed", "wait", "csv", "dist"}));
+}
+
+TEST(FlagsTest, ValueTextTellsEveryParsedValueApart) {
+  FlagSet flags = MakeFlags();
+  EXPECT_EQ(flags.ValueText("wait"), "1");
+  ArgvBuilder args({"prog", "--seed=-7", "--wait=2.0000001", "--csv",
+                    "--dist=exp(5)"});
+  ASSERT_TRUE(flags.Parse(args.argc(), args.argv()).ok());
+  EXPECT_EQ(flags.ValueText("seed"), "-7");
+  // Six significant digits (the --help rendering) would print "2" here.
+  EXPECT_EQ(flags.ValueText("wait"), "2.0000000999999998");
+  EXPECT_EQ(flags.ValueText("csv"), "true");
+  EXPECT_EQ(flags.ValueText("dist"), "exp(5)");
 }
 
 TEST(FlagsDeathTest, DuplicateRegistrationAbortsLoudly) {

@@ -1,5 +1,5 @@
 // Server-grid checkpointing: the ServerReport codec and the
-// RunCheckpointedServerGrid runner — the recovery path `vodctl simulate
+// RunCheckpointedServerGrid runner — the recovery path `vodctl server
 // --movies=N --replications=R --checkpoint=...` rides on. Cells here run
 // whole server simulations with faults, degradation, AND the reallocation
 // controller under a flash crowd, so the serialized reports carry the full

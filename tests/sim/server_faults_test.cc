@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/server.h"
 #include "workload/paper_presets.h"
 
@@ -55,6 +57,25 @@ TEST(ServerFaultsTest, Validation) {
   EXPECT_TRUE(RunServerSimulation(TwoMovies(), options)
                   .status()
                   .IsInvalidArgument());
+  // Every disk carries at least one reserve stream, so the disk count is
+  // bounded before anything sizes a per-disk table by it.
+  for (const int disks : {51, std::numeric_limits<int>::max()}) {
+    options = FaultyOptions(50, 2000.0, 200.0);
+    options.faults.disks = disks;
+    EXPECT_TRUE(RunServerSimulation(TwoMovies(), options)
+                    .status()
+                    .IsInvalidArgument())
+        << disks << " disks";
+  }
+  options = FaultyOptions(50, 2000.0, 200.0);
+  options.faults.disks = 50;
+  EXPECT_TRUE(ValidateServerInputs(TwoMovies(), options).ok());
+  // An empty reserve still stripes over one disk.
+  options = FaultyOptions(0, 2000.0, 200.0);
+  options.faults.disks = 1;
+  EXPECT_TRUE(ValidateServerInputs(TwoMovies(), options).ok());
+  options.faults.disks = 2;
+  EXPECT_TRUE(ValidateServerInputs(TwoMovies(), options).IsInvalidArgument());
 }
 
 TEST(ServerFaultsTest, ByteIdenticalDeterminismWithActiveFaults) {

@@ -1,8 +1,10 @@
 # Test driver: run vodctl with the given arguments and assert it fails the
 # way the CLI contract promises — non-zero exit status and a single-line
-# "vodctl: <STATUS>: <detail>" diagnostic on stderr.
+# "vodctl: <STATUS>: <detail>" diagnostic on stderr. A non-empty EXPECT
+# regex must also match that diagnostic.
 #
-#   cmake -DVODCTL=<path> "-DARGS=<;-separated argv>" -P expect_failure.cmake
+#   cmake -DVODCTL=<path> "-DARGS=<;-separated argv>" [-DEXPECT=<regex>]
+#         -P expect_failure.cmake
 if(NOT DEFINED VODCTL OR NOT DEFINED ARGS)
   message(FATAL_ERROR "usage: cmake -DVODCTL=... -DARGS=... -P expect_failure.cmake")
 endif()
@@ -23,5 +25,9 @@ string(REGEX REPLACE "\n$" "" trimmed "${stderr}")
 if(trimmed MATCHES "\n")
   message(FATAL_ERROR "vodctl ${ARGS}: diagnostic spans multiple lines "
                       "(got: '${stderr}')")
+endif()
+if(NOT "${EXPECT}" STREQUAL "" AND NOT trimmed MATCHES "${EXPECT}")
+  message(FATAL_ERROR "vodctl ${ARGS}: diagnostic does not match "
+                      "'${EXPECT}' (got: '${trimmed}')")
 endif()
 message(STATUS "ok: exit ${exit_code}, diagnostic: ${trimmed}")

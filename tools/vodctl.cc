@@ -3,23 +3,33 @@
 //   vodctl model    --length=120 --streams=40 --buffer=80 --duration='gamma(2,4)'
 //   vodctl size     --length=120 --wait=0.5 --pstar=0.5 --duration='exp(5)'
 //   vodctl simulate --length=120 --streams=40 --buffer=80 --measure=20000
-//   vodctl simulate --reserve=40 --faults=4:2000:120 --queue_deadline=5
+//   vodctl server   --movies=8 --reserve=40 --faults=4:2000:120 --queue_deadline=5
+//   vodctl shard    --movies=64 --shards=4 --threads=4 --window=60
 //   vodctl simulate --trace_out=run.jsonl --metrics_out=run.prom
 //   vodctl inspect  --trace=run.jsonl
 //   vodctl catalog  --file=catalog.csv --rate=4 --zipf=1 --budget=0
+//
+// The subcommand names the engine: `simulate` runs the paper's single-movie
+// simulator, `server` runs every movie in one kernel against the shared VCR
+// stream reserve, and `shard` partitions that server across cores. A flag
+// means only its value: spelling one out at its default never changes a run.
 //
 // Every subcommand prints an aligned table (add --csv for machine-readable
 // output) and exits non-zero on invalid input.
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/flags.h"
@@ -56,11 +66,6 @@
 namespace vod {
 namespace {
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "vodctl: %s\n", status.ToString().c_str());
-  return 1;
-}
-
 void RenderTable(const TableWriter& table, bool csv) {
   if (csv) {
     table.RenderCsv(std::cout);
@@ -76,8 +81,9 @@ Result<VcrMix> ParseMix(const std::string& text) {
   if (text == "pau") return VcrMix::Only(VcrOp::kPause);
   if (text == "mixed") return VcrMix::PaperMixed();
   VcrMix mix;
-  if (std::sscanf(text.c_str(), "%lf,%lf,%lf", &mix.p_fast_forward,
-                  &mix.p_rewind, &mix.p_pause) != 3) {
+  char trailing = '\0';
+  if (std::sscanf(text.c_str(), "%lf,%lf,%lf%c", &mix.p_fast_forward,
+                  &mix.p_rewind, &mix.p_pause, &trailing) != 3) {
     return Status::InvalidArgument(
         "mix must be ff|rw|pau|mixed or 'p_ff,p_rw,p_pau'");
   }
@@ -97,20 +103,131 @@ Result<int> IntFlag(const FlagSet& flags, const std::string& name) {
   return static_cast<int>(value);
 }
 
-Result<PartitionLayout> LayoutFromFlags(const FlagSet& flags) {
-  const double length = flags.GetDouble("length");
-  VOD_ASSIGN_OR_RETURN(const int streams, IntFlag(flags, "streams"));
-  if (flags.WasSet("buffer")) {
-    return PartitionLayout::FromBuffer(length, streams,
-                                       flags.GetDouble("buffer"));
-  }
-  return PartitionLayout::FromMaxWait(length, streams,
-                                      flags.GetDouble("wait"));
+// ---- scenario flags --------------------------------------------------------
+//
+// Each flag is registered once, by the function for exactly the commands
+// that accept it. The scenario functions (movie, run, server, ladder, and
+// AddKernelFlags' piggyback) define what a run *is*: a grid checkpoint's fingerprint hashes the
+// parsed value of every flag they register, so a setting added to one of
+// them joins a run's identity without a second edit. Output, telemetry,
+// thread and checkpoint-control flags are registered elsewhere.
+
+/// --buffer's default: derive B from --wait.
+constexpr double kBufferFromWait = -1.0;
+
+/// One movie: its layout and VCR durations (model, simulate, server, shard).
+void AddMovieFlags(FlagSet* flags) {
+  flags->AddDouble("length", 120.0, "movie length (minutes)");
+  flags->AddInt64("streams", 40, "I/O streams n (server and shard split "
+                  "them across --movies)");
+  flags->AddDouble("buffer", kBufferFromWait, "buffer minutes B (-1 = "
+                   "derive B from --wait; a --movies split ignores it)");
+  flags->AddDouble("wait", 1.0, "max wait w: sizes B when --buffer=-1, and "
+                   "each title of a --movies split");
+  flags->AddString("duration", "gamma(2,4)", "VCR duration distribution");
 }
 
-// ---- observability flags (simulate / soak) --------------------------------
+/// Arrivals, VCR mix, horizon, seed and auditing (simulate, server, shard).
+void AddRunFlags(FlagSet* flags) {
+  flags->AddString("mix", "mixed", "ff|rw|pau|mixed or 'p_ff,p_rw,p_pau'");
+  flags->AddDouble("arrival_gap", 2.0, "mean inter-arrival time over all "
+                   "movies (minutes)");
+  flags->AddDouble("measure", 20000.0, "measured minutes (after a 5% warm-up)");
+  flags->AddInt64("seed", 42, "RNG seed");
+  flags->AddBool("audit", false, "run the runtime invariant auditor: "
+                 "conservation checks every 1024 events in one kernel, "
+                 "cross-shard laws at every window barrier in shard");
+  flags->AddBool("paranoid", false, "audit after every executed event "
+                 "(implies --audit; shard already audits every barrier)");
+}
 
-void AddObsFlags(FlagSet* flags) {
+/// The multi-movie server: catalog, shared reserve, faults, degradation and
+/// the control plane (server, shard).
+void AddServerFlags(FlagSet* flags) {
+  flags->AddInt64("movies", 1, "catalog size: the arrival rate and --streams "
+                  "split across this many Zipf-ranked titles");
+  flags->AddDouble("zipf", 1.0, "popularity skew of the --movies split");
+  flags->AddString("flash", "", "flash crowd 'movie:start:duration:factor', "
+                   "a one-shot rate step on one movie (empty = none)");
+  flags->AddInt64("reserve", 100, "shared dynamic VCR stream reserve (shard "
+                  "lends it to movies as per-window credits)");
+  flags->AddString("faults", "", "disk faults 'disks:mtbf:mttr' in minutes, "
+                   "e.g. 4:2000:120 (empty = none)");
+  flags->AddDouble("queue_deadline", 0.0, "arm the degradation ladder: queue "
+                   "dry-reserve VCR requests up to this many minutes (0 = "
+                   "ladder off, hard refusal)");
+  flags->AddBool("controller", false, "enable the dynamic buffer-reallocation "
+                 "control plane (drift detection, re-planning, staged "
+                 "migration, selective shedding)");
+}
+
+/// The windowed ladder's sub-settings (shard); defaults are the library's.
+void AddLadderFlags(FlagSet* flags) {
+  const ShardedServerOptions defaults;
+  const DegradationPolicy& ladder = defaults.base.degradation;
+  flags->AddDouble("backoff", ladder.backoff_initial_minutes, "queued-request "
+                   "first re-offer delay in minutes (requires "
+                   "--queue_deadline)");
+  flags->AddDouble("backoff_factor", ladder.backoff_factor, "geometric retry "
+                   "backoff factor (requires --queue_deadline)");
+  flags->AddDouble("shed_below", ladder.shed_below_fraction, "capacity "
+                   "fraction below which the ladder sheds VCR requests "
+                   "(requires --queue_deadline)");
+  flags->AddDouble("batching_below", ladder.batching_below_fraction,
+                   "capacity fraction below which the ladder reclaims "
+                   "everything — batching-only mode (requires "
+                   "--queue_deadline)");
+  flags->AddInt64("recover_windows", defaults.ladder_recover_windows,
+                  "consecutive calm windows before the ladder steps down a "
+                  "rung (requires --queue_deadline)");
+}
+
+// ---- control and output flags ----------------------------------------------
+
+/// Replicated sweeps and their crash recovery (simulate, server).
+void AddSweepFlags(FlagSet* flags) {
+  AddExperimentFlags(flags, /*with_replications=*/true);
+  flags->AddString("checkpoint", "", "checkpoint file for multi-replication "
+                   "sweeps: completed replications survive a crash");
+  flags->AddInt64("checkpoint_every", 16,
+                  "completed replications between checkpoint saves");
+  flags->AddBool("resume", false, "resume an interrupted sweep from "
+                 "--checkpoint (refused unless every scenario flag matches)");
+}
+
+/// The sharded engine's geometry, barrier checkpoints and flight recorder
+/// (shard).
+void AddShardFlags(FlagSet* flags) {
+  flags->AddInt64("shards", 2, "shards the movies are partitioned across");
+  flags->AddInt64("threads", 2, "worker threads driving the shards");
+  flags->AddDouble("window", 60.0, "barrier window length (simulated "
+                   "minutes)");
+  flags->AddString("checkpoint", "", "replay-verify checkpoint file written "
+                   "at window barriers");
+  flags->AddInt64("checkpoint_every", 8, "windows between checkpoint saves");
+  flags->AddBool("resume", false, "resume from --checkpoint (replays from "
+                 "t=0 and verifies the barrier-ledger digest)");
+  flags->AddInt64("stop_after_windows", 0, "stop (incomplete) after this many "
+                  "windows — in-process crash emulation for tests (0 = run to "
+                  "the horizon)");
+  flags->AddString("postmortem_out", "", "crash flight recorder: dump a "
+                   "postmortem bundle here when an audit law fails, a resume "
+                   "replay-verify rejects, or a checkpoint write fails "
+                   "(render with `vodctl inspect --postmortem=PATH`)");
+  flags->AddInt64("postmortem_windows", 16, "barrier windows of ledger "
+                  "history the flight recorder retains");
+  flags->AddInt64("postmortem_events", 256, "trace events retained per shard "
+                  "(the rings fill only while tracing or --postmortem_out is "
+                  "set)");
+  flags->AddInt64("corrupt_window", 0, "fault-injection hook: misstate one "
+                  "ledger entry in the audit snapshot at this barrier window "
+                  "to force an audit failure (requires --audit; 0 = off)");
+}
+
+/// Report and telemetry outputs (simulate, server, shard).
+void AddOutputFlags(FlagSet* flags) {
+  flags->AddString("report_out", "", "also write the final report text to "
+                   "this file (byte-identical to stdout)");
   flags->AddString("trace_out", "",
                    "write the structured event trace here (JSONL)");
   flags->AddString("trace_categories", "all", "comma-separated categories to "
@@ -124,6 +241,224 @@ void AddObsFlags(FlagSet* flags) {
   flags->AddString("profile_out", "", "write a Chrome trace_event JSON "
                    "profile here (load in chrome://tracing or Perfetto)");
 }
+
+// ---- scenario values -------------------------------------------------------
+
+Result<PartitionLayout> LayoutFromFlags(const FlagSet& flags) {
+  const double length = flags.GetDouble("length");
+  VOD_ASSIGN_OR_RETURN(const int streams, IntFlag(flags, "streams"));
+  const double buffer = flags.GetDouble("buffer");
+  if (buffer == kBufferFromWait) {
+    return PartitionLayout::FromMaxWait(length, streams,
+                                        flags.GetDouble("wait"));
+  }
+  return PartitionLayout::FromBuffer(length, streams, buffer);
+}
+
+Result<VcrBehavior> BehaviorFromFlags(const FlagSet& flags) {
+  VcrBehavior behavior;
+  VOD_ASSIGN_OR_RETURN(const DistributionPtr duration,
+                       ParseDistributionSpec(flags.GetString("duration")));
+  VOD_ASSIGN_OR_RETURN(behavior.mix, ParseMix(flags.GetString("mix")));
+  behavior.durations = VcrDurations::AllSame(duration);
+  behavior.interactivity = paper::DefaultInteractivity();
+  return behavior;
+}
+
+AuditOptions AuditFromFlags(const FlagSet& flags) {
+  AuditOptions audit;
+  audit.enabled = flags.GetBool("audit") || flags.GetBool("paranoid");
+  if (flags.GetBool("paranoid")) audit.every_events = 1;
+  return audit;
+}
+
+PiggybackOptions PiggybackFromFlags(const FlagSet& flags) {
+  PiggybackOptions piggyback;
+  if (flags.GetDouble("piggyback") > 0.0) {
+    piggyback.enabled = true;
+    piggyback.speed_delta = flags.GetDouble("piggyback");
+  }
+  return piggyback;
+}
+
+Result<ServerFaultOptions> ParseFaultSpec(const std::string& text) {
+  // "disks:mtbf:mttr", e.g. "4:2000:120" (minutes).
+  ServerFaultOptions faults;
+  errno = 0;
+  char* rest = nullptr;
+  const long long disks = std::strtoll(text.c_str(), &rest, 10);
+  const bool count_overflows = errno == ERANGE;
+  char trailing = '\0';
+  if (rest == text.c_str() ||
+      std::sscanf(rest, ":%lf:%lf%c", &faults.profile.mtbf_minutes,
+                  &faults.profile.mttr_minutes, &trailing) != 2) {
+    return Status::InvalidArgument(
+        "--faults must be 'disks:mtbf:mttr' (e.g. 4:2000:120), got '" + text +
+        "'");
+  }
+  if (count_overflows || disks > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("--faults disk count in '" + text +
+                                   "' is out of range (must fit in an int)");
+  }
+  if (disks < 1) {
+    return Status::InvalidArgument("--faults needs at least one disk");
+  }
+  faults.enabled = true;
+  faults.disks = static_cast<int>(disks);
+  VOD_RETURN_IF_ERROR(faults.profile.Validate());
+  return faults;
+}
+
+// Parses --flash 'movie:start:duration:factor' (minutes; factor scales the
+// movie's base rate inside the window).
+struct FlashSpec {
+  long long movie = 0;
+  double start_minutes = 0.0;
+  double duration_minutes = 0.0;
+  double factor = 1.0;
+};
+
+Result<FlashSpec> ParseFlashSpec(const std::string& text) {
+  FlashSpec spec;
+  char trailing = 0;
+  if (std::sscanf(text.c_str(), "%lld:%lf:%lf:%lf%c", &spec.movie,
+                  &spec.start_minutes, &spec.duration_minutes, &spec.factor,
+                  &trailing) != 4) {
+    return Status::InvalidArgument(
+        "--flash must be 'movie:start:duration:factor' (e.g. 0:5000:2000:4), "
+        "got '" + text + "'");
+  }
+  if (spec.movie < 0) {
+    return Status::InvalidArgument("--flash movie index must be >= 0");
+  }
+  return spec;
+}
+
+/// The (movies, ServerOptions) pair a `server` or `shard` run is: the single
+/// configured layout, or a Zipf(--zipf) split of the arrival rate and stream
+/// budget across --movies titles, each sized by FromMaxWait against the
+/// shared --wait target. --flash replaces one movie's arrival process with a
+/// one-shot rate step.
+Status ServerFromFlags(const FlagSet& flags,
+                       std::vector<ServerMovieSpec>* movies,
+                       ServerOptions* options) {
+  VOD_ASSIGN_OR_RETURN(const PartitionLayout layout, LayoutFromFlags(flags));
+  VOD_ASSIGN_OR_RETURN(const VcrBehavior behavior, BehaviorFromFlags(flags));
+  const double total_rate = 1.0 / flags.GetDouble("arrival_gap");
+  const int64_t count = flags.GetInt64("movies");
+  if (count < 1) {
+    return Status::InvalidArgument("--movies must be >= 1");
+  }
+  if (count == 1) {
+    movies->push_back(
+        {"movie", layout, total_rate, /*arrivals=*/nullptr, behavior});
+  } else {
+    const double skew = flags.GetDouble("zipf");
+    std::vector<double> weights(static_cast<size_t>(count));
+    double norm = 0.0;
+    for (int64_t i = 0; i < count; ++i) {
+      weights[static_cast<size_t>(i)] =
+          std::pow(static_cast<double>(i + 1), -skew);
+      norm += weights[static_cast<size_t>(i)];
+    }
+    for (int64_t i = 0; i < count; ++i) {
+      const double share = weights[static_cast<size_t>(i)] / norm;
+      const auto streams = static_cast<int64_t>(std::llround(
+          std::max(1.0, static_cast<double>(flags.GetInt64("streams")) *
+                            share)));
+      VOD_ASSIGN_OR_RETURN(
+          const PartitionLayout movie_layout,
+          PartitionLayout::FromMaxWait(flags.GetDouble("length"), streams,
+                                       flags.GetDouble("wait")));
+      movies->push_back({"m" + std::to_string(i), movie_layout,
+                         total_rate * share, /*arrivals=*/nullptr, behavior});
+    }
+  }
+
+  const std::string& flash_text = flags.GetString("flash");
+  if (!flash_text.empty()) {
+    VOD_ASSIGN_OR_RETURN(const FlashSpec flash, ParseFlashSpec(flash_text));
+    if (flash.movie >= static_cast<long long>(movies->size())) {
+      return Status::InvalidArgument(
+          "--flash movie index " + std::to_string(flash.movie) +
+          " is out of range for " + std::to_string(movies->size()) +
+          " movie(s)");
+    }
+    auto& target = (*movies)[static_cast<size_t>(flash.movie)];
+    VOD_ASSIGN_OR_RETURN(
+        FlashArrivals process,
+        FlashArrivals::Create(target.arrival_rate_per_minute, flash.factor,
+                              flash.start_minutes, flash.duration_minutes));
+    target.arrivals = std::make_shared<FlashArrivals>(process);
+  }
+
+  options->rates = paper::Rates();
+  options->dynamic_stream_reserve = flags.GetInt64("reserve");
+  options->measurement_minutes = flags.GetDouble("measure");
+  options->warmup_minutes = options->measurement_minutes * 0.05;
+  options->seed = static_cast<uint64_t>(flags.GetInt64("seed"));
+  const std::string& fault_text = flags.GetString("faults");
+  if (!fault_text.empty()) {
+    VOD_ASSIGN_OR_RETURN(options->faults, ParseFaultSpec(fault_text));
+  }
+  const double deadline = flags.GetDouble("queue_deadline");
+  if (deadline < 0.0) {
+    return Status::InvalidArgument(
+        "--queue_deadline must be >= 0 (0 = ladder off)");
+  }
+  if (deadline > 0.0) {
+    options->degradation.enabled = true;
+    options->degradation.queue_deadline_minutes = deadline;
+  }
+  options->controller.enabled = flags.GetBool("controller");
+  options->audit = AuditFromFlags(flags);
+  return Status::OK();
+}
+
+/// Applies the windowed ladder's sub-settings. With the ladder off they
+/// would be silently ignored, so a value other than the default is refused
+/// as a mis-assembled command.
+Status LadderFromFlags(const FlagSet& flags, ShardedServerOptions* options) {
+  DegradationPolicy& ladder = options->base.degradation;
+  ladder.backoff_initial_minutes = flags.GetDouble("backoff");
+  ladder.backoff_factor = flags.GetDouble("backoff_factor");
+  ladder.shed_below_fraction = flags.GetDouble("shed_below");
+  ladder.batching_below_fraction = flags.GetDouble("batching_below");
+  options->ladder_recover_windows = flags.GetInt64("recover_windows");
+  if (ladder.enabled) return Status::OK();
+  const ShardedServerOptions defaults;
+  const DegradationPolicy& off = defaults.base.degradation;
+  const std::pair<const char*, bool> changed[] = {
+      {"backoff", ladder.backoff_initial_minutes != off.backoff_initial_minutes},
+      {"backoff_factor", ladder.backoff_factor != off.backoff_factor},
+      {"shed_below", ladder.shed_below_fraction != off.shed_below_fraction},
+      {"batching_below",
+       ladder.batching_below_fraction != off.batching_below_fraction},
+      {"recover_windows",
+       options->ladder_recover_windows != defaults.ladder_recover_windows}};
+  for (const auto& [flag, differs] : changed) {
+    if (differs) {
+      return Status::InvalidArgument(
+          std::string("--") + flag +
+          " requires the ladder armed via --queue_deadline > 0");
+    }
+  }
+  return Status::OK();
+}
+
+/// Grid-checkpoint identity: the name and full-precision parsed value of
+/// every scenario flag. NUL cannot occur in a command-line value, so two
+/// scenarios never share a description.
+uint64_t ScenarioFingerprint(const FlagSet& flags,
+                             const std::vector<std::string>& scenario) {
+  std::string description;
+  for (const std::string& name : scenario) {
+    description += name + '=' + flags.ValueText(name) + '\0';
+  }
+  return HashGridDescription(description);
+}
+
+// ---- observability (simulate / server / shard) -----------------------------
 
 /// Per-invocation observability state assembled from the flags. All
 /// telemetry-only: attaching any of it cannot change a report byte.
@@ -207,51 +542,60 @@ struct ObsCli {
   }
 };
 
+/// Prints `text` and, when --report_out is set, writes the identical bytes
+/// to that file (the soak harness byte-compares these files).
+Result<int> EmitReport(const FlagSet& flags, const std::string& text) {
+  std::fputs(text.c_str(), stdout);
+  const std::string& path = flags.GetString("report_out");
+  if (!path.empty()) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+    if (!out) return Status::Internal("cannot write report to " + path);
+  }
+  return 0;
+}
+
 // ---- vodctl model ---------------------------------------------------------
 
-int ModelCommand(int argc, char** argv) {
+Result<int> ModelCommand(int argc, char** argv) {
   FlagSet flags("vodctl model");
-  flags.AddDouble("length", 120.0, "movie length (minutes)");
-  flags.AddInt64("streams", 40, "number of I/O streams n");
-  flags.AddDouble("buffer", 0.0, "buffer minutes B (overrides --wait)");
-  flags.AddDouble("wait", 1.0, "max wait w (used when --buffer unset)");
-  flags.AddString("duration", "gamma(2,4)", "VCR duration distribution");
+  AddMovieFlags(&flags);
   flags.AddDouble("ff_rate", 3.0, "fast-forward speed (x playback)");
   flags.AddDouble("rw_rate", 3.0, "rewind speed (x playback)");
   flags.AddBool("csv", false, "CSV output");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return Fail(parsed);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
 
-  const auto layout = LayoutFromFlags(flags);
-  if (!layout.ok()) return Fail(layout.status());
-  const auto duration = ParseDistributionSpec(flags.GetString("duration"));
-  if (!duration.ok()) return Fail(duration.status());
-
+  VOD_ASSIGN_OR_RETURN(const PartitionLayout layout, LayoutFromFlags(flags));
+  VOD_ASSIGN_OR_RETURN(const DistributionPtr duration,
+                       ParseDistributionSpec(flags.GetString("duration")));
   PlaybackRates rates;
   rates.fast_forward = flags.GetDouble("ff_rate");
   rates.rewind = flags.GetDouble("rw_rate");
-  const auto model = AnalyticHitModel::Create(*layout, rates);
-  if (!model.ok()) return Fail(model.status());
+  VOD_ASSIGN_OR_RETURN(const AnalyticHitModel model,
+                       AnalyticHitModel::Create(layout, rates));
 
-  std::printf("%s, durations %s\n", layout->ToString().c_str(),
-              (*duration)->ToString().c_str());
+  std::printf("%s, durations %s\n", layout.ToString().c_str(),
+              duration->ToString().c_str());
   TableWriter table({"op", "P(hit)", "own partition", "other partitions",
                      "movie end"});
   for (VcrOp op : kAllVcrOps) {
-    const auto breakdown = model->Breakdown(op, *duration);
-    if (!breakdown.ok()) return Fail(breakdown.status());
-    table.AddRow({VcrOpName(op), FormatDouble(breakdown->total(), 4),
-                  FormatDouble(breakdown->within, 4),
-                  FormatDouble(breakdown->jump, 4),
-                  FormatDouble(breakdown->end, 4)});
+    VOD_ASSIGN_OR_RETURN(const HitProbabilityBreakdown breakdown,
+                         model.Breakdown(op, duration));
+    table.AddRow({VcrOpName(op), FormatDouble(breakdown.total(), 4),
+                  FormatDouble(breakdown.within, 4),
+                  FormatDouble(breakdown.jump, 4),
+                  FormatDouble(breakdown.end, 4)});
   }
   RenderTable(table, flags.GetBool("csv"));
   return 0;
 }
 
 // ---- vodctl size ---------------------------------------------------------
+//
+// A sizing target, not a scenario: --wait is the QoS bound the chosen n must
+// meet, so size keeps its own flags.
 
-int SizeCommand(int argc, char** argv) {
+Result<int> SizeCommand(int argc, char** argv) {
   FlagSet flags("vodctl size");
   flags.AddDouble("length", 120.0, "movie length (minutes)");
   flags.AddDouble("wait", 0.5, "target max wait (minutes)");
@@ -260,30 +604,28 @@ int SizeCommand(int argc, char** argv) {
   flags.AddString("mix", "mixed", "ff|rw|pau|mixed or 'p_ff,p_rw,p_pau'");
   flags.AddBool("curve", false, "print the full (B, n) trade-off curve");
   flags.AddBool("csv", false, "CSV output");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return Fail(parsed);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
 
-  const auto duration = ParseDistributionSpec(flags.GetString("duration"));
-  if (!duration.ok()) return Fail(duration.status());
-  const auto mix = ParseMix(flags.GetString("mix"));
-  if (!mix.ok()) return Fail(mix.status());
-
+  VOD_ASSIGN_OR_RETURN(const DistributionPtr duration,
+                       ParseDistributionSpec(flags.GetString("duration")));
   MovieSizingSpec spec;
+  VOD_ASSIGN_OR_RETURN(spec.mix, ParseMix(flags.GetString("mix")));
   spec.name = "movie";
   spec.length_minutes = flags.GetDouble("length");
   spec.max_wait_minutes = flags.GetDouble("wait");
   spec.min_hit_probability = flags.GetDouble("pstar");
-  spec.mix = *mix;
-  spec.durations = VcrDurations::AllSame(*duration);
+  spec.durations = VcrDurations::AllSame(duration);
   spec.rates = paper::Rates();
 
   if (flags.GetBool("curve")) {
+    // Validate first: it bounds l / w to a stream count an int can hold.
+    VOD_RETURN_IF_ERROR(spec.Validate());
     const int max_n = static_cast<int>(spec.length_minutes /
                                        spec.max_wait_minutes);
-    const auto curve = ComputeSizingCurve(spec, std::max(1, max_n / 20));
-    if (!curve.ok()) return Fail(curve.status());
+    VOD_ASSIGN_OR_RETURN(const std::vector<SizingPoint> curve,
+                         ComputeSizingCurve(spec, std::max(1, max_n / 20)));
     TableWriter table({"n", "B", "P(hit)", "feasible"});
-    for (const auto& point : *curve) {
+    for (const auto& point : curve) {
       table.AddRow({std::to_string(point.streams),
                     FormatDouble(point.buffer_minutes, 1),
                     FormatDouble(point.hit_probability, 4),
@@ -292,380 +634,111 @@ int SizeCommand(int argc, char** argv) {
     RenderTable(table, flags.GetBool("csv"));
   }
 
-  const auto choice = MinimumBufferChoice(spec);
-  if (!choice.ok()) return Fail(choice.status());
+  VOD_ASSIGN_OR_RETURN(const SizingPoint choice, MinimumBufferChoice(spec));
   std::printf("minimum-buffer choice: B* = %.1f min, n* = %d, "
               "P(hit) = %.4f (target %.2f)\n",
-              choice->buffer_minutes, choice->streams,
-              choice->hit_probability, spec.min_hit_probability);
+              choice.buffer_minutes, choice.streams, choice.hit_probability,
+              spec.min_hit_probability);
   const HardwareCosts costs;
   AllocationResult allocation;
-  allocation.total_streams = choice->streams;
-  allocation.total_buffer_minutes = choice->buffer_minutes;
+  allocation.total_streams = choice.streams;
+  allocation.total_buffer_minutes = choice.buffer_minutes;
   std::printf("1997-hardware cost: $%.0f (phi = %.1f)\n",
               AllocationCostDollars(allocation, costs), costs.Phi());
   return 0;
 }
 
-// ---- vodctl simulate --------------------------------------------------------
+// ---- vodctl simulate / server ----------------------------------------------
+//
+// One kernel each: `simulate` runs the paper's single-movie engine
+// (RunSimulation), `server` runs every movie against the shared reserve
+// (RunServerSimulation). With --replications > 1 either becomes a
+// checkpointable sweep: SIGKILL/resume-safe, recombined byte-identically.
 
-AuditOptions AuditFromFlags(const FlagSet& flags) {
-  AuditOptions audit;
-  audit.enabled = flags.GetBool("audit") || flags.GetBool("paranoid");
-  if (flags.GetBool("paranoid")) audit.every_events = 1;
-  return audit;
+/// Registers a one-kernel command's flags and returns its scenario flags,
+/// the ones a grid fingerprint hashes.
+std::vector<std::string> AddKernelFlags(FlagSet* flags, bool server) {
+  AddMovieFlags(flags);
+  AddRunFlags(flags);
+  flags->AddDouble("piggyback", 0.0, "merge speed delta (0 disables)");
+  if (server) AddServerFlags(flags);
+  std::vector<std::string> scenario = flags->names();
+  AddSweepFlags(flags);
+  AddOutputFlags(flags);
+  return scenario;
 }
 
-/// Prints `text` and, when --report_out is set, writes the identical bytes
-/// to that file (the soak harness byte-compares these files).
-int EmitReport(const FlagSet& flags, const std::string& text) {
-  std::fputs(text.c_str(), stdout);
-  const std::string& path = flags.GetString("report_out");
-  if (!path.empty()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-    if (!out) {
-      return Fail(Status::Internal("cannot write report to " + path));
-    }
-  }
-  return 0;
+/// Runs --replications decorrelated cells of `run_cell` through the
+/// checkpointable grid runner `grid`. Each cell traces over its own bus into
+/// the shared (thread-safe) file sink: cells then never mutate each other's
+/// sink lists, so --audit's ring lending stays cell-local. `seq` orders
+/// events within a cell; interleaving across cells is scheduling order.
+template <typename Report, typename Options, typename RunCell>
+Result<std::vector<Report>> RunSweep(
+    Result<BasicCheckpointedGridResult<Report>> (*grid)(
+        int64_t, const ExperimentOptions&, const CheckpointOptions&, uint64_t,
+        const std::function<Report(const CellContext&)>&,
+        const GridObsOptions&),
+    const FlagSet& flags, const std::vector<std::string>& scenario,
+    const ExperimentOptions& experiment, const Options& options, ObsCli* obs,
+    RunCell run_cell) {
+  CheckpointOptions checkpoint;
+  checkpoint.path = flags.GetString("checkpoint");
+  checkpoint.checkpoint_every = flags.GetInt64("checkpoint_every");
+  checkpoint.resume = flags.GetBool("resume");
+  VOD_ASSIGN_OR_RETURN(
+      BasicCheckpointedGridResult<Report> result,
+      grid(/*num_configs=*/1, experiment, checkpoint,
+           ScenarioFingerprint(flags, scenario),
+           [&](const CellContext& context) {
+             Options cell = options;
+             cell.seed = context.seed;
+             EventLog cell_log;
+             if (obs->want_trace) {
+               cell_log.set_mask(obs->event_log.mask());
+               cell_log.AddSink(obs->trace_sink.get());
+               cell.obs.event_log = &cell_log;
+             }
+             Result<Report> report = run_cell(cell);
+             VOD_CHECK_OK(report.status());
+             return *std::move(report);
+           },
+           obs->GridOptions()));
+  VOD_CHECK(result.complete);
+  VOD_RETURN_IF_ERROR(obs->Finish());
+  return std::move(result.reports[0]);
 }
 
-Result<ServerFaultOptions> ParseFaultSpec(const std::string& text) {
-  // "disks:mtbf:mttr", e.g. "4:2000:120" (minutes).
-  ServerFaultOptions faults;
-  char trailing = '\0';
-  if (std::sscanf(text.c_str(), "%d:%lf:%lf%c", &faults.disks,
-                  &faults.profile.mtbf_minutes, &faults.profile.mttr_minutes,
-                  &trailing) != 3) {
-    return Status::InvalidArgument(
-        "--faults must be 'disks:mtbf:mttr' (e.g. 4:2000:120), got '" + text +
-        "'");
-  }
-  faults.enabled = true;
-  if (faults.disks < 1) {
-    return Status::InvalidArgument("--faults needs at least one disk");
-  }
-  VOD_RETURN_IF_ERROR(faults.profile.Validate());
-  return faults;
-}
-
-// Parses --flash 'movie:start:duration:factor' (minutes; factor scales the
-// movie's base rate inside the window).
-struct FlashSpec {
-  long long movie = 0;
-  double start_minutes = 0.0;
-  double duration_minutes = 0.0;
-  double factor = 1.0;
-};
-
-Result<FlashSpec> ParseFlashSpec(const std::string& text) {
-  FlashSpec spec;
-  char trailing = 0;
-  if (std::sscanf(text.c_str(), "%lld:%lf:%lf:%lf%c", &spec.movie,
-                  &spec.start_minutes, &spec.duration_minutes, &spec.factor,
-                  &trailing) != 4) {
-    return Status::InvalidArgument(
-        "--flash must be 'movie:start:duration:factor' (e.g. 0:5000:2000:4), "
-        "got '" + text + "'");
-  }
-  if (spec.movie < 0) {
-    return Status::InvalidArgument("--flash movie index must be >= 0");
-  }
-  return spec;
-}
-
-// Builds the server's movie list: the single configured layout, or a
-// Zipf(--zipf) split of the arrival rate and stream budget across --movies
-// titles (each sized by FromMaxWait against the shared --wait target).
-// --flash overrides one movie's arrival process with a one-shot rate step.
-Result<std::vector<ServerMovieSpec>> ServerMoviesFromFlags(
-    const FlagSet& flags, const PartitionLayout& layout, const VcrMix& mix,
-    const DistributionPtr& duration) {
-  VcrBehavior behavior;
-  behavior.mix = mix;
-  behavior.durations = VcrDurations::AllSame(duration);
-  behavior.interactivity = paper::DefaultInteractivity();
-  const double total_rate = 1.0 / flags.GetDouble("arrival_gap");
-
-  std::vector<ServerMovieSpec> movies;
-  const int64_t count = flags.GetInt64("movies");
-  if (count < 1) {
-    return Status::InvalidArgument("--movies must be >= 1");
-  }
-  if (count == 1) {
-    movies.push_back(
-        {"movie", layout, total_rate, /*arrivals=*/nullptr, behavior});
-  } else {
-    const double skew = flags.GetDouble("zipf");
-    std::vector<double> weights(static_cast<size_t>(count));
-    double norm = 0.0;
-    for (int64_t i = 0; i < count; ++i) {
-      weights[static_cast<size_t>(i)] =
-          std::pow(static_cast<double>(i + 1), -skew);
-      norm += weights[static_cast<size_t>(i)];
-    }
-    for (int64_t i = 0; i < count; ++i) {
-      const double share = weights[static_cast<size_t>(i)] / norm;
-      const auto streams = static_cast<int64_t>(std::llround(
-          std::max(1.0, static_cast<double>(flags.GetInt64("streams")) *
-                            share)));
-      const auto movie_layout = PartitionLayout::FromMaxWait(
-          flags.GetDouble("length"), streams, flags.GetDouble("wait"));
-      VOD_RETURN_IF_ERROR(movie_layout.status());
-      movies.push_back({"m" + std::to_string(i), *movie_layout,
-                        total_rate * share, /*arrivals=*/nullptr, behavior});
-    }
-  }
-
-  if (flags.WasSet("flash")) {
-    VOD_ASSIGN_OR_RETURN(const FlashSpec flash,
-                         ParseFlashSpec(flags.GetString("flash")));
-    if (flash.movie >= static_cast<long long>(movies.size())) {
-      return Status::InvalidArgument(
-          "--flash movie index " + std::to_string(flash.movie) +
-          " is out of range for " + std::to_string(movies.size()) +
-          " movie(s)");
-    }
-    auto& target = movies[static_cast<size_t>(flash.movie)];
-    VOD_ASSIGN_OR_RETURN(
-        FlashArrivals process,
-        FlashArrivals::Create(target.arrival_rate_per_minute, flash.factor,
-                              flash.start_minutes, flash.duration_minutes));
-    target.arrivals = std::make_shared<FlashArrivals>(process);
-  }
-  return movies;
-}
-
-// Runs the multi-movie server engine — reserve, fault-injection,
-// degradation, and control-plane knobs all apply here. With
-// --replications > 1 the sweep goes through the checkpointable server-grid
-// runner (SIGKILL/resume-safe, byte-identical recombination).
-int SimulateWithFaults(const FlagSet& flags, const PartitionLayout& layout,
-                       const VcrMix& mix, const DistributionPtr& duration,
-                       ObsCli* obs) {
-  const auto movies = ServerMoviesFromFlags(flags, layout, mix, duration);
-  if (!movies.ok()) return Fail(movies.status());
-
-  ServerOptions options;
-  options.rates = paper::Rates();
-  options.dynamic_stream_reserve = flags.GetInt64("reserve");
-  options.measurement_minutes = flags.GetDouble("measure");
-  options.warmup_minutes = options.measurement_minutes * 0.05;
-  options.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
-  if (flags.GetDouble("piggyback") > 0.0) {
-    options.piggyback.enabled = true;
-    options.piggyback.speed_delta = flags.GetDouble("piggyback");
-  }
-  if (flags.WasSet("faults")) {
-    const auto faults = ParseFaultSpec(flags.GetString("faults"));
-    if (!faults.ok()) return Fail(faults.status());
-    options.faults = *faults;
-  }
-  if (flags.GetDouble("queue_deadline") > 0.0) {
-    options.degradation.enabled = true;
-    options.degradation.queue_deadline_minutes =
-        flags.GetDouble("queue_deadline");
-  }
-  options.controller.enabled = flags.GetBool("controller");
-  options.audit = AuditFromFlags(flags);
-
-  const auto experiment = ExperimentOptionsFromFlags(
-      flags, static_cast<uint64_t>(flags.GetInt64("seed")));
-  if (experiment.replications > 1) {
-    // Same recovery contract as the single-movie sweep, but each cell is a
-    // whole-server run and the checkpoint carries full ServerReports —
-    // resilience transitions and the controller block included.
-    CheckpointOptions checkpoint;
-    checkpoint.path = flags.GetString("checkpoint");
-    checkpoint.checkpoint_every = flags.GetInt64("checkpoint_every");
-    checkpoint.resume = flags.GetBool("resume");
-    std::ostringstream description;
-    description << "vodctl-server-grid-v1 " << layout.ToString()
-                << " movies=" << flags.GetInt64("movies")
-                << " zipf=" << flags.GetDouble("zipf")
-                << " flash=" << flags.GetString("flash")
-                << " mix=" << flags.GetString("mix")
-                << " duration=" << flags.GetString("duration")
-                << " gap=" << flags.GetDouble("arrival_gap")
-                << " measure=" << options.measurement_minutes
-                << " warmup=" << options.warmup_minutes
-                << " piggyback=" << flags.GetDouble("piggyback")
-                << " reserve=" << options.dynamic_stream_reserve
-                << " faults=" << flags.GetString("faults")
-                << " queue_deadline=" << flags.GetDouble("queue_deadline")
-                << " controller=" << options.controller.enabled
-                << " audit=" << options.audit.enabled << ":"
-                << options.audit.every_events;
-    const auto result = RunCheckpointedServerGrid(
-        /*num_configs=*/1, experiment, checkpoint,
-        HashGridDescription(description.str()),
-        [&](const CellContext& context) {
-          ServerOptions cell = options;
-          cell.seed = context.seed;
-          EventLog cell_log;
-          if (obs->want_trace) {
-            cell_log.set_mask(obs->event_log.mask());
-            cell_log.AddSink(obs->trace_sink.get());
-            cell.obs.event_log = &cell_log;
-          }
-          const auto report = RunServerSimulation(*movies, cell);
-          VOD_CHECK_OK(report.status());
-          return *report;
-        },
-        obs->GridOptions());
-    if (!result.ok()) return Fail(result.status());
-    VOD_CHECK(result->complete);
-    const Status obs_finished = obs->Finish();
-    if (!obs_finished.ok()) return Fail(obs_finished);
-    const std::vector<ServerReport>& reports = result->reports[0];
-    std::ostringstream out;
-    for (size_t r = 0; r < reports.size(); ++r) {
-      out << "replication " << r << ":\n" << reports[r].ToString() << "\n";
-    }
-    return EmitReport(flags, out.str());
-  }
-
-  options.obs = obs->RunOptions();
-  Result<ServerReport> report = [&] {
-    PhaseProfiler::Scope span(obs->want_profile ? &obs->profiler : nullptr,
-                              "server_simulation");
-    return RunServerSimulation(*movies, options);
-  }();
-  if (!report.ok()) return Fail(report.status());
-  const Status finished = obs->Finish();
-  if (!finished.ok()) return Fail(finished);
-  return EmitReport(flags, report->ToString() + "\n");
-}
-
-int SimulateCommand(int argc, char** argv) {
+Result<int> SimulateCommand(int argc, char** argv) {
   FlagSet flags("vodctl simulate");
-  flags.AddDouble("length", 120.0, "movie length (minutes)");
-  flags.AddInt64("streams", 40, "number of I/O streams n");
-  flags.AddDouble("buffer", 0.0, "buffer minutes B (overrides --wait)");
-  flags.AddDouble("wait", 1.0, "max wait w (used when --buffer unset)");
-  flags.AddString("duration", "gamma(2,4)", "VCR duration distribution");
-  flags.AddString("mix", "mixed", "ff|rw|pau|mixed or 'p_ff,p_rw,p_pau'");
-  flags.AddDouble("arrival_gap", 2.0, "mean inter-arrival time (minutes)");
-  flags.AddDouble("measure", 20000.0, "measured minutes");
-  flags.AddInt64("seed", 42, "RNG seed");
-  flags.AddDouble("piggyback", 0.0, "merge speed delta (0 disables)");
-  flags.AddInt64("reserve", 100, "shared dynamic stream reserve "
-                 "(server engine; used with --faults/--queue_deadline)");
-  flags.AddString("faults", "", "disk faults 'disks:mtbf:mttr' in minutes "
-                  "(e.g. 4:2000:120); enables the server engine");
-  flags.AddDouble("queue_deadline", 0.0, "queue dry-reserve VCR requests up "
-                  "to this many minutes (0 = hard refusal)");
-  flags.AddInt64("movies", 1, "server engine: split the arrival rate and "
-                 "--streams across this many Zipf-ranked titles (each sized "
-                 "by --wait; --buffer is ignored for the split)");
-  flags.AddDouble("zipf", 1.0, "popularity skew of the --movies split");
-  flags.AddString("flash", "", "flash crowd 'movie:start:duration:factor' — "
-                  "one-shot rate step on one movie (enables the server "
-                  "engine)");
-  flags.AddBool("controller", false, "enable the dynamic buffer-reallocation "
-                "control plane (drift detection, re-planning, staged "
-                "migration, selective shedding)");
-  flags.AddBool("audit", false, "run the runtime invariant auditor "
-                "(conservation checks every 1024 events)");
-  flags.AddBool("paranoid", false, "audit after every executed event "
-                "(implies --audit)");
-  flags.AddString("checkpoint", "", "checkpoint file for multi-replication "
-                  "sweeps: completed replications survive a crash");
-  flags.AddInt64("checkpoint_every", 16,
-                 "completed replications between checkpoint saves");
-  flags.AddBool("resume", false,
-                "resume an interrupted sweep from --checkpoint");
-  flags.AddString("report_out", "", "also write the final report text to "
-                  "this file (byte-identical to stdout)");
-  AddObsFlags(&flags);
-  AddExperimentFlags(&flags, /*with_replications=*/true);
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return Fail(parsed);
+  const std::vector<std::string> scenario =
+      AddKernelFlags(&flags, /*server=*/false);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
 
-  const auto layout = LayoutFromFlags(flags);
-  if (!layout.ok()) return Fail(layout.status());
-  const auto duration = ParseDistributionSpec(flags.GetString("duration"));
-  if (!duration.ok()) return Fail(duration.status());
-  const auto mix = ParseMix(flags.GetString("mix"));
-  if (!mix.ok()) return Fail(mix.status());
-
-  ObsCli obs;
-  const Status obs_ready = obs.Init(flags);
-  if (!obs_ready.ok()) return Fail(obs_ready);
-
-  if (flags.WasSet("faults") || flags.WasSet("reserve") ||
-      flags.GetDouble("queue_deadline") > 0.0 ||
-      flags.GetInt64("movies") > 1 || flags.WasSet("flash") ||
-      flags.GetBool("controller")) {
-    return SimulateWithFaults(flags, *layout, *mix, *duration, &obs);
-  }
-
+  VOD_ASSIGN_OR_RETURN(const PartitionLayout layout, LayoutFromFlags(flags));
   SimulationOptions options;
+  VOD_ASSIGN_OR_RETURN(options.behavior, BehaviorFromFlags(flags));
   options.mean_interarrival_minutes = flags.GetDouble("arrival_gap");
-  options.behavior.mix = *mix;
-  options.behavior.durations = VcrDurations::AllSame(*duration);
-  options.behavior.interactivity = paper::DefaultInteractivity();
   options.measurement_minutes = flags.GetDouble("measure");
   options.warmup_minutes = options.measurement_minutes * 0.05;
   options.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
-  if (flags.GetDouble("piggyback") > 0.0) {
-    options.piggyback.enabled = true;
-    options.piggyback.speed_delta = flags.GetDouble("piggyback");
-  }
+  options.piggyback = PiggybackFromFlags(flags);
   options.audit = AuditFromFlags(flags);
+  ObsCli obs;
+  VOD_RETURN_IF_ERROR(obs.Init(flags));
+  const auto run = [&](const SimulationOptions& run_options) {
+    return RunSimulation(layout, paper::Rates(), run_options);
+  };
 
-  const auto experiment = ExperimentOptionsFromFlags(
-      flags, static_cast<uint64_t>(flags.GetInt64("seed")));
+  const ExperimentOptions experiment =
+      ExperimentOptionsFromFlags(flags, options.seed);
   if (experiment.replications > 1) {
-    // R decorrelated replications on the harness, then the Student-t
-    // reduction. (--replications=1 keeps the single run's own seed and its
-    // within-run Wilson/batch-means intervals, below.) The sweep goes
-    // through the checkpointable grid runner: with --checkpoint an
-    // interrupted sweep resumes without redoing completed replications, and
-    // the recombined report is byte-identical to an uninterrupted run.
-    CheckpointOptions checkpoint;
-    checkpoint.path = flags.GetString("checkpoint");
-    checkpoint.checkpoint_every = flags.GetInt64("checkpoint_every");
-    checkpoint.resume = flags.GetBool("resume");
-    // Everything that changes a cell's outcome feeds the fingerprint, so a
-    // checkpoint cannot be resumed against different knobs.
-    std::ostringstream description;
-    description << "vodctl-simulate-grid-v1 " << layout->ToString()
-                << " mix=" << flags.GetString("mix")
-                << " duration=" << flags.GetString("duration")
-                << " gap=" << options.mean_interarrival_minutes
-                << " measure=" << options.measurement_minutes
-                << " warmup=" << options.warmup_minutes
-                << " piggyback=" << flags.GetDouble("piggyback")
-                << " audit=" << options.audit.enabled << ":"
-                << options.audit.every_events;
-    const auto result = RunCheckpointedReportGrid(
-        /*num_configs=*/1, experiment, checkpoint,
-        HashGridDescription(description.str()),
-        [&](const CellContext& context) {
-          SimulationOptions cell = options;
-          cell.seed = context.seed;
-          // Each cell traces over its own bus into the shared (thread-safe)
-          // file sink: cells then never mutate each other's sink lists, so
-          // --audit's ring lending stays cell-local. `seq` orders events
-          // within a cell; interleaving across cells is scheduling order.
-          EventLog cell_log;
-          if (obs.want_trace) {
-            cell_log.set_mask(obs.event_log.mask());
-            cell_log.AddSink(obs.trace_sink.get());
-            cell.obs.event_log = &cell_log;
-          }
-          const auto report = RunSimulation(*layout, paper::Rates(), cell);
-          VOD_CHECK_OK(report.status());
-          return *report;
-        },
-        obs.GridOptions());
-    if (!result.ok()) return Fail(result.status());
-    VOD_CHECK(result->complete);
-    const Status obs_finished = obs.Finish();
-    if (!obs_finished.ok()) return Fail(obs_finished);
-    const std::vector<SimulationReport>& reports = result->reports[0];
+    // R decorrelated replications, then the Student-t reduction.
+    // (--replications=1 keeps the single run's own seed and its within-run
+    // Wilson/batch-means intervals, below.)
+    VOD_ASSIGN_OR_RETURN(const std::vector<SimulationReport> reports,
+                         RunSweep(RunCheckpointedReportGrid, flags, scenario,
+                                  experiment, options, &obs, run));
     std::ostringstream out;
     char line[256];
     for (size_t r = 0; r < reports.size(); ++r) {
@@ -682,54 +755,161 @@ int SimulateCommand(int argc, char** argv) {
   }
 
   options.obs = obs.RunOptions();
-  Result<SimulationReport> report = [&] {
+  VOD_ASSIGN_OR_RETURN(const SimulationReport report, [&] {
     PhaseProfiler::Scope span(obs.want_profile ? &obs.profiler : nullptr,
                               "simulation");
-    return RunSimulation(*layout, paper::Rates(), options);
-  }();
-  if (!report.ok()) return Fail(report.status());
-  const Status obs_finished = obs.Finish();
-  if (!obs_finished.ok()) return Fail(obs_finished);
+    return run(options);
+  }());
+  VOD_RETURN_IF_ERROR(obs.Finish());
   std::ostringstream out;
   char line[256];
-  out << report->ToString() << "\n";
+  out << report.ToString() << "\n";
   std::snprintf(line, sizeof(line),
                 "P(hit) in-partition = %.4f [%.4f, %.4f]; "
                 "wait p50/p99/max = %.3f/%.3f/%.3f min\n",
-                report->hit_probability_in_partition,
-                report->hit_probability_in_partition_low,
-                report->hit_probability_in_partition_high,
-                report->p50_wait_minutes, report->p99_wait_minutes,
-                report->max_wait_minutes);
+                report.hit_probability_in_partition,
+                report.hit_probability_in_partition_low,
+                report.hit_probability_in_partition_high,
+                report.p50_wait_minutes, report.p99_wait_minutes,
+                report.max_wait_minutes);
   out << line;
   return EmitReport(flags, out.str());
 }
 
+Result<int> ServerCommand(int argc, char** argv) {
+  FlagSet flags("vodctl server");
+  const std::vector<std::string> scenario =
+      AddKernelFlags(&flags, /*server=*/true);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
+
+  std::vector<ServerMovieSpec> movies;
+  ServerOptions options;
+  VOD_RETURN_IF_ERROR(ServerFromFlags(flags, &movies, &options));
+  options.piggyback = PiggybackFromFlags(flags);
+  ObsCli obs;
+  VOD_RETURN_IF_ERROR(obs.Init(flags));
+  const auto run = [&](const ServerOptions& run_options) {
+    return RunServerSimulation(movies, run_options);
+  };
+
+  const ExperimentOptions experiment =
+      ExperimentOptionsFromFlags(flags, options.seed);
+  if (experiment.replications > 1) {
+    // Each cell is a whole-server run, and the checkpoint carries full
+    // ServerReports: resilience transitions and the controller block too.
+    VOD_ASSIGN_OR_RETURN(const std::vector<ServerReport> reports,
+                         RunSweep(RunCheckpointedServerGrid, flags, scenario,
+                                  experiment, options, &obs, run));
+    std::ostringstream out;
+    for (size_t r = 0; r < reports.size(); ++r) {
+      out << "replication " << r << ":\n" << reports[r].ToString() << "\n";
+    }
+    return EmitReport(flags, out.str());
+  }
+
+  options.obs = obs.RunOptions();
+  VOD_ASSIGN_OR_RETURN(const ServerReport report, [&] {
+    PhaseProfiler::Scope span(obs.want_profile ? &obs.profiler : nullptr,
+                              "server_simulation");
+    return run(options);
+  }());
+  VOD_RETURN_IF_ERROR(obs.Finish());
+  return EmitReport(flags, report.ToString() + "\n");
+}
+
+// ---- vodctl shard ----------------------------------------------------------
+//
+// The sharded multi-core server engine: one giant simulated server whose
+// movies are partitioned across per-core shards, coupled only at
+// deterministic window barriers (sim/sharded_server.h). It takes the
+// server's scenario flags. The report is byte-identical for any
+// --shards/--threads combination, and --checkpoint makes the run
+// SIGKILL/resume-safe via replay-verified barrier snapshots (the engine
+// fingerprints its own configuration). --queue_deadline arms the windowed
+// degradation ladder (graceful degradation under faults: queueing, VCR
+// shedding, forced reclaim, batching-only — decided at barriers, applied at
+// window opens), and the observability flags attach coordinator-side
+// tracing/metrics.
+
+Result<int> ShardCommand(int argc, char** argv) {
+  FlagSet flags("vodctl shard");
+  AddMovieFlags(&flags);
+  AddRunFlags(&flags);
+  AddServerFlags(&flags);
+  AddLadderFlags(&flags);
+  AddShardFlags(&flags);
+  AddOutputFlags(&flags);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
+
+  std::vector<ServerMovieSpec> movies;
+  ShardedServerOptions options;
+  VOD_RETURN_IF_ERROR(ServerFromFlags(flags, &movies, &options.base));
+  VOD_RETURN_IF_ERROR(LadderFromFlags(flags, &options));
+  ObsCli obs;
+  VOD_RETURN_IF_ERROR(obs.Init(flags));
+  options.base.obs = obs.RunOptions();
+  VOD_ASSIGN_OR_RETURN(options.shards, IntFlag(flags, "shards"));
+  VOD_ASSIGN_OR_RETURN(options.threads, IntFlag(flags, "threads"));
+  options.window_minutes = flags.GetDouble("window");
+  options.checkpoint.path = flags.GetString("checkpoint");
+  options.checkpoint.every_windows = flags.GetInt64("checkpoint_every");
+  options.checkpoint.resume = flags.GetBool("resume");
+  options.checkpoint.stop_after_windows =
+      flags.GetInt64("stop_after_windows");
+  options.postmortem.path = flags.GetString("postmortem_out");
+  options.postmortem.windows = flags.GetInt64("postmortem_windows");
+  options.postmortem.events_per_shard = flags.GetInt64("postmortem_events");
+  options.corrupt_audit_window = flags.GetInt64("corrupt_window");
+
+  const auto report = [&] {
+    PhaseProfiler::Scope span(obs.want_profile ? &obs.profiler : nullptr,
+                              "sharded_simulation");
+    return RunShardedServerSimulation(movies, options);
+  }();
+  if (!report.ok()) {
+    // Flush partial telemetry first: the failure modes this engine reports
+    // (audit violations, replay-verify rejections) are exactly the ones the
+    // trace, metrics, and postmortem bundle exist to explain.
+    (void)obs.Finish();
+    return report.status();
+  }
+  if (!report->complete) {
+    // Crash emulation: the run stopped at a barrier without reaching the
+    // horizon. Exit non-zero without emitting a report so a soak harness
+    // treats it like a killed child.
+    std::fprintf(stderr, "vodctl shard: stopped after %lld windows "
+                 "(incomplete; resume from the checkpoint)\n",
+                 static_cast<long long>(report->windows));
+    (void)obs.Finish();  // flush the partial trace; the exit code already
+                         // says the run is incomplete
+    return 3;
+  }
+  VOD_RETURN_IF_ERROR(obs.Finish());
+  return EmitReport(flags, report->ToString() + "\n");
+}
+
 // ---- vodctl catalog --------------------------------------------------------
 
-int CatalogCommand(int argc, char** argv) {
+Result<int> CatalogCommand(int argc, char** argv) {
   FlagSet flags("vodctl catalog");
   flags.AddString("file", "", "catalog CSV (see Catalog::FromCsv)");
   flags.AddDouble("rate", 4.0, "total arrivals per minute");
   flags.AddDouble("zipf", 1.0, "popularity exponent");
   flags.AddInt64("budget", 0, "stream budget (0 = pure-batching count)");
   flags.AddBool("csv", false, "CSV output");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return Fail(parsed);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
   if (flags.GetString("file").empty()) {
-    return Fail(Status::InvalidArgument("--file is required"));
+    return Status::InvalidArgument("--file is required");
   }
   std::ifstream file(flags.GetString("file"));
-  if (!file) {
-    return Fail(Status::NotFound("cannot open " + flags.GetString("file")));
-  }
-  const auto catalog =
-      Catalog::FromCsv(file, flags.GetDouble("zipf"), flags.GetDouble("rate"));
-  if (!catalog.ok()) return Fail(catalog.status());
+  if (!file) return Status::NotFound("cannot open " + flags.GetString("file"));
+  VOD_ASSIGN_OR_RETURN(
+      const Catalog catalog,
+      Catalog::FromCsv(file, flags.GetDouble("zipf"), flags.GetDouble("rate")));
 
   std::vector<MovieSizingSpec> specs;
-  for (size_t rank = 1; rank <= catalog->size(); ++rank) {
-    const MovieEntry& entry = catalog->movie(static_cast<int>(rank));
+  for (size_t rank = 1; rank <= catalog.size(); ++rank) {
+    const MovieEntry& entry = catalog.movie(static_cast<int>(rank));
     if (entry.behavior.passive() || entry.min_hit_probability <= 0.0) {
       continue;  // unicast title; no pre-allocation
     }
@@ -744,26 +924,23 @@ int CatalogCommand(int argc, char** argv) {
     specs.push_back(std::move(spec));
   }
   if (specs.empty()) {
-    return Fail(Status::InvalidArgument(
-        "no sizable titles in the catalog (all passive or P* = 0)"));
+    return Status::InvalidArgument(
+        "no sizable titles in the catalog (all passive or P* = 0)");
   }
   const int pure = PureBatchingStreams(specs);
-  const auto budget_flag = IntFlag(flags, "budget");
-  if (!budget_flag.ok()) return Fail(budget_flag.status());
-  int budget = *budget_flag;
+  VOD_ASSIGN_OR_RETURN(int budget, IntFlag(flags, "budget"));
   if (budget <= 0) budget = pure;
-  const auto sized = SizeSystem(specs, budget);
-  if (!sized.ok()) return Fail(sized.status());
+  VOD_ASSIGN_OR_RETURN(const AllocationResult sized, SizeSystem(specs, budget));
 
   TableWriter table({"title", "streams", "buffer (min)"});
-  for (const auto& m : sized->movies) {
+  for (const auto& m : sized.movies) {
     table.AddRow({m.name, std::to_string(m.streams),
                   FormatDouble(m.buffer_minutes, 1)});
   }
   RenderTable(table, flags.GetBool("csv"));
   std::printf("total: %d streams + %.1f buffer-minutes "
               "(pure batching: %d streams)\n",
-              sized->total_streams, sized->total_buffer_minutes, pure);
+              sized.total_streams, sized.total_buffer_minutes, pure);
   return 0;
 }
 
@@ -772,8 +949,10 @@ int CatalogCommand(int argc, char** argv) {
 // ASCII rendering of the partition-window pattern (the paper's Figures 1–4):
 // each row is a snapshot of the movie axis at a later time; '#' marks
 // buffered positions, '.' the gaps, and 'F'/'V' a fast-forwarding viewer.
+// It draws a layout, not a run, so it keeps its own flags (B is given
+// directly).
 
-int TimelineCommand(int argc, char** argv) {
+Result<int> TimelineCommand(int argc, char** argv) {
   FlagSet flags("vodctl timeline");
   flags.AddDouble("length", 120.0, "movie length (minutes)");
   flags.AddInt64("streams", 12, "number of I/O streams n");
@@ -783,22 +962,21 @@ int TimelineCommand(int argc, char** argv) {
   flags.AddDouble("ff_rate", 3.0, "fast-forward speed (x playback)");
   flags.AddInt64("width", 96, "columns for the movie axis");
   flags.AddInt64("rows", 12, "time snapshots");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return Fail(parsed);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
 
-  const auto streams = IntFlag(flags, "streams");
-  if (!streams.ok()) return Fail(streams.status());
-  const auto layout = PartitionLayout::FromBuffer(
-      flags.GetDouble("length"), *streams, flags.GetDouble("buffer"));
-  if (!layout.ok()) return Fail(layout.status());
-  const double l = layout->movie_length();
+  VOD_ASSIGN_OR_RETURN(const int streams, IntFlag(flags, "streams"));
+  VOD_ASSIGN_OR_RETURN(
+      const PartitionLayout layout,
+      PartitionLayout::FromBuffer(flags.GetDouble("length"), streams,
+                                  flags.GetDouble("buffer")));
+  const double l = layout.movie_length();
   const auto width = flags.GetInt64("width");
   const auto rows = flags.GetInt64("rows");
   if (width < 10 || rows < 1) {
-    return Fail(Status::InvalidArgument("need --width >= 10, --rows >= 1"));
+    return Status::InvalidArgument("need --width >= 10, --rows >= 1");
   }
 
-  PartitionSchedule schedule(*layout);
+  PartitionSchedule schedule(layout);
   const double ff_rate = flags.GetDouble("ff_rate");
   const double ff_span = flags.GetDouble("ff_minutes");
   const double start_pos = flags.GetDouble("start_pos");
@@ -806,11 +984,11 @@ int TimelineCommand(int argc, char** argv) {
   // normal playback before and after.
   const double ff_wall = ff_span / ff_rate;
   const double total_wall = ff_wall * 3.0;
-  const double t0 = 10.0 * layout->restart_period();  // steady state
+  const double t0 = 10.0 * layout.restart_period();  // steady state
 
   std::printf("%s — '#' buffered, '.' gap, F = viewer fast-forwarding at "
               "%.0fx, V = normal playback\n",
-              layout->ToString().c_str(), ff_rate);
+              layout.ToString().c_str(), ff_rate);
   for (int64_t row = 0; row < rows; ++row) {
     const double dt = total_wall * static_cast<double>(row) /
                       static_cast<double>(rows - 1 > 0 ? rows - 1 : 1);
@@ -851,199 +1029,14 @@ int TimelineCommand(int argc, char** argv) {
               "Fig. 2).\n");
   return 0;
 }
-
-// ---- vodctl shard ----------------------------------------------------------
-//
-// The sharded multi-core server engine: one giant simulated server whose
-// movies are partitioned across per-core shards, coupled only at
-// deterministic window barriers (sim/sharded_server.h). The report is
-// byte-identical for any --shards/--threads combination, and --checkpoint
-// makes the run SIGKILL/resume-safe via replay-verified barrier snapshots.
-// --queue_deadline arms the windowed degradation ladder (graceful
-// degradation under faults: queueing, VCR shedding, forced reclaim,
-// batching-only — decided at barriers, applied at window opens), and the
-// observability flags attach coordinator-side tracing/metrics.
-
-int ShardCommand(int argc, char** argv) {
-  FlagSet flags("vodctl shard");
-  flags.AddDouble("length", 120.0, "movie length (minutes)");
-  flags.AddInt64("streams", 40, "I/O stream budget split across --movies");
-  flags.AddDouble("buffer", 0.0, "buffer minutes B (overrides --wait; only "
-                  "used when --movies=1)");
-  flags.AddDouble("wait", 1.0, "max wait w sizing each movie's layout");
-  flags.AddString("duration", "gamma(2,4)", "VCR duration distribution");
-  flags.AddString("mix", "mixed", "ff|rw|pau|mixed or 'p_ff,p_rw,p_pau'");
-  flags.AddDouble("arrival_gap", 2.0, "mean inter-arrival time (minutes), "
-                  "split across the catalog");
-  flags.AddInt64("movies", 8, "catalog size: the arrival rate and --streams "
-                 "split across this many Zipf-ranked titles");
-  flags.AddDouble("zipf", 1.0, "popularity skew of the --movies split");
-  flags.AddString("flash", "", "flash crowd 'movie:start:duration:factor'");
-  flags.AddDouble("measure", 20000.0, "measured minutes");
-  flags.AddInt64("seed", 42, "RNG seed");
-  flags.AddInt64("reserve", 100, "shared dynamic stream reserve, distributed "
-                 "to movies as per-window credits");
-  flags.AddString("faults", "", "disk faults 'disks:mtbf:mttr' in minutes");
-  flags.AddDouble("queue_deadline", 0.0, "arm the windowed degradation "
-                  "ladder: queue dry-reserve VCR requests up to this many "
-                  "minutes (0 = ladder off, hard refusal)");
-  flags.AddDouble("backoff", 0.25, "queued-request first re-offer delay in "
-                  "minutes (requires --queue_deadline)");
-  flags.AddDouble("backoff_factor", 2.0, "geometric retry backoff factor "
-                  "(requires --queue_deadline)");
-  flags.AddDouble("shed_below", 0.5, "capacity fraction below which the "
-                  "ladder sheds VCR requests (requires --queue_deadline)");
-  flags.AddDouble("batching_below", 0.2, "capacity fraction below which the "
-                  "ladder reclaims everything — batching-only mode "
-                  "(requires --queue_deadline)");
-  flags.AddInt64("recover_windows", 2, "consecutive calm windows before the "
-                 "ladder steps down a rung (requires --queue_deadline)");
-  flags.AddBool("controller", false, "enable the buffer-reallocation control "
-                "plane above the barrier");
-  flags.AddBool("audit", false, "audit the cross-shard conservation laws at "
-                "every window barrier");
-  flags.AddBool("paranoid", false, "alias of --audit for this engine "
-                "(barrier cadence is already every window)");
-  flags.AddInt64("shards", 2, "shards the movies are partitioned across");
-  flags.AddInt64("threads", 2, "worker threads driving the shards");
-  flags.AddDouble("window", 60.0, "barrier window length (simulated minutes)");
-  flags.AddString("checkpoint", "", "replay-verify checkpoint file written "
-                  "at window barriers");
-  flags.AddInt64("checkpoint_every", 8, "windows between checkpoint saves");
-  flags.AddBool("resume", false, "resume from --checkpoint (replays from "
-                "t=0 and verifies the barrier-ledger digest)");
-  flags.AddInt64("stop_after_windows", 0, "stop (incomplete) after this many "
-                 "windows — in-process crash emulation for tests (0 = run to "
-                 "the horizon)");
-  flags.AddString("report_out", "", "also write the final report text to "
-                  "this file (byte-identical to stdout)");
-  flags.AddString("postmortem_out", "", "crash flight recorder: dump a "
-                  "postmortem bundle here when an audit law fails, a resume "
-                  "replay-verify rejects, or a checkpoint write fails "
-                  "(render with `vodctl inspect --postmortem=PATH`)");
-  flags.AddInt64("postmortem_windows", 16, "barrier windows of ledger "
-                 "history the flight recorder retains");
-  flags.AddInt64("postmortem_events", 256, "trace events retained per shard "
-                 "(the rings fill only while tracing or --postmortem_out is "
-                 "set)");
-  flags.AddInt64("corrupt_window", 0, "fault-injection hook: misstate one "
-                 "ledger entry in the audit snapshot at this barrier window "
-                 "to force an audit failure (requires --audit; 0 = off)");
-  AddObsFlags(&flags);
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return Fail(parsed);
-
-  // The ladder sub-knobs only mean something once --queue_deadline arms the
-  // ladder; a set-but-ignored flag is a mis-assembled command, so refuse it
-  // loudly instead of silently running un-degraded.
-  if (flags.GetDouble("queue_deadline") <= 0.0) {
-    for (const char* dep : {"backoff", "backoff_factor", "shed_below",
-                            "batching_below", "recover_windows"}) {
-      if (flags.WasSet(dep)) {
-        return Fail(Status::InvalidArgument(
-            std::string("--") + dep +
-            " requires the ladder armed via --queue_deadline > 0"));
-      }
-    }
-    if (flags.WasSet("queue_deadline")) {
-      return Fail(Status::InvalidArgument(
-          "--queue_deadline must be > 0 to arm the degradation ladder "
-          "(omit the flag to run without it)"));
-    }
-  }
-
-  const auto layout = LayoutFromFlags(flags);
-  if (!layout.ok()) return Fail(layout.status());
-  const auto duration = ParseDistributionSpec(flags.GetString("duration"));
-  if (!duration.ok()) return Fail(duration.status());
-  const auto mix = ParseMix(flags.GetString("mix"));
-  if (!mix.ok()) return Fail(mix.status());
-  const auto movies = ServerMoviesFromFlags(flags, *layout, *mix, *duration);
-  if (!movies.ok()) return Fail(movies.status());
-
-  ObsCli obs;
-  const Status obs_ready = obs.Init(flags);
-  if (!obs_ready.ok()) return Fail(obs_ready);
-
-  ShardedServerOptions options;
-  options.base.rates = paper::Rates();
-  options.base.dynamic_stream_reserve = flags.GetInt64("reserve");
-  options.base.measurement_minutes = flags.GetDouble("measure");
-  options.base.warmup_minutes = options.base.measurement_minutes * 0.05;
-  options.base.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
-  if (flags.WasSet("faults")) {
-    const auto faults = ParseFaultSpec(flags.GetString("faults"));
-    if (!faults.ok()) return Fail(faults.status());
-    options.base.faults = *faults;
-  }
-  if (flags.GetDouble("queue_deadline") > 0.0) {
-    options.base.degradation.enabled = true;
-    options.base.degradation.queue_deadline_minutes =
-        flags.GetDouble("queue_deadline");
-    options.base.degradation.backoff_initial_minutes =
-        flags.GetDouble("backoff");
-    options.base.degradation.backoff_factor = flags.GetDouble("backoff_factor");
-    options.base.degradation.shed_below_fraction = flags.GetDouble("shed_below");
-    options.base.degradation.batching_below_fraction =
-        flags.GetDouble("batching_below");
-    options.ladder_recover_windows = flags.GetInt64("recover_windows");
-  }
-  options.base.obs = obs.RunOptions();
-  options.base.controller.enabled = flags.GetBool("controller");
-  options.base.audit.enabled =
-      flags.GetBool("audit") || flags.GetBool("paranoid");
-  const auto shards = IntFlag(flags, "shards");
-  if (!shards.ok()) return Fail(shards.status());
-  const auto threads = IntFlag(flags, "threads");
-  if (!threads.ok()) return Fail(threads.status());
-  options.shards = *shards;
-  options.threads = *threads;
-  options.window_minutes = flags.GetDouble("window");
-  options.checkpoint.path = flags.GetString("checkpoint");
-  options.checkpoint.every_windows = flags.GetInt64("checkpoint_every");
-  options.checkpoint.resume = flags.GetBool("resume");
-  options.checkpoint.stop_after_windows =
-      flags.GetInt64("stop_after_windows");
-  options.postmortem.path = flags.GetString("postmortem_out");
-  options.postmortem.windows = flags.GetInt64("postmortem_windows");
-  options.postmortem.events_per_shard = flags.GetInt64("postmortem_events");
-  options.corrupt_audit_window = flags.GetInt64("corrupt_window");
-
-  const auto report = [&] {
-    PhaseProfiler::Scope span(obs.want_profile ? &obs.profiler : nullptr,
-                              "sharded_simulation");
-    return RunShardedServerSimulation(*movies, options);
-  }();
-  if (!report.ok()) {
-    // Flush partial telemetry first: the failure modes this engine reports
-    // (audit violations, replay-verify rejections) are exactly the ones the
-    // trace, metrics, and postmortem bundle exist to explain.
-    (void)obs.Finish();
-    return Fail(report.status());
-  }
-  if (!report->complete) {
-    // Crash emulation: the run stopped at a barrier without reaching the
-    // horizon. Exit non-zero without emitting a report so a soak harness
-    // treats it like a killed child.
-    std::fprintf(stderr, "vodctl shard: stopped after %lld windows "
-                 "(incomplete; resume from the checkpoint)\n",
-                 static_cast<long long>(report->windows));
-    (void)obs.Finish();  // flush the partial trace; the exit code already
-                         // says the run is incomplete
-    return 3;
-  }
-  const Status finished = obs.Finish();
-  if (!finished.ok()) return Fail(finished);
-  return EmitReport(flags, report->ToString() + "\n");
-}
-
 // ---- vodctl soak -----------------------------------------------------------
 //
-// Chaos soak for crash recovery: runs `vodctl simulate` sweeps as child
-// processes, SIGKILLs them at randomized points mid-sweep, resumes from the
-// last checkpoint, and byte-compares the final report against a golden
-// uninterrupted run. A recovery bug — lost cells, double-merged cells, a
-// torn checkpoint — shows up as a byte difference or a failed resume.
+// Chaos soak for crash recovery: runs `vodctl simulate` sweeps (`server`
+// with --drift, `shard` with --shards) as child processes, SIGKILLs them at
+// randomized points mid-sweep, resumes from the last checkpoint, and
+// byte-compares the final report against a golden uninterrupted run. A
+// recovery bug — lost cells, double-merged cells, a torn checkpoint — shows
+// up as a byte difference or a failed resume.
 
 #if VODCTL_HAS_FORK
 
@@ -1091,7 +1084,7 @@ bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
 }
 
-int SoakCommand(int argc, char** argv) {
+Result<int> SoakCommand(int argc, char** argv) {
   FlagSet flags("vodctl soak");
   flags.AddInt64("cycles", 3, "SIGKILL/resume cycles before the final "
                  "uninterrupted resume");
@@ -1115,12 +1108,11 @@ int SoakCommand(int argc, char** argv) {
                  "between barriers and resumed from the replay-verify "
                  "checkpoint (golden run uses 1 thread, chaos children "
                  "--threads, proving the bytes are thread-independent too)");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return Fail(parsed);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
   if (flags.GetInt64("cycles") < 1 ||
       flags.GetInt64("kill_min_ms") > flags.GetInt64("kill_max_ms")) {
-    return Fail(Status::InvalidArgument(
-        "need --cycles >= 1 and kill_min_ms <= kill_max_ms"));
+    return Status::InvalidArgument(
+        "need --cycles >= 1 and kill_min_ms <= kill_max_ms");
   }
 
   const std::string prefix = flags.GetString("prefix");
@@ -1157,7 +1149,7 @@ int SoakCommand(int argc, char** argv) {
     };
   } else {
     base_args = {
-        "simulate",
+        flags.GetBool("drift") ? "server" : "simulate",
         "--replications=" + std::to_string(flags.GetInt64("replications")),
         "--measure=" + std::to_string(flags.GetDouble("measure")),
         "--seed=" + std::to_string(flags.GetInt64("seed")),
@@ -1191,12 +1183,24 @@ int SoakCommand(int argc, char** argv) {
   if (soak_shards > 0) golden_args.push_back("--threads=1");
   golden_args.push_back("--report_out=" + golden_path);
   std::printf("soak: golden uninterrupted run...\n");
-  auto golden_exit = RunSelf(golden_args, /*kill_after_ms=*/-1);
-  if (!golden_exit.ok()) return Fail(golden_exit.status());
-  if (*golden_exit != 0) {
-    return Fail(Status::Internal("golden run exited with code " +
-                                 std::to_string(*golden_exit)));
+  VOD_ASSIGN_OR_RETURN(const int golden_exit,
+                       RunSelf(golden_args, /*kill_after_ms=*/-1));
+  if (golden_exit != 0) {
+    return Status::Internal("golden run exited with code " +
+                            std::to_string(golden_exit));
   }
+
+  // A chaos child checkpoints the sweep and resumes once a checkpoint exists.
+  const auto chaos_args = [&] {
+    std::vector<std::string> args = base_args;
+    if (soak_shards > 0) {
+      args.push_back("--threads=" + std::to_string(flags.GetInt64("threads")));
+    }
+    args.push_back("--checkpoint=" + ckpt_path);
+    args.push_back("--report_out=" + report_path);
+    if (FileExists(ckpt_path)) args.push_back("--resume");
+    return args;
+  };
 
   // Kill/resume cycles. The kill points are deterministic in --seed.
   Rng kill_rng(static_cast<uint64_t>(flags.GetInt64("seed")) ^
@@ -1205,64 +1209,49 @@ int SoakCommand(int argc, char** argv) {
   const int64_t kill_span = flags.GetInt64("kill_max_ms") - kill_min + 1;
   bool finished_early = false;
   for (int64_t cycle = 0; cycle < flags.GetInt64("cycles"); ++cycle) {
-    std::vector<std::string> args = base_args;
-    if (soak_shards > 0) {
-      args.push_back("--threads=" + std::to_string(flags.GetInt64("threads")));
-    }
-    args.push_back("--checkpoint=" + ckpt_path);
-    args.push_back("--report_out=" + report_path);
-    if (FileExists(ckpt_path)) args.push_back("--resume");
+    const std::vector<std::string> args = chaos_args();
     const int kill_after = static_cast<int>(
         kill_min + static_cast<int64_t>(
                        kill_rng.UniformInt(static_cast<uint64_t>(kill_span))));
-    auto exit_code = RunSelf(args, kill_after);
-    if (!exit_code.ok()) return Fail(exit_code.status());
+    VOD_ASSIGN_OR_RETURN(const int exit_code, RunSelf(args, kill_after));
     std::printf("soak: cycle %lld: SIGKILL at %d ms -> %s\n",
                 static_cast<long long>(cycle), kill_after,
-                *exit_code == -SIGKILL
+                exit_code == -SIGKILL
                     ? "killed mid-sweep"
-                    : ("exit " + std::to_string(*exit_code)).c_str());
-    if (*exit_code == 0) {
+                    : ("exit " + std::to_string(exit_code)).c_str());
+    if (exit_code == 0) {
       finished_early = true;  // sweep beat the kill; recovery already proven
       break;
     }
-    if (*exit_code != -SIGKILL) {
-      return Fail(Status::Internal(
-          "soaked child failed with exit code " + std::to_string(*exit_code) +
-          " instead of finishing or dying by SIGKILL"));
+    if (exit_code != -SIGKILL) {
+      return Status::Internal(
+          "soaked child failed with exit code " + std::to_string(exit_code) +
+          " instead of finishing or dying by SIGKILL");
     }
   }
 
   // Final resume: must complete and must reproduce the golden bytes.
   if (!finished_early) {
-    std::vector<std::string> args = base_args;
-    if (soak_shards > 0) {
-      args.push_back("--threads=" + std::to_string(flags.GetInt64("threads")));
-    }
-    args.push_back("--checkpoint=" + ckpt_path);
-    args.push_back("--report_out=" + report_path);
-    if (FileExists(ckpt_path)) args.push_back("--resume");
-    auto exit_code = RunSelf(args, /*kill_after_ms=*/-1);
-    if (!exit_code.ok()) return Fail(exit_code.status());
-    if (*exit_code != 0) {
-      return Fail(Status::Internal("final resume exited with code " +
-                                   std::to_string(*exit_code)));
+    VOD_ASSIGN_OR_RETURN(const int exit_code,
+                         RunSelf(chaos_args(), /*kill_after_ms=*/-1));
+    if (exit_code != 0) {
+      return Status::Internal("final resume exited with code " +
+                              std::to_string(exit_code));
     }
   }
 
-  auto golden = ReadFileBytes(golden_path);
-  if (!golden.ok()) return Fail(golden.status());
-  auto recovered = ReadFileBytes(report_path);
-  if (!recovered.ok()) return Fail(recovered.status());
-  if (*golden != *recovered) {
+  VOD_ASSIGN_OR_RETURN(const std::string golden, ReadFileBytes(golden_path));
+  VOD_ASSIGN_OR_RETURN(const std::string recovered,
+                       ReadFileBytes(report_path));
+  if (golden != recovered) {
     std::fprintf(stderr,
                  "soak: FAIL — recovered report differs from golden run\n"
                  "--- golden ---\n%s--- recovered ---\n%s",
-                 golden->c_str(), recovered->c_str());
+                 golden.c_str(), recovered.c_str());
     return 1;
   }
   std::printf("soak: PASS — recovered report is byte-identical to the "
-              "golden run (%zu bytes)\n", golden->size());
+              "golden run (%zu bytes)\n", golden.size());
   std::remove(golden_path.c_str());
   std::remove(report_path.c_str());
   std::remove(ckpt_path.c_str());
@@ -1272,17 +1261,17 @@ int SoakCommand(int argc, char** argv) {
 
 #else  // !VODCTL_HAS_FORK
 
-int SoakCommand(int, char**) {
-  return Fail(Status::NotSupported(
-      "vodctl soak needs fork/exec; unavailable on this platform"));
+Result<int> SoakCommand(int, char**) {
+  return Status::NotSupported(
+      "vodctl soak needs fork/exec; unavailable on this platform");
 }
 
 #endif  // VODCTL_HAS_FORK
 
 // ---- vodctl inspect --------------------------------------------------------
 //
-// Offline view of a trace file written by `simulate --trace_out=...` or
-// `shard --trace_out=...`: a per-category summary table plus, when the run
+// Offline view of a trace file written by `simulate`, `server` or `shard`
+// with --trace_out: a per-category summary table plus, when the run
 // walked the degradation ladder, a reconstructed level-by-level timeline
 // (kDegradation transitions and the barrier-emitted rung announcements of a
 // sharded run merge into one timeline), and the controller decision log.
@@ -1290,21 +1279,19 @@ int SoakCommand(int, char**) {
 /// Pretty-prints a flight-recorder bundle: the failure reason, the retained
 /// window ledger history (rung, digest chain, credit/debt, per-shard event
 /// deltas), and each shard's trailing events.
-int RenderPostmortem(const std::string& path, bool csv) {
-  const auto bundle = ReadPostmortem(path);
-  if (!bundle.ok()) return Fail(bundle.status());
+Result<int> RenderPostmortem(const std::string& path, bool csv) {
+  VOD_ASSIGN_OR_RETURN(const PostmortemBundle bundle, ReadPostmortem(path));
   std::printf("postmortem bundle: %s\n", path.c_str());
-  std::printf("reason: %s\n", bundle->reason.c_str());
+  std::printf("reason: %s\n", bundle.reason.c_str());
   std::printf("%d shards, %zu retained windows, %zu retained events\n",
-              bundle->shards, bundle->windows.size(),
-              bundle->events.size());
+              bundle.shards, bundle.windows.size(), bundle.events.size());
 
-  if (!bundle->windows.empty()) {
+  if (!bundle.windows.empty()) {
     std::printf("\nwindow ledger history (oldest first):\n");
     TableWriter table({"window", "t_end", "capacity", "rung", "held",
                        "credit", "debt", "queued", "quota", "events/shard",
                        "digest"});
-    for (const FlightWindowRecord& fw : bundle->windows) {
+    for (const FlightWindowRecord& fw : bundle.windows) {
       std::string per_shard;
       for (size_t s = 0; s < fw.shard_events.size(); ++s) {
         if (s > 0) per_shard += "/";
@@ -1326,11 +1313,11 @@ int RenderPostmortem(const std::string& path, bool csv) {
     RenderTable(table, csv);
   }
 
-  if (!bundle->events.empty()) {
+  if (!bundle.events.empty()) {
     std::printf("\nper-shard event tails (oldest first):\n");
     TableWriter table({"shard", "t", "category", "sub", "movie", "id",
                        "value"});
-    for (const PostmortemEvent& pe : bundle->events) {
+    for (const PostmortemEvent& pe : bundle.events) {
       table.AddRow({std::to_string(pe.shard),
                     FormatDouble(pe.event.time, 3),
                     EventCategoryName(pe.event.category),
@@ -1344,36 +1331,34 @@ int RenderPostmortem(const std::string& path, bool csv) {
   return 0;
 }
 
-int InspectCommand(int argc, char** argv) {
+Result<int> InspectCommand(int argc, char** argv) {
   FlagSet flags("vodctl inspect");
   flags.AddString("trace", "", "JSONL trace file to inspect");
   flags.AddString("postmortem", "", "flight-recorder bundle to pretty-print "
                   "(written by `vodctl shard --postmortem_out=...`)");
   flags.AddBool("csv", false, "CSV output");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return Fail(parsed);
+  VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
   if (!flags.GetString("postmortem").empty()) {
     return RenderPostmortem(flags.GetString("postmortem"),
                             flags.GetBool("csv"));
   }
   if (flags.GetString("trace").empty()) {
-    return Fail(Status::InvalidArgument("--trace or --postmortem is "
-                                        "required"));
+    return Status::InvalidArgument("--trace or --postmortem is required");
   }
 
-  const auto events = ReadTraceFile(flags.GetString("trace"));
-  if (!events.ok()) return Fail(events.status());
-  if (events->empty()) {
+  VOD_ASSIGN_OR_RETURN(const std::vector<TraceEvent> events,
+                       ReadTraceFile(flags.GetString("trace")));
+  if (events.empty()) {
     std::printf("empty trace\n");
     return 0;
   }
   const bool csv = flags.GetBool("csv");
   std::printf("%zu events over [%.2f, %.2f] simulated minutes\n",
-              events->size(), events->front().time, events->back().time);
+              events.size(), events.front().time, events.back().time);
 
   TableWriter table({"category", "count", "first t", "last t", "mean value",
                      "min", "max"});
-  for (const CategorySummary& s : SummarizeTrace(*events)) {
+  for (const CategorySummary& s : SummarizeTrace(events)) {
     table.AddRow({EventCategoryName(s.category), std::to_string(s.count),
                   FormatDouble(s.first_t, 2), FormatDouble(s.last_t, 2),
                   FormatDouble(s.value_sum / static_cast<double>(s.count), 3),
@@ -1381,7 +1366,7 @@ int InspectCommand(int argc, char** argv) {
   }
   RenderTable(table, csv);
 
-  const auto timeline = DegradationTimeline(*events);
+  const auto timeline = DegradationTimeline(events);
   if (!timeline.empty()) {
     std::printf("\ndegradation timeline:\n");
     TableWriter levels({"start", "end", "dwell (min)", "from", "level",
@@ -1397,7 +1382,7 @@ int InspectCommand(int argc, char** argv) {
     RenderTable(levels, csv);
   }
 
-  const auto decisions = ControllerTimeline(*events);
+  const auto decisions = ControllerTimeline(events);
   if (!decisions.empty()) {
     std::printf("\ncontroller decision timeline:\n");
     TableWriter ctrl({"t", "decision", "movie", "epoch", "value", "reclaims",
@@ -1417,7 +1402,7 @@ int InspectCommand(int argc, char** argv) {
 
   // Sharded runs: fold the kShard window records into an imbalance view —
   // an overall summary line plus the worst windows by max−min spread.
-  const auto shard_windows = ShardImbalanceTimeline(*events);
+  const auto shard_windows = ShardImbalanceTimeline(events);
   if (!shard_windows.empty()) {
     int64_t total = 0;
     int64_t worst_spread = 0;
@@ -1461,8 +1446,11 @@ int Usage() {
       "commands:\n"
       "  model     analytic P(hit) breakdown for one configuration\n"
       "  size      minimum-buffer sizing for QoS targets\n"
-      "  simulate  discrete-event simulation of one movie\n"
-      "  shard     sharded multi-core simulation of one giant server\n"
+      "  simulate  the paper's discrete-event simulation of one movie\n"
+      "  server    one server: many movies sharing a VCR stream reserve, "
+      "with faults,\n"
+      "            the degradation ladder and the control plane\n"
+      "  shard     the server, partitioned across cores at window barriers\n"
       "  catalog   size a whole catalog from CSV\n"
       "  timeline  ASCII view of the partition windows and a FF trajectory\n"
       "  soak      SIGKILL/resume chaos soak of a checkpointed sweep\n"
@@ -1477,16 +1465,20 @@ int Usage() {
 }  // namespace vod
 
 int main(int argc, char** argv) {
-  if (argc < 2) return vod::Usage();
-  const std::string command = argv[1];
-  // Shift argv so subcommand flags parse from position 1.
-  if (command == "model") return vod::ModelCommand(argc - 1, argv + 1);
-  if (command == "size") return vod::SizeCommand(argc - 1, argv + 1);
-  if (command == "simulate") return vod::SimulateCommand(argc - 1, argv + 1);
-  if (command == "shard") return vod::ShardCommand(argc - 1, argv + 1);
-  if (command == "catalog") return vod::CatalogCommand(argc - 1, argv + 1);
-  if (command == "timeline") return vod::TimelineCommand(argc - 1, argv + 1);
-  if (command == "soak") return vod::SoakCommand(argc - 1, argv + 1);
-  if (command == "inspect") return vod::InspectCommand(argc - 1, argv + 1);
+  using Command = vod::Result<int> (*)(int, char**);
+  const std::pair<const char*, Command> commands[] = {
+      {"model", vod::ModelCommand},       {"size", vod::SizeCommand},
+      {"simulate", vod::SimulateCommand}, {"server", vod::ServerCommand},
+      {"shard", vod::ShardCommand},       {"catalog", vod::CatalogCommand},
+      {"timeline", vod::TimelineCommand}, {"soak", vod::SoakCommand},
+      {"inspect", vod::InspectCommand}};
+  for (const auto& [name, command] : commands) {
+    if (argc < 2 || std::string(argv[1]) != name) continue;
+    // Shift argv so subcommand flags parse from position 1.
+    const vod::Result<int> exit_code = command(argc - 1, argv + 1);
+    if (exit_code.ok()) return *exit_code;
+    std::fprintf(stderr, "vodctl: %s\n", exit_code.status().ToString().c_str());
+    return 1;
+  }
   return vod::Usage();
 }
