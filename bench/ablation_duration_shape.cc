@@ -66,8 +66,11 @@ int main(int argc, char** argv) {
                          LomaxDistribution::FromMean(mean, 2.5))},
   };
 
+  const auto experiment =
+      ExperimentOptionsFromFlags(flags, /*base_seed=*/20240708);
+  VOD_CHECK_OK(experiment.status());
   const auto reports = RunExperimentGrid(
-      cases, ExperimentOptionsFromFlags(flags, /*base_seed=*/20240708),
+      cases, *experiment,
       [&](const Case& c, const CellContext& context) {
         SimulationOptions options;
         options.behavior.mix = VcrMix::Only(VcrOp::kFastForward);

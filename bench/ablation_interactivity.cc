@@ -43,8 +43,10 @@ int main(int argc, char** argv) {
               layout->ToString().c_str(), *p_model);
 
   const std::vector<double> gaps = {5.0, 10.0, 20.0, 40.0, 80.0};
+  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/4242);
+  VOD_CHECK_OK(experiment.status());
   const auto reports = RunExperimentGrid(
-      gaps, ExperimentOptionsFromFlags(flags, /*base_seed=*/4242),
+      gaps, *experiment,
       [&](double mean_gap, const CellContext& context) {
         SimulationOptions options;
         options.mean_interarrival_minutes = paper::kFig7MeanInterarrival;

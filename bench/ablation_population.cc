@@ -38,8 +38,10 @@ int main(int argc, char** argv) {
               layout->ToString().c_str());
 
   const std::vector<VcrOp> ops(kAllVcrOps.begin(), kAllVcrOps.end());
+  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/1234);
+  VOD_CHECK_OK(experiment.status());
   const auto reports = RunExperimentGrid(
-      ops, ExperimentOptionsFromFlags(flags, /*base_seed=*/1234),
+      ops, *experiment,
       [&](VcrOp op, const CellContext& context) {
         SimulationOptions options;
         options.mean_interarrival_minutes = paper::kFig7MeanInterarrival;

@@ -52,8 +52,10 @@ int main(int argc, char** argv) {
     return rates;
   };
 
+  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/77);
+  VOD_CHECK_OK(experiment.status());
   const auto reports = RunExperimentGrid(
-      points, ExperimentOptionsFromFlags(flags, /*base_seed=*/77),
+      points, *experiment,
       [&](const SpeedPoint& point, const CellContext& context) {
         SimulationOptions options;
         options.mean_interarrival_minutes = paper::kFig7MeanInterarrival;

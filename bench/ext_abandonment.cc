@@ -42,8 +42,10 @@ int main(int argc, char** argv) {
               *p_uniform);
 
   const std::vector<double> patiences = {1e9, 240.0, 90.0, 45.0, 20.0};
+  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/808);
+  VOD_CHECK_OK(experiment.status());
   const auto reports = RunExperimentGrid(
-      patiences, ExperimentOptionsFromFlags(flags, /*base_seed=*/808),
+      patiences, *experiment,
       [&](double patience, const CellContext& context) {
         SimulationOptions options;
         options.behavior = paper::Fig7SingleOpBehavior(VcrOp::kFastForward);

@@ -51,7 +51,9 @@ int main(int argc, char** argv) {
 
   const double measure = flags.GetDouble("measure");
   const auto movies = Movies();
-  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/901);
+  const auto parsed = ExperimentOptionsFromFlags(flags, /*base_seed=*/901);
+  VOD_CHECK_OK(parsed.status());
+  const ExperimentOptions& experiment = *parsed;
 
   // Stage 1 — offered load per policy: mean busy dedicated streams under
   // unlimited supply (per movie, summed), which feeds the Erlang-B

@@ -43,8 +43,10 @@ int main(int argc, char** argv) {
   const std::vector<LoadPoint> points = {{0.1, false},  {0.25, false},
                                          {0.5, false},  {1.0, false},
                                          {2.0, false},  {0.5, true}};
+  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/606);
+  VOD_CHECK_OK(experiment.status());
   const auto reports = RunExperimentGrid(
-      points, ExperimentOptionsFromFlags(flags, /*base_seed=*/606),
+      points, *experiment,
       [&](const LoadPoint& point, const CellContext& context) {
         SimulationOptions options;
         if (point.diurnal) {

@@ -157,7 +157,9 @@ int main(int argc, char** argv) {
     grid.push_back({&scenario, true});
   }
 
-  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/777);
+  const auto parsed = ExperimentOptionsFromFlags(flags, /*base_seed=*/777);
+  VOD_CHECK_OK(parsed.status());
+  const ExperimentOptions& experiment = *parsed;
   const auto reports = RunExperimentGrid(
       grid, experiment, [&](const Cell& cell, const CellContext& context) {
         ServerOptions options;

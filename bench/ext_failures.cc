@@ -74,7 +74,9 @@ int main(int argc, char** argv) {
   const double measure = flags.GetDouble("measure");
   const double deadline = flags.GetDouble("deadline");
   const auto movies = Movies();
-  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/901);
+  const auto parsed = ExperimentOptionsFromFlags(flags, /*base_seed=*/901);
+  VOD_CHECK_OK(parsed.status());
+  const ExperimentOptions& experiment = *parsed;
 
   // Offered load for the Erlang prediction: mean busy dedicated streams
   // under unlimited supply, summed over the movies (as in ext_blocking).

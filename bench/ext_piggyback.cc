@@ -38,8 +38,10 @@ int main(int argc, char** argv) {
               "pinned by VCR activity\n\n");
 
   const std::vector<double> deltas = {0.0, 0.02, 0.05, 0.10, 0.20};
+  const auto experiment = ExperimentOptionsFromFlags(flags, /*base_seed=*/31);
+  VOD_CHECK_OK(experiment.status());
   const auto reports = RunExperimentGrid(
-      deltas, ExperimentOptionsFromFlags(flags, /*base_seed=*/31),
+      deltas, *experiment,
       [&](double delta, const CellContext& context) {
         SimulationOptions options;
         options.mean_interarrival_minutes = paper::kFig7MeanInterarrival;

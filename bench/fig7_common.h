@@ -63,8 +63,10 @@ inline int RunFig7(int argc, char** argv, const Fig7Config& config) {
     }
   }
 
-  const auto experiment = ExperimentOptionsFromFlags(
+  const auto parsed = ExperimentOptionsFromFlags(
       flags, static_cast<uint64_t>(flags.GetInt64("seed")));
+  VOD_CHECK_OK(parsed.status());
+  const ExperimentOptions& experiment = *parsed;
   const double warmup = flags.GetDouble("warmup");
   const double measure = flags.GetDouble("measure");
   const auto reports = RunExperimentGrid(

@@ -6,8 +6,9 @@
 // heap); higher rows buy (a) real parallelism up to the machine's core
 // count and (b) smaller per-shard heaps and event slabs whose hot paths
 // stay cache-resident — at large catalogs the second effect makes the
-// speedup superlinear in cores. BENCH_simulator.json tracks
-// events_per_second for the default rows.
+// speedup superlinear in cores. The BM_ShardedRun* rows are gated:
+// tools/perf_gate.py runs them from a change's and its parent's Release
+// builds in interleaved pairs and compares their real-time ns/event.
 //
 // BM_ShardedRunDegraded is the same catalog with disk faults and the
 // windowed degradation ladder armed — pressure mailboxes, the barrier's
@@ -173,7 +174,7 @@ void RegisterBenches() {
   smoke->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()->Unit(
       benchmark::kMillisecond);
   // Faults + windowed ladder live: what graceful degradation costs at the
-  // barrier. Shares the BM_ShardedRun name prefix so the CI smoke filter
+  // barrier. Shares the BM_ShardedRun name prefix so the perf gate's filter
   // picks it up.
   auto* degraded = benchmark::RegisterBenchmark("BM_ShardedRunDegraded",
                                                 BM_ShardedRunDegraded);

@@ -1,11 +1,16 @@
 // Microbenchmarks of the discrete-event simulator (google-benchmark).
 //
-// Reports simulated-minutes-per-second and event throughput for the
-// workloads the validation benches run, so regressions in the event kernel
-// or the partition lookup are visible.
+// Reports event throughput (ns/event) and simulated minutes per second for
+// the workloads the validation benches run, so regressions in the event
+// kernel or the partition lookup are visible. The BM_SimulationRun* rows are
+// gated: tools/perf_gate.py runs them from a change's and its parent's
+// Release builds in interleaved pairs and compares their ns/event.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
+#include "common/check.h"
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
 #include "sim/event_queue.h"
@@ -16,27 +21,34 @@
 namespace vod {
 namespace {
 
-void BM_SimulationRun(benchmark::State& state) {
+/// Runs the Fig-7 mixed workload, state.range(0) measured minutes after a
+/// 100-minute warm-up, with `options`' audit and observability settings.
+/// Every iteration replays seed 1, so each row exports its exact work next
+/// to its time: `events` per iteration, and `events_per_second`, whose
+/// inverse is the ns/event the perf gate compares.
+void RunFig7(benchmark::State& state, SimulationOptions options) {
   const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
-  SimulationOptions options;
   options.behavior = paper::Fig7MixedBehavior();
   options.warmup_minutes = 100.0;
   options.measurement_minutes = static_cast<double>(state.range(0));
-  uint64_t seed = 1;
-  uint64_t total_events = 0;
+  options.seed = 1;
+  uint64_t events = 0;
   for (auto _ : state) {
-    options.seed = seed++;
     const auto report = RunSimulation(*layout, paper::Rates(), options);
+    VOD_CHECK_OK(report.status());
     benchmark::DoNotOptimize(report);
-    total_events += report.ok() ? report->executed_events : 0;
+    events = report->executed_events;
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.SetLabel("items = simulated minutes");
-  // Kernel throughput, the metric BENCH_simulator.json tracks: simulated
-  // minutes per second depends on the workload's event density, events/sec
-  // does not.
+  state.counters["events"] = static_cast<double>(events);
   state.counters["events_per_second"] = benchmark::Counter(
-      static_cast<double>(total_events), benchmark::Counter::kIsRate);
+      static_cast<double>(events) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+void BM_SimulationRun(benchmark::State& state) {
+  RunFig7(state, SimulationOptions());
 }
 BENCHMARK(BM_SimulationRun)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
@@ -44,20 +56,9 @@ BENCHMARK(BM_SimulationRun)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond
 // delta against BM_SimulationRun is the auditor's overhead (EXPERIMENTS.md
 // quotes it: ~5-7% of the post-kernel-rewrite baseline).
 void BM_SimulationRunAudited(benchmark::State& state) {
-  const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
   SimulationOptions options;
-  options.behavior = paper::Fig7MixedBehavior();
-  options.warmup_minutes = 100.0;
-  options.measurement_minutes = static_cast<double>(state.range(0));
   options.audit.enabled = true;
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    options.seed = seed++;
-    const auto report = RunSimulation(*layout, paper::Rates(), options);
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel("items = simulated minutes");
+  RunFig7(state, options);
 }
 BENCHMARK(BM_SimulationRunAudited)
     ->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
@@ -68,21 +69,10 @@ BENCHMARK(BM_SimulationRunAudited)
 // observability layer while it is off — DESIGN.md §9 quotes it, and the
 // acceptance bar is <= 2%.
 void BM_SimulationRunObsIdle(benchmark::State& state) {
-  const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
-  SimulationOptions options;
-  options.behavior = paper::Fig7MixedBehavior();
-  options.warmup_minutes = 100.0;
-  options.measurement_minutes = static_cast<double>(state.range(0));
   EventLog log;  // no sinks attached: ShouldEmit() is false at every site
+  SimulationOptions options;
   options.obs.event_log = &log;
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    options.seed = seed++;
-    const auto report = RunSimulation(*layout, paper::Rates(), options);
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel("items = simulated minutes");
+  RunFig7(state, options);
 }
 BENCHMARK(BM_SimulationRunObsIdle)
     ->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
@@ -90,26 +80,15 @@ BENCHMARK(BM_SimulationRunObsIdle)
 // Full tracing into a bounded in-memory ring plus cadenced metrics
 // sampling: the cost of observability when it is *on*.
 void BM_SimulationRunTraced(benchmark::State& state) {
-  const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
-  SimulationOptions options;
-  options.behavior = paper::Fig7MixedBehavior();
-  options.warmup_minutes = 100.0;
-  options.measurement_minutes = static_cast<double>(state.range(0));
   EventLog log;
   EventRing ring(1 << 16);
   log.AddSink(&ring);
   MetricsRegistry registry;
+  SimulationOptions options;
   options.obs.event_log = &log;
   options.obs.metrics = &registry;
   options.obs.metrics_sample_minutes = 100.0;
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    options.seed = seed++;
-    const auto report = RunSimulation(*layout, paper::Rates(), options);
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel("items = simulated minutes");
+  RunFig7(state, options);
 }
 BENCHMARK(BM_SimulationRunTraced)
     ->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);

@@ -1,6 +1,7 @@
 #include "exp/experiment.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/rng.h"
@@ -62,17 +63,19 @@ int64_t RecordGridCellDone(const GridObsOptions& obs, int64_t cells_done,
   return cells_done;
 }
 
-ExperimentOptions ExperimentOptionsFromFlags(const FlagSet& flags,
-                                             uint64_t base_seed) {
+Result<ExperimentOptions> ExperimentOptionsFromFlags(const FlagSet& flags,
+                                                     uint64_t base_seed) {
+  const int64_t replications =
+      flags.Has("replications") ? flags.GetInt64("replications") : 1;
+  if (replications < 1 || replications > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "--replications=" + std::to_string(replications) +
+        " is out of range (must be >= 1 and fit in an int)");
+  }
   ExperimentOptions options;
   options.threads = static_cast<int>(flags.GetInt64("threads"));
-  options.replications =
-      flags.Has("replications")
-          ? static_cast<int>(flags.GetInt64("replications"))
-          : 1;
+  options.replications = static_cast<int>(replications);
   options.base_seed = base_seed;
-  VOD_CHECK_MSG(options.replications >= 1,
-                "--replications must be >= 1");
   return options;
 }
 

@@ -69,9 +69,10 @@ int ResolveThreadCount(int requested, int64_t cells);
 void AddExperimentFlags(FlagSet* flags, bool with_replications = false);
 
 /// Reads the flags registered by AddExperimentFlags (a missing
-/// `--replications` flag yields 1).
-ExperimentOptions ExperimentOptionsFromFlags(const FlagSet& flags,
-                                             uint64_t base_seed);
+/// `--replications` flag yields 1). InvalidArgument when `--replications`
+/// is below 1 or beyond an int.
+Result<ExperimentOptions> ExperimentOptionsFromFlags(const FlagSet& flags,
+                                                     uint64_t base_seed);
 
 /// Profiler span name for one grid cell ("cell c3 r7").
 std::string GridCellSpanName(int config_index, int replication);

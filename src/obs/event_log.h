@@ -5,14 +5,10 @@
 // fixed-size POD records (time, category, subtype, movie/entity ids, one
 // payload value) onto a bus that fans out to pluggable sinks — a bounded
 // in-memory ring (crash diagnostics, auditor trace tail) or a streaming
-// JSONL file (tooling, schema-validated in CI). Emission is gated twice:
-//
-//   * compile time — defining VOD_OBS_DISABLED turns ShouldEmit() into a
-//     constant false so every emission site dead-codes away;
-//   * run time — a per-category bitmask plus the "any sinks attached?"
-//     check. With no sinks the cost of a site is one pointer test and one
-//     branch, which is what keeps BM_SimulationRun within the 2% overhead
-//     budget (DESIGN.md §9).
+// JSONL file (tooling, schema-validated in CI). Emission is gated at run
+// time by a per-category bitmask plus the "any sinks attached?" check. With
+// no sinks the cost of a site is one pointer test and one branch, which is
+// what keeps BM_SimulationRun within the 2% overhead budget (DESIGN.md §9).
 //
 // Determinism: the bus is telemetry-only. It never touches the seeded RNG
 // streams and nothing in a report path reads it back, so byte-identical
@@ -252,23 +248,14 @@ class EventLog {
   /// True when an event of `category` would reach at least one sink. Call
   /// before building a TraceEvent so disabled sites cost one branch.
   bool ShouldEmit(EventCategory category) const {
-#ifdef VOD_OBS_DISABLED
-    (void)category;
-    return false;
-#else
     return !sinks_.empty() && (mask_ & CategoryBit(category)) != 0;
-#endif
   }
 
   /// Stamps `event.seq` and fans out to every sink. No-op when filtered.
   void Emit(TraceEvent event) {
-#ifdef VOD_OBS_DISABLED
-    (void)event;
-#else
     if (!ShouldEmit(event.category)) return;
     event.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     for (EventSink* sink : sinks_) sink->Append(event);
-#endif
   }
 
   /// Convenience emission used by the simulator call sites.

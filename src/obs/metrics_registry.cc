@@ -22,8 +22,6 @@ const char* KindName(uint8_t kind) {
       return "counter";
     case 1:
       return "gauge";
-    case 2:
-      return "histogram";
     default:
       return "unknown";
   }
@@ -50,14 +48,6 @@ MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(const std::string& name,
   return metrics_.back().get();
 }
 
-MetricsRegistry::Entry* MetricsRegistry::Find(const std::string& name,
-                                              Kind kind) {
-  const auto it = index_.find(name);
-  if (it == index_.end()) return nullptr;
-  Entry* entry = metrics_[it->second].get();
-  return entry->kind == kind ? entry : nullptr;
-}
-
 Counter* MetricsRegistry::AddCounter(const std::string& name,
                                      const std::string& help) {
   return &FindOrCreate(name, help, Kind::kCounter)->counter;
@@ -68,44 +58,10 @@ Gauge* MetricsRegistry::AddGauge(const std::string& name,
   return &FindOrCreate(name, help, Kind::kGauge)->gauge;
 }
 
-Histogram* MetricsRegistry::AddHistogram(const std::string& name,
-                                         const std::string& help, double lo,
-                                         double hi, int bins) {
-  Entry* entry = FindOrCreate(name, help, Kind::kHistogram);
-  if (entry->histogram == nullptr) {
-    entry->hist_lo = lo;
-    entry->hist_hi = hi;
-    entry->hist_bins = bins;
-    entry->histogram = std::make_unique<Histogram>(lo, hi, bins);
-  }
-  return entry->histogram.get();
-}
-
-Counter* MetricsRegistry::FindCounter(const std::string& name) {
-  Entry* entry = Find(name, Kind::kCounter);
-  return entry != nullptr ? &entry->counter : nullptr;
-}
-
-Gauge* MetricsRegistry::FindGauge(const std::string& name) {
-  Entry* entry = Find(name, Kind::kGauge);
-  return entry != nullptr ? &entry->gauge : nullptr;
-}
-
-Histogram* MetricsRegistry::FindHistogram(const std::string& name) {
-  Entry* entry = Find(name, Kind::kHistogram);
-  return entry != nullptr ? entry->histogram.get() : nullptr;
-}
-
 double MetricsRegistry::CurrentValue(const Entry& entry) const {
-  switch (entry.kind) {
-    case Kind::kCounter:
-      return static_cast<double>(entry.counter.value());
-    case Kind::kGauge:
-      return entry.gauge.value();
-    case Kind::kHistogram:
-      return static_cast<double>(entry.histogram->total_count());
-  }
-  return 0.0;
+  return entry.kind == Kind::kCounter
+             ? static_cast<double>(entry.counter.value())
+             : entry.gauge.value();
 }
 
 void MetricsRegistry::SampleAt(double t) {
@@ -142,29 +98,12 @@ void MetricsRegistry::WritePrometheus(std::ostream& os) const {
     os << "# HELP " << entry->name << " " << entry->help << "\n";
     os << "# TYPE " << entry->name << " "
        << KindName(static_cast<uint8_t>(entry->kind)) << "\n";
-    switch (entry->kind) {
-      case Kind::kCounter:
-        os << entry->name << " " << entry->counter.value() << "\n";
-        break;
-      case Kind::kGauge:
-        os << entry->name << " ";
-        WriteValue(os, entry->gauge.value());
-        os << "\n";
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry->histogram;
-        int64_t cumulative = h.underflow();
-        for (int i = 0; i < h.num_bins(); ++i) {
-          cumulative += h.bin_count(i);
-          os << entry->name << "_bucket{le=\"";
-          WriteValue(os, h.bin_upper(i));
-          os << "\"} " << cumulative << "\n";
-        }
-        os << entry->name << "_bucket{le=\"+Inf\"} " << h.total_count()
-           << "\n";
-        os << entry->name << "_count " << h.total_count() << "\n";
-        break;
-      }
+    if (entry->kind == Kind::kCounter) {
+      os << entry->name << " " << entry->counter.value() << "\n";
+    } else {
+      os << entry->name << " ";
+      WriteValue(os, entry->gauge.value());
+      os << "\n";
     }
   }
 }
@@ -187,23 +126,10 @@ void MetricsRegistry::Snapshot(ByteWriter* writer) const {
     writer->PutString(entry->name);
     writer->PutString(entry->help);
     writer->PutU8(static_cast<uint8_t>(entry->kind));
-    switch (entry->kind) {
-      case Kind::kCounter:
-        writer->PutI64(entry->counter.value());
-        break;
-      case Kind::kGauge:
-        writer->PutDouble(entry->gauge.value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry->histogram;
-        writer->PutDouble(entry->hist_lo);
-        writer->PutDouble(entry->hist_hi);
-        writer->PutU32(static_cast<uint32_t>(entry->hist_bins));
-        writer->PutI64(h.underflow());
-        writer->PutI64(h.overflow());
-        for (int i = 0; i < h.num_bins(); ++i) writer->PutI64(h.bin_count(i));
-        break;
-      }
+    if (entry->kind == Kind::kCounter) {
+      writer->PutI64(entry->counter.value());
+    } else {
+      writer->PutDouble(entry->gauge.value());
     }
     writer->PutU64(static_cast<uint64_t>(entry->series.size()));
     for (const SeriesPoint& p : entry->series) {
@@ -230,7 +156,7 @@ Status MetricsRegistry::Restore(ByteReader* reader) {
     VOD_RETURN_IF_ERROR(reader->ReadString(&name));
     VOD_RETURN_IF_ERROR(reader->ReadString(&help));
     VOD_RETURN_IF_ERROR(reader->ReadU8(&kind_raw));
-    if (kind_raw > 2) {
+    if (kind_raw > 1) {
       return Status::InvalidArgument("metrics restore: unknown kind " +
                                      std::to_string(kind_raw) + " for '" +
                                      name + "'");
@@ -243,59 +169,16 @@ Status MetricsRegistry::Restore(ByteReader* reader) {
           KindName(static_cast<uint8_t>(metrics_[it->second]->kind)) +
           " but the snapshot holds a " + KindName(kind_raw));
     }
-    Entry* entry = nullptr;
-    switch (kind) {
-      case Kind::kCounter: {
-        Counter* c = AddCounter(name, help);
-        int64_t value = 0;
-        VOD_RETURN_IF_ERROR(reader->ReadI64(&value));
-        c->value_ = value;
-        break;
-      }
-      case Kind::kGauge: {
-        Gauge* g = AddGauge(name, help);
-        VOD_RETURN_IF_ERROR(reader->ReadDouble(&g->value_));
-        break;
-      }
-      case Kind::kHistogram: {
-        double lo = 0.0, hi = 1.0;
-        uint32_t bins = 0;
-        VOD_RETURN_IF_ERROR(reader->ReadDouble(&lo));
-        VOD_RETURN_IF_ERROR(reader->ReadDouble(&hi));
-        VOD_RETURN_IF_ERROR(reader->ReadU32(&bins));
-        if (bins < 1 || !(lo < hi)) {
-          return Status::InvalidArgument(
-              "metrics restore: bad histogram geometry for '" + name + "'");
-        }
-        // Counts are 8 bytes each: a bin count the blob cannot hold is
-        // corrupt, and must be rejected before it sizes the histogram.
-        if (bins > reader->remaining() / 8) {
-          return Status::InvalidArgument(
-              "metrics restore: histogram '" + name + "' declares " +
-              std::to_string(bins) + " bins, more than the snapshot holds");
-        }
-        Histogram* h =
-            AddHistogram(name, help, lo, hi, static_cast<int>(bins));
-        if (h->num_bins() != static_cast<int>(bins) || h->lo() != lo) {
-          return Status::InvalidArgument(
-              "metrics restore: histogram '" + name +
-              "' geometry differs from the registered instrument");
-        }
-        int64_t underflow = 0, overflow = 0;
-        VOD_RETURN_IF_ERROR(reader->ReadI64(&underflow));
-        VOD_RETURN_IF_ERROR(reader->ReadI64(&overflow));
-        std::vector<int64_t> bin_counts(bins, 0);
-        for (uint32_t i = 0; i < bins; ++i) {
-          VOD_RETURN_IF_ERROR(reader->ReadI64(&bin_counts[i]));
-        }
-        VOD_RETURN_IF_ERROR(h->SetCounts(underflow, overflow, bin_counts));
-        break;
-      }
+    Entry* entry = FindOrCreate(name, help, kind);
+    if (kind == Kind::kCounter) {
+      VOD_RETURN_IF_ERROR(reader->ReadI64(&entry->counter.value_));
+    } else {
+      VOD_RETURN_IF_ERROR(reader->ReadDouble(&entry->gauge.value_));
     }
-    entry = metrics_[index_.at(name)].get();
     uint64_t points = 0;
     VOD_RETURN_IF_ERROR(reader->ReadU64(&points));
-    // Series points are 16 bytes each (t, value); see the bins check.
+    // Series points are 16 bytes each (t, value): a count the blob cannot
+    // hold is corrupt, and must be rejected before it sizes the series.
     if (points > reader->remaining() / 16) {
       return Status::InvalidArgument(
           "metrics restore: series of '" + name + "' declares " +

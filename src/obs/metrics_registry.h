@@ -1,5 +1,5 @@
-// Live metrics registry: named counters / gauges / histograms with
-// time-series sampling, checkpoint snapshot/restore, and text exporters.
+// Live metrics registry: named counters and gauges with time-series
+// sampling, checkpoint snapshot/restore, and text exporters.
 //
 // Where the event log answers "what happened, in order", the registry
 // answers "what was the level of X over time". Instruments are registered
@@ -12,7 +12,7 @@
 //
 // Exporters:
 //   * WritePrometheus — Prometheus text exposition format (HELP/TYPE +
-//     current values; histograms as cumulative `_bucket{le=...}` lines);
+//     current values);
 //   * WriteSeriesCsv  — long-format `sample_t,metric,value` rows of every
 //     sampled point, ready for plotting.
 //
@@ -31,7 +31,6 @@
 
 #include "common/serialize.h"
 #include "common/status.h"
-#include "stats/histogram.h"
 
 namespace vod {
 
@@ -71,13 +70,6 @@ class MetricsRegistry {
   /// instrument. Aborts via VOD_CHECK if the name exists with another kind.
   Counter* AddCounter(const std::string& name, const std::string& help);
   Gauge* AddGauge(const std::string& name, const std::string& help);
-  Histogram* AddHistogram(const std::string& name, const std::string& help,
-                          double lo, double hi, int bins);
-
-  /// Lookup without creating; null when absent or of a different kind.
-  Counter* FindCounter(const std::string& name);
-  Gauge* FindGauge(const std::string& name);
-  Histogram* FindHistogram(const std::string& name);
 
   size_t num_metrics() const { return metrics_.size(); }
 
@@ -88,7 +80,7 @@ class MetricsRegistry {
   double sample_every() const { return sample_every_; }
 
   /// Appends one series point per instrument at time `t` (counters sample
-  /// their count, gauges their level, histograms their total count).
+  /// their count, gauges their level).
   void SampleAt(double t);
 
   /// Samples at every multiple of the cadence in (last_sample, t]. Call at
@@ -110,8 +102,8 @@ class MetricsRegistry {
 
   // ---- checkpoint integration --------------------------------------------
 
-  /// Serializes every instrument (values, geometry, series) plus the
-  /// sampling state into `writer`.
+  /// Serializes every instrument (values, series) plus the sampling state
+  /// into `writer`.
   void Snapshot(ByteWriter* writer) const;
 
   /// Restores from a Snapshot() blob. Instruments are matched by name and
@@ -121,7 +113,7 @@ class MetricsRegistry {
   Status Restore(ByteReader* reader);
 
  private:
-  enum class Kind : uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
+  enum class Kind : uint8_t { kCounter = 0, kGauge = 1 };
 
   struct Entry {
     std::string name;
@@ -129,15 +121,11 @@ class MetricsRegistry {
     Kind kind = Kind::kCounter;
     Counter counter;
     Gauge gauge;
-    std::unique_ptr<Histogram> histogram;  ///< set iff kind == kHistogram
-    double hist_lo = 0.0, hist_hi = 1.0;
-    int hist_bins = 1;
     std::vector<SeriesPoint> series;
   };
 
   Entry* FindOrCreate(const std::string& name, const std::string& help,
                       Kind kind);
-  Entry* Find(const std::string& name, Kind kind);
   double CurrentValue(const Entry& entry) const;
 
   std::vector<std::unique_ptr<Entry>> metrics_;  ///< registration order

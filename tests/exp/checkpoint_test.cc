@@ -350,7 +350,7 @@ TEST(CheckpointedGridTest, MetricsSeriesSurvivesKillAndResume) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().message();
   ASSERT_TRUE(resumed->complete);
 
-  EXPECT_EQ(resumed_registry.FindCounter("grid_cells_completed")->value(),
+  EXPECT_EQ(resumed_registry.AddCounter("grid_cells_completed", "")->value(),
             kConfigs * kReps);
   std::ostringstream stitched;
   resumed_registry.WriteSeriesCsv(stitched);

@@ -71,17 +71,30 @@ TEST(ExperimentFlagsTest, OptionsFromFlagsReadBothShapes) {
   const char* argv[] = {"t", "--threads=3", "--replications=5"};
   ASSERT_TRUE(flags.Parse(3, const_cast<char**>(argv)).ok());
   const auto options = ExperimentOptionsFromFlags(flags, /*base_seed=*/99);
-  EXPECT_EQ(options.threads, 3);
-  EXPECT_EQ(options.replications, 5);
-  EXPECT_EQ(options.base_seed, 99u);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->threads, 3);
+  EXPECT_EQ(options->replications, 5);
+  EXPECT_EQ(options->base_seed, 99u);
 
   FlagSet bare("t");
   AddExperimentFlags(&bare);
   const char* bare_argv[] = {"t"};
   ASSERT_TRUE(bare.Parse(1, const_cast<char**>(bare_argv)).ok());
   const auto bare_options = ExperimentOptionsFromFlags(bare, 7);
-  EXPECT_EQ(bare_options.replications, 1);
-  EXPECT_EQ(bare_options.base_seed, 7u);
+  ASSERT_TRUE(bare_options.ok()) << bare_options.status().ToString();
+  EXPECT_EQ(bare_options->replications, 1);
+  EXPECT_EQ(bare_options->base_seed, 7u);
+
+  // A replication count below 1 is a flag error, not an abort.
+  for (const char* bad : {"--replications=0", "--replications=-3"}) {
+    FlagSet rejected("t");
+    AddExperimentFlags(&rejected, /*with_replications=*/true);
+    const char* bad_argv[] = {"t", bad};
+    ASSERT_TRUE(rejected.Parse(2, const_cast<char**>(bad_argv)).ok());
+    const auto status = ExperimentOptionsFromFlags(rejected, 7).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << bad;
+    EXPECT_NE(status.message().find("--replications"), std::string::npos);
+  }
 }
 
 TEST(RunExperimentGridTest, IndexesResultsByConfigAndReplication) {

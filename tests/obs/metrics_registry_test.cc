@@ -10,24 +10,20 @@
 namespace vod {
 namespace {
 
-TEST(MetricsRegistryTest, RegistersAndFindsInstruments) {
+TEST(MetricsRegistryTest, RegistersInstrumentsFindOrCreate) {
   MetricsRegistry registry;
   Counter* c = registry.AddCounter("events_total", "events");
   Gauge* g = registry.AddGauge("streams", "streams in use");
-  Histogram* h = registry.AddHistogram("wait", "waits", 0.0, 10.0, 5);
   ASSERT_NE(c, nullptr);
   ASSERT_NE(g, nullptr);
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(registry.num_metrics(), 3u);
+  EXPECT_EQ(registry.num_metrics(), 2u);
 
   // Re-registration under the same kind returns the same instrument.
   c->Add(3);
+  EXPECT_EQ(registry.AddCounter("events_total", "events"), c);
   EXPECT_EQ(registry.AddCounter("events_total", "events")->value(), 3);
-  EXPECT_EQ(registry.FindCounter("events_total"), c);
-  EXPECT_EQ(registry.FindGauge("streams"), g);
-  // Kind-mismatched lookups return null rather than aliasing.
-  EXPECT_EQ(registry.FindGauge("events_total"), nullptr);
-  EXPECT_EQ(registry.FindCounter("absent"), nullptr);
+  EXPECT_EQ(registry.AddGauge("streams", ""), g);
+  EXPECT_EQ(registry.num_metrics(), 2u);
 }
 
 TEST(MetricsRegistryTest, CadencedSampling) {
@@ -58,7 +54,6 @@ TEST(MetricsRegistryTest, WritePrometheusFormat) {
   MetricsRegistry registry;
   registry.AddCounter("requests_total", "total requests")->Add(7);
   registry.AddGauge("level", "current level")->Set(2.5);
-  registry.AddHistogram("wait", "wait minutes", 0.0, 2.0, 2)->Add(0.5);
   std::ostringstream os;
   registry.WritePrometheus(os);
   const std::string text = os.str();
@@ -67,10 +62,7 @@ TEST(MetricsRegistryTest, WritePrometheusFormat) {
   EXPECT_NE(text.find("# TYPE requests_total counter"), std::string::npos);
   EXPECT_NE(text.find("requests_total 7"), std::string::npos);
   EXPECT_NE(text.find("# TYPE level gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE wait histogram"), std::string::npos);
-  EXPECT_NE(text.find("wait_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("wait_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("wait_count 1"), std::string::npos);
+  EXPECT_NE(text.find("level 2.5"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, WriteSeriesCsvFormat) {
@@ -92,9 +84,6 @@ TEST(MetricsRegistryTest, SnapshotRestoreRoundTrip) {
   MetricsRegistry original;
   original.AddCounter("events", "help text")->Add(42);
   original.AddGauge("level", "")->Set(3.25);
-  Histogram* h = original.AddHistogram("wait", "", 0.0, 4.0, 4);
-  h->Add(1.0);
-  h->Add(3.5);
   original.set_sample_every(10.0);
   original.SampleAt(10.0);
   original.SampleAt(20.0);
@@ -105,10 +94,9 @@ TEST(MetricsRegistryTest, SnapshotRestoreRoundTrip) {
   ByteReader reader(blob.bytes());
   ASSERT_TRUE(restored.Restore(&reader).ok());
 
-  EXPECT_EQ(restored.num_metrics(), 3u);
-  EXPECT_EQ(restored.FindCounter("events")->value(), 42);
-  EXPECT_DOUBLE_EQ(restored.FindGauge("level")->value(), 3.25);
-  EXPECT_EQ(restored.FindHistogram("wait")->total_count(), 2);
+  EXPECT_EQ(restored.num_metrics(), 2u);
+  EXPECT_EQ(restored.AddCounter("events", "")->value(), 42);
+  EXPECT_DOUBLE_EQ(restored.AddGauge("level", "")->value(), 3.25);
   EXPECT_DOUBLE_EQ(restored.sample_every(), 10.0);
   EXPECT_EQ(restored.samples_taken(), 2);
   ASSERT_EQ(restored.series("events").size(), 2u);
@@ -116,7 +104,7 @@ TEST(MetricsRegistryTest, SnapshotRestoreRoundTrip) {
 
   // A restored registry keeps sampling on the same grid: the next boundary
   // after 20 is 30 — continuity across a checkpoint/resume.
-  restored.FindCounter("events")->Add(1);
+  restored.AddCounter("events", "")->Add(1);
   restored.MaybeSample(25.0);
   EXPECT_EQ(restored.series("events").size(), 2u);
   restored.MaybeSample(30.0);
@@ -189,22 +177,18 @@ TEST(MetricsRegistryTest, RestoreRejectsSeriesLongerThanTheBlob) {
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
 }
 
-TEST(MetricsRegistryTest, RestoreRejectsHistogramBinsBeyondTheBlob) {
+TEST(MetricsRegistryTest, RestoreRejectsUnknownKind) {
   ByteWriter blob;
   blob.PutU32(1);
   blob.PutString("wait");
   blob.PutString("");
-  blob.PutU8(2);  // histogram
-  blob.PutDouble(0.0);
-  blob.PutDouble(1.0);
-  blob.PutU32(uint32_t{1} << 30);
-  blob.PutI64(0);
+  blob.PutU8(2);  // neither counter (0) nor gauge (1)
   blob.PutI64(0);
   MetricsRegistry target;
   ByteReader reader(blob.bytes());
   const Status st = target.Restore(&reader);
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  EXPECT_EQ(target.FindHistogram("wait"), nullptr);
+  EXPECT_EQ(target.num_metrics(), 0u);
 }
 
 }  // namespace

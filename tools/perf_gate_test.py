@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Unit tests of perf_gate.py's decision rule, on synthetic pairs."""
+
+import os
+import sys
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import perf_gate  # noqa: E402
+
+KERNEL = "BM_SimulationRun/10000"
+# Per-pair host drift, applied to both halves of a pair.
+DRIFT = (1.0, 1.6, 0.8, 2.0, 1.1, 0.7, 1.4, 1.9)
+
+
+def pairs(ratio, drift=(1.0,) * 8):
+    """Per-pair ns/event dicts: the change costs `ratio` times the parent."""
+    parent = [{"ns_per_event": 200.0 * d} for d in drift]
+    change = [{"ns_per_event": 200.0 * d * ratio} for d in drift]
+    return parent, change
+
+
+class JudgeTest(unittest.TestCase):
+
+    def test_identical_sides_pass(self):
+        row = perf_gate.judge(KERNEL, *pairs(1.0))
+        self.assertEqual(row["verdict"], "ok")
+        self.assertEqual(row["slower_pairs"], 0)
+        self.assertEqual(row["median_ratio"], 1.0)
+
+    def test_drift_that_slows_both_sides_of_every_pair_passes(self):
+        row = perf_gate.judge(KERNEL, *pairs(1.05, DRIFT))
+        self.assertEqual(row["verdict"], "ok")
+        self.assertEqual(row["slower_pairs"], 8)
+        self.assertAlmostEqual(row["median_ratio"], 1.05)
+
+    def test_kernel_row_under_its_tier_passes(self):
+        row = perf_gate.judge(KERNEL, *pairs(1.25))
+        self.assertEqual((row["verdict"], row["slower_pairs"]), ("ok", 8))
+
+    def test_kernel_row_over_its_tier_fails(self):
+        row = perf_gate.judge(KERNEL, *pairs(1.5))
+        self.assertEqual((row["verdict"], row["slower_pairs"]), ("FAIL", 8))
+        self.assertEqual(row["tier"], perf_gate.KERNEL_TIER)
+
+    def test_median_over_tier_without_enough_slower_pairs_passes(self):
+        parent, change = pairs(1.5)
+        for i in (1, 4):  # the change wins two pairs
+            change[i] = {"ns_per_event": parent[i]["ns_per_event"] * 0.9}
+        row = perf_gate.judge(KERNEL, parent, change)
+        self.assertGreater(row["median_ratio"], perf_gate.KERNEL_TIER)
+        self.assertEqual((row["verdict"], row["slower_pairs"]), ("ok", 6))
+
+    def test_first_metric_both_sides_export_is_compared(self):
+        parent = [{"ns_per_item": 100.0, "real_time_ns": 5.0}] * 8
+        change = [{"ns_per_event": 10.0, "ns_per_item": 100.0,
+                   "real_time_ns": 50.0, "events": 7}] * 8
+        row = perf_gate.judge(KERNEL, parent, change)
+        self.assertEqual((row["metric"], row["verdict"]),
+                         ("ns_per_item", "ok"))
+        self.assertEqual(row["change"]["events"], 7)
+        self.assertNotIn("events", row["parent"])
+
+    def test_row_on_one_side_is_reported_never_fatal(self):
+        parent, change = pairs(1.0)
+        parent_runs = [{KERNEL: p, "BM_Gone/1": p} for p in parent]
+        change_runs = [{KERNEL: c, "BM_New/1": c} for c in change]
+        rows, failed = perf_gate.compare(parent_runs, change_runs)
+        self.assertFalse(failed)
+        self.assertEqual(rows["BM_Gone/1"]["verdict"], "parent only")
+        self.assertEqual(rows["BM_New/1"]["verdict"], "change only")
+        self.assertEqual(rows[KERNEL]["verdict"], "ok")
+
+    def test_peak_rss_is_held_to_the_other_tier(self):
+        parent = [{"peak_rss_kb": 100_000}] * 8
+        row = perf_gate.judge("peak_rss_kb", parent,
+                              [{"peak_rss_kb": 190_000}] * 8)
+        self.assertEqual((row["tier"], row["verdict"]),
+                         (perf_gate.OTHER_TIER, "ok"))
+        row = perf_gate.judge("peak_rss_kb", parent,
+                              [{"peak_rss_kb": 210_000}] * 8)
+        self.assertEqual(row["verdict"], "FAIL")
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -141,11 +141,18 @@ void AddRunFlags(FlagSet* flags) {
                  "(implies --audit; shard already audits every barrier)");
 }
 
+/// The largest --movies catalog: each title holds about 40 KB of simulator
+/// state (giant_server keeps 4 096 titles in 160 MB), so the bound is about
+/// 2.6 GB. It is checked before the Zipf split sizes anything by the count.
+constexpr int64_t kMaxMovies = 65536;
+
 /// The multi-movie server: catalog, shared reserve, faults, degradation and
 /// the control plane (server, shard).
 void AddServerFlags(FlagSet* flags) {
   flags->AddInt64("movies", 1, "catalog size: the arrival rate and --streams "
-                  "split across this many Zipf-ranked titles");
+                  "split across this many Zipf-ranked titles (at most " +
+                  std::to_string(kMaxMovies) + ": each title holds ~40 KB of "
+                  "simulator state, ~2.6 GB at the bound)");
   flags->AddDouble("zipf", 1.0, "popularity skew of the --movies split");
   flags->AddString("flash", "", "flash crowd 'movie:start:duration:factor', "
                    "a one-shot rate step on one movie (empty = none)");
@@ -348,6 +355,12 @@ Status ServerFromFlags(const FlagSet& flags,
   const int64_t count = flags.GetInt64("movies");
   if (count < 1) {
     return Status::InvalidArgument("--movies must be >= 1");
+  }
+  if (count > kMaxMovies) {
+    return Status::InvalidArgument(
+        "--movies=" + std::to_string(count) + " exceeds the catalog bound " +
+        std::to_string(kMaxMovies) +
+        " (each title holds ~40 KB of simulator state)");
   }
   if (count == 1) {
     movies->push_back(
@@ -730,8 +743,8 @@ Result<int> SimulateCommand(int argc, char** argv) {
     return RunSimulation(layout, paper::Rates(), run_options);
   };
 
-  const ExperimentOptions experiment =
-      ExperimentOptionsFromFlags(flags, options.seed);
+  VOD_ASSIGN_OR_RETURN(const ExperimentOptions experiment,
+                       ExperimentOptionsFromFlags(flags, options.seed));
   if (experiment.replications > 1) {
     // R decorrelated replications, then the Student-t reduction.
     // (--replications=1 keeps the single run's own seed and its within-run
@@ -792,8 +805,8 @@ Result<int> ServerCommand(int argc, char** argv) {
     return RunServerSimulation(movies, run_options);
   };
 
-  const ExperimentOptions experiment =
-      ExperimentOptionsFromFlags(flags, options.seed);
+  VOD_ASSIGN_OR_RETURN(const ExperimentOptions experiment,
+                       ExperimentOptionsFromFlags(flags, options.seed));
   if (experiment.replications > 1) {
     // Each cell is a whole-server run, and the checkpoint carries full
     // ServerReports: resilience transitions and the controller block too.
