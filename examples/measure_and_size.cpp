@@ -3,7 +3,9 @@
 //
 //   1. run the movie and LOG every VCR request (here: the simulator stands
 //      in for production, driven by a "true" behavior the operator cannot
-//      see),
+//      see; the log is the event bus's vcr_begin records, collected in
+//      memory — a --trace_out file read back with ReadTraceFile fits the
+//      same),
 //   2. FIT an empirical behavior model from the log,
 //   3. SIZE the movie from the fitted model, and
 //   4. VERIFY the fitted sizing against the true behavior.
@@ -12,10 +14,12 @@
 //   ./build/examples/measure_and_size --true_duration='exp(5)' --hours=200
 
 #include <cstdio>
+#include <vector>
 
 #include "common/check.h"
 #include "common/flags.h"
 #include "core/sizing.h"
+#include "obs/event_log.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "workload/paper_presets.h"
@@ -47,15 +51,19 @@ int main(int argc, char** argv) {
       PartitionLayout::FromBuffer(movie_length, 40, 80.0);
   VOD_CHECK_OK(production_layout.status());
 
-  VcrTrace trace;
+  EventLog log;
+  log.set_mask(CategoryBit(EventCategory::kVcrBegin));
+  VectorSink sink;
+  log.AddSink(&sink);
   SimulationOptions production;
   production.behavior = true_behavior;
   production.warmup_minutes = 0.0;
   production.measurement_minutes = flags.GetDouble("hours") * 60.0;
-  production.trace = &trace;
+  production.obs.event_log = &log;
   const auto report =
       RunSimulation(*production_layout, paper::Rates(), production);
   VOD_CHECK_OK(report.status());
+  const std::vector<TraceEvent> trace = sink.Take();
   std::printf("1. logged %zu VCR requests over %.0f hours of production\n",
               trace.size(), flags.GetDouble("hours"));
 

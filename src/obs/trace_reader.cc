@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -32,11 +34,26 @@ Status ParseJsonNumber(const std::string& line, size_t line_no,
   const char* begin = line.c_str() + pos;
   char* end = nullptr;
   const double v = std::strtod(begin, &end);
-  if (end == begin) {
-    return LineError(line_no,
-                     std::string("field \"") + key + "\" is not a number");
+  // strtod also reads "nan" and "inf", which JSON does not have.
+  if (end == begin || !std::isfinite(v)) {
+    return LineError(line_no, std::string("field \"") + key +
+                                  "\" is not a finite number");
   }
   *out = v;
+  return Status::OK();
+}
+
+// An integer field in [lo, hi): casting a double outside its target type's
+// range is undefined, so the range is checked before any cast.
+Status ParseJsonInteger(const std::string& line, size_t line_no,
+                        const char* key, double lo, double hi, double* out) {
+  VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, key, out));
+  if (*out != std::floor(*out) || *out < lo || *out >= hi) {
+    char range[96];
+    std::snprintf(range, sizeof(range), " must be an integer in [%.17g, %.17g)",
+                  lo, hi);
+    return LineError(line_no, std::string("field \"") + key + "\"" + range);
+  }
   return Status::OK();
 }
 
@@ -75,12 +92,16 @@ Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in) {
     double t = 0.0, seq = 0.0, aux = 0.0, movie = 0.0, id = 0.0, value = 0.0;
     std::string cat, sub;
     VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, "t", &t));
-    VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, "seq", &seq));
+    VOD_RETURN_IF_ERROR(
+        ParseJsonInteger(line, line_no, "seq", 0.0, 0x1p64, &seq));
     VOD_RETURN_IF_ERROR(ParseJsonString(line, line_no, "cat", &cat));
     VOD_RETURN_IF_ERROR(ParseJsonString(line, line_no, "sub", &sub));
-    VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, "aux", &aux));
-    VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, "movie", &movie));
-    VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, "id", &id));
+    VOD_RETURN_IF_ERROR(
+        ParseJsonInteger(line, line_no, "aux", 0.0, 256.0, &aux));
+    VOD_RETURN_IF_ERROR(
+        ParseJsonInteger(line, line_no, "movie", -0x1p31, 0x1p31, &movie));
+    VOD_RETURN_IF_ERROR(
+        ParseJsonInteger(line, line_no, "id", -0x1p63, 0x1p63, &id));
     VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, "value", &value));
     const auto parsed = ParseEventCategory(cat);
     if (!parsed.ok()) return LineError(line_no, parsed.status().message());
@@ -92,15 +113,22 @@ Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in) {
     event.id = static_cast<int64_t>(id);
     event.value = value;
     // Recover the subtype id from its name, so a JSONL round trip is exact.
+    // "-" is written for subtypes without a name; any other unknown name
+    // (including a wrong case) is damage, not subtype 0.
     event.subtype = 0;
     if (sub != "-") {
-      for (uint8_t s = 0; s < 255; ++s) {
+      bool known = false;
+      for (uint8_t s = 0; s < 255 && !known; ++s) {
         const char* name = EventSubtypeName(event.category, s);
         if (std::strcmp(name, "-") == 0) break;
         if (sub == name) {
           event.subtype = s;
-          break;
+          known = true;
         }
+      }
+      if (!known) {
+        return LineError(line_no, "unknown subtype \"" + sub +
+                                      "\" for category \"" + cat + "\"");
       }
     }
     events.push_back(event);

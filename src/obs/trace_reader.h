@@ -23,7 +23,9 @@ namespace vod {
 Result<std::vector<TraceEvent>> ReadTraceFile(const std::string& path);
 
 /// One JSONL object per line; blank lines are rejected (the sinks never
-/// write them, so one signals truncation or concatenation damage).
+/// write them, so one signals truncation or concatenation damage), as are
+/// non-finite numbers, integer fields out of their type's range, unknown
+/// categories and unknown subtype names.
 Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in);
 
 /// Per-category aggregate over a trace.

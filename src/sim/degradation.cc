@@ -187,6 +187,10 @@ ReserveManager::ReserveManager(int64_t nominal_capacity,
                                EventQueue* queue, double measurement_start)
     : nominal_capacity_(nominal_capacity),
       capacity_(nominal_capacity),
+      normal_at_full_capacity_(
+          !policy.enabled &&
+          ComputeWindowedLevel({nominal_capacity, nominal_capacity, 0, 0},
+                               policy) == DegradationLevel::kNormal),
       min_capacity_seen_(nominal_capacity) {
   VOD_CHECK_MSG(nominal_capacity >= 0, "reserve must be non-negative");
   ArmVcrQueue(policy, queue, measurement_start);
@@ -199,11 +203,21 @@ DegradationLevel ReserveManager::ComputeLevel() const {
 }
 
 void ReserveManager::UpdateLevel(double t) {
+  if (normal_at_full_capacity_ && capacity_ == nominal_capacity_ &&
+      level_ == DegradationLevel::kNormal) {
+    return;
+  }
   const DegradationLevel next = ComputeLevel();
   if (next != level_) {
     history_.time_in_level[static_cast<int>(level_)] += t - level_since_;
     level_since_ = t;
     history_.Record(t, level_, next, capacity_);
+    if (ObsEnabled(event_log_, EventCategory::kDegradation)) {
+      event_log_->Emit(t, EventCategory::kDegradation,
+                       static_cast<uint8_t>(next), /*movie=*/-1, /*id=*/-1,
+                       static_cast<double>(capacity_),
+                       static_cast<uint8_t>(level_));
+    }
     level_ = next;
   }
   // Entry actions: forcibly reclaim dedicated streams when the ladder says

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/event_log.h"
 #include "sim/event_queue.h"
 #include "sim/stream_supplier.h"
 #include "stats/quantile.h"
@@ -264,6 +265,10 @@ class ReserveManager final : public StreamSupplier, public VcrWaitQueue {
   using ReclaimHook = std::function<int64_t(double t, int64_t need)>;
   void set_reclaim_hook(ReclaimHook hook) { reclaim_hook_ = std::move(hook); }
 
+  /// Puts each ladder transition on `log` (a kDegradation record: sub = to,
+  /// aux = from, value = capacity) as it is recorded. Null = no trace.
+  void set_event_log(EventLog* log) { event_log_ = log; }
+
   /// Closes the time-in-level integration at the horizon. Call once, after
   /// the event queue drains.
   void Finalize(double t);
@@ -319,6 +324,11 @@ class ReserveManager final : public StreamSupplier, public VcrWaitQueue {
 
   int64_t nominal_capacity_;
   int64_t capacity_;
+  /// True when the rung cannot leave kNormal while capacity stays nominal:
+  /// the ladder is off, so nothing queues and in_use never passes capacity,
+  /// and full capacity sits above both ladder thresholds. UpdateLevel then
+  /// returns at once.
+  bool normal_at_full_capacity_;
 
   int64_t in_use_ = 0;
   int64_t peak_ = 0;
@@ -335,6 +345,7 @@ class ReserveManager final : public StreamSupplier, public VcrWaitQueue {
 
   ReclaimHook reclaim_hook_;
   bool reclaiming_ = false;  ///< guards against reclaim reentrancy
+  EventLog* event_log_ = nullptr;
 };
 
 }  // namespace vod

@@ -4,46 +4,13 @@
 
 namespace vod {
 
-namespace {
-
-// Trampoline for the std::function handler compatibility overload.
-void BoxedHandlerTrampoline(void* ctx, uint64_t payload) {
-  (*static_cast<EventQueue::Handler*>(ctx))(payload);
-}
-
-// Trampoline for the std::function observer compatibility overload.
-void BoxedObserverTrampoline(void* ctx, double time) {
-  (*static_cast<std::function<void(double)>*>(ctx))(time);
-}
-
-}  // namespace
-
-uint64_t EventQueue::AddHandler(Handler handler) {
-  VOD_CHECK_MSG(handler != nullptr, "event handler must be callable");
-  boxed_handlers_.push_back(std::make_unique<Handler>(std::move(handler)));
-  return AddHandler(&BoxedHandlerTrampoline, boxed_handlers_.back().get());
-}
-
 uint64_t EventQueue::AddHandler(RawHandler fn, void* ctx) {
   VOD_CHECK_MSG(fn != nullptr, "event handler must be callable");
   handlers_.push_back(HandlerRec{fn, ctx});
   return handlers_.size() - 1;
 }
 
-void EventQueue::set_observer(std::function<void(double)> observer) {
-  if (observer) {
-    observer_boxed_ = std::move(observer);
-    observer_fn_ = &BoxedObserverTrampoline;
-    observer_ctx_ = &observer_boxed_;
-  } else {
-    observer_boxed_ = nullptr;
-    observer_fn_ = nullptr;
-    observer_ctx_ = nullptr;
-  }
-}
-
 void EventQueue::set_observer(RawObserver fn, void* ctx) {
-  observer_boxed_ = nullptr;
   observer_fn_ = fn;
   observer_ctx_ = fn != nullptr ? ctx : nullptr;
 }

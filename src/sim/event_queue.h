@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 namespace vod {
@@ -42,27 +41,20 @@ inline constexpr EventToken kNoEvent = ~EventToken{0};
 /// memory.
 class EventQueue {
  public:
-  /// A steady-state event handler: receives the payload stamped at schedule
+  /// A steady-state event handler: a function pointer plus an opaque
+  /// context (typically a static member trampoline and the owning object),
+  /// called as `fn(ctx, payload)` with the payload stamped at schedule
   /// time; the event time is Now(). Registered once, reused by every event
   /// of its kind — scheduling such events allocates nothing.
-  using Handler = std::function<void(uint64_t payload)>;
-
-  /// The allocation- and indirection-free handler form: a raw function
-  /// pointer plus an opaque context (typically a static member trampoline
-  /// and the owning object). The std::function overload boxes into this.
   using RawHandler = void (*)(void* ctx, uint64_t payload);
 
-  /// Observer in raw form; see set_observer.
+  /// Observer form; see set_observer.
   using RawObserver = void (*)(void* ctx, double time);
 
-  /// Registers `handler` and returns its kind id. Kinds are assigned
-  /// sequentially from 0 in registration order.
-  /// This overload boxes the std::function and dispatches it through a
-  /// trampoline; the RawHandler overload below avoids even that.
-  uint64_t AddHandler(Handler handler);
-
-  /// Registers a raw handler: `fn(ctx, payload)` is called directly from
-  /// the run loop with zero indirection beyond the table load.
+  /// Registers a handler and returns its kind id. Kinds are assigned
+  /// sequentially from 0 in registration order. `fn(ctx, payload)` is
+  /// called directly from the run loop with zero indirection beyond the
+  /// table load.
   uint64_t AddHandler(RawHandler fn, void* ctx);
 
   /// Schedules the registered handler `kind` with `payload` at absolute time
@@ -112,15 +104,10 @@ class EventQueue {
   /// of concurrently pending events, not by throughput).
   size_t slab_slots() const { return slots_.size(); }
 
-  /// Installs an observer invoked after each executed event with the event
-  /// time (state is settled when it fires — the auditor's hook point).
-  /// Pass an empty function to remove. The observer must not mutate the
-  /// queue beyond scheduling/cancelling (no nested RunNext). This overload
-  /// boxes through a trampoline — it is the cold configuration path. Hot
-  /// callers install a raw observer below.
-  void set_observer(std::function<void(double)> observer);
-
-  /// Raw observer: called as `fn(ctx, time)`. Pass fn == nullptr to remove.
+  /// Installs an observer, called as `fn(ctx, time)` after each executed
+  /// event (state is settled when it fires — the auditor's hook point).
+  /// Pass fn == nullptr to remove. The observer must not mutate the queue
+  /// beyond scheduling/cancelling (no nested RunNext).
   void set_observer(RawObserver fn, void* ctx);
 
  private:
@@ -218,12 +205,8 @@ class EventQueue {
   double now_ = 0.0;
   uint64_t executed_ = 0;
   std::vector<HandlerRec> handlers_;
-  /// Boxed std::function handlers (the compat AddHandler overload); heap
-  /// allocation keeps their addresses stable across vector growth.
-  std::vector<std::unique_ptr<Handler>> boxed_handlers_;
   RawObserver observer_fn_ = nullptr;
   void* observer_ctx_ = nullptr;
-  std::function<void(double)> observer_boxed_;  ///< backing for the overload
 };
 
 }  // namespace vod

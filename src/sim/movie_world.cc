@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "dist/exponential.h"
-#include "sim/trace.h"
 
 namespace vod {
 
@@ -539,7 +538,6 @@ class MovieWorld::Impl {
 
     const VcrOp op = config_.behavior.SampleOp(&rng_[slot]);
     const double x = config_.behavior.SampleDuration(op, &rng_[slot]);
-    if (config_.trace != nullptr) config_.trace->Record(t, op, x);
     EmitObs(t, EventCategory::kVcrBegin, static_cast<uint8_t>(op),
             static_cast<int64_t>(sess_[slot].id), x);
     const bool in_partition_before = !sess_[slot].dedicated;

@@ -3,8 +3,8 @@
 // MovieWorld owns one movie's restart schedule, viewer population, and VCR
 // behavior, and runs against a shared EventQueue and StreamSupplier so that
 // several movies can be simulated together (the multi-movie server). The
-// single-movie RunSimulation() wraps exactly one MovieWorld over an
-// unlimited supplier.
+// single-movie RunSimulation() is a one-movie server run whose reserve
+// never refuses.
 //
 // The viewer population is held in a structure-of-arrays slab (parallel
 // per-field columns indexed by the slot carried in event payloads), and its
@@ -36,8 +36,6 @@
 
 namespace vod {
 
-class VcrTrace;
-
 /// Static configuration of one movie's world.
 struct MovieWorldConfig {
   /// Used when `arrivals` is null: homogeneous Poisson with this mean gap.
@@ -48,16 +46,14 @@ struct MovieWorldConfig {
   bool stationary_start = true;
   /// Phase-2 merge policy for miss-viewers.
   PiggybackOptions piggyback;
-  /// Optional log of every VCR request (time, op, duration); must outlive
-  /// the world. Blocked requests are logged too — they are user behavior.
-  VcrTrace* trace = nullptr;
   /// Optional viewer patience: wall-clock session lifetime from playback
   /// start; the viewer abandons when it expires (during a playback segment;
   /// an in-progress VCR operation finishes first). Null = watch to the end.
   DistributionPtr patience;
   /// Optional structured event bus (obs/event_log.h); must outlive the
   /// world. Telemetry only: emission never touches the viewer RNG streams
-  /// and nothing in a report path reads it back.
+  /// and nothing in a report path reads it back. Every VCR request, blocked
+  /// ones included, is a kVcrBegin record (time, op, duration).
   EventLog* event_log = nullptr;
   /// Movie index stamped onto emitted events (-1 = single-movie run).
   int32_t movie_id = -1;

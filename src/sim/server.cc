@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "sim/event_queue.h"
@@ -47,8 +48,7 @@ class WorldControllerHost final : public ControllerHost {
 };
 
 /// The run's wiring: everything the per-event observer and the report
-/// read, behind the kernel's raw observer pointer. Mutable emission state
-/// (the transition cursor) lives here too, not in a capturing closure.
+/// read, behind the kernel's raw observer pointer.
 struct ServerRun {
   InvariantAuditor* auditor = nullptr;
   AuditSnapshot* audit_snapshot = nullptr;
@@ -57,9 +57,6 @@ struct ServerRun {
   const std::vector<ServerMovieSpec>* movies = nullptr;
   Controller* controller = nullptr;
   const ControllerHost* ctrl_host = nullptr;
-  EventLog* event_log = nullptr;
-  size_t emitted_transitions = 0;
-  DegradationLevel last_emitted_level = DegradationLevel::kNormal;
   MetricsRegistry* registry = nullptr;
   ReserveGauges reserve_gauges;
   Gauge* g_ctrl_epoch = nullptr;
@@ -95,38 +92,14 @@ void AuditServer(ServerRun* ctx, double t) {
   auditor->Audit(snapshot);
 }
 
-void EmitServerTelemetry(ServerRun* ctx, double t) {
-  EventLog* event_log = ctx->event_log;
-  ReserveManager* manager = ctx->manager;
-  // Ladder transitions surface on the event bus as they are recorded. Once
-  // the stored transition log caps, fall back to diffing the live rung.
-  if (ObsEnabled(event_log, EventCategory::kDegradation)) {
-    const auto& trs = manager->transitions();
-    if (ctx->emitted_transitions < trs.size()) {
-      while (ctx->emitted_transitions < trs.size()) {
-        const DegradationTransition& tr = trs[ctx->emitted_transitions++];
-        event_log->Emit(tr.time, EventCategory::kDegradation,
-                        static_cast<uint8_t>(tr.to), /*movie=*/-1,
-                        /*id=*/-1, static_cast<double>(tr.capacity),
-                        static_cast<uint8_t>(tr.from));
-        ctx->last_emitted_level = tr.to;
-      }
-    } else if (manager->total_transitions() >
-                   static_cast<int64_t>(trs.size()) &&
-               manager->level() != ctx->last_emitted_level) {
-      event_log->Emit(t, EventCategory::kDegradation,
-                      static_cast<uint8_t>(manager->level()), /*movie=*/-1,
-                      /*id=*/-1, static_cast<double>(manager->capacity()),
-                      static_cast<uint8_t>(ctx->last_emitted_level));
-      ctx->last_emitted_level = manager->level();
-    }
-  }
-  MetricsRegistry* registry = ctx->registry;
-  if (registry == nullptr) return;
+void SampleServerGauges(ServerRun* ctx, double t) {
+  const ReserveManager* manager = ctx->manager;
   const ReserveGauges& g = ctx->reserve_gauges;
   g.in_use->Set(static_cast<double>(manager->in_use()));
-  g.capacity->Set(static_cast<double>(manager->capacity()));
-  g.level->Set(static_cast<double>(manager->level()));
+  if (g.capacity != nullptr) {
+    g.capacity->Set(static_cast<double>(manager->capacity()));
+  }
+  if (g.level != nullptr) g.level->Set(static_cast<double>(manager->level()));
   if (ctx->controller != nullptr) {
     const ControllerReport cr = ctx->controller->Report();
     ctx->g_ctrl_epoch->Set(static_cast<double>(cr.final_epoch));
@@ -137,22 +110,26 @@ void EmitServerTelemetry(ServerRun* ctx, double t) {
     ctx->g_ctrl_alarms->Set(static_cast<double>(cr.drift_alarms));
     ctx->g_ctrl_sheds->Set(static_cast<double>(cr.admission_sheds));
   }
-  registry->MaybeSample(t);
+  ctx->registry->MaybeSample(t);
 }
 
-/// The per-event observer. Installed only when the run audits or carries
-/// telemetry, so a plain run keeps the kernel's unobserved loop.
+/// The per-event observer. Installed only when the run audits or samples
+/// metrics, so a plain or traced run keeps the kernel's unobserved loop.
 void ObserveServer(void* raw, double t) {
   auto* ctx = static_cast<ServerRun*>(raw);
   if (ctx->auditor != nullptr) AuditServer(ctx, t);
-  EmitServerTelemetry(ctx, t);
+  if (ctx->registry != nullptr) SampleServerGauges(ctx, t);
 }
 
 /// Live instruments sampled on the simulation clock (telemetry-only).
-void RegisterServerGauges(const ObsOptions& obs, bool with_controller,
+void RegisterServerGauges(const ServerOptions& options, bool with_controller,
                           ServerRun* ctx) {
-  MetricsRegistry* registry = obs.metrics;
-  ctx->reserve_gauges = RegisterReserveGauges(obs);
+  MetricsRegistry* registry = options.obs.metrics;
+  // Without faults the capacity stays nominal; the rung moves only with
+  // faults or the ladder.
+  ctx->reserve_gauges = RegisterReserveGauges(
+      options.obs, options.faults.enabled,
+      options.faults.enabled || options.degradation.enabled);
   if (!with_controller) return;
   ctx->g_ctrl_epoch = registry->AddGauge("controller_epoch",
                                          "committed buffer-plan epoch");
@@ -383,7 +360,21 @@ Status ValidateServerInputs(const std::vector<ServerMovieSpec>& movies,
 Result<ServerReport> RunServerSimulation(
     const std::vector<ServerMovieSpec>& movies, const ServerOptions& options) {
   VOD_RETURN_IF_ERROR(ValidateServerInputs(movies, options));
+  const Rng base_rng(options.seed);
+  std::vector<WorldSetup> setups;
+  setups.reserve(movies.size());
+  for (size_t i = 0; i < movies.size(); ++i) {
+    MovieWorldConfig config = ServerMovieConfig(movies[i], options, i);
+    VOD_RETURN_IF_ERROR(ValidateMovieWorldInputs(options.rates, config));
+    setups.push_back(
+        {std::move(config), base_rng.MakeChild(kMovieWorldStream, i)});
+  }
+  return RunServerWorlds(movies, options, setups, /*executed_events=*/nullptr);
+}
 
+Result<ServerReport> RunServerWorlds(
+    const std::vector<ServerMovieSpec>& movies, const ServerOptions& options,
+    const std::vector<WorldSetup>& setups, uint64_t* executed_events) {
   EventQueue queue;
   // Pre-size the kernel for the steady-state population across all movies
   // (Little's law per movie), plus slack for arrival clocks and the fault
@@ -402,6 +393,7 @@ Result<ServerReport> RunServerSimulation(
   // leaves kNormal and refuses exactly when the reserve is exhausted.
   ReserveManager manager(options.dynamic_stream_reserve, options.degradation,
                          &queue, options.warmup_minutes);
+  manager.set_event_log(event_log);
   run.manager = &manager;
 
   std::vector<std::unique_ptr<SimulationMetrics>> metrics;
@@ -421,18 +413,14 @@ Result<ServerReport> RunServerSimulation(
   }
 
   for (size_t i = 0; i < movies.size(); ++i) {
-    const ServerMovieSpec& spec = movies[i];
-    MovieWorldConfig config = ServerMovieConfig(spec, options, i);
+    MovieWorldConfig config = setups[i].config;
     config.event_log = event_log;
     config.gate = controller.get();
-    VOD_RETURN_IF_ERROR(ValidateMovieWorldInputs(options.rates, config));
-
     metrics.push_back(
         std::make_unique<SimulationMetrics>(options.warmup_minutes));
     worlds.push_back(std::make_unique<MovieWorld>(
-        spec.layout, options.rates, config,
-        base_rng.MakeChild(kMovieWorldStream, i), &queue, &manager,
-        metrics.back().get()));
+        movies[i].layout, options.rates, config, setups[i].rng, &queue,
+        &manager, metrics.back().get()));
   }
   if (controller != nullptr) controller->Start(0.0);
   InstallReclaimHook(&manager, &worlds);
@@ -450,7 +438,7 @@ Result<ServerReport> RunServerSimulation(
   }
   MetricsRegistry* registry = options.obs.metrics;
   if (registry != nullptr) {
-    RegisterServerGauges(options.obs, controller != nullptr, &run);
+    RegisterServerGauges(options, controller != nullptr, &run);
   }
 
   // With audit + tracing both on, the auditor's tail ring joins the bus so
@@ -464,9 +452,8 @@ Result<ServerReport> RunServerSimulation(
   run.movies = &movies;
   run.controller = controller.get();
   run.ctrl_host = ctrl_host.get();
-  run.event_log = event_log;
   run.registry = registry;
-  if (auditor != nullptr || registry != nullptr || event_log != nullptr) {
+  if (auditor != nullptr || registry != nullptr) {
     queue.set_observer(&ObserveServer, &run);
   }
 
@@ -503,6 +490,7 @@ Result<ServerReport> RunServerSimulation(
   if (auditor != nullptr && auditor->total_violations() > 0) {
     return auditor->status();
   }
+  if (executed_events != nullptr) *executed_events = queue.executed();
   return AssembleServerReport(
       movies, metrics, worlds, run,
       options.faults.enabled || options.degradation.enabled, faults, horizon);

@@ -54,7 +54,8 @@ void FaultCounts::Count(const FaultEvent& ev, EventLog* event_log) {
   }
 }
 
-ReserveGauges RegisterReserveGauges(const ObsOptions& obs) {
+ReserveGauges RegisterReserveGauges(const ObsOptions& obs,
+                                    bool capacity_moves, bool rung_moves) {
   MetricsRegistry* registry = obs.metrics;
   if (obs.metrics_sample_minutes > 0.0) {
     registry->set_sample_every(obs.metrics_sample_minutes);
@@ -62,10 +63,14 @@ ReserveGauges RegisterReserveGauges(const ObsOptions& obs) {
   ReserveGauges gauges;
   gauges.in_use = registry->AddGauge("server_reserve_in_use",
                                      "dynamic reserve streams handed out");
-  gauges.capacity = registry->AddGauge(
-      "server_reserve_capacity", "current reserve capacity under faults");
-  gauges.level = registry->AddGauge("server_degradation_level",
-                                    "degradation ladder rung (0 = normal)");
+  if (capacity_moves) {
+    gauges.capacity = registry->AddGauge(
+        "server_reserve_capacity", "current reserve capacity under faults");
+  }
+  if (rung_moves) {
+    gauges.level = registry->AddGauge("server_degradation_level",
+                                      "degradation ladder rung (0 = normal)");
+  }
   return gauges;
 }
 

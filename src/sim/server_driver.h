@@ -1,7 +1,9 @@
-// Pieces the serial (sim/server) and sharded (sim/sharded_server) server
-// drivers share: RNG stream tags, per-movie world configuration, the
-// controller's movie list and audit section, the fault schedule, and report
-// assembly. Internal to src/sim; the umbrella header does not include it.
+// The serial driver (RunServerWorlds, behind both RunServerSimulation and
+// the single-movie RunSimulation) and the pieces it shares with the sharded
+// driver (sim/sharded_server): RNG stream tags, per-movie world
+// configuration, the controller's movie list and audit section, the fault
+// schedule, and report assembly. Internal to src/sim; the umbrella header
+// does not include it.
 
 #ifndef VOD_SIM_SERVER_DRIVER_H_
 #define VOD_SIM_SERVER_DRIVER_H_
@@ -27,6 +29,25 @@ inline constexpr uint64_t kFaultStream = 4;
 MovieWorldConfig ServerMovieConfig(const ServerMovieSpec& spec,
                                    const ServerOptions& options, size_t index);
 
+/// What an entry point chooses for one movie world: its configuration
+/// (validated; the driver wires the event log and the admission gate) and
+/// the root of its random streams.
+struct WorldSetup {
+  MovieWorldConfig config;
+  Rng rng;
+};
+
+/// \brief The serial driver. Runs world i = `setups[i]` for movie i of
+/// `movies`, all on one event kernel and against one reserve of
+/// options.dynamic_stream_reserve streams, to the horizon. The caller has
+/// validated `movies` and `options`. RunServerSimulation passes
+/// ServerMovieConfig and the movie's child stream of Rng(options.seed);
+/// RunSimulation passes its own configuration, Rng(seed) and an unlimited
+/// reserve. `executed_events`, when not null, receives the kernel's count.
+Result<ServerReport> RunServerWorlds(
+    const std::vector<ServerMovieSpec>& movies, const ServerOptions& options,
+    const std::vector<WorldSetup>& setups, uint64_t* executed_events);
+
 /// The controller's view of the catalog, index-aligned with `movies`.
 std::vector<ControllerMovie> ControllerMovies(
     const std::vector<ServerMovieSpec>& movies);
@@ -46,15 +67,17 @@ struct FaultCounts {
   void Count(const FaultEvent& ev, EventLog* event_log);
 };
 
-/// The reserve gauges both drivers export, in this order.
+/// The reserve gauges both drivers export, in this order. A gauge that
+/// could only ever read one value is not registered and stays null.
 struct ReserveGauges {
   Gauge* in_use = nullptr;
-  Gauge* capacity = nullptr;
-  Gauge* level = nullptr;
+  Gauge* capacity = nullptr;  ///< only when faults move the capacity
+  Gauge* level = nullptr;     ///< only when the ladder rung can move
 };
 
 /// Applies the sampling cadence and registers the reserve gauges.
-ReserveGauges RegisterReserveGauges(const ObsOptions& obs);
+ReserveGauges RegisterReserveGauges(const ObsOptions& obs,
+                                    bool capacity_moves, bool rung_moves);
 
 /// ControllerHost::PressureLevel for a ladder rung: 2 at kReclaim or worse,
 /// 1 at kShedVcr, 0 otherwise.

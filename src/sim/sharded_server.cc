@@ -578,9 +578,14 @@ class ShardedRun {
                        static_cast<uint8_t>(prev_level));
     }
     if (registry_ == nullptr) return;
-    gauges_.reserve.in_use->Set(static_cast<double>(sums.held));
-    gauges_.reserve.capacity->Set(static_cast<double>(capacity_));
-    gauges_.reserve.level->Set(static_cast<double>(ladder_state_.level));
+    const ReserveGauges& reserve = gauges_.reserve;
+    reserve.in_use->Set(static_cast<double>(sums.held));
+    if (reserve.capacity != nullptr) {
+      reserve.capacity->Set(static_cast<double>(capacity_));
+    }
+    if (reserve.level != nullptr) {
+      reserve.level->Set(static_cast<double>(ladder_state_.level));
+    }
     gauges_.shard_max->Set(static_cast<double>(load.max_events));
     gauges_.shard_min->Set(static_cast<double>(load.min_events));
     gauges_.shard_critical->Set(static_cast<double>(load.critical_shard));
@@ -964,7 +969,9 @@ class ShardedRun {
     }
     if (registry_ == nullptr) return;
     BarrierGauges& g = gauges_;
-    g.reserve = RegisterReserveGauges(base_.obs);
+    // Without the ladder the windowed rung never leaves kNormal.
+    g.reserve =
+        RegisterReserveGauges(base_.obs, base_.faults.enabled, ladder_on_);
     g.shard_max = registry_->AddGauge(
         "shard_window_events_max",
         "events executed by the busiest shard in the last window");

@@ -1,55 +1,12 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
+#include <limits>
 #include <sstream>
+#include <utility>
 
-#include "common/check.h"
-#include "sim/event_queue.h"
-#include "sim/movie_world.h"
-#include "sim/stream_supplier.h"
+#include "sim/server_driver.h"
 
 namespace vod {
-
-namespace {
-
-/// Everything the per-event observer touches, behind the kernel's raw
-/// observer pointer.
-struct SimObserverCtx {
-  InvariantAuditor* auditor = nullptr;
-  AuditSnapshot* audit_snapshot = nullptr;
-  UnlimitedStreamSupplier* supplier = nullptr;
-  MovieWorld* world = nullptr;
-  SimulationMetrics* metrics = nullptr;
-  MetricsRegistry* registry = nullptr;
-  Gauge* g_dedicated = nullptr;
-  Gauge* g_admissions = nullptr;
-  Gauge* g_resumes = nullptr;
-};
-
-/// The per-event observer. Installed only when the run audits or samples
-/// metrics, so a plain run keeps the kernel's unobserved loop.
-void ObserveSimulation(void* raw, double t) {
-  auto* ctx = static_cast<SimObserverCtx*>(raw);
-  if (ctx->auditor != nullptr) {
-    ctx->auditor->RecordEvent(t);
-    if (ctx->auditor->AuditDue()) {
-      ctx->audit_snapshot->time = t;
-      ctx->audit_snapshot->supplier_in_use = ctx->supplier->in_use();
-      ctx->audit_snapshot->sum_world_holds =
-          ctx->world->dedicated_streams_held();
-      ctx->auditor->Audit(*ctx->audit_snapshot);
-    }
-  }
-  if (ctx->registry != nullptr) {
-    ctx->g_dedicated->Set(
-        static_cast<double>(ctx->world->dedicated_streams_held()));
-    ctx->g_admissions->Set(static_cast<double>(ctx->metrics->admissions()));
-    ctx->g_resumes->Set(static_cast<double>(ctx->metrics->total_resumes()));
-    ctx->registry->MaybeSample(t);
-  }
-}
-
-}  // namespace
 
 std::string SimulationReport::ToString() const {
   std::ostringstream os;
@@ -120,91 +77,43 @@ void FillReportFromMetrics(const SimulationMetrics& metrics, double horizon,
 Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
                                        const PlaybackRates& rates,
                                        const SimulationOptions& options) {
+  // movie_id stays -1: single-movie trace records carry no movie index.
   MovieWorldConfig config;
   config.mean_interarrival_minutes = options.mean_interarrival_minutes;
   config.arrivals = options.arrivals;
   config.behavior = options.behavior;
   config.stationary_start = options.stationary_start;
   config.piggyback = options.piggyback;
-  config.trace = options.trace;
-  config.gate = options.gate;
   config.patience = options.patience;
-  config.event_log = options.obs.event_log;
   VOD_RETURN_IF_ERROR(ValidateMovieWorldInputs(rates, config));
   if (options.warmup_minutes < 0.0 || !(options.measurement_minutes > 0.0)) {
     return Status::InvalidArgument(
         "warmup must be >= 0 and measurement span positive");
   }
+  if (options.audit.enabled) VOD_RETURN_IF_ERROR(options.audit.Validate());
 
-  EventQueue queue;
-  // Pre-size the kernel for the steady-state population: one pending event
-  // per in-flight viewer (Little's law: arrival rate x movie length) plus
-  // the arrival clock.
-  const double est_population =
-      layout.movie_length() / config.mean_interarrival_minutes;
-  queue.Reserve(static_cast<size_t>(
-      std::clamp(est_population + 64.0, 64.0, 1.0e6)));
-  UnlimitedStreamSupplier supplier;
-  SimulationMetrics metrics(options.warmup_minutes);
-  MovieWorld world(layout, rates, config, Rng(options.seed), &queue,
-                   &supplier, &metrics);
-
-  std::unique_ptr<InvariantAuditor> auditor;
-  AuditSnapshot audit_snapshot;
-  if (options.audit.enabled) {
-    VOD_RETURN_IF_ERROR(options.audit.Validate());
-    auditor = std::make_unique<InvariantAuditor>(options.audit);
-    audit_snapshot.movies.push_back(BuildMovieAuditBuffers("movie", layout));
-  }
-
-  // Live instruments sampled on the simulation clock. Registered up front
-  // so the export order is deterministic; sampling happens on the event-loop
-  // observer and never feeds back into the report.
-  SimObserverCtx observer_ctx;
-  MetricsRegistry* registry = options.obs.metrics;
-  if (registry != nullptr) {
-    if (options.obs.metrics_sample_minutes > 0.0) {
-      registry->set_sample_every(options.obs.metrics_sample_minutes);
-    }
-    observer_ctx.g_dedicated = registry->AddGauge(
-        "sim_dedicated_streams", "dedicated VCR streams currently held");
-    observer_ctx.g_admissions = registry->AddGauge(
-        "sim_admissions_total", "viewers admitted in the measurement window");
-    observer_ctx.g_resumes = registry->AddGauge(
-        "sim_resumes_total", "VCR resumes in the measurement window");
-  }
-
-  // When a run both audits and traces, the auditor's tail ring doubles as a
-  // bus sink so violation diagnostics carry the rich event context.
-  ScopedEventSink lend_ring(
-      options.obs.event_log,
-      auditor != nullptr ? auditor->trace_ring() : nullptr);
-
-  observer_ctx.auditor = auditor.get();
-  observer_ctx.audit_snapshot = &audit_snapshot;
-  observer_ctx.supplier = &supplier;
-  observer_ctx.world = &world;
-  observer_ctx.metrics = &metrics;
-  observer_ctx.registry = registry;
-  if (auditor != nullptr || registry != nullptr) {
-    queue.set_observer(&ObserveSimulation, &observer_ctx);
-  }
-
-  world.Start();
-  const double horizon =
-      options.warmup_minutes + options.measurement_minutes;
-  queue.RunUntil(horizon);
-  if (registry != nullptr) registry->SampleAt(horizon);
-  if (auditor != nullptr && auditor->total_violations() > 0) {
-    return auditor->status();
-  }
-
-  SimulationReport report;
-  FillReportFromMetrics(metrics, horizon, &report);
-  report.max_wait_minutes = world.max_wait_seen();
-  report.abandonments = world.abandonments();
-  report.executed_events = queue.executed();
-  return report;
+  // A one-movie server run whose reserve never refuses: the paper's engine
+  // measures the dedicated streams a workload pins, with no admission
+  // effects. The world's streams root at Rng(seed).
+  const ServerMovieSpec movie{"movie", layout,
+                              1.0 / config.mean_interarrival_minutes,
+                              config.arrivals, config.behavior};
+  ServerOptions server;
+  server.rates = rates;
+  server.dynamic_stream_reserve = std::numeric_limits<int64_t>::max();
+  server.warmup_minutes = options.warmup_minutes;
+  server.measurement_minutes = options.measurement_minutes;
+  server.seed = options.seed;
+  server.audit = options.audit;
+  server.obs = options.obs;
+  uint64_t executed = 0;
+  VOD_ASSIGN_OR_RETURN(
+      ServerReport report,
+      RunServerWorlds({movie}, server, {{config, Rng(options.seed)}},
+                      &executed));
+  SimulationReport out = std::move(report.movies[0].report);
+  out.executed_events = executed;
+  return out;
 }
 
 }  // namespace vod

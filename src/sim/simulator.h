@@ -19,14 +19,12 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/partition_layout.h"
-#include "ctrl/admission_gate.h"
 #include "core/piggyback.h"
 #include "core/types.h"
 #include "obs/observability.h"
 #include "sim/arrival_process.h"
 #include "sim/audit.h"
 #include "sim/metrics.h"
-#include "sim/trace.h"
 #include "sim/vcr_behavior.h"
 
 namespace vod {
@@ -51,12 +49,6 @@ struct SimulationOptions {
   /// Phase-2 merge policy for miss-viewers (off by default, as in the
   /// paper's evaluation).
   PiggybackOptions piggyback;
-  /// Optional VCR activity log (see sim/trace.h); must outlive the run.
-  VcrTrace* trace = nullptr;
-  /// Optional pre-admission gate (ctrl/admission_gate.h): observes every
-  /// arrival and may shed it before a viewer id is allocated. Must outlive
-  /// the run; null = admit everything (the default).
-  AdmissionGate* gate = nullptr;
   /// Optional viewer patience (session lifetime from playback start);
   /// null = everyone watches to the end.
   DistributionPtr patience;
@@ -65,8 +57,9 @@ struct SimulationOptions {
   /// event-trace tail — it never aborts.
   AuditOptions audit;
   /// Observability wiring (obs/observability.h): structured event tracing
-  /// and cadenced metrics sampling. Telemetry-only — cannot change a
-  /// report byte.
+  /// (the kVcrBegin records are the VCR log sim/trace.h fits from) and
+  /// cadenced metrics sampling. Telemetry-only — cannot change a report
+  /// byte.
   ObsOptions obs;
 };
 
@@ -112,8 +105,8 @@ struct SimulationReport {
   /// time from miss to merge.
   int64_t piggyback_merges = 0;
   double mean_merge_minutes = 0.0;
-  /// Blocked FF/RW requests and stalled resumes (always 0 with the default
-  /// unlimited stream supply; populated by the server simulator's worlds).
+  /// Blocked FF/RW requests and stalled resumes (always 0 in a single-movie
+  /// run, whose reserve is unlimited; populated by the server's worlds).
   int64_t blocked_vcr_requests = 0;
   int64_t stalled_resumes = 0;
   /// Degraded-mode accounting (0 unless the server's degradation policy is
@@ -135,16 +128,18 @@ struct SimulationReport {
   std::string ToString() const;
 };
 
-/// \brief Runs one simulation to completion.
+/// \brief Runs one simulation to completion: a one-movie server run
+/// (sim/server_driver.h) over a reserve that never refuses.
 ///
 /// Deterministic given (layout, rates, options): all randomness derives from
-/// options.seed.
+/// Rng(options.seed).
 Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
                                        const PlaybackRates& rates,
                                        const SimulationOptions& options);
 
-/// Fills the metrics-derived fields of a report (shared with the server
-/// simulator; max_wait_minutes is world-side and set by the caller).
+/// Fills the metrics-derived fields of a report (the server drivers'
+/// per-movie blocks and the sharded aggregate; max_wait_minutes is
+/// world-side and set by the caller).
 void FillReportFromMetrics(const SimulationMetrics& metrics, double horizon,
                            SimulationReport* report);
 

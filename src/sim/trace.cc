@@ -1,148 +1,61 @@
 #include "sim/trace.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <memory>
 #include <string>
 
 #include "dist/empirical.h"
 
 namespace vod {
 
-int64_t VcrTrace::CountOf(VcrOp op) const {
-  int64_t count = 0;
-  for (const auto& record : records_) {
-    if (record.op == op) ++count;
-  }
-  return count;
-}
-
-std::vector<double> VcrTrace::DurationsOf(VcrOp op) const {
-  std::vector<double> durations;
-  for (const auto& record : records_) {
-    if (record.op == op) durations.push_back(record.duration);
-  }
-  return durations;
-}
-
-void VcrTrace::WriteCsv(std::ostream& os) const {
-  // max_digits10 so ReadCsv(WriteCsv(t)) round-trips every double exactly.
-  const auto saved = os.precision(17);
-  os << "time,op,duration\n";
-  for (const auto& record : records_) {
-    os << record.time << ',' << VcrOpName(record.op) << ','
-       << record.duration << '\n';
-  }
-  os.precision(saved);
-}
-
-namespace {
-
-/// Strict double parse: the whole field must be consumed (a trailing comma,
-/// units suffix, or second value is an error, not silently dropped) and the
-/// result must be finite.
-bool ParseCsvDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
-Result<VcrTrace> VcrTrace::ReadCsv(std::istream& is) {
-  VcrTrace trace;
-  std::string line;
-  if (!std::getline(is, line)) {
-    return Status::InvalidArgument("missing trace CSV header");
-  }
-  // Tolerate Windows line endings throughout: a trailing CR is not data.
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (line != "time,op,duration") {
-    return Status::InvalidArgument("missing trace CSV header");
-  }
-  int line_number = 1;
-  while (std::getline(is, line)) {
-    ++line_number;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string time_text;
-    std::string op_text;
-    std::string duration_text;
-    if (!std::getline(fields, time_text, ',') ||
-        !std::getline(fields, op_text, ',') ||
-        !std::getline(fields, duration_text)) {
-      return Status::InvalidArgument("malformed trace line " +
-                                     std::to_string(line_number));
+Result<FittedVcrBehavior> FitBehaviorFromTrace(
+    const std::vector<TraceEvent>& events, int min_samples_per_op) {
+  std::vector<double> durations[3];
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& event = events[i];
+    if (event.category != EventCategory::kVcrBegin) continue;
+    const std::string where = "vcr_begin record " + std::to_string(i) +
+                              " (seq " + std::to_string(event.seq) + ")";
+    if (event.subtype >= 3) {
+      return Status::InvalidArgument(where + ": unknown op id " +
+                                     std::to_string(event.subtype));
     }
-    VcrTraceRecord record;
-    if (!ParseCsvDouble(time_text, &record.time)) {
-      return Status::InvalidArgument("bad time on line " +
-                                     std::to_string(line_number));
+    if (!std::isfinite(event.value) || event.value < 0.0) {
+      return Status::InvalidArgument(
+          where + ": duration must be finite and non-negative, got " +
+          std::to_string(event.value));
     }
-    if (op_text == "FF") {
-      record.op = VcrOp::kFastForward;
-    } else if (op_text == "RW") {
-      record.op = VcrOp::kRewind;
-    } else if (op_text == "PAU") {
-      record.op = VcrOp::kPause;
-    } else {
-      return Status::InvalidArgument("unknown op '" + op_text +
-                                     "' on line " +
-                                     std::to_string(line_number));
-    }
-    if (!ParseCsvDouble(duration_text, &record.duration)) {
-      return Status::InvalidArgument("bad duration on line " +
-                                     std::to_string(line_number));
-    }
-    if (record.duration < 0.0) {
-      return Status::InvalidArgument("negative duration on line " +
-                                     std::to_string(line_number));
-    }
-    trace.records_.push_back(record);
-  }
-  return trace;
-}
-
-Result<FittedVcrBehavior> FitBehaviorFromTrace(const VcrTrace& trace,
-                                               int min_samples_per_op) {
-  if (trace.empty()) {
-    return Status::InvalidArgument("cannot fit from an empty trace");
+    durations[event.subtype].push_back(event.value);
   }
   FittedVcrBehavior fitted;
-  fitted.samples = static_cast<int64_t>(trace.size());
-  const double total = static_cast<double>(trace.size());
+  for (const std::vector<double>& d : durations) {
+    fitted.samples += static_cast<int64_t>(d.size());
+  }
+  if (fitted.samples == 0) {
+    return Status::InvalidArgument("cannot fit from a trace without "
+                                   "vcr_begin records");
+  }
+  // EmpiricalDistribution needs two samples; more keeps the fit usable.
+  const int64_t min_samples = std::max(2, min_samples_per_op);
+  const double total = static_cast<double>(fitted.samples);
   double* mix_slot[3] = {&fitted.mix.p_fast_forward, &fitted.mix.p_rewind,
                          &fitted.mix.p_pause};
+  DistributionPtr* duration_slot[3] = {&fitted.durations.fast_forward,
+                                       &fitted.durations.rewind,
+                                       &fitted.durations.pause};
   for (VcrOp op : kAllVcrOps) {
-    const int64_t count = trace.CountOf(op);
+    std::vector<double>& d = durations[static_cast<int>(op)];
+    const auto count = static_cast<int64_t>(d.size());
     *mix_slot[static_cast<int>(op)] = static_cast<double>(count) / total;
     if (count == 0) continue;
-    if (count < min_samples_per_op) {
+    if (count < min_samples) {
       return Status::InvalidArgument(
           std::string("too few samples for ") + VcrOpName(op) + " (" +
-          std::to_string(count) + " < " +
-          std::to_string(min_samples_per_op) + ")");
+          std::to_string(count) + " < " + std::to_string(min_samples) + ")");
     }
-    const auto empirical =
-        std::make_shared<EmpiricalDistribution>(trace.DurationsOf(op));
-    switch (op) {
-      case VcrOp::kFastForward:
-        fitted.durations.fast_forward = empirical;
-        break;
-      case VcrOp::kRewind:
-        fitted.durations.rewind = empirical;
-        break;
-      case VcrOp::kPause:
-        fitted.durations.pause = empirical;
-        break;
-    }
+    *duration_slot[static_cast<int>(op)] =
+        std::make_shared<EmpiricalDistribution>(std::move(d));
   }
   return fitted;
 }

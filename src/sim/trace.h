@@ -1,58 +1,26 @@
-// VCR activity tracing and behavior fitting.
+// Behavior fitting from the VCR log.
 //
 // The paper assumes "the pdf of VCR requests can be obtained by statistics
 // while the movie is displayed" (§2.1). This module closes that loop: the
-// simulator (standing in for a production server) logs every VCR operation
-// into a VcrTrace; FitBehaviorFromTrace turns the log into an operation mix
-// plus empirical duration distributions that plug straight into the
-// analytic model and the sizing pipeline.
+// simulator (standing in for a production server) puts every VCR request
+// on the event bus as a kVcrBegin record (sub = op, value = duration);
+// FitBehaviorFromTrace turns those records — collected in process by a
+// VectorSink, or read back from a --trace_out file by ReadTraceFile — into
+// an operation mix plus empirical duration distributions that plug straight
+// into the analytic model and the sizing pipeline.
 
 #ifndef VOD_SIM_TRACE_H_
 #define VOD_SIM_TRACE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "common/status.h"
 #include "core/hit_model.h"
 #include "core/types.h"
+#include "obs/event_log.h"
 
 namespace vod {
-
-/// One logged VCR operation.
-struct VcrTraceRecord {
-  double time = 0.0;      ///< simulation time of the request
-  VcrOp op = VcrOp::kFastForward;
-  double duration = 0.0;  ///< the sampled duration parameter x
-};
-
-/// \brief Append-only log of VCR operations.
-class VcrTrace {
- public:
-  void Record(double time, VcrOp op, double duration) {
-    records_.push_back({time, op, duration});
-  }
-
-  const std::vector<VcrTraceRecord>& records() const { return records_; }
-  size_t size() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
-
-  /// Count of records of one operation type.
-  int64_t CountOf(VcrOp op) const;
-
-  /// Durations of one operation type, in log order.
-  std::vector<double> DurationsOf(VcrOp op) const;
-
-  /// Writes "time,op,duration" CSV (with header).
-  void WriteCsv(std::ostream& os) const;
-
-  /// Parses the CSV format written by WriteCsv.
-  static Result<VcrTrace> ReadCsv(std::istream& is);
-
- private:
-  std::vector<VcrTraceRecord> records_;
-};
 
 /// Behavior model estimated from a trace.
 struct FittedVcrBehavior {
@@ -63,13 +31,15 @@ struct FittedVcrBehavior {
   int64_t samples = 0;
 };
 
-/// \brief Estimates the operation mix and per-op duration distributions.
+/// \brief Estimates the operation mix and per-op duration distributions
+/// from the kVcrBegin records of `events`; other categories are skipped.
 ///
-/// Requires at least `min_samples_per_op` records for every operation that
-/// appears (EmpiricalDistribution needs >= 2; more keeps the fit usable).
-/// Returns InvalidArgument on an empty trace.
-Result<FittedVcrBehavior> FitBehaviorFromTrace(const VcrTrace& trace,
-                                               int min_samples_per_op = 10);
+/// Every operation that appears needs at least max(2, min_samples_per_op)
+/// records, and every record a known op and a finite, non-negative
+/// duration. Each rejection is an InvalidArgument naming the record; a
+/// trace without kVcrBegin records is one too.
+Result<FittedVcrBehavior> FitBehaviorFromTrace(
+    const std::vector<TraceEvent>& events, int min_samples_per_op = 10);
 
 }  // namespace vod
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -70,6 +71,83 @@ TEST(TraceReaderTest, JsonlRejectsDamage) {
   line.replace(line.find("admission"), 9, "bogus_cat");
   std::istringstream is(line);
   EXPECT_TRUE(ReadJsonlTrace(is).status().IsInvalidArgument());
+}
+
+/// One genuine vcr_begin line, as the sink writes it, with `field`'s
+/// value text replaced by `text`.
+std::string VcrLineWith(const std::string& field, const std::string& text) {
+  std::ostringstream os;
+  JsonlSink sink(&os);
+  EventLog log;
+  log.AddSink(&sink);
+  log.Emit(2.0, EventCategory::kVcrBegin, 1, -1, 7, 4.5);
+  std::string line = os.str();
+  const std::string key = "\"" + field + "\":";
+  const size_t begin = line.find(key) + key.size();
+  const size_t end = line.find_first_of(",}", begin);
+  line.replace(begin, end - begin, text);
+  return line;
+}
+
+Status ReadOne(const std::string& line) {
+  std::istringstream is(line);
+  return ReadJsonlTrace(is).status();
+}
+
+TEST(TraceReaderTest, JsonlRejectsNonFiniteNumbers) {
+  ASSERT_TRUE(ReadOne(VcrLineWith("value", "4.5")).ok());
+  for (const char* text : {"nan", "-nan", "inf", "-inf", "NaN", "1e999"}) {
+    for (const char* field : {"t", "value"}) {
+      const Status status = ReadOne(VcrLineWith(field, text));
+      EXPECT_TRUE(status.IsInvalidArgument()) << field << "=" << text;
+      EXPECT_NE(status.message().find("trace line 1"), std::string::npos);
+    }
+  }
+}
+
+TEST(TraceReaderTest, JsonlRejectsUnknownSubtypeNames) {
+  ASSERT_TRUE(ReadOne(VcrLineWith("sub", "\"rw\"")).ok());
+  // The names are lower case; "RW" is not rw, and neither is subtype 0.
+  for (const char* text : {"\"RW\"", "\"Ff\"", "\"rewind\"", "\"\""}) {
+    const Status status = ReadOne(VcrLineWith("sub", text));
+    EXPECT_TRUE(status.IsInvalidArgument()) << text;
+    EXPECT_NE(status.message().find("unknown subtype"), std::string::npos)
+        << status;
+  }
+  // A category without named subtypes writes "-"; nothing else is valid.
+  std::istringstream stall(
+      "{\"t\":1,\"seq\":0,\"cat\":\"stall\",\"sub\":\"x\",\"aux\":0,"
+      "\"movie\":0,\"id\":1,\"value\":0}\n");
+  EXPECT_TRUE(ReadJsonlTrace(stall).status().IsInvalidArgument());
+}
+
+TEST(TraceReaderTest, JsonlRejectsIntegersOutOfTheirTypesRange) {
+  const struct {
+    const char* field;
+    const char* text;
+  } bad[] = {
+      {"aux", "256"},          {"aux", "-1"},
+      {"aux", "1.5"},          {"movie", "2147483648"},
+      {"movie", "-2147483649"}, {"id", "9223372036854775808"},
+      {"id", "-1e19"},         {"id", "0.25"},
+      {"seq", "-1"},           {"seq", "18446744073709551616"},
+      {"seq", "1e300"},
+  };
+  for (const auto& b : bad) {
+    const Status status = ReadOne(VcrLineWith(b.field, b.text));
+    EXPECT_TRUE(status.IsInvalidArgument()) << b.field << "=" << b.text;
+    EXPECT_NE(status.message().find(b.field), std::string::npos) << status;
+  }
+  // The extremes of each type still read back.
+  std::istringstream edges(
+      "{\"t\":1,\"seq\":0,\"cat\":\"admission\",\"sub\":\"type1\","
+      "\"aux\":255,\"movie\":-2147483648,\"id\":-9223372036854775808,"
+      "\"value\":0}\n");
+  const auto events = ReadJsonlTrace(edges);
+  ASSERT_TRUE(events.ok()) << events.status();
+  EXPECT_EQ((*events)[0].aux, 255);
+  EXPECT_EQ((*events)[0].movie, -2147483647 - 1);
+  EXPECT_EQ((*events)[0].id, std::numeric_limits<int64_t>::min());
 }
 
 TEST(TraceReaderTest, ReadTraceFileSniffsJsonlAndReportsMissingFiles) {

@@ -147,16 +147,26 @@ TEST(EventQueueTest, ObserverFiresAfterEachExecutedEvent) {
   // Drained both event by event (RunNext) and by RunUntil, whose observed
   // loop dispatches handler events inline and closures through the
   // shared path; the observer contract must hold on both.
-  for (const bool run_until : {false, true}) {
-    EventQueue q;
+  struct Seen {
     std::vector<double> observed;
     int side_effect = 0;
-    q.set_observer([&](double t) {
-      observed.push_back(t);
-      // Observer fires *after* the action: state must be settled.
-      EXPECT_EQ(side_effect, static_cast<int>(observed.size()));
-    });
-    const uint64_t kind = q.AddHandler([&](uint64_t) { ++side_effect; });
+  };
+  for (const bool run_until : {false, true}) {
+    EventQueue q;
+    Seen seen;
+    std::vector<double>& observed = seen.observed;
+    int& side_effect = seen.side_effect;
+    q.set_observer(
+        [](void* ctx, double t) {
+          auto* s = static_cast<Seen*>(ctx);
+          s->observed.push_back(t);
+          // Observer fires *after* the action: state must be settled.
+          EXPECT_EQ(s->side_effect, static_cast<int>(s->observed.size()));
+        },
+        &seen);
+    const uint64_t kind = q.AddHandler(
+        [](void* ctx, uint64_t) { ++static_cast<Seen*>(ctx)->side_effect; },
+        &seen);
     q.Schedule(1.0, [&] { ++side_effect; });
     const EventToken t = q.Schedule(2.0, [&] { ++side_effect; });
     q.ScheduleHandler(3.0, kind, 0);

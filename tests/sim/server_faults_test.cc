@@ -6,6 +6,7 @@
 
 #include <limits>
 
+#include "obs/event_log.h"
 #include "sim/server.h"
 #include "workload/paper_presets.h"
 
@@ -180,6 +181,60 @@ TEST(ServerFaultsTest, ReclaimedViewersFallBackToBatching) {
     EXPECT_GT(rz.mean_recovery_minutes, 0.0);
     EXPECT_GE(rz.max_recovery_minutes, rz.mean_recovery_minutes);
   }
+}
+
+TEST(ServerFaultsTest, TraceCarriesEveryLadderTransition) {
+  // The reserve puts each transition on the bus as it records it: one
+  // kDegradation record per transition, in the log's order, and tracing
+  // leaves the report's bytes alone.
+  const ServerOptions plain = FaultyOptions(30, 800.0, 120.0);
+  EventLog log;
+  log.set_mask(CategoryBit(EventCategory::kDegradation));
+  VectorSink sink;
+  log.AddSink(&sink);
+  ServerOptions traced = plain;
+  traced.obs.event_log = &log;
+  const auto a = RunServerSimulation(TwoMovies(), plain);
+  const auto b = RunServerSimulation(TwoMovies(), traced);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->ToString(), b->ToString());
+  const ResilienceReport& rz = b->resilience;
+  ASSERT_GT(rz.total_transitions, 0);
+  const std::vector<TraceEvent> records = sink.Take();
+  ASSERT_EQ(static_cast<int64_t>(records.size()), rz.total_transitions);
+  ASSERT_EQ(rz.transitions.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const DegradationTransition& tr = rz.transitions[i];
+    EXPECT_EQ(records[i].time, tr.time) << i;
+    EXPECT_EQ(records[i].subtype, static_cast<uint8_t>(tr.to)) << i;
+    EXPECT_EQ(records[i].aux, static_cast<uint8_t>(tr.from)) << i;
+    EXPECT_EQ(records[i].value, static_cast<double>(tr.capacity)) << i;
+    EXPECT_EQ(records[i].movie, -1);
+  }
+}
+
+TEST(ServerFaultsTest, TraceCarriesTransitionsPastTheStoredLog) {
+  // A tight reserve with the ladder on flaps between normal and queueing
+  // more often than the stored log holds; the trace still has one record
+  // per transition.
+  ServerOptions options;
+  options.rates = paper::Rates();
+  options.dynamic_stream_reserve = 22;
+  options.warmup_minutes = 500.0;
+  options.measurement_minutes = 60000.0;
+  options.seed = 17;
+  options.degradation.enabled = true;
+  EventLog log;
+  log.set_mask(CategoryBit(EventCategory::kDegradation));
+  VectorSink sink;
+  log.AddSink(&sink);
+  options.obs.event_log = &log;
+  const auto report = RunServerSimulation(TwoMovies(), options);
+  ASSERT_TRUE(report.ok());
+  const int64_t total = report->resilience.total_transitions;
+  ASSERT_GT(total,
+            static_cast<int64_t>(LadderHistory::kMaxStoredTransitions));
+  EXPECT_EQ(static_cast<int64_t>(sink.size()), total);
 }
 
 TEST(ServerFaultsTest, DegradationWithoutFaultsQueuesInsteadOfRefusing) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "dist/deterministic.h"
 #include "dist/exponential.h"
@@ -246,6 +250,72 @@ TEST(SimulatorTest, BatchMeansHalfWidthIsReportedAndSane) {
                                     report->hit_probability_in_partition_low);
   EXPECT_GT(report->hit_probability_in_partition_bm_halfwidth,
             0.5 * wilson_half);
+}
+
+/// FNV-1a over the printed report plus the fields ToString leaves out, each
+/// in hex-float form: equal digests mean equal bytes, to the last bit.
+uint64_t ReportDigest(const SimulationReport& r) {
+  char extra[512];
+  std::snprintf(
+      extra, sizeof(extra), "|%a|%a|%a|%a|%a|%a|%a|%lld|%lld|%lld|%llu",
+      r.hit_probability_in_partition,
+      r.hit_probability_in_partition_bm_halfwidth, r.p50_wait_minutes, r.p99_wait_minutes, r.mean_dedicated_streams,
+      r.peak_dedicated_streams, r.mean_concurrent_viewers,
+      static_cast<long long>(r.completions),
+      static_cast<long long>(r.abandonments),
+      static_cast<long long>(r.in_partition_resumes),
+      static_cast<unsigned long long>(r.executed_events));
+  const std::string text = r.ToString() + extra;
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(SimulatorTest, ReportBytesArePinned) {
+  // One run per engine feature the single-movie driver passes through.
+  // A change to how the run is driven must leave every digest unchanged.
+  const PartitionLayout layout = MakeLayout(120.0, 40, 40.0);
+  struct Case {
+    const char* name;
+    SimulationOptions options;
+    uint64_t digest;
+  };
+  std::vector<Case> cases;
+
+  SimulationOptions audited = ShortRun(VcrOp::kFastForward);
+  audited.audit.enabled = true;
+  audited.audit.every_events = 16;
+  cases.push_back({"audit", audited, 0x6f76a1e808934fbfull});
+
+  SimulationOptions piggyback = ShortRun(VcrOp::kFastForward);
+  piggyback.piggyback.enabled = true;
+  piggyback.piggyback.speed_delta = 0.05;
+  cases.push_back({"piggyback", piggyback, 0x7eb1dd9f15aa2b09ull});
+
+  SimulationOptions patience = ShortRun(VcrOp::kRewind);
+  patience.behavior = paper::Fig7MixedBehavior();
+  patience.patience = std::make_shared<ExponentialDistribution>(40.0);
+  cases.push_back({"patience", patience, 0x58c98334d533dc01ull});
+
+  SimulationOptions flash = ShortRun(VcrOp::kPause);
+  const auto crowd = FlashArrivals::Create(0.5, 4.0, 2000.0, 1500.0);
+  ASSERT_TRUE(crowd.ok());
+  flash.arrivals = std::make_shared<FlashArrivals>(*crowd);
+  cases.push_back({"flash", flash, 0x59413585f6e92c13ull});
+
+  SimulationOptions cold = ShortRun(VcrOp::kRewind);
+  cold.stationary_start = false;
+  cases.push_back({"cold_start", cold, 0x96b66e17dcbcbc7dull});
+
+  for (const Case& c : cases) {
+    const auto report = RunSimulation(layout, paper::Rates(), c.options);
+    ASSERT_TRUE(report.ok()) << c.name << ": " << report.status().ToString();
+    EXPECT_EQ(ReportDigest(*report), c.digest)
+        << c.name << " digest 0x" << std::hex << ReportDigest(*report);
+  }
 }
 
 TEST(SimulatorTest, WilsonIntervalBracketsEstimate) {

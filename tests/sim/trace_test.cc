@@ -2,177 +2,59 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/hit_model.h"
+#include "obs/trace_reader.h"
 #include "sim/simulator.h"
 #include "workload/paper_presets.h"
 
 namespace vod {
 namespace {
 
-TEST(VcrTraceTest, RecordsAndCounts) {
-  VcrTrace trace;
-  trace.Record(1.0, VcrOp::kFastForward, 5.0);
-  trace.Record(2.0, VcrOp::kPause, 3.0);
-  trace.Record(3.0, VcrOp::kFastForward, 7.0);
-  EXPECT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace.CountOf(VcrOp::kFastForward), 2);
-  EXPECT_EQ(trace.CountOf(VcrOp::kRewind), 0);
-  EXPECT_EQ(trace.CountOf(VcrOp::kPause), 1);
-  EXPECT_EQ(trace.DurationsOf(VcrOp::kFastForward),
-            (std::vector<double>{5.0, 7.0}));
+TraceEvent VcrRecord(double t, VcrOp op, double duration) {
+  TraceEvent event;
+  event.time = t;
+  event.category = EventCategory::kVcrBegin;
+  event.subtype = static_cast<uint8_t>(op);
+  event.value = duration;
+  return event;
 }
 
-TEST(VcrTraceTest, CsvRoundTrip) {
-  VcrTrace trace;
-  trace.Record(1.25, VcrOp::kFastForward, 5.5);
-  trace.Record(2.5, VcrOp::kRewind, 0.75);
-  trace.Record(9.0, VcrOp::kPause, 12.0);
-  std::ostringstream os;
-  trace.WriteCsv(os);
-  std::istringstream is(os.str());
-  const auto parsed = VcrTrace::ReadCsv(is);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->size(), 3u);
-  EXPECT_DOUBLE_EQ(parsed->records()[0].time, 1.25);
-  EXPECT_EQ(parsed->records()[1].op, VcrOp::kRewind);
-  EXPECT_DOUBLE_EQ(parsed->records()[2].duration, 12.0);
-}
-
-TEST(VcrTraceTest, CsvRejectsMalformedInput) {
-  {
-    std::istringstream is("not,a,header\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    std::istringstream is("time,op,duration\n1.0,FF\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    std::istringstream is("time,op,duration\n1.0,SKIP,2.0\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    std::istringstream is("time,op,duration\nxx,FF,2.0\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-}
-
-TEST(VcrTraceTest, CsvSkipsBlankLines) {
-  // Editors and concatenation leave blank lines; they carry no data and
-  // must not shift record indices or abort the parse.
-  std::istringstream is(
-      "time,op,duration\n\n1.0,FF,2.0\n\n\n2.0,RW,3.0\n\n");
-  const auto parsed = VcrTrace::ReadCsv(is);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ(parsed->records()[1].op, VcrOp::kRewind);
-}
-
-TEST(VcrTraceTest, CsvAcceptsWindowsLineEndings) {
-  std::istringstream is("time,op,duration\r\n1.0,FF,2.0\r\n2.5,PAU,0.5\r\n");
-  const auto parsed = VcrTrace::ReadCsv(is);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed->records()[1].time, 2.5);
-  EXPECT_EQ(parsed->records()[1].op, VcrOp::kPause);
-}
-
-TEST(VcrTraceTest, CsvRejectsTrailingAndEmbeddedGarbage) {
-  {
-    // Trailing comma: the duration field becomes "2.0," which must not
-    // silently parse as 2.0.
-    std::istringstream is("time,op,duration\n1.0,FF,2.0,\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    // Extra field smuggled into the duration column.
-    std::istringstream is("time,op,duration\n1.0,FF,2.0,extra\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    // Units suffix on a numeric field.
-    std::istringstream is("time,op,duration\n1.0min,FF,2.0\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    // Empty numeric fields.
-    std::istringstream is("time,op,duration\n,FF,2.0\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    std::istringstream is("time,op,duration\n1.0,FF,\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-}
-
-TEST(VcrTraceTest, CsvRejectsNonFiniteAndNegativeValues) {
-  {
-    std::istringstream is("time,op,duration\nnan,FF,2.0\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    std::istringstream is("time,op,duration\n1.0,FF,inf\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-  {
-    std::istringstream is("time,op,duration\n1.0,FF,-2.0\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument());
-  }
-}
-
-TEST(VcrTraceTest, CsvRejectsOutOfRangeOpNames) {
-  // Case and whitespace matter: the writer emits exactly "FF"/"RW"/"PAU".
-  for (const char* op : {"ff", "FFX", " FF", "PAUSE", "3", ""}) {
-    std::istringstream is(std::string("time,op,duration\n1.0,") + op +
-                          ",2.0\n");
-    EXPECT_TRUE(VcrTrace::ReadCsv(is).status().IsInvalidArgument())
-        << "op '" << op << "' should be rejected";
-  }
-}
-
-TEST(VcrTraceTest, CsvRoundTripPropertyOnRandomTraces) {
-  // Property test: ReadCsv(WriteCsv(t)) == t bit-for-bit, including
-  // awkward doubles (subnormals, near-integer, many digits).
-  Rng rng(20260806);
-  for (int round = 0; round < 20; ++round) {
-    VcrTrace trace;
-    const int n = 1 + static_cast<int>(rng.UniformInt(200));
-    for (int i = 0; i < n; ++i) {
-      const double time = rng.Uniform(0.0, 1e6);
-      const auto op =
-          static_cast<VcrOp>(static_cast<int>(rng.UniformInt(3)));
-      double duration = rng.Uniform(0.0, 120.0);
-      if (rng.UniformInt(10) == 0) duration = 5e-324;  // min subnormal
-      if (rng.UniformInt(10) == 0) duration = 0.0;
-      trace.Record(time, op, duration);
-    }
-    std::ostringstream os;
-    trace.WriteCsv(os);
-    std::istringstream is(os.str());
-    const auto parsed = VcrTrace::ReadCsv(is);
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    ASSERT_EQ(parsed->size(), trace.size());
-    for (size_t i = 0; i < trace.size(); ++i) {
-      EXPECT_EQ(parsed->records()[i].time, trace.records()[i].time);
-      EXPECT_EQ(parsed->records()[i].op, trace.records()[i].op);
-      EXPECT_EQ(parsed->records()[i].duration, trace.records()[i].duration);
-    }
-  }
+/// The kVcrBegin records of a Fig-7 mixed run, collected off the bus.
+std::vector<TraceEvent> SimulatedVcrLog(const PartitionLayout& layout,
+                                        EventSink* extra_sink) {
+  EventLog log;
+  log.set_mask(CategoryBit(EventCategory::kVcrBegin));
+  VectorSink sink;
+  log.AddSink(&sink);
+  log.AddSink(extra_sink);
+  SimulationOptions options;
+  options.behavior = paper::Fig7MixedBehavior();
+  options.warmup_minutes = 0.0;  // behavior logging needs no warmup
+  options.measurement_minutes = 30000.0;
+  options.obs.event_log = &log;
+  const auto report = RunSimulation(layout, paper::Rates(), options);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return sink.Take();
 }
 
 TEST(FitBehaviorTest, RecoversMixAndDurations) {
-  VcrTrace trace;
+  std::vector<TraceEvent> trace;
   Rng rng(5);
   const auto behavior = paper::Fig7MixedBehavior();
   for (int i = 0; i < 20000; ++i) {
     const VcrOp op = behavior.SampleOp(&rng);
-    trace.Record(static_cast<double>(i), op,
-                 behavior.SampleDuration(op, &rng));
+    trace.push_back(VcrRecord(static_cast<double>(i), op,
+                              behavior.SampleDuration(op, &rng)));
   }
   const auto fitted = FitBehaviorFromTrace(trace);
   ASSERT_TRUE(fitted.ok()) << fitted.status();
+  EXPECT_EQ(fitted->samples, 20000);
   EXPECT_NEAR(fitted->mix.p_fast_forward, 0.2, 0.02);
   EXPECT_NEAR(fitted->mix.p_rewind, 0.2, 0.02);
   EXPECT_NEAR(fitted->mix.p_pause, 0.6, 0.02);
@@ -183,24 +65,75 @@ TEST(FitBehaviorTest, RecoversMixAndDurations) {
 }
 
 TEST(FitBehaviorTest, ErrorsOnEmptyOrSparseTraces) {
-  VcrTrace empty;
-  EXPECT_TRUE(FitBehaviorFromTrace(empty).status().IsInvalidArgument());
+  EXPECT_TRUE(FitBehaviorFromTrace({}).status().IsInvalidArgument());
 
-  VcrTrace sparse;
+  std::vector<TraceEvent> sparse;
   for (int i = 0; i < 100; ++i) {
-    sparse.Record(i, VcrOp::kFastForward, 5.0 + i * 0.01);
+    sparse.push_back(VcrRecord(i, VcrOp::kFastForward, 5.0 + i * 0.01));
   }
-  sparse.Record(200.0, VcrOp::kRewind, 1.0);  // a single RW sample
+  sparse.push_back(VcrRecord(200.0, VcrOp::kRewind, 1.0));  // one RW sample
   EXPECT_TRUE(FitBehaviorFromTrace(sparse).status().IsInvalidArgument());
   // With the RW op absent it fits fine.
-  VcrTrace clean;
-  for (int i = 0; i < 100; ++i) {
-    clean.Record(i, VcrOp::kFastForward, 5.0 + i * 0.01);
-  }
-  const auto fitted = FitBehaviorFromTrace(clean);
+  sparse.pop_back();
+  const auto fitted = FitBehaviorFromTrace(sparse);
   ASSERT_TRUE(fitted.ok());
   EXPECT_DOUBLE_EQ(fitted->mix.p_fast_forward, 1.0);
   EXPECT_EQ(fitted->durations.rewind, nullptr);
+}
+
+TEST(FitBehaviorTest, OneRecordIsTooFewWhateverTheMinimum) {
+  // An empirical distribution needs two samples, so a minimum of 1 still
+  // asks for 2: a Status, never an abort.
+  const std::vector<TraceEvent> one = {
+      VcrRecord(1.0, VcrOp::kFastForward, 3.0)};
+  for (int min_samples : {0, 1, 2}) {
+    const auto fitted = FitBehaviorFromTrace(one, min_samples);
+    ASSERT_TRUE(fitted.status().IsInvalidArgument()) << min_samples;
+    EXPECT_NE(fitted.status().message().find("too few samples for FF"),
+              std::string::npos)
+        << fitted.status();
+  }
+  const std::vector<TraceEvent> two = {
+      VcrRecord(1.0, VcrOp::kFastForward, 3.0),
+      VcrRecord(2.0, VcrOp::kFastForward, 5.0)};
+  EXPECT_TRUE(FitBehaviorFromTrace(two, 1).ok());
+}
+
+TEST(FitBehaviorTest, RejectsBadRecordsByIndex) {
+  std::vector<TraceEvent> trace;
+  for (int i = 0; i < 20; ++i) {
+    trace.push_back(VcrRecord(i, VcrOp::kPause, 1.0 + i));
+  }
+  const double bad_durations[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(), -0.5};
+  for (const double bad : bad_durations) {
+    std::vector<TraceEvent> damaged = trace;
+    damaged[7].value = bad;
+    const auto fitted = FitBehaviorFromTrace(damaged);
+    ASSERT_TRUE(fitted.status().IsInvalidArgument()) << bad;
+    EXPECT_NE(fitted.status().message().find("record 7"), std::string::npos)
+        << fitted.status();
+  }
+  std::vector<TraceEvent> unknown_op = trace;
+  unknown_op[3].subtype = 3;
+  const auto fitted = FitBehaviorFromTrace(unknown_op);
+  ASSERT_TRUE(fitted.status().IsInvalidArgument());
+  EXPECT_NE(fitted.status().message().find("record 3"), std::string::npos);
+}
+
+TEST(FitBehaviorTest, ReadsOnlyVcrBeginRecords) {
+  std::vector<TraceEvent> trace;
+  for (int i = 0; i < 20; ++i) {
+    trace.push_back(VcrRecord(i, VcrOp::kRewind, 2.0 + i));
+    TraceEvent resume = VcrRecord(i + 0.5, VcrOp::kPause, -1.0);
+    resume.category = EventCategory::kResume;  // sub 2 = end, not an op
+    trace.push_back(resume);
+  }
+  const auto fitted = FitBehaviorFromTrace(trace);
+  ASSERT_TRUE(fitted.ok()) << fitted.status();
+  EXPECT_EQ(fitted->samples, 20);
+  EXPECT_DOUBLE_EQ(fitted->mix.p_rewind, 1.0);
 }
 
 TEST(FitBehaviorTest, SimulatorTraceFeedsTheModel) {
@@ -209,14 +142,7 @@ TEST(FitBehaviorTest, SimulatorTraceFeedsTheModel) {
   // the *true* behavior.
   const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
   ASSERT_TRUE(layout.ok());
-  VcrTrace trace;
-  SimulationOptions options;
-  options.behavior = paper::Fig7MixedBehavior();
-  options.warmup_minutes = 0.0;  // behavior logging needs no warmup
-  options.measurement_minutes = 30000.0;
-  options.trace = &trace;
-  const auto report = RunSimulation(*layout, paper::Rates(), options);
-  ASSERT_TRUE(report.ok());
+  const std::vector<TraceEvent> trace = SimulatedVcrLog(*layout, nullptr);
   EXPECT_GT(trace.size(), 10000u);
 
   const auto fitted = FitBehaviorFromTrace(trace);
@@ -230,6 +156,47 @@ TEST(FitBehaviorTest, SimulatorTraceFeedsTheModel) {
       model->HitProbability(fitted->mix, fitted->durations);
   ASSERT_TRUE(p_true.ok() && p_fitted.ok());
   EXPECT_NEAR(*p_fitted, *p_true, 0.02);
+}
+
+TEST(FitBehaviorTest, TraceFileFitEqualsInMemoryFit) {
+  // The writer prints every double with %.17g, so a fit from the file a
+  // --trace_out run leaves behind equals the fit from the bus, bit for bit.
+  const auto layout = PartitionLayout::FromMaxWait(120.0, 40, 1.0);
+  ASSERT_TRUE(layout.ok());
+  const std::string path = "trace_test_fit_round_trip.jsonl";
+  std::vector<TraceEvent> in_memory;
+  {
+    auto file = JsonlSink::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status();
+    in_memory = SimulatedVcrLog(*layout, file->get());
+    ASSERT_TRUE((*file)->Flush().ok());
+  }
+  const auto from_file = ReadTraceFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(from_file.ok()) << from_file.status();
+  ASSERT_EQ(from_file->size(), in_memory.size());
+
+  const auto a = FitBehaviorFromTrace(in_memory);
+  const auto b = FitBehaviorFromTrace(*from_file);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->samples, b->samples);
+  EXPECT_EQ(a->mix.p_fast_forward, b->mix.p_fast_forward);
+  EXPECT_EQ(a->mix.p_rewind, b->mix.p_rewind);
+  EXPECT_EQ(a->mix.p_pause, b->mix.p_pause);
+  for (VcrOp op : kAllVcrOps) {
+    const Distribution* da = a->durations.ForOp(op);
+    const Distribution* db = b->durations.ForOp(op);
+    ASSERT_NE(da, nullptr);
+    ASSERT_NE(db, nullptr);
+    EXPECT_EQ(da->Mean(), db->Mean()) << VcrOpName(op);
+    for (double x : {0.5, 2.0, 8.0, 30.0}) EXPECT_EQ(da->Cdf(x), db->Cdf(x));
+  }
+  const auto model = AnalyticHitModel::Create(*layout, paper::Rates());
+  ASSERT_TRUE(model.ok());
+  const auto pa = model->HitProbability(a->mix, a->durations);
+  const auto pb = model->HitProbability(b->mix, b->durations);
+  ASSERT_TRUE(pa.ok() && pb.ok());
+  EXPECT_EQ(*pa, *pb);
 }
 
 }  // namespace
