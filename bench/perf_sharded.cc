@@ -11,7 +11,7 @@
 // builds in interleaved pairs and compares their real-time ns/event.
 //
 // BM_ShardedRunDegraded is the same catalog with disk faults and the
-// windowed degradation ladder armed — pressure mailboxes, the barrier's
+// windowed degradation ladder armed — the barrier's in-place pressure read,
 // rung step and quota apportionment, and the shards' queued-VCR retry
 // machinery all on the hot path — pricing graceful degradation against the
 // plain rows.

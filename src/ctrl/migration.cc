@@ -100,7 +100,6 @@ bool MigrationEngine::Begin(double t, std::vector<MigrationStep> steps,
   if (in_flight_ || steps.empty() || t < cooldown_until_) return false;
   steps_ = std::move(steps);
   applied_.clear();
-  inflight_.clear();
   next_step_ = 0;
   retries_ = 0;
   epoch_ = epoch;
@@ -179,8 +178,8 @@ double MigrationEngine::Advance(double t, ControllerHost* host) {
         // schedule's last pre-commit restart drains past it.
         const double ready =
             t + step.from.window() + options_.drain_slack_minutes;
-        inflight_.push_back(
-            Landing{next_step_, ready, freed_streams, freed_buffer});
+        inflight_.push_back(Landing{migrations_started_, next_step_, ready,
+                                    freed_streams, freed_buffer});
       }
       applied_.push_back(next_step_);
       ++steps_applied_;
@@ -259,7 +258,8 @@ void MigrationEngine::Rollback(double t, ControllerHost* host) {
     if (step.reclaim) {
       bool cancelled = false;
       for (size_t j = 0; j < inflight_.size(); ++j) {
-        if (inflight_[j].step_index == idx) {
+        if (inflight_[j].migration == migrations_started_ &&
+            inflight_[j].step_index == idx) {
           inflight_.erase(inflight_.begin() + static_cast<ptrdiff_t>(j));
           cancelled = true;
           break;

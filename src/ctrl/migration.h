@@ -130,8 +130,12 @@ class MigrationEngine {
   int64_t blocked_attempts() const { return blocked_attempts_; }
 
  private:
-  /// A reclaim's freed resources, draining until ready_time.
+  /// A reclaim's freed resources, draining until ready_time. Landings
+  /// outlive their migration (a re-plan may begin while earlier reclaims
+  /// still drain), so each carries the migration that freed it and a
+  /// rollback cancels only its own.
   struct Landing {
+    int64_t migration;  ///< migrations_started_ when the reclaim committed
     size_t step_index;
     double ready_time;
     int64_t streams;

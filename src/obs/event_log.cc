@@ -140,9 +140,10 @@ std::string TraceEventToJson(const TraceEvent& event) {
 
 // ---- EventRing --------------------------------------------------------------
 
-EventRing::EventRing(size_t capacity) : capacity_(capacity) {
-  events_.reserve(capacity);
-}
+// The ring grows on append instead of reserving `capacity` up front: the
+// capacity is a caller's bound (a flag, for the flight recorder), not a size
+// to allocate before any event exists.
+EventRing::EventRing(size_t capacity) : capacity_(capacity) {}
 
 void EventRing::Append(const TraceEvent& event) {
   ++total_appended_;

@@ -55,7 +55,7 @@ enum class EventCategory : uint8_t {
                      ///< ended, id = window index, value = reserve capacity)
   kShard = 15,       ///< per-shard lane record (sub: ShardEvent). Payloads
                      ///< are deterministic by contract — executed-event
-                     ///< deltas, quotas, message counts, never wall clock —
+                     ///< deltas, movie counts, quotas, never wall clock —
                      ///< so the merged trace is byte-stable for a fixed
                      ///< shard count (DESIGN.md §14).
 };
@@ -81,8 +81,8 @@ enum class ShardEvent : uint8_t {
   kWindowOpen = 0,   ///< shard opened a window (id = shard, value = movies)
   kWindowClose = 1,  ///< shard closed a window (id = shard, value =
                      ///< executed-event delta for the window)
-  kPressure = 2,     ///< coordinator drained a shard's barrier mailbox
-                     ///< (id = shard, value = messages this window)
+  kPressure = 2,     ///< retired: never emitted; the name still parses so
+                     ///< traces from builds with barrier mailboxes read
   kQuotaApply = 3,   ///< window-open reclaim quota applied (movie, id =
                      ///< quota, value = streams actually reclaimed)
 };

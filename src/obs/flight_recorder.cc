@@ -1,8 +1,13 @@
 #include "obs/flight_recorder.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/trace_reader.h"
@@ -41,25 +46,54 @@ Status LineError(size_t line_no, const std::string& why) {
                                  ": " + why);
 }
 
+// Reads a finite number at `begin`; strtod also reads "nan" and "inf",
+// which JSON does not have. Returns the end of the number, or null.
+const char* ReadFinite(const char* begin, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(begin, &end);
+  return end == begin || !std::isfinite(*out) ? nullptr : end;
+}
+
+// Casts an integral `v` that fits Int. Casting a double outside its target
+// type's range is undefined, so the range is checked before any cast.
+template <typename Int>
+bool ToInt(double v, Int* out) {
+  constexpr double kLo = static_cast<double>(std::numeric_limits<Int>::min());
+  if (v != std::floor(v) || v < kLo || v >= -kLo) return false;
+  *out = static_cast<Int>(v);
+  return true;
+}
+
 Status ParseNumber(const std::string& line, size_t line_no, const char* key,
                    double* out) {
   const size_t pos = FindField(line, key);
   if (pos == std::string::npos) {
     return LineError(line_no, std::string("missing field \"") + key + "\"");
   }
-  const char* begin = line.c_str() + pos;
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) {
-    return LineError(line_no,
-                     std::string("field \"") + key + "\" is not a number");
+  if (ReadFinite(line.c_str() + pos, out) == nullptr) {
+    return LineError(line_no, std::string("field \"") + key +
+                                  "\" is not a finite number");
   }
-  *out = v;
   return Status::OK();
 }
 
+template <typename Int>
+Status ParseInt(const std::string& line, size_t line_no, const char* key,
+                Int* out) {
+  double v = 0.0;
+  VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, key, &v));
+  if (ToInt(v, out)) return Status::OK();
+  using Limits = std::numeric_limits<Int>;
+  return LineError(line_no, std::string("field \"") + key +
+                                "\" must be an integer in [" +
+                                std::to_string(Limits::min()) + ", " +
+                                std::to_string(Limits::max()) + "]");
+}
+
 // Digests are full 64-bit FNV values; going through double would round
-// everything past 2^53, so they get a dedicated integer parse.
+// everything past 2^53, so they get a dedicated integer parse. strtoull
+// would also accept a sign (wrapping "-1") and saturate on overflow, so
+// the field must start with a digit and fit in 64 bits.
 Status ParseU64(const std::string& line, size_t line_no, const char* key,
                 uint64_t* out) {
   const size_t pos = FindField(line, key);
@@ -67,11 +101,12 @@ Status ParseU64(const std::string& line, size_t line_no, const char* key,
     return LineError(line_no, std::string("missing field \"") + key + "\"");
   }
   const char* begin = line.c_str() + pos;
-  char* end = nullptr;
-  const uint64_t v = std::strtoull(begin, &end, 10);
-  if (end == begin) {
-    return LineError(line_no,
-                     std::string("field \"") + key + "\" is not an integer");
+  errno = 0;
+  const unsigned long long v = std::strtoull(begin, nullptr, 10);
+  if (std::isdigit(static_cast<unsigned char>(*begin)) == 0 ||
+      errno == ERANGE) {
+    return LineError(line_no, std::string("field \"") + key +
+                                  "\" is not an unsigned 64-bit integer");
   }
   *out = v;
   return Status::OK();
@@ -147,8 +182,6 @@ Status FlightRecorder::Dump(const std::string& path,
     line += ",\"sum_debt\":" + std::to_string(rec.sum_debt);
     line += ",\"sum_queued\":" + std::to_string(rec.sum_queued);
     line += ",\"quota_issued\":" + std::to_string(rec.quota_issued);
-    line += ",\"messages_posted\":" + std::to_string(rec.messages_posted);
-    line += ",\"messages_drained\":" + std::to_string(rec.messages_drained);
     line += ",\"shard_events\":[";
     for (size_t i = 0; i < rec.shard_events.size(); ++i) {
       if (i > 0) line += ",";
@@ -190,36 +223,36 @@ Result<PostmortemBundle> ReadPostmortem(const std::string& path) {
       }
       VOD_RETURN_IF_ERROR(ParseString(line, line_no, "reason",
                                       &bundle.reason));
-      double shards = 0.0;
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "shards", &shards));
-      bundle.shards = static_cast<int>(shards);
+      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "shards", &bundle.shards));
+      if (bundle.shards < 1) {
+        return LineError(line_no, "field \"shards\" must be >= 1, got " +
+                                      std::to_string(bundle.shards));
+      }
       continue;
     }
     if (FindField(line, "window") != std::string::npos) {
       FlightWindowRecord rec;
-      double v = 0.0;
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "window", &v));
-      rec.window = static_cast<int64_t>(v);
+      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "window", &rec.window));
       VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "t_end", &rec.t_end));
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "capacity", &v));
-      rec.capacity = static_cast<int64_t>(v);
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "rung", &v));
-      rec.rung = static_cast<int>(v);
+      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "capacity", &rec.capacity));
+      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "rung", &rec.rung));
+      // Rungs share the trace's degradation subtype vocabulary.
+      if (rec.rung < 0 || rec.rung > 255 ||
+          std::strcmp(EventSubtypeName(EventCategory::kDegradation,
+                                       static_cast<uint8_t>(rec.rung)),
+                      "-") == 0) {
+        return LineError(line_no, "field \"rung\" is not a degradation "
+                                  "rung: " + std::to_string(rec.rung));
+      }
       VOD_RETURN_IF_ERROR(ParseU64(line, line_no, "digest", &rec.digest));
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "sum_held", &v));
-      rec.sum_held = static_cast<int64_t>(v);
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "sum_credit", &v));
-      rec.sum_credit = static_cast<int64_t>(v);
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "sum_debt", &v));
-      rec.sum_debt = static_cast<int64_t>(v);
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "sum_queued", &v));
-      rec.sum_queued = static_cast<int64_t>(v);
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "quota_issued", &v));
-      rec.quota_issued = static_cast<int64_t>(v);
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "messages_posted", &v));
-      rec.messages_posted = static_cast<uint64_t>(v);
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "messages_drained", &v));
-      rec.messages_drained = static_cast<uint64_t>(v);
+      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "sum_held", &rec.sum_held));
+      VOD_RETURN_IF_ERROR(
+          ParseInt(line, line_no, "sum_credit", &rec.sum_credit));
+      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "sum_debt", &rec.sum_debt));
+      VOD_RETURN_IF_ERROR(
+          ParseInt(line, line_no, "sum_queued", &rec.sum_queued));
+      VOD_RETURN_IF_ERROR(
+          ParseInt(line, line_no, "quota_issued", &rec.quota_issued));
       const size_t arr = FindField(line, "shard_events");
       if (arr == std::string::npos || arr >= line.size() ||
           line[arr] != '[') {
@@ -227,12 +260,14 @@ Result<PostmortemBundle> ReadPostmortem(const std::string& path) {
       }
       size_t pos = arr + 1;
       while (pos < line.size() && line[pos] != ']') {
-        char* end = nullptr;
-        const double d = std::strtod(line.c_str() + pos, &end);
-        if (end == line.c_str() + pos) {
-          return LineError(line_no, "malformed shard_events array");
+        double d = 0.0;
+        int64_t events = 0;
+        const char* end = ReadFinite(line.c_str() + pos, &d);
+        if (end == nullptr || !ToInt(d, &events)) {
+          return LineError(line_no, "field \"shard_events\" holds an entry "
+                                    "that is not a 64-bit integer");
         }
-        rec.shard_events.push_back(static_cast<int64_t>(d));
+        rec.shard_events.push_back(events);
         pos = static_cast<size_t>(end - line.c_str());
         if (pos < line.size() && line[pos] == ',') ++pos;
       }
@@ -240,8 +275,8 @@ Result<PostmortemBundle> ReadPostmortem(const std::string& path) {
       continue;
     }
     if (FindField(line, "shard") != std::string::npos) {
-      double shard = 0.0;
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "shard", &shard));
+      int shard = 0;
+      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "shard", &shard));
       const size_t obj = FindField(line, "event");
       const size_t close = line.rfind('}');
       if (obj == std::string::npos || close == std::string::npos ||
@@ -259,7 +294,7 @@ Result<PostmortemBundle> ReadPostmortem(const std::string& path) {
         return LineError(line_no, "expected exactly one embedded event");
       }
       PostmortemEvent pe;
-      pe.shard = static_cast<int>(shard);
+      pe.shard = shard;
       pe.event = parsed->front();
       bundle.events.push_back(pe);
       continue;

@@ -41,9 +41,7 @@ struct FlightWindowRecord {
   int64_t sum_credit = 0;  ///< Σ per-movie credits granted for next window
   int64_t sum_debt = 0;    ///< Σ per-movie debts carried
   int64_t sum_queued = 0;  ///< Σ queued VCR requests across movies
-  int64_t quota_issued = 0;          ///< reclaim quota broadcast this barrier
-  uint64_t messages_posted = 0;      ///< router lifetime totals at the barrier
-  uint64_t messages_drained = 0;
+  int64_t quota_issued = 0;  ///< reclaim quota written at the last barrier
   std::vector<int64_t> shard_events;  ///< executed-event delta per shard
 };
 
@@ -94,7 +92,11 @@ struct PostmortemBundle {
   std::vector<PostmortemEvent> events;      ///< shard-major, oldest first
 };
 
-/// Reads a bundle written by FlightRecorder::Dump.
+/// Reads a bundle written by FlightRecorder::Dump. Every field is checked
+/// before it is cast: a non-finite, fractional or out-of-type number, a
+/// rung that is not a degradation rung, or fewer than one shard is an
+/// InvalidArgument naming the line and the field. Fields this reader does
+/// not know (such as an older build's message counts) are ignored.
 Result<PostmortemBundle> ReadPostmortem(const std::string& path);
 
 }  // namespace vod

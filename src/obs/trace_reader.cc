@@ -260,9 +260,9 @@ std::vector<ControllerDecision> ControllerTimeline(
 std::vector<ShardWindowSummary> ShardImbalanceTimeline(
     const std::vector<TraceEvent>& events) {
   std::vector<ShardWindowSummary> out;
-  // Rows are keyed by barrier time: every shard's window_close and the
-  // coordinator's pressure reports for one window carry the same t_end, and
-  // windows arrive in time order in a merged trace.
+  // Rows are keyed by barrier time: every shard's window_close for one
+  // window carries the same t_end, and windows arrive in time order in a
+  // merged trace.
   const auto row_for = [&out](double t) -> ShardWindowSummary& {
     if (out.empty() || out.back().t_end != t) {
       ShardWindowSummary row;
@@ -289,9 +289,7 @@ std::vector<ShardWindowSummary> ShardImbalanceTimeline(
         ++row.shards;
         break;
       }
-      case ShardEvent::kPressure:
-        row_for(event.time).messages += static_cast<int64_t>(event.value);
-        break;
+      case ShardEvent::kPressure:  // retired; older traces still carry it
       case ShardEvent::kWindowOpen:
       case ShardEvent::kQuotaApply:
         break;

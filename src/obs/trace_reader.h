@@ -98,7 +98,6 @@ struct ShardWindowSummary {
   int64_t max_events = 0;    ///< busiest shard's delta
   int64_t min_events = 0;    ///< laziest shard's delta
   int critical_shard = 0;    ///< argmax delta (lowest id on ties)
-  int64_t messages = 0;      ///< coordinator-drained mailbox messages
 };
 
 /// Per-window imbalance timeline, in trace order. Empty when the trace has

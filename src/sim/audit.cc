@@ -222,15 +222,6 @@ void InvariantAuditor::AuditShardLedgers(const AuditSnapshot& s) {
                        " (a credit was spent or repaid twice)");
     }
     ledger += m.held + m.credit - m.debt;
-    if (m.live != m.entered - m.exited) {
-      AddViolation(t, "shard-viewer-conservation",
-                   "movie " + std::to_string(m.movie) + " reports " +
-                       std::to_string(m.live) + " live viewers but " +
-                       std::to_string(m.entered) + " entered - " +
-                       std::to_string(m.exited) + " exited = " +
-                       std::to_string(m.entered - m.exited) +
-                       " (a viewer was lost or duplicated in a handoff)");
-    }
   }
   if (ledger != sh.capacity) {
     AddViolation(t, "shard-reserve-ledger",
@@ -238,19 +229,6 @@ void InvariantAuditor::AuditShardLedgers(const AuditSnapshot& s) {
                      std::to_string(ledger) + ", global capacity is " +
                      std::to_string(sh.capacity) +
                      " (a shard grant minted or leaked reserve)");
-  }
-  if (sh.messages_posted != sh.messages_drained) {
-    AddViolation(t, "shard-mailbox-conservation",
-                 std::to_string(sh.messages_posted) +
-                     " messages posted but " +
-                     std::to_string(sh.messages_drained) +
-                     " drained (a cross-shard message was lost)");
-  }
-  if (sh.sequence_gaps != 0) {
-    AddViolation(t, "shard-mailbox-conservation",
-                 std::to_string(sh.sequence_gaps) +
-                     " mailbox sequence gaps (a message was dropped, "
-                     "duplicated, or reordered)");
   }
 
   // --- windowed cross-shard ladder ---------------------------------------

@@ -33,10 +33,6 @@
 //                         reserve capacity — shard grants never mint or
 //                         leak capacity
 //   shard-credit-negative no per-movie held/credit/debt counter below zero
-//   shard-viewer-conservation  per movie, live == entered - exited across
-//                         every barrier handoff
-//   shard-mailbox-conservation all posted messages drained, sequence
-//                         numbers gap-free (no lost/duplicated message)
 //   shard-ladder-rung     the windowed global rung is exactly the pure
 //                         StepWindowedLadder function of the previous state
 //                         and the summed pressure (no rung invented or
@@ -142,11 +138,10 @@ struct AuditSnapshot {
 
   /// \brief Cross-shard conservation view (sharded server barriers).
   ///
-  /// Filled by the sharded-run coordinator after draining every mailbox at
-  /// a window barrier. Stream reserve is distributed as per-movie credits:
-  /// at any barrier Σ(held + credit - debt) over movies must equal the
-  /// global capacity, viewers must be conserved per movie, and every
-  /// mailbox message posted must have been drained in sequence.
+  /// Filled by the sharded-run coordinator at a window barrier from each
+  /// movie's state, read in place. Stream reserve is distributed as
+  /// per-movie credits: at any barrier Σ(held + credit - debt) over movies
+  /// must equal the global capacity, and no counter may go negative.
   struct ShardState {
     bool enabled = false;
     /// Global reserve capacity at this barrier (post-fault).
@@ -157,22 +152,17 @@ struct AuditSnapshot {
       int64_t held = 0;    ///< dedicated streams this movie's viewers hold
       int64_t credit = 0;  ///< unspent acquisition credit
       int64_t debt = 0;    ///< retirement owed after a capacity loss
-      int64_t entered = 0;
-      int64_t exited = 0;
-      int64_t live = 0;
+      int64_t entered = 0;  ///< viewers admitted so far (digest term)
+      int64_t exited = 0;   ///< viewers departed so far (digest term)
       // Windowed-ladder terms (meaningful when shard.ladder.enabled):
       int64_t vcr_queued = 0;         ///< cumulative measured queue entries
       int64_t queue_grants = 0;       ///< cumulative measured queue grants
       int64_t queue_expirations = 0;  ///< cumulative measured expirations
       int64_t queue_pending = 0;      ///< measured waiters still queued
-      int64_t reclaim_quota = 0;      ///< quota echoed for last window open
+      int64_t reclaim_quota = 0;      ///< quota applied at last window open
       int64_t reclaim_applied = 0;    ///< streams reclaimed against it
     };
     std::vector<MovieLedger> movies;
-
-    uint64_t messages_posted = 0;
-    uint64_t messages_drained = 0;
-    uint64_t sequence_gaps = 0;
 
     /// \brief Windowed cross-shard ladder view (one decision per barrier).
     ///

@@ -4,15 +4,19 @@
 // (one EventQueue per shard), viewer slabs, per-movie metrics, and per-movie
 // stream-credit suppliers. Nothing a shard touches while a window runs is
 // visible to any other thread; all cross-movie coupling (the shared disk
-// reserve, the controller, faults) is quantized to the window barriers and
-// carried by mailbox messages (common/mailbox.h). See sharded_server.h for
-// the coordinator protocol and DESIGN.md §12 for the full semantics.
+// reserve, the controller, faults) is quantized to the window barriers. There
+// the single-threaded coordinator reads each movie's supplier, world and slot
+// in place and writes the next window's credit, debt, rung and reclaim quota
+// straight back into them: the ThreadPool::ParallelFor join orders every
+// shard write before the coordinator's reads, and the next window's dispatch
+// orders the coordinator's writes before the shard's. See sharded_server.h
+// for the coordinator protocol and DESIGN.md §12 for the full semantics.
 //
 // The per-movie decomposition is what makes results independent of the
 // shard count: every movie's RNG stream is derived from its *global* index,
-// every supplier ledger is per movie, and every mailbox message is keyed by
-// movie — so moving a movie between shards relocates computation without
-// changing a single number.
+// every supplier ledger is per movie, and the coordinator visits movies in
+// global index order — so moving a movie between shards relocates
+// computation without changing a single number.
 
 #ifndef VOD_SIM_SHARD_H_
 #define VOD_SIM_SHARD_H_
@@ -21,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/mailbox.h"
 #include "common/rng.h"
 #include "ctrl/admission_gate.h"
 #include "obs/event_log.h"
@@ -46,7 +49,7 @@ namespace vod {
 ///
 /// When the degradation ladder is enabled (ArmLadder), the supplier also
 /// carries the shard-side half of the windowed cross-shard ladder
-/// (sim/degradation.h): the coordinator broadcasts a global rung once per
+/// (sim/degradation.h): the coordinator writes a global rung once per
 /// window, and within the window the supplier enforces it locally —
 /// admission closes at >= kShedVcr, and refused FF/RW requests may queue
 /// in the VcrWaitQueue ReserveManager also uses, granted strictly from this
@@ -64,7 +67,6 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
     if ((ladder_armed() && rung_ >= DegradationLevel::kShedVcr) ||
         credit_ <= 0) {
       ++refused_;
-      ++window_refused_;
       return false;
     }
     GrantStream(t);
@@ -114,16 +116,8 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
   }
   bool ladder_armed() const { return vcr_queue_armed(); }
 
-  /// Coordinator rung broadcast, applied at the window open that drains it.
+  /// Barrier-side rung write, in force from the next window open.
   void SetRung(DegradationLevel rung) { rung_ = rung; }
-
-  /// Records the barrier-issued reclaim quota and how much of it the shard
-  /// actually reclaimed at window open (echoed back for the
-  /// shard-ladder-reclaim audit law).
-  void NoteReclaim(int64_t quota, int64_t applied) {
-    window_quota_ = quota;
-    window_reclaimed_ = applied;
-  }
 
   /// Window-open hook: re-offers queued requests against the fresh credit
   /// grant and the just-applied rung.
@@ -132,23 +126,11 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
   int64_t held() const { return held_; }
   int64_t credit() const { return credit_; }
   int64_t debt() const { return debt_; }
+  /// Cumulative refusals and grants; the coordinator weights next window's
+  /// credit split by their change since the last barrier.
   int64_t refused() const { return refused_; }
   int64_t acquired() const { return acquired_; }
   double MeanInUse(double t_end) const { return usage_.TimeAverage(t_end); }
-
-  /// Demand observed since the last barrier (refusals + grants); the
-  /// coordinator weights next window's credit split by it, then resets.
-  int64_t window_refused() const { return window_refused_; }
-  int64_t window_acquired() const { return window_acquired_; }
-  /// Reclaim quota received / applied at this window's open (echo terms).
-  int64_t window_quota() const { return window_quota_; }
-  int64_t window_reclaimed() const { return window_reclaimed_; }
-  void ResetWindow() {
-    window_refused_ = 0;
-    window_acquired_ = 0;
-    window_quota_ = 0;
-    window_reclaimed_ = 0;
-  }
 
  private:
   // ---- VcrWaitQueue: grants spend this movie's own credit ----------------
@@ -161,7 +143,6 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
     --credit_;
     ++held_;
     ++acquired_;
-    ++window_acquired_;
     usage_.Set(t, static_cast<double>(held_));
   }
 
@@ -170,14 +151,10 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
   int64_t debt_ = 0;
   int64_t refused_ = 0;
   int64_t acquired_ = 0;
-  int64_t window_refused_ = 0;
-  int64_t window_acquired_ = 0;
   TimeWeightedValue usage_{};
 
   // Windowed-ladder state; inert until ArmLadder.
   DegradationLevel rung_ = DegradationLevel::kNormal;
-  int64_t window_quota_ = 0;
-  int64_t window_reclaimed_ = 0;
 };
 
 /// \brief Admission gate that records offered arrivals instead of deciding.
@@ -186,7 +163,7 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
 /// consulted per arrival. Every arrival is admitted shard-side, and the
 /// (time, movie) record is replayed into the controller's rate estimators
 /// at the next barrier. Pressure-driven shedding still happens — but
-/// through the windowed rung the barrier broadcasts to every supplier
+/// through the windowed rung the barrier writes into every supplier
 /// (admission closes at >= kShedVcr), not per arrival; the decision lags
 /// live pressure by at most one window.
 class RecordingGate final : public AdmissionGate {
@@ -212,39 +189,11 @@ class RecordingGate final : public AdmissionGate {
   std::vector<Offered> offered_;
 };
 
-/// Message kinds on the shard <-> coordinator mailboxes. Every message is
-/// keyed by global movie index, so for a fixed configuration the per-movie
-/// message stream is identical for every shard count.
-enum ShardMessageKind : uint32_t {
-  /// shard -> coordinator, one per movie per window:
-  /// a=held, b=credit, c=debt, x=window_refused, y=window_acquired.
-  kShardMsgLedger = 1,
-  /// shard -> coordinator, one per movie per window:
-  /// a=entered, b=exited, c=live.
-  kShardMsgViewers = 2,
-  /// coordinator -> shard: a=credit, b=debt.
-  kShardMsgCreditSet = 3,
-  /// coordinator -> shard: a=streams, x=movie_length, y=buffer_minutes
-  /// (a controller layout commit, applied at the next window start).
-  kShardMsgLayout = 4,
-  /// shard -> coordinator, one per movie per window when the ladder is
-  /// armed: a=queue_length, b=vcr_queued, c=vcr_queue_grants,
-  /// x=vcr_queue_expirations, y=measured_queue_pending. (The double fields
-  /// carry integer counts; they are exact well past any feasible count.)
-  kShardMsgLadderPressure = 5,
-  /// shard -> coordinator, one per movie per window when the ladder is
-  /// armed: a=reclaim quota received at window open, b=streams actually
-  /// reclaimed against it.
-  kShardMsgReclaimEcho = 6,
-  /// coordinator -> shard, one per movie per window when the ladder is
-  /// armed: a=global rung, b=this movie's forced-reclaim quota.
-  kShardMsgRung = 7,
-};
-
 /// \brief One shard: a private event kernel plus the movies it owns.
 ///
 /// Single-threaded within a window; the coordinator guarantees at most one
-/// thread runs a shard at a time and reads its state only between windows.
+/// thread runs a shard at a time and reads or writes its state only between
+/// windows.
 class ServerShard {
  public:
   /// One movie assigned to this shard.
@@ -253,19 +202,20 @@ class ServerShard {
     std::unique_ptr<CreditStreamSupplier> supplier;
     std::unique_ptr<SimulationMetrics> metrics;
     std::unique_ptr<MovieWorld> world;
-    /// Reclaim quota from the latest rung message, consumed at window open.
-    int64_t pending_reclaim = 0;
+    /// Forced-reclaim quota the barrier wrote for the next window open, and
+    /// the streams reclaimed against it there; the next barrier reads both
+    /// for the shard-ladder-reclaim law. Used only with the ladder armed.
+    int64_t reclaim_quota = 0;
+    int64_t reclaim_applied = 0;
   };
 
-  ServerShard(int shard_index, ShardMailbox* inbox, ShardMailbox* outbox)
-      : shard_index_(shard_index), inbox_(inbox), outbox_(outbox) {}
+  explicit ServerShard(int shard_index) : shard_index_(shard_index) {}
 
   ServerShard(const ServerShard&) = delete;
   ServerShard& operator=(const ServerShard&) = delete;
 
   EventQueue& queue() { return queue_; }
   RecordingGate& gate() { return gate_; }
-  int shard_index() const { return shard_index_; }
 
   /// \brief The shard's private telemetry lane (DESIGN.md §14).
   ///
@@ -288,21 +238,14 @@ class ServerShard {
     for (MovieSlot& m : movies_) m.world->Start();
   }
 
-  /// \brief Runs one window: drains the inbox (credit grants, layout
-  /// commits, rung broadcasts), applies rung entry actions (forced reclaim
-  /// against the barrier quota, queued-request re-offers), executes all
-  /// events up to and including `t_end`, then posts one ledger and one
-  /// viewer summary — plus ladder pressure and reclaim-echo messages when
-  /// the ladder is armed — per owned movie.
-  ///
-  /// `t_start` is the barrier time the drained messages were posted at;
-  /// layout commits re-anchor there (never in this window's past).
+  /// \brief Runs one window: applies the rung's entry actions at `t_start`
+  /// (forced reclaim against each movie's barrier quota, then queued-request
+  /// re-offers against the fresh credit), executes all events up to and
+  /// including `t_end`, and brackets the window with kShard lane records.
   void RunWindow(double t_start, double t_end);
 
  private:
   int shard_index_;
-  ShardMailbox* inbox_;   ///< coordinator -> this shard
-  ShardMailbox* outbox_;  ///< this shard -> coordinator
   EventQueue queue_;
   RecordingGate gate_;
   EventLog lane_;

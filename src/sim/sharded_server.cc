@@ -8,8 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/check.h"
-#include "common/mailbox.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "obs/flight_recorder.h"
@@ -102,47 +100,41 @@ bool FileExists(const std::string& path) {
   return true;
 }
 
-// The controller's window onto a sharded run. Layout commits cannot touch
-// the worlds directly (they live on other threads between barriers), so the
-// host keeps its own authoritative layout copies — they ARE the live
-// layouts as far as the control plane is concerned — and queues each commit
-// for mailbox delivery; the owning shard applies it at the next window
-// start. Reclaim pressure comes from the windowed degradation rung the
-// barrier publishes after each decision (zero, i.e. admit-everything, when
-// the ladder is off — consistent with the shards' record-and-admit gates);
-// the controller replay at barrier w therefore sees the rung that was in
-// effect during window w.
+// The controller's window onto a sharded run. The controller runs only at
+// barriers, when no shard thread is live, so it reads and commits each
+// movie's layout on the owning world directly. A commit re-anchors the
+// schedule at the barrier time, never in the replayed window's past: the
+// world has already run to the barrier. Reclaim pressure comes from the
+// windowed degradation rung the barrier publishes after each decision (zero,
+// i.e. admit-everything, when the ladder is off — consistent with the
+// shards' record-and-admit gates); the controller replay at barrier w
+// therefore sees the rung that was in effect during window w.
 class ShardedControllerHost final : public ControllerHost {
  public:
-  explicit ShardedControllerHost(std::vector<PartitionLayout> layouts)
-      : layouts_(std::move(layouts)) {}
+  explicit ShardedControllerHost(std::vector<MovieWorld*> worlds)
+      : worlds_(std::move(worlds)) {}
 
   void CommitLayout(int32_t movie, double t,
                     const PartitionLayout& layout) override {
     (void)t;
-    layouts_[static_cast<size_t>(movie)] = layout;
-    pending_commits_.push_back(movie);
+    worlds_[static_cast<size_t>(movie)]->ApplyLayout(barrier_time_, layout);
   }
   const PartitionLayout& LiveLayout(int32_t movie) const override {
-    return layouts_[static_cast<size_t>(movie)];
+    return worlds_[static_cast<size_t>(movie)]->layout();
   }
   bool ReclaimBlocked() const override {
     return rung_ >= DegradationLevel::kReclaim;
   }
   int PressureLevel() const override { return ControllerPressure(rung_); }
 
+  /// Barrier-side: the time commits anchor at during this barrier's replay.
+  void set_barrier_time(double t) { barrier_time_ = t; }
   /// Barrier-side: publishes the windowed rung decided for the next window.
   void set_rung(DegradationLevel rung) { rung_ = rung; }
 
-  std::vector<int32_t> TakePendingCommits() {
-    std::vector<int32_t> out;
-    out.swap(pending_commits_);
-    return out;
-  }
-
  private:
-  std::vector<PartitionLayout> layouts_;
-  std::vector<int32_t> pending_commits_;  ///< movies with uncommitted posts
+  std::vector<MovieWorld*> worlds_;  ///< global movie index -> world
+  double barrier_time_ = 0.0;
   DegradationLevel rung_ = DegradationLevel::kNormal;
 };
 
@@ -174,12 +166,13 @@ std::vector<int64_t> Apportion(int64_t amount,
   return share;
 }
 
-/// One movie's row of the barrier ledger, as drained from its shard: the
-/// fields the auditor checks (the ladder ones posted only when the ladder is
-/// armed) plus the two the coordinator alone reads.
+/// One movie's row of the barrier ledger, as read from its supplier, world
+/// and slot: the fields the auditor checks (the ladder ones read only when
+/// the ladder is armed) plus the ones the coordinator alone uses.
 struct MovieBarrier : AuditSnapshot::ShardState::MovieLedger {
-  int64_t demand = 0;     ///< window refusals + grants
-  int64_t queue_len = 0;  ///< waiters queued at the barrier
+  int64_t demand = 0;       ///< refusals + grants since the last barrier
+  int64_t demand_seen = 0;  ///< cumulative refusals + grants at that barrier
+  int64_t queue_len = 0;    ///< waiters queued at the barrier
 };
 
 /// Executed-event spread across shards in one window (lane fold output).
@@ -209,10 +202,8 @@ struct BarrierGauges {
   Gauge* shard_max = nullptr;
   Gauge* shard_min = nullptr;
   Gauge* shard_critical = nullptr;
-  Gauge* mailbox_depth = nullptr;
   Gauge* credit_granted = nullptr;
   Gauge* debt_assigned = nullptr;
-  Counter* mailbox_messages = nullptr;
 };
 
 /// \brief The state of one sharded run, owned by the single-threaded
@@ -238,7 +229,6 @@ class ShardedRun {
         fingerprint_(FingerprintConfig(movies, options)),
         ladder_on_(base_.degradation.enabled),
         base_rng_(base_.seed),
-        router_(shard_count_),
         capacity_(base_.dynamic_stream_reserve),
         min_capacity_seen_(capacity_),
         digest_(Fnv1a(1469598103934665603ULL, fingerprint_)),
@@ -250,11 +240,12 @@ class ShardedRun {
                   static_cast<size_t>(options.postmortem.events_per_shard)),
         shard_executed_prev_(static_cast<size_t>(shard_count_), 0),
         shard_window_events_(static_cast<size_t>(shard_count_), 0),
-        shard_window_msgs_(static_cast<size_t>(shard_count_), 0),
         work_begin_us_(static_cast<size_t>(shard_count_), 0.0),
         work_end_us_(static_cast<size_t>(shard_count_), 0.0),
-        pool_(options.threads) {}
-  // Shards, mailboxes and pool workers hold addresses inside the run.
+        // ParallelFor never runs more than one shard per worker.
+        pool_(std::min(options.threads, options.shards)) {}
+  // Shards, the controller host and pool workers hold addresses inside the
+  // run.
   ShardedRun(const ShardedRun&) = delete;
   ShardedRun& operator=(const ShardedRun&) = delete;
 
@@ -276,30 +267,27 @@ class ShardedRun {
            w >= options_.checkpoint.stop_after_windows && w < total_windows_;
   }
 
-  /// Wires the shards, worlds, control plane, auditor and telemetry, posts
+  /// Wires the shards, worlds, control plane, auditor and telemetry, writes
   /// the pre-run credit grant and schedules every world's first arrival.
   Status Build() {
     VOD_RETURN_IF_ERROR(ReadResumePoint());
     shards_.reserve(static_cast<size_t>(shard_count_));
     for (int s = 0; s < shard_count_; ++s) {
-      shards_.push_back(std::make_unique<ServerShard>(
-          s, &router_.to_shard(s), &router_.to_coordinator(s)));
+      shards_.push_back(std::make_unique<ServerShard>(s));
     }
-    // The control plane must exist before the worlds so the shards' gates
-    // know whether to record arrivals.
+    VOD_RETURN_IF_ERROR(BuildWorlds());
     if (base_.controller.enabled) {
-      std::vector<PartitionLayout> layouts;
-      layouts.reserve(movies_.size());
-      for (const ServerMovieSpec& spec : movies_) {
-        layouts.push_back(spec.layout);
+      std::vector<MovieWorld*> worlds;
+      worlds.reserve(slots_.size());
+      for (ServerShard::MovieSlot* slot : slots_) {
+        worlds.push_back(slot->world.get());
       }
-      ctrl_host_ = std::make_unique<ShardedControllerHost>(std::move(layouts));
+      ctrl_host_ = std::make_unique<ShardedControllerHost>(std::move(worlds));
       controller_ = std::make_unique<Controller>(
           base_.controller, ControllerMovies(movies_), ctrl_host_.get(),
           /*log=*/nullptr);
+      controller_->Start(0.0);
     }
-    VOD_RETURN_IF_ERROR(BuildWorlds());
-    if (controller_ != nullptr) controller_->Start(0.0);
     fault_schedule_ = ServerFaultSchedule(base_, base_rng_, horizon_);
     if (base_.audit.enabled) {
       auditor_ = std::make_unique<InvariantAuditor>(base_.audit);
@@ -311,17 +299,16 @@ class ShardedRun {
     ArmTelemetry();
 
     // Initial credit grant: the whole reserve, split evenly (no demand yet),
-    // posted by the same release step every barrier runs, so shard 0's path
-    // is identical to the N-shard path. With the ladder on, an initial
-    // kNormal rung (quota 0) rides along so every window drains a uniform
-    // per-movie message set.
+    // written by the same step every barrier runs, so shard 0's path is
+    // identical to the N-shard path. With the ladder on, an initial kNormal
+    // rung (quota 0) is written with it.
     const std::vector<int64_t> credits =
         Apportion(capacity_, std::vector<int64_t>(movies_.size(), 1));
     for (size_t i = 0; i < movies_.size(); ++i) {
       ledger_[i].movie = static_cast<int32_t>(i);
       ledger_[i].credit = credits[i];
     }
-    ReleaseCredits();
+    WriteLedger();
     for (auto& shard : shards_) shard->Start();
     return Status::OK();
   }
@@ -384,54 +371,29 @@ class ShardedRun {
     return load;
   }
 
-  /// Ledger drain: shard summaries into the per-movie ledger (global movie
-  /// order is restored by indexing, so shard layout cannot reorder anything).
-  void DrainLedger(double t_end) {
-    for (int s = 0; s < shard_count_; ++s) {
-      const std::vector<ShardMessage> msgs = router_.to_coordinator(s).Drain();
-      shard_window_msgs_[static_cast<size_t>(s)] =
-          static_cast<int64_t>(msgs.size());
-      for (const ShardMessage& msg : msgs) {
-        MovieBarrier& mb = ledger_[static_cast<size_t>(msg.movie)];
-        switch (msg.kind) {
-          case kShardMsgLedger:
-            mb.held = msg.a;
-            mb.credit = msg.b;
-            mb.debt = msg.c;
-            mb.demand = static_cast<int64_t>(msg.x + msg.y);
-            break;
-          case kShardMsgViewers:
-            mb.entered = msg.a;
-            mb.exited = msg.b;
-            mb.live = msg.c;
-            break;
-          case kShardMsgLadderPressure:
-            mb.queue_len = msg.a;
-            mb.vcr_queued = msg.b;
-            mb.queue_grants = msg.c;
-            mb.queue_expirations = static_cast<int64_t>(msg.x);
-            mb.queue_pending = static_cast<int64_t>(msg.y);
-            break;
-          case kShardMsgReclaimEcho:
-            mb.reclaim_quota = msg.a;
-            mb.reclaim_applied = msg.b;
-            break;
-          default:
-            VOD_CHECK_MSG(false, "unknown shard->coordinator message kind");
-        }
-      }
-    }
-    if (ObsEnabled(event_log_, EventCategory::kShard)) {
-      // Pressure report: one record per shard with its barrier-mailbox
-      // traffic. Message counts are shard-layout products, so these live
-      // under kShard (filterable) rather than the invariant categories.
-      for (int s = 0; s < shard_count_; ++s) {
-        event_log_->Emit(t_end, EventCategory::kShard,
-                         static_cast<uint8_t>(ShardEvent::kPressure),
-                         /*movie=*/-1, /*id=*/s,
-                         static_cast<double>(
-                             shard_window_msgs_[static_cast<size_t>(s)]));
-      }
+  /// Ledger read: each movie's row from its supplier, world and slot, in
+  /// global movie order, so shard layout cannot reorder anything.
+  void ReadLedger() {
+    for (size_t i = 0; i < ledger_.size(); ++i) {
+      const ServerShard::MovieSlot& slot = *slots_[i];
+      const CreditStreamSupplier& supplier = *slot.supplier;
+      MovieBarrier& mb = ledger_[i];
+      mb.held = supplier.held();
+      mb.credit = supplier.credit();
+      mb.debt = supplier.debt();
+      const int64_t seen = supplier.refused() + supplier.acquired();
+      mb.demand = seen - mb.demand_seen;
+      mb.demand_seen = seen;
+      mb.entered = slot.world->viewers_entered();
+      mb.exited = slot.world->viewers_exited();
+      if (!ladder_on_) continue;
+      mb.queue_len = supplier.queue_length();
+      mb.vcr_queued = supplier.vcr_queued();
+      mb.queue_grants = supplier.vcr_queue_grants();
+      mb.queue_expirations = supplier.vcr_queue_expirations();
+      mb.queue_pending = supplier.measured_queue_pending();
+      mb.reclaim_quota = slot.reclaim_quota;
+      mb.reclaim_applied = slot.reclaim_applied;
     }
   }
 
@@ -456,6 +418,7 @@ class ShardedRun {
   /// Re-plans run here, so it gets its own span inside the fold.
   void ReplayController(double t_end, bool capacity_changed) {
     if (controller_ == nullptr) return;
+    ctrl_host_->set_barrier_time(t_end);
     const double start_us =
         profiler_ != nullptr ? profiler_->NowMicros() : 0.0;
     std::vector<RecordingGate::Offered> offered;
@@ -589,12 +552,8 @@ class ShardedRun {
     gauges_.shard_max->Set(static_cast<double>(load.max_events));
     gauges_.shard_min->Set(static_cast<double>(load.min_events));
     gauges_.shard_critical->Set(static_cast<double>(load.critical_shard));
-    gauges_.mailbox_depth->Set(static_cast<double>(router_.max_peak_depth()));
     gauges_.credit_granted->Set(static_cast<double>(sums.credit));
     gauges_.debt_assigned->Set(static_cast<double>(sums.debt));
-    int64_t window_msgs = 0;
-    for (const int64_t n : shard_window_msgs_) window_msgs += n;
-    gauges_.mailbox_messages->Add(window_msgs);
     registry_->MaybeSample(t_end);
   }
 
@@ -609,9 +568,6 @@ class ShardedRun {
     sh.enabled = true;
     sh.capacity = capacity_;
     sh.movies.assign(ledger_.begin(), ledger_.end());
-    sh.messages_posted = router_.total_posted();
-    sh.messages_drained = router_.total_drained();
-    sh.sequence_gaps = router_.total_sequence_gaps();
     if (ladder_on_) {
       auto& ld = sh.ladder;
       ld.enabled = true;
@@ -682,8 +638,6 @@ class ShardedRun {
     fr.sum_debt = sums.debt;
     fr.sum_queued = sum_queued;
     fr.quota_issued = quota_issued_prev_;
-    fr.messages_posted = router_.total_posted();
-    fr.messages_drained = router_.total_drained();
     fr.shard_events = shard_window_events_;
     recorder_.RecordWindow(std::move(fr));
     if (audit_tripped && !options_.postmortem.path.empty()) {
@@ -728,42 +682,22 @@ class ShardedRun {
     return written;
   }
 
-  /// Release: posts next window's credits — and, with the ladder on, the rung
-  /// decision plus per-movie reclaim quotas — then the controller's pending
-  /// layout commits.
-  void ReleaseCredits() {
+  /// Write-back: next window's credit and debt into every supplier and,
+  /// with the ladder on, the rung and the forced-reclaim quota the shard
+  /// applies at window open.
+  void WriteLedger() {
     quota_issued_prev_ = 0;
     for (size_t i = 0; i < ledger_.size(); ++i) {
-      ShardMessage m;
-      m.kind = kShardMsgCreditSet;
-      m.movie = static_cast<int32_t>(i);
-      m.a = ledger_[i].credit;
-      m.b = ledger_[i].debt;
-      PostToMovie(i, m);
-      if (ladder_on_) {
-        ShardMessage rung;
-        rung.kind = kShardMsgRung;
-        rung.movie = static_cast<int32_t>(i);
-        rung.a = static_cast<int64_t>(ladder_state_.level);
-        rung.b = reclaim_quota_[i];
-        PostToMovie(i, rung);
-        quota_issued_prev_ += reclaim_quota_[i];
-      }
-    }
-    if (ctrl_host_ == nullptr) return;
-    for (int32_t movie : ctrl_host_->TakePendingCommits()) {
-      const PartitionLayout& layout = ctrl_host_->LiveLayout(movie);
-      ShardMessage m;
-      m.kind = kShardMsgLayout;
-      m.movie = movie;
-      m.a = layout.streams();
-      m.x = layout.movie_length();
-      m.y = layout.buffer_minutes();
-      PostToMovie(static_cast<size_t>(movie), m);
+      ServerShard::MovieSlot& slot = *slots_[i];
+      slot.supplier->SetLedger(ledger_[i].credit, ledger_[i].debt);
+      if (!ladder_on_) continue;
+      slot.supplier->SetRung(ladder_state_.level);
+      slot.reclaim_quota = reclaim_quota_[i];
+      quota_issued_prev_ += reclaim_quota_[i];
     }
   }
 
-  /// Everything from the join to the release is the coordinator's fold; one
+  /// Everything from the join to the write-back is the coordinator's fold; one
   /// span per window on its named lane.
   void RecordFold(double barrier_us) {
     if (profiler_ != nullptr) {
@@ -780,17 +714,17 @@ class ShardedRun {
     ShardedServerReport report;
     report.window_minutes = options_.window_minutes;
     report.shards = shard_count_;
-    report.threads = options_.threads;
+    report.threads = std::max(1, pool_.num_threads());
     report.windows = windows;
     report.complete = complete;
     ServerReport& server = report.server;
     server.reserve_capacity = base_.dynamic_stream_reserve;
     int64_t refused = 0;
     int64_t granted = 0;
-    for (const MovieRef& ref : refs_) {
-      server.mean_reserve_in_use += ref.slot->supplier->MeanInUse(horizon_);
-      refused += ref.slot->supplier->refused();
-      granted += ref.slot->supplier->acquired();
+    for (const ServerShard::MovieSlot* slot : slots_) {
+      server.mean_reserve_in_use += slot->supplier->MeanInUse(horizon_);
+      refused += slot->supplier->refused();
+      granted += slot->supplier->acquired();
     }
     // Barrier-sampled: the max over barriers of Σ held. In-window excursions
     // between barriers are invisible by design (no cross-shard counter
@@ -800,7 +734,7 @@ class ShardedRun {
 
     SimulationMetrics aggregate_metrics(base_.warmup_minutes);
     for (size_t i = 0; i < movies_.size(); ++i) {
-      const ServerShard::MovieSlot& slot = *refs_[i].slot;
+      const ServerShard::MovieSlot& slot = *slots_[i];
       AddMovieReport(movies_[i].name, *slot.metrics, *slot.world, horizon_,
                      &server);
       VOD_RETURN_IF_ERROR(aggregate_metrics.MergeFrom(*slot.metrics));
@@ -817,8 +751,8 @@ class ShardedRun {
       if (ladder_on_) {
         FillLadderReport(ladder_, ladder_state_.level, &rz);
         std::vector<const VcrWaitQueue*> queues;
-        for (const MovieRef& ref : refs_) {
-          queues.push_back(ref.slot->supplier.get());
+        for (const ServerShard::MovieSlot* slot : slots_) {
+          queues.push_back(slot->supplier.get());
         }
         FillQueueReport(queues, &rz);
         rz.forced_reclaims = server.total_forced_reclaims;
@@ -836,25 +770,11 @@ class ShardedRun {
     for (auto& shard : shards_) {
       report.executed_events += shard->queue().executed();
     }
-    report.messages_posted = router_.total_posted();
-    report.messages_drained = router_.total_drained();
     report.ledger_digest = digest_;
     return report;
   }
 
  private:
-  /// movie -> owning shard and slot; per-movie everything (supplier,
-  /// metrics, RNG stream keyed by the *global* index) so placement is
-  /// invisible.
-  struct MovieRef {
-    ServerShard* shard = nullptr;
-    ServerShard::MovieSlot* slot = nullptr;
-  };
-
-  void PostToMovie(size_t movie, const ShardMessage& m) {
-    router_.to_shard(refs_[movie].shard->shard_index()).Post(m);
-  }
-
   Status ReadResumePoint() {
     if (!options_.checkpoint.resume || options_.checkpoint.path.empty() ||
         !FileExists(options_.checkpoint.path)) {
@@ -888,7 +808,7 @@ class ShardedRun {
       ServerShard* shard = shards_[s].get();
 
       MovieWorldConfig config = ServerMovieConfig(spec, base_, i);
-      config.gate = controller_ != nullptr ? &shard->gate() : nullptr;
+      config.gate = base_.controller.enabled ? &shard->gate() : nullptr;
       // Per-event telemetry goes to the owning shard's private lane, never
       // the shared bus; with no sinks armed the lane is one dead branch.
       config.event_log = &shard->lane();
@@ -914,11 +834,10 @@ class ShardedRun {
       shards_[static_cast<size_t>(s)]->queue().Reserve(static_cast<size_t>(
           std::clamp(shard_population[static_cast<size_t>(s)], 64.0, 1.0e6)));
     }
-    refs_.assign(movies_.size(), MovieRef{});
+    slots_.assign(movies_.size(), nullptr);
     for (auto& shard : shards_) {
       for (ServerShard::MovieSlot& slot : shard->movies()) {
-        refs_[static_cast<size_t>(slot.global_index)] =
-            MovieRef{shard.get(), &slot};
+        slots_[static_cast<size_t>(slot.global_index)] = &slot;
       }
     }
     return Status::OK();
@@ -981,15 +900,10 @@ class ShardedRun {
     g.shard_critical = registry_->AddGauge(
         "shard_critical_path",
         "shard id holding the window's critical path (max events)");
-    g.mailbox_depth = registry_->AddGauge(
-        "shard_mailbox_peak_depth",
-        "deepest any mailbox has been since the run started");
     g.credit_granted = registry_->AddGauge(
         "shard_credit_granted", "acquisition credits lent for next window");
     g.debt_assigned = registry_->AddGauge(
         "shard_debt_assigned", "retirement debt outstanding at the barrier");
-    g.mailbox_messages = registry_->AddCounter(
-        "shard_mailbox_messages", "shard->coordinator messages drained");
   }
 
   const std::vector<ServerMovieSpec>& movies_;
@@ -1006,9 +920,10 @@ class ShardedRun {
   int64_t verify_window_ = -1;
   uint64_t expected_digest_ = 0;
 
-  MailboxRouter router_;
   std::vector<std::unique_ptr<ServerShard>> shards_;
-  std::vector<MovieRef> refs_;
+  /// Global movie index -> owning slot (supplier, world, metrics; the RNG
+  /// stream is keyed by the *global* index), so placement is invisible.
+  std::vector<ServerShard::MovieSlot*> slots_;
   // The control plane runs above the barrier.
   std::unique_ptr<ShardedControllerHost> ctrl_host_;
   std::unique_ptr<Controller> controller_;
@@ -1030,7 +945,7 @@ class ShardedRun {
   // Windowed ladder (every run opens at kNormal).
   WindowedLadderState ladder_state_;
   LadderHistory ladder_;
-  int64_t quota_issued_prev_ = 0;  ///< Σ quotas broadcast at the last barrier
+  int64_t quota_issued_prev_ = 0;  ///< Σ quotas written at the last barrier
   std::vector<int64_t> reclaim_quota_;
 
   // Observability (DESIGN.md §14).
@@ -1045,7 +960,6 @@ class ShardedRun {
   // Per-window imbalance working state, overwritten every window.
   std::vector<uint64_t> shard_executed_prev_;
   std::vector<int64_t> shard_window_events_;
-  std::vector<int64_t> shard_window_msgs_;
   std::vector<double> work_begin_us_;
   std::vector<double> work_end_us_;
 
@@ -1059,8 +973,6 @@ std::string ShardedServerReport::ToString() const {
   os << std::setprecision(17);
   os << "ShardedServerReport{windows=" << windows
      << " window_minutes=" << window_minutes
-     << " messages_posted=" << messages_posted
-     << " messages_drained=" << messages_drained
      << " ledger_digest=" << ledger_digest << "\n";
   os << server.ToString() << "\n";
   os << "aggregate: " << aggregate.ToString() << "\n";
@@ -1071,9 +983,10 @@ std::string ShardedServerReport::ToString() const {
 Status ValidateShardedInputs(const std::vector<ServerMovieSpec>& movies,
                              const ShardedServerOptions& options) {
   VOD_RETURN_IF_ERROR(ValidateServerInputs(movies, options.base));
-  if (options.shards < 1) {
-    return Status::InvalidArgument("sharded run needs shards >= 1, got " +
-                                   std::to_string(options.shards));
+  if (options.shards < 1 || options.shards > kMaxShards) {
+    return Status::InvalidArgument(
+        "sharded run needs shards in [1, " + std::to_string(kMaxShards) +
+        "], got " + std::to_string(options.shards));
   }
   if (options.threads < 1) {
     return Status::InvalidArgument("sharded run needs threads >= 1, got " +
@@ -1132,7 +1045,7 @@ Result<ShardedServerReport> RunShardedServerSimulation(
 
     // ---- barrier: the single-threaded coordinator's steps, in order -------
     const WindowLoad load = run.FoldLanes();
-    run.DrainLedger(t_end);
+    run.ReadLedger();
     const bool capacity_changed = run.ApplyFaults(t_end);
     run.ReplayController(t_end, capacity_changed);
     const LedgerSums sums = run.Redistribute();
@@ -1144,9 +1057,8 @@ Result<ShardedServerReport> RunShardedServerSimulation(
     VOD_RETURN_IF_ERROR(run.VerifyReplay(w));
     stopping = run.Stopping(w);
     VOD_RETURN_IF_ERROR(run.Checkpoint(w, stopping));
-    // Skipped after the last barrier, so every posted message is drained
-    // when the run ends.
-    if (!stopping && w < run.total_windows()) run.ReleaseCredits();
+    // Skipped after the last barrier: no window runs on what it writes.
+    if (!stopping && w < run.total_windows()) run.WriteLedger();
     run.RecordFold(barrier_us);
   }
   return run.Report(windows, /*complete=*/!stopping);

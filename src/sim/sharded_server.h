@@ -9,6 +9,9 @@
 // cross-movie interaction — disk-fault capacity changes, reserve-credit
 // redistribution, controller arrival replay / wakeups / layout commits,
 // conservation audits, and checkpoints — before releasing the next window.
+// No thread runs a shard while the coordinator works, so it reads each
+// movie's ledger row from its supplier, world and slot in place and writes
+// the next window's credit, debt, rung and reclaim quota straight back.
 //
 // Determinism across shard counts is by construction, not by luck:
 //   * every movie's RNG stream derives from its *global* index (the same
@@ -16,9 +19,8 @@
 //   * movies interact with nothing shard-local except their own per-movie
 //     supplier/metrics, so cross-movie event interleaving inside a shard
 //     cannot influence any number;
-//   * every coordinator computation iterates movies in global index order
-//     and every mailbox message is keyed by movie, making the message
-//     stream itself shard-count-invariant;
+//   * every coordinator read, computation and write-back iterates movies in
+//     global index order;
 //   * the windowed credit semantics below are *the* semantics of a sharded
 //     run — a one-shard run uses the identical barrier path, so reports are
 //     byte-identical for shards ∈ {1, 2, ..., N} and any thread count.
@@ -36,10 +38,10 @@
 // Degradation semantics (base.degradation.enabled): the ladder is *windowed*
 // (sim/degradation.h, ComputeWindowedLevel/StepWindowedLadder). Shards
 // accumulate pressure locally — queue depth, queued-VCR outcomes, held
-// streams — and publish it through the mailboxes; the barrier sums it in
-// global movie order, steps the pure hysteresis ladder (degrading rungs
-// apply immediately, recovery needs ladder_recover_windows consecutive calm
-// windows), and broadcasts the new rung plus per-movie forced-reclaim quotas
+// streams — in their suppliers; the barrier reads and sums it in global
+// movie order, steps the pure hysteresis ladder (degrading rungs apply
+// immediately, recovery needs ladder_recover_windows consecutive calm
+// windows), and writes the new rung plus per-movie forced-reclaim quotas
 // (largest-remainder over holdings) that shards apply at the next window
 // open. The decision therefore lags live pressure by at most one window —
 // the quantified semantic delta vs. the single-server per-event ladder (see
@@ -100,6 +102,12 @@ struct ShardedPostmortemOptions {
   int64_t events_per_shard = 256;
 };
 
+/// The largest shard count a run accepts. Every shard allocates its own event
+/// kernel, telemetry lane and flight-recorder ring before any event runs,
+/// and a shard past the catalog size (vodctl caps --movies at the same
+/// 65 536) owns no movie.
+inline constexpr int kMaxShards = 65536;
+
 /// Knobs of a sharded run, wrapping the single-threaded server's options.
 struct ShardedServerOptions {
   /// Base options. Faults, audit, the controller, the degradation ladder
@@ -108,9 +116,11 @@ struct ShardedServerOptions {
   /// telemetry lanes and the barrier merge) are all supported,
   /// simultaneously.
   ServerOptions base;
-  /// Shards the movie catalog is partitioned over (movie i -> i % shards).
+  /// Shards the movie catalog is partitioned over (movie i -> i % shards);
+  /// at most kMaxShards.
   int shards = 1;
   /// Worker threads executing shard windows; results never depend on it.
+  /// The pool starts min(threads, shards) of them.
   int threads = 1;
   /// Barrier cadence in simulated minutes.
   double window_minutes = 60.0;
@@ -140,9 +150,8 @@ struct ShardedServerReport {
 
   int64_t windows = 0;
   double window_minutes = 0.0;
-  /// Mailbox traffic totals; per-movie message keying makes them invariant
-  /// across shard counts, so they print in ToString as a free determinism
-  /// cross-check.
+  /// Always 0 and not printed: the barrier reads and writes movie state in
+  /// place and posts no messages. Kept while bench/e2e still reads them.
   uint64_t messages_posted = 0;
   uint64_t messages_drained = 0;
   /// FNV-1a chain over every barrier's ledger (capacity + per-movie
@@ -151,7 +160,8 @@ struct ShardedServerReport {
 
   /// Execution-shape diagnostics, excluded from ToString: reports must be
   /// byte-identical across shard/thread counts, and `complete` only varies
-  /// via the stop_after_windows test hook.
+  /// via the stop_after_windows test hook. `threads` is the worker count the
+  /// pool started: min(options.threads, options.shards).
   int shards = 0;
   int threads = 0;
   uint64_t executed_events = 0;

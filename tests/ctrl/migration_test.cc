@@ -268,6 +268,51 @@ TEST(MigrationEngineTest, GrantWaitsForReclaimDrainToLand) {
   EXPECT_EQ(engine.last_outcome(), MigrationEngine::Outcome::kCommitted);
 }
 
+TEST(MigrationEngineTest, ReplanDuringDrainKeepsEarlierLandings) {
+  // A reclaim-only migration commits at once, but its 30 freed minutes
+  // drain into the pool one old window later. A re-plan that begins before
+  // they land must keep them in flight, and rolling that re-plan back must
+  // cancel only its own landing — both reclaims are step 0 of their plan.
+  FakeHost host({Layout(10, 60.0), Layout(10, 60.0)});
+  MigrationEngine engine(FastOptions(), 20, 120.0, 0, 0.0, nullptr);
+  const auto buffer_total = [&host, &engine] {
+    return host.LiveLayout(0).buffer_minutes() +
+           host.LiveLayout(1).buffer_minutes() + engine.free_buffer() +
+           engine.inflight_buffer();
+  };
+  ASSERT_TRUE(engine.Begin(
+      0.0,
+      BuildMigrationSteps({host.LiveLayout(0), host.LiveLayout(1)},
+                          {Layout(10, 30.0), Layout(10, 60.0)}),
+      1));
+  const double landing = engine.Advance(0.0, &host);
+  ASSERT_EQ(engine.last_outcome(), MigrationEngine::Outcome::kCommitted);
+  ASSERT_GT(landing, 1.5);
+  EXPECT_NEAR(engine.inflight_buffer(), 30.0, 1e-9);
+
+  // Re-plan at t = 1: reclaim 10 minutes from movie 1 and grow movie 0 by
+  // 20 streams, which the 20-stream budget cannot fund.
+  ASSERT_TRUE(engine.Begin(
+      1.0,
+      BuildMigrationSteps({host.LiveLayout(0), host.LiveLayout(1)},
+                          {Layout(30, 40.0), Layout(10, 50.0)}),
+      2));
+  EXPECT_NEAR(buffer_total(), 120.0, 1e-9);
+  engine.Advance(1.0, &host);  // the reclaim applies; the grant backs off
+  ASSERT_TRUE(engine.InFlight());
+  EXPECT_NEAR(engine.inflight_buffer(), 40.0, 1e-9);
+  engine.Abort(1.5, &host);
+  EXPECT_EQ(engine.last_outcome(), MigrationEngine::Outcome::kRolledBack);
+  EXPECT_DOUBLE_EQ(host.LiveLayout(1).buffer_minutes(), 60.0);
+  EXPECT_NEAR(engine.inflight_buffer(), 30.0, 1e-9);
+  EXPECT_NEAR(buffer_total(), 120.0, 1e-9);
+
+  PumpUntilIdle(&engine, &host, landing);
+  EXPECT_NEAR(engine.free_buffer(), 30.0, 1e-9);
+  EXPECT_EQ(engine.inflight_streams(), 0);
+  EXPECT_NEAR(buffer_total(), 120.0, 1e-9);
+}
+
 TEST(MigrationOptionsTest, Validation) {
   EXPECT_TRUE(FastOptions().Validate().ok());
   MigrationOptions bad = FastOptions();

@@ -1,11 +1,13 @@
 // Unit tests for the crash flight recorder (obs/flight_recorder.h):
-// bounded window retention, bounded per-shard event rings, and the
+// bounded window retention, bounded per-shard event rings, the
 // Dump/ReadPostmortem bundle round-trip (full precision — the digest chain
-// is 64-bit and must survive the JSON round-trip exactly).
+// is 64-bit and must survive the JSON round-trip exactly), and the reader's
+// refusal of numbers that do not fit their field.
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -41,8 +43,6 @@ FlightWindowRecord MakeWindow(int64_t w, int shards) {
   fr.sum_debt = w;
   fr.sum_queued = 2 * w;
   fr.quota_issued = w % 4;
-  fr.messages_posted = 100 + static_cast<uint64_t>(w);
-  fr.messages_drained = 90 + static_cast<uint64_t>(w);
   for (int s = 0; s < shards; ++s) fr.shard_events.push_back(100 * w + s);
   return fr;
 }
@@ -112,8 +112,6 @@ TEST(FlightRecorderTest, DumpReadPostmortemRoundTrips) {
     EXPECT_EQ(got.sum_debt, want.sum_debt);
     EXPECT_EQ(got.sum_queued, want.sum_queued);
     EXPECT_EQ(got.quota_issued, want.quota_issued);
-    EXPECT_EQ(got.messages_posted, want.messages_posted);
-    EXPECT_EQ(got.messages_drained, want.messages_drained);
     EXPECT_EQ(got.shard_events, want.shard_events);
   }
   ASSERT_EQ(bundle->events.size(), 6u);
@@ -136,6 +134,121 @@ TEST(FlightRecorderTest, ReadRejectsDamagedBundles) {
   }
   EXPECT_FALSE(ReadPostmortem(path.str()).ok());
   EXPECT_FALSE(ReadPostmortem("flight_recorder_test_nonexistent.jsonl").ok());
+}
+
+TEST(FlightRecorderTest, RingCapacityAllocatesNothingUpFront) {
+  // The capacity is a bound from a flag, not a size: a huge one must cost
+  // nothing until events arrive.
+  FlightRecorder recorder(/*shards=*/2, /*window_capacity=*/4,
+                          /*events_per_shard=*/100000000000000ULL);
+  for (int i = 0; i < 3; ++i) {
+    TraceEvent event{};
+    event.category = EventCategory::kShard;
+    event.id = i;
+    recorder.shard_ring(1)->Append(event);
+  }
+  EXPECT_TRUE(recorder.shard_ring(0)->empty());
+  const auto tail = recorder.shard_ring(1)->Snapshot();
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail.front().id, 0);
+  EXPECT_EQ(tail.back().id, 2);
+}
+
+void WriteBundle(const std::string& path,
+                 const std::vector<std::string>& lines) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  for (const std::string& line : lines) {
+    std::fputs((line + "\n").c_str(), f);
+  }
+  std::fclose(f);
+}
+
+const char kHeader[] =
+    "{\"postmortem\":\"vod-flight-recorder-v1\",\"reason\":\"r\","
+    "\"shards\":2}";
+
+/// A window record with `field` (one of its keys) set to `value`.
+std::string WindowLine(const std::string& field, const std::string& value) {
+  const std::vector<std::pair<std::string, std::string>> fields = {
+      {"window", "3"},       {"t_end", "180"},     {"capacity", "40"},
+      {"rung", "1"},         {"digest", "12345"},  {"sum_held", "7"},
+      {"sum_credit", "33"},  {"sum_debt", "0"},    {"sum_queued", "2"},
+      {"quota_issued", "0"}, {"shard_events", "[5,6]"}};
+  std::string line = "{";
+  for (const auto& [key, v] : fields) {
+    if (line.size() > 1) line += ",";
+    line += "\"" + key + "\":" + (key == field ? value : v);
+  }
+  return line + "}";
+}
+
+TEST(FlightRecorderTest, ReadIgnoresFieldsItDoesNotKnow) {
+  // Bundles from builds with barrier mailboxes carry two message counters
+  // per window; they still read.
+  TempPath path("older");
+  std::string window = WindowLine("", "");
+  window.insert(window.find(",\"shard_events\""),
+                ",\"messages_posted\":96,\"messages_drained\":96");
+  WriteBundle(path.str(), {kHeader, window});
+  const auto bundle = ReadPostmortem(path.str());
+  ASSERT_TRUE(bundle.ok()) << bundle.status().message();
+  ASSERT_EQ(bundle->windows.size(), 1u);
+  EXPECT_EQ(bundle->windows[0].window, 3);
+  EXPECT_EQ(bundle->windows[0].rung, 1);
+  EXPECT_EQ(bundle->windows[0].digest, 12345u);
+  EXPECT_EQ(bundle->windows[0].shard_events, (std::vector<int64_t>{5, 6}));
+}
+
+TEST(FlightRecorderTest, ReadRejectsNumbersThatDoNotFitTheirField) {
+  // Each bundle damages one number; the reader must name the line and the
+  // field instead of casting an out-of-range double (undefined behaviour).
+  const auto event_line = [](const std::string& shard) {
+    return "{\"shard\":" + shard +
+           ",\"event\":{\"t\":1,\"seq\":0,\"cat\":\"shard\","
+           "\"sub\":\"window_open\",\"aux\":0,\"movie\":-1,\"id\":0,"
+           "\"value\":1}}";
+  };
+  const std::string header = kHeader;
+  const struct {
+    std::vector<std::string> lines;
+    const char* line_no;
+    const char* field;
+  } cases[] = {
+      {{"{\"postmortem\":\"vod-flight-recorder-v1\",\"reason\":\"r\","
+        "\"shards\":nan}"},
+       "line 1", "\"shards\""},
+      {{"{\"postmortem\":\"vod-flight-recorder-v1\",\"reason\":\"r\","
+        "\"shards\":0}"},
+       "line 1", "\"shards\""},
+      {{header, WindowLine("window", "inf")}, "line 2", "\"window\""},
+      {{header, WindowLine("window", "1.5")}, "line 2", "\"window\""},
+      {{header, WindowLine("rung", "1e300")}, "line 2", "\"rung\""},
+      {{header, WindowLine("rung", "7")}, "line 2", "\"rung\""},
+      {{header, WindowLine("rung", "-1")}, "line 2", "\"rung\""},
+      {{header, WindowLine("capacity", "1e19")}, "line 2",
+       "\"capacity\""},
+      {{header, WindowLine("t_end", "nan")}, "line 2", "\"t_end\""},
+      {{header, WindowLine("digest", "-1")}, "line 2", "\"digest\""},
+      {{header, WindowLine("digest", "18446744073709551616")}, "line 2",
+       "\"digest\""},
+      {{header, WindowLine("shard_events", "[5,1e300]")}, "line 2",
+       "shard_events"},
+      {{header, WindowLine("shard_events", "[nan]")}, "line 2",
+       "shard_events"},
+      {{header, event_line("nan")}, "line 2", "\"shard\""},
+      {{header, event_line("4294967296")}, "line 2", "\"shard\""},
+  };
+  for (const auto& c : cases) {
+    TempPath path("numbers");
+    WriteBundle(path.str(), c.lines);
+    const auto bundle = ReadPostmortem(path.str());
+    ASSERT_FALSE(bundle.ok()) << c.lines.back();
+    EXPECT_TRUE(bundle.status().IsInvalidArgument()) << c.lines.back();
+    const std::string& why = bundle.status().message();
+    EXPECT_NE(why.find(c.line_no), std::string::npos) << why;
+    EXPECT_NE(why.find(c.field), std::string::npos) << why;
+  }
 }
 
 TEST(FlightRecorderTest, EmptyRecorderStillDumps) {

@@ -218,9 +218,9 @@ TEST(TraceReaderTest, DegradationTimelineReconstructsDwells) {
 
 TEST(TraceReaderTest, ShardImbalanceTimelineFoldsWindowRecords) {
   // A merged sharded trace carries, per window, each shard's window_close
-  // (id = shard, value = executed-event delta) and the coordinator's
-  // pressure reports (id = shard, value = messages) — all stamped with the
-  // barrier's t_end, shards in index order.
+  // (id = shard, value = executed-event delta), stamped with the barrier's
+  // t_end, shards in index order. Traces from builds with barrier mailboxes
+  // also carry the retired pressure records; the fold ignores them.
   const auto shard_event = [](double t, ShardEvent sub, int shard,
                               double value) {
     TraceEvent event = MakeEvent(t, EventCategory::kShard, value,
@@ -250,13 +250,12 @@ TEST(TraceReaderTest, ShardImbalanceTimelineFoldsWindowRecords) {
   EXPECT_EQ(timeline[0].max_events, 120);
   EXPECT_EQ(timeline[0].min_events, 80);
   EXPECT_EQ(timeline[0].critical_shard, 0);
-  EXPECT_EQ(timeline[0].messages, 24);
   // An exact tie keeps the lowest shard id on the critical path (shards
   // arrive in index order in a merged trace).
   EXPECT_EQ(timeline[1].max_events, 50);
   EXPECT_EQ(timeline[1].min_events, 50);
   EXPECT_EQ(timeline[1].critical_shard, 0);
-  EXPECT_EQ(timeline[1].messages, 10);
+  EXPECT_EQ(timeline[1].total_events, 100);
 
   EXPECT_TRUE(ShardImbalanceTimeline({}).empty());
 }

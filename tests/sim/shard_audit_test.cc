@@ -3,9 +3,8 @@
 //
 // Mirrors audit_test.cc: each test builds a healthy barrier snapshot of a
 // sharded run, injects exactly one defect, and asserts the named invariant
-// fires. The names (shard-reserve-ledger, shard-credit-negative,
-// shard-viewer-conservation, shard-mailbox-conservation) are part of the
-// auditor's contract — the sharded coordinator relies on them and so do
+// fires. The names (shard-reserve-ledger, shard-credit-negative) are part of
+// the auditor's contract — the sharded coordinator relies on them and so do
 // these tests.
 
 #include <string>
@@ -26,25 +25,18 @@ AuditOptions EnabledOptions() {
 
 /// A healthy barrier snapshot of a three-movie sharded run: capacity 50,
 /// movie 2 still repaying a retirement debt of 1 after a fault, so
-/// Σ(held + credit - debt) = (7+10) + (3+20) + (1+10-1) = 50. Viewers
-/// conserved per movie; mailboxes fully drained, sequence-gap-free.
+/// Σ(held + credit - debt) = (7+10) + (3+20) + (1+10-1) = 50.
 AuditSnapshot HealthyShardSnapshot() {
   AuditSnapshot s;
   s.time = 300.0;
   s.shard.enabled = true;
   s.shard.capacity = 50;
   s.shard.movies.push_back({/*movie=*/0, /*held=*/7, /*credit=*/10,
-                            /*debt=*/0, /*entered=*/40, /*exited=*/33,
-                            /*live=*/7});
+                            /*debt=*/0, /*entered=*/40, /*exited=*/33});
   s.shard.movies.push_back({/*movie=*/1, /*held=*/3, /*credit=*/20,
-                            /*debt=*/0, /*entered=*/12, /*exited=*/9,
-                            /*live=*/3});
+                            /*debt=*/0, /*entered=*/12, /*exited=*/9});
   s.shard.movies.push_back({/*movie=*/2, /*held=*/1, /*credit=*/10,
-                            /*debt=*/1, /*entered=*/25, /*exited=*/24,
-                            /*live=*/1});
-  s.shard.messages_posted = 18;
-  s.shard.messages_drained = 18;
-  s.shard.sequence_gaps = 0;
+                            /*debt=*/1, /*entered=*/25, /*exited=*/24});
   return s;
 }
 
@@ -91,8 +83,6 @@ TEST(ShardAuditTest, LeakedStreamFiresReserveLedger) {
   InvariantAuditor auditor(EnabledOptions());
   AuditSnapshot s = HealthyShardSnapshot();
   s.shard.movies[0].held -= 1;
-  s.shard.movies[0].live -= 1;
-  s.shard.movies[0].exited += 1;  // keep viewer conservation healthy
   auditor.Audit(s);
   EXPECT_EQ(FiredInvariants(auditor),
             std::vector<std::string>{"shard-reserve-ledger"});
@@ -132,57 +122,14 @@ TEST(ShardAuditTest, NegativeDebtFiresCreditNegative) {
   EXPECT_EQ(fired.front(), "shard-credit-negative");
 }
 
-TEST(ShardAuditTest, LostViewerInHandoffFiresViewerConservation) {
-  InvariantAuditor auditor(EnabledOptions());
-  AuditSnapshot s = HealthyShardSnapshot();
-  s.shard.movies[0].live -= 1;  // entered/exited say 7, shard says 6
-  auditor.Audit(s);
-  EXPECT_EQ(FiredInvariants(auditor),
-            std::vector<std::string>{"shard-viewer-conservation"});
-  EXPECT_NE(auditor.violations()[0].detail.find("lost or duplicated"),
-            std::string::npos);
-}
-
-TEST(ShardAuditTest, DuplicatedViewerFiresViewerConservation) {
-  InvariantAuditor auditor(EnabledOptions());
-  AuditSnapshot s = HealthyShardSnapshot();
-  s.shard.movies[1].live += 1;
-  auditor.Audit(s);
-  EXPECT_EQ(FiredInvariants(auditor),
-            std::vector<std::string>{"shard-viewer-conservation"});
-}
-
-TEST(ShardAuditTest, UndrainedMessageFiresMailboxConservation) {
-  InvariantAuditor auditor(EnabledOptions());
-  AuditSnapshot s = HealthyShardSnapshot();
-  s.shard.messages_posted += 1;  // one in-flight message at a barrier
-  auditor.Audit(s);
-  EXPECT_EQ(FiredInvariants(auditor),
-            std::vector<std::string>{"shard-mailbox-conservation"});
-  EXPECT_NE(auditor.violations()[0].detail.find("lost"), std::string::npos);
-}
-
-TEST(ShardAuditTest, SequenceGapFiresMailboxConservation) {
-  InvariantAuditor auditor(EnabledOptions());
-  AuditSnapshot s = HealthyShardSnapshot();
-  s.shard.sequence_gaps = 1;  // posted == drained but order was violated
-  auditor.Audit(s);
-  EXPECT_EQ(FiredInvariants(auditor),
-            std::vector<std::string>{"shard-mailbox-conservation"});
-  EXPECT_NE(auditor.violations()[0].detail.find("reordered"),
-            std::string::npos);
-}
-
 TEST(ShardAuditTest, EveryShardLawBreaksAtOnceAndAllAreNamed) {
   InvariantAuditor auditor(EnabledOptions());
   AuditSnapshot s = HealthyShardSnapshot();
-  s.shard.movies[0].credit = -2;   // negative + ledger break
-  s.shard.movies[1].live += 3;     // viewer break
-  s.shard.messages_drained -= 1;   // mailbox break
-  s.shard.sequence_gaps = 2;       // second mailbox break
+  s.shard.movies[0].credit = -2;  // negative + ledger break
+  s.shard.movies[2].debt = -1;    // second negative counter
   auditor.Audit(s);
   const auto fired = FiredInvariants(auditor);
-  EXPECT_EQ(auditor.total_violations(), 5);
+  EXPECT_EQ(auditor.total_violations(), 3);
   auto has = [&fired](const char* name) {
     for (const auto& f : fired) {
       if (f == name) return true;
@@ -191,8 +138,6 @@ TEST(ShardAuditTest, EveryShardLawBreaksAtOnceAndAllAreNamed) {
   };
   EXPECT_TRUE(has("shard-credit-negative"));
   EXPECT_TRUE(has("shard-reserve-ledger"));
-  EXPECT_TRUE(has("shard-viewer-conservation"));
-  EXPECT_TRUE(has("shard-mailbox-conservation"));
   EXPECT_FALSE(auditor.status().ok());
 }
 

@@ -39,22 +39,19 @@ AuditSnapshot HealthyLadderSnapshot() {
   s.shard.capacity = 50;
   s.shard.movies.push_back({/*movie=*/0, /*held=*/7, /*credit=*/10,
                             /*debt=*/0, /*entered=*/40, /*exited=*/33,
-                            /*live=*/7, /*vcr_queued=*/10, /*queue_grants=*/6,
+                            /*vcr_queued=*/10, /*queue_grants=*/6,
                             /*queue_expirations=*/3, /*queue_pending=*/1,
                             /*reclaim_quota=*/2, /*reclaim_applied=*/2});
   s.shard.movies.push_back({/*movie=*/1, /*held=*/3, /*credit=*/20,
                             /*debt=*/0, /*entered=*/12, /*exited=*/9,
-                            /*live=*/3, /*vcr_queued=*/4, /*queue_grants=*/2,
+                            /*vcr_queued=*/4, /*queue_grants=*/2,
                             /*queue_expirations=*/2, /*queue_pending=*/0,
                             /*reclaim_quota=*/1, /*reclaim_applied=*/1});
   s.shard.movies.push_back({/*movie=*/2, /*held=*/1, /*credit=*/10,
                             /*debt=*/1, /*entered=*/25, /*exited=*/24,
-                            /*live=*/1, /*vcr_queued=*/3, /*queue_grants=*/1,
+                            /*vcr_queued=*/3, /*queue_grants=*/1,
                             /*queue_expirations=*/1, /*queue_pending=*/1,
                             /*reclaim_quota=*/0, /*reclaim_applied=*/0});
-  s.shard.messages_posted = 36;
-  s.shard.messages_drained = 36;
-  s.shard.sequence_gaps = 0;
 
   s.shard.ladder.enabled = true;
   s.shard.ladder.prev_level = static_cast<int>(DegradationLevel::kQueueing);
@@ -124,7 +121,7 @@ TEST(ShardLadderAuditTest, WrongStreakFiresLadderRung) {
 
 TEST(ShardLadderAuditTest, TamperedPressureFiresLadderRung) {
   // Oversubscribed pressure (held > capacity) demands kReclaim; a barrier
-  // that still claims kQueueing mis-folded the shard mailboxes.
+  // that still claims kQueueing mis-folded the shards' pressure.
   InvariantAuditor auditor(EnabledOptions());
   AuditSnapshot s = HealthyLadderSnapshot();
   s.shard.ladder.sum_held = 60;

@@ -1438,15 +1438,14 @@ Result<int> InspectCommand(int argc, char** argv) {
     constexpr size_t kWorstWindows = 8;
     if (worst.size() > kWorstWindows) worst.resize(kWorstWindows);
     TableWriter imb({"t_end", "shards", "events", "max", "min", "spread",
-                     "critical shard", "messages"});
+                     "critical shard"});
     for (const ShardWindowSummary& sw : worst) {
       imb.AddRow({FormatDouble(sw.t_end, 2), std::to_string(sw.shards),
                   std::to_string(sw.total_events),
                   std::to_string(sw.max_events),
                   std::to_string(sw.min_events),
                   std::to_string(sw.max_events - sw.min_events),
-                  std::to_string(sw.critical_shard),
-                  std::to_string(sw.messages)});
+                  std::to_string(sw.critical_shard)});
     }
     RenderTable(imb, csv);
   }

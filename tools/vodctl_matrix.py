@@ -25,7 +25,8 @@ that predates the `server` command (every server case spells out
 The matrix covers seeds 1-3 of every subcommand and engine mode: faults
 with and without the degradation ladder, the controller with a flash
 crowd, replicated and checkpointed sweeps, three shard configurations,
-traced runs with `inspect`, postmortems, soaks, and the failure modes.
+traced runs with `inspect`, postmortems, soaks, audited controller
+re-plans on both server engines, and the failure modes.
 """
 
 import os
@@ -46,6 +47,8 @@ TRACED = ["--trace_out=run.trace.jsonl", "--metrics_out=run.prom",
           "--metrics_csv=run.series.csv"]
 SWEEP = ["--replications=3", "--threads=1", "--checkpoint=sweep.gridckpt",
          "--checkpoint_every=1"]
+REPLAN = ["--movies=12", "--measure=4000", "--reserve=20", "--controller",
+          "--audit"]
 
 
 def seeded_cases(seed):
@@ -151,6 +154,11 @@ def fixed_cases():
                                          "--faults=", "--flash=",
                                          "--measure=1500"]],
         "model_explicit_buffer_default": [["model", "--buffer=-1"]],
+        # A controller that re-plans while earlier reclaims still drain,
+        # audited on both engines (the buffer budget must stay whole).
+        "server_controller_replan_audit": [["server"] + REPLAN],
+        "shard_controller_replan_audit": [["shard"] + REPLAN +
+                                          ["--shards=4", "--threads=2"]],
         # Newly rejected input.
         "rejects_mix_junk": [["simulate", "--mix=0.5,0.5,0junk"]],
         "rejects_huge_disk_count": [["server", "--reserve=100",
