@@ -2,13 +2,15 @@
 //
 // BM_ShardedRun drives one mixed-behavior many-movie server through the
 // sharded coordinator at shard counts 1/2/4/8 and reports event and viewer
-// throughput. The 1-shard row is the serial baseline (one event kernel, one
-// heap); higher rows buy (a) real parallelism up to the machine's core
-// count and (b) smaller per-shard heaps and event slabs whose hot paths
-// stay cache-resident — at large catalogs the second effect makes the
-// speedup superlinear in cores. The BM_ShardedRun* rows are gated:
-// tools/perf_gate.py runs them from a change's and its parent's Release
-// builds in interleaved pairs and compares their real-time ns/event.
+// throughput. Every movie runs on its own event kernel, so its heap and
+// viewer slab are the same size at every shard count: the 1-shard row is
+// the serial baseline, and higher rows buy real parallelism up to the
+// machine's core count, minus the barrier's cost. Every iteration replays
+// seed 1, so each row exports its exact work: `events` per iteration, and
+// `events_per_second`, whose inverse is the ns/event the perf gate
+// compares. The BM_ShardedRun* rows are gated: tools/perf_gate.py runs
+// them from a change's and its parent's Release builds in interleaved
+// pairs and compares their real-time ns/event.
 //
 // BM_ShardedRunDegraded is the same catalog with disk faults and the
 // windowed degradation ladder armed — the barrier's in-place pressure read,
@@ -32,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
 #include "sim/sharded_server.h"
@@ -118,30 +121,27 @@ void RunSharded(benchmark::State& state, int movie_count,
     options.base.obs.metrics = &registry;
     options.base.obs.metrics_sample_minutes = 120.0;
   }
-  uint64_t seed = 1;
-  uint64_t total_events = 0;
-  int64_t total_viewers = 0;
-  double simulated_minutes = 0.0;
+  options.base.seed = 1;
+  uint64_t events = 0;
+  int64_t viewers = 0;
   for (auto _ : state) {
-    options.base.seed = seed++;
     const auto report = RunShardedServerSimulation(movies, options);
+    VOD_CHECK_OK(report.status());
     benchmark::DoNotOptimize(report);
-    if (report.ok()) {
-      total_events += report->executed_events;
-      total_viewers += report->aggregate.admissions;
-      simulated_minutes +=
-          options.base.warmup_minutes + options.base.measurement_minutes;
-    }
+    events = report->executed_events;
+    viewers = report->aggregate.admissions;
   }
-  state.SetItemsProcessed(static_cast<int64_t>(simulated_minutes));
+  const auto iterations = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<int64_t>(
+      iterations *
+      (options.base.warmup_minutes + options.base.measurement_minutes)));
   state.SetLabel("items = simulated minutes");
+  state.counters["events"] = static_cast<double>(events);
   state.counters["events_per_second"] = benchmark::Counter(
-      static_cast<double>(total_events), benchmark::Counter::kIsRate);
+      static_cast<double>(events) * iterations, benchmark::Counter::kIsRate);
   state.counters["viewers_per_second"] = benchmark::Counter(
-      static_cast<double>(total_viewers), benchmark::Counter::kIsRate);
-  state.counters["viewers"] = benchmark::Counter(
-      static_cast<double>(total_viewers) /
-      static_cast<double>(state.iterations()));
+      static_cast<double>(viewers) * iterations, benchmark::Counter::kIsRate);
+  state.counters["viewers"] = static_cast<double>(viewers);
 }
 
 void BM_ShardedRun(benchmark::State& state) {

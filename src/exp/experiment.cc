@@ -72,8 +72,14 @@ Result<ExperimentOptions> ExperimentOptionsFromFlags(const FlagSet& flags,
         "--replications=" + std::to_string(replications) +
         " is out of range (must be >= 1 and fit in an int)");
   }
+  const int64_t threads = flags.GetInt64("threads");
+  if (threads < 0 || threads > kMaxGridThreads) {
+    return Status::InvalidArgument(
+        "--threads=" + std::to_string(threads) + " is out of range (must be " +
+        "in [0, " + std::to_string(kMaxGridThreads) + "]; 0 = auto)");
+  }
   ExperimentOptions options;
-  options.threads = static_cast<int>(flags.GetInt64("threads"));
+  options.threads = static_cast<int>(threads);
   options.replications = static_cast<int>(replications);
   options.base_seed = base_seed;
   return options;

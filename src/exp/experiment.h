@@ -33,6 +33,11 @@
 
 namespace vod {
 
+/// The largest `--threads` a grid accepts: the cap `--shards` and
+/// `--movies` use. The flag is checked before its narrowing cast, so a
+/// value past an int cannot wrap into a small worker count.
+inline constexpr int kMaxGridThreads = 65536;
+
 /// Knobs shared by every experiment grid.
 struct ExperimentOptions {
   /// Worker threads; 0 means auto (hardware concurrency), 1 means serial.
@@ -70,7 +75,8 @@ void AddExperimentFlags(FlagSet* flags, bool with_replications = false);
 
 /// Reads the flags registered by AddExperimentFlags (a missing
 /// `--replications` flag yields 1). InvalidArgument when `--replications`
-/// is below 1 or beyond an int.
+/// is below 1 or beyond an int, or `--threads` is outside
+/// [0, kMaxGridThreads].
 Result<ExperimentOptions> ExperimentOptionsFromFlags(const FlagSet& flags,
                                                      uint64_t base_seed);
 

@@ -179,7 +179,11 @@ class VectorSink final : public EventSink {
 
   size_t size() const { return events_.size(); }
 
-  /// Drains the buffer, returning the events in emission order.
+  /// The buffered events, for an owner that reorders them in place (the
+  /// shard lane sorts each window's records by time).
+  std::vector<TraceEvent>& events() { return events_; }
+
+  /// Drains the buffer, returning the events in buffer order.
   std::vector<TraceEvent> Take() {
     std::vector<TraceEvent> out;
     out.swap(events_);

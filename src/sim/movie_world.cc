@@ -18,10 +18,6 @@ constexpr uint64_t kViewerStream = 2;
 // Viewer-slab free-list terminator.
 constexpr uint32_t kNilSlot = 0xFFFFFFFFu;
 
-// Initial viewer-slab capacity; covers the steady-state population of the
-// validation workloads so the hot path never reallocates.
-constexpr size_t kInitialViewerCapacity = 256;
-
 // "No home stream" sentinel for the SoA home-stream column. Stationary
 // schedules issue negative stream ids (k < 0 before the anchor), so -1 is a
 // legal id; INT64_MIN is unreachable by any schedule.
@@ -58,7 +54,6 @@ class MovieWorld::Impl {
         queue_(queue),
         supplier_(supplier),
         metrics_(metrics) {
-    ReserveViewers(kInitialViewerCapacity);
     // Devirtualized sampling fast path: the paper's workloads draw VCR
     // initiation gaps from an exponential clock, and
     // ExponentialDistribution::Sample is exactly rng->Exponential(mean), so
@@ -139,13 +134,6 @@ class MovieWorld::Impl {
     bool in_partition_before = false;
     bool consuming = false;
   };
-
-  void ReserveViewers(size_t n) {
-    kin_.reserve(n);
-    sess_.reserve(n);
-    vcr_.reserve(n);
-    rng_.reserve(n);
-  }
 
   /// Creates a session in a recycled (LIFO) or fresh slot. The recycling
   /// order is a pure function of the event sequence, so slot assignment is

@@ -1,15 +1,18 @@
 // One shard of the sharded multi-core server simulation.
 //
-// A shard owns a subset of the server's movies outright: their event kernel
-// (one EventQueue per shard), viewer slabs, per-movie metrics, and per-movie
-// stream-credit suppliers. Nothing a shard touches while a window runs is
-// visible to any other thread; all cross-movie coupling (the shared disk
-// reserve, the controller, faults) is quantized to the window barriers. There
-// the single-threaded coordinator reads each movie's supplier, world and slot
-// in place and writes the next window's credit, debt, rung and reclaim quota
-// straight back into them: the ThreadPool::ParallelFor join orders every
-// shard write before the coordinator's reads, and the next window's dispatch
-// orders the coordinator's writes before the shard's. See sharded_server.h
+// A shard owns a subset of the server's movies outright: each movie's event
+// kernel (one EventQueue per movie), viewer slab, metrics and stream-credit
+// supplier. Nothing a movie touches while a window runs is visible to any
+// other movie, let alone another thread, so a shard runs its movies one
+// after another, each to the barrier on its own kernel, with the movie's
+// pending events and slab cache-resident while it runs. All cross-movie
+// coupling (the shared disk reserve, the controller, faults) is quantized to
+// the window barriers. There the single-threaded coordinator reads each
+// movie's supplier, world and slot in place and writes the next window's
+// credit, debt, rung and reclaim quota straight back into them: the
+// ThreadPool::ParallelFor join orders every shard write before the
+// coordinator's reads, and the next window's dispatch orders the
+// coordinator's writes before the shard's. See sharded_server.h
 // for the coordinator protocol and DESIGN.md §12 for the full semantics.
 //
 // The per-movie decomposition is what makes results independent of the
@@ -107,8 +110,8 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
   }
 
   // ---- windowed ladder (shard side) ---------------------------------------
-  /// Arms the shard-side ladder machinery. `queue` (the owning shard's
-  /// event kernel) must outlive the supplier; `measurement_start` scopes the
+  /// Arms the shard-side ladder machinery. `queue` (the movie's event
+  /// kernel) must outlive the supplier; `measurement_start` scopes the
   /// queue-outcome counters exactly like ReserveManager.
   void ArmLadder(const DegradationPolicy& policy, EventQueue* queue,
                  double measurement_start) {
@@ -189,7 +192,7 @@ class RecordingGate final : public AdmissionGate {
   std::vector<Offered> offered_;
 };
 
-/// \brief One shard: a private event kernel plus the movies it owns.
+/// \brief One shard: the movies it owns, each with a private event kernel.
 ///
 /// Single-threaded within a window; the coordinator guarantees at most one
 /// thread runs a shard at a time and reads or writes its state only between
@@ -199,6 +202,10 @@ class ServerShard {
   /// One movie assigned to this shard.
   struct MovieSlot {
     int32_t global_index = -1;
+    /// The movie's event kernel: its world, its supplier's ladder timers
+    /// and its window-open re-offers all schedule here. Declared before
+    /// the members that point to it, so it is destroyed after them.
+    std::unique_ptr<EventQueue> queue;
     std::unique_ptr<CreditStreamSupplier> supplier;
     std::unique_ptr<SimulationMetrics> metrics;
     std::unique_ptr<MovieWorld> world;
@@ -214,19 +221,33 @@ class ServerShard {
   ServerShard(const ServerShard&) = delete;
   ServerShard& operator=(const ServerShard&) = delete;
 
-  EventQueue& queue() { return queue_; }
   RecordingGate& gate() { return gate_; }
+
+  /// Events executed so far, summed over the shard's movies.
+  uint64_t executed() const;
 
   /// \brief The shard's private telemetry lane (DESIGN.md §14).
   ///
   /// Movie worlds on this shard emit into the lane instead of the main bus;
   /// with no sinks attached every emission site costs one branch, so a dark
-  /// run pays nothing. The coordinator arms the lane before the run (mask +
-  /// buffer/ring sinks) and drains lane_buffer() at each barrier for the
-  /// deterministic (window, shard, local-seq) merge into the main bus. Lane
-  /// payloads are deterministic by contract — never wall clock.
+  /// run pays nothing. The coordinator lights the lane before the run
+  /// (ArmLane) and takes each window's records at the barrier for the
+  /// deterministic (window, shard, time, movie) merge into the main bus.
+  /// Lane payloads are deterministic by contract — never wall clock.
   EventLog& lane() { return lane_; }
-  VectorSink& lane_buffer() { return lane_buffer_; }
+
+  /// Lights the lane for the `mask` categories. Records collect in the
+  /// window buffer; `ring` (the shard's flight-recorder ring) receives each
+  /// window's records in the order the barrier takes them.
+  void ArmLane(uint32_t mask, EventRing* ring) {
+    lane_.set_mask(mask);
+    lane_.AddSink(&lane_buffer_);
+    ring_ = ring;
+  }
+
+  /// Coordinator-side: moves out the records of the windows run since the
+  /// last call, each window time-ordered (see RunWindow).
+  std::vector<TraceEvent> TakeLaneRecords() { return lane_buffer_.Take(); }
 
   std::vector<MovieSlot>& movies() { return movies_; }
   const std::vector<MovieSlot>& movies() const { return movies_; }
@@ -238,18 +259,22 @@ class ServerShard {
     for (MovieSlot& m : movies_) m.world->Start();
   }
 
-  /// \brief Runs one window: applies the rung's entry actions at `t_start`
-  /// (forced reclaim against each movie's barrier quota, then queued-request
-  /// re-offers against the fresh credit), executes all events up to and
-  /// including `t_end`, and brackets the window with kShard lane records.
+  /// \brief Runs one window: applies every movie's rung entry actions at
+  /// `t_start` (forced reclaim against its barrier quota, then
+  /// queued-request re-offers against the fresh credit), then runs each
+  /// movie's kernel through `t_end` inclusive, in slot order, and brackets
+  /// the window with kShard lane records. Movies emit their records in
+  /// turn, so before the close record the window's records are
+  /// stable-sorted by time and renumbered: ties across movies fall in
+  /// global movie order.
   void RunWindow(double t_start, double t_end);
 
  private:
   int shard_index_;
-  EventQueue queue_;
   RecordingGate gate_;
   EventLog lane_;
   VectorSink lane_buffer_;
+  EventRing* ring_ = nullptr;
   std::vector<MovieSlot> movies_;
 };
 

@@ -313,7 +313,7 @@ class ShardedRun {
     return Status::OK();
   }
 
-  /// The parallel phase: every shard runs its private kernel to t_end. Each
+  /// The parallel phase: every shard runs its movies' kernels to t_end. Each
   /// worker writes only its own work_begin/end slot, so the instrumented
   /// lambda stays race-free; spans are recorded after the join to keep the
   /// profiler mutex out of the parallel phase. Returns the join time on the
@@ -345,14 +345,15 @@ class ShardedRun {
 
   /// Lane fold: merges the per-shard telemetry lanes into the main bus in
   /// shard-index order and takes each shard's executed-event delta for the
-  /// imbalance gauges. Emit restamps the global seq, so merged traces are
-  /// ordered (window, shard, local seq) for any thread count; the main bus mask
-  /// re-filters every record.
+  /// imbalance gauges. Each shard time-sorted its window's records and Emit
+  /// restamps the global seq, so merged traces are ordered (window, shard,
+  /// time, movie) for any thread count; the main bus mask re-filters every
+  /// record. A lane lit only for the flight recorder is drained and dropped.
   WindowLoad FoldLanes() {
     WindowLoad load;
     for (int s = 0; s < shard_count_; ++s) {
       ServerShard& shard = *shards_[static_cast<size_t>(s)];
-      const uint64_t executed = shard.queue().executed();
+      const uint64_t executed = shard.executed();
       const auto delta = static_cast<int64_t>(
           executed - shard_executed_prev_[static_cast<size_t>(s)]);
       shard_executed_prev_[static_cast<size_t>(s)] = executed;
@@ -362,10 +363,9 @@ class ShardedRun {
         load.critical_shard = s;
       }
       if (s == 0 || delta < load.min_events) load.min_events = delta;
+      const std::vector<TraceEvent> records = shard.TakeLaneRecords();
       if (tracing_) {
-        for (const TraceEvent& event : shard.lane_buffer().Take()) {
-          event_log_->Emit(event);
-        }
+        for (const TraceEvent& event : records) event_log_->Emit(event);
       }
     }
     return load;
@@ -767,9 +767,7 @@ class ShardedRun {
       server.controller_enabled = true;
       server.controller = controller_->Report();
     }
-    for (auto& shard : shards_) {
-      report.executed_events += shard->queue().executed();
-    }
+    for (auto& shard : shards_) report.executed_events += shard->executed();
     report.ledger_digest = digest_;
     return report;
   }
@@ -800,8 +798,6 @@ class ShardedRun {
   }
 
   Status BuildWorlds() {
-    std::vector<double> shard_population(static_cast<size_t>(shard_count_),
-                                         64.0);
     for (size_t i = 0; i < movies_.size(); ++i) {
       const ServerMovieSpec& spec = movies_[i];
       const size_t s = i % static_cast<size_t>(shard_count_);
@@ -814,25 +810,22 @@ class ShardedRun {
       config.event_log = &shard->lane();
       VOD_RETURN_IF_ERROR(ValidateMovieWorldInputs(base_.rates, config));
 
+      // Each movie gets its own kernel; it and the viewer slab grow to the
+      // movie's own population.
       ServerShard::MovieSlot slot;
       slot.global_index = static_cast<int32_t>(i);
+      slot.queue = std::make_unique<EventQueue>();
       slot.supplier = std::make_unique<CreditStreamSupplier>();
       if (ladder_on_) {
-        slot.supplier->ArmLadder(base_.degradation, &shard->queue(),
+        slot.supplier->ArmLadder(base_.degradation, slot.queue.get(),
                                  base_.warmup_minutes);
       }
       slot.metrics = std::make_unique<SimulationMetrics>(base_.warmup_minutes);
       slot.world = std::make_unique<MovieWorld>(
           spec.layout, base_.rates, config,
-          base_rng_.MakeChild(kMovieWorldStream, i), &shard->queue(),
+          base_rng_.MakeChild(kMovieWorldStream, i), slot.queue.get(),
           slot.supplier.get(), slot.metrics.get());
       shard->AddMovie(std::move(slot));
-      shard_population[s] += spec.arrival_rate_per_minute *
-                             spec.layout.movie_length();
-    }
-    for (int s = 0; s < shard_count_; ++s) {
-      shards_[static_cast<size_t>(s)]->queue().Reserve(static_cast<size_t>(
-          std::clamp(shard_population[static_cast<size_t>(s)], 64.0, 1.0e6)));
     }
     slots_.assign(movies_.size(), nullptr);
     for (auto& shard : shards_) {
@@ -847,10 +840,11 @@ class ShardedRun {
   // records, ladder transitions, reserve + imbalance gauges) are emitted from
   // the single-threaded barrier directly onto the shared buses. Per-event
   // shard-side records (admissions, VCR ops, kShard window records) go to each
-  // shard's *private* lane while the window runs in parallel, and the lane fold
-  // merges the lane buffers into the main bus at the barrier in shard-index
-  // order — the merged trace is therefore ordered by (window, shard, local
-  // seq), independent of thread count, and Emit's seq restamp keeps global
+  // shard's *private* lane while the window runs in parallel; the shard
+  // time-sorts each window's records, and the lane fold merges the lane
+  // buffers into the main bus at the barrier in shard-index order — the
+  // merged trace is therefore ordered by (window, shard, time, movie),
+  // independent of thread count, and Emit's seq restamp keeps global
   // sequence numbers dense. Lane payloads carry deterministic values only
   // (never wall clock); wall-clock spans go to the profiler's named lanes
   // instead.
@@ -863,19 +857,17 @@ class ShardedRun {
     // event rings fill only while the lanes are lit, so a dark run pays
     // nothing per event.
     const bool lanes_lit = tracing_ || !options_.postmortem.path.empty();
-    for (int s = 0; s < shard_count_; ++s) {
-      ServerShard& shard = *shards_[static_cast<size_t>(s)];
-      if (tracing_) {
-        // Lanes see the user's category mask plus kShard (the imbalance
-        // timeline needs the window records); the merge re-filters through
-        // the main bus mask, so --trace_categories still governs the file.
-        shard.lane().set_mask(event_log_->mask() |
-                              CategoryBit(EventCategory::kShard));
-        shard.lane().AddSink(&shard.lane_buffer());
-      } else if (lanes_lit) {
-        shard.lane().set_mask(CategoryBit(EventCategory::kShard));
+    if (lanes_lit) {
+      // Traced lanes see the user's category mask plus kShard (the imbalance
+      // timeline needs the window records); the merge re-filters through
+      // the main bus mask, so --trace_categories still governs the file.
+      const uint32_t shard_bit = CategoryBit(EventCategory::kShard);
+      const uint32_t mask =
+          tracing_ ? event_log_->mask() | shard_bit : shard_bit;
+      for (int s = 0; s < shard_count_; ++s) {
+        shards_[static_cast<size_t>(s)]->ArmLane(mask,
+                                                 recorder_.shard_ring(s));
       }
-      if (lanes_lit) shard.lane().AddSink(recorder_.shard_ring(s));
     }
     if (profiler_ != nullptr) {
       // Named lanes make Perfetto traces attributable to shard ids even

@@ -1,11 +1,12 @@
 // Sharded multi-core simulation of one giant server.
 //
 // The movies of one simulated server are partitioned across shards
-// (movie i -> shard i % shards); each shard owns its movies' event kernel,
-// viewer slabs, metrics, and stream-credit ledgers outright and runs them on
-// a worker thread. Simulated time advances in fixed windows: all shards run
-// their private EventQueues to the window end in parallel (the thread-pool
-// join is the barrier), then the single-threaded coordinator handles every
+// (movie i -> shard i % shards); each shard owns its movies' event kernels
+// (one per movie), viewer slabs, metrics, and stream-credit ledgers outright
+// and runs them on a worker thread. Simulated time advances in fixed
+// windows: shards run in parallel, each running its movies' private
+// EventQueues to the window end one after another (the thread-pool join is
+// the barrier), then the single-threaded coordinator handles every
 // cross-movie interaction — disk-fault capacity changes, reserve-credit
 // redistribution, controller arrival replay / wakeups / layout commits,
 // conservation audits, and checkpoints — before releasing the next window.
@@ -16,9 +17,9 @@
 // Determinism across shard counts is by construction, not by luck:
 //   * every movie's RNG stream derives from its *global* index (the same
 //     CellSeed discipline the experiment grid uses);
-//   * movies interact with nothing shard-local except their own per-movie
-//     supplier/metrics, so cross-movie event interleaving inside a shard
-//     cannot influence any number;
+//   * inside a window a movie touches nothing but its own kernel, world,
+//     supplier and metrics, so the order a shard runs its movies in cannot
+//     influence any number;
 //   * every coordinator read, computation and write-back iterates movies in
 //     global index order;
 //   * the windowed credit semantics below are *the* semantics of a sharded
@@ -102,10 +103,10 @@ struct ShardedPostmortemOptions {
   int64_t events_per_shard = 256;
 };
 
-/// The largest shard count a run accepts. Every shard allocates its own event
-/// kernel, telemetry lane and flight-recorder ring before any event runs,
-/// and a shard past the catalog size (vodctl caps --movies at the same
-/// 65 536) owns no movie.
+/// The largest shard count a run accepts. Every shard allocates its own
+/// telemetry lane and flight-recorder ring before any event runs, and a
+/// shard past the catalog size (vodctl caps --movies at the same 65 536)
+/// owns no movie.
 inline constexpr int kMaxShards = 65536;
 
 /// Knobs of a sharded run, wrapping the single-threaded server's options.

@@ -95,6 +95,26 @@ TEST(ExperimentFlagsTest, OptionsFromFlagsReadBothShapes) {
     EXPECT_TRUE(status.IsInvalidArgument()) << bad;
     EXPECT_NE(status.message().find("--replications"), std::string::npos);
   }
+
+  // A thread count is checked before its cast to int: a negative value is
+  // not auto, and one past the cap cannot wrap into a small worker count.
+  for (const char* bad :
+       {"--threads=-5", "--threads=65537", "--threads=4294967298"}) {
+    FlagSet rejected("t");
+    AddExperimentFlags(&rejected);
+    const char* bad_argv[] = {"t", bad};
+    ASSERT_TRUE(rejected.Parse(2, const_cast<char**>(bad_argv)).ok());
+    const auto status = ExperimentOptionsFromFlags(rejected, 7).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << bad;
+    EXPECT_NE(status.message().find("--threads"), std::string::npos) << bad;
+  }
+  for (const char* edge : {"--threads=0", "--threads=65536"}) {
+    FlagSet accepted("t");
+    AddExperimentFlags(&accepted);
+    const char* edge_argv[] = {"t", edge};
+    ASSERT_TRUE(accepted.Parse(2, const_cast<char**>(edge_argv)).ok());
+    EXPECT_TRUE(ExperimentOptionsFromFlags(accepted, 7).ok()) << edge;
+  }
 }
 
 TEST(RunExperimentGridTest, IndexesResultsByConfigAndReplication) {

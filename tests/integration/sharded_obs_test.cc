@@ -7,8 +7,9 @@
 // and the paranoid auditor all live must not change one report byte, for
 // any shard or thread count. The merged trace itself must be byte-identical
 // across thread counts for a fixed shard count (lane buffers are folded at
-// the barrier in shard-index order, so the merge is (window, shard,
-// local-seq) ordered by construction). And an injected audit-law failure
+// the barrier in shard-index order, and each shard sorts its window's
+// records by time, so the merge is (window, shard, time, movie) ordered by
+// construction). And an injected audit-law failure
 // must leave a readable postmortem bundle ending at the violating window.
 //
 // Labelled `sharded` so the TSAN CI leg runs the lanes under real threads.
@@ -25,6 +26,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
+#include "obs/trace_reader.h"
 #include "sim/sharded_server.h"
 #include "workload/paper_presets.h"
 
@@ -65,6 +67,19 @@ std::vector<ServerMovieSpec> SixMovies() {
                     paper::Fig7SingleOpBehavior(VcrOp::kPause)});
   movies.push_back({"zeta", MakeLayout(130.0, 36, 72.0), 0.5, nullptr,
                     paper::Fig7MixedBehavior()});
+  return movies;
+}
+
+/// Six movies on one layout: their restarts fall on the same instants, so
+/// type-1 admissions of different movies tie in time.
+std::vector<ServerMovieSpec> SharedLayoutMovies() {
+  std::vector<ServerMovieSpec> movies;
+  const double rates[] = {0.5, 0.3, 0.45, 0.35, 0.6, 0.4};
+  for (int i = 0; i < 6; ++i) {
+    movies.push_back({"shared" + std::to_string(i),
+                      MakeLayout(120.0, 40, 80.0), rates[i], nullptr,
+                      paper::Fig7MixedBehavior()});
+  }
   return movies;
 }
 
@@ -166,6 +181,64 @@ TEST(ShardedObsTest, MergedTraceByteIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+TEST(ShardedObsTest, ShardBlocksAreTimeOrderedWithTiesInMovieOrder) {
+  // A shard runs each of its movies to the barrier in turn, then sorts the
+  // window's lane records by time (stable) before it closes the window. So
+  // inside every (window, shard) block of the merged trace, time never
+  // decreases, and records of different movies at one instant follow global
+  // movie order.
+  const auto movies = SharedLayoutMovies();
+  std::ostringstream trace;
+  ObsStack obs(&trace);
+  ShardedServerOptions options;
+  options.base.rates = paper::Rates();
+  options.base.dynamic_stream_reserve = 20;
+  options.base.warmup_minutes = 100.0;
+  options.base.measurement_minutes = 600.0;
+  options.base.seed = 5;
+  options.base.obs = obs.Options();
+  options.shards = 3;
+  options.threads = 2;
+  options.window_minutes = 60.0;
+  const auto got = RunShardedServerSimulation(movies, options);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+
+  std::istringstream in(trace.str());
+  const auto events = ReadJsonlTrace(in);
+  ASSERT_TRUE(events.ok()) << events.status().message();
+  const auto is_shard = [](const TraceEvent& e, ShardEvent sub) {
+    return e.category == EventCategory::kShard &&
+           e.subtype == static_cast<uint8_t>(sub);
+  };
+  int64_t blocks = 0;
+  int64_t cross_movie_ties = 0;
+  bool in_block = false;
+  TraceEvent prev;
+  for (const TraceEvent& e : *events) {
+    if (is_shard(e, ShardEvent::kWindowOpen)) {
+      ASSERT_FALSE(in_block) << "block opened inside a block, seq " << e.seq;
+      in_block = true;
+      ++blocks;
+      prev = e;
+      continue;
+    }
+    if (!in_block) continue;  // coordinator records between blocks
+    ASSERT_GE(e.time, prev.time) << "time went back at seq " << e.seq;
+    if (e.time == prev.time && e.movie >= 0 && prev.movie >= 0 &&
+        e.movie != prev.movie) {
+      EXPECT_LT(prev.movie, e.movie) << "tie out of movie order, seq " << e.seq;
+      ++cross_movie_ties;
+    }
+    if (is_shard(e, ShardEvent::kWindowClose)) in_block = false;
+    prev = e;
+  }
+  EXPECT_FALSE(in_block);
+  EXPECT_EQ(blocks, got->windows * options.shards);
+  // The shared layout must actually produce ties, or the check proves
+  // nothing.
+  EXPECT_GT(cross_movie_ties, 0);
 }
 
 /// One complete span read back from a profiler's Chrome trace.

@@ -246,10 +246,25 @@ uint64_t RunHash(const ShardedServerReport& report) {
   return h;
 }
 
+/// Six movies on one layout and one behavior: their restarts fall on the
+/// same instants, so type-1 admissions of different movies tie in time, and
+/// at three shards each shard holds two of them.
+std::vector<ServerMovieSpec> SharedLayoutMovies() {
+  std::vector<ServerMovieSpec> movies;
+  const double rates[] = {0.5, 0.3, 0.45, 0.35, 0.6, 0.4};
+  for (int i = 0; i < 6; ++i) {
+    movies.push_back({"shared" + std::to_string(i),
+                      MakeLayout(120.0, 40, 80.0), rates[i], nullptr,
+                      paper::Fig7MixedBehavior()});
+  }
+  return movies;
+}
+
 TEST(ShardedServerTest, ReportBytesArePinned) {
-  // Fixed hashes of three configurations, so any change to what the barrier
-  // reads or writes fails here and not only in a cross-build byte
-  // comparison. A deliberate change of results updates the constants.
+  // Fixed hashes of each configuration, so any change to what the barrier
+  // reads or writes, or to the order a shard runs its movies' events in,
+  // fails here and not only in a cross-build byte comparison. A deliberate
+  // change of results updates the constants.
   auto tight = BaseOptions(3, 2);
   tight.base.dynamic_stream_reserve = 8;
 
@@ -266,6 +281,20 @@ TEST(ShardedServerTest, ReportBytesArePinned) {
   steered.base.controller.poll_interval_minutes = 15.0;
   steered.base.piggyback.enabled = true;
 
+  // Tied admissions across movies: one shard and three give one hash.
+  auto shared_one = BaseOptions(1, 1);
+  shared_one.base.dynamic_stream_reserve = 20;
+  auto shared_three = shared_one;
+  shared_three.shards = 3;
+  shared_three.threads = 2;
+
+  // Every barrier mechanism at once: faults, ladder, controller, flash
+  // crowd, piggyback and audit.
+  auto everything = LadderOptions(3, 2);
+  everything.base.controller.enabled = true;
+  everything.base.controller.poll_interval_minutes = 15.0;
+  everything.base.piggyback.enabled = true;
+
   const struct {
     const char* name;
     const std::vector<ServerMovieSpec> movies;
@@ -276,6 +305,12 @@ TEST(ShardedServerTest, ReportBytesArePinned) {
       {"faults + ladder + audit", FourMovies(), machine, 0xb955e518fab14bb7ULL},
       {"controller + flash + piggyback", flash_movies, steered,
        0xbdc5b123c4274887ULL},
+      {"shared layout, 1 shard", SharedLayoutMovies(), shared_one,
+       0xa8b45f315be00877ULL},
+      {"shared layout, 3 shards", SharedLayoutMovies(), shared_three,
+       0xa8b45f315be00877ULL},
+      {"faults + ladder + controller + flash + piggyback + audit",
+       flash_movies, everything, 0xef06009b706b7d10ULL},
   };
   for (const auto& c : cases) {
     const auto report = RunShardedServerSimulation(c.movies, c.options);

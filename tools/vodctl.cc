@@ -141,9 +141,9 @@ void AddRunFlags(FlagSet* flags) {
                  "(implies --audit; shard already audits every barrier)");
 }
 
-/// The largest --movies catalog: each title holds about 40 KB of simulator
-/// state (giant_server keeps 4 096 titles in 160 MB), so the bound is about
-/// 2.6 GB. It is checked before the Zipf split sizes anything by the count.
+/// The largest --movies catalog: each title holds about 18 KB of simulator
+/// state (giant_server keeps 4 096 titles in 75 MB), so the bound is about
+/// 1.2 GB. It is checked before the Zipf split sizes anything by the count.
 constexpr int64_t kMaxMovies = 65536;
 
 /// The multi-movie server: catalog, shared reserve, faults, degradation and
