@@ -128,10 +128,14 @@ void Controller::Start(double t0) {
   policy_->Configure(baselines, t0);
 }
 
-bool Controller::OnArrival(int32_t movie, double t) {
+void Controller::ObserveArrival(int32_t movie, double t) {
   VOD_CHECK(started_);
   VOD_CHECK(movie >= 0 && static_cast<size_t>(movie) < movies_.size());
   movies_[static_cast<size_t>(movie)].estimator->Observe(t);
+}
+
+bool Controller::OnArrival(int32_t movie, double t) {
+  ObserveArrival(movie, t);
   return policy_->OnArrival(movie, t);
 }
 

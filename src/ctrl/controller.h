@@ -138,6 +138,11 @@ class Controller final : public AdmissionGate {
   /// policy. Wire as MovieWorldConfig::gate.
   bool OnArrival(int32_t movie, double t) override;
 
+  /// Feeds the movie's rate estimator only, for an arrival another gate
+  /// already decided (the sharded barrier's replay): the traffic policy
+  /// neither sees it nor counts it as shed.
+  void ObserveArrival(int32_t movie, double t);
+
   /// Decision tick: pumps the migration engine, commits or abandons plans,
   /// evaluates re-plan triggers. Returns the next time it wants to run
   /// (always > t; the host schedules it).

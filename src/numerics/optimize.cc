@@ -1,47 +1,8 @@
 #include "numerics/optimize.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace vod {
-
-Minimum GoldenSectionMinimize(const std::function<double(double)>& f, double a,
-                              double b, double x_tolerance,
-                              int max_iterations) {
-  VOD_CHECK(a <= b);
-  const double inv_phi = (std::sqrt(5.0) - 1.0) / 2.0;         // 1/phi
-  const double inv_phi2 = (3.0 - std::sqrt(5.0)) / 2.0;        // 1/phi^2
-  double h = b - a;
-  if (h <= x_tolerance) {
-    const double m = 0.5 * (a + b);
-    return {m, f(m)};
-  }
-  double c = a + inv_phi2 * h;
-  double d = a + inv_phi * h;
-  double fc = f(c);
-  double fd = f(d);
-  for (int iter = 0; iter < max_iterations && h > x_tolerance; ++iter) {
-    h *= inv_phi;
-    if (fc < fd) {
-      b = d;
-      d = c;
-      fd = fc;
-      c = a + inv_phi2 * h;
-      fc = f(c);
-    } else {
-      a = c;
-      c = d;
-      fc = fd;
-      d = a + inv_phi * h;
-      fd = f(d);
-    }
-  }
-  if (fc < fd) {
-    return {c, fc};
-  }
-  return {d, fd};
-}
 
 Minimum GridMinimize(const std::function<double(double)>& f, double a,
                      double b, int points) {
@@ -51,17 +12,6 @@ Minimum GridMinimize(const std::function<double(double)>& f, double a,
     const double x = a + (b - a) * static_cast<double>(i) / (points - 1);
     const double v = f(x);
     if (v < best.value) best = {x, v};
-  }
-  return best;
-}
-
-Minimum DiscreteMinimize(const std::function<double(double)>& f,
-                         const std::vector<double>& candidates) {
-  VOD_CHECK(!candidates.empty());
-  Minimum best{candidates[0], f(candidates[0])};
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    const double v = f(candidates[i]);
-    if (v < best.value) best = {candidates[i], v};
   }
   return best;
 }

@@ -1,38 +1,26 @@
-// Scalar minimization helpers used by the cost model and sizing sweeps.
+// Grid minimization, used by the controller's planner (ctrl/planner) for
+// its outer search over the stream water level.
 
 #ifndef VOD_NUMERICS_OPTIMIZE_H_
 #define VOD_NUMERICS_OPTIMIZE_H_
 
 #include <functional>
-#include <vector>
 
 #include "common/status.h"
 
 namespace vod {
 
-/// Location/value pair returned by the minimizers.
+/// Location/value pair returned by GridMinimize.
 struct Minimum {
   double x = 0.0;
   double value = 0.0;
 };
-
-/// \brief Golden-section search for the minimum of a unimodal f on [a, b].
-///
-/// Converges linearly; for non-unimodal f it returns *a* local minimum.
-Minimum GoldenSectionMinimize(const std::function<double(double)>& f, double a,
-                              double b, double x_tolerance = 1e-9,
-                              int max_iterations = 500);
 
 /// \brief Exhaustive minimum of f over a uniform grid of `points` samples on
 /// [a, b] (inclusive endpoints). Robust for the piecewise cost curves whose
 /// minima sit at feasibility boundaries.
 Minimum GridMinimize(const std::function<double(double)>& f, double a,
                      double b, int points);
-
-/// \brief Minimum of f over an explicit candidate list. Precondition:
-/// `candidates` non-empty.
-Minimum DiscreteMinimize(const std::function<double(double)>& f,
-                         const std::vector<double>& candidates);
 
 }  // namespace vod
 

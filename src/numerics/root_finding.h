@@ -1,7 +1,8 @@
-// Scalar root finding: bisection and Brent's method.
+// Monotone-threshold search by bisection.
 //
-// Used by the sizing layer to invert the hit-probability model, e.g. to find
-// the smallest buffer allocation B with P(hit)(B) >= P*.
+// Used by the controller's planner (ctrl/planner) to find the water level
+// of its inner buffer split: the smallest level at which the movies' buffer
+// shares fit the buffer budget.
 
 #ifndef VOD_NUMERICS_ROOT_FINDING_H_
 #define VOD_NUMERICS_ROOT_FINDING_H_
@@ -11,28 +12,6 @@
 #include "common/status.h"
 
 namespace vod {
-
-/// Options shared by the bracketing root finders.
-struct RootFindingOptions {
-  /// Absolute tolerance on the root location.
-  double x_tolerance = 1e-10;
-  /// Absolute tolerance on |f(root)|; either tolerance terminates.
-  double f_tolerance = 0.0;
-  int max_iterations = 200;
-};
-
-/// \brief Brent's method on a bracketing interval [a, b].
-///
-/// Requires f(a) and f(b) to have opposite signs (or one to be zero);
-/// returns InvalidArgument otherwise. Returns NumericError if the iteration
-/// cap is reached before the tolerances are met.
-Result<double> BrentRoot(const std::function<double(double)>& f, double a,
-                         double b, const RootFindingOptions& options = {});
-
-/// \brief Plain bisection on a bracketing interval [a, b]. Same contract as
-/// BrentRoot; slower but immune to pathological functions.
-Result<double> BisectRoot(const std::function<double(double)>& f, double a,
-                          double b, const RootFindingOptions& options = {});
 
 /// \brief Smallest x in [lo, hi] with predicate(x) true, assuming the
 /// predicate is monotone (false ... false true ... true), to within

@@ -206,7 +206,8 @@ void InvariantAuditor::AuditControllerLedger(const AuditSnapshot& s) {
   last_controller_epoch_ = std::max(last_controller_epoch_, c.epoch);
 }
 
-// Cross-shard ledgers, then the windowed cross-shard ladder.
+// Cross-shard ledgers as the shards left them, then the per-movie ladder
+// terms.
 void InvariantAuditor::AuditShardLedgers(const AuditSnapshot& s) {
   const double t = s.time;
   if (!s.shard.enabled) return;
@@ -230,75 +231,27 @@ void InvariantAuditor::AuditShardLedgers(const AuditSnapshot& s) {
                      std::to_string(sh.capacity) +
                      " (a shard grant minted or leaked reserve)");
   }
-
-  // --- windowed cross-shard ladder ---------------------------------------
-  if (sh.ladder.enabled) {
-    const auto& ld = sh.ladder;
-    // The rung must be the pure fold of the summed pressure: recompute
-    // StepWindowedLadder with the published inputs and require an exact
-    // match (both sides run the same function, so there is no tolerance).
-    WindowedPressure pressure;
-    pressure.capacity = sh.capacity;
-    pressure.nominal_capacity = ld.nominal_capacity;
-    pressure.sum_held = ld.sum_held;
-    pressure.sum_queued = ld.sum_queued;
-    DegradationPolicy policy;
-    policy.enabled = true;
-    policy.shed_below_fraction = ld.shed_below_fraction;
-    policy.batching_below_fraction = ld.batching_below_fraction;
-    WindowedLadderState prev;
-    prev.level = static_cast<DegradationLevel>(ld.prev_level);
-    prev.below_streak = ld.prev_streak;
-    const WindowedLadderState expect =
-        StepWindowedLadder(prev, pressure, policy, ld.recover_windows);
-    if (static_cast<int>(expect.level) != ld.next_level ||
-        expect.below_streak != ld.next_streak) {
-      AddViolation(
-          t, "shard-ladder-rung",
-          "barrier decided rung " + std::to_string(ld.next_level) +
-              " streak " + std::to_string(ld.next_streak) +
-              " but StepWindowedLadder(prev=" +
-              std::to_string(ld.prev_level) + "/" +
-              std::to_string(ld.prev_streak) + ", held=" +
-              std::to_string(ld.sum_held) + ", queued=" +
-              std::to_string(ld.sum_queued) + ", capacity=" +
-              std::to_string(sh.capacity) + "/" +
-              std::to_string(ld.nominal_capacity) + ") gives " +
-              std::to_string(static_cast<int>(expect.level)) + "/" +
-              std::to_string(expect.below_streak) +
-              " (the rung is not a pure function of the summed pressure)");
-    }
-    int64_t quota_echoed = 0;
-    for (const auto& m : sh.movies) {
-      quota_echoed += m.reclaim_quota;
-      if (m.reclaim_applied > m.reclaim_quota) {
-        AddViolation(t, "shard-ladder-reclaim",
-                     "movie " + std::to_string(m.movie) + " reclaimed " +
-                         std::to_string(m.reclaim_applied) +
-                         " streams against a quota of " +
-                         std::to_string(m.reclaim_quota) +
-                         " (a shard reclaimed beyond its quota)");
-      }
-      const int64_t accounted =
-          m.queue_grants + m.queue_expirations + m.queue_pending;
-      if (m.vcr_queued != accounted) {
-        AddViolation(t, "shard-ladder-queue",
-                     "movie " + std::to_string(m.movie) + " queued " +
-                         std::to_string(m.vcr_queued) + " but grants " +
-                         std::to_string(m.queue_grants) + " + expirations " +
-                         std::to_string(m.queue_expirations) + " + pending " +
-                         std::to_string(m.queue_pending) + " = " +
-                         std::to_string(accounted) +
-                         " (a queued viewer was lost across a window)");
-      }
-    }
-    if (quota_echoed != ld.quota_issued_prev) {
+  if (!sh.ladder) return;
+  for (const auto& m : sh.movies) {
+    if (m.reclaim_applied > m.reclaim_quota) {
       AddViolation(t, "shard-ladder-reclaim",
-                   "shards echoed reclaim quotas summing to " +
-                       std::to_string(quota_echoed) +
-                       " but the barrier issued " +
-                       std::to_string(ld.quota_issued_prev) +
-                       " last window (a reclaim quota was minted or lost)");
+                   "movie " + std::to_string(m.movie) + " reclaimed " +
+                       std::to_string(m.reclaim_applied) +
+                       " streams against a quota of " +
+                       std::to_string(m.reclaim_quota) +
+                       " (a shard reclaimed beyond its quota)");
+    }
+    const int64_t accounted =
+        m.queue_grants + m.queue_expirations + m.queue_pending;
+    if (m.vcr_queued != accounted) {
+      AddViolation(t, "shard-ladder-queue",
+                   "movie " + std::to_string(m.movie) + " queued " +
+                       std::to_string(m.vcr_queued) + " but grants " +
+                       std::to_string(m.queue_grants) + " + expirations " +
+                       std::to_string(m.queue_expirations) + " + pending " +
+                       std::to_string(m.queue_pending) + " = " +
+                       std::to_string(accounted) +
+                       " (a queued viewer was lost across a window)");
     }
   }
 }

@@ -10,7 +10,11 @@
 // instead of aborting: a long sweep keeps its completed work and the caller
 // decides whether to fail the run.
 //
-// Invariants checked (names are stable; tests assert on them):
+// Invariants checked (names are stable; tests assert on them). Both server
+// engines fill the stream and ladder laws: the serial engine from its live
+// ReserveManager every K events, the sharded coordinator at every barrier
+// from Σ supplier holds, Σ world holds, the post-fault capacity and the
+// windowed rung with its LadderHistory.
 //   stream-conservation   supplier in_use == Σ per-movie dedicated holds
 //   negative-streams      no stream counter below zero (double release)
 //   capacity-bound        in_use <= capacity unless a fault shrank capacity
@@ -28,18 +32,17 @@
 //   ctrl-no-double-grant  applied migration steps never exceed planned ones
 //   ctrl-epoch-monotonic  the committed plan epoch never moves backward
 //
-// Cross-shard laws (checked by the sharded-server coordinator at barriers):
-//   shard-reserve-ledger  Σ per-movie (held + credit - debt) == the global
-//                         reserve capacity — shard grants never mint or
-//                         leak capacity
+// Cross-shard laws (sharded coordinator only). They check the ledger rows
+// as the shards left them — read before the barrier applies faults and
+// re-lends credit — against the capacity lent at the previous barrier, so
+// they see the suppliers' in-window accounting, not the coordinator's own
+// apportionment:
+//   shard-reserve-ledger  Σ per-movie (held + credit - debt) == the
+//                         capacity lent — shard grants and releases never
+//                         mint or leak reserve
 //   shard-credit-negative no per-movie held/credit/debt counter below zero
-//   shard-ladder-rung     the windowed global rung is exactly the pure
-//                         StepWindowedLadder function of the previous state
-//                         and the summed pressure (no rung invented or
-//                         hysteresis skipped)
-//   shard-ladder-reclaim  per movie, forced reclaims applied <= quota, and
-//                         Σ echoed quotas == the quota the barrier issued
-//                         last window (no reclaim minted or lost)
+//   shard-ladder-reclaim  per movie, forced reclaims applied <= the quota
+//                         the barrier wrote (no shard reclaims beyond it)
 //   shard-ladder-queue    per movie, queued == grants + expirations +
 //                         pending across windows (no queued viewer lost)
 
@@ -139,12 +142,14 @@ struct AuditSnapshot {
   /// \brief Cross-shard conservation view (sharded server barriers).
   ///
   /// Filled by the sharded-run coordinator at a window barrier from each
-  /// movie's state, read in place. Stream reserve is distributed as
-  /// per-movie credits: at any barrier Σ(held + credit - debt) over movies
-  /// must equal the global capacity, and no counter may go negative.
+  /// movie's state as the shards left it, read in place before the barrier
+  /// rewrites it. Stream reserve is distributed as per-movie credits: at
+  /// any barrier Σ(held + credit - debt) over movies must equal the
+  /// capacity lent at the previous barrier, and no counter may go negative.
   struct ShardState {
     bool enabled = false;
-    /// Global reserve capacity at this barrier (post-fault).
+    /// Reserve capacity the previous barrier lent (before this barrier's
+    /// faults).
     int64_t capacity = 0;
 
     struct MovieLedger {
@@ -154,7 +159,7 @@ struct AuditSnapshot {
       int64_t debt = 0;    ///< retirement owed after a capacity loss
       int64_t entered = 0;  ///< viewers admitted so far (digest term)
       int64_t exited = 0;   ///< viewers departed so far (digest term)
-      // Windowed-ladder terms (meaningful when shard.ladder.enabled):
+      // Windowed-ladder terms (meaningful when shard.ladder is set):
       int64_t vcr_queued = 0;         ///< cumulative measured queue entries
       int64_t queue_grants = 0;       ///< cumulative measured queue grants
       int64_t queue_expirations = 0;  ///< cumulative measured expirations
@@ -164,30 +169,10 @@ struct AuditSnapshot {
     };
     std::vector<MovieLedger> movies;
 
-    /// \brief Windowed cross-shard ladder view (one decision per barrier).
-    ///
-    /// The barrier publishes its rung decision here so the auditor can
-    /// recompute it from first principles: next == StepWindowedLadder(prev,
-    /// pressure, policy, recover_windows), with pressure summed from the
-    /// per-movie ledgers above. Quota and queue conservation ride on the
-    /// MovieLedger ladder terms.
-    struct Ladder {
-      bool enabled = false;
-      int prev_level = 0;          ///< rung before this barrier's decision
-      int64_t prev_streak = 0;     ///< below-streak before the decision
-      int next_level = 0;          ///< rung the barrier decided
-      int64_t next_streak = 0;     ///< below-streak after the decision
-      int64_t nominal_capacity = 0;
-      int64_t sum_held = 0;        ///< pressure term the barrier summed
-      int64_t sum_queued = 0;      ///< pressure term the barrier summed
-      double shed_below_fraction = 0.0;
-      double batching_below_fraction = 0.0;
-      int64_t recover_windows = 1;
-      /// Total forced-reclaim quota the barrier issued at the *previous*
-      /// window close (what this window's echoes must sum to).
-      int64_t quota_issued_prev = 0;
-    };
-    Ladder ladder;
+    /// True when the windowed ladder is armed: the MovieLedger ladder terms
+    /// are meaningful and the per-movie ladder laws run. The rung itself is
+    /// checked by the serial ladder laws (degradation_level, transitions).
+    bool ladder = false;
   };
   ShardState shard;
 };

@@ -201,8 +201,9 @@ class VcrWaitQueue {
 // window barriers. Instead each shard accumulates pressure locally and the
 // barrier folds the per-movie sums into ONE global rung decision per window
 // using the pure functions below. ReserveManager computes its live rung
-// with the same function over its own state, and the auditor shares it so
-// the `shard-ladder-rung` law can recompute the decision bit-for-bit.
+// with the same function over its own state. Both engines' rungs answer to
+// the same audit laws (ladder-level-range, ladder-continuity);
+// StepWindowedLadder's hysteresis is pinned by its unit tests.
 
 /// Global pressure summed across shards at a window barrier.
 struct WindowedPressure {

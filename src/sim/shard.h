@@ -46,9 +46,10 @@ namespace vod {
 /// credit — TryAcquire refuses when it is exhausted — so no cross-shard
 /// state is touched on the hot path. Releases repay retirement debt first
 /// (owed after a fault shrank capacity below what was already held), then
-/// return to local credit. The coordinator's conservation law:
-/// Σ over movies of (held + credit - debt) == global capacity, at every
-/// barrier (the shard-reserve-ledger audit law).
+/// return to local credit. Each grant or release moves one unit between
+/// held and credit or debt, so Σ over movies of (held + credit - debt)
+/// stays at the capacity lent at the last barrier; the shard-reserve-ledger
+/// audit law checks it on the rows the barrier reads, before it re-lends.
 ///
 /// When the degradation ladder is enabled (ArmLadder), the supplier also
 /// carries the shard-side half of the windowed cross-shard ladder

@@ -6,6 +6,8 @@
 #include <iomanip>
 #include <memory>
 #include <sstream>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/serialize.h"
@@ -192,7 +194,7 @@ struct LedgerSums {
 
 /// The ladder step's input rung and the queue pressure it folded.
 struct LadderStep {
-  WindowedLadderState prev;
+  DegradationLevel prev_level = DegradationLevel::kNormal;
   int64_t sum_queued = 0;
 };
 
@@ -242,6 +244,7 @@ class ShardedRun {
         shard_window_events_(static_cast<size_t>(shard_count_), 0),
         work_begin_us_(static_cast<size_t>(shard_count_), 0.0),
         work_end_us_(static_cast<size_t>(shard_count_), 0.0),
+        worker_of_(static_cast<size_t>(shard_count_)),
         // ParallelFor never runs more than one shard per worker.
         pool_(std::min(options.threads, options.shards)) {}
   // Shards, the controller host and pool workers hold addresses inside the
@@ -291,10 +294,14 @@ class ShardedRun {
     fault_schedule_ = ServerFaultSchedule(base_, base_rng_, horizon_);
     if (base_.audit.enabled) {
       auditor_ = std::make_unique<InvariantAuditor>(base_.audit);
+      AuditSnapshot& s = audit_snapshot_;
       for (const ServerMovieSpec& spec : movies_) {
-        audit_snapshot_.movies.push_back(
-            BuildMovieAuditBuffers(spec.name, spec.layout));
+        s.movies.push_back(BuildMovieAuditBuffers(spec.name, spec.layout));
       }
+      s.nominal_capacity = base_.dynamic_stream_reserve;
+      s.shard.enabled = true;
+      s.shard.ladder = ladder_on_;
+      if (ladder_on_) s.transitions = &ladder_.transitions;
     }
     ArmTelemetry();
 
@@ -314,10 +321,10 @@ class ShardedRun {
   }
 
   /// The parallel phase: every shard runs its movies' kernels to t_end. Each
-  /// worker writes only its own work_begin/end slot, so the instrumented
-  /// lambda stays race-free; spans are recorded after the join to keep the
-  /// profiler mutex out of the parallel phase. Returns the join time on the
-  /// profiler clock (0 without a profiler).
+  /// worker writes only its own shards' work_begin/end and worker slots, so
+  /// the instrumented lambda stays race-free; spans are recorded after the
+  /// join to keep the profiler mutex out of the parallel phase. Returns the
+  /// join time on the profiler clock (0 without a profiler).
   double RunShards(double t_start, double t_end) {
     pool_.ParallelFor(shard_count_, [&](int64_t s) {
       const double begin_us =
@@ -326,19 +333,28 @@ class ShardedRun {
       if (profiler_ != nullptr) {
         work_begin_us_[static_cast<size_t>(s)] = begin_us;
         work_end_us_[static_cast<size_t>(s)] = profiler_->NowMicros();
+        worker_of_[static_cast<size_t>(s)] = std::this_thread::get_id();
       }
     });
     if (profiler_ == nullptr) return 0.0;
     const double barrier_us = profiler_->NowMicros();
-    for (int s = 0; s < shard_count_; ++s) {
-      const auto lane = shard_lanes_[static_cast<size_t>(s)];
-      profiler_->RecordSpanOnLane(lane, "shard_work",
-                                  work_begin_us_[static_cast<size_t>(s)],
-                                  work_end_us_[static_cast<size_t>(s)]);
-      // A shard's barrier wait runs from its own finish to the join.
-      profiler_->RecordSpanOnLane(lane, "barrier_wait",
-                                  work_end_us_[static_cast<size_t>(s)],
-                                  barrier_us);
+    // A worker waits at the barrier from its last shard's finish to the
+    // join. A shard queued behind its worker's other shards was not waiting,
+    // so the wait is recorded once per worker, on its last shard's lane.
+    std::unordered_map<std::thread::id, size_t> last_on_worker;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const auto [it, first] = last_on_worker.emplace(worker_of_[s], s);
+      if (!first && work_end_us_[s] >= work_end_us_[it->second]) {
+        it->second = s;
+      }
+    }
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      profiler_->RecordSpanOnLane(shard_lanes_[s], "shard_work",
+                                  work_begin_us_[s], work_end_us_[s]);
+      if (last_on_worker[worker_of_[s]] == s) {
+        profiler_->RecordSpanOnLane(shard_lanes_[s], "barrier_wait",
+                                    work_end_us_[s], barrier_us);
+      }
     }
     return barrier_us;
   }
@@ -372,7 +388,10 @@ class ShardedRun {
   }
 
   /// Ledger read: each movie's row from its supplier, world and slot, in
-  /// global movie order, so shard layout cannot reorder anything.
+  /// global movie order, so shard layout cannot reorder anything. An audited
+  /// run takes the shard section of its snapshot here, before faults and
+  /// redistribution rewrite the rows, against the capacity the last barrier
+  /// lent: the cross-shard laws then check the suppliers' own accounting.
   void ReadLedger() {
     for (size_t i = 0; i < ledger_.size(); ++i) {
       const ServerShard::MovieSlot& slot = *slots_[i];
@@ -395,6 +414,9 @@ class ShardedRun {
       mb.reclaim_quota = slot.reclaim_quota;
       mb.reclaim_applied = slot.reclaim_applied;
     }
+    if (auditor_ == nullptr) return;
+    audit_snapshot_.shard.capacity = capacity_;
+    audit_snapshot_.shard.movies.assign(ledger_.begin(), ledger_.end());
   }
 
   /// Faults: applies every fault event in (t_prev, t_end] — capacity changes
@@ -415,7 +437,9 @@ class ShardedRun {
   /// Controller replay: offered arrivals in (time, movie) order, interleaved
   /// with the controller's decision wakeups, then the wakeups still due by this
   /// barrier. Order is derived from values only — never from shard layout.
-  /// Re-plans run here, so it gets its own span inside the fold.
+  /// The shards' gates already admitted every arrival, so the replay feeds
+  /// the rate estimators only; the traffic policy never sees them. Re-plans
+  /// run here, so it gets its own span inside the fold.
   void ReplayController(double t_end, bool capacity_changed) {
     if (controller_ == nullptr) return;
     ctrl_host_->set_barrier_time(t_end);
@@ -437,7 +461,7 @@ class ShardedRun {
         const double at = ctrl_next_wakeup_;
         ctrl_next_wakeup_ = controller_->OnWakeup(at);
       }
-      controller_->OnArrival(arrival.movie, arrival.t);
+      controller_->ObserveArrival(arrival.movie, arrival.t);
     }
     while (ctrl_next_wakeup_ <= t_end && ctrl_next_wakeup_ < horizon_) {
       const double at = ctrl_next_wakeup_;
@@ -452,7 +476,8 @@ class ShardedRun {
 
   /// Redistribution: sums holds; a surplus becomes credit, split by window
   /// demand; a deficit becomes retirement debt, split by holdings. Either way
-  /// the ledger law holds by construction: Σ(held + credit − debt) == capacity.
+  /// Σ(held + credit − debt) == capacity by construction; the ledger law
+  /// checks at the next barrier that the shards kept it.
   LedgerSums Redistribute() {
     LedgerSums sums;
     for (const MovieBarrier& mb : ledger_) sums.held += mb.held;
@@ -487,13 +512,14 @@ class ShardedRun {
   }
 
   /// Ladder: folds the summed pressure into one global rung (pure function +
-  /// hysteresis — the auditor recomputes it), integrates the time the
-  /// *outgoing* rung governed, and sizes next window's forced-reclaim quotas by
-  /// holdings. The controller host is updated after stepping, so its replay at
-  /// the next barrier sees the rung in effect during that window.
+  /// hysteresis), records the change in the history the ladder laws audit,
+  /// integrates the time the *outgoing* rung governed, and sizes next
+  /// window's forced-reclaim quotas by holdings. The controller host is
+  /// updated after stepping, so its replay at the next barrier sees the rung
+  /// in effect during that window.
   LadderStep StepLadder(double t_start, double t_end, int64_t sum_held) {
     LadderStep step;
-    step.prev = ladder_state_;
+    step.prev_level = ladder_state_.level;
     if (!ladder_on_) return step;
     for (const MovieBarrier& mb : ledger_) step.sum_queued += mb.queue_len;
     ladder_.time_in_level[static_cast<int>(ladder_state_.level)] +=
@@ -503,16 +529,17 @@ class ShardedRun {
     pressure.nominal_capacity = base_.dynamic_stream_reserve;
     pressure.sum_held = sum_held;
     pressure.sum_queued = step.sum_queued;
-    ladder_state_ = StepWindowedLadder(step.prev, pressure, base_.degradation,
+    ladder_state_ = StepWindowedLadder(ladder_state_, pressure,
+                                       base_.degradation,
                                        options_.ladder_recover_windows);
-    if (ladder_state_.level != step.prev.level) {
-      ladder_.Record(t_end, step.prev.level, ladder_state_.level, capacity_);
+    if (ladder_state_.level != step.prev_level) {
+      ladder_.Record(t_end, step.prev_level, ladder_state_.level, capacity_);
       if (ObsEnabled(event_log_, EventCategory::kDegradation)) {
         event_log_->Emit(t_end, EventCategory::kDegradation,
                          static_cast<uint8_t>(ladder_state_.level),
                          /*movie=*/-1, /*id=*/-1,
                          static_cast<double>(capacity_),
-                         static_cast<uint8_t>(step.prev.level));
+                         static_cast<uint8_t>(step.prev_level));
       }
     }
     std::fill(reclaim_quota_.begin(), reclaim_quota_.end(), 0);
@@ -557,44 +584,38 @@ class ShardedRun {
     registry_->MaybeSample(t_end);
   }
 
-  /// Audit: the cross-shard laws plus (when the controller is live) its
-  /// resource ledger and the live partition geometry. Returns whether this
-  /// barrier produced the run's first violation.
-  bool AuditBarrier(int64_t w, double t_end, int64_t sum_held,
-                    const LadderStep& step) {
+  /// Audit: the stream and ladder laws the serial engine checks, read live
+  /// after faults and the rung step; the cross-shard laws on the rows
+  /// ReadLedger took; and (when the controller is live) its resource ledger
+  /// and the live partition geometry. Returns whether this barrier produced
+  /// the run's first violation.
+  bool AuditBarrier(int64_t w, double t_end) {
     if (auditor_ == nullptr) return false;
-    audit_snapshot_.time = t_end;
-    auto& sh = audit_snapshot_.shard;
-    sh.enabled = true;
-    sh.capacity = capacity_;
-    sh.movies.assign(ledger_.begin(), ledger_.end());
+    AuditSnapshot& s = audit_snapshot_;
+    s.time = t_end;
+    s.supplier_in_use = 0;
+    s.sum_world_holds = 0;
+    for (const ServerShard::MovieSlot* slot : slots_) {
+      s.supplier_in_use += slot->supplier->held();
+      s.sum_world_holds += slot->world->dedicated_streams_held();
+    }
+    s.supplier_capacity = capacity_;
     if (ladder_on_) {
-      auto& ld = sh.ladder;
-      ld.enabled = true;
-      ld.prev_level = static_cast<int>(step.prev.level);
-      ld.prev_streak = step.prev.below_streak;
-      ld.next_level = static_cast<int>(ladder_state_.level);
-      ld.next_streak = ladder_state_.below_streak;
-      ld.nominal_capacity = base_.dynamic_stream_reserve;
-      ld.sum_held = sum_held;
-      ld.sum_queued = step.sum_queued;
-      ld.shed_below_fraction = base_.degradation.shed_below_fraction;
-      ld.batching_below_fraction = base_.degradation.batching_below_fraction;
-      ld.recover_windows = options_.ladder_recover_windows;
-      ld.quota_issued_prev = quota_issued_prev_;
+      s.degradation_level = static_cast<int>(ladder_state_.level);
+      s.total_transitions = ladder_.total_transitions;
     }
     if (controller_ != nullptr) {
-      FillControllerAudit(*controller_, *ctrl_host_, movies_, &audit_snapshot_);
+      FillControllerAudit(*controller_, *ctrl_host_, movies_, &s);
     }
-    if (options_.corrupt_audit_window == w && !sh.movies.empty()) {
+    if (options_.corrupt_audit_window == w && !s.shard.movies.empty()) {
       // Test hook: misstate movie 0's held count in the *snapshot copy*
       // only — the simulation trajectory is untouched, but the
       // shard-reserve-ledger law fires, exercising the flight-recorder
       // dump path end to end.
-      sh.movies[0].held += 1;
+      s.shard.movies[0].held += 1;
     }
     const int64_t violations_before = auditor_->total_violations();
-    auditor_->Audit(audit_snapshot_);
+    auditor_->Audit(s);
     return violations_before == 0 && auditor_->total_violations() > 0;
   }
 
@@ -954,6 +975,7 @@ class ShardedRun {
   std::vector<int64_t> shard_window_events_;
   std::vector<double> work_begin_us_;
   std::vector<double> work_end_us_;
+  std::vector<std::thread::id> worker_of_;  ///< the worker that ran shard s
 
   ThreadPool pool_;
 };
@@ -1042,8 +1064,8 @@ Result<ShardedServerReport> RunShardedServerSimulation(
     run.ReplayController(t_end, capacity_changed);
     const LedgerSums sums = run.Redistribute();
     const LadderStep ladder = run.StepLadder(t_start, t_end, sums.held);
-    run.EmitTelemetry(w, t_end, load, sums, ladder.prev.level);
-    const bool audit_tripped = run.AuditBarrier(w, t_end, sums.held, ladder);
+    run.EmitTelemetry(w, t_end, load, sums, ladder.prev_level);
+    const bool audit_tripped = run.AuditBarrier(w, t_end);
     run.ExtendDigest(w, ladder.sum_queued);
     run.RecordFlight(w, t_end, sums, ladder.sum_queued, audit_tripped);
     VOD_RETURN_IF_ERROR(run.VerifyReplay(w));

@@ -32,9 +32,20 @@
 // apportionment. A movie that exhausts its credit mid-window is refused
 // (the same hard-refusal surface the seed model has); a fault that shrinks
 // capacity below what is already held converts the deficit into retirement
-// debt, repaid from releases before any stream is re-lent. The
-// shard-reserve-ledger audit law checks Σ(held + credit − debt) == capacity
-// at every barrier.
+// debt, repaid from releases before any stream is re-lent. Within a window
+// every grant and release moves one unit between a movie's held and its
+// credit or debt, so at the next barrier Σ(held + credit − debt) still equals
+// the capacity lent. The shard-reserve-ledger audit law checks exactly that,
+// on the rows as the shards left them, before faults and redistribution
+// rewrite them, so it checks the suppliers' accounting and not the
+// apportionment's own sum.
+//
+// Audit (base.audit.enabled): every barrier runs one InvariantAuditor pass.
+// Besides the cross-shard laws it runs the laws the serial engine runs —
+// stream conservation between Σ supplier holds and Σ world holds, the
+// capacity bounds against the post-fault capacity, and, with the ladder on,
+// the rung range and the continuity of its transition history — so both
+// engines answer to one set of stream laws.
 //
 // Degradation semantics (base.degradation.enabled): the ladder is *windowed*
 // (sim/degradation.h, ComputeWindowedLevel/StepWindowedLadder). Shards
@@ -46,9 +57,11 @@
 // (largest-remainder over holdings) that shards apply at the next window
 // open. The decision therefore lags live pressure by at most one window —
 // the quantified semantic delta vs. the single-server per-event ladder (see
-// EXPERIMENTS.md) — but it is a pure function of summed pressure, which the
-// shard-ladder-rung/-reclaim/-queue audit laws re-verify at every barrier,
-// and it folds into the ledger-digest chain so checkpoints replay-verify it.
+// EXPERIMENTS.md) — but it is a pure function of summed pressure; it folds
+// into the ledger-digest chain so checkpoints replay-verify it, and the
+// ladder-level-range/-continuity and shard-ladder-reclaim/-queue audit laws
+// check its history and the shards' quota and queue accounting at every
+// barrier.
 
 #ifndef VOD_SIM_SHARDED_SERVER_H_
 #define VOD_SIM_SHARDED_SERVER_H_
@@ -132,10 +145,11 @@ struct ShardedServerOptions {
   ShardedCheckpointOptions checkpoint;
   ShardedPostmortemOptions postmortem;
   /// Test hook: at this barrier window (1-based), misstate movie 0's held
-  /// count by +1 in the coordinator's *audit snapshot copy* — the
-  /// simulation trajectory is untouched, but the shard-reserve-ledger law
-  /// fires, proving an injected audit failure produces a postmortem bundle.
-  /// Requires base.audit.enabled; <= 0 = off.
+  /// count by +1 in the ledger rows the coordinator read for the audit
+  /// (its *snapshot copy*) — the simulation trajectory is untouched, but
+  /// the shard-reserve-ledger law, which checks those rows against the
+  /// capacity lent, fires, proving an injected audit failure produces a
+  /// postmortem bundle. Requires base.audit.enabled; <= 0 = off.
   int64_t corrupt_audit_window = 0;
 };
 

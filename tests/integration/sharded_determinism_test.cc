@@ -63,7 +63,8 @@ std::vector<ServerMovieSpec> SixMovies() {
 /// Everything on at once: scarce reserve (credits bind), disk faults
 /// (capacity moves, debts get assigned), the reallocation controller
 /// (layout commits land on the worlds at barriers), and the paranoid
-/// auditor (every barrier checks the cross-shard conservation laws).
+/// auditor (every barrier checks the serial stream laws and the cross-shard
+/// ledger as the shards left it).
 ShardedServerOptions FullMachineOptions(int shards, int threads,
                                         uint64_t seed) {
   ShardedServerOptions options;
@@ -138,9 +139,10 @@ TEST(ShardedDeterminismTest, SeedsProduceDifferentRuns) {
 
 /// The full machine plus the windowed degradation ladder: scarce reserve,
 /// hard faults pushing capacity through the shed/batching thresholds, the
-/// controller, the paranoid auditor (now including the shard-ladder-rung /
-/// -reclaim / -queue laws), and the ladder deciding rungs and reclaim
-/// quotas at every barrier.
+/// controller, the paranoid auditor (now also the ladder-level-range /
+/// -continuity laws on the windowed rung and the shard-ladder-reclaim /
+/// -queue laws on the shards' accounting), and the ladder deciding rungs
+/// and reclaim quotas at every barrier.
 ShardedServerOptions LadderMachineOptions(int shards, int threads,
                                           uint64_t seed) {
   ShardedServerOptions options = FullMachineOptions(shards, threads, seed);

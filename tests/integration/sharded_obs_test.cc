@@ -303,6 +303,30 @@ TEST(ShardedObsTest, ControllerReplaySpanNestsInEveryFold) {
   }
 }
 
+TEST(ShardedObsTest, BarrierWaitIsRecordedOncePerWorker) {
+  // Four shards on one worker run back to back. Only the last one's finish
+  // to the join is barrier wait; the time the first three shards spent
+  // queued behind each other is work, so Σ barrier_wait stays far below
+  // Σ shard_work (it exceeded Σ shard_work when each shard counted the wait
+  // from its own finish).
+  const auto movies = SixMovies();
+  PhaseProfiler profiler;
+  ShardedServerOptions options = LadderMachineOptions(4, 1, 11);
+  options.base.obs.profiler = &profiler;
+  const auto got = RunShardedServerSimulation(movies, options);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  const std::vector<TraceSpan> work = SpansNamed(profiler, "shard_work");
+  const std::vector<TraceSpan> waits = SpansNamed(profiler, "barrier_wait");
+  EXPECT_EQ(static_cast<int64_t>(work.size()), 4 * got->windows);
+  EXPECT_EQ(static_cast<int64_t>(waits.size()), got->windows);
+  double work_us = 0.0;
+  double wait_us = 0.0;
+  for (const TraceSpan& span : work) work_us += span.dur;
+  for (const TraceSpan& span : waits) wait_us += span.dur;
+  EXPECT_GT(work_us, 0.0);
+  EXPECT_LT(wait_us, 0.25 * work_us);
+}
+
 TEST(ShardedObsTest, FlightRecorderDumpsOnInjectedAuditFailure) {
   const auto movies = SixMovies();
   TempPath bundle_path("postmortem");

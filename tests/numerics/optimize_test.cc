@@ -7,32 +7,6 @@
 namespace vod {
 namespace {
 
-TEST(GoldenSectionTest, QuadraticMinimum) {
-  const auto f = [](double x) { return (x - 1.7) * (x - 1.7) + 3.0; };
-  const Minimum m = GoldenSectionMinimize(f, -10.0, 10.0, 1e-10);
-  EXPECT_NEAR(m.x, 1.7, 1e-7);
-  EXPECT_NEAR(m.value, 3.0, 1e-12);
-}
-
-TEST(GoldenSectionTest, BoundaryMinimum) {
-  const auto f = [](double x) { return x; };  // min at the left edge
-  const Minimum m = GoldenSectionMinimize(f, 2.0, 5.0, 1e-10);
-  EXPECT_NEAR(m.x, 2.0, 1e-6);
-}
-
-TEST(GoldenSectionTest, DegenerateInterval) {
-  const auto f = [](double x) { return x * x; };
-  const Minimum m = GoldenSectionMinimize(f, 3.0, 3.0);
-  EXPECT_DOUBLE_EQ(m.x, 3.0);
-  EXPECT_DOUBLE_EQ(m.value, 9.0);
-}
-
-TEST(GoldenSectionTest, NonSmoothUnimodal) {
-  const auto f = [](double x) { return std::fabs(x - 0.25); };
-  const Minimum m = GoldenSectionMinimize(f, -1.0, 1.0, 1e-10);
-  EXPECT_NEAR(m.x, 0.25, 1e-7);
-}
-
 TEST(GridMinimizeTest, FindsGlobalMinimumOfMultimodal) {
   // Two wells; the deeper one is at x ≈ 4.71 (3π/2 of sin).
   const auto f = [](double x) { return std::sin(x) + 0.01 * x; };
@@ -45,19 +19,6 @@ TEST(GridMinimizeTest, IncludesEndpoints) {
   const Minimum m = GridMinimize(f, 0.0, 5.0, 11);
   EXPECT_DOUBLE_EQ(m.x, 5.0);
   EXPECT_DOUBLE_EQ(m.value, -5.0);
-}
-
-TEST(DiscreteMinimizeTest, PicksBestCandidate) {
-  const auto f = [](double x) { return (x - 3.0) * (x - 3.0); };
-  const Minimum m = DiscreteMinimize(f, {0.0, 2.0, 3.5, 10.0});
-  EXPECT_DOUBLE_EQ(m.x, 3.5);
-}
-
-TEST(DiscreteMinimizeTest, SingleCandidate) {
-  const auto f = [](double x) { return x; };
-  const Minimum m = DiscreteMinimize(f, {42.0});
-  EXPECT_DOUBLE_EQ(m.x, 42.0);
-  EXPECT_DOUBLE_EQ(m.value, 42.0);
 }
 
 }  // namespace
