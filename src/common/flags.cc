@@ -1,22 +1,13 @@
 #include "common/flags.h"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/parse.h"
 
 namespace vod {
-
-namespace {
-// strtoll/strtod silently skip leading whitespace; a flag value that starts
-// with a space (or is empty) is a quoting accident, not a number.
-bool StartsLikeGarbage(const std::string& text) {
-  return text.empty() || std::isspace(static_cast<unsigned char>(text[0]));
-}
-}  // namespace
 
 FlagSet::FlagSet(std::string program) : program_(std::move(program)) {}
 
@@ -79,49 +70,15 @@ Status FlagSet::SetFromText(const std::string& name, const std::string& text) {
     return Status::InvalidArgument("unknown flag --" + name);
   }
   Flag& f = it->second;
-  errno = 0;
-  char* end = nullptr;
   switch (f.type) {
     case Type::kInt64: {
-      const long long v =
-          StartsLikeGarbage(text) ? 0 : std::strtoll(text.c_str(), &end, 10);
-      if (end == nullptr || end == text.c_str() || *end != '\0') {
-        return Status::InvalidArgument("flag --" + name +
-                                       " expects a base-10 integer, got '" +
-                                       text + "'");
-      }
-      if (errno == ERANGE) {
-        return Status::InvalidArgument("flag --" + name +
-                                       " is out of int64 range: '" + text +
-                                       "'");
-      }
-      f.int_value = v;
+      VOD_ASSIGN_OR_RETURN(f.int_value,
+                           ParseNamed("flag --" + name, ParseInt64, text));
       break;
     }
     case Type::kDouble: {
-      // Hexadecimal floats ("0x1p4") parse cleanly but are never what a
-      // command line means; reject them before strtod can accept them.
-      const bool looks_hex =
-          text.find('x') != std::string::npos ||
-          text.find('X') != std::string::npos;
-      const double v = StartsLikeGarbage(text) || looks_hex
-                           ? 0.0
-                           : std::strtod(text.c_str(), &end);
-      if (end == nullptr || end == text.c_str() || *end != '\0') {
-        return Status::InvalidArgument("flag --" + name +
-                                       " expects a decimal number, got '" +
-                                       text + "'");
-      }
-      if (errno == ERANGE) {
-        return Status::InvalidArgument("flag --" + name +
-                                       " is out of double range: '" + text +
-                                       "'");
-      }
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument("flag --" + name +
-                                       " must be finite, got '" + text + "'");
-      }
-      f.double_value = v;
+      VOD_ASSIGN_OR_RETURN(f.double_value,
+                           ParseNamed("flag --" + name, ParseDouble, text));
       break;
     }
     case Type::kBool: {

@@ -3,6 +3,7 @@
 // Supports --name=value and --name value forms plus --help. This is
 // deliberately tiny: the binaries take a handful of numeric knobs (seed,
 // replication count, CSV toggles) and must not drag in a dependency.
+// Numeric values follow common/parse.h, the rules of every text input.
 
 #ifndef VOD_COMMON_FLAGS_H_
 #define VOD_COMMON_FLAGS_H_
@@ -38,7 +39,8 @@ class FlagSet {
   void AddString(const std::string& name, const std::string& default_value,
                  const std::string& help);
 
-  /// Parses argv. Unknown flags or malformed values produce InvalidArgument.
+  /// Parses argv. Unknown flags or malformed values produce InvalidArgument
+  /// naming the flag ("flag --seed expects a base-10 integer, got '1e3'").
   /// `--help` prints usage to stdout and, if `exit_on_help` is set (default),
   /// exits the process with code 0.
   Status Parse(int argc, char** argv, bool exit_on_help = true);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "dist/deterministic.h"
 #include "dist/exponential.h"
 #include "dist/gamma.h"
@@ -57,20 +58,16 @@ Status SplitSpec(const std::string& spec, std::string* name,
                                    "'name(arg, ...)': " + spec);
   }
   *name = compact.substr(0, open);
-  std::string body = compact.substr(open + 1, compact.size() - open - 2);
-  size_t pos = 0;
-  while (pos < body.size()) {
-    size_t comma = body.find(',', pos);
-    if (comma == std::string::npos) comma = body.size();
-    const std::string token = body.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad numeric argument '" + token +
-                                     "' in spec: " + spec);
-    }
+  const std::string body = compact.substr(open + 1, compact.size() - open - 2);
+  if (body.empty()) return Status::OK();
+  const std::vector<std::string> tokens = SplitFields(body, ',');
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    VOD_ASSIGN_OR_RETURN(
+        const double v,
+        ParseNamed("argument " + std::to_string(i + 1) + " of spec '" +
+                       spec + "'",
+                   ParseDouble, tokens[i]));
     args->push_back(v);
-    pos = comma + 1;
   }
   return Status::OK();
 }

@@ -71,6 +71,8 @@ using DistributionPtr = std::shared_ptr<const Distribution>;
 ///   det(value) | deterministic(value)
 ///   weibull(shape, scale)
 ///   lognormal(mu, sigma)
+/// Each argument is read by ParseDouble (common/parse.h): "nan", "inf" and
+/// hex are an InvalidArgument naming the argument and the spec.
 /// Used by bench/example binaries to accept e.g. --duration='gamma(2,4)'.
 Result<DistributionPtr> ParseDistributionSpec(const std::string& spec);
 

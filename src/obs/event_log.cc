@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/parse.h"
+
 namespace vod {
 
 namespace {
@@ -42,13 +44,13 @@ const char* Lookup(const char* const (&table)[N], uint8_t i) {
   return i < N ? table[i] : "-";
 }
 
+}  // namespace
+
 void AppendJsonDouble(std::string* out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out->append(buf);
 }
-
-}  // namespace
 
 const char* EventCategoryName(EventCategory category) {
   const auto i = static_cast<size_t>(category);
@@ -95,18 +97,10 @@ Result<EventCategory> ParseEventCategory(const std::string& name) {
 Result<uint32_t> ParseCategoryMask(const std::string& spec) {
   if (spec.empty() || spec == "all") return kAllEventCategories;
   uint32_t mask = 0;
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    const size_t comma = spec.find(',', pos);
-    const size_t end = comma == std::string::npos ? spec.size() : comma;
-    const std::string token = spec.substr(pos, end - pos);
-    if (!token.empty()) {
-      VOD_ASSIGN_OR_RETURN(const EventCategory cat,
-                           ParseEventCategory(token));
-      mask |= CategoryBit(cat);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const std::string& token : SplitFields(spec, ',')) {
+    if (token.empty()) continue;
+    VOD_ASSIGN_OR_RETURN(const EventCategory cat, ParseEventCategory(token));
+    mask |= CategoryBit(cat);
   }
   if (mask == 0) {
     return Status::InvalidArgument("category list '" + spec +

@@ -128,6 +128,9 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 /// Formats one event as a single JSONL object (no trailing newline).
 std::string TraceEventToJson(const TraceEvent& event);
 
+/// Appends `v` with 17 significant digits, so it reads back exactly.
+void AppendJsonDouble(std::string* out, double v);
+
 /// \brief Sink interface. Append must tolerate being called from the bus at
 /// event-loop rate; thread safety is per-implementation (documented below).
 class EventSink {

@@ -1,15 +1,10 @@
 #include "obs/flight_recorder.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
+#include "common/parse.h"
 #include "obs/trace_reader.h"
 
 namespace vod {
@@ -25,122 +20,6 @@ void AppendJsonEscaped(std::string* out, const std::string& s) {
     // header, so flatten it.
     out->push_back(c == '\n' ? ' ' : c);
   }
-}
-
-void AppendJsonDouble(std::string* out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-// Finds `"key":` in a single-line JSON object and returns the character
-// position just past the colon, or npos (same convention as trace_reader).
-size_t FindField(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = line.find(needle);
-  return pos == std::string::npos ? std::string::npos : pos + needle.size();
-}
-
-Status LineError(size_t line_no, const std::string& why) {
-  return Status::InvalidArgument("postmortem line " + std::to_string(line_no) +
-                                 ": " + why);
-}
-
-// Reads a finite number at `begin`; strtod also reads "nan" and "inf",
-// which JSON does not have. Returns the end of the number, or null.
-const char* ReadFinite(const char* begin, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(begin, &end);
-  return end == begin || !std::isfinite(*out) ? nullptr : end;
-}
-
-// Casts an integral `v` that fits Int. Casting a double outside its target
-// type's range is undefined, so the range is checked before any cast.
-template <typename Int>
-bool ToInt(double v, Int* out) {
-  constexpr double kLo = static_cast<double>(std::numeric_limits<Int>::min());
-  if (v != std::floor(v) || v < kLo || v >= -kLo) return false;
-  *out = static_cast<Int>(v);
-  return true;
-}
-
-Status ParseNumber(const std::string& line, size_t line_no, const char* key,
-                   double* out) {
-  const size_t pos = FindField(line, key);
-  if (pos == std::string::npos) {
-    return LineError(line_no, std::string("missing field \"") + key + "\"");
-  }
-  if (ReadFinite(line.c_str() + pos, out) == nullptr) {
-    return LineError(line_no, std::string("field \"") + key +
-                                  "\" is not a finite number");
-  }
-  return Status::OK();
-}
-
-template <typename Int>
-Status ParseInt(const std::string& line, size_t line_no, const char* key,
-                Int* out) {
-  double v = 0.0;
-  VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, key, &v));
-  if (ToInt(v, out)) return Status::OK();
-  using Limits = std::numeric_limits<Int>;
-  return LineError(line_no, std::string("field \"") + key +
-                                "\" must be an integer in [" +
-                                std::to_string(Limits::min()) + ", " +
-                                std::to_string(Limits::max()) + "]");
-}
-
-// Digests are full 64-bit FNV values; going through double would round
-// everything past 2^53, so they get a dedicated integer parse. strtoull
-// would also accept a sign (wrapping "-1") and saturate on overflow, so
-// the field must start with a digit and fit in 64 bits.
-Status ParseU64(const std::string& line, size_t line_no, const char* key,
-                uint64_t* out) {
-  const size_t pos = FindField(line, key);
-  if (pos == std::string::npos) {
-    return LineError(line_no, std::string("missing field \"") + key + "\"");
-  }
-  const char* begin = line.c_str() + pos;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, nullptr, 10);
-  if (std::isdigit(static_cast<unsigned char>(*begin)) == 0 ||
-      errno == ERANGE) {
-    return LineError(line_no, std::string("field \"") + key +
-                                  "\" is not an unsigned 64-bit integer");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-Status ParseString(const std::string& line, size_t line_no, const char* key,
-                   std::string* out) {
-  size_t pos = FindField(line, key);
-  if (pos == std::string::npos) {
-    return LineError(line_no, std::string("missing field \"") + key + "\"");
-  }
-  if (pos >= line.size() || line[pos] != '"') {
-    return LineError(line_no,
-                     std::string("field \"") + key + "\" is not a string");
-  }
-  std::string value;
-  bool closed = false;
-  for (size_t i = pos + 1; i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      value.push_back(line[++i]);
-      continue;
-    }
-    if (line[i] == '"') {
-      closed = true;
-      break;
-    }
-    value.push_back(line[i]);
-  }
-  if (!closed) {
-    return LineError(line_no,
-                     std::string("unterminated string for \"") + key + "\"");
-  }
-  *out = value;
-  return Status::OK();
 }
 
 }  // namespace
@@ -215,83 +94,75 @@ Result<PostmortemBundle> ReadPostmortem(const std::string& path) {
     ++line_no;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
+    const JsonLineFields fields("postmortem", line_no, line);
     if (line_no == 1) {
       std::string magic;
-      VOD_RETURN_IF_ERROR(ParseString(line, line_no, "postmortem", &magic));
+      VOD_RETURN_IF_ERROR(fields.String("postmortem", &magic));
       if (magic != kBundleMagic) {
-        return LineError(line_no, "unknown bundle format '" + magic + "'");
+        return fields.Error("unknown bundle format '" + magic + "'");
       }
-      VOD_RETURN_IF_ERROR(ParseString(line, line_no, "reason",
-                                      &bundle.reason));
-      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "shards", &bundle.shards));
+      VOD_RETURN_IF_ERROR(fields.String("reason", &bundle.reason));
+      VOD_RETURN_IF_ERROR(fields.Integer("shards", &bundle.shards));
       if (bundle.shards < 1) {
-        return LineError(line_no, "field \"shards\" must be >= 1, got " +
-                                      std::to_string(bundle.shards));
+        return fields.Error("field \"shards\" must be >= 1, got " +
+                            std::to_string(bundle.shards));
       }
       continue;
     }
-    if (FindField(line, "window") != std::string::npos) {
+    if (fields.Find("window") != std::string::npos) {
       FlightWindowRecord rec;
-      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "window", &rec.window));
-      VOD_RETURN_IF_ERROR(ParseNumber(line, line_no, "t_end", &rec.t_end));
-      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "capacity", &rec.capacity));
-      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "rung", &rec.rung));
+      VOD_RETURN_IF_ERROR(fields.Integer("window", &rec.window));
+      VOD_RETURN_IF_ERROR(fields.Read("t_end", ParseDouble, &rec.t_end));
+      VOD_RETURN_IF_ERROR(fields.Integer("capacity", &rec.capacity));
+      VOD_RETURN_IF_ERROR(fields.Integer("rung", &rec.rung));
       // Rungs share the trace's degradation subtype vocabulary.
       if (rec.rung < 0 || rec.rung > 255 ||
           std::strcmp(EventSubtypeName(EventCategory::kDegradation,
                                        static_cast<uint8_t>(rec.rung)),
                       "-") == 0) {
-        return LineError(line_no, "field \"rung\" is not a degradation "
-                                  "rung: " + std::to_string(rec.rung));
+        return fields.Error("field \"rung\" is not a degradation rung: " +
+                            std::to_string(rec.rung));
       }
-      VOD_RETURN_IF_ERROR(ParseU64(line, line_no, "digest", &rec.digest));
-      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "sum_held", &rec.sum_held));
-      VOD_RETURN_IF_ERROR(
-          ParseInt(line, line_no, "sum_credit", &rec.sum_credit));
-      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "sum_debt", &rec.sum_debt));
-      VOD_RETURN_IF_ERROR(
-          ParseInt(line, line_no, "sum_queued", &rec.sum_queued));
-      VOD_RETURN_IF_ERROR(
-          ParseInt(line, line_no, "quota_issued", &rec.quota_issued));
-      const size_t arr = FindField(line, "shard_events");
-      if (arr == std::string::npos || arr >= line.size() ||
-          line[arr] != '[') {
-        return LineError(line_no, "missing field \"shard_events\"");
+      VOD_RETURN_IF_ERROR(fields.Read("digest", ParseUint64, &rec.digest));
+      VOD_RETURN_IF_ERROR(fields.Integer("sum_held", &rec.sum_held));
+      VOD_RETURN_IF_ERROR(fields.Integer("sum_credit", &rec.sum_credit));
+      VOD_RETURN_IF_ERROR(fields.Integer("sum_debt", &rec.sum_debt));
+      VOD_RETURN_IF_ERROR(fields.Integer("sum_queued", &rec.sum_queued));
+      VOD_RETURN_IF_ERROR(fields.Integer("quota_issued", &rec.quota_issued));
+      const size_t open = fields.Find("shard_events");
+      const size_t close = line.find(']', open);
+      if (open >= line.size() || line[open] != '[' ||
+          close == std::string::npos) {
+        return fields.Error("field \"shard_events\" is missing");
       }
-      size_t pos = arr + 1;
-      while (pos < line.size() && line[pos] != ']') {
-        double d = 0.0;
-        int64_t events = 0;
-        const char* end = ReadFinite(line.c_str() + pos, &d);
-        if (end == nullptr || !ToInt(d, &events)) {
-          return LineError(line_no, "field \"shard_events\" holds an entry "
-                                    "that is not a 64-bit integer");
+      const std::string entries = line.substr(open + 1, close - open - 1);
+      if (!entries.empty()) {
+        for (const std::string& entry : SplitFields(entries, ',')) {
+          const auto events = ParseNamed("field \"shard_events\" entry",
+                                         ParseInt64, entry);
+          if (!events.ok()) return fields.Error(events.status().message());
+          rec.shard_events.push_back(*events);
         }
-        rec.shard_events.push_back(events);
-        pos = static_cast<size_t>(end - line.c_str());
-        if (pos < line.size() && line[pos] == ',') ++pos;
       }
       bundle.windows.push_back(std::move(rec));
       continue;
     }
-    if (FindField(line, "shard") != std::string::npos) {
+    if (fields.Find("shard") != std::string::npos) {
       int shard = 0;
-      VOD_RETURN_IF_ERROR(ParseInt(line, line_no, "shard", &shard));
-      const size_t obj = FindField(line, "event");
+      VOD_RETURN_IF_ERROR(fields.Integer("shard", &shard));
+      const size_t obj = fields.Find("event");
       const size_t close = line.rfind('}');
       if (obj == std::string::npos || close == std::string::npos ||
           close <= obj) {
-        return LineError(line_no, "malformed event record");
+        return fields.Error("malformed event record");
       }
       // The embedded object is exactly one JSONL trace line; lean on the
       // trace reader so binary/JSONL subtype recovery stays in one place.
       std::istringstream event_line(line.substr(obj, close - obj));
       auto parsed = ReadJsonlTrace(event_line);
-      if (!parsed.ok()) {
-        return LineError(line_no, parsed.status().message());
-      }
+      if (!parsed.ok()) return fields.Error(parsed.status().message());
       if (parsed->size() != 1) {
-        return LineError(line_no, "expected exactly one embedded event");
+        return fields.Error("expected exactly one embedded event");
       }
       PostmortemEvent pe;
       pe.shard = shard;
@@ -299,7 +170,7 @@ Result<PostmortemBundle> ReadPostmortem(const std::string& path) {
       bundle.events.push_back(pe);
       continue;
     }
-    return LineError(line_no, "unrecognized record");
+    return fields.Error("unrecognized record");
   }
   if (line_no == 0) {
     return Status::InvalidArgument("postmortem file '" + path + "' is empty");

@@ -2,81 +2,46 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
 namespace vod {
 
-namespace {
-
-Status LineError(size_t line_no, const std::string& why) {
-  return Status::InvalidArgument("trace line " + std::to_string(line_no) +
-                                 ": " + why);
-}
-
-// Finds `"key":` in a single-line JSON object and returns the character
-// position just past the colon, or npos.
-size_t FindField(const std::string& line, const char* key) {
+size_t JsonLineFields::Find(const char* key) const {
   const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = line.find(needle);
+  const size_t pos = line_.find(needle);
   return pos == std::string::npos ? std::string::npos : pos + needle.size();
 }
 
-Status ParseJsonNumber(const std::string& line, size_t line_no,
-                       const char* key, double* out) {
-  const size_t pos = FindField(line, key);
-  if (pos == std::string::npos) {
-    return LineError(line_no, std::string("missing field \"") + key + "\"");
-  }
-  const char* begin = line.c_str() + pos;
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  // strtod also reads "nan" and "inf", which JSON does not have.
-  if (end == begin || !std::isfinite(v)) {
-    return LineError(line_no, std::string("field \"") + key +
-                                  "\" is not a finite number");
-  }
-  *out = v;
-  return Status::OK();
+Status JsonLineFields::Error(const std::string& why) const {
+  return Status::InvalidArgument(std::string(source_) + " line " +
+                                 std::to_string(line_no_) + ": " + why);
 }
 
-// An integer field in [lo, hi): casting a double outside its target type's
-// range is undefined, so the range is checked before any cast.
-Status ParseJsonInteger(const std::string& line, size_t line_no,
-                        const char* key, double lo, double hi, double* out) {
-  VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, key, out));
-  if (*out != std::floor(*out) || *out < lo || *out >= hi) {
-    char range[96];
-    std::snprintf(range, sizeof(range), " must be an integer in [%.17g, %.17g)",
-                  lo, hi);
-    return LineError(line_no, std::string("field \"") + key + "\"" + range);
-  }
-  return Status::OK();
+Status JsonLineFields::FieldError(const char* key,
+                                  const std::string& why) const {
+  return Error(std::string("field \"") + key + "\" " + why);
 }
 
-Status ParseJsonString(const std::string& line, size_t line_no,
-                       const char* key, std::string* out) {
-  size_t pos = FindField(line, key);
-  if (pos == std::string::npos) {
-    return LineError(line_no, std::string("missing field \"") + key + "\"");
+Status JsonLineFields::String(const char* key, std::string* out) const {
+  const size_t pos = Find(key);
+  if (pos == std::string::npos) return FieldError(key, "is missing");
+  if (pos >= line_.size() || line_[pos] != '"') {
+    return FieldError(key, "is not a string");
   }
-  if (pos >= line.size() || line[pos] != '"') {
-    return LineError(line_no,
-                     std::string("field \"") + key + "\" is not a string");
+  std::string value;
+  for (size_t i = pos + 1; i < line_.size(); ++i) {
+    if (line_[i] == '\\' && i + 1 < line_.size()) {
+      value.push_back(line_[++i]);
+    } else if (line_[i] == '"') {
+      *out = std::move(value);
+      return Status::OK();
+    } else {
+      value.push_back(line_[i]);
+    }
   }
-  const size_t close = line.find('"', pos + 1);
-  if (close == std::string::npos) {
-    return LineError(line_no, std::string("unterminated string for \"") + key +
-                                  "\"");
-  }
-  *out = line.substr(pos + 1, close - pos - 1);
-  return Status::OK();
+  return FieldError(key, "is an unterminated string");
 }
-
-}  // namespace
 
 Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in) {
   std::vector<TraceEvent> events;
@@ -85,33 +50,23 @@ Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (!line.empty() && line.back() == '\r') line.pop_back();
+    const JsonLineFields fields("trace", line_no, line);
     if (line.empty()) {
-      return LineError(line_no, "blank line (truncated or damaged trace)");
+      return fields.Error("blank line (truncated or damaged trace)");
     }
     TraceEvent event;
-    double t = 0.0, seq = 0.0, aux = 0.0, movie = 0.0, id = 0.0, value = 0.0;
     std::string cat, sub;
-    VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, "t", &t));
-    VOD_RETURN_IF_ERROR(
-        ParseJsonInteger(line, line_no, "seq", 0.0, 0x1p64, &seq));
-    VOD_RETURN_IF_ERROR(ParseJsonString(line, line_no, "cat", &cat));
-    VOD_RETURN_IF_ERROR(ParseJsonString(line, line_no, "sub", &sub));
-    VOD_RETURN_IF_ERROR(
-        ParseJsonInteger(line, line_no, "aux", 0.0, 256.0, &aux));
-    VOD_RETURN_IF_ERROR(
-        ParseJsonInteger(line, line_no, "movie", -0x1p31, 0x1p31, &movie));
-    VOD_RETURN_IF_ERROR(
-        ParseJsonInteger(line, line_no, "id", -0x1p63, 0x1p63, &id));
-    VOD_RETURN_IF_ERROR(ParseJsonNumber(line, line_no, "value", &value));
+    VOD_RETURN_IF_ERROR(fields.Read("t", ParseDouble, &event.time));
+    VOD_RETURN_IF_ERROR(fields.Read("seq", ParseUint64, &event.seq));
+    VOD_RETURN_IF_ERROR(fields.String("cat", &cat));
+    VOD_RETURN_IF_ERROR(fields.String("sub", &sub));
+    VOD_RETURN_IF_ERROR(fields.Integer("aux", &event.aux));
+    VOD_RETURN_IF_ERROR(fields.Integer("movie", &event.movie));
+    VOD_RETURN_IF_ERROR(fields.Integer("id", &event.id));
+    VOD_RETURN_IF_ERROR(fields.Read("value", ParseDouble, &event.value));
     const auto parsed = ParseEventCategory(cat);
-    if (!parsed.ok()) return LineError(line_no, parsed.status().message());
+    if (!parsed.ok()) return fields.Error(parsed.status().message());
     event.category = parsed.value();
-    event.time = t;
-    event.seq = static_cast<uint64_t>(seq);
-    event.aux = static_cast<uint8_t>(aux);
-    event.movie = static_cast<int32_t>(movie);
-    event.id = static_cast<int64_t>(id);
-    event.value = value;
     // Recover the subtype id from its name, so a JSONL round trip is exact.
     // "-" is written for subtypes without a name; any other unknown name
     // (including a wrong case) is damage, not subtype 0.
@@ -127,8 +82,8 @@ Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in) {
         }
       }
       if (!known) {
-        return LineError(line_no, "unknown subtype \"" + sub +
-                                      "\" for category \"" + cat + "\"");
+        return fields.Error("unknown subtype \"" + sub +
+                            "\" for category \"" + cat + "\"");
       }
     }
     events.push_back(event);

@@ -10,13 +10,71 @@
 
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/status.h"
 #include "obs/event_log.h"
 
 namespace vod {
+
+/// \brief Field reader for one line of line-oriented JSON, the format of
+/// trace JSONL and of postmortem bundles: one object per line, each key
+/// found by its first `"key":`. Every error is an InvalidArgument that
+/// names `source`, the line number and the field. `line` must outlive the
+/// reader.
+class JsonLineFields {
+ public:
+  JsonLineFields(const char* source, size_t line_no, const std::string& line)
+      : source_(source), line_no_(line_no), line_(line) {}
+
+  /// Position just past `"key":`, or std::string::npos.
+  size_t Find(const char* key) const;
+  /// "<source> line <n>: <why>".
+  Status Error(const std::string& why) const;
+  Status String(const char* key, std::string* out) const;
+
+  /// Reads the text from just past `"key":` to the next ',', '}' or ']'
+  /// with `parse`, one of common/parse.h's number readers.
+  template <typename T>
+  Status Read(const char* key, Result<T> (*parse)(std::string_view),
+              T* out) const {
+    const size_t pos = Find(key);
+    if (pos == std::string::npos) return FieldError(key, "is missing");
+    const Result<T> v = parse(std::string_view(line_).substr(
+        pos, line_.find_first_of(",}]", pos) - pos));
+    if (!v.ok()) return FieldError(key, v.status().message());
+    *out = *v;
+    return Status::OK();
+  }
+  /// A base-10 integer in Int's range.
+  template <typename Int>
+  Status Integer(const char* key, Int* out) const {
+    static_assert(std::numeric_limits<Int>::max() <= INT64_MAX,
+                  "read uint64 fields with Read(key, ParseUint64, out)");
+    const int64_t lo = std::numeric_limits<Int>::min();
+    const int64_t hi = std::numeric_limits<Int>::max();
+    int64_t v = 0;
+    VOD_RETURN_IF_ERROR(Read(key, ParseInt64, &v));
+    if (v < lo || v > hi) {
+      return FieldError(key, "must be an integer in [" + std::to_string(lo) +
+                                 ", " + std::to_string(hi) + "], got " +
+                                 std::to_string(v));
+    }
+    *out = static_cast<Int>(v);
+    return Status::OK();
+  }
+
+ private:
+  Status FieldError(const char* key, const std::string& why) const;
+
+  const char* source_;
+  size_t line_no_;
+  const std::string& line_;
+};
 
 /// Reads a JSONL trace file. NotFound when it cannot be opened;
 /// InvalidArgument with a line diagnostic on any malformed content.
@@ -24,7 +82,8 @@ Result<std::vector<TraceEvent>> ReadTraceFile(const std::string& path);
 
 /// One JSONL object per line; blank lines are rejected (the sinks never
 /// write them, so one signals truncation or concatenation damage), as are
-/// non-finite numbers, integer fields out of their type's range, unknown
+/// numbers common/parse.h refuses (non-finite, hexadecimal, trailing text,
+/// an integer field in exponent form or out of its type's range), unknown
 /// categories and unknown subtype names.
 Result<std::vector<TraceEvent>> ReadJsonlTrace(std::istream& in);
 

@@ -1012,6 +1012,16 @@ Status ValidateShardedInputs(const std::vector<ServerMovieSpec>& movies,
         "sharded run needs a finite positive window_minutes, got " +
         std::to_string(options.window_minutes));
   }
+  const double windows = std::ceil(
+      (options.base.warmup_minutes + options.base.measurement_minutes) /
+      options.window_minutes);
+  if (!(windows <= static_cast<double>(kMaxWindows))) {
+    std::ostringstream os;
+    os << "window_minutes=" << options.window_minutes << " asks for "
+       << windows << " barrier windows; a sharded run allows at most "
+       << kMaxWindows;
+    return Status::InvalidArgument(os.str());
+  }
   if (options.base.degradation.enabled && options.ladder_recover_windows < 1) {
     return Status::InvalidArgument(
         "the windowed degradation ladder needs ladder_recover_windows >= 1, "

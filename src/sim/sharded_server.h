@@ -122,6 +122,11 @@ struct ShardedPostmortemOptions {
 /// owns no movie.
 inline constexpr int kMaxShards = 65536;
 
+/// The most barrier windows a run accepts: windows down to about 0.02
+/// minutes at the default 21 000-minute horizon. The count is checked in
+/// double, before its cast to int64 could overflow.
+inline constexpr int64_t kMaxWindows = int64_t{1} << 20;
+
 /// Knobs of a sharded run, wrapping the single-threaded server's options.
 struct ShardedServerOptions {
   /// Base options. Faults, audit, the controller, the degradation ladder
@@ -136,7 +141,7 @@ struct ShardedServerOptions {
   /// Worker threads executing shard windows; results never depend on it.
   /// The pool starts min(threads, shards) of them.
   int threads = 1;
-  /// Barrier cadence in simulated minutes.
+  /// Barrier cadence in simulated minutes; at most kMaxWindows windows.
   double window_minutes = 60.0;
   /// Consecutive calm windows (raw level below the held rung) before the
   /// windowed ladder steps down — hysteresis against rung flapping. Only

@@ -8,10 +8,19 @@ Status VcrBehavior::Validate() const {
   if (passive()) return Status::OK();
   VOD_RETURN_IF_ERROR(mix.Validate());
   for (VcrOp op : kAllVcrOps) {
-    if (mix.Probability(op) > 0.0 && durations.ForOp(op) == nullptr) {
+    if (!(mix.Probability(op) > 0.0)) continue;
+    const Distribution* duration = durations.ForOp(op);
+    if (duration == nullptr) {
       return Status::InvalidArgument(
           std::string("mix assigns probability to ") + VcrOpName(op) +
           " but no duration distribution was provided");
+    }
+    // A negative draw would end the operation before it starts.
+    if (duration->SupportLower() < 0.0) {
+      return Status::InvalidArgument(
+          std::string("VCR durations must be non-negative: the ") +
+          VcrOpName(op) + " duration " + duration->ToString() +
+          " has support below 0");
     }
   }
   if (interactivity->SupportLower() < 0.0) {

@@ -27,6 +27,9 @@ struct VcrBehavior {
   /// True if viewers never issue VCR operations.
   bool passive() const { return interactivity == nullptr; }
 
+  /// InvalidArgument for a malformed mix, an operation the mix uses
+  /// without a duration or with one whose support starts below 0, or
+  /// interactivity gaps that can be negative.
   Status Validate() const;
 
   /// Draws an operation type according to the mix.

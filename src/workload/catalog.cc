@@ -1,49 +1,11 @@
 #include "workload/catalog.h"
 
-#include <cmath>
 #include <istream>
 #include <sstream>
 
+#include "common/parse.h"
+
 namespace vod {
-
-namespace {
-
-// Splits on commas that are not inside parentheses, so distribution specs
-// like "gamma(2,4)" survive as single fields.
-Status SplitCsvLine(const std::string& line, size_t expected,
-                    std::vector<std::string>* fields) {
-  fields->clear();
-  std::string field;
-  int depth = 0;
-  for (char ch : line) {
-    if (ch == '(') ++depth;
-    if (ch == ')') --depth;
-    if (ch == ',' && depth == 0) {
-      fields->push_back(field);
-      field.clear();
-    } else {
-      field += ch;
-    }
-  }
-  fields->push_back(field);
-  if (fields->size() != expected) {
-    return Status::InvalidArgument(
-        "expected " + std::to_string(expected) + " fields, got " +
-        std::to_string(fields->size()) + ": " + line);
-  }
-  return Status::OK();
-}
-
-Result<double> ParseCsvDouble(const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad number '" + text + "'");
-  }
-  return v;
-}
-
-}  // namespace
 
 Result<Catalog> Catalog::Create(std::vector<MovieEntry> movies,
                                 double zipf_exponent,
@@ -82,40 +44,46 @@ Result<Catalog> Catalog::FromCsv(std::istream& is, double zipf_exponent,
     return Status::InvalidArgument(
         std::string("catalog CSV must start with header '") + kHeader + "'");
   }
+  static const std::vector<std::string> kColumns = SplitFields(kHeader, ',');
   std::vector<MovieEntry> movies;
-  std::vector<std::string> fields;
   int line_number = 1;
   while (std::getline(is, line)) {
     ++line_number;
     if (line.empty()) continue;
-    const Status split = SplitCsvLine(line, 9, &fields);
-    if (!split.ok()) {
+    const auto at_line = [line_number](const std::string& why) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": " + split.message());
+                                     ": " + why);
+    };
+    // Commas inside a spec's parentheses ("gamma(2,4)") stay in its field.
+    const std::vector<std::string> fields = SplitFields(line, ',');
+    if (fields.size() != kColumns.size()) {
+      return at_line("expected " + std::to_string(kColumns.size()) +
+                     " fields, got " + std::to_string(fields.size()) + ": " +
+                     line);
     }
+    // A refused field names its line and column.
+    const auto field = [&](size_t column, auto parse) {
+      auto v = parse(fields[column]);
+      if (!v.ok()) v = at_line(kColumns[column] + " " + v.status().message());
+      return v;
+    };
     MovieEntry entry;
     entry.title = fields[0];
-    VOD_ASSIGN_OR_RETURN(entry.length_minutes, ParseCsvDouble(fields[1]));
-    VOD_ASSIGN_OR_RETURN(entry.max_wait_minutes, ParseCsvDouble(fields[2]));
-    VOD_ASSIGN_OR_RETURN(entry.min_hit_probability,
-                         ParseCsvDouble(fields[3]));
-    VOD_ASSIGN_OR_RETURN(const double p_ff, ParseCsvDouble(fields[4]));
-    VOD_ASSIGN_OR_RETURN(const double p_rw, ParseCsvDouble(fields[5]));
-    VOD_ASSIGN_OR_RETURN(const double p_pau, ParseCsvDouble(fields[6]));
-    const double total_mix = p_ff + p_rw + p_pau;
-    if (total_mix > 0.0) {
+    VOD_ASSIGN_OR_RETURN(entry.length_minutes, field(1, ParseDouble));
+    VOD_ASSIGN_OR_RETURN(entry.max_wait_minutes, field(2, ParseDouble));
+    VOD_ASSIGN_OR_RETURN(entry.min_hit_probability, field(3, ParseDouble));
+    VOD_ASSIGN_OR_RETURN(const double p_ff, field(4, ParseDouble));
+    VOD_ASSIGN_OR_RETURN(const double p_rw, field(5, ParseDouble));
+    VOD_ASSIGN_OR_RETURN(const double p_pau, field(6, ParseDouble));
+    if (p_ff + p_rw + p_pau > 0.0) {
       entry.behavior.mix = VcrMix{p_ff, p_rw, p_pau};
       const Status mix_status = entry.behavior.mix.Validate();
-      if (!mix_status.ok()) {
-        return Status::InvalidArgument("line " +
-                                       std::to_string(line_number) + ": " +
-                                       mix_status.message());
-      }
+      if (!mix_status.ok()) return at_line(mix_status.message());
       VOD_ASSIGN_OR_RETURN(const DistributionPtr duration,
-                           ParseDistributionSpec(fields[7]));
+                           field(7, ParseDistributionSpec));
       entry.behavior.durations = VcrDurations::AllSame(duration);
       VOD_ASSIGN_OR_RETURN(entry.behavior.interactivity,
-                           ParseDistributionSpec(fields[8]));
+                           field(8, ParseDistributionSpec));
     } else {
       entry.behavior.interactivity = nullptr;  // passive title
     }

@@ -69,6 +69,8 @@ class Catalog {
   ///   duration,interactivity
   /// where `duration` and `interactivity` are distribution specs
   /// (ParseDistributionSpec). Rows with p_ff+p_rw+p_pau == 0 are passive.
+  /// Fields are trimmed (SplitFields) and numbers read by ParseDouble; an
+  /// error is an InvalidArgument naming the line and the column.
   static Result<Catalog> FromCsv(std::istream& is, double zipf_exponent,
                                  double total_arrivals_per_minute);
 

@@ -355,18 +355,22 @@ TEST(ParseDistributionSpecTest, ParsesAllFamilies) {
 }
 
 TEST(ParseDistributionSpecTest, ParsedGammaMatchesDirect) {
-  const auto parsed = ParseDistributionSpec("gamma(2,4)");
-  ASSERT_TRUE(parsed.ok());
   GammaDistribution direct(2.0, 4.0);
-  EXPECT_DOUBLE_EQ((*parsed)->Mean(), direct.Mean());
-  EXPECT_DOUBLE_EQ((*parsed)->Cdf(5.0), direct.Cdf(5.0));
+  for (const char* spec : {"gamma(2,4)", "  GAMMA( 2 , 4 ) "}) {
+    const auto parsed = ParseDistributionSpec(spec);
+    ASSERT_TRUE(parsed.ok()) << spec;
+    EXPECT_EQ((*parsed)->Mean(), direct.Mean()) << spec;
+    EXPECT_EQ((*parsed)->Cdf(5.0), direct.Cdf(5.0)) << spec;
+  }
 }
 
 TEST(ParseDistributionSpecTest, RejectsMalformedSpecs) {
   for (const char* spec :
        {"", "gamma", "gamma(", "gamma(2", "gamma(2,4", "gamma(2,4,6)",
         "exp()", "exp(abc)", "unknown(1)", "exp(-1)", "gamma(0,1)",
-        "uniform(5,2)", "lognormal(0,0)", "lomax(0,1)"}) {
+        "uniform(5,2)", "lognormal(0,0)", "lomax(0,1)",
+        // Numbers the shared parser refuses (NaN or inf would abort).
+        "gamma(nan,4)", "weibull(inf,1)", "lomax(2,0x10)", "exp(1e999)"}) {
     EXPECT_TRUE(ParseDistributionSpec(spec).status().IsInvalidArgument())
         << spec;
   }

@@ -238,6 +238,9 @@ TEST(FlightRecorderTest, ReadRejectsNumbersThatDoNotFitTheirField) {
        "shard_events"},
       {{header, event_line("nan")}, "line 2", "\"shard\""},
       {{header, event_line("4294967296")}, "line 2", "\"shard\""},
+      // Integers in exponent form and hex numbers, which no writer emits.
+      {{header, WindowLine("capacity", "4e1")}, "line 2", "\"capacity\""},
+      {{header, WindowLine("t_end", "0x1p4")}, "line 2", "\"t_end\""},
   };
   for (const auto& c : cases) {
     TempPath path("numbers");

@@ -50,6 +50,27 @@ TEST(TraceReaderTest, JsonlRoundTripsThroughTheSink) {
   EXPECT_EQ((*events)[2].id, -1);
 }
 
+/// One genuine vcr_begin line, as the sink writes it, with `field`'s
+/// value text replaced by `text`.
+std::string VcrLineWith(const std::string& field, const std::string& text) {
+  std::ostringstream os;
+  JsonlSink sink(&os);
+  EventLog log;
+  log.AddSink(&sink);
+  log.Emit(2.0, EventCategory::kVcrBegin, 1, -1, 7, 4.5);
+  std::string line = os.str();
+  const std::string key = "\"" + field + "\":";
+  const size_t begin = line.find(key) + key.size();
+  const size_t end = line.find_first_of(",}", begin);
+  line.replace(begin, end - begin, text);
+  return line;
+}
+
+Status ReadOne(const std::string& line) {
+  std::istringstream is(line);
+  return ReadJsonlTrace(is).status();
+}
+
 TEST(TraceReaderTest, JsonlRejectsDamage) {
   {
     // The sinks never write blank lines; one means truncation damage.
@@ -71,27 +92,12 @@ TEST(TraceReaderTest, JsonlRejectsDamage) {
   line.replace(line.find("admission"), 9, "bogus_cat");
   std::istringstream is(line);
   EXPECT_TRUE(ReadJsonlTrace(is).status().IsInvalidArgument());
-}
-
-/// One genuine vcr_begin line, as the sink writes it, with `field`'s
-/// value text replaced by `text`.
-std::string VcrLineWith(const std::string& field, const std::string& text) {
-  std::ostringstream os;
-  JsonlSink sink(&os);
-  EventLog log;
-  log.AddSink(&sink);
-  log.Emit(2.0, EventCategory::kVcrBegin, 1, -1, 7, 4.5);
-  std::string line = os.str();
-  const std::string key = "\"" + field + "\":";
-  const size_t begin = line.find(key) + key.size();
-  const size_t end = line.find_first_of(",}", begin);
-  line.replace(begin, end - begin, text);
-  return line;
-}
-
-Status ReadOne(const std::string& line) {
-  std::istringstream is(line);
-  return ReadJsonlTrace(is).status();
+  // A number is one whole decimal token: no hex, no trailing text.
+  for (const char* text : {"0x1p4", "2.0abc"}) {
+    const Status status = ReadOne(VcrLineWith("t", text));
+    EXPECT_TRUE(status.IsInvalidArgument()) << text;
+    EXPECT_NE(status.message().find("\"t\""), std::string::npos) << status;
+  }
 }
 
 TEST(TraceReaderTest, JsonlRejectsNonFiniteNumbers) {
@@ -132,6 +138,8 @@ TEST(TraceReaderTest, JsonlRejectsIntegersOutOfTheirTypesRange) {
       {"id", "-1e19"},         {"id", "0.25"},
       {"seq", "-1"},           {"seq", "18446744073709551616"},
       {"seq", "1e300"},
+      // No writer emits an integer in exponent form; it is refused.
+      {"aux", "1e2"},          {"id", "7e0"},
   };
   for (const auto& b : bad) {
     const Status status = ReadOne(VcrLineWith(b.field, b.text));

@@ -79,6 +79,19 @@ TEST(ShardedServerTest, Validation) {
   EXPECT_TRUE(too_many.IsInvalidArgument());
   EXPECT_NE(too_many.message().find("65536"), std::string::npos);
   EXPECT_TRUE(ValidateShardedInputs(movies, BaseOptions(kMaxShards, 1)).ok());
+  // So is the window count, in double before its cast: 1e-300 would
+  // overflow the cast, and 1e-9 asks for 4.5e12 barriers.
+  for (const double window : {1e-300, 1e-9}) {
+    auto tiny_window = BaseOptions(2, 1);
+    tiny_window.window_minutes = window;
+    const Status st_window = ValidateShardedInputs(movies, tiny_window);
+    EXPECT_TRUE(st_window.IsInvalidArgument()) << window;
+    EXPECT_NE(st_window.message().find("window_minutes"), std::string::npos)
+        << st_window;
+  }
+  auto small_window = BaseOptions(2, 1);
+  small_window.window_minutes = 0.01;  // 450 000 windows over 4500 minutes
+  EXPECT_TRUE(ValidateShardedInputs(movies, small_window).ok());
 }
 
 TEST(ShardedServerTest, PoolStartsAtMostOneWorkerPerShard) {

@@ -48,6 +48,15 @@ TEST(SimulatorTest, ValidatesOptions) {
   EXPECT_TRUE(RunSimulation(layout, bad_rates, ShortRun(VcrOp::kFastForward))
                   .status()
                   .IsInvalidArgument());
+  // A duration that can be negative is refused before any event is
+  // scheduled: a negative draw would schedule an event in the past.
+  bad = ShortRun(VcrOp::kPause);
+  bad.behavior.durations.pause =
+      std::make_shared<DeterministicDistribution>(-3.0);
+  const Status negative = RunSimulation(layout, paper::Rates(), bad).status();
+  EXPECT_TRUE(negative.IsInvalidArgument());
+  EXPECT_NE(negative.message().find("non-negative"), std::string::npos)
+      << negative;
 }
 
 TEST(SimulatorTest, DeterministicForSameSeed) {

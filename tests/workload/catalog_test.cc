@@ -114,6 +114,18 @@ TEST(CatalogTest, FromCsvRejectsMalformedInput) {
         "x,120,0.5,0.5,1,0,0,bogus(1),exp(20)\n");
     EXPECT_TRUE(Catalog::FromCsv(csv, 1.0, 1.0).status().IsInvalidArgument());
   }
+  // Numbers the shared parser refuses. The NaN gamma shape must be refused
+  // before GammaDistribution's constructor check aborts the process.
+  for (const char* row : {"x,120,0.5,0.5,1,0,0,gamma(nan,4),exp(20)",
+                          "x,inf,0.5,0.5,1,0,0,exp(5),exp(20)",
+                          "x,120,0x1p-1,0.5,1,0,0,exp(5),exp(20)"}) {
+    std::istringstream csv(
+        "title,length,max_wait,min_hit_probability,p_ff,p_rw,p_pau,"
+        "duration,interactivity\n" + std::string(row) + "\n");
+    const Status status = Catalog::FromCsv(csv, 1.0, 1.0).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << row;
+    EXPECT_NE(status.message().find("line 2"), std::string::npos) << status;
+  }
 }
 
 TEST(CatalogTest, SyntheticCatalogShape) {

@@ -2,9 +2,11 @@
 """Interleaved A/B perf gate: a change's Release build against its parent's.
 
 Runs every gated google-benchmark row (GATED below) from both build trees,
-alternately: PAIRS pairs, the side that runs first flipping each pair, each
-side's binaries run once per pair, each in its own process. Peak RSS is the
-largest ru_maxrss os.wait4 reports for a side's processes in one pair.
+alternately: PAIRS pairs, the side that runs first flipping each pair.
+Inside a pair each gated binary runs on both sides back to back, each run
+in its own process, before the next binary starts, so host drift between
+binaries lands on both sides of the pair. Peak RSS is the largest
+ru_maxrss os.wait4 reports for a side's processes in one pair.
 
 A row is compared on the first metric both sides export, in METRICS order,
 through its per-pair ratios (change / parent). It fails only when both:
@@ -22,9 +24,9 @@ A tree whose CMakeCache.txt says anything but Release is refused.
 
 Writes one JSON document: per row, both sides' medians and quartiles (and
 the exact `events` count of rows that export one, so a change in work shows
-next to a change in time), the pair counts and the verdict, plus a
-provenance stamp with both trees' build type, compiler and git SHA, nproc
-and the load average. --history LABEL appends the change's line to
+next to a change in time), the per-pair ratios, the pair counts and the
+verdict, plus a provenance stamp with both trees' build type, compiler and
+git SHA, nproc and the load average. --history LABEL appends the change's line to
 BENCH_history.jsonl at the repo root. Exits 1 when any row fails.
 
 Stdlib only. Usage:
@@ -95,11 +97,13 @@ def judge(name, parent, change):
         return {"verdict": "no common metric"}
     p = [run[metric] for run in parent]
     c = [run[metric] for run in change]
-    ratio = statistics.median(b / a for a, b in zip(p, c))
+    ratios = [b / a for a, b in zip(p, c)]
+    ratio = statistics.median(ratios)
     slower = sum(b > a for a, b in zip(p, c))
     limit = tier(name)
     row = {"metric": metric, "tier": limit, "pairs": len(p),
            "slower_pairs": slower, "median_ratio": ratio,
+           "pair_ratios": ratios,
            "parent": summary(p), "change": summary(c),
            "verdict": "FAIL" if ratio > limit and slower >= MIN_SLOWER
            else "ok"}
@@ -133,31 +137,53 @@ def row_metrics(bench):
     return metrics
 
 
-def run_side(tree):
-    """One process per gated binary; returns {row: metrics} for the pair."""
-    rows, peak_kb = {}, 0
-    for binary, benchmark_filter in GATED:
-        path = os.path.join(tree, binary)
-        with tempfile.TemporaryDirectory() as tmp:
-            out, log = os.path.join(tmp, "out.json"), os.path.join(tmp, "log")
-            argv = [path, "--benchmark_filter=" + benchmark_filter,
-                    "--benchmark_out=" + out, "--benchmark_out_format=json"]
-            pid = os.posix_spawn(path, argv, os.environ, file_actions=[
-                (os.POSIX_SPAWN_OPEN, 1, log, os.O_WRONLY | os.O_CREAT,
-                 0o600), (os.POSIX_SPAWN_DUP2, 1, 2)])
-            _, status, usage = os.wait4(pid, 0)
-            if os.waitstatus_to_exitcode(status) != 0:
-                with open(log) as f:
-                    sys.stderr.write(f.read())
-                raise SystemExit(f"{' '.join(argv)} exited "
-                                 f"{os.waitstatus_to_exitcode(status)}")
-            with open(out) as f:
-                report = json.load(f)
-        peak_kb = max(peak_kb, usage.ru_maxrss)
-        for bench in report["benchmarks"]:
-            rows[bench["name"]] = row_metrics(bench)
-    rows["peak_rss_kb"] = {"peak_rss_kb": peak_kb}
-    return rows
+def run_binary(tree, binary, benchmark_filter):
+    """Runs one gated binary in its own process.
+
+    Returns ({row: metrics}, the process's peak RSS in KiB).
+    """
+    path = os.path.join(tree, binary)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, log = os.path.join(tmp, "out.json"), os.path.join(tmp, "log")
+        argv = [path, "--benchmark_filter=" + benchmark_filter,
+                "--benchmark_out=" + out, "--benchmark_out_format=json"]
+        pid = os.posix_spawn(path, argv, os.environ, file_actions=[
+            (os.POSIX_SPAWN_OPEN, 1, log, os.O_WRONLY | os.O_CREAT,
+             0o600), (os.POSIX_SPAWN_DUP2, 1, 2)])
+        _, status, usage = os.wait4(pid, 0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            with open(log) as f:
+                sys.stderr.write(f.read())
+            raise SystemExit(f"{' '.join(argv)} exited "
+                             f"{os.waitstatus_to_exitcode(status)}")
+        with open(out) as f:
+            report = json.load(f)
+    return ({bench["name"]: row_metrics(bench)
+             for bench in report["benchmarks"]}, usage.ru_maxrss)
+
+
+def run_pairs(trees, runner=run_binary):
+    """PAIRS pairs of both sides; the side that runs first flips each pair.
+
+    Inside a pair each gated binary runs on both sides back to back.
+    Returns {side: one {row: metrics} per pair}, each holding the side's
+    peak RSS over the pair as the row peak_rss_kb.
+    """
+    runs = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {side: {} for side in order}
+        peak_kb = {side: 0 for side in order}
+        for binary, benchmark_filter in GATED:
+            for side in order:
+                rows, kb = runner(trees[side], binary, benchmark_filter)
+                pair[side].update(rows)
+                peak_kb[side] = max(peak_kb[side], kb)
+        for side in order:
+            pair[side]["peak_rss_kb"] = {"peak_rss_kb": peak_kb[side]}
+            runs[side].append(pair[side])
+        print(f"pair {i + 1}/{PAIRS} done ({order[0]} first)", flush=True)
+    return runs
 
 
 def provenance(tree):
@@ -231,12 +257,7 @@ def main():
                  .isoformat(timespec="seconds"),
                  nproc=os.cpu_count(), loadavg_start=os.getloadavg(),
                  pairs=PAIRS, min_slower=MIN_SLOWER)
-    runs = {"parent": [], "change": []}
-    for i in range(PAIRS):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_side(trees[side]))
-        print(f"pair {i + 1}/{PAIRS} done ({order[0]} first)", flush=True)
+    runs = run_pairs(trees)
     stamp["loadavg_end"] = os.getloadavg()
 
     rows, failed = compare(runs["parent"], runs["change"])

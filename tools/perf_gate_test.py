@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests of perf_gate.py's decision rule, on synthetic pairs."""
 
+import contextlib
+import io
 import os
 import sys
 import unittest
@@ -80,6 +82,46 @@ class JudgeTest(unittest.TestCase):
         row = perf_gate.judge("peak_rss_kb", parent,
                               [{"peak_rss_kb": 210_000}] * 8)
         self.assertEqual(row["verdict"], "FAIL")
+
+
+class RunOrderTest(unittest.TestCase):
+
+    def test_each_binary_runs_on_both_sides_back_to_back(self):
+        binaries = [binary for binary, _ in perf_gate.GATED]
+        calls = []
+
+        def fake_runner(tree, binary, benchmark_filter):
+            calls.append((tree, binary))
+            kb = {"P": 1000, "C": 2000}[tree] + binaries.index(binary)
+            return {binary + "/row": {"real_time_ns": 1.0}}, kb
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            runs = perf_gate.run_pairs({"parent": "P", "change": "C"},
+                                       runner=fake_runner)
+        per_pair = 2 * len(binaries)
+        self.assertEqual(len(calls), perf_gate.PAIRS * per_pair)
+        for i in range(perf_gate.PAIRS):
+            first, second = ("P", "C") if i % 2 == 0 else ("C", "P")
+            expected = [(tree, binary) for binary in binaries
+                        for tree in (first, second)]
+            self.assertEqual(calls[i * per_pair:(i + 1) * per_pair],
+                             expected, "pair %d" % i)
+        # Each side keeps its own rows and its own largest RSS per pair.
+        top = len(binaries) - 1
+        self.assertEqual(len(runs["parent"]), perf_gate.PAIRS)
+        self.assertEqual(runs["parent"][0]["peak_rss_kb"],
+                         {"peak_rss_kb": 1000 + top})
+        self.assertEqual(runs["change"][1]["peak_rss_kb"],
+                         {"peak_rss_kb": 2000 + top})
+        self.assertIn(binaries[-1] + "/row", runs["change"][0])
+
+    def test_the_document_keeps_every_pair_ratio(self):
+        row = perf_gate.judge(KERNEL, *pairs(1.0, DRIFT))
+        self.assertEqual(row["pair_ratios"], [1.0] * 8)
+        parent, change = pairs(1.0)
+        change[3] = {"ns_per_event": 300.0}
+        row = perf_gate.judge(KERNEL, parent, change)
+        self.assertEqual(row["pair_ratios"][3], 1.5)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@
 // output) and exits non-zero on invalid input.
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +32,7 @@
 
 #include "common/check.h"
 #include "common/flags.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/cost_model.h"
@@ -80,13 +80,18 @@ Result<VcrMix> ParseMix(const std::string& text) {
   if (text == "rw") return VcrMix::Only(VcrOp::kRewind);
   if (text == "pau") return VcrMix::Only(VcrOp::kPause);
   if (text == "mixed") return VcrMix::PaperMixed();
-  VcrMix mix;
-  char trailing = '\0';
-  if (std::sscanf(text.c_str(), "%lf,%lf,%lf%c", &mix.p_fast_forward,
-                  &mix.p_rewind, &mix.p_pause, &trailing) != 3) {
+  const std::vector<std::string> fields = SplitFields(text, ',');
+  if (fields.size() != 3) {
     return Status::InvalidArgument(
         "mix must be ff|rw|pau|mixed or 'p_ff,p_rw,p_pau'");
   }
+  VcrMix mix;
+  VOD_ASSIGN_OR_RETURN(mix.p_fast_forward,
+                       ParseNamed("--mix p_ff", ParseDouble, fields[0]));
+  VOD_ASSIGN_OR_RETURN(mix.p_rewind,
+                       ParseNamed("--mix p_rw", ParseDouble, fields[1]));
+  VOD_ASSIGN_OR_RETURN(mix.p_pause,
+                       ParseNamed("--mix p_pau", ParseDouble, fields[2]));
   VOD_RETURN_IF_ERROR(mix.Validate());
   return mix;
 }
@@ -290,20 +295,20 @@ PiggybackOptions PiggybackFromFlags(const FlagSet& flags) {
 
 Result<ServerFaultOptions> ParseFaultSpec(const std::string& text) {
   // "disks:mtbf:mttr", e.g. "4:2000:120" (minutes).
-  ServerFaultOptions faults;
-  errno = 0;
-  char* rest = nullptr;
-  const long long disks = std::strtoll(text.c_str(), &rest, 10);
-  const bool count_overflows = errno == ERANGE;
-  char trailing = '\0';
-  if (rest == text.c_str() ||
-      std::sscanf(rest, ":%lf:%lf%c", &faults.profile.mtbf_minutes,
-                  &faults.profile.mttr_minutes, &trailing) != 2) {
+  const std::vector<std::string> fields = SplitFields(text, ':');
+  if (fields.size() != 3) {
     return Status::InvalidArgument(
         "--faults must be 'disks:mtbf:mttr' (e.g. 4:2000:120), got '" + text +
         "'");
   }
-  if (count_overflows || disks > std::numeric_limits<int>::max()) {
+  ServerFaultOptions faults;
+  VOD_ASSIGN_OR_RETURN(const int64_t disks,
+                       ParseNamed("--faults disks", ParseInt64, fields[0]));
+  VOD_ASSIGN_OR_RETURN(faults.profile.mtbf_minutes,
+                       ParseNamed("--faults mtbf", ParseDouble, fields[1]));
+  VOD_ASSIGN_OR_RETURN(faults.profile.mttr_minutes,
+                       ParseNamed("--faults mttr", ParseDouble, fields[2]));
+  if (disks > std::numeric_limits<int>::max()) {
     return Status::InvalidArgument("--faults disk count in '" + text +
                                    "' is out of range (must fit in an int)");
   }
@@ -319,22 +324,28 @@ Result<ServerFaultOptions> ParseFaultSpec(const std::string& text) {
 // Parses --flash 'movie:start:duration:factor' (minutes; factor scales the
 // movie's base rate inside the window).
 struct FlashSpec {
-  long long movie = 0;
+  int64_t movie = 0;
   double start_minutes = 0.0;
   double duration_minutes = 0.0;
   double factor = 1.0;
 };
 
 Result<FlashSpec> ParseFlashSpec(const std::string& text) {
-  FlashSpec spec;
-  char trailing = 0;
-  if (std::sscanf(text.c_str(), "%lld:%lf:%lf:%lf%c", &spec.movie,
-                  &spec.start_minutes, &spec.duration_minutes, &spec.factor,
-                  &trailing) != 4) {
+  const std::vector<std::string> fields = SplitFields(text, ':');
+  if (fields.size() != 4) {
     return Status::InvalidArgument(
         "--flash must be 'movie:start:duration:factor' (e.g. 0:5000:2000:4), "
         "got '" + text + "'");
   }
+  FlashSpec spec;
+  VOD_ASSIGN_OR_RETURN(spec.movie,
+                       ParseNamed("--flash movie", ParseInt64, fields[0]));
+  VOD_ASSIGN_OR_RETURN(spec.start_minutes,
+                       ParseNamed("--flash start", ParseDouble, fields[1]));
+  VOD_ASSIGN_OR_RETURN(spec.duration_minutes,
+                       ParseNamed("--flash duration", ParseDouble, fields[2]));
+  VOD_ASSIGN_OR_RETURN(spec.factor,
+                       ParseNamed("--flash factor", ParseDouble, fields[3]));
   if (spec.movie < 0) {
     return Status::InvalidArgument("--flash movie index must be >= 0");
   }
@@ -391,7 +402,7 @@ Status ServerFromFlags(const FlagSet& flags,
   const std::string& flash_text = flags.GetString("flash");
   if (!flash_text.empty()) {
     VOD_ASSIGN_OR_RETURN(const FlashSpec flash, ParseFlashSpec(flash_text));
-    if (flash.movie >= static_cast<long long>(movies->size())) {
+    if (flash.movie >= static_cast<int64_t>(movies->size())) {
       return Status::InvalidArgument(
           "--flash movie index " + std::to_string(flash.movie) +
           " is out of range for " + std::to_string(movies->size()) +

@@ -24,7 +24,8 @@ that predates the `server` command (every server case spells out
 
 The matrix covers seeds 1-3 of every subcommand and engine mode: faults
 with and without the degradation ladder, the controller with a flash
-crowd, replicated and checkpointed sweeps, three shard configurations,
+crowd, replicated and checkpointed sweeps, four shard configurations (one
+with the controller and the ladder together),
 traced runs with `inspect`, postmortems, soaks, audited controller
 re-plans on both server engines, and the failure modes.
 """
@@ -65,6 +66,10 @@ def seeded_cases(seed):
     shard_c = ["shard", "--movies=8", "--shards=4", "--threads=1",
                "--window=30", "--controller", "--flash=0:200:400:4",
                "--reserve=40"]
+    # The controller with the ladder armed, so its traffic policy can shed.
+    shard_d = ["shard", "--movies=12", "--measure=6000", "--reserve=12",
+               "--controller", "--flash=0:1000:3000:6", "--faults=4:600:300",
+               "--queue_deadline=5", "--shards=3", "--threads=2"]
     return {
         "simulate": [["simulate"] + m],
         "simulate_ff_buffer": [["simulate", "--mix=ff", "--buffer=60"] + m],
@@ -102,6 +107,7 @@ def seeded_cases(seed):
         "shard_a": [shard_a + m],
         "shard_b_ladder": [shard_b + m],
         "shard_c_controller": [shard_c + ["--measure=2000", s]],
+        "shard_controller_ladder": [shard_d + [s]],
         "shard_checkpointed": [shard_b + m + ["--checkpoint=shard.ckpt",
                                               "--checkpoint_every=2",
                                               "--stop_after_windows=5"],
@@ -163,6 +169,18 @@ def fixed_cases():
         "rejects_mix_junk": [["simulate", "--mix=0.5,0.5,0junk"]],
         "rejects_huge_disk_count": [["server", "--reserve=100",
                                      "--faults=2000000000:2000:120"]],
+        "rejects_nan_duration": [["model", "--duration=gamma(nan,4)"]],
+        "rejects_nan_mix": [["simulate", "--measure=200",
+                             "--mix=nan,0.5,0.5"]],
+        "rejects_nan_flash_start": [["server", "--movies=2", "--measure=200",
+                                     "--flash=0:nan:100:2"]],
+        "rejects_inf_fault_mtbf": [["server", "--movies=2", "--measure=200",
+                                    "--faults=4:inf:120"]],
+        "rejects_negative_duration": [["simulate", "--measure=200",
+                                       "--duration=det(-3)"]],
+        "rejects_tiny_window": [["shard", "--movies=2", "--shards=1",
+                                 "--threads=1", "--measure=200",
+                                 "--window=1e-300"]],
     }
     failures = [
         ["frobnicate"],
