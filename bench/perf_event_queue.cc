@@ -8,6 +8,9 @@
 //
 // The hold model (schedule-one, pop-one at steady size) is the classic
 // future-event-list benchmark: most DES kernels spend their life in it.
+// BM_HoldModel pops and schedules from outside the kernel;
+// BM_HoldModelRunUntil reschedules from inside a handler, the path every
+// simulation's RunUntil takes.
 
 #include <benchmark/benchmark.h>
 
@@ -79,6 +82,45 @@ void BM_HoldModel(benchmark::State& state) {
 }
 BENCHMARK(BM_HoldModel)
     ->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
+
+// Hold model as simulations run it: every handler reschedules itself from
+// inside RunUntil, so its new key replaces the spent root in one sift-down
+// (the fused hold), where BM_HoldModel pops with RunNext and schedules from
+// outside. One iteration = one RunUntil over about 1024 events (the
+// population turns over at 2 events per minute whatever its size); items
+// are the events it executed.
+struct SelfHold {
+  SelfHold() = default;
+  SelfHold(const SelfHold&) = delete;  // the queue holds `this`
+  SelfHold& operator=(const SelfHold&) = delete;
+
+  EventQueue q;
+  BenchRng rng{29};
+  double range = 0.0;
+  uint64_t kind = 0;
+  uint64_t sink = 0;
+
+  static void Reschedule(void* ctx, uint64_t payload) {
+    auto* h = static_cast<SelfHold*>(ctx);
+    h->sink += payload;
+    h->q.ScheduleHandler(h->q.Now() + h->rng.Time(h->range), h->kind,
+                         payload);
+  }
+};
+
+void BM_HoldModelRunUntil(benchmark::State& state) {
+  const size_t population = static_cast<size_t>(state.range(0));
+  SelfHold h;
+  h.kind = h.q.AddHandler(&SelfHold::Reschedule, &h);
+  h.range = static_cast<double>(population);
+  h.q.Reserve(population + 1);
+  Fill(h.q, h.kind, population, h.rng);
+  const uint64_t start = h.q.executed();
+  for (auto _ : state) h.q.RunUntil(h.q.Now() + 512.0);
+  benchmark::DoNotOptimize(h.sink);
+  state.SetItemsProcessed(static_cast<int64_t>(h.q.executed() - start));
+}
+BENCHMARK(BM_HoldModelRunUntil)->Arg(16)->Arg(64)->Arg(1000)->Arg(1000000);
 
 // Pure schedule throughput into a growing heap, then drain outside the
 // timed region. Measures PushKey/SiftUp and slab allocation.

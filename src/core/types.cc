@@ -1,6 +1,8 @@
 #include "core/types.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 namespace vod {
 
@@ -47,8 +49,13 @@ VcrMix VcrMix::Only(VcrOp op) {
 }
 
 Status VcrMix::Validate() const {
-  if (p_fast_forward < 0.0 || p_rewind < 0.0 || p_pause < 0.0) {
-    return Status::InvalidArgument("mix probabilities must be non-negative");
+  for (const auto& [name, p] : {std::pair{"p_fast_forward", p_fast_forward},
+                                std::pair{"p_rewind", p_rewind},
+                                std::pair{"p_pause", p_pause}}) {
+    if (!(p >= 0.0) || !std::isfinite(p)) {
+      return Status::InvalidArgument(std::string("mix probability ") + name +
+                                     " must be non-negative and finite");
+    }
   }
   const double sum = p_fast_forward + p_rewind + p_pause;
   if (std::fabs(sum - 1.0) > 1e-9) {

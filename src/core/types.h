@@ -72,7 +72,8 @@ struct VcrMix {
   /// The paper's Figure 7(d) mix: P_FF = 0.2, P_RW = 0.2, P_PAU = 0.6.
   static VcrMix PaperMixed() { return VcrMix{0.2, 0.2, 0.6}; }
 
-  /// Validates non-negativity and unit sum (tolerance 1e-9).
+  /// Validates that each probability is finite and non-negative, and the
+  /// unit sum (tolerance 1e-9).
   Status Validate() const;
 };
 

@@ -90,15 +90,18 @@ Result<FlashArrivals> FlashArrivals::Create(double base_rate_per_minute,
                                             double peak_factor,
                                             double start_minutes,
                                             double duration_minutes) {
-  if (!(base_rate_per_minute > 0.0)) {
-    return Status::InvalidArgument("base rate must be positive");
+  // An infinite rate would put every arrival at one instant, forever.
+  if (!(base_rate_per_minute > 0.0) || !std::isfinite(base_rate_per_minute)) {
+    return Status::InvalidArgument("base rate must be positive and finite");
   }
   if (!(peak_factor > 0.0) || !std::isfinite(peak_factor)) {
     return Status::InvalidArgument("peak factor must be positive and finite");
   }
-  if (start_minutes < 0.0) {
-    return Status::InvalidArgument("flash start must be non-negative");
+  if (!(start_minutes >= 0.0) || !std::isfinite(start_minutes)) {
+    return Status::InvalidArgument(
+        "flash start must be non-negative and finite");
   }
+  // An infinite duration is a permanent step (bench/ext_drift's release).
   if (!(duration_minutes > 0.0)) {
     return Status::InvalidArgument("flash duration must be positive");
   }

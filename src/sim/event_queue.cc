@@ -50,9 +50,10 @@ EventToken EventQueue::ScheduleHandler(double time, uint64_t kind,
   s.gen = gen;
   s.kind = kind;
   s.payload = payload;
-  PushKey(HeapKey{time, gen, slot});
+  const EventToken token = (static_cast<uint64_t>(gen) << 32) | slot;
+  PushKey(HeapKey{TimeBits(time), token});
   ++live_;
-  return (static_cast<uint64_t>(gen) << 32) | slot;
+  return token;
 }
 
 EventToken EventQueue::Schedule(double time, std::function<void()> action) {
@@ -66,9 +67,10 @@ EventToken EventQueue::Schedule(double time, std::function<void()> action) {
   s.payload = 0;
   if (actions_.size() <= slot) actions_.resize(slots_.size());  // cold path
   actions_[slot] = std::move(action);
-  PushKey(HeapKey{time, gen, slot});
+  const EventToken token = (static_cast<uint64_t>(gen) << 32) | slot;
+  PushKey(HeapKey{TimeBits(time), token});
   ++live_;
-  return (static_cast<uint64_t>(gen) << 32) | slot;
+  return token;
 }
 
 void EventQueue::Cancel(EventToken token) {
@@ -84,23 +86,34 @@ void EventQueue::Cancel(EventToken token) {
   ++tombstones_;
   // Lazy deletion must not pin memory after a cancel-heavy burst: once
   // tombstones dominate, drop them all and re-heapify in O(n).
-  if (tombstones_ > heap_.size() / 2 && heap_.size() > 64) CompactHeap();
+  const size_t keys = heap_nodes();
+  if (tombstones_ > keys / 2 && keys > 64) CompactHeap();
 }
 
 void EventQueue::HeapifyAll() {
   if (heap_.size() <= 1) return;
-  for (size_t i = HeapParent(heap_.size() - 1) + 1; i-- > 0;) SiftDown(i);
+  for (size_t i = HeapParent(heap_.size() - 1) + 1; i-- > 0;) {
+    SiftDown(i, heap_[i]);
+  }
 }
 
 void EventQueue::PushKey(HeapKey key) {
+  if (root_spent_) {
+    // Fused hold: the dispatching event's key is still at the root. The
+    // new key takes its place in one sift-down, where a pop and a push
+    // would sift the heap's last key down and this one up.
+    root_spent_ = false;
+    SiftDown(0, key);
+    return;
+  }
   heap_.push_back(key);
   SiftUp(heap_.size() - 1);
 }
 
 void EventQueue::PopRoot() {
-  heap_.front() = heap_.back();
+  const HeapKey last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
+  if (!heap_.empty()) SiftDown(0, last);
 }
 
 void EventQueue::SiftUp(size_t i) {
@@ -114,21 +127,25 @@ void EventQueue::SiftUp(size_t i) {
   heap_[i] = key;
 }
 
-void EventQueue::SiftDown(size_t i) {
+void EventQueue::SiftDown(size_t i, HeapKey key) {
   const size_t n = heap_.size();
-  const HeapKey key = heap_[i];
   for (;;) {
     const size_t first = HeapChild(i);
     if (first + 4 <= n) {
       // Full group of four: tournament min with branch-free comparisons
       // and index arithmetic, so the only data-dependent branch per level
-      // is the loop exit. The naive scan's selection branches mispredict
-      // ~50% on random keys and dominated the pop cost.
+      // is the loop exit (the Release object code has no other jump here).
+      // The naive scan's selection branches mispredict ~50% on random keys
+      // and dominated the pop cost.
       const HeapKey* g = &heap_[first];
       const size_t b01 = first + static_cast<size_t>(RunsBefore(g[1], g[0]));
       const size_t b23 =
           first + 2 + static_cast<size_t>(RunsBefore(g[3], g[2]));
-      const size_t best = RunsBefore(heap_[b23], heap_[b01]) ? b23 : b01;
+      // The final select is index arithmetic too: written as `?:`, GCC
+      // turns the compare back into a branch.
+      const size_t best =
+          b01 + (b23 - b01) * static_cast<size_t>(
+                                  RunsBefore(heap_[b23], heap_[b01]));
       if (!RunsBefore(heap_[best], key)) break;
       heap_[i] = heap_[best];
       i = best;
@@ -155,38 +172,42 @@ void EventQueue::CompactHeap() {
   // drags the whole mix.
   size_t write = 0;
   for (const HeapKey& key : heap_) {
-    if (slots_[key.slot].gen != key.gen) continue;  // tombstone
+    if (!IsLive(key)) continue;  // a tombstone or the spent root
     heap_[write++] = key;
   }
   heap_.resize(write);
   tombstones_ = 0;
+  root_spent_ = false;
   HeapifyAll();
 }
 
 void EventQueue::ExecuteHead(const HeapKey& head) {
-  PopRoot();
-  Slot& s = slots_[head.slot];
+  const uint32_t slot = SlotOf(head);
+  Slot& s = slots_[slot];
   const uint64_t kind = s.kind;
   const uint64_t payload = s.payload;
   std::function<void()> action;
-  if (kind & kHasActionBit) action = std::move(actions_[head.slot]);
-  FreeSlot(head.slot);  // before dispatch: the action may reuse the slot
+  if (kind & kHasActionBit) action = std::move(actions_[slot]);
+  FreeSlot(slot);  // before dispatch: the action may reuse the slot
   --live_;
-  now_ = head.time;
+  now_ = TimeOf(head);
+  root_spent_ = true;  // the key stays at the root for a reschedule
   if (kind & kHasActionBit) {
     action();
   } else {
     const HandlerRec h = handlers_[kind];
     h.fn(h.ctx, payload);
   }
+  SettleRoot();
   ++executed_;
   if (observer_fn_ != nullptr) observer_fn_(observer_ctx_, now_);
 }
 
 bool EventQueue::RunNext() {
+  SettleRoot();  // nested in a handler: that event's key is spent
   while (!heap_.empty()) {
     const HeapKey head = heap_.front();
-    if (slots_[head.slot].gen != head.gen) {  // tombstone: discard lazily
+    if (!IsLive(head)) {  // tombstone: discard lazily
       PopRoot();
       --tombstones_;
       continue;
@@ -201,13 +222,14 @@ template <bool kObserved>
 void EventQueue::RunLoop(double horizon) {
   while (!heap_.empty()) {
     const HeapKey head = heap_.front();
-    Slot& s = slots_[head.slot];
-    if (s.gen != head.gen) {  // tombstone: discard lazily
+    const uint32_t slot = SlotOf(head);
+    Slot& s = slots_[slot];
+    if (s.gen != GenOf(head)) {  // tombstone: discard lazily
       PopRoot();
       --tombstones_;
       continue;
     }
-    if (head.time > horizon) break;
+    if (TimeOf(head) > horizon) break;
     const uint64_t kind = s.kind;
     if (kind & kHasActionBit) {
       // Closure event (faults, timers, tests): cold path; ExecuteHead fires
@@ -215,19 +237,19 @@ void EventQueue::RunLoop(double horizon) {
       ExecuteHead(head);
       continue;
     }
-    // Handler dispatch, inlined (no action column, no std::function).
-    PopRoot();
+    // Handler dispatch, inlined (no action column, no std::function). The
+    // key stays at the root, spent, until the handler's first schedule
+    // replaces it or SettleRoot pops it.
     const uint64_t payload = s.payload;
     s.gen = kFreeGen;
     s.next_free = free_head_;
-    free_head_ = head.slot;
+    free_head_ = slot;
     --live_;
-    now_ = head.time;
-    // Pull the next event's slab line in while this handler runs — one
-    // handler execution (~100 ns) of prefetch distance.
-    if (!heap_.empty()) __builtin_prefetch(&slots_[heap_.front().slot]);
+    now_ = TimeOf(head);
+    root_spent_ = true;
     const HandlerRec h = handlers_[kind];
     h.fn(h.ctx, payload);
+    SettleRoot();
     ++executed_;
     if constexpr (kObserved) observer_fn_(observer_ctx_, now_);
   }
@@ -235,6 +257,7 @@ void EventQueue::RunLoop(double horizon) {
 }
 
 void EventQueue::RunUntil(double horizon) {
+  SettleRoot();  // nested in a handler: that event's key is spent
   if (observer_fn_ != nullptr) {
     RunLoop<true>(horizon);
   } else {

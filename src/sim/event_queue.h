@@ -4,17 +4,21 @@
 // Internals are built for throughput: event payloads live in a slab of
 // generation-stamped 24-byte POD slots threaded by an intrusive free list,
 // the ordering structure is a cache-friendly 4-ary implicit heap of 16-byte
-// (time, gen, slot) keys, and steady-state events dispatch through a
-// registered (kind, payload) handler table of raw function pointers so the
-// hot path never allocates and never touches a std::function. Closures
+// integer (time bits, token) keys, and steady-state events dispatch through
+// a registered (kind, payload) handler table of raw function pointers so the
+// hot path never allocates and never touches a std::function. An event's
+// key stays at the heap root while it dispatches, so the first event it
+// schedules replaces that key with one sift-down (the fused hold). Closures
 // remain supported for one-off events (fault injection, tests); their
 // std::function state lives in a side column touched only by that cold path.
 // The run loop is a template instantiated with and without an observer, so
-// an unobserved run carries no per-event observer branch (DESIGN.md §15).
+// an unobserved run carries no per-event observer branch (DESIGN.md §10,
+// §15).
 
 #ifndef VOD_SIM_EVENT_QUEUE_H_
 #define VOD_SIM_EVENT_QUEUE_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -97,8 +101,9 @@ class EventQueue {
   uint64_t executed() const { return executed_; }
 
   /// Heap keys currently held, live + tombstoned (diagnostics; the
-  /// compaction regression test bounds this against pending()).
-  size_t heap_nodes() const { return heap_.size(); }
+  /// compaction regression test bounds this against pending()). The spent
+  /// key of the event being dispatched is not counted.
+  size_t heap_nodes() const { return heap_.size() - root_spent_; }
 
   /// Slab slots allocated so far (diagnostics; bounded by the peak number
   /// of concurrently pending events, not by throughput).
@@ -139,17 +144,36 @@ class EventQueue {
     uint32_t next_free = kNilSlot;
   };
 
-  /// 16-byte heap key. `gen` doubles as the determinism tiebreak: it is
-  /// issued by a monotone counter per Schedule call, so (time, gen) order
-  /// equals (time, insertion sequence) order. (The u32 counter wraps after
-  /// 2^32 schedules; simultaneous events 4e9 schedules apart cannot occur
-  /// in these workloads, and a token would have to survive that long while
-  /// its slot is reused to alias — live tokens never do.)
+  /// 16-byte heap key of two integers. `time` is the event time's bit
+  /// pattern: times are >= +0.0 (TimeBits folds -0.0 into +0.0) and never
+  /// NaN, and such doubles order exactly as their bits do as unsigned
+  /// integers. `token` is the event's EventToken, gen << 32 | slot; the
+  /// generation doubles as the determinism tiebreak: it is issued by a
+  /// monotone counter per Schedule call, so (time, token) order equals
+  /// (time, insertion sequence) order. (The u32 counter wraps after 2^32
+  /// schedules; simultaneous events 4e9 schedules apart cannot occur in
+  /// these workloads, and a token would have to survive that long while its
+  /// slot is reused to alias — live tokens never do.)
   struct HeapKey {
-    double time;
-    uint32_t gen;
-    uint32_t slot;
+    uint64_t time;
+    EventToken token;
   };
+
+  /// The heap-key bits of a schedule time (>= Now(), so >= -0.0). Adding
+  /// +0.0 maps -0.0 to +0.0 and leaves every other value alone; without it
+  /// an event at -0.0 would order after every positive time.
+  static uint64_t TimeBits(double time) {
+    return std::bit_cast<uint64_t>(time + 0.0);
+  }
+  static double TimeOf(const HeapKey& key) {
+    return std::bit_cast<double>(key.time);
+  }
+  static uint32_t SlotOf(const HeapKey& key) {
+    return static_cast<uint32_t>(key.token);
+  }
+  static uint32_t GenOf(const HeapKey& key) {
+    return static_cast<uint32_t>(key.token >> 32);
+  }
 
   /// Textbook 4-ary implicit heap layout: children(i) = 4i+1 .. 4i+4.
   static std::size_t HeapChild(std::size_t i) { return 4 * i + 1; }
@@ -161,31 +185,49 @@ class EventQueue {
     void* ctx = nullptr;
   };
 
-  /// True when `a` must run before `b`. Written branch-free on purpose
-  /// (setcc + bitwise ops, no jumps): SiftDown's min-of-4 selection runs
-  /// this on effectively random keys ~15 times per pop, and the
-  /// short-circuit form mispredicts about half of them — the single
-  /// largest cost in the whole kernel before this change.
+  /// True when `a` must run before `b`: two unsigned integer compares
+  /// joined with bitwise ops, which lower to setcc code with no jumps.
+  /// SiftDown's min-of-4 tournament runs this on effectively random keys,
+  /// where a branch mispredicts about half the time. (A double time
+  /// compare does not lower this way: ucomisd's unordered case kept a
+  /// jne/ja in the tournament's final select.)
   static bool RunsBefore(const HeapKey& a, const HeapKey& b) {
-    return (a.time < b.time) | ((a.time == b.time) & (a.gen < b.gen));
+    return (a.time < b.time) | ((a.time == b.time) & (a.token < b.token));
+  }
+
+  /// Whether `key` still names a pending event (not a tombstone, not the
+  /// spent key of the event being dispatched).
+  bool IsLive(const HeapKey& key) const {
+    return slots_[SlotOf(key)].gen == GenOf(key);
   }
 
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
+  /// Pushes a new key; while the root is spent, the key replaces it
+  /// instead (the fused hold).
   void PushKey(HeapKey key);
   /// Bottom-up O(n) heapify: one descending SiftDown pass over the
   /// internal nodes.
   void HeapifyAll();
   void PopRoot();
+  /// Pops the dispatched event's key if its handler scheduled nothing.
+  void SettleRoot() {
+    if (root_spent_) {
+      root_spent_ = false;
+      PopRoot();
+    }
+  }
   void SiftUp(size_t i);
-  void SiftDown(size_t i);
-  /// Drops every tombstoned key and re-heapifies in O(n). Called from
-  /// Cancel when tombstones exceed the live keys, so a cancel-heavy burst
-  /// (mass abandonment) cannot pin heap memory until pop time.
+  /// Moves the hole at `i` down to where `key` belongs and writes it there.
+  void SiftDown(size_t i, HeapKey key);
+  /// Drops every tombstoned key (and a spent root) and re-heapifies in
+  /// O(n). Called from Cancel when tombstones exceed the live keys, so a
+  /// cancel-heavy burst (mass abandonment) cannot pin heap memory until pop
+  /// time.
   void CompactHeap();
   /// Executes the live head key (caller validated liveness). Advances the
-  /// clock, dispatches, and fires the observer. Shared by RunNext and the
-  /// closure path of the run loop.
+  /// clock, dispatches, settles the root and fires the observer. Shared by
+  /// RunNext and the closure path of the run loop.
   void ExecuteHead(const HeapKey& head);
 
   /// The specialized hot loop. kObserved bakes the observer call in or out;
@@ -194,7 +236,12 @@ class EventQueue {
   void RunLoop(double horizon);
 
   std::vector<HeapKey> heap_;  ///< 4-ary implicit min-heap (layout above)
-  std::vector<Slot> slots_;    ///< POD payload slab, indexed by HeapKey::slot
+  /// True while an event dispatches and heap_[0] still holds its key, whose
+  /// slot is already freed. The event's first schedule overwrites that key
+  /// and clears the mark; SettleRoot pops it if none came, and CompactHeap
+  /// drops it with the tombstones.
+  bool root_spent_ = false;
+  std::vector<Slot> slots_;    ///< POD payload slab, indexed by SlotOf(key)
   /// Side column for closure events, indexed by slot. Sized lazily: a run
   /// that never schedules a closure never allocates it.
   std::vector<std::function<void()>> actions_;

@@ -13,11 +13,11 @@ constexpr uint64_t kDiskStream = 11;
 }  // namespace
 
 Status DiskFaultProfile::Validate() const {
-  if (!(mtbf_minutes > 0.0)) {
-    return Status::InvalidArgument("MTBF must be positive");
+  if (!(mtbf_minutes > 0.0) || !std::isfinite(mtbf_minutes)) {
+    return Status::InvalidArgument("MTBF must be positive and finite");
   }
-  if (!(mttr_minutes > 0.0)) {
-    return Status::InvalidArgument("MTTR must be positive");
+  if (!(mttr_minutes > 0.0) || !std::isfinite(mttr_minutes)) {
+    return Status::InvalidArgument("MTTR must be positive and finite");
   }
   return Status::OK();
 }

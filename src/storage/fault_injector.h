@@ -22,8 +22,9 @@ namespace vod {
 
 /// Reliability profile shared by every disk backing a pool.
 struct DiskFaultProfile {
-  /// Mean up-time between failures, in simulated minutes. Infinity (or any
-  /// huge value) approaches a fault-free system.
+  /// Mean up-time between failures, in simulated minutes, finite: an
+  /// infinite MTBF would make StationaryAvailability inf/inf. A huge value
+  /// (1e12) approaches a fault-free system.
   double mtbf_minutes = 4000.0;
   /// Mean repair time, in simulated minutes. As it approaches 0 the system
   /// converges to fault-free behavior.

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hit_intervals.h"
@@ -617,6 +619,21 @@ TEST(HitModelTest, InvalidMixRejected) {
   EXPECT_TRUE(model.HitProbability(mix, VcrDurations::AllSame(gamma))
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(HitModelTest, NonFiniteMixRejectedByName) {
+  // NaN fails both the sign and the sum test's comparisons, so it needs its
+  // own refusal.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [mix, field] :
+       {std::pair{VcrMix{nan, 0.5, 0.5}, "p_fast_forward"},
+        std::pair{VcrMix{0.5, nan, 0.5}, "p_rewind"},
+        std::pair{VcrMix{0.5, 0.5, inf}, "p_pause"}}) {
+    const Status status = mix.Validate();
+    EXPECT_TRUE(status.IsInvalidArgument()) << field;
+    EXPECT_NE(status.message().find(field), std::string::npos) << status;
+  }
 }
 
 TEST(HitModelTest, InvalidRatesRejectedAtCreate) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -94,6 +96,29 @@ TEST(PiecewiseArrivalsTest, Validation) {
   EXPECT_TRUE(PiecewiseArrivals::Create({1.0}, 0.0)
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(FlashArrivalsTest, ValidationRefusesNonFiniteInputs) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(FlashArrivals::Create(0.5, 4.0, 0.0, 10.0).ok());
+  // An endless flash is a permanent popularity step.
+  EXPECT_TRUE(FlashArrivals::Create(0.5, 4.0, 0.0, kInf).ok());
+  // Each refusal names its field. Only Create is exercised: a process with
+  // an infinite base rate would return the same arrival instant forever.
+  const struct {
+    double rate, start;
+    const char* field;
+  } cases[] = {{kInf, 0.0, "base rate"},
+               {kNan, 0.0, "base rate"},
+               {0.5, kNan, "flash start"},
+               {0.5, kInf, "flash start"}};
+  for (const auto& c : cases) {
+    const Status status = FlashArrivals::Create(c.rate, 4.0, c.start, 10.0)
+                              .status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.rate << " " << c.start;
+    EXPECT_NE(status.message().find(c.field), std::string::npos) << status;
+  }
 }
 
 TEST(PiecewiseArrivalsTest, BucketRatesRealized) {

@@ -4,8 +4,11 @@
 //    schedule/cancel/pop/RunUntil workload and compared against a naive
 //    std::multimap reference keyed by (time, insertion sequence). Covers pop
 //    order, Cancel semantics, stale-token safety while slots are being
-//    reused, handlers that reschedule at the current timestamp, and observer
-//    ticks. Labeled "unit" so the asan/ubsan and tsan CI legs execute it.
+//    reused, observer ticks, and every way a dispatching event can leave
+//    the root it ran from: scheduling nothing, one event (at the current
+//    timestamp, -0.0 included at t = 0) or several, and cancelling enough to
+//    compact the heap mid-dispatch. Labeled "unit" so the asan/ubsan and
+//    tsan CI legs execute it.
 //  * Compaction regression: cancel-heavy bursts must not pin heap memory
 //    (the lazy-deletion leak the compactor exists to prevent).
 
@@ -50,9 +53,24 @@ struct MixHarness {
   /// Event identity: kHandlerA, kHandlerB or kClosure, and a unique id.
   enum Tag : uint64_t { kHandlerA, kHandlerB, kClosure };
   using Event = std::pair<uint64_t, uint64_t>;  ///< (tag, id)
-  /// Offset for ids of handler-spawned children, so the cascade stops.
+  /// Offset for ids of event-spawned children (the k-th child of `id` is
+  /// id + k * kChild), so the cascade stops.
   static constexpr uint64_t kChild = uint64_t{1} << 40;
 
+  explicit MixHarness(uint64_t seed) : rng(seed) {
+    for (uint64_t k = 0; k < 2; ++k) {
+      kind[k] = q.AddHandler(
+          k == 0 ? +[](void* c, uint64_t id) {
+                     static_cast<MixHarness*>(c)->OnEvent(kHandlerA, id);
+                   }
+                 : +[](void* c, uint64_t id) {
+                     static_cast<MixHarness*>(c)->OnEvent(kHandlerB, id);
+                   },
+          this);
+    }
+  }
+
+  MixRng rng;  ///< drives the test body and the events' own choices
   EventQueue q;
   std::multimap<std::pair<double, uint64_t>, Event> pending;
   uint64_t next_seq = 0;
@@ -72,23 +90,16 @@ struct MixHarness {
   std::map<uint64_t, EventToken> token_of;
   std::vector<EventToken> stale;
 
-  MixHarness() {
-    for (uint64_t k = 0; k < 2; ++k) {
-      kind[k] = q.AddHandler(
-          k == 0 ? +[](void* c, uint64_t id) {
-                     static_cast<MixHarness*>(c)->OnHandler(kHandlerA, id);
-                   }
-                 : +[](void* c, uint64_t id) {
-                     static_cast<MixHarness*>(c)->OnHandler(kHandlerB, id);
-                   },
-          this);
-    }
-  }
+  /// What the events did while dispatching (the mix must cover each).
+  int schedules_nothing = 0;
+  int schedules_many = 0;
+  int compactions_in_dispatch = 0;
+  int negative_zero_schedules = 0;
 
   void Schedule(double t, uint64_t tag, uint64_t id) {
     EventToken tok;
     if (tag == kClosure) {
-      tok = q.Schedule(t, [this, id] { OnExecute({kClosure, id}); });
+      tok = q.Schedule(t, [this, id] { OnEvent(kClosure, id); });
     } else {
       tok = q.ScheduleHandler(t, kind[tag], id);
     }
@@ -106,6 +117,9 @@ struct MixHarness {
     expected.push_back(head->second);
     if (observing) expected_ticks.push_back(head->first.first);
     ASSERT_DOUBLE_EQ(q.Now(), head->first.first);
+    // Stop at the first event out of order, before the bookkeeping below
+    // lets the kernel and the reference drift apart.
+    ASSERT_EQ(event, head->second) << "kernel ran an event out of order";
     pending.erase(head);
     const EventToken tok = token_of.at(event.second);
     token_of.erase(event.second);
@@ -113,16 +127,68 @@ struct MixHarness {
     stale.push_back(tok);
   }
 
-  /// Handler events also reschedule at Now(): some into their own kind,
-  /// some into the other, so same-time children land behind their parent.
-  void OnHandler(uint64_t tag, uint64_t id) {
+  /// Cancels a random live event in the kernel and the reference; its token
+  /// joins the stale ones.
+  void CancelRandom() {
+    if (live.empty()) return;
+    auto it = live.begin();
+    std::advance(it, static_cast<long>(rng.Below(live.size())));
+    const EventToken tok = it->first;
+    q.Cancel(tok);
+    pending.erase(pending.find(it->second.second));
+    token_of.erase(it->second.first);
+    stale.push_back(tok);
+    live.erase(it);
+  }
+
+  /// The current time, spelled -0.0 at t = 0: the kernel accepts it there
+  /// and must order it as 0.0, by schedule sequence.
+  double SameTime() {
+    if (q.Now() != 0.0) return q.Now();
+    ++negative_zero_schedules;
+    return -0.0;
+  }
+
+  /// Every event runs this. An event with a parent id (below kChild) then
+  /// leaves the root it ran from in one of several ways: it schedules
+  /// nothing, one child at Now() (same kind, so it lands behind its parent,
+  /// or the other kind), several children at or after Now(), or first
+  /// cancels until the heap compacts under it and then schedules a child.
+  void OnEvent(uint64_t tag, uint64_t id) {
     OnExecute({tag, id});
-    if (id >= kChild) return;
-    if (id % 5 == 0) {
-      Schedule(q.Now(), tag, id + kChild);
-    } else if (id % 7 == 3) {
-      Schedule(q.Now(), tag == kHandlerA ? kHandlerB : kHandlerA,
-               id + 2 * kChild);
+    if (id >= kChild || ::testing::Test::HasFatalFailure()) return;
+    const uint64_t other = tag == kHandlerA ? kHandlerB : kHandlerA;
+    const uint64_t dice = rng.Below(39);
+    if (dice < 12) {
+      ++schedules_nothing;
+    } else if (dice < 22) {
+      Schedule(SameTime(), tag, id + kChild);
+    } else if (dice < 30) {
+      Schedule(SameTime(), other, id + 2 * kChild);
+    } else if (dice < 38) {
+      ++schedules_many;
+      const uint64_t n = 2 + rng.Below(3);
+      for (uint64_t k = 1; k <= n; ++k) {
+        const double t =
+            rng.Below(2) == 0
+                ? SameTime()
+                : q.Now() + static_cast<double>(rng.Below(64)) / 16.0;
+        Schedule(t, rng.Below(3), id + k * kChild);
+      }
+    } else {
+      // Cancel until CompactHeap runs inside this dispatch (heap_nodes
+      // shrinks), then reschedule into the compacted heap.
+      size_t nodes = q.heap_nodes();
+      while (!live.empty()) {
+        CancelRandom();
+        if (q.heap_nodes() < nodes) {
+          ++compactions_in_dispatch;
+          break;
+        }
+        nodes = q.heap_nodes();
+      }
+      Schedule(q.Now() + static_cast<double>(rng.Below(64)) / 16.0, tag,
+               id + kChild);
     }
   }
 
@@ -142,8 +208,14 @@ struct MixHarness {
 
 TEST(EventQueuePropertyTest, MatchesMultimapReferenceUnderRandomMix) {
   for (const uint64_t seed : {1ULL, 42ULL, 20260806ULL}) {
-    MixHarness h;
-    MixRng rng(seed);
+    MixHarness h(seed);
+    MixRng& rng = h.rng;
+
+    // Events at t = 0 spelled +0.0 and -0.0 alike, ahead of the mix: they
+    // must run in schedule order, before anything later.
+    for (int i = 0; i < 8; ++i) {
+      h.Schedule(i % 2 == 0 ? 0.0 : h.SameTime(), rng.Below(3), h.next_id++);
+    }
 
     for (int op = 0; op < 20000; ++op) {
       const uint64_t dice = rng.Below(20);
@@ -153,14 +225,7 @@ TEST(EventQueuePropertyTest, MatchesMultimapReferenceUnderRandomMix) {
             h.q.Now() + static_cast<double>(rng.Below(1000)) / 16.0;
         h.Schedule(t, rng.Below(3), h.next_id++);
       } else if (dice < 14 && !h.live.empty()) {  // 20%: cancel a live event
-        auto it = h.live.begin();
-        std::advance(it, static_cast<long>(rng.Below(h.live.size())));
-        const EventToken tok = it->first;
-        h.q.Cancel(tok);
-        h.pending.erase(h.pending.find(it->second.second));
-        h.token_of.erase(it->second.first);
-        h.stale.push_back(tok);
-        h.live.erase(it);
+        h.CancelRandom();
       } else if (dice < 16 && !h.stale.empty()) {  // 10%: stale cancel
         // Must be a no-op even though the token's slot may by now hold a
         // different live event.
@@ -194,6 +259,10 @@ TEST(EventQueuePropertyTest, MatchesMultimapReferenceUnderRandomMix) {
                             [](const MixHarness::Event& e) {
                               return e.second >= 2 * MixHarness::kChild;
                             }));
+    EXPECT_GT(h.schedules_nothing, 100) << "seed " << seed;
+    EXPECT_GT(h.schedules_many, 100) << "seed " << seed;
+    EXPECT_GT(h.compactions_in_dispatch, 20) << "seed " << seed;
+    EXPECT_GT(h.negative_zero_schedules, 4) << "seed " << seed;
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <tuple>
 
 namespace vod {
 namespace {
@@ -19,6 +22,16 @@ TEST(DiskFaultProfileTest, Validation) {
   EXPECT_TRUE(Profile(0.0, 120.0).Validate().IsInvalidArgument());
   EXPECT_TRUE(Profile(4000.0, 0.0).Validate().IsInvalidArgument());
   EXPECT_TRUE(Profile(-1.0, 120.0).Validate().IsInvalidArgument());
+  // Non-finite values are refused by name.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [mtbf, mttr, field] :
+       {std::tuple{kInf, 120.0, "MTBF"}, std::tuple{kNan, 120.0, "MTBF"},
+        std::tuple{4000.0, kInf, "MTTR"}, std::tuple{4000.0, kNan, "MTTR"}}) {
+    const Status status = Profile(mtbf, mttr).Validate();
+    EXPECT_TRUE(status.IsInvalidArgument()) << mtbf << " " << mttr;
+    EXPECT_NE(status.message().find(field), std::string::npos) << status;
+  }
 }
 
 TEST(DiskFaultProfileTest, StationaryAvailability) {

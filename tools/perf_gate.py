@@ -46,13 +46,15 @@ import tempfile
 
 # (binary under the build tree, --benchmark_filter): the gated rows.
 GATED = (
-    ("bench/perf_simulator", "BM_SimulationRun"),
+    ("bench/perf_simulator", "BM_SimulationRun|BM_EventQueueScheduleRun"),
     ("bench/perf_event_queue",
-     "BM_HoldModel|BM_ScheduleCancelMix|BM_CancelBurstThenDrain"),
+     "BM_HoldModel|BM_PopOnly|BM_ScheduleOnly|BM_ScheduleCancelMix|"
+     "BM_CancelBurstThenDrain"),
     ("bench/perf_sharded", "BM_ShardedRun"),
 )
 # Single hot loops with low variance, whose regressions are the point of
-# gating: held to the tight tier.
+# gating: held to the tight tier. Some GATED filter selects each of them
+# (perf_gate_test.py checks it).
 KERNEL_PREFIXES = (
     "BM_SimulationRun",
     "BM_ShardedRun",

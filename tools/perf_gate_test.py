@@ -4,6 +4,7 @@
 import contextlib
 import io
 import os
+import re
 import sys
 import unittest
 
@@ -82,6 +83,19 @@ class JudgeTest(unittest.TestCase):
         row = perf_gate.judge("peak_rss_kb", parent,
                               [{"peak_rss_kb": 210_000}] * 8)
         self.assertEqual(row["verdict"], "FAIL")
+
+
+class GatedTableTest(unittest.TestCase):
+
+    def test_every_kernel_prefix_is_selected_by_some_filter(self):
+        # google-benchmark searches each row name for the filter regex; a
+        # prefix no filter selects would hold rows to a tier never timed.
+        for prefix in perf_gate.KERNEL_PREFIXES:
+            self.assertTrue(
+                any(re.search(benchmark_filter, prefix + "/1000")
+                    for _, benchmark_filter in perf_gate.GATED),
+                prefix + " is in KERNEL_PREFIXES but no GATED filter "
+                "selects it")
 
 
 class RunOrderTest(unittest.TestCase):
