@@ -22,31 +22,13 @@ Status ControllerOptions::Validate() const {
     return Status::InvalidArgument(
         "controller poll_interval_minutes must be finite and positive");
   }
-  if (!(hysteresis_floor > 0.0) || !(hysteresis_sigma >= 0.0)) {
+  if (!(min_replan_gap_minutes >= 0.0)) {
     return Status::InvalidArgument(
-        "controller hysteresis_floor must be positive and hysteresis_sigma "
-        "non-negative");
-  }
-  if (!(confirm_minutes >= 0.0) || !(min_replan_gap_minutes >= 0.0)) {
-    return Status::InvalidArgument(
-        "controller confirm/min_replan_gap minutes must be non-negative");
-  }
-  if (extra_stream_slack < 0 || !(extra_buffer_slack >= 0.0)) {
-    return Status::InvalidArgument(
-        "controller resource slack must be non-negative");
-  }
-  if (max_streams_per_movie < 1) {
-    return Status::InvalidArgument(
-        "controller max_streams_per_movie must be >= 1");
-  }
-  if (!(max_buffer_fraction >= 0.0) || !(max_buffer_fraction <= 1.0)) {
-    return Status::InvalidArgument(
-        "controller max_buffer_fraction must lie in [0, 1]");
+        "controller min_replan_gap_minutes must be non-negative");
   }
   VOD_RETURN_IF_ERROR(estimator.Validate());
   VOD_RETURN_IF_ERROR(planner.Validate());
   VOD_RETURN_IF_ERROR(migration.Validate());
-  VOD_RETURN_IF_ERROR(traffic.Validate());
   return Status::OK();
 }
 
@@ -76,7 +58,7 @@ Controller::Controller(const ControllerOptions& options,
     state.config = m;
     movies_.push_back(std::move(state));
   }
-  policy_ = std::make_unique<TrafficPolicy>(options_.traffic, host_, log_);
+  policy_ = std::make_unique<TrafficPolicy>(host_, log_);
 }
 
 void Controller::EmitEvent(double t, ControllerEvent sub, int32_t movie,
@@ -120,11 +102,14 @@ void Controller::Start(double t0) {
     movies_[i].estimator = std::make_unique<RateEstimator>(
         options_.estimator, rate, t0);
   }
-  stream_budget_ = live_streams + options_.extra_stream_slack;
-  buffer_budget_ = live_buffer + options_.extra_buffer_slack;
+  // Resource slack granted beyond the sum of the initial layouts.
+  constexpr int64_t kExtraStreamSlack = 0;
+  constexpr double kExtraBufferSlack = 0.0;
+  stream_budget_ = live_streams + kExtraStreamSlack;
+  buffer_budget_ = live_buffer + kExtraBufferSlack;
   engine_ = std::make_unique<MigrationEngine>(
-      options_.migration, stream_budget_, buffer_budget_,
-      options_.extra_stream_slack, options_.extra_buffer_slack, log_);
+      options_.migration, stream_budget_, buffer_budget_, kExtraStreamSlack,
+      kExtraBufferSlack, log_);
   policy_->Configure(baselines, t0);
 }
 
@@ -140,6 +125,13 @@ bool Controller::OnArrival(int32_t movie, double t) {
 }
 
 bool Controller::ReplanTriggered(double t) {
+  // Re-plan hysteresis: a movie's relative rate deviation must exceed
+  // max(kHysteresisFloor, kHysteresisSigma * sigma_r) — sigma_r is that
+  // estimator's noise floor — and hold for kConfirmMinutes before a
+  // deviation (as opposed to a Page–Hinkley alarm) triggers a re-plan.
+  constexpr double kHysteresisFloor = 0.3;
+  constexpr double kHysteresisSigma = 5.0;
+  constexpr double kConfirmMinutes = 15.0;
   bool any_alarm = false;
   bool any_deviation = false;
   for (size_t i = 0; i < movies_.size(); ++i) {
@@ -156,8 +148,8 @@ bool Controller::ReplanTriggered(double t) {
     }
     const double deviation =
         std::fabs(est.RateAt(t) - est.baseline()) / est.baseline();
-    const double threshold = std::max(options_.hysteresis_floor,
-                                      options_.hysteresis_sigma * est.sigma());
+    const double threshold =
+        std::max(kHysteresisFloor, kHysteresisSigma * est.sigma());
     if (deviation > threshold) any_deviation = true;
   }
 
@@ -177,13 +169,16 @@ bool Controller::ReplanTriggered(double t) {
       deviation_since_ = t;
       return false;
     }
-    return !gated && t - deviation_since_ >= options_.confirm_minutes;
+    return !gated && t - deviation_since_ >= kConfirmMinutes;
   }
   deviation_armed_ = false;
   return false;
 }
 
 void Controller::Replan(double t) {
+  // Per-movie planner bounds.
+  constexpr int kMaxStreamsPerMovie = 64;
+  constexpr double kMaxBufferFraction = 0.9;
   std::vector<PlannerMovie> inputs;
   inputs.reserve(movies_.size());
   for (MovieState& m : movies_) {
@@ -191,8 +186,8 @@ void Controller::Replan(double t) {
     pm.movie_length = m.config.movie_length;
     pm.rate = std::max(m.estimator->RateAt(t), kMinPlanRate);
     pm.min_streams = 1;
-    pm.max_streams = options_.max_streams_per_movie;
-    pm.max_buffer_fraction = options_.max_buffer_fraction;
+    pm.max_streams = kMaxStreamsPerMovie;
+    pm.max_buffer_fraction = kMaxBufferFraction;
     inputs.push_back(pm);
   }
   auto solved =

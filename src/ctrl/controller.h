@@ -57,29 +57,12 @@ struct ControllerOptions {
   /// pumped at least this often.
   double poll_interval_minutes = 5.0;
 
-  /// Re-plan hysteresis: a movie's relative rate deviation must exceed
-  /// max(hysteresis_floor, hysteresis_sigma * sigma_r) — sigma_r is that
-  /// estimator's noise floor — and hold for confirm_minutes before a
-  /// deviation (as opposed to a Page–Hinkley alarm) triggers a re-plan.
-  double hysteresis_floor = 0.3;
-  double hysteresis_sigma = 5.0;
-  double confirm_minutes = 15.0;
-
   /// Migration rate limit: a new migration starts at most this often.
   double min_replan_gap_minutes = 30.0;
-
-  /// Resource slack granted beyond the sum of the initial layouts.
-  int64_t extra_stream_slack = 0;
-  double extra_buffer_slack = 0.0;
-
-  /// Per-movie planner bounds.
-  int max_streams_per_movie = 64;
-  double max_buffer_fraction = 0.9;
 
   RateEstimatorOptions estimator;
   PlannerOptions planner;
   MigrationOptions migration;
-  TrafficPolicyOptions traffic;
 
   Status Validate() const;
 };
@@ -194,7 +177,7 @@ class Controller final : public AdmissionGate {
   bool pending_valid_ = false;
 
   /// Sustained-deviation confirmation (armed at a poll that sees a
-  /// deviation, fires after confirm_minutes of continuous arming).
+  /// deviation, fires after kConfirmMinutes of continuous arming).
   bool deviation_armed_ = false;
   double deviation_since_ = 0.0;
 };

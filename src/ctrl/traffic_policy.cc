@@ -1,34 +1,29 @@
 #include "ctrl/traffic_policy.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace vod {
 
-Status TrafficPolicyOptions::Validate() const {
-  if (!(rate_multiplier >= 1.0) || !std::isfinite(rate_multiplier)) {
-    return Status::InvalidArgument(
-        "traffic rate_multiplier must be finite and >= 1");
-  }
-  if (!(burst_window_minutes > 0.0) || !(min_burst_tokens >= 1.0)) {
-    return Status::InvalidArgument(
-        "traffic burst_window_minutes must be positive and "
-        "min_burst_tokens >= 1");
-  }
-  return Status::OK();
+namespace {
+
+/// Bucket refill rate as a multiple of the movie's planned arrival rate;
+/// > 1 so nominal traffic is never token-limited.
+constexpr double kRateMultiplier = 1.25;
+
+/// Bucket depth: this many minutes of refill, floored at kMinBurstTokens.
+double BurstFor(double rate) {
+  constexpr double kBurstWindowMinutes = 10.0;
+  constexpr double kMinBurstTokens = 3.0;
+  return std::max(kMinBurstTokens, rate * kBurstWindowMinutes);
 }
 
-TrafficPolicy::TrafficPolicy(const TrafficPolicyOptions& options,
-                             const ControllerHost* host, EventLog* log)
-    : options_(options), host_(host), log_(log) {
+}  // namespace
+
+TrafficPolicy::TrafficPolicy(const ControllerHost* host, EventLog* log)
+    : host_(host), log_(log) {
   VOD_CHECK(host != nullptr);
-}
-
-double TrafficPolicy::BurstFor(double rate) const {
-  return std::max(options_.min_burst_tokens,
-                  rate * options_.burst_window_minutes);
 }
 
 void TrafficPolicy::Configure(const std::vector<double>& rates, double t0) {
@@ -36,7 +31,7 @@ void TrafficPolicy::Configure(const std::vector<double>& rates, double t0) {
   buckets_.reserve(rates.size());
   for (double rate : rates) {
     Bucket b;
-    b.rate = rate * options_.rate_multiplier;
+    b.rate = rate * kRateMultiplier;
     b.burst = BurstFor(b.rate);
     b.tokens = b.burst;  // start full: nominal traffic is never limited
     b.last_refill = t0;
@@ -48,7 +43,7 @@ void TrafficPolicy::Update(int32_t movie, double rate, int priority_class) {
   VOD_CHECK(movie >= 0 && static_cast<size_t>(movie) < buckets_.size());
   VOD_CHECK(priority_class >= 0 && priority_class < kNumPriorityClasses);
   Bucket& b = buckets_[static_cast<size_t>(movie)];
-  b.rate = rate * options_.rate_multiplier;
+  b.rate = rate * kRateMultiplier;
   b.burst = BurstFor(b.rate);
   b.tokens = std::min(b.tokens, b.burst);
   b.priority_class = priority_class;

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "ctrl/admission_gate.h"
 #include "ctrl/host.h"
 #include "obs/event_log.h"
@@ -32,25 +31,12 @@ namespace vod {
 /// Number of priority classes (0 = most valuable, sheds last).
 inline constexpr int kNumPriorityClasses = 3;
 
-/// Traffic policy knobs.
-struct TrafficPolicyOptions {
-  /// Bucket refill rate as a multiple of the movie's planned arrival rate;
-  /// > 1 so nominal traffic is never token-limited.
-  double rate_multiplier = 1.25;
-  /// Bucket depth: this many minutes of refill, floored at min_burst_tokens.
-  double burst_window_minutes = 10.0;
-  double min_burst_tokens = 3.0;
-
-  Status Validate() const;
-};
-
 /// \brief Per-movie token buckets + priority classes; sheds under pressure.
 class TrafficPolicy final : public AdmissionGate {
  public:
   /// `host` supplies the pressure level; `log` is optional telemetry. Both
   /// must outlive the policy.
-  TrafficPolicy(const TrafficPolicyOptions& options, const ControllerHost* host,
-                EventLog* log);
+  TrafficPolicy(const ControllerHost* host, EventLog* log);
 
   /// Registers `movie_count` movies, all class 0 with the given rates, and
   /// full buckets. Called once before the simulation starts.
@@ -83,9 +69,6 @@ class TrafficPolicy final : public AdmissionGate {
     int priority_class = 0;
   };
 
-  double BurstFor(double rate) const;
-
-  TrafficPolicyOptions options_;
   const ControllerHost* host_;
   EventLog* log_;
   std::vector<Bucket> buckets_;

@@ -333,6 +333,8 @@ Status ValidateServerInputs(const std::vector<ServerMovieSpec>& movies,
     return Status::InvalidArgument(
         "warmup must be >= 0 and measurement span positive (and both finite)");
   }
+  VOD_RETURN_IF_ERROR(ValidateMetricCadence(
+      options.obs, options.warmup_minutes + options.measurement_minutes));
   VOD_RETURN_IF_ERROR(options.degradation.Validate());
   if (options.faults.enabled) {
     if (options.faults.disks < 1) {

@@ -1,5 +1,6 @@
 #include "sim/server_driver.h"
 
+#include <sstream>
 #include <utility>
 
 namespace vod {
@@ -72,6 +73,19 @@ ReserveGauges RegisterReserveGauges(const ObsOptions& obs,
                                       "degradation ladder rung (0 = normal)");
   }
   return gauges;
+}
+
+Status ValidateMetricCadence(const ObsOptions& obs, double horizon_minutes) {
+  const double cadence = obs.metrics_sample_minutes;
+  const double samples = horizon_minutes / cadence;
+  if (!(cadence > 0.0) || samples <= static_cast<double>(kMaxMetricSamples)) {
+    return Status::OK();
+  }
+  std::ostringstream os;
+  os << "metrics_sample_minutes=" << cadence << " asks for " << samples
+     << " samples over a " << horizon_minutes
+     << "-minute run; a run allows at most " << kMaxMetricSamples;
+  return Status::InvalidArgument(os.str());
 }
 
 int ControllerPressure(DegradationLevel rung) {

@@ -79,6 +79,15 @@ struct ReserveGauges {
 ReserveGauges RegisterReserveGauges(const ObsOptions& obs,
                                     bool capacity_moves, bool rung_moves);
 
+/// The most metric samples a run's cadence may ask for over its horizon,
+/// the bound barrier windows have. MaybeSample appends one sample per
+/// elapsed cadence step, so the series is sized by horizon / cadence.
+inline constexpr int64_t kMaxMetricSamples = int64_t{1} << 20;
+
+/// InvalidArgument, naming metrics_sample_minutes, when `obs` asks for
+/// more than kMaxMetricSamples samples over `horizon_minutes`.
+Status ValidateMetricCadence(const ObsOptions& obs, double horizon_minutes);
+
 /// ControllerHost::PressureLevel for a ladder rung: 2 at kReclaim or worse,
 /// 1 at kShedVcr, 0 otherwise.
 int ControllerPressure(DegradationLevel rung);

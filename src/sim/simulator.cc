@@ -91,6 +91,8 @@ Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
         "warmup must be >= 0 and measurement span positive");
   }
   if (options.audit.enabled) VOD_RETURN_IF_ERROR(options.audit.Validate());
+  VOD_RETURN_IF_ERROR(ValidateMetricCadence(
+      options.obs, options.warmup_minutes + options.measurement_minutes));
 
   // A one-movie server run whose reserve never refuses: the paper's engine
   // measures the dedicated streams a workload pins, with no admission

@@ -380,6 +380,13 @@ TEST(ServerValidationTest, RejectsBadInputsWithOneLineDiagnostics) {
     bad_options.audit.every_events = 0;
     EXPECT_FALSE(ValidateServerInputs(movies, bad_options).ok());
   }
+  {
+    auto bad_options = options;
+    bad_options.obs.metrics_sample_minutes = 1e-300;
+    const Status s = ValidateServerInputs(movies, bad_options);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("metrics_sample_minutes"), std::string::npos);
+  }
 }
 
 }  // namespace

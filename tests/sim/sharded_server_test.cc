@@ -92,6 +92,20 @@ TEST(ShardedServerTest, Validation) {
   auto small_window = BaseOptions(2, 1);
   small_window.window_minutes = 0.01;  // 450 000 windows over 4500 minutes
   EXPECT_TRUE(ValidateShardedInputs(movies, small_window).ok());
+  // The metric cadence is bounded the same way: 0.001 minutes asks for
+  // 4.5 million samples over 4500 minutes.
+  for (const double cadence : {1e-300, 1e-3}) {
+    auto tiny_cadence = BaseOptions(2, 1);
+    tiny_cadence.base.obs.metrics_sample_minutes = cadence;
+    const Status st_cadence = ValidateShardedInputs(movies, tiny_cadence);
+    EXPECT_TRUE(st_cadence.IsInvalidArgument()) << cadence;
+    EXPECT_NE(st_cadence.message().find("metrics_sample_minutes"),
+              std::string::npos)
+        << st_cadence;
+  }
+  auto small_cadence = BaseOptions(2, 1);
+  small_cadence.base.obs.metrics_sample_minutes = 0.01;  // 450 000 samples
+  EXPECT_TRUE(ValidateShardedInputs(movies, small_cadence).ok());
 }
 
 TEST(ShardedServerTest, PoolStartsAtMostOneWorkerPerShard) {

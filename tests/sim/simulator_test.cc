@@ -11,6 +11,7 @@
 #include "dist/deterministic.h"
 #include "dist/exponential.h"
 #include "dist/gamma.h"
+#include "obs/metrics_registry.h"
 #include "workload/paper_presets.h"
 
 namespace vod {
@@ -57,6 +58,19 @@ TEST(SimulatorTest, ValidatesOptions) {
   EXPECT_TRUE(negative.IsInvalidArgument());
   EXPECT_NE(negative.message().find("non-negative"), std::string::npos)
       << negative;
+  // A metric cadence that asks for more than kMaxMetricSamples samples is
+  // refused before anything is built: at 1e-300 minutes the sampling clock
+  // would never advance.
+  MetricsRegistry registry;
+  bad = ShortRun(VcrOp::kFastForward);
+  bad.obs.metrics = &registry;
+  bad.obs.metrics_sample_minutes = 1e-300;
+  const Status cadence = RunSimulation(layout, paper::Rates(), bad).status();
+  EXPECT_TRUE(cadence.IsInvalidArgument());
+  EXPECT_NE(cadence.message().find("metrics_sample_minutes"),
+            std::string::npos)
+      << cadence;
+  EXPECT_EQ(registry.num_metrics(), 0u);
 }
 
 TEST(SimulatorTest, DeterministicForSameSeed) {

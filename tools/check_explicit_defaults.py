@@ -14,7 +14,8 @@ import re
 import subprocess
 import sys
 
-COMMANDS = ["model", "size", "simulate", "server", "shard", "timeline"]
+COMMANDS = ["model", "size", "simulate", "server", "shard", "timeline",
+            "reproduce"]
 FIXED = {"measure": "300"}
 DEFAULT_LINE = re.compile(r"^  --(\w+)  \(default: (.*)\)$")
 

@@ -1,0 +1,221 @@
+#!/usr/bin/env python3
+"""Checks the committed record of the paper's artifacts, and the numbers
+EXPERIMENTS.md quotes from it.
+
+Usage:
+  check_paper_record.py record VODCTL RECORD
+      Runs `VODCTL reproduce --csv` and compares its stdout with RECORD
+      byte for byte; on a mismatch prints a unified diff and exits 1.
+      Regenerate the record with
+        build/tools/vodctl reproduce --csv > data/paper_artifacts.csv
+  check_paper_record.py docs RECORD EXPERIMENTS_MD
+      Matches each paper number EXPERIMENTS.md quotes (the Fig 7 w = 1
+      table, Example 1's measured rows, Example 2's constants and the
+      stream counts of the Fig 9 table) to its artifact, row and column in
+      RECORD. Exits 1 naming each doc line whose number differs, and each
+      quoted table it cannot find.
+"""
+
+import csv
+import difflib
+import re
+import subprocess
+import sys
+
+# The first line of each artifact's output, in `vodctl reproduce` order.
+TITLES = [("fig7a", "Figure 7(a):"), ("fig7b", "Figure 7(b):"),
+          ("fig7c", "Figure 7(c):"), ("fig7d", "Figure 7(d):"),
+          ("fig8", "Figure 8:"), ("example1", "Example 1:"),
+          ("example2", "Example 2:"), ("fig9", "Figure 9:")]
+FIG7 = ["fig7a", "fig7b", "fig7c", "fig7d"]  # the doc table's column order
+# EXPERIMENTS.md's Example 1 row labels -> the sizing case's index.
+EXAMPLE1_ROWS = {"FF-only": 0, "Fig-7(d) mixed": 1}
+# EXPERIMENTS.md's Example 2 names -> the record's quantity rows.
+EXAMPLE2_NAMES = {"C_b": "C_b ($/movie-minute)", "C_n": "C_n ($/stream)",
+                  "streams/disk": "streams per disk",
+                  "φ": "phi = C_b / C_n"}
+
+
+def check_record(vodctl, record_path):
+    done = subprocess.run([vodctl, "reproduce", "--csv"],
+                          capture_output=True, timeout=600)
+    if done.returncode != 0:
+        print("vodctl reproduce --csv exited %d: %s" %
+              (done.returncode, done.stderr.decode(errors="replace")))
+        return 1
+    with open(record_path, "rb") as f:
+        record = f.read()
+    if done.stdout == record:
+        print("%s: %d bytes, identical" % (record_path, len(record)))
+        return 0
+    diff = difflib.unified_diff(
+        record.decode().splitlines(True), done.stdout.decode().splitlines(True),
+        record_path, "vodctl reproduce --csv")
+    sys.stdout.writelines(diff)
+    print("\n%s differs from `vodctl reproduce --csv` (above)" % record_path)
+    return 1
+
+
+def sections(record_text):
+    """The record split into {artifact: [lines]} at each title line."""
+    found, name = {}, None
+    for line in record_text.splitlines():
+        for key, title in TITLES:
+            if line.startswith(title):
+                name = key
+                found[name] = []
+        if name is not None:
+            found[name].append(line)
+    return found
+
+
+def tables(lines):
+    """CSV tables in an artifact's lines, each a list of {header: cell}. A
+    table's header follows a blank or '---' line, and its rows (at least
+    one) run while they have the header's field count."""
+    parsed = []
+    rows = list(csv.reader(lines))
+    for i in range(1, len(rows)):
+        if len(rows[i]) < 2 or (lines[i - 1] and
+                                not lines[i - 1].startswith("---")):
+            continue
+        table = []
+        for row in rows[i + 1:]:
+            if len(row) != len(rows[i]):
+                break
+            table.append(dict(zip(rows[i], row)))
+        if table:
+            parsed.append(table)
+    return parsed
+
+
+class DocCheck:
+    def __init__(self, record_text, doc_path):
+        self.artifacts = sections(record_text)
+        self.doc_path = doc_path
+        self.failures = []
+        self.checked = {}
+
+    def expect(self, group, lineno, what, quoted, recorded):
+        self.checked[group] = self.checked.get(group, 0) + 1
+        if quoted != recorded:
+            self.failures.append("%s:%d: %s reads %s, the record has %s" % (
+                self.doc_path, lineno, what, quoted, recorded))
+
+    def fig7(self, lineno, cells):
+        n, buffer, pairs = cells[0], cells[1], cells[2:]
+        if len(pairs) != len(FIG7) or any(p.count("/") != 1 for p in pairs):
+            self.failures.append("%s:%d: not a row of 'model / sim' pairs" %
+                                 (self.doc_path, lineno))
+            return
+        for artifact, pair in zip(FIG7, pairs):
+            model, sim = [v.strip() for v in pair.split("/")]
+            rows = [r for r in tables(self.artifacts[artifact])[0]
+                    if r["w"] == "1.0" and r["n"] == n]
+            if not rows:
+                self.failures.append("%s:%d: %s has no w = 1.0, n = %s row" %
+                                     (self.doc_path, lineno, artifact, n))
+                continue
+            what = "%s w=1 n=%s" % (artifact, n)
+            self.expect("fig7", lineno, what + " B", buffer, rows[0]["B"])
+            self.expect("fig7", lineno, what + " model", model,
+                        rows[0]["P(hit) model"])
+            self.expect("fig7", lineno, what + " sim", sim,
+                        rows[0]["P(hit) sim"])
+
+    def example1(self, lineno, label, cells):
+        case = EXAMPLE1_ROWS[label]
+        lines = self.artifacts["example1"]
+        movies = tables(lines)[case]
+        totals = [re.match(r"sized allocation\s*:\s*(\d+) streams, "
+                           r"([\d.]+) buffer-minutes", line)
+                  for line in lines]
+        totals = [m for m in totals if m][case]
+        pairs = [re.match(r"\(([\d.]+), (\d+)\)$", cell) for cell in cells[:3]]
+        if len(cells) < 5 or not all(pairs):
+            self.failures.append("%s:%d: not a row of three (B, n) pairs, "
+                                 "sum B and sum n" % (self.doc_path, lineno))
+            return
+        for movie, pair in zip(movies, pairs):
+            buffer, streams = pair.groups()
+            what = "Example 1 %s %s" % (label, movie["movie"])
+            self.expect("example1", lineno, what + " B*", buffer,
+                        movie["B* (min)"])
+            self.expect("example1", lineno, what + " n*", streams,
+                        movie["n*"])
+        self.expect("example1", lineno, "Example 1 %s sum B" % label,
+                    cells[3], totals.group(2))
+        self.expect("example1", lineno, "Example 1 %s sum n" % label,
+                    cells[4], totals.group(1))
+
+    def example2(self, lineno, line):
+        values = dict((row["quantity"], row["value"])
+                      for row in tables(self.artifacts["example2"])[0])
+        quoted = dict(re.findall(r"([^\s*,]+) = \$?([\d.]+\d)", line))
+        for name, row in EXAMPLE2_NAMES.items():
+            self.expect("example2", lineno, "Example 2 " + name,
+                        quoted.get(name), values[row])
+
+    def fig9(self, lineno, phi, streams):
+        minima = dict(re.findall(r"^Figure 9\(.\): phi = (\d+) -> minimum "
+                                 r"cost \d+ at (\d+) streams",
+                                 "\n".join(self.artifacts["fig9"]), re.M))
+        self.expect("fig9", lineno, "Fig 9 phi=%s minimum streams" % phi,
+                    streams, minima.get(phi))
+
+    def run(self):
+        missing = [key for key, _ in TITLES if key not in self.artifacts]
+        if missing:
+            return ["record: no output for " + ", ".join(missing)]
+        in_fig7 = False
+        with open(self.doc_path, encoding="utf-8") as f:
+            doc = f.read().splitlines()
+        for lineno, line in enumerate(doc, 1):
+            cells = [c.strip().strip("*")
+                     for c in line.strip().strip("|").split("|")]
+            if line.startswith("| n | B | 7(a)"):
+                in_fig7 = True
+            elif not line.startswith("|"):
+                in_fig7 = False
+            elif in_fig7 and not line.startswith("|---"):
+                self.fig7(lineno, cells)
+            if line.startswith("|") and cells[0] in EXAMPLE1_ROWS:
+                self.example1(lineno, cells[0], cells[1:])
+            if line.startswith("Measured: **C_b = "):
+                self.example2(lineno, line)
+            fig9 = re.match(r"\| (\d+) \| interior \(≈ (\d+) streams\)", line)
+            if fig9:
+                self.fig9(lineno, *fig9.groups())
+        for group, want in (("fig7", "the Fig 7 w = 1 table"),
+                            ("example1", "Example 1's measured rows"),
+                            ("example2", "Example 2's measured line"),
+                            ("fig9", "the Fig 9 table's stream counts")):
+            if not self.checked.get(group):
+                self.failures.append("%s: found no number of %s" %
+                                     (self.doc_path, want))
+        return self.failures
+
+
+def check_docs(record_path, doc_path):
+    with open(record_path, encoding="utf-8") as f:
+        check = DocCheck(f.read(), doc_path)
+    failures = check.run()
+    for failure in failures:
+        print(failure)
+    print("%s: %s numbers checked against %s, %d differ" % (
+        doc_path, ", ".join("%s %d" % item for item in
+                            sorted(check.checked.items())),
+        record_path, len(failures)))
+    return 1 if failures else 0
+
+
+def main():
+    if len(sys.argv) == 4 and sys.argv[1] == "record":
+        return check_record(sys.argv[2], sys.argv[3])
+    if len(sys.argv) == 4 and sys.argv[1] == "docs":
+        return check_docs(sys.argv[2], sys.argv[3])
+    sys.exit(__doc__)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@
 //   vodctl simulate --trace_out=run.jsonl --metrics_out=run.prom
 //   vodctl inspect  --trace=run.jsonl
 //   vodctl catalog  --file=catalog.csv --rate=4 --zipf=1 --budget=0
+//   vodctl reproduce --artifact=fig7a   (tools/reproduce.cc)
 //
 // The subcommand names the engine: `simulate` runs the paper's single-movie
 // simulator, `server` runs every movie in one kernel against the shared VCR
@@ -51,6 +52,7 @@
 #include "sim/server.h"
 #include "sim/sharded_server.h"
 #include "sim/simulator.h"
+#include "tools/reproduce.h"
 #include "workload/catalog.h"
 #include "workload/paper_presets.h"
 
@@ -976,6 +978,12 @@ Result<int> CatalogCommand(int argc, char** argv) {
 // It draws a layout, not a run, so it keeps its own flags (B is given
 // directly).
 
+/// The widest movie axis and the most snapshots a timeline draws: each
+/// column costs one coverage lookup per row, and the output is rows x width
+/// characters (16 MB at both bounds).
+constexpr int64_t kMaxTimelineWidth = 4096;
+constexpr int64_t kMaxTimelineRows = 4096;
+
 Result<int> TimelineCommand(int argc, char** argv) {
   FlagSet flags("vodctl timeline");
   flags.AddDouble("length", 120.0, "movie length (minutes)");
@@ -998,6 +1006,16 @@ Result<int> TimelineCommand(int argc, char** argv) {
   const auto rows = flags.GetInt64("rows");
   if (width < 10 || rows < 1) {
     return Status::InvalidArgument("need --width >= 10, --rows >= 1");
+  }
+  if (width > kMaxTimelineWidth) {
+    return Status::InvalidArgument("--width=" + std::to_string(width) +
+                                   " exceeds the bound of " +
+                                   std::to_string(kMaxTimelineWidth));
+  }
+  if (rows > kMaxTimelineRows) {
+    return Status::InvalidArgument("--rows=" + std::to_string(rows) +
+                                   " exceeds the bound of " +
+                                   std::to_string(kMaxTimelineRows));
   }
 
   PartitionSchedule schedule(layout);
@@ -1479,6 +1497,8 @@ int Usage() {
       "  soak      SIGKILL/resume chaos soak of a checkpointed sweep\n"
       "  inspect   summarize a trace file written by --trace_out, or a "
       "postmortem bundle\n"
+      "  reproduce the paper's figures and examples, one artifact or all "
+      "eight\n"
       "run 'vodctl <command> --help' for the command's flags\n",
       stderr);
   return 2;
@@ -1494,7 +1514,8 @@ int main(int argc, char** argv) {
       {"simulate", vod::SimulateCommand}, {"server", vod::ServerCommand},
       {"shard", vod::ShardCommand},       {"catalog", vod::CatalogCommand},
       {"timeline", vod::TimelineCommand}, {"soak", vod::SoakCommand},
-      {"inspect", vod::InspectCommand}};
+      {"inspect", vod::InspectCommand},
+      {"reproduce", vod::ReproduceCommand}};
   for (const auto& [name, command] : commands) {
     if (argc < 2 || std::string(argv[1]) != name) continue;
     // Shift argv so subcommand flags parse from position 1.

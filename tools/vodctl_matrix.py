@@ -27,7 +27,8 @@ with and without the degradation ladder, the controller with a flash
 crowd, replicated and checkpointed sweeps, four shard configurations (one
 with the controller and the ladder together),
 traced runs with `inspect`, postmortems, soaks, audited controller
-re-plans on both server engines, and the failure modes.
+re-plans on both server engines, the paper's artifacts (`reproduce`), and
+the failure modes.
 """
 
 import os
@@ -42,7 +43,7 @@ CATALOG = os.path.join(REPO, "data", "catalog_example.csv")
 MALFORMED = os.path.join(REPO, "data", "catalog_malformed.csv")
 MEMORY_LIMIT = 2 << 30  # bytes of address space per vodctl process
 COMMANDS = ["model", "size", "simulate", "server", "shard", "catalog",
-            "timeline", "soak", "inspect"]
+            "timeline", "soak", "inspect", "reproduce"]
 
 TRACED = ["--trace_out=run.trace.jsonl", "--metrics_out=run.prom",
           "--metrics_csv=run.series.csv"]
@@ -181,7 +182,23 @@ def fixed_cases():
         "rejects_tiny_window": [["shard", "--movies=2", "--shards=1",
                                  "--threads=1", "--measure=200",
                                  "--window=1e-300"]],
+        # Output sizes are bounded. --rows sits just past its bound: an
+        # unbounded build prints every row into this script's memory.
+        "rejects_huge_timeline_width": [["timeline",
+                                         "--width=1000000000000"]],
+        "rejects_huge_timeline_rows": [["timeline", "--rows=4097"]],
+        "rejects_unknown_artifact": [["reproduce", "--artifact=fig10"]],
+        # The paper's artifacts: the analytic ones, and one simulated sweep.
+        "reproduce_fig8_csv": [["reproduce", "--artifact=fig8", "--csv"]],
+        "reproduce_examples": [["reproduce", "--artifact=example1"],
+                               ["reproduce", "--artifact=example2"]],
+        "reproduce_fig9": [["reproduce", "--artifact=fig9"]],
+        "reproduce_fig7c": [["reproduce", "--artifact=fig7c"]],
     }
+    for command in ("simulate", "server", "shard"):
+        cases["rejects_tiny_metrics_cadence_" + command] = [
+            [command, "--measure=100", "--metrics_every=1e-300",
+             "--metrics_csv=run.series.csv"]]
     failures = [
         ["frobnicate"],
         ["model", "--streams=abc"],
