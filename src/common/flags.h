@@ -20,7 +20,7 @@ namespace vod {
 /// \brief Declarative flag set: register flags, then Parse(argc, argv).
 ///
 /// Usage:
-///   FlagSet flags("ext_blocking");
+///   FlagSet flags("vodctl server");
 ///   flags.AddInt64("seed", 42, "base RNG seed");
 ///   flags.AddBool("csv", false, "emit CSV instead of an aligned table");
 ///   VOD_CHECK_OK(flags.Parse(argc, argv));

@@ -12,7 +12,7 @@
 // unlimited supply, which RunSimulation reports as mean_dedicated_streams.
 // Feed that into ErlangBlockingProbability / MinStreamsForBlocking to size
 // the reserve for a refusal target — the analytic counterpart of
-// bench/ext_blocking.
+// `vodctl reproduce --artifact=blocking`.
 
 #ifndef VOD_CORE_ERLANG_H_
 #define VOD_CORE_ERLANG_H_

@@ -29,14 +29,12 @@ int ResolveThreadCount(int requested, int64_t cells) {
   return std::max(threads, 1);
 }
 
-void AddExperimentFlags(FlagSet* flags, bool with_replications) {
+void AddExperimentFlags(FlagSet* flags) {
   flags->AddInt64("threads", 0,
                   "worker threads for the simulation sweep (0 = all cores, "
                   "1 = serial); results are identical for every value");
-  if (with_replications) {
-    flags->AddInt64("replications", 1,
-                    "independent replications per configuration");
-  }
+  flags->AddInt64("replications", 1,
+                  "independent replications per configuration");
 }
 
 std::string GridCellSpanName(int config_index, int replication) {
@@ -65,8 +63,7 @@ int64_t RecordGridCellDone(const GridObsOptions& obs, int64_t cells_done,
 
 Result<ExperimentOptions> ExperimentOptionsFromFlags(const FlagSet& flags,
                                                      uint64_t base_seed) {
-  const int64_t replications =
-      flags.Has("replications") ? flags.GetInt64("replications") : 1;
+  const int64_t replications = flags.GetInt64("replications");
   if (replications < 1 || replications > std::numeric_limits<int>::max()) {
     return Status::InvalidArgument(
         "--replications=" + std::to_string(replications) +

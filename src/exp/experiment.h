@@ -1,10 +1,10 @@
 // Parallel, deterministic experiment replication.
 //
 // Every validation artifact in this repo (the Figure-7 sweeps, the ablation
-// and extension benches, the model-vs-simulation test) runs a grid of
-// independent simulation cells: configurations × replications. This layer
-// fans those cells out over a fixed thread pool with a contract of
-// **bit-exact determinism independent of thread count**:
+// and extension rows of `vodctl reproduce`, the model-vs-simulation test)
+// runs a grid of independent simulation cells: configurations ×
+// replications. This layer fans those cells out over a fixed thread pool
+// with a contract of **bit-exact determinism independent of thread count**:
 //
 //   * each cell's RNG seed derives from its (config index, replication
 //     index) through the same SplitMix64 child-seed discipline the
@@ -69,13 +69,12 @@ struct CellContext {
 /// Effective worker count: resolves `auto`, never more threads than cells.
 int ResolveThreadCount(int requested, int64_t cells);
 
-/// Registers the standard experiment flags (`--threads`, and optionally
-/// `--replications`) on a bench/tool flag set.
-void AddExperimentFlags(FlagSet* flags, bool with_replications = false);
+/// Registers the standard experiment flags, `--threads` and
+/// `--replications`, on a tool's flag set.
+void AddExperimentFlags(FlagSet* flags);
 
-/// Reads the flags registered by AddExperimentFlags (a missing
-/// `--replications` flag yields 1). InvalidArgument when `--replications`
-/// is below 1 or beyond an int, or `--threads` is outside
+/// Reads the flags registered by AddExperimentFlags. InvalidArgument when
+/// `--replications` is below 1 or beyond an int, or `--threads` is outside
 /// [0, kMaxGridThreads].
 Result<ExperimentOptions> ExperimentOptionsFromFlags(const FlagSet& flags,
                                                      uint64_t base_seed);

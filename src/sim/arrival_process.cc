@@ -101,7 +101,8 @@ Result<FlashArrivals> FlashArrivals::Create(double base_rate_per_minute,
     return Status::InvalidArgument(
         "flash start must be non-negative and finite");
   }
-  // An infinite duration is a permanent step (bench/ext_drift's release).
+  // An infinite duration is a permanent step (the new release of
+  // `vodctl reproduce --artifact=drift`).
   if (!(duration_minutes > 0.0)) {
     return Status::InvalidArgument("flash duration must be positive");
   }

@@ -74,10 +74,11 @@ void FillReportFromMetrics(const SimulationMetrics& metrics, double horizon,
   report->simulated_minutes = horizon;
 }
 
-Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
-                                       const PlaybackRates& rates,
-                                       const SimulationOptions& options) {
-  // movie_id stays -1: single-movie trace records carry no movie index.
+namespace {
+
+/// The one world a simulation runs. movie_id stays -1: single-movie trace
+/// records carry no movie index.
+MovieWorldConfig SimulationWorld(const SimulationOptions& options) {
   MovieWorldConfig config;
   config.mean_interarrival_minutes = options.mean_interarrival_minutes;
   config.arrivals = options.arrivals;
@@ -85,14 +86,29 @@ Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
   config.stationary_start = options.stationary_start;
   config.piggyback = options.piggyback;
   config.patience = options.patience;
-  VOD_RETURN_IF_ERROR(ValidateMovieWorldInputs(rates, config));
+  return config;
+}
+
+}  // namespace
+
+Status ValidateSimulationInputs(const PlaybackRates& rates,
+                                const SimulationOptions& options) {
+  VOD_RETURN_IF_ERROR(
+      ValidateMovieWorldInputs(rates, SimulationWorld(options)));
   if (options.warmup_minutes < 0.0 || !(options.measurement_minutes > 0.0)) {
     return Status::InvalidArgument(
         "warmup must be >= 0 and measurement span positive");
   }
   if (options.audit.enabled) VOD_RETURN_IF_ERROR(options.audit.Validate());
-  VOD_RETURN_IF_ERROR(ValidateMetricCadence(
-      options.obs, options.warmup_minutes + options.measurement_minutes));
+  return ValidateMetricCadence(
+      options.obs, options.warmup_minutes + options.measurement_minutes);
+}
+
+Result<SimulationReport> RunSimulation(const PartitionLayout& layout,
+                                       const PlaybackRates& rates,
+                                       const SimulationOptions& options) {
+  VOD_RETURN_IF_ERROR(ValidateSimulationInputs(rates, options));
+  const MovieWorldConfig config = SimulationWorld(options);
 
   // A one-movie server run whose reserve never refuses: the paper's engine
   // measures the dedicated streams a workload pins, with no admission

@@ -128,6 +128,15 @@ struct SimulationReport {
   std::string ToString() const;
 };
 
+/// \brief Validates a simulation's rates and options before any simulation
+/// state is built: the viewer behavior, piggyback and arrival knobs, the
+/// horizon, the audit settings and the metric cadence. Each rejection is a
+/// one-line InvalidArgument. RunSimulation calls this itself; callers
+/// assembling options from user input (vodctl) can call it earlier, before
+/// they open any output file.
+Status ValidateSimulationInputs(const PlaybackRates& rates,
+                                const SimulationOptions& options);
+
 /// \brief Runs one simulation to completion: a one-movie server run
 /// (sim/server_driver.h) over a reserve that never refuses.
 ///

@@ -208,7 +208,7 @@ TEST(FlagsTest, ValueTextTellsEveryParsedValueApart) {
 
 TEST(FlagsDeathTest, DuplicateRegistrationAbortsLoudly) {
   // Registering the same name twice is always a programming error (e.g. a
-  // bench defining --threads and then calling AddExperimentFlags); it must
+  // command defining --threads and then calling AddExperimentFlags); it must
   // fail at startup with the offending name, not silently shadow a flag.
   EXPECT_DEATH(
       {

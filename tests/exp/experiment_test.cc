@@ -53,21 +53,16 @@ TEST(ResolveThreadCountTest, AutoResolvesToAtLeastOne) {
   EXPECT_EQ(ResolveThreadCount(0, 1), 1);
 }
 
-TEST(ExperimentFlagsTest, RegistersThreadsAndOptionallyReplications) {
-  FlagSet with_reps("t");
-  AddExperimentFlags(&with_reps, /*with_replications=*/true);
-  EXPECT_TRUE(with_reps.Has("threads"));
-  EXPECT_TRUE(with_reps.Has("replications"));
-
-  FlagSet without_reps("t");
-  AddExperimentFlags(&without_reps);
-  EXPECT_TRUE(without_reps.Has("threads"));
-  EXPECT_FALSE(without_reps.Has("replications"));
+TEST(ExperimentFlagsTest, RegistersThreadsAndReplications) {
+  FlagSet flags("t");
+  AddExperimentFlags(&flags);
+  EXPECT_TRUE(flags.Has("threads"));
+  EXPECT_TRUE(flags.Has("replications"));
 }
 
-TEST(ExperimentFlagsTest, OptionsFromFlagsReadBothShapes) {
+TEST(ExperimentFlagsTest, OptionsFromFlagsReadThreadsAndReplications) {
   FlagSet flags("t");
-  AddExperimentFlags(&flags, /*with_replications=*/true);
+  AddExperimentFlags(&flags);
   const char* argv[] = {"t", "--threads=3", "--replications=5"};
   ASSERT_TRUE(flags.Parse(3, const_cast<char**>(argv)).ok());
   const auto options = ExperimentOptionsFromFlags(flags, /*base_seed=*/99);
@@ -76,19 +71,10 @@ TEST(ExperimentFlagsTest, OptionsFromFlagsReadBothShapes) {
   EXPECT_EQ(options->replications, 5);
   EXPECT_EQ(options->base_seed, 99u);
 
-  FlagSet bare("t");
-  AddExperimentFlags(&bare);
-  const char* bare_argv[] = {"t"};
-  ASSERT_TRUE(bare.Parse(1, const_cast<char**>(bare_argv)).ok());
-  const auto bare_options = ExperimentOptionsFromFlags(bare, 7);
-  ASSERT_TRUE(bare_options.ok()) << bare_options.status().ToString();
-  EXPECT_EQ(bare_options->replications, 1);
-  EXPECT_EQ(bare_options->base_seed, 7u);
-
   // A replication count below 1 is a flag error, not an abort.
   for (const char* bad : {"--replications=0", "--replications=-3"}) {
     FlagSet rejected("t");
-    AddExperimentFlags(&rejected, /*with_replications=*/true);
+    AddExperimentFlags(&rejected);
     const char* bad_argv[] = {"t", bad};
     ASSERT_TRUE(rejected.Parse(2, const_cast<char**>(bad_argv)).ok());
     const auto status = ExperimentOptionsFromFlags(rejected, 7).status();

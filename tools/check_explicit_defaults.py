@@ -4,10 +4,11 @@
 Usage: check_explicit_defaults.py VODCTL
 
 For each scenario subcommand the script reads every flag's default from
-`VODCTL <command> --help`, then runs the command twice: once bare (with a
-small fixed --measure where the command takes one) and once with every
-other flag spelled out at its listed default. Both runs must exit 0 and
-print the same stdout. Exits 1 and names each command that differs.
+`VODCTL <command> --help`, then runs the command twice: once bare (with
+the FIXED values of the flags the command takes: a small --measure, and
+one fast reproduce row rather than all of them) and once with every other
+flag spelled out at its listed default. Both runs must exit 0 and print
+the same stdout. Exits 1 and names each command that differs.
 """
 
 import re
@@ -16,7 +17,7 @@ import sys
 
 COMMANDS = ["model", "size", "simulate", "server", "shard", "timeline",
             "reproduce"]
-FIXED = {"measure": "300"}
+FIXED = {"measure": "300", "artifact": "example2"}
 DEFAULT_LINE = re.compile(r"^  --(\w+)  \(default: (.*)\)$")
 
 

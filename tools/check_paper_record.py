@@ -1,23 +1,28 @@
 #!/usr/bin/env python3
-"""Checks the committed record of the paper's artifacts, and the numbers
+"""Checks the committed record of `vodctl reproduce`, and the numbers
 EXPERIMENTS.md quotes from it.
 
 Usage:
   check_paper_record.py record VODCTL RECORD
       Runs `VODCTL reproduce --csv` and compares its stdout with RECORD
-      byte for byte; on a mismatch prints a unified diff and exits 1.
-      Regenerate the record with
+      byte for byte; on a mismatch prints a unified diff and exits 1. A
+      row whose experiment checks a law makes vodctl exit 1, which fails
+      this too. Regenerate the record with
         build/tools/vodctl reproduce --csv > data/paper_artifacts.csv
   check_paper_record.py docs RECORD EXPERIMENTS_MD
-      Matches each paper number EXPERIMENTS.md quotes (the Fig 7 w = 1
-      table, Example 1's measured rows, Example 2's constants and the
-      stream counts of the Fig 9 table) to its artifact, row and column in
-      RECORD. Exits 1 naming each doc line whose number differs, and each
-      quoted table it cannot find.
+      Matches each number EXPERIMENTS.md quotes to its artifact in RECORD:
+      the Fig 7 w = 1 table, Example 1's measured rows, Example 2's
+      constants and the stream counts of the Fig 9 table by artifact, row
+      and column; the drift and sharded-ladder tables by row and column;
+      every number in an ablation or extension bullet (one that opens with
+      `--artifact=NAME`) and in the drift claims, as printed, somewhere in
+      that one artifact's output. Exits 1 naming each doc line whose number
+      differs, and each quoted group it cannot find.
 """
 
 import csv
 import difflib
+import itertools
 import re
 import subprocess
 import sys
@@ -26,7 +31,17 @@ import sys
 TITLES = [("fig7a", "Figure 7(a):"), ("fig7b", "Figure 7(b):"),
           ("fig7c", "Figure 7(c):"), ("fig7d", "Figure 7(d):"),
           ("fig8", "Figure 8:"), ("example1", "Example 1:"),
-          ("example2", "Example 2:"), ("fig9", "Figure 9:")]
+          ("example2", "Example 2:"), ("fig9", "Figure 9:"),
+          ("interactivity", "Ablation: measured P(hit) vs mean time"),
+          ("population", "Ablation: hit probability by issuing population"),
+          ("speed", "Ablation: P(hit) vs display speed"),
+          ("piggyback", "Extension: phase-2 piggyback merging"),
+          ("blocking", "Extension: shared VCR stream reserve"),
+          ("duration_shape", "Ablation: P(hit) across equal-mean"),
+          ("diurnal", "Extension: load dependence"),
+          ("abandonment", "Extension: abandonment skews"),
+          ("failures", "Extension: disk failures"),
+          ("drift", "Extension: popularity drift")]
 FIG7 = ["fig7a", "fig7b", "fig7c", "fig7d"]  # the doc table's column order
 # EXPERIMENTS.md's Example 1 row labels -> the sizing case's index.
 EXAMPLE1_ROWS = {"FF-only": 0, "Fig-7(d) mixed": 1}
@@ -34,6 +49,12 @@ EXAMPLE1_ROWS = {"FF-only": 0, "Fig-7(d) mixed": 1}
 EXAMPLE2_NAMES = {"C_b": "C_b ($/movie-minute)", "C_n": "C_n ($/stream)",
                   "streams/disk": "streams per disk",
                   "φ": "phi = C_b / C_n"}
+# A doc table's header start -> (artifact, which of its tables, key columns).
+# A key cell "1/4/8" names three record rows that must all match.
+DOC_TABLES = {"| scenario | mode |": ("drift", 0, ["scenario", "mode"]),
+              "| faults | shards |": ("failures", 1, ["faults", "shards"])}
+NUMBER = re.compile(r"\d+(?:\.\d+)?")
+BULLET = re.compile(r"^\* `--artifact=(\w+)`")
 
 
 def check_record(vodctl, record_path):
@@ -71,13 +92,14 @@ def sections(record_text):
 
 def tables(lines):
     """CSV tables in an artifact's lines, each a list of {header: cell}. A
-    table's header follows a blank or '---' line, and its rows (at least
-    one) run while they have the header's field count."""
+    table's header follows a blank, '---' or ':'-ended line, and its rows
+    (at least one) run while they have the header's field count."""
     parsed = []
     rows = list(csv.reader(lines))
     for i in range(1, len(rows)):
         if len(rows[i]) < 2 or (lines[i - 1] and
-                                not lines[i - 1].startswith("---")):
+                                not lines[i - 1].startswith("---") and
+                                not lines[i - 1].endswith(":")):
             continue
         table = []
         for row in rows[i + 1:]:
@@ -156,6 +178,38 @@ class DocCheck:
             self.expect("example2", lineno, "Example 2 " + name,
                         quoted.get(name), values[row])
 
+    def table_row(self, lineno, key, header, cells):
+        """A row of the DOC_TABLES table `key`, matched to its record rows
+        by the key columns and compared column by column (digit-group
+        spaces and bold dropped)."""
+        artifact, index, keys = DOC_TABLES[key]
+        record = tables(self.artifacts[artifact])[index]
+        columns = [c.strip() for c in header.strip().strip("|").split("|")]
+        quoted = dict(zip(columns, cells))
+        for combo in itertools.product(*(quoted[k].split("/") for k in keys)):
+            want = dict(zip(keys, combo))
+            rows = [r for r in record
+                    if all(r[k] == v for k, v in want.items())]
+            what = "%s %s" % (artifact, " ".join(combo))
+            if not rows:
+                self.failures.append("%s:%d: %s has no such row" %
+                                     (self.doc_path, lineno, what))
+                continue
+            for column in columns:
+                if column not in keys:
+                    self.expect(artifact + " table", lineno,
+                                "%s %s" % (what, column),
+                                quoted[column].replace(" ", ""),
+                                rows[0][column])
+
+    def prose(self, lineno, artifact, group, text):
+        """Each number in `text` (code spans dropped) must appear, exactly
+        as printed, in `artifact`'s own output."""
+        printed = set(NUMBER.findall("\n".join(self.artifacts[artifact])))
+        for number in NUMBER.findall(re.sub(r"`[^`]*`", "", text)):
+            self.expect(group, lineno, "%s prose number" % artifact, number,
+                        number if number in printed else "no " + number)
+
     def fig9(self, lineno, phi, streams):
         minima = dict(re.findall(r"^Figure 9\(.\): phi = (\d+) -> minimum "
                                  r"cost \d+ at (\d+) streams",
@@ -167,7 +221,9 @@ class DocCheck:
         missing = [key for key, _ in TITLES if key not in self.artifacts]
         if missing:
             return ["record: no output for " + ", ".join(missing)]
-        in_fig7 = False
+        in_fig7 = in_drift = False
+        doc_table = None  # (key, header line) of the DOC_TABLES table open
+        prose = None      # (artifact, group) of the bullet or claim open
         with open(self.doc_path, encoding="utf-8") as f:
             doc = f.read().splitlines()
         for lineno, line in enumerate(doc, 1):
@@ -179,6 +235,27 @@ class DocCheck:
                 in_fig7 = False
             elif in_fig7 and not line.startswith("|---"):
                 self.fig7(lineno, cells)
+            key = next((k for k in DOC_TABLES if line.startswith(k)), None)
+            if key:
+                doc_table = (key, line)
+            elif not line.startswith("|"):
+                doc_table = None
+            elif doc_table and not line.startswith("|---"):
+                self.table_row(lineno, *doc_table, cells)
+            if line.startswith("## "):
+                in_drift = line.startswith("## Popularity drift")
+            opened = BULLET.match(line)
+            claim = in_drift and re.match(r"\d\. ", line)
+            if opened:
+                prose = (opened.group(1), "extensions")
+                self.prose(lineno, *prose, line[opened.end():])
+            elif claim:
+                prose = ("drift", "drift claims")
+                self.prose(lineno, *prose, line[claim.end():])
+            elif prose and line.startswith("  ") and line.strip():
+                self.prose(lineno, *prose, line)
+            else:
+                prose = None
             if line.startswith("|") and cells[0] in EXAMPLE1_ROWS:
                 self.example1(lineno, cells[0], cells[1:])
             if line.startswith("Measured: **C_b = "):
@@ -189,7 +266,12 @@ class DocCheck:
         for group, want in (("fig7", "the Fig 7 w = 1 table"),
                             ("example1", "Example 1's measured rows"),
                             ("example2", "Example 2's measured line"),
-                            ("fig9", "the Fig 9 table's stream counts")):
+                            ("fig9", "the Fig 9 table's stream counts"),
+                            ("extensions", "the ablation and extension "
+                             "bullets"),
+                            ("drift table", "the drift table"),
+                            ("drift claims", "the drift claims"),
+                            ("failures table", "the sharded-ladder table")):
             if not self.checked.get(group):
                 self.failures.append("%s: found no number of %s" %
                                      (self.doc_path, want))

@@ -1,6 +1,7 @@
-// vodctl reproduce — the paper's eight evaluation artifacts from one table.
+// vodctl reproduce — the paper's eight evaluation artifacts and the ten
+// ablations and extensions (tools/reproduce_extensions.cc) from one table.
 //
-//   vodctl reproduce                          # all eight, DESIGN.md §4 order
+//   vodctl reproduce                          # all eighteen, DESIGN.md §4 order
 //   vodctl reproduce --artifact=fig7b --csv
 //
 // Each artifact runs at fixed constants: the paper's parameters, and ours
@@ -28,15 +29,16 @@
 #include "workload/paper_presets.h"
 
 namespace vod {
-namespace {
 
-void Render(const TableWriter& table, bool csv) {
+void RenderTable(const TableWriter& table, bool csv) {
   if (csv) {
     table.RenderCsv(std::cout);
   } else {
     table.RenderText(std::cout);
   }
 }
+
+namespace {
 
 // ---- Figure 7: model vs simulation over n, for several w (§4) -------------
 //
@@ -109,7 +111,7 @@ Status PrintFig7(const char* figure, const char* description,
                   FormatDouble(sim.hit_probability_in_partition_high, 4),
                   std::to_string(sim.in_partition_resumes)});
   }
-  Render(table, csv);
+  RenderTable(table, csv);
   return Status::OK();
 }
 
@@ -149,7 +151,7 @@ Status PrintFig8(bool csv) {
                     p >= spec.min_hit_probability ? "yes" : "no"});
     }
   }
-  Render(table, csv);
+  RenderTable(table, csv);
   return Status::OK();
 }
 
@@ -174,7 +176,7 @@ Status PrintExample1Case(const char* label,
                   std::to_string(choice.streams),
                   FormatDouble(choice.hit_probability, 4)});
   }
-  Render(table, csv);
+  RenderTable(table, csv);
   std::printf(
       "pure batching baseline : %4d streams, 0 buffer, P(hit) = 0\n"
       "sized allocation       : %4d streams, %.1f buffer-minutes\n"
@@ -240,7 +242,7 @@ Status PrintExample2(bool csv) {
   table.AddRow({"disks for its bandwidth",
                 std::to_string(disk_model.DisksForBandwidth(
                     sized.total_streams))});
-  Render(table, csv);
+  RenderTable(table, csv);
   return Status::OK();
 }
 
@@ -285,7 +287,7 @@ Status PrintFig9(bool csv) {
     }
   }
   std::printf("\n");
-  Render(table, csv);
+  RenderTable(table, csv);
   return Status::OK();
 }
 
@@ -293,11 +295,12 @@ Status PrintFig9(bool csv) {
 
 struct Artifact {
   const char* name;       ///< the --artifact value
-  const char* reference;  ///< where the paper has it
+  const char* reference;  ///< where the paper, or DESIGN.md §4, has it
   Status (*print)(bool csv);
 };
 
-/// DESIGN.md §4's order, which --artifact=all prints.
+/// DESIGN.md §4's order, which --artifact=all prints: the paper's artifacts,
+/// then the ablations and extensions.
 const Artifact kArtifacts[] = {
     {"fig7a", "Fig 7(a)",
      [](bool csv) {
@@ -328,6 +331,16 @@ const Artifact kArtifacts[] = {
     {"example1", "Example 1", PrintExample1},
     {"example2", "Example 2", PrintExample2},
     {"fig9", "Fig 9(a)-(f)", PrintFig9},
+    {"interactivity", "X1", PrintInteractivity},
+    {"population", "X2", PrintPopulation},
+    {"speed", "X3", PrintSpeed},
+    {"piggyback", "X4", PrintPiggyback},
+    {"blocking", "X5", PrintBlocking},
+    {"duration_shape", "X6", PrintDurationShape},
+    {"diurnal", "X7", PrintDiurnal},
+    {"abandonment", "X8", PrintAbandonment},
+    {"failures", "X9", PrintFailures},
+    {"drift", "X10", PrintDrift},
 };
 
 }  // namespace
@@ -339,7 +352,7 @@ Result<int> ReproduceCommand(int argc, char** argv) {
              ")";
   }
   FlagSet flags("vodctl reproduce");
-  flags.AddString("artifact", "all", "the paper artifact to print: " + names +
+  flags.AddString("artifact", "all", "the artifact to print: " + names +
                   "; all prints every one, in this order");
   flags.AddBool("csv", false, "CSV tables instead of aligned text");
   VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Times each paper artifact of `vodctl reproduce` in its own process.
+"""Times each artifact of `vodctl reproduce` in its own process.
 
 Usage: time_artifacts.py VODCTL [ROUNDS]
 
-Each round runs `VODCTL reproduce --artifact=NAME` once for each of the
-eight artifacts, in table order, so host drift spreads over all of them;
-ROUNDS defaults to 5. os.wait4 reads each child's wall time, CPU time
+Each round runs `VODCTL reproduce --artifact=NAME` once for each row of
+the artifact table (read from `VODCTL reproduce --help`), in table order,
+so host drift spreads over all of them; ROUNDS defaults to 5. os.wait4 reads each child's wall time, CPU time
 (user + system, all threads) and peak RSS. Prints a markdown table of the
 median and min-max per artifact, stamped with the git sha, the date, the
 build type, nproc and the load average before and after. Stdout of the
@@ -13,14 +13,22 @@ children is discarded: no timing enters the record.
 """
 
 import os
+import re
 import statistics
 import subprocess
 import sys
 import time
 
-ARTIFACTS = ["fig7a", "fig7b", "fig7c", "fig7d", "fig8", "example1",
-             "example2", "fig9"]
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def artifact_names(vodctl):
+    """The rows of the artifact table, in order, as --help lists them:
+    'all, fig7a (Fig 7(a)), ..., drift (X10); all prints ...'."""
+    help_text = subprocess.run([vodctl, "reproduce", "--help"],
+                               capture_output=True, text=True).stdout
+    listed = help_text.split("the artifact to print: ", 1)[1].split(";")[0]
+    return re.findall(r"(?:^|, )(\w+) \(", listed)
 
 
 def run_once(vodctl, artifact):
@@ -65,10 +73,11 @@ def main():
     sha = subprocess.run(["git", "-C", REPO, "describe", "--always",
                           "--dirty"], capture_output=True,
                          text=True).stdout.strip()
+    artifacts = artifact_names(vodctl)
     load_before = os.getloadavg()[0]
-    samples = dict((name, []) for name in ARTIFACTS)
+    samples = dict((name, []) for name in artifacts)
     for _ in range(rounds):
-        for name in ARTIFACTS:
+        for name in artifacts:
             samples[name].append(run_once(vodctl, name))
     print("sha %s, %s, %s build, nproc %d, 1-min load %.1f before, %.1f "
           "after, %d rounds, median (min–max)\n" % (
@@ -76,7 +85,7 @@ def main():
               os.cpu_count(), load_before, os.getloadavg()[0], rounds))
     print("| artifact | wall s | CPU s | peak RSS MiB |")
     print("|---|---|---|---|")
-    for name in ARTIFACTS:
+    for name in artifacts:
         wall, cpu, rss = zip(*samples[name])
         print("| %s | %s | %s | %s |" % (name, cell(wall, 2), cell(cpu, 2),
                                          cell(rss, 1)))

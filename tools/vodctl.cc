@@ -68,14 +68,6 @@
 namespace vod {
 namespace {
 
-void RenderTable(const TableWriter& table, bool csv) {
-  if (csv) {
-    table.RenderCsv(std::cout);
-  } else {
-    table.RenderText(std::cout);
-  }
-}
-
 Result<VcrMix> ParseMix(const std::string& text) {
   // "ff" | "rw" | "pau" | "mixed" | "pf,pr,pp"
   if (text == "ff") return VcrMix::Only(VcrOp::kFastForward);
@@ -200,7 +192,7 @@ void AddLadderFlags(FlagSet* flags) {
 
 /// Replicated sweeps and their crash recovery (simulate, server).
 void AddSweepFlags(FlagSet* flags) {
-  AddExperimentFlags(flags, /*with_replications=*/true);
+  AddExperimentFlags(flags);
   flags->AddString("checkpoint", "", "checkpoint file for multi-replication "
                    "sweeps: completed replications survive a crash");
   flags->AddInt64("checkpoint_every", 16,
@@ -269,6 +261,8 @@ Result<PartitionLayout> LayoutFromFlags(const FlagSet& flags) {
   return PartitionLayout::FromBuffer(length, streams, buffer);
 }
 
+/// Validated here, not only by the engines, so a refusal comes before any
+/// output file is opened.
 Result<VcrBehavior> BehaviorFromFlags(const FlagSet& flags) {
   VcrBehavior behavior;
   VOD_ASSIGN_OR_RETURN(const DistributionPtr duration,
@@ -276,6 +270,7 @@ Result<VcrBehavior> BehaviorFromFlags(const FlagSet& flags) {
   VOD_ASSIGN_OR_RETURN(behavior.mix, ParseMix(flags.GetString("mix")));
   behavior.durations = VcrDurations::AllSame(duration);
   behavior.interactivity = paper::DefaultInteractivity();
+  VOD_RETURN_IF_ERROR(behavior.Validate());
   return behavior;
 }
 
@@ -286,12 +281,14 @@ AuditOptions AuditFromFlags(const FlagSet& flags) {
   return audit;
 }
 
-PiggybackOptions PiggybackFromFlags(const FlagSet& flags) {
+/// Validated here for the same reason as BehaviorFromFlags.
+Result<PiggybackOptions> PiggybackFromFlags(const FlagSet& flags) {
   PiggybackOptions piggyback;
   if (flags.GetDouble("piggyback") > 0.0) {
     piggyback.enabled = true;
     piggyback.speed_delta = flags.GetDouble("piggyback");
   }
+  VOD_RETURN_IF_ERROR(piggyback.Validate());
   return piggyback;
 }
 
@@ -496,19 +493,19 @@ struct ObsCli {
   bool want_trace = false;
   bool want_metrics = false;
   bool want_profile = false;
-  std::string metrics_out, metrics_csv, profile_out;
+  std::string trace_out, metrics_out, metrics_csv, profile_out;
   double metrics_every = 0.0;
 
+  /// Reads the flags. It opens no file, so a command can still refuse its
+  /// inputs without truncating the paths it was given.
   Status Init(const FlagSet& flags) {
-    const std::string trace_path = flags.GetString("trace_out");
-    want_trace = !trace_path.empty();
+    trace_out = flags.GetString("trace_out");
+    want_trace = !trace_out.empty();
     if (want_trace) {
       VOD_ASSIGN_OR_RETURN(
           const uint32_t mask,
           ParseCategoryMask(flags.GetString("trace_categories")));
       event_log.set_mask(mask);
-      VOD_ASSIGN_OR_RETURN(trace_sink, JsonlSink::Open(trace_path));
-      event_log.AddSink(trace_sink.get());
     }
     metrics_out = flags.GetString("metrics_out");
     metrics_csv = flags.GetString("metrics_csv");
@@ -516,6 +513,14 @@ struct ObsCli {
     metrics_every = flags.GetDouble("metrics_every");
     profile_out = flags.GetString("profile_out");
     want_profile = !profile_out.empty();
+    return Status::OK();
+  }
+
+  /// Opens the trace file. Call it once the run's inputs have validated.
+  Status Open() {
+    if (!want_trace) return Status::OK();
+    VOD_ASSIGN_OR_RETURN(trace_sink, JsonlSink::Open(trace_out));
+    event_log.AddSink(trace_sink.get());
     return Status::OK();
   }
 
@@ -694,6 +699,15 @@ std::vector<std::string> AddKernelFlags(FlagSet* flags, bool server) {
   return scenario;
 }
 
+/// A sweep's crash-recovery settings (simulate, server).
+CheckpointOptions SweepCheckpoint(const FlagSet& flags) {
+  CheckpointOptions checkpoint;
+  checkpoint.path = flags.GetString("checkpoint");
+  checkpoint.checkpoint_every = flags.GetInt64("checkpoint_every");
+  checkpoint.resume = flags.GetBool("resume");
+  return checkpoint;
+}
+
 /// Runs --replications decorrelated cells of `run_cell` through the
 /// checkpointable grid runner `grid`. Each cell traces over its own bus into
 /// the shared (thread-safe) file sink: cells then never mutate each other's
@@ -708,13 +722,9 @@ Result<std::vector<Report>> RunSweep(
     const FlagSet& flags, const std::vector<std::string>& scenario,
     const ExperimentOptions& experiment, const Options& options, ObsCli* obs,
     RunCell run_cell) {
-  CheckpointOptions checkpoint;
-  checkpoint.path = flags.GetString("checkpoint");
-  checkpoint.checkpoint_every = flags.GetInt64("checkpoint_every");
-  checkpoint.resume = flags.GetBool("resume");
   VOD_ASSIGN_OR_RETURN(
       BasicCheckpointedGridResult<Report> result,
-      grid(/*num_configs=*/1, experiment, checkpoint,
+      grid(/*num_configs=*/1, experiment, SweepCheckpoint(flags),
            ScenarioFingerprint(flags, scenario),
            [&](const CellContext& context) {
              Options cell = options;
@@ -748,16 +758,24 @@ Result<int> SimulateCommand(int argc, char** argv) {
   options.measurement_minutes = flags.GetDouble("measure");
   options.warmup_minutes = options.measurement_minutes * 0.05;
   options.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
-  options.piggyback = PiggybackFromFlags(flags);
+  VOD_ASSIGN_OR_RETURN(options.piggyback, PiggybackFromFlags(flags));
   options.audit = AuditFromFlags(flags);
   ObsCli obs;
   VOD_RETURN_IF_ERROR(obs.Init(flags));
+  VOD_ASSIGN_OR_RETURN(const ExperimentOptions experiment,
+                       ExperimentOptionsFromFlags(flags, options.seed));
+  if (experiment.replications > 1) {
+    // The cells keep the default wiring (RunSweep adds a trace bus).
+    VOD_RETURN_IF_ERROR(SweepCheckpoint(flags).Validate());
+  } else {
+    options.obs = obs.RunOptions();
+  }
+  VOD_RETURN_IF_ERROR(ValidateSimulationInputs(paper::Rates(), options));
+  VOD_RETURN_IF_ERROR(obs.Open());
   const auto run = [&](const SimulationOptions& run_options) {
     return RunSimulation(layout, paper::Rates(), run_options);
   };
 
-  VOD_ASSIGN_OR_RETURN(const ExperimentOptions experiment,
-                       ExperimentOptionsFromFlags(flags, options.seed));
   if (experiment.replications > 1) {
     // R decorrelated replications, then the Student-t reduction.
     // (--replications=1 keeps the single run's own seed and its within-run
@@ -780,7 +798,6 @@ Result<int> SimulateCommand(int argc, char** argv) {
     return EmitReport(flags, out.str());
   }
 
-  options.obs = obs.RunOptions();
   VOD_ASSIGN_OR_RETURN(const SimulationReport report, [&] {
     PhaseProfiler::Scope span(obs.want_profile ? &obs.profiler : nullptr,
                               "simulation");
@@ -811,15 +828,23 @@ Result<int> ServerCommand(int argc, char** argv) {
   std::vector<ServerMovieSpec> movies;
   ServerOptions options;
   VOD_RETURN_IF_ERROR(ServerFromFlags(flags, &movies, &options));
-  options.piggyback = PiggybackFromFlags(flags);
+  VOD_ASSIGN_OR_RETURN(options.piggyback, PiggybackFromFlags(flags));
   ObsCli obs;
   VOD_RETURN_IF_ERROR(obs.Init(flags));
+  VOD_ASSIGN_OR_RETURN(const ExperimentOptions experiment,
+                       ExperimentOptionsFromFlags(flags, options.seed));
+  if (experiment.replications > 1) {
+    // The cells keep the default wiring (RunSweep adds a trace bus).
+    VOD_RETURN_IF_ERROR(SweepCheckpoint(flags).Validate());
+  } else {
+    options.obs = obs.RunOptions();
+  }
+  VOD_RETURN_IF_ERROR(ValidateServerInputs(movies, options));
+  VOD_RETURN_IF_ERROR(obs.Open());
   const auto run = [&](const ServerOptions& run_options) {
     return RunServerSimulation(movies, run_options);
   };
 
-  VOD_ASSIGN_OR_RETURN(const ExperimentOptions experiment,
-                       ExperimentOptionsFromFlags(flags, options.seed));
   if (experiment.replications > 1) {
     // Each cell is a whole-server run, and the checkpoint carries full
     // ServerReports: resilience transitions and the controller block too.
@@ -833,7 +858,6 @@ Result<int> ServerCommand(int argc, char** argv) {
     return EmitReport(flags, out.str());
   }
 
-  options.obs = obs.RunOptions();
   VOD_ASSIGN_OR_RETURN(const ServerReport report, [&] {
     PhaseProfiler::Scope span(obs.want_profile ? &obs.profiler : nullptr,
                               "server_simulation");
@@ -886,6 +910,8 @@ Result<int> ShardCommand(int argc, char** argv) {
   options.postmortem.windows = flags.GetInt64("postmortem_windows");
   options.postmortem.events_per_shard = flags.GetInt64("postmortem_events");
   options.corrupt_audit_window = flags.GetInt64("corrupt_window");
+  VOD_RETURN_IF_ERROR(ValidateShardedInputs(movies, options));
+  VOD_RETURN_IF_ERROR(obs.Open());
 
   const auto report = [&] {
     PhaseProfiler::Scope span(obs.want_profile ? &obs.profiler : nullptr,
@@ -893,9 +919,10 @@ Result<int> ShardCommand(int argc, char** argv) {
     return RunShardedServerSimulation(movies, options);
   }();
   if (!report.ok()) {
-    // Flush partial telemetry first: the failure modes this engine reports
-    // (audit violations, replay-verify rejections) are exactly the ones the
-    // trace, metrics, and postmortem bundle exist to explain.
+    // Flush partial telemetry first: the failures left once the inputs
+    // have validated (audit violations, replay-verify rejections) are
+    // exactly the ones the trace, metrics, and postmortem bundle exist to
+    // explain.
     (void)obs.Finish();
     return report.status();
   }
