@@ -12,12 +12,17 @@ namespace {
 
 /// The PAU tables double past l at most this often (see Create).
 constexpr int kMaxTailDoublings = 24;
+/// Cells per duration table on [0, l]; an eighth of that per PAU tail
+/// segment.
+constexpr int kTableCells = 4096;
+/// Hit windows beyond the (1 − kTailEpsilon) duration quantile are ignored.
+constexpr double kTailEpsilon = 1e-10;
 
 }  // namespace
 
 Result<CompiledDuration> CompiledDuration::Create(
-    DistributionPtr duration, double movie_length, int table_cells,
-    double tail_epsilon, DistributionPtr position_density) {
+    DistributionPtr duration, double movie_length,
+    DistributionPtr position_density) {
   if (duration == nullptr) {
     return Status::InvalidArgument("duration distribution is null");
   }
@@ -27,12 +32,6 @@ Result<CompiledDuration> CompiledDuration::Create(
   if (duration->SupportLower() < 0.0) {
     return Status::InvalidArgument(
         "VCR durations must be non-negative (support lower bound < 0)");
-  }
-  if (table_cells < 16) {
-    return Status::InvalidArgument("table_cells must be at least 16");
-  }
-  if (!(tail_epsilon > 0.0 && tail_epsilon < 0.5)) {
-    return Status::InvalidArgument("tail_epsilon must be in (0, 0.5)");
   }
   if (position_density != nullptr &&
       (position_density->SupportLower() < -1e-9 ||
@@ -51,7 +50,7 @@ Result<CompiledDuration> CompiledDuration::Create(
       std::isfinite(duration->SupportUpper())) {
     compiled.tail_quantile_ = duration->SupportUpper();
   } else {
-    compiled.tail_quantile_ = duration->Quantile(1.0 - tail_epsilon);
+    compiled.tail_quantile_ = duration->Quantile(1.0 - kTailEpsilon);
   }
 
   // PAU has no clip: ∫(1 − F) on [0, l] first. That table's samples are the
@@ -60,7 +59,7 @@ Result<CompiledDuration> CompiledDuration::Create(
   auto pause = std::make_shared<std::vector<TabulatedAntiderivative>>();
   pause->emplace_back(
       [&duration](double x) { return 1.0 - duration->Cdf(x); }, 0.0, l,
-      table_cells);
+      kTableCells);
   compiled.survival_pause_ = pause;
   const TabulatedAntiderivative& head = pause->front();
   const std::vector<double>& survival = head.samples();
@@ -119,14 +118,13 @@ Result<CompiledDuration> CompiledDuration::Create(
   // cells: S <= 1 − F(l) there and flattens as it decays. Past
   // kMaxTailDoublings every PAU query exceeds the window cap (T <= l), so no
   // accepted query reads beyond the tables.
-  const int tail_cells = std::max(table_cells / 8, 1);
   for (int k = 1; k <= kMaxTailDoublings &&
                   pause->back().upper() < compiled.tail_quantile_;
        ++k) {
     const double lo = pause->back().upper();
     pause->emplace_back(
         [&duration](double x) { return 1.0 - duration->Cdf(x); }, lo,
-        2.0 * lo, tail_cells);
+        2.0 * lo, kTableCells / 8);
   }
   return compiled;
 }
@@ -287,8 +285,6 @@ Result<HitProbabilityBreakdown> AnalyticHitModel::Breakdown(
   VOD_ASSIGN_OR_RETURN(
       const CompiledDuration compiled,
       CompiledDuration::Create(std::move(duration), layout_.movie_length(),
-                               options_.cdf_table_cells,
-                               options_.tail_epsilon,
                                options_.position_density));
   return Breakdown(op, compiled);
 }

@@ -98,14 +98,10 @@ struct HitProbabilityBreakdown {
 class CompiledDuration {
  public:
   /// \param movie_length  l; the tables cover [0, l].
-  /// \param table_cells   cells per table on [0, l] (an eighth of that per
-  ///                      PAU tail segment).
-  /// \param tail_epsilon  hit windows beyond the (1 − tail_epsilon) duration
-  ///                      quantile are ignored.
   /// \param position_density  V_c density q on [0, l]; null = uniform.
   static Result<CompiledDuration> Create(
-      DistributionPtr duration, double movie_length, int table_cells = 4096,
-      double tail_epsilon = 1e-10, DistributionPtr position_density = nullptr);
+      DistributionPtr duration, double movie_length,
+      DistributionPtr position_density = nullptr);
 
   double Cdf(double x) const { return duration_->Cdf(x); }
 
@@ -166,10 +162,6 @@ class CompiledDuration {
 
 /// Tuning knobs of AnalyticHitModel.
 struct HitModelOptions {
-  /// Cells of the duration tables (when compiling on the fly).
-  int cdf_table_cells = 4096;
-  /// Tail cut for hit-window enumeration.
-  double tail_epsilon = 1e-10;
   /// Include P(end) in FF results (paper Eq. 21 does). Setting this false
   /// isolates the pure in-buffer hit probability.
   bool include_end_release = true;

@@ -70,8 +70,6 @@ Result<CompiledSpecDurations> CompileSpecDurations(
     VOD_ASSIGN_OR_RETURN(
         CompiledDuration compiled,
         CompiledDuration::Create(dists[i], spec.length_minutes,
-                                 options.cdf_table_cells,
-                                 options.tail_epsilon,
                                  options.position_density));
     out.per_op[i].emplace(std::move(compiled));
   }

@@ -26,9 +26,6 @@ Status ControllerOptions::Validate() const {
     return Status::InvalidArgument(
         "controller min_replan_gap_minutes must be non-negative");
   }
-  VOD_RETURN_IF_ERROR(estimator.Validate());
-  VOD_RETURN_IF_ERROR(planner.Validate());
-  VOD_RETURN_IF_ERROR(migration.Validate());
   return Status::OK();
 }
 
@@ -99,8 +96,7 @@ void Controller::Start(double t0) {
     const double rate = movies_[i].config.baseline_rate;
     committed_.solved_rates.push_back(rate);
     baselines.push_back(rate);
-    movies_[i].estimator = std::make_unique<RateEstimator>(
-        options_.estimator, rate, t0);
+    movies_[i].estimator = std::make_unique<RateEstimator>(rate, t0);
   }
   // Resource slack granted beyond the sum of the initial layouts.
   constexpr int64_t kExtraStreamSlack = 0;
@@ -108,8 +104,8 @@ void Controller::Start(double t0) {
   stream_budget_ = live_streams + kExtraStreamSlack;
   buffer_budget_ = live_buffer + kExtraBufferSlack;
   engine_ = std::make_unique<MigrationEngine>(
-      options_.migration, stream_budget_, buffer_budget_, kExtraStreamSlack,
-      kExtraBufferSlack, log_);
+      stream_budget_, buffer_budget_, kExtraStreamSlack, kExtraBufferSlack,
+      log_);
   policy_->Configure(baselines, t0);
 }
 
@@ -190,8 +186,7 @@ void Controller::Replan(double t) {
     pm.max_buffer_fraction = kMaxBufferFraction;
     inputs.push_back(pm);
   }
-  auto solved =
-      SolvePlan(inputs, stream_budget_, buffer_budget_, options_.planner);
+  auto solved = SolvePlan(inputs, stream_budget_, buffer_budget_);
   if (!solved.ok()) return;  // infeasible budgets: keep the committed plan
   ++plans_solved_;
   EmitEvent(t, ControllerEvent::kReplan, -1, epoch_ + 1, solved->objective);

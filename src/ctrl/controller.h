@@ -60,10 +60,6 @@ struct ControllerOptions {
   /// Migration rate limit: a new migration starts at most this often.
   double min_replan_gap_minutes = 30.0;
 
-  RateEstimatorOptions estimator;
-  PlannerOptions planner;
-  MigrationOptions migration;
-
   Status Validate() const;
 };
 

@@ -1,7 +1,6 @@
 #include "ctrl/migration.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -12,33 +11,21 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // Buffer-minute dust tolerance; mirrors the audit epsilon.
 constexpr double kBufferEps = 1e-9;
+// Extra drain margin added to the old enrollment window before freed
+// resources land in the pool.
+constexpr double kDrainSlackMinutes = 1.0;
+// Blocked-step backoff: initial delay, growth factor and cap.
+constexpr double kBackoffInitialMinutes = 2.0;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffMaxMinutes = 30.0;
+// Quiet period after a rollback before the next migration may start.
+constexpr double kRollbackCooldownMinutes = 60.0;
 
 bool SameLayout(const PartitionLayout& a, const PartitionLayout& b) {
   return a.streams() == b.streams() &&
          a.buffer_minutes() == b.buffer_minutes();
 }
 }  // namespace
-
-Status MigrationOptions::Validate() const {
-  if (!(drain_slack_minutes >= 0.0) || !std::isfinite(drain_slack_minutes)) {
-    return Status::InvalidArgument(
-        "migration drain_slack_minutes must be finite and non-negative");
-  }
-  if (!(backoff_initial_minutes > 0.0) || !(backoff_factor >= 1.0) ||
-      !(backoff_max_minutes >= backoff_initial_minutes)) {
-    return Status::InvalidArgument(
-        "migration backoff must have positive initial delay, factor >= 1, "
-        "and cap >= initial");
-  }
-  if (max_retries < 0) {
-    return Status::InvalidArgument("migration max_retries must be >= 0");
-  }
-  if (!(rollback_cooldown_minutes >= 0.0)) {
-    return Status::InvalidArgument(
-        "migration rollback_cooldown_minutes must be non-negative");
-  }
-  return Status::OK();
-}
 
 std::vector<MigrationStep> BuildMigrationSteps(
     const std::vector<PartitionLayout>& current,
@@ -75,12 +62,10 @@ std::vector<MigrationStep> BuildMigrationSteps(
   return steps;
 }
 
-MigrationEngine::MigrationEngine(const MigrationOptions& options,
-                                 int64_t stream_budget, double buffer_budget,
+MigrationEngine::MigrationEngine(int64_t stream_budget, double buffer_budget,
                                  int64_t free_streams, double free_buffer,
                                  EventLog* log)
-    : options_(options),
-      stream_budget_(stream_budget),
+    : stream_budget_(stream_budget),
       buffer_budget_(buffer_budget),
       free_streams_(free_streams),
       free_buffer_(free_buffer),
@@ -136,12 +121,12 @@ void MigrationEngine::Land(double t) {
 }
 
 double MigrationEngine::BackoffDelay() const {
-  double delay = options_.backoff_initial_minutes;
+  double delay = kBackoffInitialMinutes;
   for (int i = 1; i < retries_; ++i) {
-    delay *= options_.backoff_factor;
-    if (delay >= options_.backoff_max_minutes) break;
+    delay *= kBackoffFactor;
+    if (delay >= kBackoffMaxMinutes) break;
   }
-  return std::min(delay, options_.backoff_max_minutes);
+  return std::min(delay, kBackoffMaxMinutes);
 }
 
 double MigrationEngine::Advance(double t, ControllerHost* host) {
@@ -163,7 +148,7 @@ double MigrationEngine::Advance(double t, ControllerHost* host) {
         ++blocked_attempts_;
         EmitEvent(t, ControllerEvent::kBlocked, step.movie, epoch_,
                   static_cast<double>(retries_), /*aux=*/1);
-        if (retries_ > options_.max_retries) {
+        if (retries_ > kMigrationMaxRetries) {
           Rollback(t, host);
           return kInf;
         }
@@ -176,8 +161,7 @@ double MigrationEngine::Advance(double t, ControllerHost* host) {
       if (freed_streams > 0 || freed_buffer > kBufferEps) {
         // The old window keeps serving already-enrolled viewers until the
         // schedule's last pre-commit restart drains past it.
-        const double ready =
-            t + step.from.window() + options_.drain_slack_minutes;
+        const double ready = t + step.from.window() + kDrainSlackMinutes;
         inflight_.push_back(Landing{migrations_started_, next_step_, ready,
                                     freed_streams, freed_buffer});
       }
@@ -211,7 +195,7 @@ double MigrationEngine::Advance(double t, ControllerHost* host) {
         ++blocked_attempts_;
         EmitEvent(t, ControllerEvent::kBlocked, step.movie, epoch_,
                   static_cast<double>(retries_), /*aux=*/0);
-        if (retries_ > options_.max_retries) {
+        if (retries_ > kMigrationMaxRetries) {
           Rollback(t, host);
           return kInf;
         }
@@ -286,7 +270,7 @@ void MigrationEngine::Rollback(double t, ControllerHost* host) {
   in_flight_ = false;
   outcome_ = Outcome::kRolledBack;
   ++rollbacks_;
-  cooldown_until_ = t + options_.rollback_cooldown_minutes;
+  cooldown_until_ = t + kRollbackCooldownMinutes;
   EmitEvent(t, ControllerEvent::kRollback, -1, epoch_, unwound);
 }
 

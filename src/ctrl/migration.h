@@ -38,30 +38,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "core/partition_layout.h"
 #include "ctrl/host.h"
 #include "obs/event_log.h"
 
 namespace vod {
 
-/// Migration engine knobs.
-struct MigrationOptions {
-  /// Extra drain margin added to the old enrollment window before freed
-  /// resources land in the pool.
-  double drain_slack_minutes = 1.0;
-  /// Blocked-step backoff: initial delay, growth factor, cap, and how many
-  /// consecutive blocked attempts a single step tolerates before the
-  /// migration rolls back.
-  double backoff_initial_minutes = 2.0;
-  double backoff_factor = 2.0;
-  double backoff_max_minutes = 30.0;
-  int max_retries = 5;
-  /// Quiet period after a rollback before the next migration may start.
-  double rollback_cooldown_minutes = 60.0;
-
-  Status Validate() const;
-};
+/// Consecutive blocked attempts a single step tolerates before the
+/// migration rolls back.
+inline constexpr int kMigrationMaxRetries = 5;
 
 /// One staged layout change for one movie.
 struct MigrationStep {
@@ -89,9 +74,8 @@ class MigrationEngine {
   /// live layout at construction time (budget - sum of initial layouts).
   /// `log` is optional telemetry (kController events) and must outlive the
   /// engine when set.
-  MigrationEngine(const MigrationOptions& options, int64_t stream_budget,
-                  double buffer_budget, int64_t free_streams,
-                  double free_buffer, EventLog* log);
+  MigrationEngine(int64_t stream_budget, double buffer_budget,
+                  int64_t free_streams, double free_buffer, EventLog* log);
 
   /// Starts a migration at time t. Returns false (and does nothing) when
   /// `steps` is empty, a migration is already in flight, or the rollback
@@ -148,7 +132,6 @@ class MigrationEngine {
   double BackoffDelay() const;
   void Rollback(double t, ControllerHost* host);
 
-  MigrationOptions options_;
   int64_t stream_budget_;
   double buffer_budget_;
   int64_t free_streams_;

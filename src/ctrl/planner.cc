@@ -9,18 +9,6 @@
 
 namespace vod {
 
-Status PlannerOptions::Validate() const {
-  if (mu_grid_points < 2) {
-    return Status::InvalidArgument("planner mu_grid_points must be >= 2");
-  }
-  if (!(buffer_quantum_minutes > 0.0) ||
-      !std::isfinite(buffer_quantum_minutes)) {
-    return Status::InvalidArgument(
-        "planner buffer_quantum_minutes must be finite and positive");
-  }
-  return Status::OK();
-}
-
 bool BufferPlan::SameAllocation(const BufferPlan& other) const {
   if (movies.size() != other.movies.size()) return false;
   for (size_t i = 0; i < movies.size(); ++i) {
@@ -38,8 +26,9 @@ namespace {
 
 // Snaps a buffer down to the quantum grid; never rounds up, so a feasible
 // water-fill stays within the budget after quantization.
-double Quantize(double buffer, double quantum) {
-  return std::floor(buffer / quantum + 1e-9) * quantum;
+double Quantize(double buffer) {
+  return std::floor(buffer / kPlannerBufferQuantumMinutes + 1e-9) *
+         kPlannerBufferQuantumMinutes;
 }
 
 // Expected admission-wait contribution of one movie:
@@ -60,8 +49,7 @@ struct InnerSolution {
 // non-increasing in nu, so the binding nu is a monotone threshold.
 InnerSolution SolveBuffers(const std::vector<PlannerMovie>& movies,
                            const std::vector<int>& streams,
-                           double buffer_budget,
-                           const PlannerOptions& options) {
+                           double buffer_budget) {
   const size_t k = movies.size();
   auto buffers_at = [&](double nu) {
     std::vector<double> b(k);
@@ -94,7 +82,7 @@ InnerSolution SolveBuffers(const std::vector<PlannerMovie>& movies,
   InnerSolution sol;
   sol.buffers = buffers_at(nu);
   for (size_t i = 0; i < k; ++i) {
-    sol.buffers[i] = Quantize(sol.buffers[i], options.buffer_quantum_minutes);
+    sol.buffers[i] = Quantize(sol.buffers[i]);
     sol.objective += MovieObjective(movies[i], streams[i], sol.buffers[i]);
   }
   return sol;
@@ -176,9 +164,7 @@ void RepairToBudget(const std::vector<PlannerMovie>& movies, int64_t budget,
 }  // namespace
 
 Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
-                             int64_t stream_budget, double buffer_budget,
-                             const PlannerOptions& options) {
-  VOD_RETURN_IF_ERROR(options.Validate());
+                             int64_t stream_budget, double buffer_budget) {
   if (movies.empty()) {
     return Status::InvalidArgument("planner needs at least one movie");
   }
@@ -234,16 +220,15 @@ Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
     if (n == last_start) return last_objective;
     last_start = n;
     RepairToBudget(movies, stream_budget, &n);
-    last_objective = SolveBuffers(movies, n, buffer_budget, options).objective;
+    last_objective = SolveBuffers(movies, n, buffer_budget).objective;
     return last_objective;
   };
   const Minimum best = GridMinimize(eval, std::log(mu_lo), std::log(mu_hi),
-                                    options.mu_grid_points);
+                                    kPlannerMuGridPoints);
 
   std::vector<int> n = RoundedStreams(movies, std::exp(best.x));
   RepairToBudget(movies, stream_budget, &n);
-  const InnerSolution inner =
-      SolveBuffers(movies, n, buffer_budget, options);
+  const InnerSolution inner = SolveBuffers(movies, n, buffer_budget);
 
   BufferPlan plan;
   plan.movies.resize(movies.size());

@@ -44,15 +44,10 @@ struct PlannerMovie {
   double max_buffer_fraction = 0.9;
 };
 
-/// Planner knobs.
-struct PlannerOptions {
-  /// Outer water-level grid resolution (log-spaced samples).
-  int mu_grid_points = 48;
-  /// Buffer quantum in minutes; plans snap to it (hysteresis support).
-  double buffer_quantum_minutes = 0.25;
-
-  Status Validate() const;
-};
+/// Outer water-level grid resolution (log-spaced samples).
+inline constexpr int kPlannerMuGridPoints = 48;
+/// Buffer quantum in minutes; plans snap to it (hysteresis support).
+inline constexpr double kPlannerBufferQuantumMinutes = 0.25;
 
 /// One movie's allocation in a plan.
 struct MoviePlanEntry {
@@ -78,8 +73,7 @@ struct BufferPlan {
 /// \brief Solves the constrained allocation. Requires sum min_streams <= N
 /// and non-negative budgets; every rate must be positive and finite.
 Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
-                             int64_t stream_budget, double buffer_budget,
-                             const PlannerOptions& options = {});
+                             int64_t stream_budget, double buffer_budget);
 
 /// Builds the PartitionLayout for one plan entry (clamping B into [0, l]).
 Result<PartitionLayout> LayoutForEntry(double movie_length,

@@ -7,33 +7,30 @@
 
 namespace vod {
 
-Status RateEstimatorOptions::Validate() const {
-  if (!(ewma_tau_minutes > 0.0) || !std::isfinite(ewma_tau_minutes)) {
-    return Status::InvalidArgument(
-        "estimator ewma_tau_minutes must be finite and positive");
-  }
-  if (!(ph_delta_sigma >= 0.0) || !(ph_threshold_sigma > 0.0)) {
-    return Status::InvalidArgument(
-        "estimator Page-Hinkley parameters must be non-negative "
-        "(threshold positive)");
-  }
-  return Status::OK();
-}
-
 namespace {
+// Filter time constant tau in minutes: arrivals older than ~tau stop
+// mattering, and a silent movie's estimate decays on the same horizon.
+constexpr double kTauMinutes = 120.0;
+// Page–Hinkley drift tolerance, in units of the noise floor sigma_r.
+constexpr double kPhDeltaSigma = 0.5;
+// Page–Hinkley alarm threshold, in units of sigma_r. Sized for the
+// detector's tau-spaced samples, which still carry ~e^-1 autocorrelation
+// (≈1.5x noise inflation): 20 sigma puts the stationary false-alarm ARL
+// in the tens of thousands of samples while a flash crowd's residual
+// (several sigma *per sample*) crosses within a couple of taus.
+constexpr double kPhThresholdSigma = 20.0;
+
 // sigma_r for the normalized shot-noise estimate at rate lambda: stationary
 // variance lambda/(2*tau) gives relative std 1/sqrt(2*lambda*tau).
-double NoiseFloor(double baseline, double tau) {
-  const double effective = std::max(2.0 * baseline * tau, 1.0);
+double NoiseFloor(double baseline) {
+  const double effective = std::max(2.0 * baseline * kTauMinutes, 1.0);
   return 1.0 / std::sqrt(effective);
 }
 }  // namespace
 
-RateEstimator::RateEstimator(const RateEstimatorOptions& options,
-                             double baseline_rate, double t0)
-    : options_(options),
-      baseline_(baseline_rate),
-      sigma_(NoiseFloor(baseline_rate, options.ewma_tau_minutes)),
+RateEstimator::RateEstimator(double baseline_rate, double t0)
+    : baseline_(baseline_rate),
+      sigma_(NoiseFloor(baseline_rate)),
       rate_(baseline_rate),
       last_arrival_(t0),
       last_ph_sample_(t0) {
@@ -41,7 +38,7 @@ RateEstimator::RateEstimator(const RateEstimatorOptions& options,
 }
 
 void RateEstimator::Observe(double t) {
-  const double tau = options_.ewma_tau_minutes;
+  const double tau = kTauMinutes;
   const double gap = std::max(t - last_arrival_, 0.0);
   // Shot-noise filter: decay the running intensity, then add this arrival's
   // kernel mass. Stationary mean is exactly lambda for Poisson input — the
@@ -61,8 +58,8 @@ void RateEstimator::Observe(double t) {
   if (t - last_ph_sample_ < tau) return;
   last_ph_sample_ = t;
   const double residual = (pre - baseline_) / baseline_;
-  const double delta = options_.ph_delta_sigma * sigma_;
-  const double threshold = options_.ph_threshold_sigma * sigma_;
+  const double delta = kPhDeltaSigma * sigma_;
+  const double threshold = kPhThresholdSigma * sigma_;
   ph_up_ = std::max(0.0, ph_up_ + residual - delta);
   ph_down_ = std::max(0.0, ph_down_ - residual - delta);
   if (ph_up_ > threshold || ph_down_ > threshold) alarm_ = true;
@@ -70,13 +67,13 @@ void RateEstimator::Observe(double t) {
 
 double RateEstimator::RateAt(double t) const {
   const double silence = std::max(t - last_arrival_, 0.0);
-  return rate_ * std::exp(-silence / options_.ewma_tau_minutes);
+  return rate_ * std::exp(-silence / kTauMinutes);
 }
 
 void RateEstimator::Rebase(double new_baseline) {
   VOD_CHECK(new_baseline > 0.0);
   baseline_ = new_baseline;
-  sigma_ = NoiseFloor(new_baseline, options_.ewma_tau_minutes);
+  sigma_ = NoiseFloor(new_baseline);
   ph_up_ = 0.0;
   ph_down_ = 0.0;
   alarm_ = false;

@@ -23,26 +23,7 @@
 
 #include <cstdint>
 
-#include "common/status.h"
-
 namespace vod {
-
-/// Estimator knobs, shared by every movie's estimator.
-struct RateEstimatorOptions {
-  /// Filter time constant in minutes: arrivals older than ~tau stop
-  /// mattering, and a silent movie's estimate decays on the same horizon.
-  double ewma_tau_minutes = 120.0;
-  /// Page–Hinkley drift tolerance, in units of the noise floor sigma_r.
-  double ph_delta_sigma = 0.5;
-  /// Page–Hinkley alarm threshold, in units of sigma_r. Sized for the
-  /// detector's tau-spaced samples, which still carry ~e^-1 autocorrelation
-  /// (≈1.5x noise inflation): 20 sigma puts the stationary false-alarm ARL
-  /// in the tens of thousands of samples while a flash crowd's residual
-  /// (several sigma *per sample*) crosses within a couple of taus.
-  double ph_threshold_sigma = 20.0;
-
-  Status Validate() const;
-};
 
 /// \brief One movie's shot-noise rate tracker + Page–Hinkley drift detector.
 class RateEstimator {
@@ -50,8 +31,7 @@ class RateEstimator {
   /// `baseline_rate` is lambda_0 (arrivals/minute), the rate the committed
   /// plan was solved for; the filter is initialized to it so the estimator
   /// starts unbiased. `t0` is the observation start time.
-  RateEstimator(const RateEstimatorOptions& options, double baseline_rate,
-                double t0);
+  RateEstimator(double baseline_rate, double t0);
 
   /// Records an arrival at time t (non-decreasing across calls).
   void Observe(double t);
@@ -76,7 +56,6 @@ class RateEstimator {
   int64_t observations() const { return observations_; }
 
  private:
-  RateEstimatorOptions options_;
   double baseline_;  ///< lambda_0 the detector measures drift against
   double sigma_;     ///< noise floor at the current baseline
   double rate_;      ///< shot-noise intensity estimate as of last_arrival_

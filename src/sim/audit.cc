@@ -9,6 +9,8 @@ namespace vod {
 namespace {
 // Slack for divisible (double) buffer accounting; stream counts are exact.
 constexpr double kBufferEps = 1e-9;
+// Recently executed events kept for the violation diagnostic.
+constexpr size_t kTraceTail = 16;
 }  // namespace
 
 AuditSnapshot::MovieBuffers BuildMovieAuditBuffers(
@@ -29,20 +31,15 @@ Status AuditOptions::Validate() const {
     return Status::InvalidArgument("audit.every_events must be >= 1, got " +
                                    std::to_string(every_events));
   }
-  if (trace_tail < 0) {
-    return Status::InvalidArgument("audit.trace_tail must be >= 0");
-  }
   return Status::OK();
 }
 
 InvariantAuditor::InvariantAuditor(const AuditOptions& options)
-    : options_(options),
-      recent_(static_cast<size_t>(std::max(options.trace_tail, 0))) {}
+    : options_(options), recent_(kTraceTail) {}
 
 void InvariantAuditor::RecordEvent(double t) {
   ++events_seen_;
   ++events_since_audit_;
-  if (options_.trace_tail <= 0) return;
   TraceEvent event;
   event.time = t;
   event.category = EventCategory::kTick;

@@ -66,8 +66,6 @@ struct AuditOptions {
   /// Executed events between full invariant sweeps; 1 = check after every
   /// event (paranoid mode).
   int64_t every_events = 1024;
-  /// Recently executed events kept for the violation diagnostic.
-  int trace_tail = 16;
 
   Status Validate() const;
 };

@@ -26,50 +26,33 @@ Status DegradationPolicy::Validate() const {
   if (queue_deadline_minutes < 0.0) {
     return Status::InvalidArgument("queue deadline must be non-negative");
   }
-  if (!(backoff_initial_minutes > 0.0)) {
-    return Status::InvalidArgument("backoff must start positive");
-  }
-  if (!(backoff_factor >= 1.0)) {
-    return Status::InvalidArgument("backoff factor must be >= 1");
-  }
-  if (shed_below_fraction < 0.0 || shed_below_fraction > 1.0 ||
-      batching_below_fraction < 0.0 || batching_below_fraction > 1.0) {
-    return Status::InvalidArgument("ladder fractions must be in [0, 1]");
-  }
-  if (batching_below_fraction > shed_below_fraction) {
-    return Status::InvalidArgument(
-        "the batching-only threshold cannot exceed the shed threshold");
-  }
   return Status::OK();
 }
 
-DegradationLevel ComputeWindowedLevel(const WindowedPressure& pressure,
-                                      const DegradationPolicy& policy) {
+DegradationLevel ComputeWindowedLevel(const WindowedPressure& pressure) {
   const double nominal = pressure.nominal_capacity > 0
                              ? static_cast<double>(pressure.nominal_capacity)
                              : 1.0;
   const double fraction = static_cast<double>(pressure.capacity) / nominal;
-  if (fraction < policy.batching_below_fraction) {
+  if (fraction < kLadderBatchingBelowFraction) {
     return DegradationLevel::kBatchingOnly;
   }
   if (pressure.sum_held > pressure.capacity) return DegradationLevel::kReclaim;
-  if (fraction < policy.shed_below_fraction) return DegradationLevel::kShedVcr;
+  if (fraction < kLadderShedBelowFraction) return DegradationLevel::kShedVcr;
   if (pressure.sum_queued > 0) return DegradationLevel::kQueueing;
   return DegradationLevel::kNormal;
 }
 
 WindowedLadderState StepWindowedLadder(const WindowedLadderState& state,
-                                       const WindowedPressure& pressure,
-                                       const DegradationPolicy& policy,
-                                       int64_t recover_windows) {
-  const DegradationLevel raw = ComputeWindowedLevel(pressure, policy);
+                                       const WindowedPressure& pressure) {
+  const DegradationLevel raw = ComputeWindowedLevel(pressure);
   WindowedLadderState next = state;
   if (raw > state.level) {
     next.level = raw;
     next.below_streak = 0;
   } else if (raw < state.level) {
     next.below_streak = state.below_streak + 1;
-    if (next.below_streak >= std::max<int64_t>(1, recover_windows)) {
+    if (next.below_streak >= kLadderRecoverWindows) {
       next.level = raw;
       next.below_streak = 0;
     }
@@ -114,7 +97,7 @@ void VcrWaitQueue::EnqueueVcr(double t,
   waiter.id = next_waiter_id_++;
   waiter.enqueued = t;
   waiter.deadline = t + policy_.queue_deadline_minutes;
-  waiter.backoff = policy_.backoff_initial_minutes;
+  waiter.backoff = kLadderBackoffInitialMinutes;
   waiter.on_decision = std::move(on_decision);
   const uint64_t id = waiter.id;
   waiter.deadline_token = events_->Schedule(
@@ -161,7 +144,7 @@ void VcrWaitQueue::OnRetry(double t, uint64_t waiter_id) {
   DrainVcrQueue(t);
   it = FindWaiter(waiter_id);
   if (it == waiting_.end()) return;  // granted by the drain above
-  it->backoff *= policy_.backoff_factor;
+  it->backoff *= kLadderBackoffFactor;
   const double next_retry = t + it->backoff;
   if (next_retry < it->deadline) {
     it->retry_token = events_->Schedule(
@@ -189,8 +172,8 @@ ReserveManager::ReserveManager(int64_t nominal_capacity,
       capacity_(nominal_capacity),
       normal_at_full_capacity_(
           !policy.enabled &&
-          ComputeWindowedLevel({nominal_capacity, nominal_capacity, 0, 0},
-                               policy) == DegradationLevel::kNormal),
+          ComputeWindowedLevel({nominal_capacity, nominal_capacity, 0, 0}) ==
+              DegradationLevel::kNormal),
       min_capacity_seen_(nominal_capacity) {
   VOD_CHECK_MSG(nominal_capacity >= 0, "reserve must be non-negative");
   ArmVcrQueue(policy, queue, measurement_start);
@@ -199,7 +182,7 @@ ReserveManager::ReserveManager(int64_t nominal_capacity,
 
 DegradationLevel ReserveManager::ComputeLevel() const {
   return ComputeWindowedLevel(
-      {capacity_, nominal_capacity_, in_use_, queue_length()}, policy());
+      {capacity_, nominal_capacity_, in_use_, queue_length()});
 }
 
 void ReserveManager::UpdateLevel(double t) {

@@ -57,7 +57,20 @@ inline constexpr int kNumDegradationLevels = 5;
 /// Short stable name ("normal", "queueing", ...).
 const char* DegradationLevelName(DegradationLevel level);
 
-/// Knobs of the ladder. Fractions are of *nominal* (fault-free) capacity.
+/// First re-offer delay of a queued FF/RW request, in minutes; subsequent
+/// retries back off geometrically by kLadderBackoffFactor.
+inline constexpr double kLadderBackoffInitialMinutes = 0.25;
+inline constexpr double kLadderBackoffFactor = 2.0;
+/// Capacity below this fraction of nominal (fault-free) capacity enters
+/// kShedVcr.
+inline constexpr double kLadderShedBelowFraction = 0.5;
+/// Capacity below this fraction of nominal capacity enters kBatchingOnly.
+inline constexpr double kLadderBatchingBelowFraction = 0.2;
+/// Consecutive calm windows (raw level below the held rung) before the
+/// windowed ladder steps down — hysteresis against rung flapping.
+inline constexpr int64_t kLadderRecoverWindows = 2;
+
+/// Knobs of the ladder.
 struct DegradationPolicy {
   /// Master switch. Off = the seed's hard-refusal semantics (requests are
   /// never queued, nothing is reclaimed); levels are still tracked for
@@ -65,13 +78,6 @@ struct DegradationPolicy {
   bool enabled = false;
   /// Longest a queued FF/RW request may wait before it is refused.
   double queue_deadline_minutes = 5.0;
-  /// First re-offer delay; subsequent retries back off geometrically.
-  double backoff_initial_minutes = 0.25;
-  double backoff_factor = 2.0;
-  /// Capacity below this fraction of nominal enters kShedVcr.
-  double shed_below_fraction = 0.5;
-  /// Capacity below this fraction of nominal enters kBatchingOnly.
-  double batching_below_fraction = 0.2;
 
   Status Validate() const;
 };
@@ -141,8 +147,8 @@ class VcrWaitQueue {
   VcrWaitQueue(const VcrWaitQueue&) = delete;
   VcrWaitQueue& operator=(const VcrWaitQueue&) = delete;
 
-  /// Arms the queue: deadline and backoff from `policy`, retry and deadline
-  /// events on `events` (which must outlive the owner).
+  /// Arms the queue: deadline from `policy`, retry and deadline events on
+  /// `events` (which must outlive the owner).
   void ArmVcrQueue(const DegradationPolicy& policy, EventQueue* events,
                    double measurement_start);
   bool vcr_queue_armed() const { return events_ != nullptr; }
@@ -223,16 +229,13 @@ struct WindowedLadderState {
 
 /// Memoryless rung for the pressure: deep capacity loss first, then
 /// oversubscription, shedding and queueing.
-DegradationLevel ComputeWindowedLevel(const WindowedPressure& pressure,
-                                      const DegradationPolicy& policy);
+DegradationLevel ComputeWindowedLevel(const WindowedPressure& pressure);
 
 /// One barrier step of the windowed ladder: degradation (raw above held
 /// level) applies immediately; recovery (raw below) must persist for
-/// `recover_windows` consecutive windows before the rung drops to raw.
+/// kLadderRecoverWindows consecutive windows before the rung drops to raw.
 WindowedLadderState StepWindowedLadder(const WindowedLadderState& state,
-                                       const WindowedPressure& pressure,
-                                       const DegradationPolicy& policy,
-                                       int64_t recover_windows);
+                                       const WindowedPressure& pressure);
 
 /// \brief Stream reserve with time-varying capacity and a degradation ladder.
 ///

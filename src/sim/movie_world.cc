@@ -48,7 +48,7 @@ class MovieWorld::Impl {
       : layout_(layout),
         rates_(rates),
         config_(config),
-        schedule_(layout, config.stationary_start),
+        schedule_(layout),
         base_rng_(base_rng),
         arrival_rng_(base_rng_.MakeChild(kArrivalStream, 0)),
         queue_(queue),
@@ -87,7 +87,7 @@ class MovieWorld::Impl {
   void ApplyLayout(double t, const PartitionLayout& new_layout) {
     layout_ = new_layout;
     schedule_ =
-        PartitionSchedule(new_layout, config_.stationary_start, /*anchor=*/t);
+        PartitionSchedule(new_layout, /*anchor=*/t);
   }
 
  private:

@@ -43,7 +43,6 @@ struct MovieWorldConfig {
   /// Optional non-homogeneous arrival process; overrides the mean gap.
   ArrivalProcessPtr arrivals;
   VcrBehavior behavior;
-  bool stationary_start = true;
   /// Phase-2 merge policy for miss-viewers.
   PiggybackOptions piggyback;
   /// Optional viewer patience: wall-clock session lifetime from playback

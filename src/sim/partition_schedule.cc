@@ -17,7 +17,6 @@ std::vector<int64_t> PartitionSchedule::ActiveStreams(double t) const {
   const auto k_high =
       static_cast<int64_t>(std::floor((t - anchor_) / period + 1e-12));
   for (int64_t k = k_low; k <= k_high; ++k) {
-    if (!StreamExists(k)) continue;
     const double lead = StreamLead(k, t);
     if (lead > 0.0 && lead < l + window) out.push_back(k);
   }

@@ -20,10 +20,9 @@ namespace vod {
 
 /// \brief Pure (stateless) geometry of the restart schedule.
 ///
-/// With `stationary` true, streams are assumed to have started at every
-/// anchor + k·T for all integers k (the system has been running forever),
-/// so the simulation begins in steady state. Otherwise only k >= 0 exist
-/// and the warm-up transient includes partition build-up.
+/// Streams are assumed to have started at every anchor + k·T for all
+/// integers k (the system has been running forever), so the simulation
+/// begins in steady state.
 ///
 /// The `anchor` shifts the whole schedule: stream k starts at
 /// anchor + k·T. A layout committed mid-run by the reallocation controller
@@ -31,9 +30,8 @@ namespace vod {
 /// begins a restart there and admission continuity holds.
 class PartitionSchedule {
  public:
-  PartitionSchedule(const PartitionLayout& layout, bool stationary = true,
-                    double anchor = 0.0)
-      : layout_(layout), stationary_(stationary), anchor_(anchor) {}
+  PartitionSchedule(const PartitionLayout& layout, double anchor = 0.0)
+      : layout_(layout), anchor_(anchor) {}
 
   const PartitionLayout& layout() const { return layout_; }
   double anchor() const { return anchor_; }
@@ -53,8 +51,7 @@ class PartitionSchedule {
   /// per-event path, alongside FindCoveringStream.)
   double NextRestart(double t) const {
     const double period = layout_.restart_period();
-    double k = std::ceil((t - anchor_) / period - 1e-12);
-    if (!stationary_ && k < 0) k = 0;
+    const double k = std::ceil((t - anchor_) / period - 1e-12);
     return anchor_ + k * period;
   }
 
@@ -78,8 +75,7 @@ class PartitionSchedule {
     const int64_t k = static_cast<int64_t>(
         std::floor((t - anchor_ - position) / period + 1e-12));
     const double lead = StreamLead(k, t);
-    if (lead >= position - 1e-12 && lead <= position + window + 1e-12 &&
-        StreamExists(k)) {
+    if (lead >= position - 1e-12 && lead <= position + window + 1e-12) {
       return k;
     }
     return std::nullopt;
@@ -106,11 +102,7 @@ class PartitionSchedule {
   }
 
  private:
-  /// Smallest stream index that exists (0 unless stationary).
-  bool StreamExists(int64_t k) const { return stationary_ || k >= 0; }
-
   PartitionLayout layout_;
-  bool stationary_;
   double anchor_;
 };
 

@@ -64,7 +64,6 @@ struct ServerOptions {
   double warmup_minutes = 1000.0;
   double measurement_minutes = 20000.0;
   uint64_t seed = 42;
-  bool stationary_start = true;
   /// Disk failures feeding time-varying reserve capacity.
   ServerFaultOptions faults;
   /// Degradation ladder (queueing, shedding, forced reclaim). With

@@ -12,7 +12,6 @@ MovieWorldConfig ServerMovieConfig(const ServerMovieSpec& spec,
   config.mean_interarrival_minutes = 1.0 / spec.arrival_rate_per_minute;
   config.arrivals = spec.arrivals;
   config.behavior = spec.behavior;
-  config.stationary_start = options.stationary_start;
   config.piggyback = options.piggyback;
   config.movie_id = static_cast<int32_t>(index);
   return config;

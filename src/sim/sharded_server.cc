@@ -28,18 +28,26 @@ uint64_t Fnv1a(uint64_t h, uint64_t v) {
   return h;
 }
 
+/// Barrier windows of ledger history the flight recorder retains.
+constexpr size_t kPostmortemWindows = 16;
+/// Trace events each shard's flight-recorder ring retains. The rings only
+/// fill while the shard telemetry lanes are lit — tracing enabled or a
+/// postmortem path set — so a dark run pays nothing per event.
+constexpr size_t kPostmortemEventsPerShard = 256;
+
 uint64_t FingerprintConfig(const std::vector<ServerMovieSpec>& movies,
                            const ShardedServerOptions& options) {
   // A guard against resuming a checkpoint under a different configuration,
   // not a cryptographic identity. Everything that shapes the trajectory and
-  // is cheaply describable goes in; the digest chain catches the rest.
+  // is cheaply describable goes in; the digest chain catches the rest. The
+  // ladder's constants and the stationary start ("stationary=1") keep their
+  // places in the description, which seeds every run's ledger digest.
   std::ostringstream os;
   os << std::setprecision(17);
   const ServerOptions& b = options.base;
   os << "seed=" << b.seed << " reserve=" << b.dynamic_stream_reserve
      << " warmup=" << b.warmup_minutes << " measure=" << b.measurement_minutes
-     << " window=" << options.window_minutes
-     << " stationary=" << b.stationary_start
+     << " window=" << options.window_minutes << " stationary=1"
      << " piggyback=" << b.piggyback.enabled
      << " faults=" << b.faults.enabled << ":" << b.faults.disks << ":"
      << b.faults.profile.mtbf_minutes << ":" << b.faults.profile.mttr_minutes
@@ -47,11 +55,9 @@ uint64_t FingerprintConfig(const std::vector<ServerMovieSpec>& movies,
      << b.controller.poll_interval_minutes
      << " ladder=" << b.degradation.enabled << ":"
      << b.degradation.queue_deadline_minutes << ":"
-     << b.degradation.backoff_initial_minutes << ":"
-     << b.degradation.backoff_factor << ":"
-     << b.degradation.shed_below_fraction << ":"
-     << b.degradation.batching_below_fraction << ":"
-     << options.ladder_recover_windows;
+     << kLadderBackoffInitialMinutes << ":" << kLadderBackoffFactor << ":"
+     << kLadderShedBelowFraction << ":" << kLadderBatchingBelowFraction << ":"
+     << kLadderRecoverWindows;
   for (const ServerMovieSpec& spec : movies) {
     os << " movie=" << spec.name << ":" << spec.layout.movie_length() << ":"
        << spec.layout.buffer_minutes() << ":" << spec.layout.streams() << ":"
@@ -237,9 +243,8 @@ class ShardedRun {
         ctrl_next_wakeup_(base_.controller.poll_interval_minutes),
         ledger_(movies.size()),
         reclaim_quota_(movies.size(), 0),
-        recorder_(shard_count_,
-                  static_cast<size_t>(options.postmortem.windows),
-                  static_cast<size_t>(options.postmortem.events_per_shard)),
+        recorder_(shard_count_, kPostmortemWindows,
+                  kPostmortemEventsPerShard),
         shard_executed_prev_(static_cast<size_t>(shard_count_), 0),
         shard_window_events_(static_cast<size_t>(shard_count_), 0),
         work_begin_us_(static_cast<size_t>(shard_count_), 0.0),
@@ -529,9 +534,7 @@ class ShardedRun {
     pressure.nominal_capacity = base_.dynamic_stream_reserve;
     pressure.sum_held = sum_held;
     pressure.sum_queued = step.sum_queued;
-    ladder_state_ = StepWindowedLadder(ladder_state_, pressure,
-                                       base_.degradation,
-                                       options_.ladder_recover_windows);
+    ladder_state_ = StepWindowedLadder(ladder_state_, pressure);
     if (ladder_state_.level != step.prev_level) {
       ladder_.Record(t_end, step.prev_level, ladder_state_.level, capacity_);
       if (ObsEnabled(event_log_, EventCategory::kDegradation)) {
@@ -661,10 +664,10 @@ class ShardedRun {
     fr.quota_issued = quota_issued_prev_;
     fr.shard_events = shard_window_events_;
     recorder_.RecordWindow(std::move(fr));
-    if (audit_tripped && !options_.postmortem.path.empty()) {
+    if (audit_tripped && !options_.postmortem_path.empty()) {
       // The run still finishes (the report returns the auditor's status);
       // the bundle is on disk either way.
-      (void)recorder_.Dump(options_.postmortem.path,
+      (void)recorder_.Dump(options_.postmortem_path,
                            auditor_->status().message());
     }
   }
@@ -678,8 +681,8 @@ class ShardedRun {
         std::to_string(w) +
         " (ledger digest mismatch); the checkpoint does not describe "
         "this binary/configuration";
-    if (!options_.postmortem.path.empty()) {
-      (void)recorder_.Dump(options_.postmortem.path, why);
+    if (!options_.postmortem_path.empty()) {
+      (void)recorder_.Dump(options_.postmortem_path, why);
     }
     return Status::Internal(why);
   }
@@ -697,8 +700,8 @@ class ShardedRun {
     st.windows_done = w;
     st.digest = digest_;
     const Status written = WriteShardedCheckpoint(options_.checkpoint.path, st);
-    if (!written.ok() && !options_.postmortem.path.empty()) {
-      (void)recorder_.Dump(options_.postmortem.path, written.message());
+    if (!written.ok() && !options_.postmortem_path.empty()) {
+      (void)recorder_.Dump(options_.postmortem_path, written.message());
     }
     return written;
   }
@@ -877,7 +880,7 @@ class ShardedRun {
     // The flight recorder's window-record deque is always on; the per-shard
     // event rings fill only while the lanes are lit, so a dark run pays
     // nothing per event.
-    const bool lanes_lit = tracing_ || !options_.postmortem.path.empty();
+    const bool lanes_lit = tracing_ || !options_.postmortem_path.empty();
     if (lanes_lit) {
       // Traced lanes see the user's category mask plus kShard (the imbalance
       // timeline needs the window records); the merge re-filters through
@@ -1022,27 +1025,11 @@ Status ValidateShardedInputs(const std::vector<ServerMovieSpec>& movies,
        << kMaxWindows;
     return Status::InvalidArgument(os.str());
   }
-  if (options.base.degradation.enabled && options.ladder_recover_windows < 1) {
-    return Status::InvalidArgument(
-        "the windowed degradation ladder needs ladder_recover_windows >= 1, "
-        "got " +
-        std::to_string(options.ladder_recover_windows));
-  }
   if (!options.checkpoint.path.empty() &&
       options.checkpoint.every_windows < 1) {
     return Status::InvalidArgument(
         "sharded checkpointing needs every_windows >= 1, got " +
         std::to_string(options.checkpoint.every_windows));
-  }
-  if (options.postmortem.windows < 1) {
-    return Status::InvalidArgument(
-        "the flight recorder needs postmortem.windows >= 1, got " +
-        std::to_string(options.postmortem.windows));
-  }
-  if (options.postmortem.events_per_shard < 0) {
-    return Status::InvalidArgument(
-        "the flight recorder needs postmortem.events_per_shard >= 0, got " +
-        std::to_string(options.postmortem.events_per_shard));
   }
   if (options.corrupt_audit_window > 0 && !options.base.audit.enabled) {
     return Status::InvalidArgument(

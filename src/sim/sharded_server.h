@@ -52,7 +52,7 @@
 // accumulate pressure locally — queue depth, queued-VCR outcomes, held
 // streams — in their suppliers; the barrier reads and sums it in global
 // movie order, steps the pure hysteresis ladder (degrading rungs apply
-// immediately, recovery needs ladder_recover_windows consecutive calm
+// immediately, recovery needs kLadderRecoverWindows consecutive calm
 // windows), and writes the new rung plus per-movie forced-reclaim quotas
 // (largest-remainder over holdings) that shards apply at the next window
 // open. The decision therefore lags live pressure by at most one window —
@@ -99,23 +99,6 @@ struct ShardedCheckpointOptions {
   int64_t stop_after_windows = 0;
 };
 
-/// Crash flight recorder wiring (obs/flight_recorder.h): the coordinator
-/// always retains a bounded ring of barrier-window ledger summaries plus
-/// one bounded event ring per shard, and dumps the whole context as a
-/// postmortem bundle when an audit law fails, a resumed run's
-/// replay-verify digest rejects, or a checkpoint write fails. Render the
-/// bundle with `vodctl inspect --postmortem=PATH`.
-struct ShardedPostmortemOptions {
-  /// Bundle path; empty = record (cheap, always-on) but never dump.
-  std::string path;
-  /// Barrier windows of ledger history retained.
-  int64_t windows = 16;
-  /// Per-shard trace events retained. The rings only fill while the shard
-  /// telemetry lanes are lit — tracing enabled or `path` non-empty — so a
-  /// dark run pays nothing per event.
-  int64_t events_per_shard = 256;
-};
-
 /// The largest shard count a run accepts. Every shard allocates its own
 /// telemetry lane and flight-recorder ring before any event runs, and a
 /// shard past the catalog size (vodctl caps --movies at the same 65 536)
@@ -143,12 +126,15 @@ struct ShardedServerOptions {
   int threads = 1;
   /// Barrier cadence in simulated minutes; at most kMaxWindows windows.
   double window_minutes = 60.0;
-  /// Consecutive calm windows (raw level below the held rung) before the
-  /// windowed ladder steps down — hysteresis against rung flapping. Only
-  /// read when base.degradation.enabled; must be >= 1.
-  int64_t ladder_recover_windows = 2;
   ShardedCheckpointOptions checkpoint;
-  ShardedPostmortemOptions postmortem;
+  /// Crash flight recorder wiring (obs/flight_recorder.h): the coordinator
+  /// always retains a bounded ring of barrier-window ledger summaries plus
+  /// one bounded event ring per shard, and dumps the whole context as a
+  /// postmortem bundle here when an audit law fails, a resumed run's
+  /// replay-verify digest rejects, or a checkpoint write fails. Render the
+  /// bundle with `vodctl inspect --postmortem=PATH`. Empty = record (cheap,
+  /// always-on) but never dump.
+  std::string postmortem_path;
   /// Test hook: at this barrier window (1-based), misstate movie 0's held
   /// count by +1 in the ledger rows the coordinator read for the audit
   /// (its *snapshot copy*) — the simulation trajectory is untouched, but

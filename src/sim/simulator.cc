@@ -83,7 +83,6 @@ MovieWorldConfig SimulationWorld(const SimulationOptions& options) {
   config.mean_interarrival_minutes = options.mean_interarrival_minutes;
   config.arrivals = options.arrivals;
   config.behavior = options.behavior;
-  config.stationary_start = options.stationary_start;
   config.piggyback = options.piggyback;
   config.patience = options.patience;
   return config;

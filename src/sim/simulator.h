@@ -44,8 +44,6 @@ struct SimulationOptions {
   double measurement_minutes = 50000.0;
   /// Base seed; every stochastic entity derives a child stream from it.
   uint64_t seed = 42;
-  /// Start in steady state (streams assumed started at every k·T, k < 0).
-  bool stationary_start = true;
   /// Phase-2 merge policy for miss-viewers (off by default, as in the
   /// paper's evaluation).
   PiggybackOptions piggyback;

@@ -55,12 +55,6 @@ TEST(CompiledDurationTest, ValidatesInputs) {
   EXPECT_TRUE(CompiledDuration::Create(gamma, -1.0)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(CompiledDuration::Create(gamma, 120.0, 4)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(CompiledDuration::Create(gamma, 120.0, 4096, 0.7)
-                  .status()
-                  .IsInvalidArgument());
   EXPECT_TRUE(CompiledDuration::Create(gamma, 120.0).ok());
 }
 

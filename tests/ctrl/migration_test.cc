@@ -60,17 +60,6 @@ class FakeHost final : public ControllerHost {
   int block_after_commits_ = -1;
 };
 
-MigrationOptions FastOptions() {
-  MigrationOptions options;
-  options.drain_slack_minutes = 1.0;
-  options.backoff_initial_minutes = 2.0;
-  options.backoff_factor = 2.0;
-  options.backoff_max_minutes = 30.0;
-  options.max_retries = 5;
-  options.rollback_cooldown_minutes = 60.0;
-  return options;
-}
-
 // Pumps Advance until the engine goes idle or `deadline` passes; returns
 // the final time.
 double PumpUntilIdle(MigrationEngine* engine, FakeHost* host, double t,
@@ -114,7 +103,7 @@ TEST(BuildMigrationStepsTest, MixedChangeDecomposesThroughIntermediate) {
 
 TEST(MigrationEngineTest, CommitsAndConservesResources) {
   FakeHost host({Layout(10, 40.0), Layout(6, 20.0)});
-  MigrationEngine engine(FastOptions(), /*stream_budget=*/16,
+  MigrationEngine engine(/*stream_budget=*/16,
                          /*buffer_budget=*/60.0, /*free_streams=*/0,
                          /*free_buffer=*/0.0, /*log=*/nullptr);
   auto steps = BuildMigrationSteps(
@@ -134,7 +123,7 @@ TEST(MigrationEngineTest, CommitsAndConservesResources) {
 
 TEST(MigrationEngineTest, RefusesOverlappingMigrations) {
   FakeHost host({Layout(10, 40.0)});
-  MigrationEngine engine(FastOptions(), 10, 40.0, 0, 0.0, nullptr);
+  MigrationEngine engine(10, 40.0, 0, 0.0, nullptr);
   ASSERT_TRUE(engine.Begin(
       0.0, BuildMigrationSteps({Layout(10, 40.0)}, {Layout(8, 30.0)}), 1));
   EXPECT_FALSE(engine.Begin(
@@ -145,8 +134,7 @@ TEST(MigrationEngineTest, RefusesOverlappingMigrations) {
 TEST(MigrationEngineTest, BlockedReclaimBacksOffExponentiallyThenRollsBack) {
   FakeHost host({Layout(10, 40.0)});
   host.set_reclaim_blocked(true);
-  const MigrationOptions options = FastOptions();
-  MigrationEngine engine(options, 10, 40.0, 0, 0.0, nullptr);
+  MigrationEngine engine(10, 40.0, 0, 0.0, nullptr);
   ASSERT_TRUE(engine.Begin(
       0.0, BuildMigrationSteps({Layout(10, 40.0)}, {Layout(8, 30.0)}), 1));
 
@@ -154,14 +142,14 @@ TEST(MigrationEngineTest, BlockedReclaimBacksOffExponentiallyThenRollsBack) {
   // 30 (capped) — then the retry budget is spent and the engine rolls back.
   double t = 0.0;
   std::vector<double> delays;
-  for (int attempt = 0; attempt < options.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMigrationMaxRetries; ++attempt) {
     const double next = engine.Advance(t, &host);
     ASSERT_TRUE(engine.InFlight());
     delays.push_back(next - t);
     t = next;
   }
   EXPECT_EQ(delays, (std::vector<double>{2.0, 4.0, 8.0, 16.0, 30.0}));
-  EXPECT_EQ(engine.blocked_attempts(), options.max_retries);
+  EXPECT_EQ(engine.blocked_attempts(), kMigrationMaxRetries);
 
   engine.Advance(t, &host);  // retry budget exhausted -> rollback
   EXPECT_FALSE(engine.InFlight());
@@ -185,7 +173,7 @@ TEST(MigrationEngineTest, MidMigrationFaultRollsBackAppliedStepsInReverse) {
   // restoring movie 0's original layout — and leak nothing.
   FakeHost host({Layout(10, 40.0), Layout(8, 30.0)});
   host.block_after_commits(1);  // the fault lands after the first commit
-  MigrationEngine engine(FastOptions(), 18, 70.0, 0, 0.0, nullptr);
+  MigrationEngine engine(18, 70.0, 0, 0.0, nullptr);
   ASSERT_TRUE(engine.Begin(
       0.0,
       BuildMigrationSteps({host.LiveLayout(0), host.LiveLayout(1)},
@@ -220,7 +208,7 @@ TEST(MigrationEngineTest, MidMigrationFaultRollsBackAppliedStepsInReverse) {
 
 TEST(MigrationEngineTest, AbortMidFlightRollsBackImmediately) {
   FakeHost host({Layout(10, 40.0), Layout(6, 20.0)});
-  MigrationEngine engine(FastOptions(), 16, 60.0, 0, 0.0, nullptr);
+  MigrationEngine engine(16, 60.0, 0, 0.0, nullptr);
   ASSERT_TRUE(engine.Begin(
       0.0,
       BuildMigrationSteps({host.LiveLayout(0), host.LiveLayout(1)},
@@ -239,7 +227,7 @@ TEST(MigrationEngineTest, AbortMidFlightRollsBackImmediately) {
 
 TEST(MigrationEngineTest, AbortWhileIdleIsANoOp) {
   FakeHost host({Layout(10, 40.0)});
-  MigrationEngine engine(FastOptions(), 10, 40.0, 0, 0.0, nullptr);
+  MigrationEngine engine(10, 40.0, 0, 0.0, nullptr);
   engine.Abort(5.0, &host);
   EXPECT_EQ(engine.rollbacks(), 0);
   EXPECT_EQ(engine.last_outcome(), MigrationEngine::Outcome::kNone);
@@ -250,7 +238,7 @@ TEST(MigrationEngineTest, GrantWaitsForReclaimDrainToLand) {
   // One reclaim funds one grant: the grant cannot apply until the freed
   // resources mature (one old enrollment window + slack).
   FakeHost host({Layout(10, 40.0), Layout(6, 20.0)});
-  MigrationEngine engine(FastOptions(), 16, 60.0, 0, 0.0, nullptr);
+  MigrationEngine engine(16, 60.0, 0, 0.0, nullptr);
   ASSERT_TRUE(engine.Begin(
       0.0,
       BuildMigrationSteps({host.LiveLayout(0), host.LiveLayout(1)},
@@ -274,7 +262,7 @@ TEST(MigrationEngineTest, ReplanDuringDrainKeepsEarlierLandings) {
   // they land must keep them in flight, and rolling that re-plan back must
   // cancel only its own landing — both reclaims are step 0 of their plan.
   FakeHost host({Layout(10, 60.0), Layout(10, 60.0)});
-  MigrationEngine engine(FastOptions(), 20, 120.0, 0, 0.0, nullptr);
+  MigrationEngine engine(20, 120.0, 0, 0.0, nullptr);
   const auto buffer_total = [&host, &engine] {
     return host.LiveLayout(0).buffer_minutes() +
            host.LiveLayout(1).buffer_minutes() + engine.free_buffer() +
@@ -311,19 +299,6 @@ TEST(MigrationEngineTest, ReplanDuringDrainKeepsEarlierLandings) {
   EXPECT_NEAR(engine.free_buffer(), 30.0, 1e-9);
   EXPECT_EQ(engine.inflight_streams(), 0);
   EXPECT_NEAR(buffer_total(), 120.0, 1e-9);
-}
-
-TEST(MigrationOptionsTest, Validation) {
-  EXPECT_TRUE(FastOptions().Validate().ok());
-  MigrationOptions bad = FastOptions();
-  bad.backoff_factor = 0.5;
-  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
-  bad = FastOptions();
-  bad.max_retries = -1;
-  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
-  bad = FastOptions();
-  bad.backoff_initial_minutes = 0.0;
-  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 // fresh solve at every grid level. Seeded random catalogs of 1–600 movies
 // cover exact λ·l ties, min_streams > 1, caps that bind and caps that leave
 // slack, and stream budgets at Σmin, between Σmin and Σmax, and above Σmax.
-// Property checks pin the budget laws, and the Validate / Infeasible /
-// overflow paths return their statuses.
+// The reference reads the planner's grid and buffer quantum constants.
+// Property checks pin the budget laws, and the malformed-input /
+// Infeasible / overflow paths return their statuses.
 
 #include "ctrl/planner.h"
 
@@ -33,8 +34,9 @@ namespace {
 
 namespace reference {
 
-double Quantize(double buffer, double quantum) {
-  return std::floor(buffer / quantum + 1e-9) * quantum;
+double Quantize(double buffer) {
+  return std::floor(buffer / kPlannerBufferQuantumMinutes + 1e-9) *
+         kPlannerBufferQuantumMinutes;
 }
 
 double MovieObjective(const PlannerMovie& m, int streams, double buffer) {
@@ -49,8 +51,7 @@ struct InnerSolution {
 
 InnerSolution SolveBuffers(const std::vector<PlannerMovie>& movies,
                            const std::vector<int>& streams,
-                           double buffer_budget,
-                           const PlannerOptions& options) {
+                           double buffer_budget) {
   const size_t k = movies.size();
   auto buffers_at = [&](double nu) {
     std::vector<double> b(k);
@@ -80,7 +81,7 @@ InnerSolution SolveBuffers(const std::vector<PlannerMovie>& movies,
   InnerSolution sol;
   sol.buffers = buffers_at(nu);
   for (size_t i = 0; i < k; ++i) {
-    sol.buffers[i] = Quantize(sol.buffers[i], options.buffer_quantum_minutes);
+    sol.buffers[i] = Quantize(sol.buffers[i]);
     sol.objective += MovieObjective(movies[i], streams[i], sol.buffers[i]);
   }
   return sol;
@@ -141,8 +142,7 @@ std::vector<int> StreamsAtLevel(const std::vector<PlannerMovie>& movies,
 
 /// SolvePlan for inputs it accepts.
 BufferPlan SolvePlan(const std::vector<PlannerMovie>& movies,
-                     int64_t stream_budget, double buffer_budget,
-                     const PlannerOptions& options) {
+                     int64_t stream_budget, double buffer_budget) {
   double scale_lo = std::numeric_limits<double>::infinity();
   double scale_hi = 0.0;
   for (const PlannerMovie& m : movies) {
@@ -156,13 +156,13 @@ BufferPlan SolvePlan(const std::vector<PlannerMovie>& movies,
   auto eval = [&](double log_mu) {
     const std::vector<int> n =
         StreamsAtLevel(movies, std::exp(log_mu), stream_budget);
-    return SolveBuffers(movies, n, buffer_budget, options).objective;
+    return SolveBuffers(movies, n, buffer_budget).objective;
   };
   const Minimum best = GridMinimize(eval, std::log(mu_lo), std::log(mu_hi),
-                                    options.mu_grid_points);
+                                    kPlannerMuGridPoints);
   const std::vector<int> n =
       StreamsAtLevel(movies, std::exp(best.x), stream_budget);
-  const InnerSolution inner = SolveBuffers(movies, n, buffer_budget, options);
+  const InnerSolution inner = SolveBuffers(movies, n, buffer_budget);
   BufferPlan plan;
   plan.movies.resize(movies.size());
   plan.solved_rates.resize(movies.size());
@@ -195,7 +195,6 @@ struct PlanCase {
   std::vector<PlannerMovie> movies;
   int64_t stream_budget = 0;
   double buffer_budget = 0.0;
-  PlannerOptions options;
   int64_t min_sum = 0;
   int64_t max_sum = 0;
 };
@@ -263,10 +262,6 @@ PlanCase RandomCase(uint64_t seed, int count, Caps caps, Budget budget) {
   c.buffer_budget = share < 0.15   ? 0.0
                     : share < 0.85 ? rng.Uniform(0.05, 0.95) * cap_minutes
                                    : 2.0 * cap_minutes + 1.0;
-  const int kGridPoints[] = {2, 5, 48, 48, 97};
-  c.options.mu_grid_points = kGridPoints[rng.UniformInt(5)];
-  const double kQuanta[] = {0.25, 0.25, 0.1, 1.0};
-  c.options.buffer_quantum_minutes = kQuanta[rng.UniformInt(4)];
   return c;
 }
 
@@ -321,7 +316,7 @@ void ExpectSamePlan(const BufferPlan& got, const BufferPlan& want) {
 void ExpectBudgetLaws(const PlanCase& c, const BufferPlan& plan) {
   int64_t stream_sum = 0;
   double buffer_sum = 0.0;
-  const double q = c.options.buffer_quantum_minutes;
+  const double q = kPlannerBufferQuantumMinutes;
   for (size_t i = 0; i < plan.movies.size(); ++i) {
     const MoviePlanEntry& e = plan.movies[i];
     const PlannerMovie& m = c.movies[i];
@@ -343,10 +338,10 @@ void ExpectBudgetLaws(const PlanCase& c, const BufferPlan& plan) {
 
 void CheckCase(const PlanCase& c) {
   const Result<BufferPlan> got =
-      SolvePlan(c.movies, c.stream_budget, c.buffer_budget, c.options);
+      SolvePlan(c.movies, c.stream_budget, c.buffer_budget);
   ASSERT_TRUE(got.ok()) << got.status().message();
   ExpectSamePlan(*got, reference::SolvePlan(c.movies, c.stream_budget,
-                                            c.buffer_budget, c.options));
+                                            c.buffer_budget));
   ExpectBudgetLaws(c, *got);
 }
 
@@ -397,23 +392,6 @@ TEST(PlannerTest, MatchesLinearScanOracleAtFlashCrowdPeak) {
   for (int count : {16, 96}) {
     SCOPED_TRACE(std::to_string(count) + " movies");
     CheckCase(FlashCrowdCase(count));
-  }
-}
-
-TEST(PlannerTest, ValidateRejectsBadOptions) {
-  PlannerOptions options;
-  EXPECT_TRUE(options.Validate().ok());
-  options.mu_grid_points = 1;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  for (double quantum : {0.0, -0.25, std::numeric_limits<double>::infinity(),
-                         std::numeric_limits<double>::quiet_NaN()}) {
-    PlannerOptions bad;
-    bad.buffer_quantum_minutes = quantum;
-    EXPECT_TRUE(bad.Validate().IsInvalidArgument()) << quantum;
-    // SolvePlan validates its options before anything else.
-    EXPECT_TRUE(SolvePlan({PlannerMovie{}}, 4, 10.0, bad)
-                    .status()
-                    .IsInvalidArgument());
   }
 }
 
@@ -477,7 +455,7 @@ TEST(PlannerTest, HugeDemandSaturatesInsteadOfWrapping) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->movies[1].streams, 64);
   EXPECT_EQ(plan->movies[0].streams, 1);
-  ExpectSamePlan(*plan, reference::SolvePlan(movies, 65, 10.0, {}));
+  ExpectSamePlan(*plan, reference::SolvePlan(movies, 65, 10.0));
 }
 
 TEST(PlannerTest, InfeasibleWhenBudgetCannotCoverMinimums) {

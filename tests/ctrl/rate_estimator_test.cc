@@ -9,12 +9,6 @@
 namespace vod {
 namespace {
 
-RateEstimatorOptions Options(double tau = 120.0) {
-  RateEstimatorOptions options;
-  options.ewma_tau_minutes = tau;
-  return options;
-}
-
 // Feeds Poisson(rate) arrivals over `minutes`, returns the final time.
 double FeedPoisson(RateEstimator* estimator, double rate, double minutes,
                    Rng* rng, double t0 = 0.0) {
@@ -26,22 +20,6 @@ double FeedPoisson(RateEstimator* estimator, double rate, double minutes,
   }
 }
 
-TEST(RateEstimatorOptionsTest, Validation) {
-  EXPECT_TRUE(Options().Validate().ok());
-  RateEstimatorOptions bad = Options();
-  bad.ewma_tau_minutes = 0.0;
-  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
-  bad = Options();
-  bad.ewma_tau_minutes = std::numeric_limits<double>::infinity();
-  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
-  bad = Options();
-  bad.ph_threshold_sigma = 0.0;
-  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
-  bad = Options();
-  bad.ph_delta_sigma = -1.0;
-  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
-}
-
 // The shot-noise filter's stationary mean is lambda — the length bias that
 // sinks a gap-EWMA (which converges to E[gap^2]/E[gap] = 2/lambda, i.e. an
 // estimate of lambda/2) must not reappear.
@@ -49,7 +27,7 @@ TEST(RateEstimatorTest, ShotNoiseEstimateIsUnbiasedForPoisson) {
   const double rate = 0.5;
   for (uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);
-    RateEstimator estimator(Options(), rate, 0.0);
+    RateEstimator estimator(rate, 0.0);
     // Long horizon relative to tau so the filter forgets its init.
     const double end = FeedPoisson(&estimator, rate, 20000.0, &rng);
     EXPECT_NEAR(estimator.RateAt(end) / rate, 1.0, 0.25) << "seed " << seed;
@@ -58,7 +36,7 @@ TEST(RateEstimatorTest, ShotNoiseEstimateIsUnbiasedForPoisson) {
 
 TEST(RateEstimatorTest, EstimateDecaysThroughSilence) {
   Rng rng(11);
-  RateEstimator estimator(Options(), 1.0, 0.0);
+  RateEstimator estimator(1.0, 0.0);
   const double end = FeedPoisson(&estimator, 1.0, 2000.0, &rng);
   const double busy = estimator.RateAt(end);
   EXPECT_GT(busy, 0.5);
@@ -70,7 +48,7 @@ TEST(RateEstimatorTest, EstimateDecaysThroughSilence) {
 TEST(RateEstimatorTest, NoAlarmUnderStationaryTraffic) {
   for (uint64_t seed : {42u, 7u, 123u, 999u}) {
     Rng rng(seed);
-    RateEstimator estimator(Options(), 0.5, 0.0);
+    RateEstimator estimator(0.5, 0.0);
     FeedPoisson(&estimator, 0.5, 30000.0, &rng);
     EXPECT_FALSE(estimator.DriftAlarm()) << "seed " << seed;
   }
@@ -78,7 +56,7 @@ TEST(RateEstimatorTest, NoAlarmUnderStationaryTraffic) {
 
 TEST(RateEstimatorTest, AlarmsOnUpwardRateStep) {
   Rng rng(5);
-  RateEstimator estimator(Options(), 0.5, 0.0);
+  RateEstimator estimator(0.5, 0.0);
   FeedPoisson(&estimator, 0.5, 3000.0, &rng);
   ASSERT_FALSE(estimator.DriftAlarm());
   // 4x flash crowd: residual ~3 sigma-units per tau-spaced sample, so the
@@ -89,7 +67,7 @@ TEST(RateEstimatorTest, AlarmsOnUpwardRateStep) {
 
 TEST(RateEstimatorTest, AlarmsOnPopularityCollapse) {
   Rng rng(6);
-  RateEstimator estimator(Options(), 2.0, 0.0);
+  RateEstimator estimator(2.0, 0.0);
   FeedPoisson(&estimator, 2.0, 3000.0, &rng);
   ASSERT_FALSE(estimator.DriftAlarm());
   FeedPoisson(&estimator, 0.1, 6000.0, &rng, 3000.0);
@@ -98,7 +76,7 @@ TEST(RateEstimatorTest, AlarmsOnPopularityCollapse) {
 
 TEST(RateEstimatorTest, RebaseClearsAlarmAndKeepsTracking) {
   Rng rng(8);
-  RateEstimator estimator(Options(), 0.5, 0.0);
+  RateEstimator estimator(0.5, 0.0);
   FeedPoisson(&estimator, 0.5, 3000.0, &rng);
   FeedPoisson(&estimator, 2.0, 2000.0, &rng, 3000.0);
   ASSERT_TRUE(estimator.DriftAlarm());
@@ -113,17 +91,15 @@ TEST(RateEstimatorTest, RebaseClearsAlarmAndKeepsTracking) {
 // The noise floor shrinks with lambda*tau: a hotter movie gets a tighter
 // detector, a colder one a looser one — this scaling is what makes one
 // sigma-denominated threshold work across the whole catalog.
-TEST(RateEstimatorTest, NoiseFloorScalesWithRateAndTau) {
-  RateEstimator hot(Options(), 2.0, 0.0);
-  RateEstimator cold(Options(), 0.02, 0.0);
+TEST(RateEstimatorTest, NoiseFloorScalesWithRate) {
+  RateEstimator hot(2.0, 0.0);
+  RateEstimator cold(0.02, 0.0);
   EXPECT_LT(hot.sigma(), cold.sigma());
   EXPECT_NEAR(hot.sigma(), 1.0 / std::sqrt(2.0 * 2.0 * 120.0), 1e-12);
-  RateEstimator long_memory(Options(480.0), 2.0, 0.0);
-  EXPECT_LT(long_memory.sigma(), hot.sigma());
 }
 
 TEST(RateEstimatorTest, CountsObservations) {
-  RateEstimator estimator(Options(), 1.0, 0.0);
+  RateEstimator estimator(1.0, 0.0);
   estimator.Observe(1.0);
   estimator.Observe(2.0);
   estimator.Observe(2.0);  // simultaneous arrivals are legal

@@ -138,7 +138,6 @@ TEST(ShardedCheckpointTest, LadderCrashMidDegradationResumesByteIdentical) {
   ladder.base.dynamic_stream_reserve = 24;
   ladder.base.degradation.enabled = true;
   ladder.base.degradation.queue_deadline_minutes = 5.0;
-  ladder.ladder_recover_windows = 2;
   const auto golden = RunShardedServerSimulation(movies, ladder);
   ASSERT_TRUE(golden.ok()) << golden.status().message();
   ASSERT_GT(golden->server.resilience.total_transitions, 0)
@@ -165,9 +164,9 @@ TEST(ShardedCheckpointTest, LadderCrashMidDegradationResumesByteIdentical) {
 }
 
 TEST(ShardedCheckpointTest, LadderPolicyChangeOnResumeIsRejected) {
-  // The ladder knobs are part of the config fingerprint: resuming a
-  // ladder-armed checkpoint with different thresholds (or with the ladder
-  // off) would silently change the trajectory, so it must refuse.
+  // The ladder's settings are part of the config fingerprint: resuming a
+  // ladder-armed checkpoint with a different queue deadline (or with the
+  // ladder off) would silently change the trajectory, so it must refuse.
   const auto movies = FourMovies();
   TempPath path("ladder_policy");
   auto crashed = BaseOptions(2, 1);
@@ -181,7 +180,7 @@ TEST(ShardedCheckpointTest, LadderPolicyChangeOnResumeIsRejected) {
   auto retuned = crashed;
   retuned.checkpoint.stop_after_windows = 0;
   retuned.checkpoint.resume = true;
-  retuned.base.degradation.shed_below_fraction = 0.6;
+  retuned.base.degradation.queue_deadline_minutes = 6.0;
   const auto status = RunShardedServerSimulation(movies, retuned).status();
   ASSERT_TRUE(status.IsInvalidArgument()) << status.message();
   EXPECT_NE(status.message().find("fingerprint"), std::string::npos)

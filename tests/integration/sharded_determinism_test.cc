@@ -149,7 +149,6 @@ ShardedServerOptions LadderMachineOptions(int shards, int threads,
   options.base.dynamic_stream_reserve = 24;
   options.base.degradation.enabled = true;
   options.base.degradation.queue_deadline_minutes = 5.0;
-  options.ladder_recover_windows = 2;
   return options;
 }
 

@@ -107,7 +107,6 @@ ShardedServerOptions LadderMachineOptions(int shards, int threads,
   options.shards = shards;
   options.threads = threads;
   options.window_minutes = 40.0;
-  options.ladder_recover_windows = 2;
   return options;
 }
 
@@ -331,8 +330,7 @@ TEST(ShardedObsTest, FlightRecorderDumpsOnInjectedAuditFailure) {
   const auto movies = SixMovies();
   TempPath bundle_path("postmortem");
   ShardedServerOptions options = LadderMachineOptions(4, 2, 11);
-  options.postmortem.path = bundle_path.str();
-  options.postmortem.windows = 8;
+  options.postmortem_path = bundle_path.str();
   options.corrupt_audit_window = 3;
   const auto got = RunShardedServerSimulation(movies, options);
   ASSERT_FALSE(got.ok());  // the injected violation surfaces as the status
@@ -345,10 +343,10 @@ TEST(ShardedObsTest, FlightRecorderDumpsOnInjectedAuditFailure) {
   EXPECT_EQ(bundle->shards, 4);
   EXPECT_EQ(bundle->reason, got.status().message());
   ASSERT_FALSE(bundle->windows.empty());
-  // The bundle ends at the violating window and retains at most the
-  // configured history.
+  // The bundle ends at the violating window and, well inside the
+  // recorder's 16-window history, retains every window before it.
   EXPECT_EQ(bundle->windows.back().window, 3);
-  EXPECT_LE(bundle->windows.size(), 8u);
+  EXPECT_EQ(bundle->windows.size(), 3u);
   EXPECT_EQ(bundle->windows.back().shard_events.size(), 4u);
   // Lanes were lit by the postmortem path alone (no tracing), so the rings
   // carry kShard window records for context.
@@ -369,8 +367,7 @@ TEST(ShardedObsTest, CorruptionHookLeavesTrajectoryUntouched) {
   for (int i = 0; i < 2; ++i) {
     TempPath bundle_path("trajectory_" + std::to_string(i));
     ShardedServerOptions options = LadderMachineOptions(2, 2, 13);
-    options.postmortem.path = bundle_path.str();
-    options.postmortem.windows = 8;
+    options.postmortem_path = bundle_path.str();
     options.corrupt_audit_window = corrupt_at[i];
     const auto got = RunShardedServerSimulation(movies, options);
     ASSERT_FALSE(got.ok());

@@ -9,10 +9,6 @@ DegradationPolicy EnabledPolicy() {
   DegradationPolicy policy;
   policy.enabled = true;
   policy.queue_deadline_minutes = 5.0;
-  policy.backoff_initial_minutes = 0.25;
-  policy.backoff_factor = 2.0;
-  policy.shed_below_fraction = 0.5;
-  policy.batching_below_fraction = 0.2;
   return policy;
 }
 
@@ -20,18 +16,6 @@ TEST(DegradationPolicyTest, Validation) {
   EXPECT_TRUE(EnabledPolicy().Validate().ok());
   DegradationPolicy p = EnabledPolicy();
   p.queue_deadline_minutes = -1.0;
-  EXPECT_TRUE(p.Validate().IsInvalidArgument());
-  p = EnabledPolicy();
-  p.backoff_initial_minutes = 0.0;
-  EXPECT_TRUE(p.Validate().IsInvalidArgument());
-  p = EnabledPolicy();
-  p.backoff_factor = 0.5;
-  EXPECT_TRUE(p.Validate().IsInvalidArgument());
-  p = EnabledPolicy();
-  p.shed_below_fraction = 1.5;
-  EXPECT_TRUE(p.Validate().IsInvalidArgument());
-  p = EnabledPolicy();
-  p.batching_below_fraction = 0.8;  // above shed_below_fraction = 0.5
   EXPECT_TRUE(p.Validate().IsInvalidArgument());
 }
 
@@ -143,7 +127,7 @@ TEST(ReserveManagerTest, QueuedRequestExpiresAtDeadline) {
 TEST(ReserveManagerTest, ShedLevelClosesAdmissionAndQueue) {
   EventQueue queue;
   ReserveManager mgr(10, EnabledPolicy(), &queue, 0.0);
-  mgr.SetCapacity(1.0, 4);  // 40% of nominal < shed_below_fraction
+  mgr.SetCapacity(1.0, 4);  // 40% of nominal < kLadderShedBelowFraction
   EXPECT_EQ(mgr.level(), DegradationLevel::kShedVcr);
   EXPECT_FALSE(mgr.TryAcquire(1.5));  // admission closed despite free units
   bool invoked = false;
@@ -166,7 +150,7 @@ TEST(ReserveManagerTest, BatchingOnlyReclaimsEverything) {
     for (int64_t i = 0; i < need; ++i) mgr.Release(t);
     return need;
   });
-  mgr.SetCapacity(1.0, 1);  // 10% of nominal < batching_below_fraction
+  mgr.SetCapacity(1.0, 1);  // 10% of nominal < kLadderBatchingBelowFraction
   EXPECT_EQ(reclaim_requests, 6);
   EXPECT_EQ(mgr.forced_reclaims(), 6);
   EXPECT_EQ(mgr.in_use(), 0);
@@ -253,86 +237,70 @@ WindowedPressure Pressure(int64_t capacity, int64_t nominal, int64_t held,
 }
 
 TEST(WindowedLadderTest, ComputeLevelMirrorsReserveManagerThresholds) {
-  const DegradationPolicy policy = EnabledPolicy();
   // Full capacity, nothing held or queued: normal.
-  EXPECT_EQ(ComputeWindowedLevel(Pressure(50, 50, 10, 0), policy),
+  EXPECT_EQ(ComputeWindowedLevel(Pressure(50, 50, 10, 0)),
             DegradationLevel::kNormal);
   // Any queued demand raises kQueueing.
-  EXPECT_EQ(ComputeWindowedLevel(Pressure(50, 50, 10, 1), policy),
+  EXPECT_EQ(ComputeWindowedLevel(Pressure(50, 50, 10, 1)),
             DegradationLevel::kQueueing);
   // Below half of nominal: shed new VCR work (queued or not).
-  EXPECT_EQ(ComputeWindowedLevel(Pressure(24, 50, 10, 0), policy),
+  EXPECT_EQ(ComputeWindowedLevel(Pressure(24, 50, 10, 0)),
             DegradationLevel::kShedVcr);
   // Oversubscribed (held > capacity) outranks shed.
-  EXPECT_EQ(ComputeWindowedLevel(Pressure(24, 50, 30, 5), policy),
+  EXPECT_EQ(ComputeWindowedLevel(Pressure(24, 50, 30, 5)),
             DegradationLevel::kReclaim);
   // Below the batching fraction outranks everything.
-  EXPECT_EQ(ComputeWindowedLevel(Pressure(9, 50, 30, 5), policy),
+  EXPECT_EQ(ComputeWindowedLevel(Pressure(9, 50, 30, 5)),
             DegradationLevel::kBatchingOnly);
 }
 
 TEST(WindowedLadderTest, DegradingStepsApplyImmediately) {
-  const DegradationPolicy policy = EnabledPolicy();
   WindowedLadderState state;  // kNormal, streak 0
-  state = StepWindowedLadder(state, Pressure(9, 50, 30, 5), policy,
-                             /*recover_windows=*/3);
+  state = StepWindowedLadder(state, Pressure(9, 50, 30, 5));
   EXPECT_EQ(state.level, DegradationLevel::kBatchingOnly);
   EXPECT_EQ(state.below_streak, 0);
 }
 
 TEST(WindowedLadderTest, RecoveryNeedsConsecutiveCalmWindows) {
-  const DegradationPolicy policy = EnabledPolicy();
   WindowedLadderState state;
   state.level = DegradationLevel::kShedVcr;
   const WindowedPressure calm = Pressure(50, 50, 10, 0);  // raw = kNormal
-  // Two calm windows with recover_windows=3: rung held, streak counts up.
-  state = StepWindowedLadder(state, calm, policy, 3);
+  // One calm window: rung held, streak counts up.
+  state = StepWindowedLadder(state, calm);
   EXPECT_EQ(state.level, DegradationLevel::kShedVcr);
   EXPECT_EQ(state.below_streak, 1);
-  state = StepWindowedLadder(state, calm, policy, 3);
-  EXPECT_EQ(state.level, DegradationLevel::kShedVcr);
-  EXPECT_EQ(state.below_streak, 2);
-  // Third calm window: the rung finally steps down, streak resets.
-  state = StepWindowedLadder(state, calm, policy, 3);
+  // Second calm window: the rung finally steps down, streak resets.
+  state = StepWindowedLadder(state, calm);
   EXPECT_EQ(state.level, DegradationLevel::kNormal);
   EXPECT_EQ(state.below_streak, 0);
 }
 
 TEST(WindowedLadderTest, PressureSpikeMidRecoveryResetsTheStreak) {
-  const DegradationPolicy policy = EnabledPolicy();
   WindowedLadderState state;
   state.level = DegradationLevel::kShedVcr;
-  state = StepWindowedLadder(state, Pressure(50, 50, 10, 0), policy, 2);
+  state = StepWindowedLadder(state, Pressure(50, 50, 10, 0));
   EXPECT_EQ(state.below_streak, 1);
   // Raw pressure back at the held rung: the streak must restart from zero.
-  state = StepWindowedLadder(state, Pressure(24, 50, 10, 0), policy, 2);
+  state = StepWindowedLadder(state, Pressure(24, 50, 10, 0));
   EXPECT_EQ(state.level, DegradationLevel::kShedVcr);
   EXPECT_EQ(state.below_streak, 0);
-  state = StepWindowedLadder(state, Pressure(50, 50, 10, 0), policy, 2);
+  state = StepWindowedLadder(state, Pressure(50, 50, 10, 0));
   EXPECT_EQ(state.below_streak, 1);
-  state = StepWindowedLadder(state, Pressure(50, 50, 10, 0), policy, 2);
-  EXPECT_EQ(state.level, DegradationLevel::kNormal);
-}
-
-TEST(WindowedLadderTest, RecoverWindowsBelowOneBehavesAsOne) {
-  const DegradationPolicy policy = EnabledPolicy();
-  WindowedLadderState state;
-  state.level = DegradationLevel::kQueueing;
-  state = StepWindowedLadder(state, Pressure(50, 50, 10, 0), policy,
-                             /*recover_windows=*/0);
+  state = StepWindowedLadder(state, Pressure(50, 50, 10, 0));
   EXPECT_EQ(state.level, DegradationLevel::kNormal);
 }
 
 TEST(WindowedLadderTest, RecoveryDescendsOneRawLevelAtATime) {
-  const DegradationPolicy policy = EnabledPolicy();
   WindowedLadderState state;
   state.level = DegradationLevel::kReclaim;
   // Raw pressure at kQueueing: recovery lands there, not at kNormal.
   const WindowedPressure queued = Pressure(50, 50, 10, 3);
-  state = StepWindowedLadder(state, queued, policy, 1);
+  state = StepWindowedLadder(state, queued);
+  EXPECT_EQ(state.level, DegradationLevel::kReclaim);
+  state = StepWindowedLadder(state, queued);
   EXPECT_EQ(state.level, DegradationLevel::kQueueing);
   EXPECT_EQ(state.below_streak, 0);
-  state = StepWindowedLadder(state, queued, policy, 1);
+  state = StepWindowedLadder(state, queued);
   EXPECT_EQ(state.level, DegradationLevel::kQueueing);
 }
 

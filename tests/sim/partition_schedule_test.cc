@@ -19,15 +19,13 @@ PartitionLayout MakeLayout(double l, int n, double b) {
 // Oracle: scan a wide stream-index range and apply the coverage definition
 // directly.
 std::optional<int64_t> BruteForceCovering(const PartitionLayout& layout,
-                                          bool stationary, double t,
-                                          double p) {
+                                          double t, double p) {
   if (p < 0.0 || p > layout.movie_length() || layout.window() <= 0.0) {
     return std::nullopt;
   }
   const double period = layout.restart_period();
   std::optional<int64_t> best;
   for (int64_t k = -500; k <= 500; ++k) {
-    if (!stationary && k < 0) continue;
     const double lead = t - k * period;
     const double buffered_lo = std::max(0.0, lead - layout.window());
     const double buffered_hi = std::min(lead, layout.movie_length());
@@ -46,12 +44,6 @@ TEST(PartitionScheduleTest, NextRestartOnGrid) {
   EXPECT_DOUBLE_EQ(schedule.NextRestart(2.999), 3.0);
   EXPECT_DOUBLE_EQ(schedule.NextRestart(3.0), 3.0);
   EXPECT_DOUBLE_EQ(schedule.NextRestart(100.5), 102.0);
-}
-
-TEST(PartitionScheduleTest, NonStationaryClampsToZero) {
-  PartitionSchedule schedule(MakeLayout(120.0, 40, 80.0),
-                             /*stationary=*/false);
-  EXPECT_DOUBLE_EQ(schedule.NextRestart(-5.0), 0.0);
 }
 
 TEST(PartitionScheduleTest, StreamLeadIsElapsedTime) {
@@ -116,39 +108,19 @@ TEST(PartitionScheduleTest, EnrollmentOpenFractionIsWindowOverPeriod) {
 
 TEST(PartitionScheduleTest, MatchesBruteForceOracle) {
   const PartitionLayout layout = MakeLayout(120.0, 40, 80.0);
-  for (bool stationary : {true, false}) {
-    PartitionSchedule schedule(layout, stationary);
-    Rng rng(6);
-    for (int i = 0; i < 3000; ++i) {
-      const double t = rng.Uniform(0.0, 400.0);
-      const double p = rng.Uniform(-5.0, 125.0);
-      const auto expected = BruteForceCovering(layout, stationary, t, p);
-      const auto got = schedule.FindCoveringStream(t, p);
-      ASSERT_EQ(got.has_value(), expected.has_value())
-          << "t=" << t << " p=" << p << " stationary=" << stationary;
-      if (expected.has_value()) {
-        ASSERT_EQ(*got, *expected) << "t=" << t << " p=" << p;
-      }
+  PartitionSchedule schedule(layout);
+  Rng rng(6);
+  for (int i = 0; i < 3000; ++i) {
+    const double t = rng.Uniform(0.0, 400.0);
+    const double p = rng.Uniform(-5.0, 125.0);
+    const auto expected = BruteForceCovering(layout, t, p);
+    const auto got = schedule.FindCoveringStream(t, p);
+    ASSERT_EQ(got.has_value(), expected.has_value())
+        << "t=" << t << " p=" << p;
+    if (expected.has_value()) {
+      ASSERT_EQ(*got, *expected) << "t=" << t << " p=" << p;
     }
   }
-}
-
-TEST(PartitionScheduleTest, EarlyTimesNonStationaryHaveNoHistory) {
-  PartitionSchedule schedule(MakeLayout(120.0, 40, 80.0),
-                             /*stationary=*/false);
-  // At t = 1 only stream 0 exists with lead 1; position 50 can't be covered.
-  EXPECT_FALSE(schedule.FindCoveringStream(1.0, 50.0).has_value());
-  // Stationary pretends history exists.
-  PartitionSchedule stationary(MakeLayout(120.0, 40, 80.0));
-  EXPECT_TRUE(stationary.FindCoveringStream(1.0, 50.0).has_value() ||
-              !stationary.FindCoveringStream(1.0, 50.0).has_value());
-  // Specifically, position 49.5 at t = 1: lead 49.5..51.5 needs k with
-  // 1 - 3k in that band -> k = -17 gives lead 52 (no), k = -16 gives 49 (no).
-  // Just assert the oracle agrees.
-  const auto expected = BruteForceCovering(MakeLayout(120.0, 40, 80.0), true,
-                                           1.0, 49.5);
-  EXPECT_EQ(stationary.FindCoveringStream(1.0, 49.5).has_value(),
-            expected.has_value());
 }
 
 TEST(PartitionScheduleTest, ActiveStreamsCountIsAboutN) {

@@ -54,7 +54,7 @@ TEST(ServerFaultsTest, Validation) {
                   .status()
                   .IsInvalidArgument());
   options = FaultyOptions(50, 2000.0, 200.0);
-  options.degradation.backoff_factor = 0.0;
+  options.degradation.queue_deadline_minutes = -1.0;
   EXPECT_TRUE(RunServerSimulation(TwoMovies(), options)
                   .status()
                   .IsInvalidArgument());

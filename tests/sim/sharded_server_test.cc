@@ -60,19 +60,6 @@ TEST(ShardedServerTest, Validation) {
   EXPECT_TRUE(RunShardedServerSimulation(movies, bad_window)
                   .status()
                   .IsInvalidArgument());
-  // The windowed ladder is supported, but its hysteresis knob must be sane.
-  auto bad_recover = BaseOptions(2, 1);
-  bad_recover.base.degradation.enabled = true;
-  bad_recover.ladder_recover_windows = 0;
-  const auto st = RunShardedServerSimulation(movies, bad_recover).status();
-  EXPECT_TRUE(st.IsInvalidArgument());
-  EXPECT_NE(st.message().find("ladder_recover_windows"), std::string::npos);
-  // recover_windows is only read when the ladder is armed: a bogus value
-  // with the ladder off must not reject a faults-only run.
-  auto ladder_off = BaseOptions(2, 1);
-  ladder_off.ladder_recover_windows = 0;
-  ladder_off.base.measurement_minutes = 500.0;
-  EXPECT_TRUE(RunShardedServerSimulation(movies, ladder_off).ok());
   // The shard count is bounded before anything is allocated per shard.
   const Status too_many =
       ValidateShardedInputs(movies, BaseOptions(kMaxShards + 1, 1));
@@ -432,8 +419,6 @@ DegradationPolicy QueueingPolicy() {
   DegradationPolicy policy;
   policy.enabled = true;
   policy.queue_deadline_minutes = 5.0;
-  policy.backoff_initial_minutes = 0.25;
-  policy.backoff_factor = 2.0;
   return policy;
 }
 

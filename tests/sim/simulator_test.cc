@@ -329,10 +329,6 @@ TEST(SimulatorTest, ReportBytesArePinned) {
   flash.arrivals = std::make_shared<FlashArrivals>(*crowd);
   cases.push_back({"flash", flash, 0x59413585f6e92c13ull});
 
-  SimulationOptions cold = ShortRun(VcrOp::kRewind);
-  cold.stationary_start = false;
-  cases.push_back({"cold_start", cold, 0x96b66e17dcbcbc7dull});
-
   for (const Case& c : cases) {
     const auto report = RunSimulation(layout, paper::Rates(), c.options);
     ASSERT_TRUE(report.ok()) << c.name << ": " << report.status().ToString();

@@ -15,9 +15,10 @@ Usage:
       constants and the stream counts of the Fig 9 table by artifact, row
       and column; the drift and sharded-ladder tables by row and column;
       every number in an ablation or extension bullet (one that opens with
-      `--artifact=NAME`) and in the drift claims, as printed, somewhere in
-      that one artifact's output. Exits 1 naming each doc line whose number
-      differs, and each quoted group it cannot find.
+      `--artifact=NAME`) and in each drift claim, as printed, in that one
+      artifact's output and in its print order (numbers in code spans are
+      notation and skipped). Exits 1 naming each doc line whose number
+      differs or comes out of order, and each quoted group it cannot find.
 """
 
 import csv
@@ -202,13 +203,24 @@ class DocCheck:
                                 quoted[column].replace(" ", ""),
                                 rows[0][column])
 
-    def prose(self, lineno, artifact, group, text):
+    def prose(self, lineno, artifact, group, start, text):
         """Each number in `text` (code spans dropped) must appear, exactly
-        as printed, in `artifact`'s own output."""
-        printed = set(NUMBER.findall("\n".join(self.artifacts[artifact])))
+        as printed, in `artifact`'s own output, and after the number
+        matched before it: a bullet or claim quotes its artifact's numbers
+        in print order, so two of them swapped fail. `start` is where the
+        bullet's previous number matched; returns where the last one did."""
+        printed = NUMBER.findall("\n".join(self.artifacts[artifact]))
         for number in NUMBER.findall(re.sub(r"`[^`]*`", "", text)):
+            if number in printed[start:]:
+                start = printed.index(number, start) + 1
+                recorded = number
+            elif number in printed:
+                recorded = "it only before " + printed[start - 1]
+            else:
+                recorded = "no " + number
             self.expect(group, lineno, "%s prose number" % artifact, number,
-                        number if number in printed else "no " + number)
+                        recorded)
+        return start
 
     def fig9(self, lineno, phi, streams):
         minima = dict(re.findall(r"^Figure 9\(.\): phi = (\d+) -> minimum "
@@ -223,7 +235,7 @@ class DocCheck:
             return ["record: no output for " + ", ".join(missing)]
         in_fig7 = in_drift = False
         doc_table = None  # (key, header line) of the DOC_TABLES table open
-        prose = None      # (artifact, group) of the bullet or claim open
+        prose = None      # [artifact, group, next print position] open
         with open(self.doc_path, encoding="utf-8") as f:
             doc = f.read().splitlines()
         for lineno, line in enumerate(doc, 1):
@@ -247,15 +259,17 @@ class DocCheck:
             opened = BULLET.match(line)
             claim = in_drift and re.match(r"\d\. ", line)
             if opened:
-                prose = (opened.group(1), "extensions")
-                self.prose(lineno, *prose, line[opened.end():])
+                prose = [opened.group(1), "extensions", 0]
+                text = line[opened.end():]
             elif claim:
-                prose = ("drift", "drift claims")
-                self.prose(lineno, *prose, line[claim.end():])
+                prose = ["drift", "drift claims", 0]
+                text = line[claim.end():]
             elif prose and line.startswith("  ") and line.strip():
-                self.prose(lineno, *prose, line)
+                text = line
             else:
                 prose = None
+            if prose:
+                prose[2] = self.prose(lineno, *prose, text)
             if line.startswith("|") and cells[0] in EXAMPLE1_ROWS:
                 self.example1(lineno, cells[0], cells[1:])
             if line.startswith("Measured: **C_b = "):

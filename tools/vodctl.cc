@@ -105,11 +105,12 @@ Result<int> IntFlag(const FlagSet& flags, const std::string& name) {
 // ---- scenario flags --------------------------------------------------------
 //
 // Each flag is registered once, by the function for exactly the commands
-// that accept it. The scenario functions (movie, run, server, ladder, and
-// AddKernelFlags' piggyback) define what a run *is*: a grid checkpoint's fingerprint hashes the
-// parsed value of every flag they register, so a setting added to one of
-// them joins a run's identity without a second edit. Output, telemetry,
-// thread and checkpoint-control flags are registered elsewhere.
+// that accept it. The scenario functions (movie, run, server, and
+// AddKernelFlags' piggyback) define what a run *is*: a grid checkpoint's
+// fingerprint hashes the parsed value of every flag they register, so a
+// setting added to one of them joins a run's identity without a second
+// edit. Output, telemetry, thread and checkpoint-control flags are
+// registered elsewhere.
 
 /// --buffer's default: derive B from --wait.
 constexpr double kBufferFromWait = -1.0;
@@ -167,27 +168,6 @@ void AddServerFlags(FlagSet* flags) {
                  "migration, selective shedding)");
 }
 
-/// The windowed ladder's sub-settings (shard); defaults are the library's.
-void AddLadderFlags(FlagSet* flags) {
-  const ShardedServerOptions defaults;
-  const DegradationPolicy& ladder = defaults.base.degradation;
-  flags->AddDouble("backoff", ladder.backoff_initial_minutes, "queued-request "
-                   "first re-offer delay in minutes (requires "
-                   "--queue_deadline)");
-  flags->AddDouble("backoff_factor", ladder.backoff_factor, "geometric retry "
-                   "backoff factor (requires --queue_deadline)");
-  flags->AddDouble("shed_below", ladder.shed_below_fraction, "capacity "
-                   "fraction below which the ladder sheds VCR requests "
-                   "(requires --queue_deadline)");
-  flags->AddDouble("batching_below", ladder.batching_below_fraction,
-                   "capacity fraction below which the ladder reclaims "
-                   "everything — batching-only mode (requires "
-                   "--queue_deadline)");
-  flags->AddInt64("recover_windows", defaults.ladder_recover_windows,
-                  "consecutive calm windows before the ladder steps down a "
-                  "rung (requires --queue_deadline)");
-}
-
 // ---- control and output flags ----------------------------------------------
 
 /// Replicated sweeps and their crash recovery (simulate, server).
@@ -195,7 +175,7 @@ void AddSweepFlags(FlagSet* flags) {
   AddExperimentFlags(flags);
   flags->AddString("checkpoint", "", "checkpoint file for multi-replication "
                    "sweeps: completed replications survive a crash");
-  flags->AddInt64("checkpoint_every", 16,
+  flags->AddInt64("checkpoint_every", CheckpointOptions().checkpoint_every,
                   "completed replications between checkpoint saves");
   flags->AddBool("resume", false, "resume an interrupted sweep from "
                  "--checkpoint (refused unless every scenario flag matches)");
@@ -220,11 +200,6 @@ void AddShardFlags(FlagSet* flags) {
                    "postmortem bundle here when an audit law fails, a resume "
                    "replay-verify rejects, or a checkpoint write fails "
                    "(render with `vodctl inspect --postmortem=PATH`)");
-  flags->AddInt64("postmortem_windows", 16, "barrier windows of ledger "
-                  "history the flight recorder retains");
-  flags->AddInt64("postmortem_events", 256, "trace events retained per shard "
-                  "(the rings fill only while tracing or --postmortem_out is "
-                  "set)");
   flags->AddInt64("corrupt_window", 0, "fault-injection hook: misstate one "
                   "ledger entry in the audit snapshot at this barrier window "
                   "to force an audit failure (requires --audit; 0 = off)");
@@ -435,37 +410,6 @@ Status ServerFromFlags(const FlagSet& flags,
   }
   options->controller.enabled = flags.GetBool("controller");
   options->audit = AuditFromFlags(flags);
-  return Status::OK();
-}
-
-/// Applies the windowed ladder's sub-settings. With the ladder off they
-/// would be silently ignored, so a value other than the default is refused
-/// as a mis-assembled command.
-Status LadderFromFlags(const FlagSet& flags, ShardedServerOptions* options) {
-  DegradationPolicy& ladder = options->base.degradation;
-  ladder.backoff_initial_minutes = flags.GetDouble("backoff");
-  ladder.backoff_factor = flags.GetDouble("backoff_factor");
-  ladder.shed_below_fraction = flags.GetDouble("shed_below");
-  ladder.batching_below_fraction = flags.GetDouble("batching_below");
-  options->ladder_recover_windows = flags.GetInt64("recover_windows");
-  if (ladder.enabled) return Status::OK();
-  const ShardedServerOptions defaults;
-  const DegradationPolicy& off = defaults.base.degradation;
-  const std::pair<const char*, bool> changed[] = {
-      {"backoff", ladder.backoff_initial_minutes != off.backoff_initial_minutes},
-      {"backoff_factor", ladder.backoff_factor != off.backoff_factor},
-      {"shed_below", ladder.shed_below_fraction != off.shed_below_fraction},
-      {"batching_below",
-       ladder.batching_below_fraction != off.batching_below_fraction},
-      {"recover_windows",
-       options->ladder_recover_windows != defaults.ladder_recover_windows}};
-  for (const auto& [flag, differs] : changed) {
-    if (differs) {
-      return Status::InvalidArgument(
-          std::string("--") + flag +
-          " requires the ladder armed via --queue_deadline > 0");
-    }
-  }
   return Status::OK();
 }
 
@@ -708,6 +652,26 @@ CheckpointOptions SweepCheckpoint(const FlagSet& flags) {
   return checkpoint;
 }
 
+/// A single run (--replications=1) writes no checkpoint, so a sweep's
+/// crash-recovery flag off its default is refused rather than ignored.
+Status RefuseSweepFlags(const FlagSet& flags) {
+  const CheckpointOptions checkpoint = SweepCheckpoint(flags);
+  const CheckpointOptions defaults;
+  const std::pair<const char*, bool> changed[] = {
+      {"checkpoint", checkpoint.path != defaults.path},
+      {"checkpoint_every",
+       checkpoint.checkpoint_every != defaults.checkpoint_every},
+      {"resume", checkpoint.resume != defaults.resume}};
+  for (const auto& [flag, differs] : changed) {
+    if (differs) {
+      return Status::InvalidArgument(
+          std::string("--") + flag +
+          " needs --replications > 1: a single run keeps no checkpoint");
+    }
+  }
+  return Status::OK();
+}
+
 /// Runs --replications decorrelated cells of `run_cell` through the
 /// checkpointable grid runner `grid`. Each cell traces over its own bus into
 /// the shared (thread-safe) file sink: cells then never mutate each other's
@@ -768,6 +732,7 @@ Result<int> SimulateCommand(int argc, char** argv) {
     // The cells keep the default wiring (RunSweep adds a trace bus).
     VOD_RETURN_IF_ERROR(SweepCheckpoint(flags).Validate());
   } else {
+    VOD_RETURN_IF_ERROR(RefuseSweepFlags(flags));
     options.obs = obs.RunOptions();
   }
   VOD_RETURN_IF_ERROR(ValidateSimulationInputs(paper::Rates(), options));
@@ -837,6 +802,7 @@ Result<int> ServerCommand(int argc, char** argv) {
     // The cells keep the default wiring (RunSweep adds a trace bus).
     VOD_RETURN_IF_ERROR(SweepCheckpoint(flags).Validate());
   } else {
+    VOD_RETURN_IF_ERROR(RefuseSweepFlags(flags));
     options.obs = obs.RunOptions();
   }
   VOD_RETURN_IF_ERROR(ValidateServerInputs(movies, options));
@@ -886,7 +852,6 @@ Result<int> ShardCommand(int argc, char** argv) {
   AddMovieFlags(&flags);
   AddRunFlags(&flags);
   AddServerFlags(&flags);
-  AddLadderFlags(&flags);
   AddShardFlags(&flags);
   AddOutputFlags(&flags);
   VOD_RETURN_IF_ERROR(flags.Parse(argc, argv));
@@ -894,7 +859,6 @@ Result<int> ShardCommand(int argc, char** argv) {
   std::vector<ServerMovieSpec> movies;
   ShardedServerOptions options;
   VOD_RETURN_IF_ERROR(ServerFromFlags(flags, &movies, &options.base));
-  VOD_RETURN_IF_ERROR(LadderFromFlags(flags, &options));
   ObsCli obs;
   VOD_RETURN_IF_ERROR(obs.Init(flags));
   options.base.obs = obs.RunOptions();
@@ -906,9 +870,7 @@ Result<int> ShardCommand(int argc, char** argv) {
   options.checkpoint.resume = flags.GetBool("resume");
   options.checkpoint.stop_after_windows =
       flags.GetInt64("stop_after_windows");
-  options.postmortem.path = flags.GetString("postmortem_out");
-  options.postmortem.windows = flags.GetInt64("postmortem_windows");
-  options.postmortem.events_per_shard = flags.GetInt64("postmortem_events");
+  options.postmortem_path = flags.GetString("postmortem_out");
   options.corrupt_audit_window = flags.GetInt64("corrupt_window");
   VOD_RETURN_IF_ERROR(ValidateShardedInputs(movies, options));
   VOD_RETURN_IF_ERROR(obs.Open());
@@ -1182,6 +1144,12 @@ Result<int> SoakCommand(int argc, char** argv) {
       flags.GetInt64("kill_min_ms") > flags.GetInt64("kill_max_ms")) {
     return Status::InvalidArgument(
         "need --cycles >= 1 and kill_min_ms <= kill_max_ms");
+  }
+  if (flags.GetInt64("shards") == 0 && flags.GetInt64("replications") < 2) {
+    // The children's sweep flags are refused on a single run.
+    return Status::InvalidArgument(
+        "--replications must be >= 2: a single run keeps no checkpoint to "
+        "resume");
   }
 
   const std::string prefix = flags.GetString("prefix");
@@ -1524,8 +1492,8 @@ int Usage() {
       "  soak      SIGKILL/resume chaos soak of a checkpointed sweep\n"
       "  inspect   summarize a trace file written by --trace_out, or a "
       "postmortem bundle\n"
-      "  reproduce the paper's figures and examples, one artifact or all "
-      "eight\n"
+      "  reproduce the paper's figures and examples, plus ablations and "
+      "extensions\n"
       "run 'vodctl <command> --help' for the command's flags\n",
       stderr);
   return 2;

@@ -63,7 +63,7 @@ def seeded_cases(seed):
     shard_a = ["shard", "--movies=4", "--shards=2", "--threads=2", "--audit"]
     shard_b = ["shard", "--movies=6", "--shards=3", "--threads=2",
                "--reserve=24", "--faults=4:700:350", "--queue_deadline=5",
-               "--recover_windows=3", "--audit"]
+               "--audit"]
     shard_c = ["shard", "--movies=8", "--shards=4", "--threads=1",
                "--window=30", "--controller", "--flash=0:200:400:4",
                "--reserve=40"]
@@ -155,8 +155,7 @@ def fixed_cases():
         # spelled out are accepted.
         "shard_bare": [["shard", "--measure=1500"]],
         "shard_explicit_ladder_defaults": [
-            ["shard", "--movies=4", "--measure=1500", "--queue_deadline=0",
-             "--backoff=0.25", "--recover_windows=2"]],
+            ["shard", "--movies=4", "--measure=1500", "--queue_deadline=0"]],
         "server_explicit_empty_specs": [["server", "--reserve=100",
                                          "--faults=", "--flash=",
                                          "--measure=1500"]],
@@ -213,17 +212,17 @@ def fixed_cases():
         ["simulate", "--wait=nan"],
         ["simulate", "--streams=40x"],
         ["simulate", "--replications=3", "--resume"],
+        # A single run refuses a sweep's crash-recovery flags.
+        ["simulate", "--measure=300", "--checkpoint=single.ckpt"],
+        ["simulate", "--measure=300", "--resume"],
+        ["server", "--measure=300", "--checkpoint_every=3"],
+        ["soak", "--replications=1", "--cycles=1", "--measure=300",
+         "--prefix=soak"],
         ["simulate", "--length=-5"],
         ["simulate", "--mix=bogus"],
         ["simulate", "--duration=bogus(1)"],
         ["simulate", "--streams=4294967336", "--wait=1", "--measure=200"],
         ["shard", "--movies=4", "--measure=300", "--shards=4294967299"],
-        ["shard", "--movies=4", "--shed_below=0.4"],
-        ["shard", "--movies=4", "--backoff=0.5"],
-        ["shard", "--movies=4", "--recover_windows=3"],
-        ["shard", "--movies=4", "--queue_deadline=5", "--recover_windows=0"],
-        ["shard", "--movies=4", "--queue_deadline=5", "--shed_below=0.3",
-         "--batching_below=0.4"],
         ["shard", "--movies=4", "--window=0"],
         ["shard", "--movies=4", "--corrupt_window=3"],
         ["timeline", "--width=5"],
