@@ -51,19 +51,16 @@ InnerSolution SolveBuffers(const std::vector<PlannerMovie>& movies,
                            const std::vector<int>& streams,
                            double buffer_budget) {
   const size_t k = movies.size();
-  auto buffers_at = [&](double nu) {
-    std::vector<double> b(k);
-    for (size_t i = 0; i < k; ++i) {
-      const double cap = movies[i].max_buffer_fraction * movies[i].movie_length;
-      const double raw =
-          movies[i].movie_length * (1.0 - nu * streams[i] / movies[i].rate);
-      b[i] = std::clamp(raw, 0.0, cap);
-    }
-    return b;
+  auto buffer_at = [&](size_t i, double nu) {
+    const double cap = movies[i].max_buffer_fraction * movies[i].movie_length;
+    const double raw =
+        movies[i].movie_length * (1.0 - nu * streams[i] / movies[i].rate);
+    return std::clamp(raw, 0.0, cap);
   };
+  // Summed in place, in movie order: every MonotoneThreshold probe calls it.
   auto total = [&](double nu) {
     double sum = 0.0;
-    for (double b : buffers_at(nu)) sum += b;
+    for (size_t i = 0; i < k; ++i) sum += buffer_at(i, nu);
     return sum;
   };
 
@@ -80,9 +77,9 @@ InnerSolution SolveBuffers(const std::vector<PlannerMovie>& movies,
   }
 
   InnerSolution sol;
-  sol.buffers = buffers_at(nu);
+  sol.buffers.resize(k);
   for (size_t i = 0; i < k; ++i) {
-    sol.buffers[i] = Quantize(sol.buffers[i]);
+    sol.buffers[i] = Quantize(buffer_at(i, nu));
     sol.objective += MovieObjective(movies[i], streams[i], sol.buffers[i]);
   }
   return sol;
@@ -112,15 +109,76 @@ std::vector<int> RoundedStreams(const std::vector<PlannerMovie>& movies,
   return n;
 }
 
+// Where one movie's moves that cost less than tau end, starting at `from`
+// and stepping by `step` toward `bound`. Its own move costs never decrease
+// (planner.h), so those moves are a prefix of its moves, and the end is
+// the first move not below tau. Galloping from the guess `relaxed` brackets
+// it and bisection settles it, with the StreamDelta of each move tried:
+// two calls when the guess is right, O(log |bound - from|) however wrong.
+int EndBelow(const PlannerMovie& m, int from, int bound, int step, double tau,
+             double relaxed) {
+  // Move j goes from from + step * j; `below(j)` holds exactly for j < end.
+  auto below = [&](int j) {
+    const int x = from + step * j;
+    return StreamDelta(m, x, x + step) < tau;
+  };
+  const int span = std::abs(bound - from);
+  // Clamp in double first: the guess is infinite at tau = 0.
+  const int lo_n = std::min(from, bound);
+  const int hi_n = std::max(from, bound);
+  const int guess = !(relaxed > lo_n) ? lo_n
+                    : relaxed < hi_n  ? static_cast<int>(relaxed)
+                                      : hi_n;
+  const int j = step * (guess - from);
+  int lo = 0;
+  int hi = span;
+  if (j < span && below(j)) {
+    lo = j + 1;
+    int stride = 1;
+    while (lo + stride - 1 < span && below(lo + stride - 1)) {
+      lo += stride;
+      stride *= 2;
+    }
+    hi = std::min(span, lo + stride - 1);
+  } else if (j > 0 && !below(j - 1)) {
+    hi = j - 1;
+    int stride = 1;
+    while (hi - stride >= 0 && !below(hi - stride)) {
+      hi -= stride;
+      stride *= 2;
+    }
+    lo = std::max(0, hi - stride + 1);
+  } else {
+    return guess;
+  }
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    if (below(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return from + step * lo;
+}
+
 // Repairs rounded counts to sum exactly min(budget, sum max_streams) with
 // greedy one-stream moves: while over budget, give back the stream whose
 // loss is smallest; while under, take the stream whose gain is largest.
 // Both are "pop the smallest StreamDelta of the move", lowest index on
 // ties, so one min-heap of (delta, movie) per phase yields each move in
 // O(log k). Only the moved movie's delta changes, so it alone is re-keyed.
+//
+// The heap pops the phase's moves in global (delta, movie) order, so for a
+// threshold tau the moves below it are exactly its next C(tau) pops while
+// C(tau) is at most the moves owed and tau at most the stop value. The
+// threshold step applies them in one step per movie; the heap then makes
+// the few moves left, ties at tau included. `*level` carries the
+// threshold's level from one repair to the next (0 before the first).
 void RepairToBudget(const std::vector<PlannerMovie>& movies, int64_t budget,
-                    std::vector<int>* streams) {
+                    double* level, std::vector<int>* streams) {
   std::vector<int>& n = *streams;
+  const size_t k = n.size();
   int64_t sum = 0;
   for (int s : n) sum += s;
   if (sum == budget) return;
@@ -128,10 +186,78 @@ void RepairToBudget(const std::vector<PlannerMovie>& movies, int64_t budget,
   // Give back only while the smallest loss is finite; take only while the
   // largest gain is positive (every movie saturated: leave slack unused).
   const double stop = step < 0 ? std::numeric_limits<double>::infinity() : 0.0;
-  auto movable = [&](size_t i) {
-    return step < 0 ? n[i] > movies[i].min_streams
-                    : n[i] < movies[i].max_streams;
+  auto bound = [&](size_t i) {
+    return step < 0 ? movies[i].min_streams : movies[i].max_streams;
   };
+
+  // Threshold step. The square-root relaxation puts the end of a movie's
+  // moves below tau where n(n-1) = lambda l / (2 tau) giving back, and
+  // where n(n+1) = lambda l / (2|tau|) taking: both round to
+  // sqrt(1/4 + lambda l w^2 / 2) + 1/2 at the level w = |tau|^(-1/2), in
+  // which that end is nearly linear. Newton on the exact count of moves
+  // below tau(w) (more of them as tau grows) finds tau, bracketed by the
+  // last w whose count fit the moves owed and the last that overshot, and
+  // keeps the best fit. The first repair starts where every relaxed end
+  // sums to the budget; later ones at the last repair's level, since
+  // levels that repair to the same counts share it.
+  const int64_t owed = step < 0 ? sum - budget : budget - sum;
+  const int64_t slack = static_cast<int64_t>(k / 16) + 1;
+  if (*level == 0.0) {
+    double scale = 0.0;
+    for (const PlannerMovie& m : movies) {
+      scale += std::sqrt(m.rate * m.movie_length / 2.0);
+    }
+    *level = static_cast<double>(budget) / scale;
+  }
+  double w = *level;
+  double w_fit = std::numeric_limits<double>::quiet_NaN();
+  double w_over = std::numeric_limits<double>::quiet_NaN();
+  int64_t best = 0;
+  std::vector<int> end(k);
+  std::vector<int> best_end;
+  for (int probe = 0; probe < 8 && best + slack <= owed; ++probe) {
+    const double tau = step < 0 ? 1.0 / (w * w) : -1.0 / (w * w);
+    const double half_w2 = 0.5 * w * w;
+    int64_t count = 0;
+    double interior = 0.0;  // relaxed ends of movies not at a bound
+    for (size_t i = 0; i < k; ++i) {
+      const PlannerMovie& m = movies[i];
+      const double relaxed =
+          std::sqrt(0.25 + m.rate * m.movie_length * half_w2) + 0.5;
+      end[i] = EndBelow(m, n[i], bound(i), step, tau, relaxed);
+      count += step * (end[i] - n[i]);
+      if (end[i] != n[i] && end[i] != bound(i)) interior += relaxed;
+    }
+    if (count <= owed) {
+      w_fit = w;
+      if (count > best) {
+        best = count;
+        *level = w;
+        best_end.swap(end);
+        end.resize(k);
+      }
+    } else {
+      w_over = w;
+    }
+    // Newton: d(count)/dw is about step * interior / w. Outside the
+    // bracket, bisect it geometrically, or double toward the unseen side.
+    double next = w * (1.0 + step * static_cast<double>(owed - count) /
+                                 interior);
+    const bool bracketed = !std::isnan(w_fit) && !std::isnan(w_over);
+    if (!(next > (bracketed ? std::min(w_fit, w_over) : 0.0) &&
+          next < (bracketed ? std::max(w_fit, w_over)
+                            : std::numeric_limits<double>::infinity()))) {
+      next = bracketed                        ? std::sqrt(w_fit * w_over)
+             : (count <= owed) == (step > 0) ? 2.0 * w
+                                              : 0.5 * w;
+    }
+    w = next;
+  }
+  if (best > 0) {
+    n.swap(best_end);
+    sum += step * best;
+  }
+
   struct Move {
     double delta;
     size_t movie;
@@ -140,8 +266,12 @@ void RepairToBudget(const std::vector<PlannerMovie>& movies, int64_t budget,
   auto after = [](const Move& a, const Move& b) {
     return a.delta > b.delta || (a.delta == b.delta && a.movie > b.movie);
   };
+  auto movable = [&](size_t i) {
+    return step < 0 ? n[i] > movies[i].min_streams
+                    : n[i] < movies[i].max_streams;
+  };
   std::vector<Move> heap;
-  for (size_t i = 0; i < n.size(); ++i) {
+  for (size_t i = 0; i < k; ++i) {
     if (movable(i)) {
       heap.push_back({StreamDelta(movies[i], n[i], n[i] + step), i});
     }
@@ -186,6 +316,11 @@ Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
       return Status::InvalidArgument(
           "planner stream bounds must satisfy 1 <= min <= max");
     }
+    // Past 2^20 consecutive repair moves may cost the same (planner.h).
+    if (m.max_streams > kPlannerMaxStreams) {
+      return Status::InvalidArgument(
+          "planner max_streams must be at most 2^20 (1048576)");
+    }
     // lambda l sets the stream scale and every repair marginal.
     if (!std::isfinite(m.rate * m.movie_length)) {
       return Status::InvalidArgument(
@@ -213,21 +348,28 @@ Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
   // The objective at a level depends only on its rounded start, and starts
   // are monotone in mu while the grid walks mu upward, so a repeated start
   // is always the previous one: reuse its objective instead of re-solving.
+  // Different starts often repair to the same counts, whose buffer split
+  // is then the same too: reuse its objective as well.
   std::vector<int> last_start;
+  std::vector<int> last_repaired;
   double last_objective = 0.0;
+  double level = 0.0;
   auto eval = [&](double log_mu) {
     std::vector<int> n = RoundedStreams(movies, std::exp(log_mu));
     if (n == last_start) return last_objective;
     last_start = n;
-    RepairToBudget(movies, stream_budget, &n);
-    last_objective = SolveBuffers(movies, n, buffer_budget).objective;
+    RepairToBudget(movies, stream_budget, &level, &n);
+    if (n == last_repaired) return last_objective;
+    last_repaired = std::move(n);
+    last_objective =
+        SolveBuffers(movies, last_repaired, buffer_budget).objective;
     return last_objective;
   };
   const Minimum best = GridMinimize(eval, std::log(mu_lo), std::log(mu_hi),
                                     kPlannerMuGridPoints);
 
   std::vector<int> n = RoundedStreams(movies, std::exp(best.x));
-  RepairToBudget(movies, stream_budget, &n);
+  RepairToBudget(movies, stream_budget, &level, &n);
   const InnerSolution inner = SolveBuffers(movies, n, buffer_budget);
 
   BufferPlan plan;

@@ -14,11 +14,21 @@
 //   * outer: GridMinimize over the stream "water level" mu — the continuous
 //     relaxation gives n_i(mu) = sqrt(lambda_i * l_i / (2 mu)) (square-root
 //     allocation), rounded and repaired to the integer budget by greedy
-//     one-stream moves drawn from a heap, O((k + moves) log k) per level; a
-//     level whose rounded start repeats the previous one reuses its value;
+//     one-stream moves; a level whose rounded start, or whose repaired
+//     counts, repeat the previous level's reuses its value;
 //   * inner: for fixed streams, the buffer split is a convex water-fill —
 //     marginals lambda_i (l_i - B_i)/(n_i l_i) equalize at a level nu found
 //     with MonotoneThreshold (root_finding).
+//
+// The repair pops moves from a heap in (delta, movie) order, delta being
+// the move's change in lambda l / (2n). Along one movie's own moves delta
+// never decreases: in doubles 1/(n-1) - 1/n is exact (Sterbenz), its values
+// fall strictly with n while n^2 < 2^52, and scaling by lambda l / 2 keeps
+// their order. So with every max_streams at most 2^20 the moves below a
+// threshold tau are the heap's next pops: a threshold step counts them per
+// movie in closed form, applies them at once, and leaves the heap the few
+// moves left. A repair costs O(k) per threshold probe (one or two), O(k)
+// to build the heap and O(log k) per move the heap makes.
 //
 // Fully deterministic: no RNG, stable tie-breaks by movie index, buffer
 // quantized so float dust cannot flip a plan comparison.
@@ -34,12 +44,15 @@
 
 namespace vod {
 
+/// Largest per-movie stream cap SolvePlan accepts (see the header comment).
+inline constexpr int kPlannerMaxStreams = 1 << 20;
+
 /// One movie's planning inputs.
 struct PlannerMovie {
   double movie_length = 120.0;  ///< l_i, minutes
   double rate = 0.5;            ///< lambda_i estimate, arrivals/minute
   int min_streams = 1;
-  int max_streams = 1 << 20;
+  int max_streams = kPlannerMaxStreams;
   /// Largest buffered fraction of the movie (B_i <= fraction * l_i).
   double max_buffer_fraction = 0.9;
 };
@@ -71,7 +84,8 @@ struct BufferPlan {
 };
 
 /// \brief Solves the constrained allocation. Requires sum min_streams <= N
-/// and non-negative budgets; every rate must be positive and finite.
+/// and non-negative budgets; every rate must be positive and finite, and
+/// every max_streams at most kPlannerMaxStreams.
 Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
                              int64_t stream_budget, double buffer_budget);
 

@@ -161,36 +161,33 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
   DegradationLevel rung_ = DegradationLevel::kNormal;
 };
 
-/// \brief Admission gate that records offered arrivals instead of deciding.
+/// \brief Admission gate that logs one movie's offered arrivals instead of
+/// deciding.
 ///
 /// In sharded mode the controller lives above the barrier and cannot be
-/// consulted per arrival. Every arrival is admitted shard-side, and the
-/// (time, movie) record is replayed into the controller's rate estimators
-/// at the next barrier. Pressure-driven shedding still happens — but
+/// consulted per arrival. Every arrival is admitted shard-side, and its time
+/// is appended to the movie's own log, which the coordinator reads in place
+/// at the next barrier to replay the window into the controller's rate
+/// estimators. The movie's kernel offers arrivals in time order, so the log
+/// is sorted as written. Pressure-driven shedding still happens — but
 /// through the windowed rung the barrier writes into every supplier
 /// (admission closes at >= kShedVcr), not per arrival; the decision lags
 /// live pressure by at most one window.
 class RecordingGate final : public AdmissionGate {
  public:
-  struct Offered {
-    double t = 0.0;
-    int32_t movie = -1;
-  };
-
-  bool OnArrival(int32_t movie, double t) override {
-    offered_.push_back(Offered{t, movie});
+  bool OnArrival(int32_t /*movie*/, double t) override {
+    arrivals_.push_back(t);
     return true;
   }
 
-  /// Coordinator-side: moves out everything recorded this window.
-  std::vector<Offered> TakeOffered() {
-    std::vector<Offered> out;
-    out.swap(offered_);
-    return out;
-  }
+  /// Coordinator-side: the arrival times logged since the last Clear, in
+  /// time order.
+  const std::vector<double>& arrivals() const { return arrivals_; }
+  /// Coordinator-side: empties the log, keeping its capacity.
+  void Clear() { arrivals_.clear(); }
 
  private:
-  std::vector<Offered> offered_;
+  std::vector<double> arrivals_;
 };
 
 /// \brief One shard: the movies it owns, each with a private event kernel.
@@ -209,6 +206,10 @@ class ServerShard {
     std::unique_ptr<EventQueue> queue;
     std::unique_ptr<CreditStreamSupplier> supplier;
     std::unique_ptr<SimulationMetrics> metrics;
+    /// The movie's arrival log, with the controller on (null otherwise);
+    /// owned here so the world's gate pointer survives the slot vector's
+    /// growth.
+    std::unique_ptr<RecordingGate> gate;
     std::unique_ptr<MovieWorld> world;
     /// Forced-reclaim quota the barrier wrote for the next window open, and
     /// the streams reclaimed against it there; the next barrier reads both
@@ -221,8 +222,6 @@ class ServerShard {
 
   ServerShard(const ServerShard&) = delete;
   ServerShard& operator=(const ServerShard&) = delete;
-
-  RecordingGate& gate() { return gate_; }
 
   /// Events executed so far, summed over the shard's movies.
   uint64_t executed() const;
@@ -272,7 +271,6 @@ class ServerShard {
 
  private:
   int shard_index_;
-  RecordingGate gate_;
   EventLog lane_;
   VectorSink lane_buffer_;
   EventRing* ring_ = nullptr;

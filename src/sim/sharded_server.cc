@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -439,39 +440,38 @@ class ShardedRun {
     return capacity_changed;
   }
 
-  /// Controller replay: offered arrivals in (time, movie) order, interleaved
-  /// with the controller's decision wakeups, then the wakeups still due by this
-  /// barrier. Order is derived from values only — never from shard layout.
-  /// The shards' gates already admitted every arrival, so the replay feeds
-  /// the rate estimators only; the traffic policy never sees them. Re-plans
-  /// run here, so it gets its own span inside the fold.
+  /// Controller replay: the controller's decision wakeups still due by
+  /// this barrier, each after every movie's logged arrivals before it; then
+  /// the arrivals after the last wakeup. An arrival at a wakeup's time is
+  /// observed after it. Observing an arrival touches only its own movie's
+  /// rate estimator, so each wakeup sees the same estimators whatever order
+  /// the movies are read in; they are read in global movie order, from
+  /// their logs in place. The shards' gates already admitted every arrival,
+  /// so the replay feeds the rate estimators only; the traffic policy never
+  /// sees them. Re-plans run here, so it gets its own span inside the fold.
   void ReplayController(double t_end, bool capacity_changed) {
     if (controller_ == nullptr) return;
     ctrl_host_->set_barrier_time(t_end);
     const double start_us =
         profiler_ != nullptr ? profiler_->NowMicros() : 0.0;
-    std::vector<RecordingGate::Offered> offered;
-    for (auto& shard : shards_) {
-      std::vector<RecordingGate::Offered> part = shard->gate().TakeOffered();
-      offered.insert(offered.end(), part.begin(), part.end());
-    }
-    std::sort(offered.begin(), offered.end(),
-              [](const RecordingGate::Offered& a,
-                 const RecordingGate::Offered& b) {
-                if (a.t != b.t) return a.t < b.t;
-                return a.movie < b.movie;
-              });
-    for (const RecordingGate::Offered& arrival : offered) {
-      while (ctrl_next_wakeup_ <= arrival.t && ctrl_next_wakeup_ < horizon_) {
-        const double at = ctrl_next_wakeup_;
-        ctrl_next_wakeup_ = controller_->OnWakeup(at);
+    // Per movie, the next logged arrival to observe.
+    std::vector<size_t> next_arrival(slots_.size(), 0);
+    auto observe_before = [&](double t) {
+      for (size_t i = 0; i < slots_.size(); ++i) {
+        const std::vector<double>& log = slots_[i]->gate->arrivals();
+        size_t& next = next_arrival[i];
+        for (; next < log.size() && log[next] < t; ++next) {
+          controller_->ObserveArrival(static_cast<int32_t>(i), log[next]);
+        }
       }
-      controller_->ObserveArrival(arrival.movie, arrival.t);
-    }
+    };
     while (ctrl_next_wakeup_ <= t_end && ctrl_next_wakeup_ < horizon_) {
       const double at = ctrl_next_wakeup_;
+      observe_before(at);
       ctrl_next_wakeup_ = controller_->OnWakeup(at);
     }
+    observe_before(std::numeric_limits<double>::infinity());
+    for (ServerShard::MovieSlot* slot : slots_) slot->gate->Clear();
     if (capacity_changed) controller_->OnCapacityChange(t_end);
     if (profiler_ != nullptr) {
       profiler_->RecordSpanOnLane(coordinator_lane_, "controller_replay",
@@ -827,8 +827,12 @@ class ShardedRun {
       const size_t s = i % static_cast<size_t>(shard_count_);
       ServerShard* shard = shards_[s].get();
 
+      ServerShard::MovieSlot slot;
       MovieWorldConfig config = ServerMovieConfig(spec, base_, i);
-      config.gate = base_.controller.enabled ? &shard->gate() : nullptr;
+      if (base_.controller.enabled) {
+        slot.gate = std::make_unique<RecordingGate>();
+        config.gate = slot.gate.get();
+      }
       // Per-event telemetry goes to the owning shard's private lane, never
       // the shared bus; with no sinks armed the lane is one dead branch.
       config.event_log = &shard->lane();
@@ -836,7 +840,6 @@ class ShardedRun {
 
       // Each movie gets its own kernel; it and the viewer slab grow to the
       // movie's own population.
-      ServerShard::MovieSlot slot;
       slot.global_index = static_cast<int32_t>(i);
       slot.queue = std::make_unique<EventQueue>();
       slot.supplier = std::make_unique<CreditStreamSupplier>();

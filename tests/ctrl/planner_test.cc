@@ -1,14 +1,22 @@
 // Planner oracle wall (ctrl/planner.h).
 //
 // SolvePlan repairs each grid level's rounded square-root start to the
-// stream budget with heap-ordered greedy moves, and reuses the objective of
-// a level whose start repeats the previous one. Both are pure speedups, so
-// the plan must equal, bit for bit, the one from the straightforward planner
-// kept below as the reference: one full catalog scan per repair move and a
-// fresh solve at every grid level. Seeded random catalogs of 1–600 movies
-// cover exact λ·l ties, min_streams > 1, caps that bind and caps that leave
-// slack, and stream budgets at Σmin, between Σmin and Σmax, and above Σmax.
-// The reference reads the planner's grid and buffer quantum constants.
+// stream budget with a threshold step and then heap-ordered greedy moves,
+// and reuses the objective of a level whose start, or whose repaired
+// counts, repeat the previous level's. All of that is a pure speedup, so
+// the plan must equal, bit for bit, the ones from the two planners kept
+// below as references:
+//   * the straightforward one: one full catalog scan per repair move and a
+//     fresh solve at every grid level. Seeded random catalogs of 1–600
+//     movies cover exact λ·l ties, min_streams > 1, caps that bind and caps
+//     that leave slack, and stream budgets at Σmin, between Σmin and Σmax,
+//     and above Σmax;
+//   * the heap planner the threshold step replaced: one heap pop per move,
+//     a level whose start repeats the previous one reusing its objective.
+//     It reaches what the scan cannot: the perf_planner flash catalog at
+//     384 and 1536 movies, and caps of 2^20 with budgets near 10^6 streams,
+//     in both repair directions and with exact λ·l ties.
+// The references read the planner's grid and buffer quantum constants.
 // Property checks pin the budget laws, and the malformed-input /
 // Infeasible / overflow paths return their statuses.
 
@@ -30,7 +38,7 @@
 namespace vod {
 namespace {
 
-// ---- the reference planner: linear-scan repair, every level solved ------
+// ---- the reference planners ----------------------------------------------
 
 namespace reference {
 
@@ -91,12 +99,10 @@ double StreamDelta(const PlannerMovie& m, int from, int to) {
   return m.rate * m.movie_length / 2.0 * (1.0 / to - 1.0 / from);
 }
 
-std::vector<int> StreamsAtLevel(const std::vector<PlannerMovie>& movies,
-                                double mu, int64_t budget) {
-  const size_t k = movies.size();
-  std::vector<int> n(k);
-  int64_t sum = 0;
-  for (size_t i = 0; i < k; ++i) {
+std::vector<int> RoundedStreams(const std::vector<PlannerMovie>& movies,
+                                double mu) {
+  std::vector<int> n(movies.size());
+  for (size_t i = 0; i < movies.size(); ++i) {
     const double ideal =
         std::sqrt(movies[i].rate * movies[i].movie_length / (2.0 * mu));
     // Clamp in double before rounding: an ideal past INT_MAX (a huge
@@ -105,8 +111,18 @@ std::vector<int> StreamsAtLevel(const std::vector<PlannerMovie>& movies,
     n[i] = static_cast<int>(std::lround(
         std::fmin(std::fmax(ideal, movies[i].min_streams),
                   movies[i].max_streams)));
-    sum += n[i];
   }
+  return n;
+}
+
+/// One scan of the catalog per move: give back the smallest loss while
+/// over budget, take the largest gain while under.
+void ScanRepair(const std::vector<PlannerMovie>& movies, int64_t budget,
+                std::vector<int>* streams) {
+  std::vector<int>& n = *streams;
+  const size_t k = movies.size();
+  int64_t sum = 0;
+  for (int s : n) sum += s;
   while (sum > budget) {
     size_t best = k;
     double best_loss = std::numeric_limits<double>::infinity();
@@ -137,12 +153,60 @@ std::vector<int> StreamsAtLevel(const std::vector<PlannerMovie>& movies,
     ++n[best];
     ++sum;
   }
-  return n;
 }
+
+/// One heap pop per move, (delta, movie) ordered: the same greedy as the
+/// scan in O(log k) a move.
+void HeapRepair(const std::vector<PlannerMovie>& movies, int64_t budget,
+                std::vector<int>* streams) {
+  std::vector<int>& n = *streams;
+  int64_t sum = 0;
+  for (int s : n) sum += s;
+  if (sum == budget) return;
+  const int step = sum > budget ? -1 : 1;
+  const double stop = step < 0 ? std::numeric_limits<double>::infinity() : 0.0;
+  auto movable = [&](size_t i) {
+    return step < 0 ? n[i] > movies[i].min_streams
+                    : n[i] < movies[i].max_streams;
+  };
+  struct Move {
+    double delta;
+    size_t movie;
+  };
+  auto after = [](const Move& a, const Move& b) {
+    return a.delta > b.delta || (a.delta == b.delta && a.movie > b.movie);
+  };
+  std::vector<Move> heap;
+  for (size_t i = 0; i < n.size(); ++i) {
+    if (movable(i)) {
+      heap.push_back({StreamDelta(movies[i], n[i], n[i] + step), i});
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  while (sum != budget && !heap.empty() && heap.front().delta < stop) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    const size_t i = heap.back().movie;
+    n[i] += step;
+    sum += step;
+    if (movable(i)) {
+      heap.back().delta = StreamDelta(movies[i], n[i], n[i] + step);
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+  }
+}
+
+enum class Oracle {
+  kScan,  ///< ScanRepair, every level solved
+  kHeap,  ///< HeapRepair, a repeated start reuses the previous level's value
+};
 
 /// SolvePlan for inputs it accepts.
 BufferPlan SolvePlan(const std::vector<PlannerMovie>& movies,
-                     int64_t stream_budget, double buffer_budget) {
+                     int64_t stream_budget, double buffer_budget,
+                     Oracle oracle) {
+  const auto repair = oracle == Oracle::kScan ? ScanRepair : HeapRepair;
   double scale_lo = std::numeric_limits<double>::infinity();
   double scale_hi = 0.0;
   for (const PlannerMovie& m : movies) {
@@ -153,15 +217,20 @@ BufferPlan SolvePlan(const std::vector<PlannerMovie>& movies,
       scale_lo / (2.0 * static_cast<double>(stream_budget) *
                   static_cast<double>(stream_budget));
   const double mu_hi = 2.0 * scale_hi;
+  std::vector<int> last_start;
+  double last_objective = 0.0;
   auto eval = [&](double log_mu) {
-    const std::vector<int> n =
-        StreamsAtLevel(movies, std::exp(log_mu), stream_budget);
-    return SolveBuffers(movies, n, buffer_budget).objective;
+    std::vector<int> n = RoundedStreams(movies, std::exp(log_mu));
+    if (oracle == Oracle::kHeap && n == last_start) return last_objective;
+    last_start = n;
+    repair(movies, stream_budget, &n);
+    last_objective = SolveBuffers(movies, n, buffer_budget).objective;
+    return last_objective;
   };
   const Minimum best = GridMinimize(eval, std::log(mu_lo), std::log(mu_hi),
                                     kPlannerMuGridPoints);
-  const std::vector<int> n =
-      StreamsAtLevel(movies, std::exp(best.x), stream_budget);
+  std::vector<int> n = RoundedStreams(movies, std::exp(best.x));
+  repair(movies, stream_budget, &n);
   const InnerSolution inner = SolveBuffers(movies, n, buffer_budget);
   BufferPlan plan;
   plan.movies.resize(movies.size());
@@ -186,6 +255,7 @@ BufferPlan SolvePlan(const std::vector<PlannerMovie>& movies,
 enum class Caps {
   kTight,  ///< max_streams within 4 of min: caps bind at most levels
   kLoose,  ///< 8–64 streams of headroom per movie
+  k64,     ///< the controller's cap of 64 streams
   kNone,   ///< the 2^20 default: only the budget binds
 };
 
@@ -228,6 +298,9 @@ PlanCase RandomCase(uint64_t seed, int count, Caps caps, Budget budget) {
       case Caps::kLoose:
         m.max_streams =
             m.min_streams + 8 + static_cast<int>(rng.UniformInt(57));
+        break;
+      case Caps::k64:
+        m.max_streams = 64;
         break;
       case Caps::kNone:
         break;
@@ -336,12 +409,13 @@ void ExpectBudgetLaws(const PlanCase& c, const BufferPlan& plan) {
   EXPECT_LE(buffer_sum, c.buffer_budget + 1e-6);
 }
 
-void CheckCase(const PlanCase& c) {
+void CheckCase(const PlanCase& c,
+               reference::Oracle oracle = reference::Oracle::kScan) {
   const Result<BufferPlan> got =
       SolvePlan(c.movies, c.stream_budget, c.buffer_budget);
   ASSERT_TRUE(got.ok()) << got.status().message();
   ExpectSamePlan(*got, reference::SolvePlan(c.movies, c.stream_budget,
-                                            c.buffer_budget));
+                                            c.buffer_budget, oracle));
   ExpectBudgetLaws(c, *got);
 }
 
@@ -395,6 +469,38 @@ TEST(PlannerTest, MatchesLinearScanOracleAtFlashCrowdPeak) {
   }
 }
 
+TEST(PlannerTest, MatchesHeapOracleAtScale) {
+  // The flash crowd peaks perf_planner times: at the low levels every title
+  // starts at its cap of 64 and thousands of streams go back.
+  for (int count : {384, 1536}) {
+    SCOPED_TRACE(std::to_string(count) + " flash-crowd movies");
+    CheckCase(FlashCrowdCase(count), reference::Oracle::kHeap);
+  }
+  // Caps of 64 over a few hundred movies, budgets between Σmin and Σmax and
+  // above Σmax (the take phase saturates); even seeds tie λ·l exactly.
+  for (uint64_t seed = 2000; seed < 2004; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", caps of 64");
+    CheckCase(RandomCase(seed, 300, Caps::k64,
+                         seed < 2002 ? Budget::kBetween : Budget::kAboveMax),
+              reference::Oracle::kHeap);
+  }
+  // Caps of 2^20 and budgets of 10^5 and 10^6 streams: levels give back
+  // and take hundreds of thousands of streams, and the counts reach the
+  // cap's range, where consecutive move costs differ least.
+  uint64_t seed = 3000;
+  for (int count : {2, 5}) {
+    for (int64_t budget : {100000, 1000000}) {
+      PlanCase c = RandomCase(seed, count, Caps::kNone, Budget::kBetween);
+      c.stream_budget = budget;
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(count) + " movies, budget " +
+                   std::to_string(budget));
+      ++seed;
+      CheckCase(c, reference::Oracle::kHeap);
+    }
+  }
+}
+
 TEST(PlannerTest, RejectsMalformedInputs) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -427,6 +533,15 @@ TEST(PlannerTest, RejectsMalformedInputs) {
     m.max_buffer_fraction = fraction;
     EXPECT_TRUE(rejects(m)) << "fraction " << fraction;
   }
+  // Past 2^20 streams consecutive repair moves may cost the same, which
+  // the threshold step's exactness rules out.
+  PlannerMovie huge_cap;
+  huge_cap.max_streams = kPlannerMaxStreams + 1;
+  const Status st = SolvePlan({PlannerMovie{}, huge_cap}, 8, 10.0).status();
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find("max_streams"), std::string::npos) << st;
+  huge_cap.max_streams = kPlannerMaxStreams;
+  EXPECT_TRUE(SolvePlan({PlannerMovie{}, huge_cap}, 8, 10.0).ok());
 }
 
 TEST(PlannerTest, RejectsOverflowingRateTimesLength) {
@@ -455,7 +570,8 @@ TEST(PlannerTest, HugeDemandSaturatesInsteadOfWrapping) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->movies[1].streams, 64);
   EXPECT_EQ(plan->movies[0].streams, 1);
-  ExpectSamePlan(*plan, reference::SolvePlan(movies, 65, 10.0));
+  ExpectSamePlan(*plan, reference::SolvePlan(movies, 65, 10.0,
+                                             reference::Oracle::kScan));
 }
 
 TEST(PlannerTest, InfeasibleWhenBudgetCannotCoverMinimums) {

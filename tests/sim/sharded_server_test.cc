@@ -333,6 +333,60 @@ std::vector<ServerMovieSpec> SharedLayoutMovies() {
   return movies;
 }
 
+/// Arrivals of an inner process, each moved up to the next multiple of
+/// `grid` minutes. With a grid that divides the controller's poll
+/// interval, some arrivals fall exactly on a decision wakeup, which must
+/// observe them only after it decides.
+class GridArrivals final : public ArrivalProcess {
+ public:
+  GridArrivals(ArrivalProcessPtr inner, double grid)
+      : inner_(std::move(inner)), grid_(grid) {}
+
+  double NextArrivalAfter(double after, Rng* rng) const override {
+    return std::ceil(inner_->NextArrivalAfter(after, rng) / grid_) * grid_;
+  }
+  double MeanRatePerMinute() const override {
+    return inner_->MeanRatePerMinute();
+  }
+
+ private:
+  ArrivalProcessPtr inner_;
+  double grid_;
+};
+
+/// 96 titles on four layouts (bench/perf_sharded.cc's mixed catalog), with
+/// a 4x flash crowd on every 16th and arrivals on a 15/16-minute grid, so
+/// the re-plan moves thousands of streams and replays arrivals that tie
+/// with its 15-minute wakeups.
+std::vector<ServerMovieSpec> FlashCatalog() {
+  struct Template {
+    double length;
+    int streams;
+    double buffer;
+  };
+  const Template kTemplates[] = {{120.0, 40, 80.0},
+                                 {90.0, 30, 45.0},
+                                 {100.0, 20, 50.0},
+                                 {110.0, 25, 60.0}};
+  std::vector<ServerMovieSpec> movies;
+  for (int i = 0; i < 96; ++i) {
+    const Template& t = kTemplates[(i + i / 4) % 4];
+    const double rate = 0.15 + 0.45 * ((i * 7) % 16) / 15.0;
+    ArrivalProcessPtr inner = std::make_shared<PoissonArrivals>(rate);
+    if (i % 16 == 0) {
+      const auto flash = FlashArrivals::Create(rate, 4.0, 600.0, 800.0);
+      EXPECT_TRUE(flash.ok());
+      inner = std::make_shared<FlashArrivals>(*flash);
+    }
+    std::string name = "title";
+    name += std::to_string(i);
+    movies.push_back({name, MakeLayout(t.length, t.streams, t.buffer), rate,
+                      std::make_shared<GridArrivals>(inner, 15.0 / 16.0),
+                      paper::Fig7MixedBehavior()});
+  }
+  return movies;
+}
+
 TEST(ShardedServerTest, ReportBytesArePinned) {
   // Fixed hashes of each configuration, so any change to what the barrier
   // reads or writes, or to the order a shard runs its movies' events in,
@@ -368,11 +422,25 @@ TEST(ShardedServerTest, ReportBytesArePinned) {
   everything.base.controller.poll_interval_minutes = 15.0;
   everything.base.piggyback.enabled = true;
 
+  // The controller re-planning a 96-title catalog at its flash crowds; one
+  // shard and four give one hash.
+  auto at_scale_one = BaseOptions(1, 1);
+  at_scale_one.base.warmup_minutes = 200.0;
+  at_scale_one.base.measurement_minutes = 1800.0;
+  at_scale_one.base.dynamic_stream_reserve = 400;
+  at_scale_one.base.controller.enabled = true;
+  at_scale_one.base.controller.poll_interval_minutes = 15.0;
+  at_scale_one.window_minutes = 60.0;
+  auto at_scale_four = at_scale_one;
+  at_scale_four.shards = 4;
+  at_scale_four.threads = 2;
+
   const struct {
     const char* name;
     const std::vector<ServerMovieSpec> movies;
     const ShardedServerOptions& options;
     uint64_t hash;
+    bool replans = false;
   } cases[] = {
       {"tight reserve", FourMovies(), tight, 0xdaa2c2a5bfa7f2daULL},
       {"faults + ladder + audit", FourMovies(), machine, 0xb955e518fab14bb7ULL},
@@ -384,12 +452,20 @@ TEST(ShardedServerTest, ReportBytesArePinned) {
        0xa8b45f315be00877ULL},
       {"faults + ladder + controller + flash + piggyback + audit",
        flash_movies, everything, 0xb2fc1a505fedda90ULL},
+      {"controller at scale, 1 shard", FlashCatalog(), at_scale_one,
+       0xc8decaa11980acf3ULL, true},
+      {"controller at scale, 4 shards", FlashCatalog(), at_scale_four,
+       0xc8decaa11980acf3ULL, true},
   };
   for (const auto& c : cases) {
     const auto report = RunShardedServerSimulation(c.movies, c.options);
     ASSERT_TRUE(report.ok()) << c.name << ": " << report.status().message();
     EXPECT_EQ(RunHash(*report), c.hash)
         << c.name << ": got 0x" << std::hex << RunHash(*report);
+    if (c.replans) {
+      EXPECT_GE(report->server.controller.plans_solved, 1) << c.name;
+      EXPECT_GE(report->server.controller.migrations_committed, 1) << c.name;
+    }
   }
 }
 

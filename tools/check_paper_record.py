@@ -15,9 +15,10 @@ Usage:
       constants and the stream counts of the Fig 9 table by artifact, row
       and column; the drift and sharded-ladder tables by row and column;
       every number in an ablation or extension bullet (one that opens with
-      `--artifact=NAME`) and in each drift claim, as printed, in that one
-      artifact's output and in its print order (numbers in code spans are
-      notation and skipped). Exits 1 naming each doc line whose number
+      `--artifact=NAME`), as printed, in that one artifact's output and in
+      its print order, and every number of each drift claim on one printed
+      line of the drift output, in its order there (numbers in code spans
+      are notation and skipped). Exits 1 naming each doc line whose number
       differs or comes out of order, and each quoted group it cannot find.
 """
 
@@ -203,24 +204,38 @@ class DocCheck:
                                 quoted[column].replace(" ", ""),
                                 rows[0][column])
 
-    def prose(self, lineno, artifact, group, start, text):
+    def prose(self, lineno, artifact, group, scopes, live, text):
         """Each number in `text` (code spans dropped) must appear, exactly
-        as printed, in `artifact`'s own output, and after the number
-        matched before it: a bullet or claim quotes its artifact's numbers
-        in print order, so two of them swapped fail. `start` is where the
-        bullet's previous number matched; returns where the last one did."""
-        printed = NUMBER.findall("\n".join(self.artifacts[artifact]))
+        as printed, in one scope of `artifact`'s output, and there after the
+        number matched before it: a bullet quotes its artifact's numbers in
+        print order, so two of them swapped fail. A bullet's one scope is
+        its artifact's whole output; a drift claim's scopes are the drift
+        output's lines, since a claim quotes one printed line. `live` maps
+        each scope every number so far matched in to the position after its
+        last match; returns it updated for the bullet's next line."""
         for number in NUMBER.findall(re.sub(r"`[^`]*`", "", text)):
-            if number in printed[start:]:
-                start = printed.index(number, start) + 1
+            found = {i: scopes[i].index(number, at) + 1
+                     for i, at in live.items() if number in scopes[i][at:]}
+            if found:
+                live = found
                 recorded = number
-            elif number in printed:
-                recorded = "it only before " + printed[start - 1]
-            else:
+            elif not any(number in scope for scope in scopes):
                 recorded = "no " + number
+            elif len(scopes) == 1:
+                recorded = "it only before " + scopes[0][live[0] - 1]
+            else:
+                recorded = "it on no line with the numbers quoted before it"
             self.expect(group, lineno, "%s prose number" % artifact, number,
                         recorded)
-        return start
+        return live
+
+    def open_prose(self, artifact, group, by_line):
+        """The state of a bullet or claim that opens: [artifact, group, its
+        scopes, every scope live at position 0]."""
+        lines = self.artifacts[artifact]
+        scopes = ([NUMBER.findall(line) for line in lines] if by_line
+                  else [NUMBER.findall("\n".join(lines))])
+        return [artifact, group, scopes, dict.fromkeys(range(len(scopes)), 0)]
 
     def fig9(self, lineno, phi, streams):
         minima = dict(re.findall(r"^Figure 9\(.\): phi = (\d+) -> minimum "
@@ -235,7 +250,7 @@ class DocCheck:
             return ["record: no output for " + ", ".join(missing)]
         in_fig7 = in_drift = False
         doc_table = None  # (key, header line) of the DOC_TABLES table open
-        prose = None      # [artifact, group, next print position] open
+        prose = None      # open_prose's state of the bullet or claim open
         with open(self.doc_path, encoding="utf-8") as f:
             doc = f.read().splitlines()
         for lineno, line in enumerate(doc, 1):
@@ -259,17 +274,17 @@ class DocCheck:
             opened = BULLET.match(line)
             claim = in_drift and re.match(r"\d\. ", line)
             if opened:
-                prose = [opened.group(1), "extensions", 0]
+                prose = self.open_prose(opened.group(1), "extensions", False)
                 text = line[opened.end():]
             elif claim:
-                prose = ["drift", "drift claims", 0]
+                prose = self.open_prose("drift", "drift claims", True)
                 text = line[claim.end():]
             elif prose and line.startswith("  ") and line.strip():
                 text = line
             else:
                 prose = None
             if prose:
-                prose[2] = self.prose(lineno, *prose, text)
+                prose[3] = self.prose(lineno, *prose, text)
             if line.startswith("|") and cells[0] in EXAMPLE1_ROWS:
                 self.example1(lineno, cells[0], cells[1:])
             if line.startswith("Measured: **C_b = "):

@@ -51,6 +51,7 @@ GATED = (
      "BM_HoldModel|BM_PopOnly|BM_ScheduleOnly|BM_ScheduleCancelMix|"
      "BM_CancelBurstThenDrain"),
     ("bench/perf_sharded", "BM_ShardedRun"),
+    ("bench/perf_planner", "BM_SolvePlan"),
 )
 # Single hot loops with low variance, whose regressions are the point of
 # gating: held to the tight tier. Some GATED filter selects each of them

@@ -98,6 +98,14 @@ class GatedTableTest(unittest.TestCase):
                 "selects it")
 
 
+    def test_the_replan_row_is_gated_at_the_other_tier(self):
+        # The controller's re-plan is a whole solver, not one hot loop.
+        self.assertIn(("bench/perf_planner", "BM_SolvePlan"),
+                      perf_gate.GATED)
+        self.assertEqual(perf_gate.tier("BM_SolvePlan/384"),
+                         perf_gate.OTHER_TIER)
+
+
 class RunOrderTest(unittest.TestCase):
 
     def test_each_binary_runs_on_both_sides_back_to_back(self):
