@@ -32,7 +32,7 @@ namespace vod {
 
 /// Bumped whenever the framing or any payload codec changes shape; readers
 /// reject other versions rather than guessing.
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// Payload type ids, one per snapshot producer (guards against feeding one
 /// producer's file to another). Files on disk carry these values, so they

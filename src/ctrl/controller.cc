@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
-#include <numeric>
 #include <sstream>
 
 #include "common/check.h"
@@ -37,8 +36,6 @@ std::string ControllerReport::ToString() const {
      << " migrations=" << migrations_committed << "/" << migrations_started
      << " rollbacks=" << rollbacks << " steps=" << steps_applied << "/"
      << steps_planned << " blocked=" << blocked_attempts
-     << " sheds=" << admission_sheds << " (" << sheds_by_class[0] << "/"
-     << sheds_by_class[1] << "/" << sheds_by_class[2] << ")"
      << " last_commit=" << last_commit_time << "}";
   return os.str();
 }
@@ -55,7 +52,6 @@ Controller::Controller(const ControllerOptions& options,
     state.config = m;
     movies_.push_back(std::move(state));
   }
-  policy_ = std::make_unique<TrafficPolicy>(host_, log_);
 }
 
 void Controller::EmitEvent(double t, ControllerEvent sub, int32_t movie,
@@ -85,7 +81,6 @@ void Controller::Start(double t0) {
   committed_.epoch = 0;
   committed_.movies.clear();
   committed_.solved_rates.clear();
-  std::vector<double> baselines;
   for (size_t i = 0; i < movies_.size(); ++i) {
     live_streams += live[i].streams();
     live_buffer += live[i].buffer_minutes();
@@ -95,7 +90,6 @@ void Controller::Start(double t0) {
     committed_.movies.push_back(entry);
     const double rate = movies_[i].config.baseline_rate;
     committed_.solved_rates.push_back(rate);
-    baselines.push_back(rate);
     movies_[i].estimator = std::make_unique<RateEstimator>(rate, t0);
   }
   // Resource slack granted beyond the sum of the initial layouts.
@@ -106,18 +100,12 @@ void Controller::Start(double t0) {
   engine_ = std::make_unique<MigrationEngine>(
       stream_budget_, buffer_budget_, kExtraStreamSlack, kExtraBufferSlack,
       log_);
-  policy_->Configure(baselines, t0);
 }
 
 void Controller::ObserveArrival(int32_t movie, double t) {
   VOD_CHECK(started_);
   VOD_CHECK(movie >= 0 && static_cast<size_t>(movie) < movies_.size());
   movies_[static_cast<size_t>(movie)].estimator->Observe(t);
-}
-
-bool Controller::OnArrival(int32_t movie, double t) {
-  ObserveArrival(movie, t);
-  return policy_->OnArrival(movie, t);
 }
 
 bool Controller::ReplanTriggered(double t) {
@@ -230,23 +218,6 @@ void Controller::Replan(double t) {
   const bool began = engine_->Begin(t, std::move(steps), epoch_);
   VOD_CHECK(began);
   last_migration_start_ = t;
-
-  // Priority classes follow the new plan's marginal values immediately:
-  // the traffic policy protects the allocation we are moving toward.
-  std::vector<size_t> order(movies_.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return pending_.movies[a].marginal_value >
-           pending_.movies[b].marginal_value;
-  });
-  for (size_t rank = 0; rank < order.size(); ++rank) {
-    const size_t i = order[rank];
-    const int cls = static_cast<int>(rank * kNumPriorityClasses /
-                                     order.size());
-    policy_->Update(static_cast<int32_t>(i), pending_.solved_rates[i], cls);
-    EmitEvent(t, ControllerEvent::kClass, static_cast<int32_t>(i), epoch_,
-              static_cast<double>(cls), static_cast<uint8_t>(cls));
-  }
 }
 
 void Controller::CommitPlan(double t) {
@@ -286,9 +257,9 @@ double Controller::OnWakeup(double t) {
 
 void Controller::OnCapacityChange(double t) {
   if (!started_) return;
-  if (engine_->InFlight() && host_->PressureLevel() >= 2) {
-    // The system just lost enough capacity that it is shedding hard;
-    // holding partition resources in limbo makes it worse. Abort.
+  if (engine_->InFlight() && host_->ReclaimBlocked()) {
+    // The system just lost enough capacity that it reclaims streams from
+    // viewers; holding partition resources in limbo makes it worse. Abort.
     engine_->Abort(t, host_);
     pending_valid_ = false;
   }
@@ -306,10 +277,6 @@ ControllerReport Controller::Report() const {
     report.steps_planned = engine_->steps_planned();
     report.steps_applied = engine_->steps_applied();
     report.blocked_attempts = engine_->blocked_attempts();
-  }
-  report.admission_sheds = policy_->shed_total();
-  for (int c = 0; c < kNumPriorityClasses; ++c) {
-    report.sheds_by_class[static_cast<size_t>(c)] = policy_->sheds_in_class(c);
   }
   report.final_epoch = epoch_;
   report.last_commit_time = last_commit_time_;

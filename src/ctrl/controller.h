@@ -6,17 +6,17 @@
 // The controller closes the loop online:
 //
 //   estimate  — per-movie EWMA arrival rates + Page–Hinkley drift detection
-//               (ctrl/rate_estimator.h), fed by every offered arrival;
+//               (ctrl/rate_estimator.h), fed by every arrival;
 //   re-plan   — on a drift alarm, or when a sustained deviation confirms at
 //               the poll cadence, re-solve the constrained allocation with
 //               the numerics solvers (ctrl/planner.h) at live rates;
 //   migrate   — apply the plan through the bounded-disruption engine
 //               (ctrl/migration.h): staged reclaim/grant, never preempting
 //               active streams, exponential backoff on blocked steps,
-//               rollback to the last committed plan on failure;
-//   protect   — a token-bucket traffic policy (ctrl/traffic_policy.h) sheds
-//               low-marginal-value arrivals under overload instead of the
-//               global degradation ladder.
+//               rollback to the last committed plan on failure.
+//
+// The controller never refuses an arrival: every arrival joins a batch, as
+// in the paper, and only the I/O reserve refuses (VCR stream acquisitions).
 //
 // Quiescence contract: with no drift, the controller is a pure observer.
 // Hysteresis thresholds scale with each estimator's noise floor, plans are
@@ -31,7 +31,6 @@
 #ifndef VOD_CTRL_CONTROLLER_H_
 #define VOD_CTRL_CONTROLLER_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -39,12 +38,10 @@
 
 #include "common/status.h"
 #include "core/partition_layout.h"
-#include "ctrl/admission_gate.h"
 #include "ctrl/host.h"
 #include "ctrl/migration.h"
 #include "ctrl/planner.h"
 #include "ctrl/rate_estimator.h"
-#include "ctrl/traffic_policy.h"
 #include "obs/event_log.h"
 
 namespace vod {
@@ -81,8 +78,9 @@ struct ControllerReport {
   int64_t steps_planned = 0;
   int64_t steps_applied = 0;
   int64_t blocked_attempts = 0;
+  /// Always 0: nothing refuses an arrival. Not printed or serialized; kept
+  /// while bench/e2e still reads it.
   int64_t admission_sheds = 0;
-  std::array<int64_t, kNumPriorityClasses> sheds_by_class{};
   int64_t final_epoch = 0;
   /// Simulation time of the last committed plan; -1 = never re-planned.
   double last_commit_time = -1.0;
@@ -91,16 +89,14 @@ struct ControllerReport {
   /// controller (plans solved but none acted on) stays inactive, which is
   /// what keeps zero-drift reports byte-identical to controller-off runs.
   bool Active() const {
-    return drift_alarms + migrations_started + rollbacks + admission_sheds +
-               steps_applied >
-           0;
+    return drift_alarms + migrations_started + rollbacks + steps_applied > 0;
   }
 
   std::string ToString() const;
 };
 
-/// \brief Online rate estimation + re-planning + migration + shedding.
-class Controller final : public AdmissionGate {
+/// \brief Online rate estimation + re-planning + migration.
+class Controller final {
  public:
   /// `host` and `log` (optional) must outlive the controller. `movies` is
   /// index-aligned with the host's movie ids.
@@ -109,17 +105,12 @@ class Controller final : public AdmissionGate {
              EventLog* log);
 
   /// Starts observing at t0. The committed plan is the live configuration;
-  /// epoch 0. Call once, before any OnArrival/OnWakeup.
+  /// epoch 0. Call once, before any ObserveArrival/OnWakeup.
   void Start(double t0);
 
-  /// AdmissionGate: feeds the movie's rate estimator (offered demand,
-  /// including arrivals that end up shed), then consults the traffic
-  /// policy. Wire as MovieWorldConfig::gate.
-  bool OnArrival(int32_t movie, double t) override;
-
-  /// Feeds the movie's rate estimator only, for an arrival another gate
-  /// already decided (the sharded barrier's replay): the traffic policy
-  /// neither sees it nor counts it as shed.
+  /// Feeds one arrival of `movie` at time t to its rate estimator, in time
+  /// order per movie. Estimators are read only inside OnWakeup, so a host
+  /// may batch a movie's arrivals up to each wakeup.
   void ObserveArrival(int32_t movie, double t);
 
   /// Decision tick: pumps the migration engine, commits or abandons plans,
@@ -127,8 +118,9 @@ class Controller final : public AdmissionGate {
   /// (always > t; the host schedules it).
   double OnWakeup(double t);
 
-  /// Capacity changed under the controller (fault / repair). A severe loss
-  /// mid-migration aborts and rolls back.
+  /// Capacity changed under the controller (fault / repair). A loss that
+  /// blocks reclaim (ControllerHost::ReclaimBlocked) mid-migration aborts it
+  /// and rolls back.
   void OnCapacityChange(double t);
 
   ControllerReport Report() const;
@@ -155,7 +147,6 @@ class Controller final : public AdmissionGate {
   ControllerHost* host_;
   EventLog* log_;
   std::vector<MovieState> movies_;
-  std::unique_ptr<TrafficPolicy> policy_;
   std::unique_ptr<MigrationEngine> engine_;
 
   bool started_ = false;

@@ -34,12 +34,9 @@ class ControllerHost {
 
   /// True while the system is too degraded to give up partition resources
   /// (the degradation ladder is at its reclaim rung or worse). Migration
-  /// reclaim steps back off while this holds.
+  /// reclaim steps back off while this holds, and a capacity change while
+  /// it holds aborts the migration in flight.
   virtual bool ReclaimBlocked() const = 0;
-
-  /// Coarse overload signal for the traffic policy: 0 = nominal, 1 = shed
-  /// low-value traffic, 2 = shed all but the top class.
-  virtual int PressureLevel() const = 0;
 };
 
 }  // namespace vod

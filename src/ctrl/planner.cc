@@ -380,9 +380,6 @@ Result<BufferPlan> SolvePlan(const std::vector<PlannerMovie>& movies,
     MoviePlanEntry& e = plan.movies[i];
     e.streams = n[i];
     e.buffer_minutes = inner.buffers[i];
-    e.marginal_value = movies[i].rate *
-                       (movies[i].movie_length - e.buffer_minutes) /
-                       (n[i] * movies[i].movie_length);
     plan.solved_rates[i] = movies[i].rate;
   }
   return plan;

@@ -66,9 +66,6 @@ inline constexpr double kPlannerBufferQuantumMinutes = 0.25;
 struct MoviePlanEntry {
   int streams = 1;
   double buffer_minutes = 0.0;
-  /// Marginal value of one more buffered minute at this allocation
-  /// (lambda_i (l_i - B_i) / (n_i l_i)); drives priority classes.
-  double marginal_value = 0.0;
 };
 
 /// A committed or candidate allocation across the catalog.

@@ -178,8 +178,6 @@ void SerializeServerReport(const ServerReport& r, ByteWriter* out) {
   out->PutI64(ctrl.steps_planned);
   out->PutI64(ctrl.steps_applied);
   out->PutI64(ctrl.blocked_attempts);
-  out->PutI64(ctrl.admission_sheds);
-  for (int64_t v : ctrl.sheds_by_class) out->PutI64(v);
   out->PutI64(ctrl.final_epoch);
   out->PutDouble(ctrl.last_commit_time);
 }
@@ -283,10 +281,6 @@ Status DeserializeServerReport(ByteReader* in, ServerReport* r) {
   VOD_RETURN_IF_ERROR(in->ReadI64(&ctrl->steps_planned));
   VOD_RETURN_IF_ERROR(in->ReadI64(&ctrl->steps_applied));
   VOD_RETURN_IF_ERROR(in->ReadI64(&ctrl->blocked_attempts));
-  VOD_RETURN_IF_ERROR(in->ReadI64(&ctrl->admission_sheds));
-  for (int64_t& v : ctrl->sheds_by_class) {
-    VOD_RETURN_IF_ERROR(in->ReadI64(&v));
-  }
   VOD_RETURN_IF_ERROR(in->ReadI64(&ctrl->final_epoch));
   VOD_RETURN_IF_ERROR(in->ReadDouble(&ctrl->last_commit_time));
   return Status::OK();

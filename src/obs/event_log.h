@@ -71,8 +71,9 @@ enum class ControllerEvent : uint8_t {
   kCommit = 4,    ///< migration completed, plan committed (id = epoch)
   kRollback = 5,  ///< migration rolled back (id = epoch)
   kBlocked = 6,   ///< step blocked, backing off (value = retry count)
-  kShed = 7,      ///< arrival shed by the admission gate (aux = class)
-  kClass = 8,     ///< movie priority class assigned (value = class)
+  kShed = 7,      ///< retired: never emitted (nothing refuses an arrival);
+                  ///< the name still parses so older traces read
+  kClass = 8,     ///< retired: never emitted, as kShed
 };
 
 /// Subtype ids for EventCategory::kShard records (the sharded engine's

@@ -167,8 +167,8 @@ std::vector<DegradationInterval> DegradationTimeline(
 std::vector<ControllerDecision> ControllerTimeline(
     const std::vector<TraceEvent>& events) {
   std::vector<ControllerDecision> out;
-  // Folds a high-frequency event (step/shed/class) into the current decision
-  // row, synthesizing a leading row if none exists yet.
+  // Folds a migration step into the current decision row, synthesizing a
+  // leading row if none exists yet.
   const auto current_row = [&out](const TraceEvent& event) {
     if (out.empty()) {
       ControllerDecision lead;
@@ -188,11 +188,8 @@ std::vector<ControllerDecision> ControllerTimeline(
         ++current_row(event)->grants;
         break;
       case ControllerEvent::kShed:
-        ++current_row(event)->sheds;
-        break;
       case ControllerEvent::kClass:
-        ++current_row(event)->class_changes;
-        break;
+        break;  // retired; never emitted by current builds
       case ControllerEvent::kAlarm:
       case ControllerEvent::kReplan:
       case ControllerEvent::kCommit:

@@ -122,27 +122,25 @@ std::vector<DegradationInterval> DegradationTimeline(
     const std::vector<TraceEvent>& events);
 
 /// One control-plane decision, reconstructed from the kController events.
-/// Fine-grained migration steps (reclaim/grant) and per-arrival sheds are
-/// summarized into the counters of the preceding decision row rather than
-/// rendered individually, so the timeline stays readable on long runs.
+/// Fine-grained migration steps (reclaim/grant) are summarized into the
+/// counters of the preceding decision row rather than rendered
+/// individually, so the timeline stays readable on long runs.
 struct ControllerDecision {
   double time = 0.0;
   /// ControllerEvent subtype of the decision row: alarm, replan, commit,
-  /// rollback, or blocked (migration-step and shed events fold into
-  /// counters).
+  /// rollback, or blocked (migration-step events fold into counters).
   int subtype = 0;
   int32_t movie = -1;       ///< movie for alarms, -1 for plan-wide rows
   int64_t epoch = -1;       ///< plan epoch (id field), -1 on alarms
   double value = 0.0;       ///< subtype payload (estimated rate, step count …)
   int64_t reclaims = 0;     ///< reclaim steps applied since the previous row
   int64_t grants = 0;       ///< grant steps applied since the previous row
-  int64_t sheds = 0;        ///< arrivals shed since the previous row
-  int64_t class_changes = 0;  ///< priority-class assignments since then
 };
 
 /// Controller decision timeline. Empty when the trace has no kController
-/// events. Step/shed/class events that precede the first decision row are
-/// attributed to a synthetic leading row stamped at the first such event.
+/// decision or step events. Step events that precede the first decision row
+/// are attributed to a synthetic leading row stamped at the first such
+/// event. The retired shed and class records are ignored.
 std::vector<ControllerDecision> ControllerTimeline(
     const std::vector<TraceEvent>& events);
 

@@ -275,12 +275,7 @@ class MovieWorld::Impl {
   void OnArrival() {
     const double t = queue_->Now();
     ScheduleNextArrival(t);
-    // The gate observes every arrival (offered load) and may shed it before
-    // any session state exists; the control plane accounts the shed.
-    if (config_.gate != nullptr &&
-        !config_.gate->OnArrival(config_.movie_id, t)) {
-      return;
-    }
+    if (config_.log_arrivals) arrival_log_.push_back(t);
     const uint64_t id = next_viewer_id_++;
     const uint32_t slot = AllocViewer(id);
 
@@ -731,6 +726,8 @@ class MovieWorld::Impl {
   int64_t abandonments_ = 0;
   int64_t viewers_freed_ = 0;
   double max_wait_seen_ = 0.0;
+  /// Arrival times since the last clear (config_.log_arrivals only).
+  std::vector<double> arrival_log_;
   /// Mean of the interactivity clock when it is exponential; <= 0 selects
   /// the generic virtual Sample path.
   double interactivity_exp_mean_ = 0.0;
@@ -755,6 +752,8 @@ class MovieWorld::Impl {
     return static_cast<int64_t>(next_viewer_id_);
   }
   int64_t viewers_exited() const { return viewers_freed_; }
+  const std::vector<double>& arrival_log() const { return arrival_log_; }
+  void ClearArrivalLog() { arrival_log_.clear(); }
 };
 
 MovieWorld::MovieWorld(const PartitionLayout& layout,
@@ -792,6 +791,12 @@ int64_t MovieWorld::viewers_entered() const {
 }
 
 int64_t MovieWorld::viewers_exited() const { return impl_->viewers_exited(); }
+
+const std::vector<double>& MovieWorld::arrival_log() const {
+  return impl_->arrival_log();
+}
+
+void MovieWorld::ClearArrivalLog() { impl_->ClearArrivalLog(); }
 
 int64_t MovieWorld::viewers_live() const {
   return impl_->viewers_entered() - impl_->viewers_exited();

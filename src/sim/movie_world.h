@@ -19,11 +19,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/partition_layout.h"
-#include "ctrl/admission_gate.h"
 #include "core/piggyback.h"
 #include "core/types.h"
 #include "obs/event_log.h"
@@ -56,10 +56,9 @@ struct MovieWorldConfig {
   EventLog* event_log = nullptr;
   /// Movie index stamped onto emitted events (-1 = single-movie run).
   int32_t movie_id = -1;
-  /// Optional pre-admission gate (ctrl/admission_gate.h); must outlive the
-  /// world. Consulted on every arrival before any session state exists; a
-  /// false return sheds the arrival. Null admits everything.
-  AdmissionGate* gate = nullptr;
+  /// Appends every arrival's time to the world's arrival log (the engines
+  /// set it when the controller is on; they read the log into it).
+  bool log_arrivals = false;
 };
 
 /// \brief One movie's event logic over shared simulation infrastructure.
@@ -112,13 +111,20 @@ class MovieWorld {
   int64_t dedicated_streams_held() const;
 
   /// Viewer conservation counters (whole run, incl. warmup). `entered`
-  /// counts admitted sessions (gate-shed arrivals never enter), `exited`
+  /// counts arrivals (every arrival is admitted), `exited`
   /// counts sessions torn down (completion, end-of-movie, abandonment), and
   /// `live == entered - exited` is the current population. The sharded
   /// auditor checks these per movie across barrier handoffs.
   int64_t viewers_entered() const;
   int64_t viewers_exited() const;
   int64_t viewers_live() const;
+
+  /// Arrival times since the last ClearArrivalLog, in time order (the
+  /// kernel runs a movie's arrivals in time order); empty unless
+  /// MovieWorldConfig::log_arrivals.
+  const std::vector<double>& arrival_log() const;
+  /// Empties the arrival log, keeping its capacity.
+  void ClearArrivalLog();
 
  private:
   class Impl;

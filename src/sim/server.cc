@@ -19,10 +19,9 @@ namespace {
 using Worlds = std::vector<std::unique_ptr<MovieWorld>>;
 
 // The controller's window onto the running server: layout commits go
-// through MovieWorld::ApplyLayout (re-anchor, never preempt), and overload
-// pressure is derived from the degradation ladder rung. Without faults or
-// the ladder the rung stays kNormal, so the traffic policy admits
-// everything.
+// through MovieWorld::ApplyLayout (re-anchor, never preempt), and reclaim
+// is blocked at the ladder's reclaim rung. Without faults or the ladder the
+// rung stays kNormal.
 class WorldControllerHost final : public ControllerHost {
  public:
   WorldControllerHost(Worlds* worlds, const ReserveManager* manager)
@@ -36,13 +35,10 @@ class WorldControllerHost final : public ControllerHost {
     return (*worlds_)[static_cast<size_t>(movie)]->layout();
   }
   bool ReclaimBlocked() const override {
-    return rung() >= DegradationLevel::kReclaim;
+    return manager_->level() >= DegradationLevel::kReclaim;
   }
-  int PressureLevel() const override { return ControllerPressure(rung()); }
 
  private:
-  DegradationLevel rung() const { return manager_->level(); }
-
   Worlds* worlds_;
   const ReserveManager* manager_;
 };
@@ -64,7 +60,6 @@ struct ServerRun {
   Gauge* g_ctrl_migrations = nullptr;
   Gauge* g_ctrl_rollbacks = nullptr;
   Gauge* g_ctrl_alarms = nullptr;
-  Gauge* g_ctrl_sheds = nullptr;
 };
 
 void AuditServer(ServerRun* ctx, double t) {
@@ -108,7 +103,6 @@ void SampleServerGauges(ServerRun* ctx, double t) {
     ctx->g_ctrl_migrations->Set(static_cast<double>(cr.migrations_started));
     ctx->g_ctrl_rollbacks->Set(static_cast<double>(cr.rollbacks));
     ctx->g_ctrl_alarms->Set(static_cast<double>(cr.drift_alarms));
-    ctx->g_ctrl_sheds->Set(static_cast<double>(cr.admission_sheds));
   }
   ctx->registry->MaybeSample(t);
 }
@@ -141,8 +135,6 @@ void RegisterServerGauges(const ServerOptions& options, bool with_controller,
                                              "migrations rolled back");
   ctx->g_ctrl_alarms = registry->AddGauge("controller_drift_alarms",
                                           "Page-Hinkley drift alarms latched");
-  ctx->g_ctrl_sheds = registry->AddGauge(
-      "controller_sheds", "arrivals shed by the admission policy");
 }
 
 /// Forced reclaim sweeps the worlds round-robin, one stream at a time, so
@@ -403,28 +395,31 @@ Result<ServerReport> RunServerWorlds(
   metrics.reserve(movies.size());
   worlds.reserve(movies.size());
 
-  // The control plane is created before the worlds so it can be wired in
-  // as their admission gate; its host reads `worlds` only after they exist.
-  std::unique_ptr<WorldControllerHost> ctrl_host;
-  std::unique_ptr<Controller> controller;
-  if (options.controller.enabled) {
-    ctrl_host = std::make_unique<WorldControllerHost>(&worlds, &manager);
-    controller = std::make_unique<Controller>(
-        options.controller, ControllerMovies(movies), ctrl_host.get(),
-        event_log);
-  }
-
   for (size_t i = 0; i < movies.size(); ++i) {
     MovieWorldConfig config = setups[i].config;
     config.event_log = event_log;
-    config.gate = controller.get();
+    config.log_arrivals = options.controller.enabled;
     metrics.push_back(
         std::make_unique<SimulationMetrics>(options.warmup_minutes));
     worlds.push_back(std::make_unique<MovieWorld>(
         movies[i].layout, options.rates, config, setups[i].rng, &queue,
         &manager, metrics.back().get()));
   }
-  if (controller != nullptr) controller->Start(0.0);
+  std::unique_ptr<WorldControllerHost> ctrl_host;
+  std::unique_ptr<Controller> controller;
+  std::unique_ptr<ArrivalFeed> arrival_feed;
+  if (options.controller.enabled) {
+    ctrl_host = std::make_unique<WorldControllerHost>(&worlds, &manager);
+    controller = std::make_unique<Controller>(
+        options.controller, ControllerMovies(movies), ctrl_host.get(),
+        event_log);
+    controller->Start(0.0);
+    std::vector<MovieWorld*> world_ptrs;
+    world_ptrs.reserve(worlds.size());
+    for (const auto& world : worlds) world_ptrs.push_back(world.get());
+    arrival_feed =
+        std::make_unique<ArrivalFeed>(std::move(world_ptrs), controller.get());
+  }
   InstallReclaimHook(&manager, &worlds);
 
   // The auditor re-derives the conservation laws from live state at its
@@ -464,13 +459,18 @@ Result<ServerReport> RunServerWorlds(
   ScheduleFaults(ServerFaultSchedule(options, base_rng, horizon), &queue,
                  &manager, controller.get(), event_log, &faults);
 
-  // The controller's decision clock: a self-rescheduling wake-up. OnWakeup
-  // returns the next time it needs (poll cadence, a migration backoff, or
-  // a drain landing — always > t), so the chain never busy-loops.
+  // The controller's decision clock: a self-rescheduling wake-up. Each
+  // wake-up first feeds the controller every arrival the kernel has run
+  // since the last one, then decides. OnWakeup returns the next time it
+  // needs (poll cadence, a migration backoff, or a drain landing — always
+  // > t), so the chain never busy-loops.
   std::function<void(double)> controller_pump;
   if (controller != nullptr) {
     Controller* ctrl = controller.get();
-    controller_pump = [&queue, &controller_pump, ctrl, horizon](double t) {
+    ArrivalFeed* feed = arrival_feed.get();
+    controller_pump = [&queue, &controller_pump, ctrl, feed,
+                       horizon](double t) {
+      feed->Drain();
       const double next = ctrl->OnWakeup(t);
       if (next < horizon) {
         queue.Schedule(next, [&controller_pump, next] {

@@ -1,5 +1,7 @@
 #include "sim/server_driver.h"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -87,10 +89,26 @@ Status ValidateMetricCadence(const ObsOptions& obs, double horizon_minutes) {
   return Status::InvalidArgument(os.str());
 }
 
-int ControllerPressure(DegradationLevel rung) {
-  if (rung >= DegradationLevel::kReclaim) return 2;
-  if (rung >= DegradationLevel::kShedVcr) return 1;
-  return 0;
+ArrivalFeed::ArrivalFeed(std::vector<MovieWorld*> worlds,
+                         Controller* controller)
+    : worlds_(std::move(worlds)),
+      controller_(controller),
+      next_(worlds_.size(), 0) {}
+
+void ArrivalFeed::ObserveBefore(double bound) {
+  for (size_t i = 0; i < worlds_.size(); ++i) {
+    const std::vector<double>& log = worlds_[i]->arrival_log();
+    size_t& next = next_[i];
+    for (; next < log.size() && log[next] < bound; ++next) {
+      controller_->ObserveArrival(static_cast<int32_t>(i), log[next]);
+    }
+  }
+}
+
+void ArrivalFeed::Drain() {
+  ObserveBefore(std::numeric_limits<double>::infinity());
+  for (MovieWorld* world : worlds_) world->ClearArrivalLog();
+  std::fill(next_.begin(), next_.end(), size_t{0});
 }
 
 void FillControllerAudit(const Controller& controller,

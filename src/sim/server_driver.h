@@ -1,9 +1,9 @@
 // The serial driver (RunServerWorlds, behind both RunServerSimulation and
 // the single-movie RunSimulation) and the pieces it shares with the sharded
 // driver (sim/sharded_server): RNG stream tags, per-movie world
-// configuration, the controller's movie list and audit section, the fault
-// schedule, and report assembly. Internal to src/sim; the umbrella header
-// does not include it.
+// configuration, the controller's movie list, arrival feed and audit
+// section, the fault schedule, and report assembly. Internal to src/sim; the
+// umbrella header does not include it.
 
 #ifndef VOD_SIM_SERVER_DRIVER_H_
 #define VOD_SIM_SERVER_DRIVER_H_
@@ -25,13 +25,13 @@ inline constexpr uint64_t kMovieWorldStream = 3;
 inline constexpr uint64_t kFaultStream = 4;
 
 /// The world configuration of movie `index`, minus the event log and the
-/// admission gate, which each driver wires itself.
+/// arrival log switch, which each driver wires itself.
 MovieWorldConfig ServerMovieConfig(const ServerMovieSpec& spec,
                                    const ServerOptions& options, size_t index);
 
 /// What an entry point chooses for one movie world: its configuration
-/// (validated; the driver wires the event log and the admission gate) and
-/// the root of its random streams.
+/// (validated; the driver wires the event log and the arrival log switch)
+/// and the root of its random streams.
 struct WorldSetup {
   MovieWorldConfig config;
   Rng rng;
@@ -88,9 +88,34 @@ inline constexpr int64_t kMaxMetricSamples = int64_t{1} << 20;
 /// more than kMaxMetricSamples samples over `horizon_minutes`.
 Status ValidateMetricCadence(const ObsOptions& obs, double horizon_minutes);
 
-/// ControllerHost::PressureLevel for a ladder rung: 2 at kReclaim or worse,
-/// 1 at kShedVcr, 0 otherwise.
-int ControllerPressure(DegradationLevel rung);
+/// \brief The controller's arrival feed in both engines: each movie world's
+/// arrival log (MovieWorldConfig::log_arrivals), read in place.
+///
+/// Observing an arrival touches only its own movie's rate estimator, and
+/// each log is in time order, so reading the logs in global movie order
+/// gives every estimator its arrivals in time order. Estimators are read
+/// only inside Controller::OnWakeup, so each wakeup must see exactly the
+/// arrivals before it: the serial pump drains the logs just before
+/// OnWakeup(t), when they hold what the kernel has run; the sharded replay
+/// observes the arrivals before each wakeup due by the barrier, then drains
+/// the rest.
+class ArrivalFeed {
+ public:
+  /// `worlds` is indexed by global movie index; they and `controller` must
+  /// outlive the feed.
+  ArrivalFeed(std::vector<MovieWorld*> worlds, Controller* controller);
+
+  /// Observes every logged arrival before `bound` not yet observed.
+  void ObserveBefore(double bound);
+
+  /// Observes every logged arrival not yet observed, then empties the logs.
+  void Drain();
+
+ private:
+  std::vector<MovieWorld*> worlds_;
+  Controller* controller_;
+  std::vector<size_t> next_;  ///< per world, the next entry to observe
+};
 
 /// Fills the snapshot's controller ledger and rebuilds its buffer view
 /// from the live layouts (migrations move partition geometry at runtime).

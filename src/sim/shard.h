@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ctrl/admission_gate.h"
 #include "obs/event_log.h"
 #include "sim/degradation.h"
 #include "sim/event_queue.h"
@@ -161,35 +160,6 @@ class CreditStreamSupplier final : public StreamSupplier, public VcrWaitQueue {
   DegradationLevel rung_ = DegradationLevel::kNormal;
 };
 
-/// \brief Admission gate that logs one movie's offered arrivals instead of
-/// deciding.
-///
-/// In sharded mode the controller lives above the barrier and cannot be
-/// consulted per arrival. Every arrival is admitted shard-side, and its time
-/// is appended to the movie's own log, which the coordinator reads in place
-/// at the next barrier to replay the window into the controller's rate
-/// estimators. The movie's kernel offers arrivals in time order, so the log
-/// is sorted as written. Pressure-driven shedding still happens — but
-/// through the windowed rung the barrier writes into every supplier
-/// (admission closes at >= kShedVcr), not per arrival; the decision lags
-/// live pressure by at most one window.
-class RecordingGate final : public AdmissionGate {
- public:
-  bool OnArrival(int32_t /*movie*/, double t) override {
-    arrivals_.push_back(t);
-    return true;
-  }
-
-  /// Coordinator-side: the arrival times logged since the last Clear, in
-  /// time order.
-  const std::vector<double>& arrivals() const { return arrivals_; }
-  /// Coordinator-side: empties the log, keeping its capacity.
-  void Clear() { arrivals_.clear(); }
-
- private:
-  std::vector<double> arrivals_;
-};
-
 /// \brief One shard: the movies it owns, each with a private event kernel.
 ///
 /// Single-threaded within a window; the coordinator guarantees at most one
@@ -206,10 +176,6 @@ class ServerShard {
     std::unique_ptr<EventQueue> queue;
     std::unique_ptr<CreditStreamSupplier> supplier;
     std::unique_ptr<SimulationMetrics> metrics;
-    /// The movie's arrival log, with the controller on (null otherwise);
-    /// owned here so the world's gate pointer survives the slot vector's
-    /// growth.
-    std::unique_ptr<RecordingGate> gate;
     std::unique_ptr<MovieWorld> world;
     /// Forced-reclaim quota the barrier wrote for the next window open, and
     /// the streams reclaimed against it there; the next barrier reads both

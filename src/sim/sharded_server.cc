@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -113,11 +112,10 @@ bool FileExists(const std::string& path) {
 // barriers, when no shard thread is live, so it reads and commits each
 // movie's layout on the owning world directly. A commit re-anchors the
 // schedule at the barrier time, never in the replayed window's past: the
-// world has already run to the barrier. Reclaim pressure comes from the
-// windowed degradation rung the barrier publishes after each decision (zero,
-// i.e. admit-everything, when the ladder is off — consistent with the
-// shards' record-and-admit gates); the controller replay at barrier w
-// therefore sees the rung that was in effect during window w.
+// world has already run to the barrier. Reclaim is blocked by the windowed
+// degradation rung the barrier publishes after each decision (kNormal when
+// the ladder is off); the controller replay at barrier w therefore sees the
+// rung that was in effect during window w.
 class ShardedControllerHost final : public ControllerHost {
  public:
   explicit ShardedControllerHost(std::vector<MovieWorld*> worlds)
@@ -134,7 +132,6 @@ class ShardedControllerHost final : public ControllerHost {
   bool ReclaimBlocked() const override {
     return rung_ >= DegradationLevel::kReclaim;
   }
-  int PressureLevel() const override { return ControllerPressure(rung_); }
 
   /// Barrier-side: the time commits anchor at during this barrier's replay.
   void set_barrier_time(double t) { barrier_time_ = t; }
@@ -291,11 +288,13 @@ class ShardedRun {
       for (ServerShard::MovieSlot* slot : slots_) {
         worlds.push_back(slot->world.get());
       }
-      ctrl_host_ = std::make_unique<ShardedControllerHost>(std::move(worlds));
+      ctrl_host_ = std::make_unique<ShardedControllerHost>(worlds);
       controller_ = std::make_unique<Controller>(
           base_.controller, ControllerMovies(movies_), ctrl_host_.get(),
           /*log=*/nullptr);
       controller_->Start(0.0);
+      arrival_feed_ =
+          std::make_unique<ArrivalFeed>(std::move(worlds), controller_.get());
     }
     fault_schedule_ = ServerFaultSchedule(base_, base_rng_, horizon_);
     if (base_.audit.enabled) {
@@ -443,35 +442,20 @@ class ShardedRun {
   /// Controller replay: the controller's decision wakeups still due by
   /// this barrier, each after every movie's logged arrivals before it; then
   /// the arrivals after the last wakeup. An arrival at a wakeup's time is
-  /// observed after it. Observing an arrival touches only its own movie's
-  /// rate estimator, so each wakeup sees the same estimators whatever order
-  /// the movies are read in; they are read in global movie order, from
-  /// their logs in place. The shards' gates already admitted every arrival,
-  /// so the replay feeds the rate estimators only; the traffic policy never
-  /// sees them. Re-plans run here, so it gets its own span inside the fold.
+  /// observed after it. The window's arrivals are read from each world's
+  /// arrival log in place (ArrivalFeed). Re-plans run here, so it gets its
+  /// own span inside the fold.
   void ReplayController(double t_end, bool capacity_changed) {
     if (controller_ == nullptr) return;
     ctrl_host_->set_barrier_time(t_end);
     const double start_us =
         profiler_ != nullptr ? profiler_->NowMicros() : 0.0;
-    // Per movie, the next logged arrival to observe.
-    std::vector<size_t> next_arrival(slots_.size(), 0);
-    auto observe_before = [&](double t) {
-      for (size_t i = 0; i < slots_.size(); ++i) {
-        const std::vector<double>& log = slots_[i]->gate->arrivals();
-        size_t& next = next_arrival[i];
-        for (; next < log.size() && log[next] < t; ++next) {
-          controller_->ObserveArrival(static_cast<int32_t>(i), log[next]);
-        }
-      }
-    };
     while (ctrl_next_wakeup_ <= t_end && ctrl_next_wakeup_ < horizon_) {
       const double at = ctrl_next_wakeup_;
-      observe_before(at);
+      arrival_feed_->ObserveBefore(at);
       ctrl_next_wakeup_ = controller_->OnWakeup(at);
     }
-    observe_before(std::numeric_limits<double>::infinity());
-    for (ServerShard::MovieSlot* slot : slots_) slot->gate->Clear();
+    arrival_feed_->Drain();
     if (capacity_changed) controller_->OnCapacityChange(t_end);
     if (profiler_ != nullptr) {
       profiler_->RecordSpanOnLane(coordinator_lane_, "controller_replay",
@@ -829,10 +813,7 @@ class ShardedRun {
 
       ServerShard::MovieSlot slot;
       MovieWorldConfig config = ServerMovieConfig(spec, base_, i);
-      if (base_.controller.enabled) {
-        slot.gate = std::make_unique<RecordingGate>();
-        config.gate = slot.gate.get();
-      }
+      config.log_arrivals = base_.controller.enabled;
       // Per-event telemetry goes to the owning shard's private lane, never
       // the shared bus; with no sinks armed the lane is one dead branch.
       config.event_log = &shard->lane();
@@ -946,6 +927,7 @@ class ShardedRun {
   // The control plane runs above the barrier.
   std::unique_ptr<ShardedControllerHost> ctrl_host_;
   std::unique_ptr<Controller> controller_;
+  std::unique_ptr<ArrivalFeed> arrival_feed_;
   std::vector<FaultEvent> fault_schedule_;  // applied at barriers
   size_t fault_idx_ = 0;
   std::unique_ptr<InvariantAuditor> auditor_;

@@ -39,7 +39,6 @@ class FakeHost final : public ControllerHost {
            (block_after_commits_ >= 0 &&
             commits_.size() >= static_cast<size_t>(block_after_commits_));
   }
-  int PressureLevel() const override { return 0; }
 
   void set_reclaim_blocked(bool blocked) { reclaim_blocked_ = blocked; }
   /// Degrade mid-flight: ReclaimBlocked turns true once `count` layouts

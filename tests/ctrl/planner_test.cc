@@ -240,9 +240,6 @@ BufferPlan SolvePlan(const std::vector<PlannerMovie>& movies,
     MoviePlanEntry& e = plan.movies[i];
     e.streams = n[i];
     e.buffer_minutes = inner.buffers[i];
-    e.marginal_value = movies[i].rate *
-                       (movies[i].movie_length - e.buffer_minutes) /
-                       (n[i] * movies[i].movie_length);
     plan.solved_rates[i] = movies[i].rate;
   }
   return plan;
@@ -369,7 +366,7 @@ PlanCase FlashCrowdCase(int count) {
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
-/// Bit-identical plans: streams, buffers, marginals, rates and objective.
+/// Bit-identical plans: streams, buffers, rates and objective.
 void ExpectSamePlan(const BufferPlan& got, const BufferPlan& want) {
   ASSERT_EQ(got.movies.size(), want.movies.size());
   EXPECT_EQ(Bits(got.objective), Bits(want.objective))
@@ -379,7 +376,6 @@ void ExpectSamePlan(const BufferPlan& got, const BufferPlan& want) {
     const MoviePlanEntry& w = want.movies[i];
     ASSERT_EQ(g.streams, w.streams) << "movie " << i;
     ASSERT_EQ(Bits(g.buffer_minutes), Bits(w.buffer_minutes)) << "movie " << i;
-    ASSERT_EQ(Bits(g.marginal_value), Bits(w.marginal_value)) << "movie " << i;
     ASSERT_EQ(Bits(got.solved_rates[i]), Bits(want.solved_rates[i]));
   }
 }

@@ -1108,8 +1108,7 @@ Status PrintDrift(bool csv) {
       });
 
   TableWriter table({"scenario", "mode", "P(hit) drift-movie", "P(hit) m0",
-                     "blocked", "queued", "p_refuse", "stalls", "migrations",
-                     "sheds"});
+                     "blocked", "queued", "p_refuse", "stalls", "migrations"});
   for (size_t i = 0; i < grid.size(); ++i) {
     const ServerReport& report = reports[i][0];
     const SimulationReport& drifting =
@@ -1123,8 +1122,7 @@ Status PrintDrift(bool csv) {
          std::to_string(report.total_queued_vcr),
          FormatDouble(report.refusal_probability, 4),
          std::to_string(report.total_stalls),
-         std::to_string(report.controller.migrations_committed),
-         std::to_string(report.controller.admission_sheds)});
+         std::to_string(report.controller.migrations_committed)});
   }
   RenderTable(table, csv);
 

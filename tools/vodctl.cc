@@ -1423,7 +1423,7 @@ Result<int> InspectCommand(int argc, char** argv) {
   if (!decisions.empty()) {
     std::printf("\ncontroller decision timeline:\n");
     TableWriter ctrl({"t", "decision", "movie", "epoch", "value", "reclaims",
-                      "grants", "sheds", "classes"});
+                      "grants"});
     for (const ControllerDecision& d : decisions) {
       ctrl.AddRow({FormatDouble(d.time, 2),
                    EventSubtypeName(EventCategory::kController,
@@ -1431,8 +1431,7 @@ Result<int> InspectCommand(int argc, char** argv) {
                    d.movie >= 0 ? std::to_string(d.movie) : "-",
                    d.epoch >= 0 ? std::to_string(d.epoch) : "-",
                    FormatDouble(d.value, 3), std::to_string(d.reclaims),
-                   std::to_string(d.grants), std::to_string(d.sheds),
-                   std::to_string(d.class_changes)});
+                   std::to_string(d.grants)});
     }
     RenderTable(ctrl, csv);
   }

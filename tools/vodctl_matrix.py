@@ -67,7 +67,8 @@ def seeded_cases(seed):
     shard_c = ["shard", "--movies=8", "--shards=4", "--threads=1",
                "--window=30", "--controller", "--flash=0:200:400:4",
                "--reserve=40"]
-    # The controller with the ladder armed, so its traffic policy can shed.
+    # The controller with faults and the ladder armed: a sharded controller
+    # that re-plans while the rung moves.
     shard_d = ["shard", "--movies=12", "--measure=6000", "--reserve=12",
                "--controller", "--flash=0:1000:3000:6", "--faults=4:600:300",
                "--queue_deadline=5", "--shards=3", "--threads=2"]
