@@ -17,10 +17,6 @@ constexpr double kMinPlanRate = 1e-6;
 }  // namespace
 
 Status ControllerOptions::Validate() const {
-  if (!(poll_interval_minutes > 0.0) || !std::isfinite(poll_interval_minutes)) {
-    return Status::InvalidArgument(
-        "controller poll_interval_minutes must be finite and positive");
-  }
   if (!(min_replan_gap_minutes >= 0.0)) {
     return Status::InvalidArgument(
         "controller min_replan_gap_minutes must be non-negative");
@@ -252,7 +248,7 @@ double Controller::OnWakeup(double t) {
     Replan(t);
     if (engine_->InFlight()) migration_next = pump();
   }
-  return std::min(t + options_.poll_interval_minutes, migration_next);
+  return std::min(t + kControllerPollMinutes, migration_next);
 }
 
 void Controller::OnCapacityChange(double t) {

@@ -46,13 +46,13 @@
 
 namespace vod {
 
+/// Decision cadence: triggers are evaluated and the migration engine is
+/// pumped at least this often.
+inline constexpr double kControllerPollMinutes = 5.0;
+
 /// Control-plane configuration (embedded in ServerOptions).
 struct ControllerOptions {
   bool enabled = false;
-
-  /// Decision cadence: triggers are evaluated and the migration engine is
-  /// pumped at least this often.
-  double poll_interval_minutes = 5.0;
 
   /// Migration rate limit: a new migration starts at most this often.
   double min_replan_gap_minutes = 30.0;

@@ -478,7 +478,7 @@ Result<ServerReport> RunServerWorlds(
         });
       }
     };
-    const double first = options.controller.poll_interval_minutes;
+    const double first = kControllerPollMinutes;
     if (first < horizon) {
       queue.Schedule(first,
                      [&controller_pump, first] { controller_pump(first); });

@@ -40,8 +40,9 @@ uint64_t FingerprintConfig(const std::vector<ServerMovieSpec>& movies,
   // A guard against resuming a checkpoint under a different configuration,
   // not a cryptographic identity. Everything that shapes the trajectory and
   // is cheaply describable goes in; the digest chain catches the rest. The
-  // ladder's constants and the stationary start ("stationary=1") keep their
-  // places in the description, which seeds every run's ledger digest.
+  // ladder's constants, the controller's poll cadence and the stationary
+  // start ("stationary=1") keep their places in the description, which
+  // seeds every run's ledger digest.
   std::ostringstream os;
   os << std::setprecision(17);
   const ServerOptions& b = options.base;
@@ -52,7 +53,7 @@ uint64_t FingerprintConfig(const std::vector<ServerMovieSpec>& movies,
      << " faults=" << b.faults.enabled << ":" << b.faults.disks << ":"
      << b.faults.profile.mtbf_minutes << ":" << b.faults.profile.mttr_minutes
      << " controller=" << b.controller.enabled << ":"
-     << b.controller.poll_interval_minutes
+     << kControllerPollMinutes
      << " ladder=" << b.degradation.enabled << ":"
      << b.degradation.queue_deadline_minutes << ":"
      << kLadderBackoffInitialMinutes << ":" << kLadderBackoffFactor << ":"
@@ -238,7 +239,7 @@ class ShardedRun {
         capacity_(base_.dynamic_stream_reserve),
         min_capacity_seen_(capacity_),
         digest_(Fnv1a(1469598103934665603ULL, fingerprint_)),
-        ctrl_next_wakeup_(base_.controller.poll_interval_minutes),
+        ctrl_next_wakeup_(kControllerPollMinutes),
         ledger_(movies.size()),
         reclaim_quota_(movies.size(), 0),
         recorder_(shard_count_, kPostmortemWindows,

@@ -78,7 +78,6 @@ ShardedServerOptions FullMachineOptions(int shards, int threads,
   options.base.faults.profile.mtbf_minutes = 500.0;
   options.base.faults.profile.mttr_minutes = 90.0;
   options.base.controller.enabled = true;
-  options.base.controller.poll_interval_minutes = 15.0;
   options.base.audit.enabled = true;
   options.base.audit.every_events = 1;
   options.shards = shards;

@@ -348,7 +348,6 @@ TEST(ShardedServerTest, ReportBytesArePinned) {
   steered.window_minutes = 30.0;
   steered.base.dynamic_stream_reserve = 30;
   steered.base.controller.enabled = true;
-  steered.base.controller.poll_interval_minutes = 15.0;
   steered.base.piggyback.enabled = true;
 
   // Tied admissions across movies: one shard and three give one hash.
@@ -362,7 +361,6 @@ TEST(ShardedServerTest, ReportBytesArePinned) {
   // crowd, piggyback and audit.
   auto everything = LadderOptions(3, 2);
   everything.base.controller.enabled = true;
-  everything.base.controller.poll_interval_minutes = 15.0;
   everything.base.piggyback.enabled = true;
 
   // The controller re-planning a 96-title catalog at its flash crowds; one
@@ -372,7 +370,6 @@ TEST(ShardedServerTest, ReportBytesArePinned) {
   at_scale_one.base.measurement_minutes = 1800.0;
   at_scale_one.base.dynamic_stream_reserve = 400;
   at_scale_one.base.controller.enabled = true;
-  at_scale_one.base.controller.poll_interval_minutes = 15.0;
   at_scale_one.window_minutes = 60.0;
   auto at_scale_four = at_scale_one;
   at_scale_four.shards = 4;
@@ -388,17 +385,17 @@ TEST(ShardedServerTest, ReportBytesArePinned) {
       {"tight reserve", FourMovies(), tight, 0xdaa2c2a5bfa7f2daULL},
       {"faults + ladder + audit", FourMovies(), machine, 0xb955e518fab14bb7ULL},
       {"controller + flash + piggyback", flash_movies, steered,
-       0x324223a4e274ed78ULL},
+       0xab5798bed4e8bcacULL},
       {"shared layout, 1 shard", SharedLayoutMovies(), shared_one,
        0xa8b45f315be00877ULL},
       {"shared layout, 3 shards", SharedLayoutMovies(), shared_three,
        0xa8b45f315be00877ULL},
       {"faults + ladder + controller + flash + piggyback + audit",
-       flash_movies, everything, 0xc40119be15fa6907ULL, true},
+       flash_movies, everything, 0xb21a5c064c7f16eaULL, true},
       {"controller at scale, 1 shard", FlashCatalog(), at_scale_one,
-       0xe28b40cb4e2af41aULL, true},
+       0xd236054add7fa950ULL, true},
       {"controller at scale, 4 shards", FlashCatalog(), at_scale_four,
-       0xe28b40cb4e2af41aULL, true},
+       0xd236054add7fa950ULL, true},
   };
   for (const auto& c : cases) {
     const auto report = RunShardedServerSimulation(c.movies, c.options);
