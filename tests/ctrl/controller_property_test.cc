@@ -9,15 +9,17 @@
 //     hold throughout, including the ctrl-* ledger laws.
 // Plus direct corruption tests for the ctrl-* audit laws: each builds a
 // snapshot with exactly one defect in the controller ledger and asserts
-// the named invariant fires.
+// the named invariant fires, and the abort rule on a scripted host.
 
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "core/partition_layout.h"
+#include "ctrl/controller.h"
 #include "gtest/gtest.h"
 #include "sim/arrival_process.h"
 #include "sim/audit.h"
@@ -186,6 +188,78 @@ TEST(ControllerAuditLawTest, DisabledLedgerIsNeverChecked) {
   s.controller.enabled = false;
   auditor.Audit(s);
   EXPECT_EQ(auditor.total_violations(), 0);
+}
+
+// Scripted host for the controller's abort rule: layouts are plain state
+// and reclaim blocking is a switch the test flips.
+class ScriptedHost final : public ControllerHost {
+ public:
+  explicit ScriptedHost(std::vector<PartitionLayout> layouts)
+      : layouts_(std::move(layouts)) {}
+
+  void CommitLayout(int32_t movie, double /*t*/,
+                    const PartitionLayout& layout) override {
+    layouts_[static_cast<size_t>(movie)] = layout;
+  }
+  const PartitionLayout& LiveLayout(int32_t movie) const override {
+    return layouts_[static_cast<size_t>(movie)];
+  }
+  bool ReclaimBlocked() const override { return reclaim_blocked_; }
+
+  void set_reclaim_blocked(bool blocked) { reclaim_blocked_ = blocked; }
+
+ private:
+  std::vector<PartitionLayout> layouts_;
+  bool reclaim_blocked_ = false;
+};
+
+// Feeds ThreeMovies' arrivals on an even grid, movie 0 at 8x its baseline
+// rate, waking the controller at its cadence until a migration starts.
+// Returns the wakeup time that started it.
+double RunUntilMigrationStarts(Controller* controller) {
+  const std::vector<ServerMovieSpec> movies = ThreeMovies();
+  std::vector<double> next_arrival(movies.size(), 0.0);
+  for (double t = kControllerPollMinutes; t < 2000.0;) {
+    for (size_t i = 0; i < movies.size(); ++i) {
+      const double gap =
+          1.0 / (movies[i].arrival_rate_per_minute * (i == 0 ? 8.0 : 1.0));
+      for (; next_arrival[i] < t; next_arrival[i] += gap) {
+        controller->ObserveArrival(static_cast<int32_t>(i), next_arrival[i]);
+      }
+    }
+    const double next = controller->OnWakeup(t);
+    if (controller->Report().migrations_started > 0) return t;
+    t = next;
+  }
+  return -1.0;
+}
+
+TEST(ControllerAbortRuleTest, CapacityChangeAbortsOnlyWhileReclaimIsBlocked) {
+  for (const bool blocked : {true, false}) {
+    std::vector<ControllerMovie> configs;
+    std::vector<PartitionLayout> layouts;
+    for (const ServerMovieSpec& spec : ThreeMovies()) {
+      configs.push_back({spec.layout.movie_length(),
+                         spec.arrival_rate_per_minute});
+      layouts.push_back(spec.layout);
+    }
+    ScriptedHost host(layouts);
+    Controller controller(ControllerOptions{}, configs, &host,
+                          /*log=*/nullptr);
+    controller.Start(0.0);
+    const double started = RunUntilMigrationStarts(&controller);
+    ASSERT_GT(started, 0.0) << "the flash crowd never started a migration";
+    ASSERT_TRUE(controller.engine().InFlight());
+
+    host.set_reclaim_blocked(blocked);
+    controller.OnCapacityChange(started + 0.5);
+    const ControllerReport report = controller.Report();
+    EXPECT_EQ(report.migrations_started, 1) << "blocked=" << blocked;
+    EXPECT_EQ(report.migrations_committed, 0) << "blocked=" << blocked;
+    EXPECT_EQ(report.rollbacks, blocked ? 1 : 0) << "blocked=" << blocked;
+    EXPECT_EQ(controller.engine().InFlight(), !blocked)
+        << "blocked=" << blocked;
+  }
 }
 
 }  // namespace

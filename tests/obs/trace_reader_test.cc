@@ -224,6 +224,51 @@ TEST(TraceReaderTest, DegradationTimelineReconstructsDwells) {
                   .empty());
 }
 
+TEST(TraceReaderTest, ControllerTimelineFoldsStepsIntoDecisionRows) {
+  const auto controller = [](double t, ControllerEvent sub, int32_t movie,
+                             int64_t epoch, double value) {
+    TraceEvent event = MakeEvent(t, EventCategory::kController, value,
+                                 static_cast<uint8_t>(sub));
+    event.movie = movie;
+    event.id = epoch;
+    return event;
+  };
+  std::vector<TraceEvent> events;
+  // A retired shed record alone synthesizes no row; the reclaim that
+  // follows it does, stamped at the reclaim.
+  events.push_back(controller(1.0, ControllerEvent::kShed, 0, -1, 0.0));
+  events.push_back(controller(2.0, ControllerEvent::kReclaim, 1, 1, 1.0));
+  events.push_back(MakeEvent(2.5, EventCategory::kAdmission, 0.0));
+  events.push_back(controller(5.0, ControllerEvent::kAlarm, 0, -1, 0.9));
+  events.push_back(controller(5.0, ControllerEvent::kReplan, -1, 2, 3.5));
+  events.push_back(controller(6.0, ControllerEvent::kReclaim, 2, 2, 1.0));
+  events.push_back(controller(7.0, ControllerEvent::kClass, 0, 2, 1.0));
+  events.push_back(controller(8.0, ControllerEvent::kGrant, 0, 2, 1.0));
+  events.push_back(controller(8.0, ControllerEvent::kGrant, 0, 2, 1.0));
+  events.push_back(controller(9.0, ControllerEvent::kCommit, -1, 2, 0.0));
+
+  const auto rows = ControllerTimeline(events);
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0].time, 2.0);
+  EXPECT_EQ(rows[0].subtype, static_cast<int>(ControllerEvent::kReplan));
+  EXPECT_EQ(rows[0].reclaims, 1);
+  EXPECT_EQ(rows[1].subtype, static_cast<int>(ControllerEvent::kAlarm));
+  EXPECT_EQ(rows[1].movie, 0);
+  EXPECT_EQ(rows[1].value, 0.9);
+  EXPECT_EQ(rows[1].reclaims + rows[1].grants, 0);
+  EXPECT_EQ(rows[2].subtype, static_cast<int>(ControllerEvent::kReplan));
+  EXPECT_EQ(rows[2].epoch, 2);
+  EXPECT_EQ(rows[2].reclaims, 1);
+  EXPECT_EQ(rows[2].grants, 2);
+  EXPECT_EQ(rows[3].subtype, static_cast<int>(ControllerEvent::kCommit));
+  EXPECT_EQ(rows[3].time, 9.0);
+
+  EXPECT_TRUE(ControllerTimeline(
+                  {controller(1.0, ControllerEvent::kShed, 0, -1, 0.0),
+                   controller(2.0, ControllerEvent::kClass, 0, -1, 2.0)})
+                  .empty());
+}
+
 TEST(TraceReaderTest, ShardImbalanceTimelineFoldsWindowRecords) {
   // A merged sharded trace carries, per window, each shard's window_close
   // (id = shard, value = executed-event delta), stamped with the barrier's
