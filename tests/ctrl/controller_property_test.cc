@@ -72,29 +72,42 @@ TEST(ControllerPropertyTest, ZeroDriftRunsAreByteIdenticalAcrossSeeds) {
   }
 }
 
+// Under a 4x flash crowd every seed re-plans and migrates with a clean
+// audit. The Page–Hinkley alarm is a rate, not a per-seed promise: in about
+// a third of seeds a rate deviation above max(0.3, 5 sigma), held for 15
+// minutes, re-plans first, and the re-plan's Rebase resets the alarm
+// statistic before it crosses.
 TEST(ControllerPropertyTest, FlashCrowdActivatesControllerUnderCleanAudit) {
-  std::vector<ServerMovieSpec> movies = ThreeMovies();
-  const auto flash = FlashArrivals::Create(
-      movies[0].arrival_rate_per_minute, /*peak_factor=*/4.0,
-      /*start_minutes=*/200.0, /*duration_minutes=*/1200.0);
-  ASSERT_TRUE(flash.ok());
-  movies[0].arrivals = std::make_shared<FlashArrivals>(*flash);
+  constexpr uint64_t kSeeds = 200;
+  int alarmed = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    std::vector<ServerMovieSpec> movies = ThreeMovies();
+    const auto flash = FlashArrivals::Create(
+        movies[0].arrival_rate_per_minute, /*peak_factor=*/4.0,
+        /*start_minutes=*/200.0, /*duration_minutes=*/1200.0);
+    ASSERT_TRUE(flash.ok());
+    movies[0].arrivals = std::make_shared<FlashArrivals>(*flash);
 
-  ServerOptions options = BaseOptions(42);
-  options.measurement_minutes = 3000.0;
-  options.controller.enabled = true;
-  options.audit.enabled = true;  // a violated law would fail the run
-  const auto report = RunServerSimulation(movies, options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ServerOptions options = BaseOptions(seed);
+    options.measurement_minutes = 3000.0;
+    options.controller.enabled = true;
+    options.audit.enabled = true;  // a violated law would fail the run
+    const auto report = RunServerSimulation(movies, options);
+    ASSERT_TRUE(report.ok()) << "seed " << seed << ": "
+                             << report.status().ToString();
 
-  EXPECT_TRUE(report->controller.Active());
-  EXPECT_GT(report->controller.drift_alarms, 0);
-  EXPECT_GT(report->controller.plans_solved, 0);
-  EXPECT_GT(report->controller.migrations_committed, 0);
-  EXPECT_EQ(report->controller.migrations_started,
-            report->controller.migrations_committed +
-                report->controller.rollbacks)
-      << "every started migration must end committed or rolled back";
+    const ControllerReport& c = report->controller;
+    EXPECT_TRUE(c.Active()) << "seed " << seed;
+    EXPECT_GT(c.plans_solved, 0) << "seed " << seed;
+    EXPECT_GT(c.migrations_committed, 0) << "seed " << seed;
+    EXPECT_EQ(c.migrations_started, c.migrations_committed + c.rollbacks)
+        << "seed " << seed
+        << ": every started migration must end committed or rolled back";
+    if (c.drift_alarms > 0) ++alarmed;
+  }
+  // About 69% of seeds alarm (416 of seeds 1-600 measured): 139 +/- 6.5
+  // expected here, so 100 sits 6 sigma below.
+  EXPECT_GE(alarmed, 100) << "seeds with a drift alarm, of " << kSeeds;
 }
 
 // -- ctrl-* audit law corruption tests ------------------------------------

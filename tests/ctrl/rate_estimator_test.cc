@@ -45,13 +45,21 @@ TEST(RateEstimatorTest, EstimateDecaysThroughSilence) {
   EXPECT_LT(estimator.RateAt(end + 1200.0), 0.001);
 }
 
-TEST(RateEstimatorTest, NoAlarmUnderStationaryTraffic) {
-  for (uint64_t seed : {42u, 7u, 123u, 999u}) {
+// The Page–Hinkley detector's false-alarm rate under stationary Poisson
+// traffic. It is a rate, not a per-seed promise: over 30 000 minutes at
+// lambda = 0.5 about 1.6% of seeds raise an alarm (195 of 12 000 measured),
+// so a fixed handful of seeds passes or fails by luck. Over seeds 1-1000
+// the expected count is 16 +/- 4; 29 sits more than 3 sigma above it.
+TEST(RateEstimatorTest, FalseAlarmRateUnderStationaryTrafficIsSmall) {
+  constexpr uint64_t kSeeds = 1000;
+  int alarms = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     Rng rng(seed);
     RateEstimator estimator(0.5, 0.0);
     FeedPoisson(&estimator, 0.5, 30000.0, &rng);
-    EXPECT_FALSE(estimator.DriftAlarm()) << "seed " << seed;
+    if (estimator.DriftAlarm()) ++alarms;
   }
+  EXPECT_LE(alarms, 29) << "false alarms in " << kSeeds << " seeds";
 }
 
 TEST(RateEstimatorTest, AlarmsOnUpwardRateStep) {
