@@ -16,6 +16,26 @@
 
 namespace vod {
 
+namespace rng_internal {
+
+/// The exponential ziggurat (Marsaglia & Tsang, "The Ziggurat Method for
+/// Generating Random Variables", J. Stat. Softw. 5(8), 2000): 256 layers
+/// of area kExpZigV under e^{-x}, the lowest of which carries the tail
+/// beyond kExpZigR. Layer i spans abscissae [0, kExpZigX[i]] and
+/// ordinates [kExpZigF[i], kExpZigF[i + 1]], with kExpZigF[i] =
+/// e^{-kExpZigX[i]}; kExpZigX[0] = kExpZigV / e^{-kExpZigR} is the base
+/// strip's width with its tail folded in, and kExpZigX[256] = 0. The
+/// tables are literals (rng.cc), so neither static-initialization order
+/// nor a libm version can change them; variates_test regenerates them
+/// from the recurrence kExpZigX[i + 1] = -log(kExpZigV / kExpZigX[i] +
+/// e^{-kExpZigX[i]}).
+inline constexpr double kExpZigR = 7.69711747013104972;
+inline constexpr double kExpZigV = 3.949659822581572e-3;
+extern const double kExpZigX[257];
+extern const double kExpZigF[257];
+
+}  // namespace rng_internal
+
 /// SplitMix64: tiny, high-quality 64-bit mixer. Used to expand a user seed
 /// into generator state and to derive decorrelated child seeds.
 class SplitMix64 {
@@ -92,20 +112,27 @@ class Rng {
     }
   }
 
-  /// Exponential variate with the given mean (mean > 0).
+  /// Exponential variate with the given mean (mean > 0): mean times one
+  /// Exp(1) draw from the ziggurat below.
   double Exponential(double mean) {
     VOD_DCHECK(mean > 0);
-    // -mean * log(U), guarding against U == 0 via 1 - Uniform01() in (0, 1].
-    return -mean * std::log(1.0 - Uniform01());
+    return mean * StandardExponential();
   }
 
   /// Standard normal variate (polar Marsaglia method, no caching so calls
   /// remain stateless with respect to stream splitting).
   double Normal();
 
-  /// Gamma(shape k > 0, scale theta > 0) variate, Marsaglia–Tsang squeeze
-  /// with the Johnk-style boost for k < 1.
+  /// Gamma(shape k > 0, scale theta > 0) variate. An integer k up to
+  /// kErlangMaxShape is Erlang: theta times the sum of k ziggurat Exp(1)
+  /// draws. Every other k uses Marsaglia–Tsang's squeeze, with their boost
+  /// Gamma(k) = Gamma(k + 1) * U^{1/k} for k < 1.
   double Gamma(double shape, double scale);
+
+  /// Largest integer shape Gamma draws as a sum of exponentials; above it
+  /// Marsaglia–Tsang's one normal and one uniform per draw cost less
+  /// (DESIGN §15.8).
+  static constexpr double kErlangMaxShape = 6.0;
 
   /// Bernoulli trial with success probability p in [0, 1].
   bool Bernoulli(double p) {
@@ -124,6 +151,24 @@ class Rng {
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+
+  /// Exp(1) variate: Marsaglia & Tsang's 256-layer ziggurat, one
+  /// NextUint64 per draw. Its low 8 bits pick the layer and its high 53
+  /// bits the abscissa (xoshiro256**'s scrambler makes the low bits as
+  /// sound as the high ones). About 99% of draws fall inside the layer's
+  /// rectangle and return here; the wedge and the tail are out of line.
+  double StandardExponential() {
+    const uint64_t bits = NextUint64();
+    const uint32_t layer = static_cast<uint32_t>(bits & 0xff);
+    const double x = static_cast<double>(bits >> 11) * 0x1.0p-53 *
+                     rng_internal::kExpZigX[layer];
+    if (x < rng_internal::kExpZigX[layer + 1]) return x;
+    return StandardExponentialSlow(layer, x);
+  }
+
+  /// The ziggurat's rejection path: the wedge test against e^{-x}, the
+  /// tail beyond r, and fresh draws after a rejection.
+  double StandardExponentialSlow(uint32_t layer, double x);
 
   uint64_t s_[4];
   uint64_t seed_;  // retained so MakeChild derivations are stable

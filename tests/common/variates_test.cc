@@ -137,9 +137,42 @@ void ExpectTailMass(int k, double tail, const Binned& b) {
       << "k=" << k << " P(X > " << tail << ")";
 }
 
-// Beyond r = 7.697..., where the ziggurat's base strip hands over to its
-// tail, the exponential's excess over r is Exp(1) again.
-constexpr double kZigguratR = 7.69711747013104972;
+// Beyond r, where the ziggurat's base strip hands over to its tail, the
+// exponential's excess over r is Exp(1) again.
+constexpr double kZigguratR = rng_internal::kExpZigR;
+
+// The literal tables against the recurrence that defines them, redone in
+// double here: the abscissae, the closure at 0 (the tables carry an exact
+// 0 where the recurrence ends at -8.6e-14, since r and v are rounded), the
+// ordinates, and every layer's area v.
+TEST(VariatesTest, ZigguratTablesFollowTheirRecurrence) {
+  using rng_internal::kExpZigF;
+  using rng_internal::kExpZigR;
+  using rng_internal::kExpZigV;
+  using rng_internal::kExpZigX;
+  EXPECT_EQ(kExpZigX[1], kExpZigR);
+  EXPECT_NEAR(kExpZigX[0], kExpZigV / std::exp(-kExpZigR), 1e-13);
+  double x = kExpZigR;
+  for (int i = 1; i < 256; ++i) {
+    x = -std::log(kExpZigV / x + std::exp(-x));
+    EXPECT_NEAR(x, kExpZigX[i + 1], 1e-12 * kExpZigX[i + 1] + 1e-13)
+        << "layer " << i + 1;
+  }
+  EXPECT_NEAR(x, 0.0, 1e-12) << "the recurrence does not close";
+  EXPECT_EQ(kExpZigX[256], 0.0);
+  EXPECT_EQ(kExpZigF[256], 1.0);
+  for (int i = 0; i < 256; ++i) {
+    EXPECT_NEAR(kExpZigF[i], std::exp(-kExpZigX[i]), 1e-15) << "layer " << i;
+    EXPECT_GT(kExpZigX[i], kExpZigX[i + 1]) << "layer " << i;
+  }
+  // The base strip (its rectangle plus the tail), then layers 1..255.
+  EXPECT_NEAR(kExpZigX[0] * kExpZigF[1], kExpZigV, 1e-15);
+  for (int i = 1; i < 256; ++i) {
+    EXPECT_NEAR(kExpZigX[i] * (kExpZigF[i + 1] - kExpZigF[i]), kExpZigV,
+                1e-13)
+        << "layer " << i;
+  }
+}
 
 TEST(VariatesTest, ExponentialMatchesItsCdfAtTenMillionDraws) {
   Rng rng(20261020);
