@@ -28,14 +28,14 @@ void BM_SampleGamma(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleGamma);
 
-// Gamma(k, 4) at the integer shapes k = 1..8: the Erlang sum of k
+// Gamma(k, 4) at the integer shapes k = 1..12: the Erlang sum of k
 // exponentials up to Rng::kErlangMaxShape, Marsaglia–Tsang above it.
 void BM_SampleGammaShape(benchmark::State& state) {
   GammaDistribution dist(static_cast<double>(state.range(0)), 4.0);
   Rng rng(42);
   for (auto _ : state) benchmark::DoNotOptimize(dist.Sample(&rng));
 }
-BENCHMARK(BM_SampleGammaShape)->DenseRange(1, 8);
+BENCHMARK(BM_SampleGammaShape)->DenseRange(1, 12);
 
 void BM_SampleGammaShapeBelowOne(benchmark::State& state) {
   GammaDistribution dist(0.5, 1.0);
