@@ -9,7 +9,12 @@ binaries lands on both sides of the pair. Peak RSS is the largest
 ru_maxrss os.wait4 reports for a side's processes in one pair.
 
 A row is compared on the first metric both sides export, in METRICS order,
-through its per-pair ratios (change / parent). It fails only when both:
+through its per-pair ratios (change / parent). The simulation and sharded
+rows read ns per event, the perf_event_queue rows ns per item (one kernel
+operation) and BM_SolvePlan ns per movie planned; the perf_distributions
+BM_Sample rows export only real time per iteration, and one iteration
+draws one variate, so they read ns per variate. A row fails only when
+both:
 
   * the median pair ratio exceeds the row's tier: KERNEL_TIER for the
     KERNEL_PREFIXES rows, OTHER_TIER for every other row and for peak RSS;
@@ -52,6 +57,7 @@ GATED = (
      "BM_CancelBurstThenDrain"),
     ("bench/perf_sharded", "BM_ShardedRun"),
     ("bench/perf_planner", "BM_SolvePlan"),
+    ("bench/perf_distributions", "BM_Sample"),
 )
 # Single hot loops with low variance, whose regressions are the point of
 # gating: held to the tight tier. Some GATED filter selects each of them

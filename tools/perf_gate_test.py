@@ -105,6 +105,27 @@ class GatedTableTest(unittest.TestCase):
         self.assertEqual(perf_gate.tier("BM_SolvePlan/384"),
                          perf_gate.OTHER_TIER)
 
+    def test_the_sampler_rows_are_gated_at_the_other_tier(self):
+        # One variate per iteration: each row reads ns per variate, and its
+        # real time is the metric both sides export.
+        filters = [f for binary, f in perf_gate.GATED
+                   if binary == "bench/perf_distributions"]
+        self.assertEqual(filters, ["BM_Sample"])
+        for row in ("BM_SampleExponential", "BM_SampleGamma",
+                    "BM_SampleGammaShape/2", "BM_SampleGammaShapeBelowOne",
+                    "BM_SampleWeibull", "BM_SampleLognormal"):
+            self.assertTrue(re.search(filters[0], row), row)
+            self.assertEqual(perf_gate.tier(row), perf_gate.OTHER_TIER, row)
+        for row in ("BM_CdfGamma", "BM_RegularizedGammaP", "BM_RngUniform"):
+            self.assertIsNone(re.search(filters[0], row), row)
+        bench = {"name": "BM_SampleGamma", "real_time": 9.8,
+                 "time_unit": "ns"}
+        self.assertEqual(perf_gate.row_metrics(bench), {"real_time_ns": 9.8})
+        row = perf_gate.judge("BM_SampleGamma", [{"real_time_ns": 30.0}] * 8,
+                              [{"real_time_ns": 59.0}] * 8)
+        self.assertEqual((row["metric"], row["verdict"]),
+                         ("real_time_ns", "ok"))
+
 
 class RunOrderTest(unittest.TestCase):
 
