@@ -6,9 +6,9 @@ Byte identity cannot tell a change that draws the same variates in another
 order (or by another method) from a bug. This tool compares what the Fig 7
 cells of the paper grid report, across seeds, between two vodctl builds:
 
-  * each resume-outcome share (within, jump, end and miss over all
-    resumes), as `vodctl simulate` prints them, from a --measure=MEASURE
-    run per (cell, seed);
+  * the number of resumes and each resume-outcome share (within, jump,
+    end and miss over all resumes), as `vodctl simulate` prints them, from
+    a --measure=MEASURE run per (cell, seed);
   * the mean VCR duration of each operation, from the `vcr_begin` records
     of a shorter traced run per (cell, seed) (--trace_categories=vcr_begin:
     the records FitBehaviorFromTrace fits, whose empirical mean this is).
@@ -16,7 +16,8 @@ cells of the paper grid report, across seeds, between two vodctl builds:
 The cells are the paper grid's: mixes ff, rw, pau and mixed, w in
 {0.5, 1, 2} and n = 10, 30, ... while n * w < 120 (84 cells); --grid=quick
 keeps w = 1 and n in {10, 50, 90} (12 cells). Side A runs seeds 1..K and
-side B seeds K+1..2K, so the two sides are independent even for one build.
+side B seeds K+1..2K, K = SEEDS = 4, so the two sides are independent even
+for one build.
 
 Rule. Each quantity of each cell is one two-sample comparison of the K
 per-seed values of side B against side A: a pooled-variance Student t test
@@ -27,6 +28,9 @@ quantities (Bonferroni). The printed interval is the difference of means
 with that same family-wise level. By Bonferroni's inequality a change that
 moved no distribution fails with probability at most ALPHA = 1%, whatever
 the dependence between quantities (the shares of one cell sum to 1).
+A quantity that only one side reports (say, a build that traces no
+vcr_begin records or names an operation otherwise) cannot be compared,
+and fails too.
 
 --self-test runs the one-build power check: side A against side B of the
 same build must pass (A/A), and side A against side B run with
@@ -35,15 +39,16 @@ It exits 0 only when both hold.
 
 Stdlib only. Usage:
 
-    tools/stream_contract.py VODCTL_A VODCTL_B [--seeds K] [--grid full]
+    tools/stream_contract.py VODCTL_A VODCTL_B [--grid full]
         [--out contract.json]
-    tools/stream_contract.py --self-test VODCTL [--seeds K] [--grid quick]
+    tools/stream_contract.py --self-test VODCTL [--grid quick]
 
 A failing quantity is a finding to explain or fix, never a reason to pick
 other seeds.
 """
 
 import argparse
+import collections
 import concurrent.futures
 import json
 import math
@@ -54,6 +59,7 @@ import sys
 import tempfile
 
 ALPHA = 0.01
+SEEDS = 4            # seeds a side (K)
 MIXES = ("ff", "rw", "pau", "mixed")
 OUTCOMES = ("within", "jump", "end", "miss")
 MOVIE_LENGTH = 120.0
@@ -89,17 +95,28 @@ def cell_argv(vodctl, cell, seed, measure, extra):
             f"--streams={n}", f"--measure={measure}", f"--seed={seed}"] + extra
 
 
+def resume_quantities(report):
+    """{resumes: count, share.<outcome>: share} from a simulate report, or
+    None when it prints no resume counts."""
+    match = REPORT.search(report)
+    if match is None:
+        return None
+    resumes, *counts = (int(g) for g in match.groups())
+    values = {"resumes": float(resumes)}
+    values.update((f"share.{name}", count / resumes)
+                  for name, count in zip(OUTCOMES, counts))
+    return values
+
+
 def run_cell(vodctl, cell, seed, extra):
-    """One seed of one cell: {quantity: value} for its shares and durations."""
+    """One seed of one cell: {quantity: value} for its resumes, shares and
+    durations."""
     out = subprocess.run(cell_argv(vodctl, cell, seed, MEASURE, extra),
                          capture_output=True, text=True, check=True).stdout
-    match = REPORT.search(out)
-    if match is None:
+    values = resume_quantities(out)
+    if values is None:
         raise SystemExit(f"no resume counts in the report of {cell_name(cell)}"
                          f" seed {seed}: {out!r}")
-    resumes, *counts = (int(g) for g in match.groups())
-    values = {f"share.{name}": count / resumes
-              for name, count in zip(OUTCOMES, counts)}
     with tempfile.TemporaryDirectory() as tmp:
         trace = os.path.join(tmp, "vcr.jsonl")
         subprocess.run(cell_argv(vodctl, cell, seed, TRACED_MEASURE, extra) +
@@ -203,17 +220,28 @@ def pooled_t(a, b):
 
 
 def compare(side_a, side_b, alpha=ALPHA):
-    """Judges every quantity both sides report under the Bonferroni rule.
+    """Judges every quantity of every cell under the Bonferroni rule.
 
     Returns (rows, passed): one row per (cell, quantity) with both means,
     the difference, its family-wise interval, the p-value and the verdict.
+    A quantity that only one side reports fails; its row has p = 0 and
+    `only_on`, the side that reports it, in place of the statistics.
     """
-    keys = [(cell, q) for cell in side_a for q in sorted(side_a[cell])
-            if q in side_b.get(cell, {})]
-    per_test = alpha / max(1, len(keys))
+    cells = list(side_a) + [cell for cell in side_b if cell not in side_a]
+    keys = [(cell, q) for cell in cells
+            for q in sorted(set(side_a.get(cell, {})) |
+                            set(side_b.get(cell, {})))]
+    compared = [(cell, q) for cell, q in keys
+                if q in side_a.get(cell, {}) and q in side_b.get(cell, {})]
+    per_test = alpha / max(1, len(compared))
     rows = []
     for cell, q in keys:
-        a, b = side_a[cell][q], side_b[cell][q]
+        a, b = side_a.get(cell, {}).get(q), side_b.get(cell, {}).get(q)
+        if a is None or b is None:
+            rows.append({"cell": cell, "quantity": q, "p": 0.0,
+                         "verdict": "FAIL", "only_on": "A" if b is None
+                         else "B"})
+            continue
         diff, se, df = pooled_t(a, b)
         if se > 0.0:
             p = t_two_sided_p(diff / se, df)
@@ -230,14 +258,22 @@ def compare(side_a, side_b, alpha=ALPHA):
 # ---- driver ----------------------------------------------------------------
 
 
-def report(title, rows, passed, seeds, alpha=ALPHA):
+def report(title, rows, passed, alpha=ALPHA):
     cells = len({r["cell"] for r in rows})
-    failed = [r for r in rows if r["verdict"] == "FAIL"]
-    print(f"{title}: {len(rows)} quantities over {cells} cells, {seeds} "
+    compared = [r for r in rows if "only_on" not in r]
+    failed = [r for r in compared if r["verdict"] == "FAIL"]
+    one_sided = collections.Counter((r["only_on"], r["quantity"])
+                                    for r in rows if "only_on" in r)
+    missing = len(rows) - len(compared)
+    print(f"{title}: {len(compared)} quantities over {cells} cells, {SEEDS} "
           f"seeds a side, Bonferroni alpha={alpha:g} "
-          f"(per quantity {alpha / max(1, len(rows)):.2e}): "
-          f"{'PASS' if passed else 'FAIL'} ({len(failed)} failed)")
-    worst = sorted(rows, key=lambda r: r["p"])[:5 if passed else 10]
+          f"(per quantity {alpha / max(1, len(compared)):.2e}): "
+          f"{'PASS' if passed else 'FAIL'} ({len(failed)} failed"
+          f"{f', {missing} on one side only' if missing else ''})")
+    for (side, quantity), count in sorted(one_sided.items()):
+        print(f"  FAIL  {quantity} is reported by side {side} only, "
+              f"in {count} cells")
+    worst = sorted(compared, key=lambda r: r["p"])[:5 if passed else 10]
     for r in worst:
         lo, hi = r["interval"]
         print(f"  {r['verdict']:>4}  {r['cell']:<18} {r['quantity']:<16} "
@@ -248,16 +284,14 @@ def report(title, rows, passed, seeds, alpha=ALPHA):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Compare the Fig 7 resume shares and VCR durations of "
-                    "two vodctl builds across seeds.")
+        description="Compare the Fig 7 resume counts and shares and VCR "
+                    "durations of two vodctl builds across seeds.")
     parser.add_argument("vodctl", nargs="+",
                         help="VODCTL_A VODCTL_B, or one VODCTL with "
                              "--self-test")
     parser.add_argument("--self-test", action="store_true",
                         help="one build: A/A must pass and a +10%% "
                              "duration scale must fail")
-    parser.add_argument("--seeds", type=int, default=4,
-                        help="seeds per side (K)")
     parser.add_argument("--grid", choices=("full", "quick"), default=None,
                         help="cells to run (default: full, quick with "
                              "--self-test)")
@@ -268,35 +302,33 @@ def main():
     args = parser.parse_args()
     if len(args.vodctl) != (1 if args.self_test else 2):
         parser.error("give VODCTL_A VODCTL_B, or --self-test VODCTL")
-    if args.seeds < 2:
-        parser.error("--seeds must be at least 2")
 
     cells = grid_cells(args.grid or ("quick" if args.self_test else "full"))
-    seeds_a = range(1, args.seeds + 1)
-    seeds_b = range(args.seeds + 1, 2 * args.seeds + 1)
+    seeds_a = range(1, SEEDS + 1)
+    seeds_b = range(SEEDS + 1, 2 * SEEDS + 1)
     vodctl_a, vodctl_b = args.vodctl[0], args.vodctl[-1]
     side_a = run_side(vodctl_a, cells, seeds_a, [], args.jobs)
     side_b = run_side(vodctl_b, cells, seeds_b, [], args.jobs)
     rows, passed = compare(side_a, side_b)
-    document = {"alpha": ALPHA, "seeds": args.seeds, "cells": len(cells),
+    document = {"alpha": ALPHA, "seeds": SEEDS, "cells": len(cells),
                 "measure": MEASURE, "traced_measure": TRACED_MEASURE,
                 "vodctl_a": os.path.abspath(vodctl_a),
                 "vodctl_b": os.path.abspath(vodctl_b),
                 "passed": passed, "rows": rows}
     if args.self_test:
-        report("A/A (seeds 1..K against K+1..2K)", rows, passed, args.seeds)
+        report("A/A (seeds 1..K against K+1..2K)", rows, passed)
         scaled = run_side(vodctl_b, cells, seeds_b,
                           [f"--duration={SCALED_DURATION}"], args.jobs)
         scaled_rows, scaled_passed = compare(side_a, scaled)
         report(f"A against B with --duration={SCALED_DURATION}", scaled_rows,
-               scaled_passed, args.seeds)
+               scaled_passed)
         document["scaled"] = {"duration": SCALED_DURATION,
                               "passed": scaled_passed, "rows": scaled_rows}
         ok = passed and not scaled_passed
         print("power self-test: " + ("PASS (A/A passes, the +10% scale fails)"
                                      if ok else "FAIL"))
     else:
-        report("A against B", rows, passed, args.seeds)
+        report("A against B", rows, passed)
         ok = passed
     if args.out:
         with open(args.out, "w") as f:

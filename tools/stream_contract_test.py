@@ -71,13 +71,42 @@ class CompareTest(unittest.TestCase):
         moved = side({"share.within": [1e-4] * 4})
         self.assertFalse(sc.compare(zero, moved)[1])
 
-    def test_a_quantity_on_one_side_only_is_not_compared(self):
+    def test_a_quantity_on_one_side_only_fails(self):
+        # A build that traces no vcr_begin records, or renames an operation,
+        # must not drop those quantities from the check unnoticed.
         a = side({"duration.ff": [8.0, 8.1, 7.9, 8.0]})
         b = side({"duration.ff": [8.0, 8.1, 7.9, 8.0],
                   "duration.rw": [1.0, 1.0, 1.0, 1.0]})
+        for first, second, only_on in ((a, b, "B"), (b, a, "A")):
+            rows, passed = sc.compare(first, second)
+            self.assertFalse(passed)
+            verdicts = {r["quantity"]: r["verdict"] for r in rows}
+            self.assertEqual(verdicts, {"duration.ff": "ok",
+                                        "duration.rw": "FAIL"})
+            self.assertEqual([r["only_on"] for r in rows if "only_on" in r],
+                             [only_on])
+
+    def test_a_cell_on_one_side_only_fails(self):
+        a = side({"share.end": [0.06, 0.07, 0.065, 0.068]})
+        b = dict(a, **side({"share.end": [0.06, 0.07, 0.065, 0.068]},
+                           cell="rw w=1 n=10"))
         rows, passed = sc.compare(a, b)
-        self.assertEqual([r["quantity"] for r in rows], ["duration.ff"])
-        self.assertTrue(passed)
+        self.assertFalse(passed)
+        self.assertEqual([(r["cell"], r.get("only_on")) for r in rows],
+                         [("ff w=1 n=10", None), ("rw w=1 n=10", "B")])
+
+    def test_bonferroni_counts_only_the_quantities_both_sides_report(self):
+        # The one-sided quantity fails on its own; it does not tighten the
+        # level the compared ones are held to.
+        # p = 0.007 fails at 0.01 and would pass at 0.01 / 2.
+        t = sc.t_critical(0.007, 6)
+        spread = [-1.0, 1.0, -1.0, 1.0]
+        se = math.sqrt(sum(x * x for x in spread) * 2 / 6 * 0.5)
+        shifted = [x + t * se for x in spread]
+        rows, _ = sc.compare(side({"q": spread}),
+                             side({"q": shifted, "r": spread}))
+        self.assertEqual([r["verdict"] for r in rows], ["FAIL", "FAIL"])
+        self.assertAlmostEqual(rows[0]["p"], 0.007, places=9)
 
 
 class GridAndParsingTest(unittest.TestCase):
@@ -90,12 +119,17 @@ class GridAndParsingTest(unittest.TestCase):
         self.assertNotIn(("rw", 2.0, 70), cells)  # 70 * 2 >= 120
         self.assertEqual(len(sc.grid_cells("quick")), 12)
 
-    def test_report_counts_parse(self):
+    def test_report_counts_parse_into_resumes_and_shares(self):
         line = ("SimulationReport{P(hit)=0.690565 [0.687009, 0.694098], "
                 "resumes=65319 (within=2788, jump=37992, end=4327, "
                 "miss=20212), admissions=15025}")
-        self.assertEqual(sc.REPORT.search(line).groups(),
-                         ("65319", "2788", "37992", "4327", "20212"))
+        self.assertEqual(sc.resume_quantities(line),
+                         {"resumes": 65319.0,
+                          "share.within": 2788 / 65319,
+                          "share.jump": 37992 / 65319,
+                          "share.end": 4327 / 65319,
+                          "share.miss": 20212 / 65319})
+        self.assertIsNone(sc.resume_quantities("SimulationReport{}"))
 
     def test_mean_durations_per_op_from_vcr_begin_records(self):
         records = [{"cat": "vcr_begin", "sub": "ff", "value": 2.0},
