@@ -5,20 +5,10 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "ctrl_fixtures.h"
 
 namespace vod {
 namespace {
-
-// Feeds Poisson(rate) arrivals over `minutes`, returns the final time.
-double FeedPoisson(RateEstimator* estimator, double rate, double minutes,
-                   Rng* rng, double t0 = 0.0) {
-  double t = t0;
-  for (;;) {
-    t += rng->Exponential(1.0 / rate);
-    if (t > t0 + minutes) return t0 + minutes;
-    estimator->Observe(t);
-  }
-}
 
 // The shot-noise filter's stationary mean is lambda — the length bias that
 // sinks a gap-EWMA (which converges to E[gap^2]/E[gap] = 2/lambda, i.e. an
@@ -43,23 +33,6 @@ TEST(RateEstimatorTest, EstimateDecaysThroughSilence) {
   // One tau of silence decays the estimate by e^-1; ten taus kill it.
   EXPECT_NEAR(estimator.RateAt(end + 120.0), busy * std::exp(-1.0), 1e-12);
   EXPECT_LT(estimator.RateAt(end + 1200.0), 0.001);
-}
-
-// The Page–Hinkley detector's false-alarm rate under stationary Poisson
-// traffic. It is a rate, not a per-seed promise: over 30 000 minutes at
-// lambda = 0.5 about 1.6% of seeds raise an alarm (195 of 12 000 measured),
-// so a fixed handful of seeds passes or fails by luck. Over seeds 1-1000
-// the expected count is 16 +/- 4; 29 sits more than 3 sigma above it.
-TEST(RateEstimatorTest, FalseAlarmRateUnderStationaryTrafficIsSmall) {
-  constexpr uint64_t kSeeds = 1000;
-  int alarms = 0;
-  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    Rng rng(seed);
-    RateEstimator estimator(0.5, 0.0);
-    FeedPoisson(&estimator, 0.5, 30000.0, &rng);
-    if (estimator.DriftAlarm()) ++alarms;
-  }
-  EXPECT_LE(alarms, 29) << "false alarms in " << kSeeds << " seeds";
 }
 
 TEST(RateEstimatorTest, AlarmsOnUpwardRateStep) {
